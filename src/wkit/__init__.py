@@ -37,7 +37,7 @@ from .qseries import (
     theta_char_series,
 )
 from .reports import CheckReport, sort_reports
-from .rmatrix import RMatrixFactory, RMatrixValue, ZnMatrices
+from .rmatrix import RMatrixFactory, ZnMatrices
 from .tensor import Antisymmetrizer, LabeledTensor, antisymmetrizer, fused_R
 from .wgen import (
     EvalRep,
@@ -59,7 +59,7 @@ __all__ = [
     "Y_kkprime_cr", "I_series", "f_cr_series", "f_cr_modes",
     "resolve_abelian_branch", "abelianity_check",
     "CheckReport", "sort_reports",
-    "ZnMatrices", "RMatrixFactory", "RMatrixValue",
+    "ZnMatrices", "RMatrixFactory",
     "LabeledTensor", "Antisymmetrizer", "antisymmetrizer", "fused_R",
     "SurfaceSpec", "resolve_surface", "EvalRep", "WGenerator", "build_t",
     "exchange_residual_tL", "exchange_residual_tt", "qdet_extract",

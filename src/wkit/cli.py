@@ -57,14 +57,8 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
         raise ConfigError(f"N must be an integer >= 2, got {N!r}")
     q = _as_complex(pblock.get("q", 0.55), "q")
     c = _as_complex(pblock.get("c", 0.0), "c")
-    if "s" in pblock and "p" in pblock:
-        raise ConfigError("give either s or p, not both")
-    if "s" in pblock:
-        s = _as_complex(pblock["s"], "s")
-    elif "p" in pblock:
-        s = cmath.sqrt(_as_complex(pblock["p"], "p"))
-    else:
-        s = cmath.sqrt(0.3)
+    s = _root_value(_as_complex(pblock["s"], "s") if "s" in pblock else None,
+                    _as_complex(pblock["p"], "p") if "p" in pblock else None)
     try:
         params = EllipticParams(N=N, q=q, s=s, c=c)
     except ValueError as exc:
@@ -147,15 +141,16 @@ def cmd_check(args) -> int:
     return 0 if n_fail == 0 else 1
 
 
+def _root_value(s, p) -> complex:
+    """The designated root value: s itself, or sqrt(p); p = 0.3 if neither is given."""
+    if s is not None and p is not None:
+        raise ConfigError("give either s or p, not both")
+    return s if s is not None else cmath.sqrt(0.3 if p is None else p)
+
+
 def _params_from_flags(args) -> EllipticParams:
-    if args.s is not None and args.p is not None:
-        raise ConfigError("give either --s or --p, not both")
-    if args.s is not None:
-        s = _parse_complex(args.s)
-    elif args.p is not None:
-        s = cmath.sqrt(_parse_complex(args.p))
-    else:
-        s = cmath.sqrt(0.3)
+    s = _root_value(None if args.s is None else _parse_complex(args.s),
+                    None if args.p is None else _parse_complex(args.p))
     return EllipticParams(N=args.N, q=_parse_complex(args.q), s=s,
                           c=_parse_complex(args.c))
 
@@ -174,27 +169,20 @@ def _parse_complex(text) -> complex:
 def _eval_function(name: str, x: complex, params: EllipticParams, args):
     from . import qseries
 
-    if name == "theta_big":
-        return qseries.theta_big(x, params.p, DEFAULT_POLICY)
-    if name == "tau_N":
-        return qseries.tau_N(x, params)
-    if name == "U":
-        return qseries.U(x, params)
-    if name == "F_a":
-        return qseries.F_a(x, args.m, params.s, params)
-    if name == "Y_mn":
-        return qseries.Y_mn(x, args.m, args.n, params)
-    if name == "Y_FF":
-        return qseries.Y_FF(x, params)
-    if name == "I":
-        return qseries.I_series(x, params)
-    if name == "f_cr_series":
-        return qseries.f_cr_series(x, args.k, args.kprime, params)
-    if name == "f_cr_modes":
-        return qseries.f_cr_modes(x, args.k, args.kprime, params)
-    raise ConfigError(
-        f"unknown function {name!r}; available: theta_big tau_N U F_a Y_mn "
-        f"Y_FF I f_cr_series f_cr_modes")
+    functions = {
+        "theta_big": lambda: qseries.theta_big(x, params.p, DEFAULT_POLICY),
+        "tau_N": lambda: qseries.tau_N(x, params),
+        "U": lambda: qseries.U(x, params),
+        "F_a": lambda: qseries.F_a(x, args.m, params.s, params),
+        "Y_mn": lambda: qseries.Y_mn(x, args.m, args.n, params),
+        "Y_FF": lambda: qseries.Y_FF(x, params),
+        "I": lambda: qseries.I_series(x, params),
+        "f_cr_series": lambda: qseries.f_cr_series(x, args.k, args.kprime, params),
+        "f_cr_modes": lambda: qseries.f_cr_modes(x, args.k, args.kprime, params),
+    }
+    if name not in functions:
+        raise ConfigError(f"unknown function {name!r}; available: {' '.join(functions)}")
+    return functions[name]()
 
 
 def cmd_eval(args) -> int:

@@ -27,6 +27,7 @@ import math
 from fractions import Fraction
 
 from .errors import (
+    BranchDomainViolation,
     ModulusOutOfRange,
     NonconvergentTau,
     OutsideConvergenceAnnulus,
@@ -35,6 +36,7 @@ from .errors import (
     ZeroArgument,
 )
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy
+from .reports import Stopwatch
 
 _TWO_I_PI = 2j * cmath.pi
 _POLE_EPS = 1e-14
@@ -236,34 +238,31 @@ def Y_mn_forms(x: complex, m: int, n: int, params: EllipticParams,
     """Both written forms of the quadratic exchange function Y_{m,n}(x).
 
     form1 = F*_n(x) F_m(s*^n x) / (F*_n(s*^{-n} x) F_m(x))
-    form2 = F*_n(x) F*_{-n}(x) / (F_m(x) F_{-m}(x))
+    form2 = F*_n(x) F*_{-n}(x) / (F_m(x) F_{-m}(x))  = Y_mn(x)
 
     The two coincide exactly on the surface s^m s*^n = q^{-N}; the returned
     triple (form1, form2, |form1-form2|) makes the agreement checkable.
     """
     s, ss = params.s, params.s_star
-    f1 = (
-        F_a(x, n, ss, params, policy)
-        * F_a(ss**n * x, m, s, params, policy)
-        / (F_a(ss ** (-n) * x, n, ss, params, policy) * F_a(x, m, s, params, policy))
-    )
-    f2 = (
-        F_a(x, n, ss, params, policy)
-        * F_a(x, -n, ss, params, policy)
-        / (F_a(x, m, s, params, policy) * F_a(x, -m, s, params, policy))
-    )
+    Fn = F_a(x, n, ss, params, policy)
+    Fm = F_a(x, m, s, params, policy)
+    f1 = (Fn * F_a(ss**n * x, m, s, params, policy)
+          / (F_a(ss ** (-n) * x, n, ss, params, policy) * Fm))
+    f2 = _Y_mn(x, m, n, Fn, Fm, params, policy)
     return f1, f2, abs(f1 - f2)
 
 
 def Y_mn(x: complex, m: int, n: int, params: EllipticParams,
          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Quadratic exchange function Y_{m,n}(x), second (ladder-ratio) form."""
-    s, ss = params.s, params.s_star
-    return (
-        F_a(x, n, ss, params, policy)
-        * F_a(x, -n, ss, params, policy)
-        / (F_a(x, m, s, params, policy) * F_a(x, -m, s, params, policy))
-    )
+    return _Y_mn(x, m, n, F_a(x, n, params.s_star, params, policy),
+                 F_a(x, m, params.s, params, policy), params, policy)
+
+
+def _Y_mn(x, m, n, Fn, Fm, params, policy) -> complex:
+    """Y_mn(x) given Fn = F*_n(x) and Fm = F_m(x)."""
+    return (Fn * F_a(x, -n, params.s_star, params, policy)
+            / (Fm * F_a(x, -m, params.s, params, policy)))
 
 
 def Y_FF(x: complex, params: EllipticParams,
@@ -278,8 +277,7 @@ def Y_FF(x: complex, params: EllipticParams,
     qc2 = cmath.exp(2 * c * cmath.log(q))  # q^(2c), principal
 
     def th(v):
-        t = theta_big(v, P, policy)
-        return t
+        return theta_big(v, P, policy)
 
     num = th(1 / x2) * th(q * q / x2) * th(q * q * qc2 * x2) * th(x2 / qc2)
     den = th(x2) * th(q * q * x2) * th(1 / (qc2 * x2)) * th(q * q * qc2 / x2)
@@ -450,15 +448,20 @@ def resolve_abelian_branch(branch: str, N: int, q: complex, m: int, n: int,
     Every branch lands on the surface s^m s*^n = q^{-N}; the returned
     parameter bundle stores s and c (s* follows from them).
     """
-    from .errors import BranchDomainViolation
 
     def qpow(e) -> complex:
         return cmath.exp(complex(e) * cmath.log(q))
 
-    def need_lam():
+    def need_lam(divides=(), names=""):
+        """lam as a Fraction; its denominator must divide 2 or one of `divides`."""
         if lam is None:
             raise BranchDomainViolation(f"{branch} needs a lam value")
-        return _as_fraction(lam)
+        lam_f = _as_fraction(lam)
+        dens = {1, 2}.union(*(_divisors(abs(v)) for v in divides))
+        if divides and lam_f.denominator not in dens:
+            raise BranchDomainViolation(
+                f"{branch} lam denominator {lam_f.denominator} must divide 2, {names}")
+        return lam_f
 
     if branch == "abel1":
         if abs(m) <= 1 or abs(n) <= 1:
@@ -472,23 +475,13 @@ def resolve_abelian_branch(branch: str, N: int, q: complex, m: int, n: int,
     elif branch == "abel2":
         if abs(n) != 1:
             raise BranchDomainViolation("abel2 needs |n| = 1")
-        lam = need_lam()
-        dens = {1, 2, *_divisors(abs(m)), *_divisors(abs(m + n))}
-        if lam.denominator not in dens:
-            raise BranchDomainViolation(
-                f"abel2 lam denominator {lam.denominator} must divide 2, m, or m+n"
-            )
+        lam = need_lam((m, m + n), "m, or m+n")
         c = Fraction(N * n) * (1 - lam * (m + n))
         s = qpow(-N * lam)
     elif branch == "abel3":
         if abs(m) != 1:
             raise BranchDomainViolation("abel3 needs |m| = 1")
-        lam = need_lam()
-        dens = {1, 2, *_divisors(abs(n)), *_divisors(abs(n + m))}
-        if lam.denominator not in dens:
-            raise BranchDomainViolation(
-                f"abel3 lam denominator {lam.denominator} must divide 2, n, or n+m"
-            )
+        lam = need_lam((n, n + m), "n, or n+m")
         c = Fraction(N * m) * (lam * (n + m) - 1)
         s = qpow(Fraction(-N * m) * (1 - lam * n))
     elif branch == "abel4":
@@ -510,16 +503,12 @@ def abelianity_check(branch: str, N: int, q: complex, m: int, n: int,
                      policy: TruncationPolicy = DEFAULT_POLICY,
                      suite: str = "abelianity"):
     """Resolve the branch and measure max |Y_{m,n}(x) - 1| over the grid."""
-    import time
-
-    from .reports import CheckReport
-
-    t0 = time.perf_counter()
+    clock = Stopwatch()
     x_grid = list(x_grid)
     params = resolve_abelian_branch(branch, N, q, m, n, lam)
     surf = abs(params.s**m * params.s_star**n - q ** (-N))
     dev = max(abs(Y_mn(x, m, n, params, policy) - 1) for x in x_grid)
-    return CheckReport(
+    return clock.report(
         suite=suite,
         check=f"{branch}(m={m},n={n})",
         identity="Y_{m,n}(x) = 1 on the abelianity surface",
@@ -527,5 +516,4 @@ def abelianity_check(branch: str, N: int, q: complex, m: int, n: int,
                 "c": params.c, "surface_residual": surf, "grid_points": len(x_grid)},
         residual=dev,
         tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field, asdict
 
 
@@ -40,8 +41,33 @@ class CheckReport:
         d.pop("passed", None)
         return cls(**d)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+
+class Stopwatch:
+    """Builds the CheckReports of one check, timed from construction.
+
+    This is the one place a report gets its wall_ms: programmatic callers
+    see real timings, while the CLI normalizes them for byte-identical output.
+    """
+
+    def __init__(self):
+        self._t0 = time.perf_counter()
+
+    def report(self, suite: str, check: str, identity: str, inputs: dict,
+               residual: float, tolerance: float) -> CheckReport:
+        return CheckReport(suite, check, identity, inputs, residual, tolerance,
+                           wall_ms=(time.perf_counter() - self._t0) * 1e3)
+
+    def control(self, suite: str, check: str, identity: str, inputs: dict,
+                observed: float, threshold: float) -> CheckReport:
+        """Test-power control: passes iff the observed violation reaches the
+        threshold (residual = threshold / observed against tolerance 1), so
+        an observation of 0 or NaN fails."""
+        observed_f = float(observed)
+        residual = threshold / observed_f if observed_f != 0 else float("inf")
+        return self.report(suite, check, identity,
+                           {**inputs, "observed_violation": observed,
+                            "threshold": threshold},
+                           residual, 1.0)
 
 
 def _jsonable(obj):

@@ -24,14 +24,15 @@ tau_N has a zero against a kappa pole (needed for the kernel projector).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 
 from .errors import ModulusOutOfRange, PoleHit
-from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of, z_of
+from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
 from .qseries import F_a, U, kappa_inv, pochhammer, theta_big, theta_char_series
-from .tensor import LabeledTensor, antisymmetrizer
+from .reports import Stopwatch
+from .tensor import LabeledTensor, antisymmetrizer, permutation_operator
 
 _POLE_REL = 1e-12
 
@@ -45,12 +46,9 @@ class ZnMatrices:
         om = np.exp(2j * np.pi / N)
         self.omega = om
         self.g = np.diag([om**j for j in range(1, N + 1)])
-        h = np.zeros((N, N), dtype=complex)
-        for i in range(1, N + 1):
-            h[i - 1, i % N] = 1.0
-        self.h = h
+        self.h = np.roll(np.eye(N, dtype=complex), 1, axis=1)  # h[i, i+1 mod N] = 1
         self.g_half = np.diag([np.exp(1j * np.pi * j / N) for j in range(1, N + 1)])
-        self.GH = self.g_half @ h @ self.g_half
+        self.GH = self.g_half @ self.h @ self.g_half
         self.GH_inv = np.linalg.inv(self.GH)
 
     def I_alpha(self, a1: int, a2: int) -> np.ndarray:
@@ -62,28 +60,26 @@ class ZnMatrices:
         return np.linalg.matrix_power(base, abs(m))
 
 
-@dataclass(frozen=True)
-class RMatrixValue:
-    """An evaluated R-matrix with its provenance."""
+def _nome_limit(build):
+    """On a degenerate nome, evaluate `build` as the mean of its values on
+    the two nearby child factories."""
 
-    tensor: LabeledTensor
-    kind: str  # "Z", "R" or "Rhat"
-    xi: complex
-    z: complex
-    N: int
-    q: complex
-    p: complex
+    @functools.wraps(build)
+    def limited(self, xi: complex) -> np.ndarray:
+        if self._children is None:
+            return build(self, xi)
+        return (build(self._children[0], xi) + build(self._children[1], xi)) / 2
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.tensor.data
+    return limited
 
 
 class RMatrixFactory:
     """Builds Z / R / Rhat at given spectral points for one parameter set.
 
     Caches only z-independent quantities (characteristics-theta
-    denominators, Weyl matrices); every build is a pure function of xi.
+    denominators, Weyl matrices); every build is a pure function of xi, so
+    one factory serves every check at its parameter point.  The builds are
+    `z_matrix_xi`, `r_matrix_xi`, `rhat_matrix_xi` and `rhat_tensor`.
     """
 
     _DEGENERATE_DEN = 1e-8
@@ -93,7 +89,7 @@ class RMatrixFactory:
         params.require_elliptic()
         self.params = params
         self.policy = policy or DEFAULT_POLICY
-        N, q, p = params.N, params.q, params.p
+        N, q = params.N, params.q
         if abs(q ** (2 * N)) >= 1 - 1e-6:
             raise ModulusOutOfRange("|q^(2N)| too close to 1")
         self.N = N
@@ -101,12 +97,11 @@ class RMatrixFactory:
         self.zeta = params.zeta
         self.tau = params.tau
         self._theta_A_zeta = theta_char_series(0.5, 0.5, self.zeta, self.tau, self.policy)
-        self._w_dens = {}
-        for a1 in range(N):
-            for a2 in range(N):
-                d = theta_char_series(0.5 + a1 / N, 0.5 + a2 / N, self.zeta / N,
-                                      self.tau, self.policy)
-                self._w_dens[(a1, a2)] = d
+        self._w_dens = {
+            (a1, a2): theta_char_series(0.5 + a1 / N, 0.5 + a2 / N, self.zeta / N,
+                                        self.tau, self.policy)
+            for a1 in range(N) for a2 in range(N)
+        }
         # Loci where a characteristics denominator vanishes (e.g. p = q^2 at
         # N = 2, forced by the (-1,-1) surface) are removable: the prefactor
         # theta_A(zeta, tau) vanishes simultaneously and the matrix has a
@@ -119,21 +114,19 @@ class RMatrixFactory:
             delta = 1e-5
             for _ in range(4):
                 try:
-                    kids = [
+                    self._children = [
                         RMatrixFactory(
                             EllipticParams(N, q, params.s * cmath.sqrt(1 + sgn * delta), 0.0),
                             self.policy, _allow_limit=False)
                         for sgn in (+1, -1)
                     ]
-                    self._children = kids
                     break
                 except PoleHit:
                     delta *= 1.7
-            if self._children is None:
+            else:
                 raise PoleHit("could not take the degenerate-nome limit")
-        G = np.kron(self.zn.g_half, self.zn.g_half)
-        self._G = G
-        self._G_inv = np.linalg.inv(G)
+        self._G = np.kron(self.zn.g_half, self.zn.g_half)
+        self._G_inv = np.linalg.inv(self._G)
         self._pairs = {
             (a1, a2): np.kron(self.zn.I_alpha(a1, a2),
                               np.linalg.inv(self.zn.I_alpha(a1, a2)))
@@ -141,9 +134,6 @@ class RMatrixFactory:
         }
 
     # -- spectral-variable helpers -------------------------------------------
-
-    def xi_of(self, z: complex) -> complex:
-        return xi_of(z)
 
     @property
     def s_shift(self) -> complex:
@@ -174,10 +164,8 @@ class RMatrixFactory:
 
     # -- builders ---------------------------------------------------------------
 
+    @_nome_limit
     def z_matrix_xi(self, xi: complex) -> np.ndarray:
-        if self._children is not None:
-            return (self._children[0].z_matrix_xi(xi)
-                    + self._children[1].z_matrix_xi(xi)) / 2
         pref = (
             cmath.exp(1j * cmath.pi * xi * (2.0 / self.N - 2.0))
             * kappa_inv(cmath.exp(2j * cmath.pi * xi), self.params, self.policy)
@@ -185,12 +173,11 @@ class RMatrixFactory:
         )
         return pref * self._w_sum(xi)
 
+    @_nome_limit
     def r_matrix_xi(self, xi: complex) -> np.ndarray:
-        if self._children is not None:
-            return (self._children[0].r_matrix_xi(xi)
-                    + self._children[1].r_matrix_xi(xi)) / 2
         return self._G @ self.z_matrix_xi(xi) @ self._G_inv
 
+    @_nome_limit
     def rhat_matrix_xi(self, xi: complex) -> np.ndarray:
         """Rhat with the tau_N x kappa cancellation done analytically.
 
@@ -199,9 +186,6 @@ class RMatrixFactory:
         common factor (q^2 z^{-2}; q^{2N}) has been cancelled, so points
         like z = q (tau_N zero against kappa pole) evaluate directly.
         """
-        if self._children is not None:
-            return (self._children[0].rhat_matrix_xi(xi)
-                    + self._children[1].rhat_matrix_xi(xi)) / 2
         N, q, p = self.N, self.params.q, self.params.p
         pol = self.policy
         P = q ** (2 * N)
@@ -230,29 +214,6 @@ class RMatrixFactory:
         pref = q ** (1.0 / N - 1.0) * num / den * self._theta_ratio(xi)
         return pref * (self._G @ self._w_sum(xi) @ self._G_inv)
 
-    def _value(self, kind: str, data: np.ndarray, xi: complex, labels) -> RMatrixValue:
-        t = LabeledTensor.from_matrix(data, labels, self.N)
-        return RMatrixValue(tensor=t, kind=kind, xi=xi, z=z_of(xi),
-                            N=self.N, q=self.params.q, p=self.params.p)
-
-    def build_Z(self, z: complex, labels=(1, 2)) -> RMatrixValue:
-        xi = xi_of(z)
-        return self._value("Z", self.z_matrix_xi(xi), xi, labels)
-
-    def build_R(self, z: complex, labels=(1, 2)) -> RMatrixValue:
-        xi = xi_of(z)
-        return self._value("R", self.r_matrix_xi(xi), xi, labels)
-
-    def build_R_xi(self, xi: complex, labels=(1, 2)) -> RMatrixValue:
-        return self._value("R", self.r_matrix_xi(xi), xi, labels)
-
-    def build_Rhat(self, z: complex, labels=(1, 2)) -> RMatrixValue:
-        xi = xi_of(z)
-        return self._value("Rhat", self.rhat_matrix_xi(xi), xi, labels)
-
-    def build_Rhat_xi(self, xi: complex, labels=(1, 2)) -> RMatrixValue:
-        return self._value("Rhat", self.rhat_matrix_xi(xi), xi, labels)
-
     def rhat_tensor(self, xi: complex, labels) -> LabeledTensor:
         return LabeledTensor.from_matrix(self.rhat_matrix_xi(xi), labels, self.N)
 
@@ -263,11 +224,7 @@ class RMatrixFactory:
 
 def permutation_P(N: int) -> np.ndarray:
     """The flip P(x (x) y) = y (x) x on C^N (x) C^N."""
-    P = np.zeros((N * N, N * N))
-    for i in range(N):
-        for j in range(N):
-            P[i * N + j, j * N + i] = 1.0
-    return P
+    return permutation_operator((1, 0), N)
 
 
 def swap_21(mat: np.ndarray, N: int) -> np.ndarray:
@@ -285,13 +242,9 @@ def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
     """Largest forbidden entry relative to the largest entry: entry
     ((i,j),(k,l)) must vanish unless i + j = k + l mod N."""
     scale = np.abs(mat).max()
-    worst = 0.0
-    for i in range(N):
-        for j in range(N):
-            for k in range(N):
-                for l in range(N):
-                    if (i + j) % N != (k + l) % N:
-                        worst = max(worst, abs(mat[i * N + j, k * N + l]))
+    charge = np.add.outer(np.arange(N), np.arange(N)).ravel() % N
+    forbidden = charge[:, None] != charge[None, :]
+    worst = np.abs(mat[forbidden]).max()
     return worst / scale if scale > 0 else 0.0
 
 
@@ -299,173 +252,136 @@ def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
 # Property checks
 # ---------------------------------------------------------------------------
 
-def _report(suite, check, identity, inputs, residual, tolerance, t0):
-    import time
-
-    from .reports import CheckReport
-
-    return CheckReport(suite=suite, check=check, identity=identity, inputs=inputs,
-                       residual=residual, tolerance=tolerance,
-                       wall_ms=(time.perf_counter() - t0) * 1e3)
+def _inputs(fac: RMatrixFactory, **extra) -> dict:
+    return {"N": fac.N, "q": fac.params.q, "p": fac.params.p, **extra}
 
 
-def check_regularity(params: EllipticParams, policy=None, tolerance=1e-9,
-                     suite="rmatrix-properties"):
+def check_regularity(fac: RMatrixFactory, tolerance=1e-9, suite="rmatrix-properties"):
     """R(1) = P."""
-    import time
-    t0 = time.perf_counter()
-    fac = RMatrixFactory(params, policy)
-    R1 = fac.build_R(1.0).matrix
-    res = np.linalg.norm(R1 - permutation_P(params.N)) / np.linalg.norm(R1)
-    return _report(suite, "regularity", "R(1) = P",
-                   {"N": params.N, "q": params.q, "p": params.p},
-                   res, tolerance, t0)
+    clock = Stopwatch()
+    R1 = fac.r_matrix_xi(xi_of(1.0))
+    res = np.linalg.norm(R1 - permutation_P(fac.N)) / np.linalg.norm(R1)
+    return clock.report(suite, "regularity", "R(1) = P", _inputs(fac), res, tolerance)
 
 
-def check_unitarity(z: complex, params: EllipticParams, policy=None, tolerance=1e-9,
+def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9,
                     suite="rmatrix-properties"):
     """R_12(z) R_21(1/z) = 1, and Rhat_12(z) Rhat_21(1/z) = U(z)."""
-    import time
-    t0 = time.perf_counter()
-    fac = RMatrixFactory(params, policy)
-    N = params.N
-    R = fac.build_R(z).matrix
-    R21 = swap_21(fac.build_R(1 / z).matrix, N)
-    res_plain = np.linalg.norm(R @ R21 - np.eye(N * N)) / np.linalg.norm(R @ R21)
-    Rh = fac.build_Rhat(z).matrix
-    Rh21 = swap_21(fac.build_Rhat(1 / z).matrix, N)
-    uval = U(z, params, fac.policy)
-    res_hat = np.linalg.norm(Rh @ Rh21 - uval * np.eye(N * N)) / np.linalg.norm(Rh @ Rh21)
-    return _report(suite, "unitarity", "R12(z) R21(1/z) = 1; Rhat pair gives U(z)",
-                   {"N": N, "q": params.q, "p": params.p, "z": z},
-                   max(res_plain, res_hat), tolerance, t0)
+    clock = Stopwatch()
+    N = fac.N
+    resids = []
+    for build, scal in ((fac.r_matrix_xi, 1.0),
+                        (fac.rhat_matrix_xi, U(z, fac.params, fac.policy))):
+        RR21 = build(xi_of(z)) @ swap_21(build(xi_of(1 / z)), N)
+        resids.append(np.linalg.norm(RR21 - scal * np.eye(N * N)) / np.linalg.norm(RR21))
+    return clock.report(suite, "unitarity", "R12(z) R21(1/z) = 1; Rhat pair gives U(z)",
+                        _inputs(fac, z=z), max(resids), tolerance)
 
 
-def check_yang_baxter(z: complex, w: complex, params: EllipticParams, policy=None,
-                      tolerance=1e-9, hat: bool = False, suite="rmatrix-properties"):
+def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-9,
+                      hat: bool = False, suite="rmatrix-properties"):
     """R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z) on three spaces."""
-    import time
-    t0 = time.perf_counter()
-    fac = RMatrixFactory(params, policy)
-    N = params.N
-    build = fac.build_Rhat if hat else fac.build_R
+    clock = Stopwatch()
+    build = fac.rhat_matrix_xi if hat else fac.r_matrix_xi
 
     def on(zz, labels):
-        return build(zz, labels=labels).tensor.embed((1, 2, 3))
+        return LabeledTensor.from_matrix(build(xi_of(zz)), labels, fac.N).embed((1, 2, 3))
 
     A12, A13, A23 = on(z, (1, 2)), on(w, (1, 3)), on(w / z, (2, 3))
     lhs = A12 @ A13 @ A23
     rhs = A23 @ A13 @ A12
     res = (lhs - rhs).norm() / lhs.norm()
-    return _report(suite, "yang-baxter" + ("-hat" if hat else ""),
-                   "R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z)",
-                   {"N": N, "q": params.q, "p": params.p, "z": z, "w": w},
-                   res, tolerance, t0)
+    return clock.report(suite, "yang-baxter" + ("-hat" if hat else ""),
+                        "R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z)",
+                        _inputs(fac, z=z, w=w), res, tolerance)
 
 
-def check_crossing(z: complex, params: EllipticParams, policy=None, tolerance=1e-9,
+def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9,
                    suite="rmatrix-properties"):
     """Crossing symmetry R12(z)^{t2} R21(1/(z q^N))^{t2} = 1 and the
     crossing-unitarity consequence (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2},
     the latter verified for both R and Rhat."""
-    import time
-    t0 = time.perf_counter()
-    fac = RMatrixFactory(params, policy)
-    N, q = params.N, params.q
-    R = fac.build_R(z).matrix
+    clock = Stopwatch()
+    N, q = fac.N, fac.params.q
+    R = fac.r_matrix_xi(xi_of(z))
     Rt = t2_transpose(R, N)
-    R21c = swap_21(fac.build_R(1 / (z * q**N)).matrix, N)
+    R21c = swap_21(fac.r_matrix_xi(xi_of(1 / (z * q**N))), N)
     res1 = np.linalg.norm(Rt @ t2_transpose(R21c, N) - np.eye(N * N)) / np.linalg.norm(Rt)
     resids = [res1]
-    for build in (fac.build_R, fac.build_Rhat):
-        A = build(z).matrix
-        B = build(q**N * z).matrix
+    for build in (fac.r_matrix_xi, fac.rhat_matrix_xi):
+        A = build(xi_of(z))
+        B = build(xi_of(q**N * z))
         lhs = np.linalg.inv(t2_transpose(A, N))
         rhs = t2_transpose(np.linalg.inv(B), N)
         resids.append(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
-    return _report(suite, "crossing",
-                   "R^{t2}(z) R21^{t2}(1/(z q^N)) = 1 and (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2}",
-                   {"N": N, "q": params.q, "p": params.p, "z": z},
-                   max(resids), tolerance, t0)
+    return clock.report(
+        suite, "crossing",
+        "R^{t2}(z) R21^{t2}(1/(z q^N)) = 1 and (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2}",
+        _inputs(fac, z=z), max(resids), tolerance)
 
 
-def check_antisymmetry(z: complex, params: EllipticParams, policy=None, tolerance=1e-9,
+def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9,
                        suite="rmatrix-properties"):
     """R(-z) = omega (g^{-1} (x) 1) R(z) (g (x) 1), with -z reached by the
     continuation xi -> xi + 1 (principal-branch evaluation of -z realizes
     the identity only up to an N-th root of unity)."""
-    import time
-    t0 = time.perf_counter()
-    fac = RMatrixFactory(params, policy)
-    N = params.N
-    E = np.eye(N)
-    xi = fac.xi_of(z)
+    clock = Stopwatch()
+    E = np.eye(fac.N)
+    xi = xi_of(z)
     lhs = fac.r_matrix_xi(xi + 1)
     g = fac.zn.g
     rhs = fac.zn.omega * np.kron(np.linalg.inv(g), E) @ fac.r_matrix_xi(xi) @ np.kron(g, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-    return _report(suite, "antisymmetry",
-                   "R(-z) = omega (g^{-1} x 1) R(z) (g x 1)  [-z via xi+1]",
-                   {"N": N, "q": params.q, "p": params.p, "z": z},
-                   res, tolerance, t0)
+    return clock.report(suite, "antisymmetry",
+                        "R(-z) = omega (g^{-1} x 1) R(z) (g x 1)  [-z via xi+1]",
+                        _inputs(fac, z=z), res, tolerance)
 
 
-def check_quasi_periodicity_M(x: complex, a: int, params: EllipticParams, policy=None,
-                              tolerance=1e-9, starred: bool = False,
-                              suite="rmatrix-properties"):
+def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance=1e-9,
+                              starred: bool = False, suite="rmatrix-properties"):
     """Twist relation M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a with M_a = GH^{-a}.
 
     The step x -> s x by the designated root value is taken on the theta
     lattice (xi -> xi + tau + 1); a = 1 is the quasi-periodicity property
     itself, a = 0 is trivial, other a iterate it.  With starred=True the
-    same relation is checked for the p* matrix with the s* ladder.
+    same relation is checked for the p* matrix with the s* ladder, which
+    is another parameter point with its own factory.
     """
-    import time
-    t0 = time.perf_counter()
+    clock = Stopwatch()
+    params = fac.params
+    s_val = params.s
     if starred:
         # same q, but nome p* and ladder root s*
-        work = EllipticParams(params.N, params.q, params.s_star, 0.0)
         s_val = params.s_star
-    else:
-        work = EllipticParams(params.N, params.q, params.s, 0.0)
-        s_val = params.s
-    fac = RMatrixFactory(work, policy)
-    N = params.N
-    E = np.eye(N)
+        fac = RMatrixFactory(EllipticParams(params.N, params.q, s_val, 0.0), fac.policy)
+    E = np.eye(fac.N)
     Ma = fac.zn.M_power(a)
-    xi = fac.xi_of(x)
+    xi = xi_of(x)
     lhs = np.kron(Ma, E) @ fac.rhat_matrix_xi(xi)
-    scal = F_a(x, a, s_val, work, fac.policy)
+    scal = F_a(x, a, s_val, fac.params, fac.policy)
     rhs = scal * fac.rhat_matrix_xi(xi + a * fac.s_shift) @ np.kron(Ma, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-    return _report(suite, f"quasi-periodicity(a={a}{',star' if starred else ''})",
-                   "M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a   [s-step on the theta lattice]",
-                   {"N": N, "q": params.q, "p": work.p, "x": x, "a": a},
-                   res, tolerance, t0)
+    return clock.report(suite, f"quasi-periodicity(a={a}{',star' if starred else ''})",
+                        "M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a   [s-step on the theta lattice]",
+                        _inputs(fac, x=x, a=a), res, tolerance)
 
 
-def kernel_projector(params: EllipticParams, policy=None, svd_rel: float = 1e-8):
+def kernel_projector(fac: RMatrixFactory, svd_rel: float = 1e-8):
     """Kernel of Rhat(q): returns (dimension, projector matrix)."""
-    fac = RMatrixFactory(params, policy)
-    Rq = fac.build_Rhat(params.q).matrix
+    Rq = fac.rhat_matrix_xi(xi_of(fac.params.q))
     u, s, vh = np.linalg.svd(Rq)
     mask = s < svd_rel * s[0]
     V = vh.conj().T[:, mask]
     return int(mask.sum()), V @ V.conj().T
 
 
-def check_kernel(params: EllipticParams, policy=None, tolerance=1e-8,
-                 suite="rmatrix-properties"):
+def check_kernel(fac: RMatrixFactory, tolerance=1e-8, suite="rmatrix-properties"):
     """dim ker Rhat(q) = N(N-1)/2 and the kernel projector is A_2."""
-    import time
-    t0 = time.perf_counter()
-    N = params.N
-    dim, proj = kernel_projector(params, policy)
+    clock = Stopwatch()
+    N = fac.N
+    dim, proj = kernel_projector(fac)
     expected = N * (N - 1) // 2
     A2 = antisymmetrizer(2, N).matrix
     res = np.linalg.norm(proj - A2) if dim == expected else 1.0
-    return _report(suite, "kernel",
-                   "ker Rhat(q) = im A_2 (dimension N(N-1)/2)",
-                   {"N": N, "q": params.q, "p": params.p, "dim": dim,
-                    "expected_dim": expected},
-                   res, tolerance, t0)
+    return clock.report(suite, "kernel", "ker Rhat(q) = im A_2 (dimension N(N-1)/2)",
+                        _inputs(fac, dim=dim, expected_dim=expected), res, tolerance)

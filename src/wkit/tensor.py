@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import reduce
 from itertools import permutations
 
 import numpy as np
 
 from .errors import DimensionGuardExceeded, LabelMismatch
+from .params import xi_of
+from .reports import Stopwatch
 
 _DEFAULT_MAX_DIM = 10_000
 
@@ -57,6 +60,7 @@ class LabeledTensor:
     @classmethod
     def identity(cls, labels, N: int) -> "LabeledTensor":
         labels = tuple(labels)
+        _guard(N ** len(labels))
         return cls(labels, N, np.eye(N ** len(labels), dtype=complex))
 
     @classmethod
@@ -235,6 +239,7 @@ def permutation_operator(perm, N: int) -> np.ndarray:
     k = len(perm)
     dims = [N] * k
     size = N**k
+    _guard(size)
     src = np.arange(size)
     multi = np.array(np.unravel_index(src, dims))  # (k, size)
     dst = np.ravel_multi_index([multi[p] for p in perm], dims)
@@ -248,10 +253,19 @@ def antisymmetrizer(k: int, N: int) -> Antisymmetrizer:
     if not 1 <= k <= N:
         raise ValueError(f"antisymmetrizer needs 1 <= k <= N, got k={k}, N={N}")
     size = N**k
+    _guard(size)
     A = np.zeros((size, size))
     for perm in permutations(range(k)):
         A += _perm_sign(perm) * permutation_operator(perm, N)
     return Antisymmetrizer(k, N, A / math.factorial(k))
+
+
+def antisym_trace(M: np.ndarray, k: int) -> complex:
+    """tr(M^{(x)k} A_k) for a one-space matrix M."""
+    N = M.shape[0]
+    _guard(N**k)
+    MM = reduce(np.kron, [M] * k)
+    return complex(np.trace(MM @ antisymmetrizer(k, N).matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +280,10 @@ def col_labels(k: int):
     return tuple(("c", j) for j in range(1, k + 1))
 
 
-def fused_R(x: complex, k: int, kprime: int, params, policy=None,
-            inverse: bool = False, c_shift: complex = 0.0,
-            rows=None, cols=None) -> LabeledTensor:
-    """Ordered fused product of R-hat factors coupling a k-block of row
-    spaces to a k'-block of column spaces:
+def fused_R(x: complex, k: int, kprime: int, fac, inverse: bool = False,
+            c_shift: complex = 0.0, rows=None, cols=None) -> LabeledTensor:
+    """Ordered fused product of R-hat factors from the RMatrixFactory `fac`
+    coupling a k-block of row spaces to a k'-block of column spaces:
 
         prod_{j=1..k'} [ prod_{i=k..1} Rhat_{r_i, c_j}(q^{e_i - e_j'} x) ]
 
@@ -279,84 +292,62 @@ def fused_R(x: complex, k: int, kprime: int, params, policy=None,
     additive spectral variable (used for the critical-level sweeps).
     Custom space labels may be passed as `rows` / `cols`.
     """
-    from .rmatrix import RMatrixFactory
-
-    fac = RMatrixFactory(params, policy)
     rows = tuple(rows) if rows is not None else row_labels(k)
     cols = tuple(cols) if cols is not None else col_labels(kprime)
     if len(rows) != k or len(cols) != kprime:
         raise LabelMismatch(f"need {k} row and {kprime} column labels")
-    all_labels = rows + cols
-    _guard(params.N ** len(all_labels))
-    xi_x = fac.xi_of(x) + c_shift * params.zeta
-    out = LabeledTensor.identity(all_labels, params.N)
+    zeta = fac.params.zeta
+    xi_x = xi_of(x) + c_shift * zeta
+    out = LabeledTensor.identity(rows + cols, fac.N)
     for j in range(1, kprime + 1):
         ej = (2 * j - kprime - 1) / 2.0
         for i in range(k, 0, -1):
             ei = (2 * i - k - 1) / 2.0
-            out = out @ fac.rhat_tensor(xi_x + (ei - ej) * params.zeta,
-                                        (rows[i - 1], cols[j - 1]))
-    if inverse:
-        return out.inv()
-    return out
+            out = out @ fac.rhat_tensor(xi_x + (ei - ej) * zeta, (rows[i - 1], cols[j - 1]))
+    return out.inv() if inverse else out
 
 
-def check_fusion_identities(k: int, params, x: complex, policy=None,
-                            kprime: int | None = None,
+def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
                             tolerance: float = 1e-8, suite: str = "fusion-identities"):
     """Residuals of the one-sided projector identities X A = A X A for the
     R-hat chain, its t0-transposed-inverse chain, its inverse chain, and the
     fused block product with the row and column antisymmetrizers."""
-    import time
-
-    from .rmatrix import RMatrixFactory
-    from .reports import CheckReport
-
     if kprime is None:
         kprime = k
-    N = params.N
+    N, params = fac.N, fac.params
     if not (2 <= k <= N):
         raise ValueError(f"need 2 <= k <= N, got k={k}")
-    fac = RMatrixFactory(params, policy)
     zeta = params.zeta
-    xi_x = fac.xi_of(x)
+    xi_x = xi_of(x)
+    inputs = {"N": N, "k": k, "kprime": kprime, "x": x, "q": params.q, "p": params.p}
     reports = []
 
     def report(name, identity, X: LabeledTensor, A: LabeledTensor):
-        t0 = time.perf_counter()
+        clock = Stopwatch()
         lhs = X @ A
         rhs = A @ lhs
         res = (lhs - rhs).norm() / max(lhs.norm(), 1e-300)
-        reports.append(CheckReport(
-            suite=suite, check=name, identity=identity,
-            inputs={"N": N, "k": k, "kprime": kprime, "x": x,
-                    "q": params.q, "p": params.p},
-            residual=res, tolerance=tolerance,
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        ))
+        reports.append(clock.report(suite, name, identity, inputs, res, tolerance))
 
     # chains on aux spaces 1..k against a common space 0
     chain_labels = tuple(range(1, k + 1)) + ("0",)
     Ak_chain = antisymmetrizer(k, N).on(tuple(range(1, k + 1)))
 
-    X = LabeledTensor.identity(chain_labels, N)
-    for i in range(1, k + 1):
-        X = X @ fac.rhat_tensor(xi_x - (i - 1) * zeta, (i, "0"))
-    report("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k", X, Ak_chain)
+    chains = (  # (name, identity, direction of the argument ladder, factor map)
+        ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k",
+         -1, lambda R: R),
+        ("chain_t0_inv", "(Rhat^{-1})^{t0} descending-argument chain, one-sided projector",
+         -1, lambda R: R.inv().partial_transpose("0")),
+        ("chain_inv", "Rhat^{-1}_{1,0}(x)...Rhat^{-1}_{k,0}(x q^{k-1}) A_k = A_k (...) A_k",
+         +1, LabeledTensor.inv),
+    )
+    for name, identity, step, factor in chains:
+        X = LabeledTensor.identity(chain_labels, N)
+        for i in range(1, k + 1):
+            X = X @ factor(fac.rhat_tensor(xi_x + step * (i - 1) * zeta, (i, "0")))
+        report(name, identity, X, Ak_chain)
 
-    X = LabeledTensor.identity(chain_labels, N)
-    for i in range(1, k + 1):
-        X = X @ fac.rhat_tensor(xi_x - (i - 1) * zeta, (i, "0")).inv().partial_transpose("0")
-    report("chain_t0_inv",
-           "(Rhat^{-1})^{t0} descending-argument chain, one-sided projector", X, Ak_chain)
-
-    X = LabeledTensor.identity(chain_labels, N)
-    for i in range(1, k + 1):
-        X = X @ fac.rhat_tensor(xi_x + (i - 1) * zeta, (i, "0")).inv()
-    report("chain_inv",
-           "Rhat^{-1}_{1,0}(x)...Rhat^{-1}_{k,0}(x q^{k-1}) A_k = A_k (...) A_k", X, Ak_chain)
-
-    RR = fused_R(x, k, kprime, params, policy)
+    RR = fused_R(x, k, kprime, fac)
     rows, cols = row_labels(k), col_labels(kprime)
     Ar = antisymmetrizer(k, N).on(rows)
     Ac = antisymmetrizer(kprime, N).on(cols)
@@ -369,44 +360,34 @@ def check_fusion_identities(k: int, params, x: complex, policy=None,
     return reports
 
 
-def monodromy_M(x: complex, k: int, kprime: int, params, c: complex,
-                policy=None) -> LabeledTensor:
+def monodromy_M(x: complex, k: int, kprime: int, fac, c: complex) -> LabeledTensor:
     """The combination M(x) = (R(q^c x)^T (R(x)^{-1} R(q^{-c-N} x) R(x)^{-1})^T)^T
     of fused blocks, T transposing the k row spaces.  Equals the identity at
     the critical value c = -N by fused crossing-unitarity."""
-    N = params.N
     rows = row_labels(k)
-    R0i = fused_R(x, k, kprime, params, policy).inv()
-    Rc = fused_R(x, k, kprime, params, policy, c_shift=c)
-    Rm = fused_R(x, k, kprime, params, policy, c_shift=-c - N)
+    R0i = fused_R(x, k, kprime, fac).inv()
+    Rc = fused_R(x, k, kprime, fac, c_shift=c)
+    Rm = fused_R(x, k, kprime, fac, c_shift=-c - fac.N)
     inner = (R0i @ Rm @ R0i).partial_transpose(rows)
     return (Rc.partial_transpose(rows) @ inner).partial_transpose(rows)
 
 
-def check_M_derivative(x: complex, k: int, kprime: int, params, step: float = 1e-4,
-                       policy=None, tolerance: float = 1e-5,
-                       suite: str = "fusion-identities"):
+def check_M_derivative(x: complex, k: int, kprime: int, fac, step: float = 1e-4,
+                       tolerance: float = 1e-5, suite: str = "fusion-identities"):
     """Central difference of M(x) in the central charge at c = -N.
 
     Both dM/dc = 0 and M|_{c=-N} = identity are asserted; the second enters
     the returned inputs so a wrong critical value cannot silently pass."""
-    import time
-
-    from .reports import CheckReport
-
-    t0 = time.perf_counter()
-    N = params.N
-    Mc = monodromy_M(x, k, kprime, params, c=-N, policy=policy)
-    ident_res = (Mc - LabeledTensor.identity(Mc.labels, params.N)).norm() / max(Mc.norm(), 1e-300)
-    Mp = monodromy_M(x, k, kprime, params, c=-N + step, policy=policy)
-    Mm = monodromy_M(x, k, kprime, params, c=-N - step, policy=policy)
+    clock = Stopwatch()
+    N = fac.N
+    Mc = monodromy_M(x, k, kprime, fac, c=-N)
+    ident_res = (Mc - LabeledTensor.identity(Mc.labels, N)).norm() / max(Mc.norm(), 1e-300)
+    Mp = monodromy_M(x, k, kprime, fac, c=-N + step)
+    Mm = monodromy_M(x, k, kprime, fac, c=-N - step)
     deriv = (Mp - Mm).norm() / (2 * step) / max(Mc.norm(), 1e-300)
-    return CheckReport(
-        suite=suite, check=f"M_derivative(k={k},k'={kprime})",
-        identity="d/dc M(x) = 0 and M(x) = 1 at the critical level c = -N",
-        inputs={"N": N, "k": k, "kprime": kprime, "x": x, "q": params.q,
-                "p": params.p, "step": step, "identity_residual": ident_res},
-        residual=max(deriv, ident_res),
-        tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    return clock.report(
+        suite, f"M_derivative(k={k},k'={kprime})",
+        "d/dc M(x) = 0 and M(x) = 1 at the critical level c = -N",
+        {"N": N, "k": k, "kprime": kprime, "x": x, "q": fac.params.q,
+         "p": fac.params.p, "step": step, "identity_residual": ident_res},
+        max(deriv, ident_res), tolerance)

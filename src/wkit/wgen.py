@@ -18,18 +18,18 @@ twist relations hold exactly for every N.
 from __future__ import annotations
 
 import cmath
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 
 from .errors import NoSolution, SingularLax
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
 from .qseries import F_a, Y_kkprime_cr, Y_mn, f_cr_modes, f_cr_series
-from .reports import CheckReport
+from .reports import CheckReport, Stopwatch
 from .rmatrix import RMatrixFactory, ZnMatrices
-from .tensor import LabeledTensor, antisymmetrizer
+from .tensor import LabeledTensor, antisym_trace, antisymmetrizer
 
 QUANTUM = "0"
 
@@ -163,7 +163,6 @@ def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> WGenerato
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k = {k}")
     surface.params.require_elliptic()
-    labels = tuple(range(1, k + 1)) + (QUANTUM,)
     Q = build_Q(k, z, surface, rep)
     Ak = antisymmetrizer(k, N).on(tuple(range(1, k + 1)))
     traced = (Q @ Ak).partial_trace(tuple(range(1, k + 1)))
@@ -206,7 +205,7 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
     statement is the vanishing itself (residual = |t|); the exchange then
     holds trivially on both sides.
     """
-    t0 = time.perf_counter()
+    clock = Stopwatch()
     N = rep.N
     t_gen = build_t(k, z, surface, rep)
     t_norm = float(np.linalg.norm(t_gen.matrix))
@@ -220,7 +219,7 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
         lhs = t_emb @ Lw
         rhs = pref * (Lw @ t_emb)
         res = (lhs - rhs).norm() / max(Lw.norm() * t_norm, 1e-300)
-    return CheckReport(
+    return clock.report(
         suite=suite, check=f"tL(k={k},m={surface.m},n={surface.n})",
         identity=("t^{(k)} = 0 (twist charge (m+n)k != 0 mod N), exchange trivial"
                   if vanishing else
@@ -229,7 +228,6 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
                 "z": z, "w": w, "s": surface.params.s, "prefactor": pref,
                 "t_norm": t_norm, "structurally_vanishing": vanishing},
         residual=res, tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -242,7 +240,7 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
 
     Vanishing factors (selection rule) make the relation trivial; the
     reported residual is then the norm of the factor that must vanish."""
-    t0 = time.perf_counter()
+    clock = Stopwatch()
     p = surface.params
     tk = build_t(k, z, surface, rep).matrix
     tkp = build_t(kprime, w, surface, rep).matrix
@@ -261,7 +259,7 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
         rhs = pref * (tkp @ tk)
         res = np.linalg.norm(lhs - rhs) / max(
             np.linalg.norm(tk) * np.linalg.norm(tkp), 1e-300)
-    return CheckReport(
+    return clock.report(
         suite=suite, check=f"tt(k={k},k'={kprime},m={surface.m},n={surface.n})",
         identity=("a factor of the quadratic exchange vanishes by the twist "
                   "charge rule" if (van_k or van_kp) else
@@ -270,7 +268,6 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
                 "n": surface.n, "z": z, "w": w, "prefactor": pref,
                 "structurally_vanishing": bool(van_k or van_kp)},
         residual=res, tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -298,20 +295,18 @@ def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8,
                  suite: str = "qdet"):
     """Extract qdet(z) and report how close it is to a scalar on the
     quantum space (centrality in the evaluation representation)."""
-    t0 = time.perf_counter()
+    clock = Stopwatch()
     N = rep.N
     qd = _qdet_matrix(xi_of(z), rep)
     scal = complex(np.trace(qd) / N)
     res = np.linalg.norm(qd - scal * np.eye(N)) / max(np.linalg.norm(qd), 1e-300)
-    rep_ = CheckReport(
+    return scal, clock.report(
         suite=suite, check="qdet-centrality",
         identity="L_1(z)...L_N(z q^{1-N}) A_N = A_N qdet(z) with qdet scalar",
         inputs={"N": N, "q": rep.params.q, "p": rep.params.p, "z": z,
                 "qdet": scal},
         residual=res, tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
-    return scal, rep_
 
 
 def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
@@ -322,7 +317,7 @@ def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
     of qdet, so both candidate shifts sigma = q^{(N-1)/2} and q^{N-1} are
     tried; the report carries each residual and asserts the better one.
     """
-    t0 = time.perf_counter()
+    clock = Stopwatch()
     N = rep.N
     zn = rep.factory.zn
     t_gen = build_t(N, z, surface, rep)
@@ -338,36 +333,29 @@ def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
         pred = detM * detMt * num / den
         results[name] = abs(t_val - pred) / max(abs(t_val), 1e-300)
     best = min(results, key=results.get)
-    return CheckReport(
+    return clock.report(
         suite=suite, check="t-qdet",
         identity="t^{(N)}(z) = det(M) det(Mt) qdet(s*^n sigma z)/qdet(sigma z)",
         inputs={"N": N, "q": rep.params.q, "m": surface.m, "n": surface.n, "z": z,
                 "selected_sigma": best,
                 "residuals": {k: float(v) for k, v in results.items()}},
         residual=results[best], tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
 def check_trace_MA(N: int, m: int, tolerance: float = 1e-10,
                    suite: str = "qdet") -> CheckReport:
     """tr_{1..N}( MM A_N ) = det(M)."""
-    t0 = time.perf_counter()
-    zn = ZnMatrices(N)
-    M = zn.M_power(m)
-    MM = M.copy()
-    for _ in range(N - 1):
-        MM = np.kron(MM, M)
-    A = antisymmetrizer(N, N).matrix
-    lhs = complex(np.trace(MM @ A))
+    clock = Stopwatch()
+    M = ZnMatrices(N).M_power(m)
+    lhs = antisym_trace(M, N)
     det = complex(np.linalg.det(M))
     res = abs(lhs - det) / max(abs(det), 1e-300)
-    return CheckReport(
+    return clock.report(
         suite=suite, check=f"trace-MA(m={m})",
         identity="tr(M^{xN} A_N) = det(M)",
         inputs={"N": N, "m": m, "det": det},
         residual=res, tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -380,14 +368,9 @@ def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10,
     """t_{m,0}^{(k)} = tr(MM A_k) equals the k-th elementary symmetric
     polynomial of the eigenvalues of M = GH^{-m}; it vanishes unless
     m k = 0 mod N."""
-    t0 = time.perf_counter()
-    zn = ZnMatrices(N)
-    M = zn.M_power(m)
-    MM = M.copy()
-    for _ in range(k - 1):
-        MM = np.kron(MM, M)
-    A = antisymmetrizer(k, N).matrix
-    val = complex(np.trace(MM @ A))
+    clock = Stopwatch()
+    M = ZnMatrices(N).M_power(m)
+    val = antisym_trace(M, k)
     eigs = np.linalg.eigvals(M)
     coeffs = np.poly(eigs)  # monic char poly: e_k = (-1)^k coeffs[k]
     ek = complex((-1) ** k * coeffs[k])
@@ -395,13 +378,12 @@ def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10,
     vanishes = (m * k) % N != 0
     if vanishes:
         res = max(res, abs(val))  # must also be zero outright
-    return CheckReport(
+    return clock.report(
         suite=suite, check=f"n0(N={N},k={k},m={m})",
         identity="tr(M^{xk} A_k) = e_k(eig M); zero unless m k = 0 mod N",
         inputs={"N": N, "k": k, "m": m, "value": val, "e_k": ek,
                 "must_vanish": vanishes},
         residual=res, tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -420,7 +402,7 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
     The derivative uses Richardson extrapolation of two central
     differences (O(step^4)); plain central differences lose too much
     accuracy when x sits near a pole ring of the structure function."""
-    t0 = time.perf_counter()
+    clock = Stopwatch()
     N = params.N
 
     def central(eps):
@@ -431,13 +413,12 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
     fs = f_cr_series(x, k, kprime, params, policy)
     fm = f_cr_modes(x, k, kprime, params, policy)
     res = max(abs(d - fs), abs(d - fm), abs(fs - fm))
-    return CheckReport(
+    return clock.report(
         suite=suite, check=f"f_cr(k={k},k'={kprime})",
         identity="d/dc fused ratio at c=-N equals both closed forms of f_cr",
         inputs={"N": N, "q": params.q, "k": k, "kprime": kprime, "x": x,
                 "derivative": d, "series": fs, "modes": fm, "step": step},
         residual=res, tolerance=tolerance,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -469,9 +450,7 @@ def alpha_identity_check(k_max: int = 4, N_max: int = 4,
     over all permutations sigma in S_k, k <= k_max, and ascending tuples of
     distinct indices j_1 < ... < j_k from {1..N}, N <= N_max (the identity
     is about reordering a set of k distinct indices)."""
-    from itertools import combinations, permutations
-
-    t0 = time.perf_counter()
+    clock = Stopwatch()
     if k_max > 4:
         raise ValueError("k_max > 4 not supported (combinatorial budget)")
     violations = 0
@@ -490,12 +469,11 @@ def alpha_identity_check(k_max: int = 4, N_max: int = 4,
                     cases += 1
                     if lhs != rhs:
                         violations += 1
-    return CheckReport(
+    return clock.report(
         suite=suite, check=f"alpha-identity(k<={k_max},N<={N_max})",
         identity="reordering identity for the gradation-twist exponents (exact rational)",
         inputs={"k_max": k_max, "N_max": N_max, "cases": cases},
         residual=float(violations), tolerance=0.0,
-        wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 

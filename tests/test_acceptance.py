@@ -36,6 +36,7 @@ from wkit import (
 from wkit.errors import OutsideConvergenceAnnulus, PoleHit
 from wkit.qseries import Y_kkprime_cr
 from wkit.rmatrix import (
+    RMatrixFactory,
     check_antisymmetry,
     check_crossing,
     check_kernel,
@@ -109,19 +110,19 @@ def test_criterion_2_rmatrix_layer():
     worst = 0.0
     rng = np.random.default_rng(202)
     for N in (2, 3, 4):
-        pr = params_for(N)
-        worst = max(worst, check_regularity(pr, POL).residual)
-        worst = max(worst, check_kernel(pr, POL, tolerance=1e-8).residual)
+        fac = RMatrixFactory(params_for(N), POL)
+        worst = max(worst, check_regularity(fac).residual)
+        worst = max(worst, check_kernel(fac, tolerance=1e-8).residual)
         for _ in range(20):
             z, w = _safe_point(rng), _safe_point(rng)
-            worst = max(worst, check_unitarity(z, pr, POL).residual)
-            worst = max(worst, check_yang_baxter(z, w, pr, POL).residual)
-            worst = max(worst, check_yang_baxter(z, w, pr, POL, hat=True).residual)
-            worst = max(worst, check_crossing(z, pr, POL).residual)
-            worst = max(worst, check_antisymmetry(z, pr, POL).residual)
+            worst = max(worst, check_unitarity(z, fac).residual)
+            worst = max(worst, check_yang_baxter(z, w, fac).residual)
+            worst = max(worst, check_yang_baxter(z, w, fac, hat=True).residual)
+            worst = max(worst, check_crossing(z, fac).residual)
+            worst = max(worst, check_antisymmetry(z, fac).residual)
         for a in (-2, 1, 2):
             worst = max(worst, check_quasi_periodicity_M(
-                1.1 + 0.1j, a, pr, POL).residual)
+                1.1 + 0.1j, a, fac).residual)
     # test-power control through the suite (max violation over pairs)
     ctx = SuiteContext(params=params_for(2), seed=202)
     ctrl = [r for r in suite_rmatrix_properties(ctx) if r.check == "control-perturbed-ybe"]
@@ -139,18 +140,19 @@ def test_criterion_3_fusion_layer():
     rank_exact = True
     for N in (2, 3):
         pr = params_for(N)
+        fac = RMatrixFactory(pr, POL)
         for k in range(1, N + 1):
             A = antisymmetrizer(k, N)
             evals = np.linalg.eigvalsh(A.matrix)
             rank_exact &= int(np.sum(evals > 0.5)) == math.comb(N, k)
         for k in range(2, N + 1):
-            for r in check_fusion_identities(k, pr, 1.2 + 0.1j, POL):
+            for r in check_fusion_identities(k, fac, 1.2 + 0.1j):
                 worst = max(worst, r.residual)
         for k in range(1, min(N, 2) + 1):
             for kp in range(1, min(N, 2) + 1):
                 x = 1.25 + 0.15j
-                RR = fused_R(x, k, kp, pr, POL)
-                RRN = fused_R(pr.q**N * x, k, kp, pr, POL)
+                RR = fused_R(x, k, kp, fac)
+                RRN = fused_R(pr.q**N * x, k, kp, fac)
                 rows = row_labels(k)
                 lhs = RR.partial_transpose(rows).inv()
                 rhs = RRN.inv().partial_transpose(rows)
@@ -275,10 +277,10 @@ def test_criterion_8_critical_level():
                 worst_ratio = max(worst_ratio, abs(
                     Y_kkprime_cr(x, k, kp, pr, POL) - 1))
     # monodromy derivative at the critical level, N = 2, k,k' <= 2
-    pr2 = params_for(2, q=0.55)
+    fac2 = RMatrixFactory(params_for(2, q=0.55), POL)
     for k in (1, 2):
         for kp in (1, 2):
-            r = check_M_derivative(1.3 + 0.1j, k, kp, pr2, policy=POL)
+            r = check_M_derivative(1.3 + 0.1j, k, kp, fac2)
             worst_deriv = max(worst_deriv, r.residual)
     # three-way f_cr agreement on 50 annulus points
     pts = 0

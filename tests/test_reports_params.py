@@ -1,10 +1,12 @@
 """Report serialization and parameter-bundle invariants."""
 
 import json
+import math
 
 import pytest
 
 from wkit import CheckReport, EllipticParams, TruncationPolicy, sort_reports
+from wkit.reports import Stopwatch
 from wkit.errors import ModulusOutOfRange, ZeroArgument
 from wkit.qseries import tau_N
 
@@ -16,6 +18,21 @@ def test_report_pass_flag_derived():
     r = CheckReport(suite="s", check="c", identity="i", inputs={},
                     residual=1e-7, tolerance=1e-8)
     assert not r.passed
+
+
+@pytest.mark.parametrize("observed,residual,passed", [
+    (0.0, math.inf, False),       # a control that saw nothing must fail
+    (math.nan, math.nan, False),  # so must one that saw nothing finite
+    (5e-4, 2.0, False),           # below the threshold
+    (4e-3, 0.25, True),           # above it
+])
+def test_control_report_encoding(observed, residual, passed):
+    r = Stopwatch().control("s", "control-x", "i", {"N": 2}, observed, 1e-3)
+    assert r.passed is passed
+    assert r.tolerance == 1.0
+    assert r.residual == residual or (math.isnan(residual) and math.isnan(r.residual))
+    assert list(r.inputs) == ["N", "observed_violation", "threshold"]
+    assert r.inputs["threshold"] == 1e-3 and r.inputs["observed_violation"] is observed
 
 
 def test_report_json_round_trip():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wkit import EllipticParams, RMatrixFactory, TruncationPolicy, ZnMatrices
+from wkit import EllipticParams, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
 from wkit.errors import ModulusOutOfRange, PoleHit
 from wkit.qseries import U, tau_N
 from wkit.rmatrix import (
@@ -21,7 +21,7 @@ from wkit.rmatrix import (
     swap_21,
     zn_symmetry_residual,
 )
-from wkit.tensor import antisymmetrizer
+from wkit.tensor import antisymmetrizer, fused_R
 
 POL = TruncationPolicy()
 
@@ -47,7 +47,7 @@ def test_weyl_pair(N):
 @pytest.mark.parametrize("N,count", [(2, 8), (3, 27)])
 def test_zn_sparsity_pattern(N, count):
     fac = RMatrixFactory(params(N=N), POL)
-    M = fac.build_R(1.1 + 0.2j).matrix
+    M = fac.r_matrix_xi(xi_of(1.1 + 0.2j))
     assert zn_symmetry_residual(M, N) < 1e-12
     nonzero = int(np.sum(np.abs(M) > 1e-12 * np.abs(M).max()))
     assert nonzero == count
@@ -55,32 +55,32 @@ def test_zn_sparsity_pattern(N, count):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_regularity(N):
-    rep = check_regularity(params(N=N), POL)
+    rep = check_regularity(RMatrixFactory(params(N=N), POL))
     assert rep.passed and rep.residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_unitarity_and_ybe(N):
-    pr = params(N=N)
-    assert check_unitarity(1.2 + 0.1j, pr, POL).residual < 1e-9
-    assert check_yang_baxter(1.2 + 0.1j, 0.8 - 0.05j, pr, POL).residual < 1e-9
-    assert check_yang_baxter(1.2 + 0.1j, 0.8 - 0.05j, pr, POL, hat=True).residual < 1e-9
+    fac = RMatrixFactory(params(N=N), POL)
+    assert check_unitarity(1.2 + 0.1j, fac).residual < 1e-9
+    assert check_yang_baxter(1.2 + 0.1j, 0.8 - 0.05j, fac).residual < 1e-9
+    assert check_yang_baxter(1.2 + 0.1j, 0.8 - 0.05j, fac, hat=True).residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_crossing_both_forms(N):
-    assert check_crossing(1.1 + 0.2j, params(N=N), POL).residual < 1e-9
+    assert check_crossing(1.1 + 0.2j, RMatrixFactory(params(N=N), POL)).residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_antisymmetry_via_continuation(N):
-    assert check_antisymmetry(1.1 + 0.2j, params(N=N), POL).residual < 1e-9
+    assert check_antisymmetry(1.1 + 0.2j, RMatrixFactory(params(N=N), POL)).residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("a", [-3, -2, -1, 0, 1, 2, 3])
 def test_quasi_periodicity_all_steps(N, a):
-    rep = check_quasi_periodicity_M(1.1 + 0.1j, a, params(N=N), POL)
+    rep = check_quasi_periodicity_M(1.1 + 0.1j, a, RMatrixFactory(params(N=N), POL))
     assert rep.residual < 1e-9, (N, a, rep.residual)
     if a == 0:
         assert rep.residual < 1e-14
@@ -88,7 +88,7 @@ def test_quasi_periodicity_all_steps(N, a):
 
 def test_quasi_periodicity_starred():
     pr = params(N=2, c=0.4)
-    rep = check_quasi_periodicity_M(1.1 + 0.1j, 1, pr, POL, starred=True)
+    rep = check_quasi_periodicity_M(1.1 + 0.1j, 1, RMatrixFactory(pr, POL), starred=True)
     assert rep.residual < 1e-9
 
 
@@ -97,7 +97,7 @@ def test_quasi_periodicity_iterated_oracle():
     pr = params(N=2)
     fac = RMatrixFactory(pr, POL)
     x = 1.15 + 0.1j
-    xi = fac.xi_of(x)
+    xi = xi_of(x)
     E = np.eye(2)
     M1 = fac.zn.M_power(1)
     step = fac.s_shift
@@ -108,18 +108,19 @@ def test_quasi_periodicity_iterated_oracle():
     scal2 = scal1 * F_a(cmath.exp(1j * cmath.pi * (xi + step)), 1, pr.s, pr, POL)
     two_rhs = scal2 * fac.rhat_matrix_xi(xi + 2 * step) @ np.kron(M1 @ M1, E)
     assert np.linalg.norm(two_lhs - two_rhs) / np.linalg.norm(two_rhs) < 1e-10
-    rep = check_quasi_periodicity_M(x, -2, pr, POL)
+    rep = check_quasi_periodicity_M(x, -2, fac)
     assert rep.residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_kernel_dimension_and_projector(N):
-    rep = check_kernel(params(N=N), POL)
+    fac = RMatrixFactory(params(N=N), POL)
+    rep = check_kernel(fac)
     assert rep.inputs["dim"] == N * (N - 1) // 2
     assert rep.residual < 1e-8
     # explicit subspace comparison with A_2
     from wkit.rmatrix import kernel_projector
-    dim, proj = kernel_projector(params(N=N), POL)
+    dim, proj = kernel_projector(fac)
     A2 = antisymmetrizer(2, N).matrix
     assert np.linalg.norm(proj - A2) < 1e-8
 
@@ -129,8 +130,8 @@ def test_rhat_equals_tau_times_R():
         pr = params(N=N)
         fac = RMatrixFactory(pr, POL)
         z = 1.15 + 0.12j
-        lhs = fac.build_Rhat(z).matrix
-        rhs = tau_N(cmath.sqrt(pr.q) / z, pr, POL) * fac.build_R(z).matrix
+        lhs = fac.rhat_matrix_xi(xi_of(z))
+        rhs = tau_N(cmath.sqrt(pr.q) / z, pr, POL) * fac.r_matrix_xi(xi_of(z))
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-12
 
 
@@ -138,8 +139,8 @@ def test_rhat_unitarity_scalar():
     pr = params(N=3)
     fac = RMatrixFactory(pr, POL)
     z = 1.2 + 0.1j
-    Rh = fac.build_Rhat(z).matrix
-    Rh21 = swap_21(fac.build_Rhat(1 / z).matrix, 3)
+    Rh = fac.rhat_matrix_xi(xi_of(z))
+    Rh21 = swap_21(fac.rhat_matrix_xi(xi_of(1 / z)), 3)
     uval = U(z, pr, POL)
     assert np.linalg.norm(Rh @ Rh21 - uval * np.eye(9)) < 1e-9 * abs(uval)
 
@@ -149,8 +150,8 @@ def test_truncation_refinement():
     coarse = RMatrixFactory(pr, TruncationPolicy(tail_eps=1e-16, max_terms=512))
     fine = RMatrixFactory(pr, TruncationPolicy(tail_eps=1e-16, max_terms=2048))
     z = 1.2 + 0.15j
-    a = coarse.build_Z(z).matrix
-    b = fine.build_Z(z).matrix
+    a = coarse.z_matrix_xi(xi_of(z))
+    b = fine.z_matrix_xi(xi_of(z))
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -158,7 +159,7 @@ def test_pole_and_modulus_errors():
     pr = params(N=2)
     fac = RMatrixFactory(pr, POL)
     with pytest.raises(PoleHit):
-        fac.build_Rhat(1.0)  # Theta(z^2) zero at z = 1
+        fac.rhat_matrix_xi(xi_of(1.0))  # Theta(z^2) zero at z = 1
     with pytest.raises(ModulusOutOfRange):
         RMatrixFactory(EllipticParams(N=2, q=0.5, s=1.2), POL)  # |p| > 1
 
@@ -171,21 +172,36 @@ def test_degenerate_nome_limit():
     assert fac0._children is not None
     near = RMatrixFactory(EllipticParams(N=2, q=q, s=q * math.sqrt(1 + 1e-7)), POL)
     z = 1.1 + 0.15j
-    a = fac0.rhat_matrix_xi(fac0.xi_of(z))
-    b = near.rhat_matrix_xi(near.xi_of(z))
+    a = fac0.rhat_matrix_xi(xi_of(z))
+    b = near.rhat_matrix_xi(xi_of(z))
     assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-5
     # regularity survives the limit
-    assert np.linalg.norm(fac0.build_R(1.0).matrix - permutation_P(2)) < 1e-9
+    assert np.linalg.norm(fac0.r_matrix_xi(xi_of(1.0)) - permutation_P(2)) < 1e-9
 
 
-def test_provenance_record():
-    pr = params(N=2)
-    fac = RMatrixFactory(pr, POL)
-    val = fac.build_Rhat(1.2 + 0.1j)
-    assert val.kind == "Rhat"
-    assert val.N == 2 and val.q == pr.q and val.p == pr.p
-    assert abs(val.z - (1.2 + 0.1j)) < 1e-12
-    assert val.tensor.labels == (1, 2)
+@pytest.mark.parametrize("pr", [params(N=2), params(N=3), EllipticParams(N=2, q=0.6, s=0.6)],
+                         ids=["N2", "N3", "N2-degenerate-p=q^2"])
+def test_shared_factory_matches_fresh(pr):
+    # a factory is a pure function of (params, policy): checks run one after
+    # another on a shared factory give exactly the residuals of fresh ones
+    shared = RMatrixFactory(pr, POL)
+    z, w, x = 1.2 + 0.1j, 0.8 - 0.05j, 1.1 + 0.1j
+    checks = [
+        check_regularity,
+        lambda f: check_unitarity(z, f),
+        lambda f: check_yang_baxter(z, w, f),
+        lambda f: check_yang_baxter(z, w, f, hat=True),
+        lambda f: check_crossing(z, f),
+        lambda f: check_antisymmetry(z, f),
+        lambda f: check_quasi_periodicity_M(x, 1, f),
+        lambda f: check_quasi_periodicity_M(x, 1, f, starred=True),
+        check_kernel,
+    ]
+    for check in checks:
+        assert check(shared).residual == check(RMatrixFactory(pr, POL)).residual
+    for k, kp in ((1, 1), (2, 1), (2, 2)):
+        fresh = fused_R(z, k, kp, RMatrixFactory(pr, POL))
+        assert np.array_equal(fused_R(z, k, kp, shared).data, fresh.data)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -195,10 +211,10 @@ def test_quasi_periodicity_literal_form(N):
     pr = params(N=N)
     fac = RMatrixFactory(pr, POL)
     z = 1.15 + 0.12j
-    xi = fac.xi_of(z)
+    xi = xi_of(z)
     E = np.eye(N)
     lhs = fac.rhat_matrix_xi(xi + fac.s_shift)
-    R21inv = np.linalg.inv(swap_21(fac.rhat_matrix_xi(fac.xi_of(1 / z)), N))
+    R21inv = np.linalg.inv(swap_21(fac.rhat_matrix_xi(xi_of(1 / z)), N))
     GH = fac.zn.GH
     rhs = np.kron(np.linalg.inv(GH), E) @ R21inv @ np.kron(GH, E)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-9

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer
+from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import DimensionGuardExceeded, LabelMismatch
 from wkit.tensor import (
     check_fusion_identities,
@@ -108,6 +108,17 @@ def test_dimension_guard_and_override(monkeypatch):
         LabeledTensor.identity((1,), 2).embed(tuple(range(1, 16)))  # 32768 > default
 
 
+def test_dense_constructors_respect_guard(monkeypatch):
+    monkeypatch.setenv("WKIT_MAX_DIM", "8")
+    assert LabeledTensor.identity((1, 2, 3), 2).data.shape == (8, 8)  # at the guard
+    with pytest.raises(DimensionGuardExceeded):
+        LabeledTensor.identity((1, 2), 3)  # 9 > 8
+    with pytest.raises(DimensionGuardExceeded):
+        antisymmetrizer(2, 3)
+    with pytest.raises(DimensionGuardExceeded):
+        permutation_operator((1, 0), 3)
+
+
 # ---------------------------------------------------------------------------
 # Antisymmetrizers
 # ---------------------------------------------------------------------------
@@ -132,8 +143,7 @@ def test_projector_rank(N):
 
 def test_A2_is_kernel_of_rhat_at_q():
     from wkit.rmatrix import kernel_projector
-    pr = params(N=3)
-    dim, proj = kernel_projector(pr, POL)
+    dim, proj = kernel_projector(RMatrixFactory(params(N=3), POL))
     assert dim == 3
     assert np.linalg.norm(proj - antisymmetrizer(2, 3).matrix) < 1e-8
 
@@ -146,17 +156,18 @@ def test_fused_single_factor_is_rhat():
     pr = params(N=2)
     fac = RMatrixFactory(pr, POL)
     x = 1.2 + 0.1j
-    RR = fused_R(x, 1, 1, pr, POL)
-    direct = fac.rhat_tensor(fac.xi_of(x), RR.labels)
+    RR = fused_R(x, 1, 1, fac)
+    direct = fac.rhat_tensor(xi_of(x), RR.labels)
     assert np.allclose(RR.data, direct.data)
 
 
 @pytest.mark.parametrize("N,k,kp", [(2, 2, 2), (3, 2, 1), (3, 2, 2)])
 def test_fused_crossing_unitarity(N, k, kp):
     pr = params(N=N)
+    fac = RMatrixFactory(pr, POL)
     x = 1.25 + 0.15j
-    RR = fused_R(x, k, kp, pr, POL)
-    RRN = fused_R(pr.q**N * x, k, kp, pr, POL)
+    RR = fused_R(x, k, kp, fac)
+    RRN = fused_R(pr.q**N * x, k, kp, fac)
     rows = row_labels(k)
     lhs = RR.partial_transpose(rows).inv()
     rhs = RRN.inv().partial_transpose(rows)
@@ -165,8 +176,7 @@ def test_fused_crossing_unitarity(N, k, kp):
 
 @pytest.mark.parametrize("N,k", [(2, 2), (3, 2), (3, 3)])
 def test_fusion_identities(N, k):
-    pr = params(N=N)
-    reports = check_fusion_identities(k, pr, 1.2 + 0.1j, POL)
+    reports = check_fusion_identities(k, RMatrixFactory(params(N=N), POL), 1.2 + 0.1j)
     for r in reports:
         assert r.residual < 1e-8, (r.check, r.residual)
 
@@ -177,7 +187,7 @@ def test_fusion_identities_control():
     fac = RMatrixFactory(pr, POL)
     k, N = 2, 2
     x = 1.2 + 0.1j
-    xi = fac.xi_of(x)
+    xi = xi_of(x)
     labels = (1, 2, "0")
     X = LabeledTensor.identity(labels, N)
     X = X @ fac.rhat_tensor(xi, (1, "0"))
@@ -190,23 +200,22 @@ def test_fusion_identities_control():
 
 @pytest.mark.parametrize("N,k,kp", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)])
 def test_monodromy_identity_and_derivative(N, k, kp):
-    pr = params(N=N)
-    rep = check_M_derivative(1.3 + 0.1j, k, kp, pr, policy=POL)
+    rep = check_M_derivative(1.3 + 0.1j, k, kp, RMatrixFactory(params(N=N), POL))
     assert rep.passed, (rep.residual, rep.inputs)
     assert rep.inputs["identity_residual"] < 1e-8
 
 
 def test_monodromy_derivative_control():
     # replacing the q^{-c-N} argument by q^{-c} must give a nonzero derivative
-    pr = params(N=2)
+    fac = RMatrixFactory(params(N=2), POL)
     x, k, kp, step = 1.3 + 0.1j, 1, 1, 1e-4
-    N = pr.N
+    N = fac.N
 
     def wrong_M(c):
         rows = row_labels(k)
-        R0i = fused_R(x, k, kp, pr, POL).inv()
-        Rc = fused_R(x, k, kp, pr, POL, c_shift=c)
-        Rm = fused_R(x, k, kp, pr, POL, c_shift=-c)  # missing the -N shift
+        R0i = fused_R(x, k, kp, fac).inv()
+        Rc = fused_R(x, k, kp, fac, c_shift=c)
+        Rm = fused_R(x, k, kp, fac, c_shift=-c)  # missing the -N shift
         inner = (R0i @ Rm @ R0i).partial_transpose(rows)
         return (Rc.partial_transpose(rows) @ inner).partial_transpose(rows)
 
@@ -215,16 +224,15 @@ def test_monodromy_derivative_control():
 
 
 def test_monodromy_critical_is_identity():
-    pr = params(N=2)
-    M = monodromy_M(1.2 + 0.2j, 2, 1, pr, c=-2, policy=POL)
+    M = monodromy_M(1.2 + 0.2j, 2, 1, RMatrixFactory(params(N=2), POL), c=-2)
     assert (M - LabeledTensor.identity(M.labels, 2)).norm() < 1e-8 * M.norm()
 
 
 def test_fused_custom_labels_and_inverse_flag():
-    pr = params(N=2)
+    fac = RMatrixFactory(params(N=2), POL)
     x = 1.2 + 0.1j
-    RR = fused_R(x, 2, 1, pr, POL, rows=("a", "b"), cols=("z",))
+    RR = fused_R(x, 2, 1, fac, rows=("a", "b"), cols=("z",))
     assert RR.labels == ("a", "b", "z")
-    Ri = fused_R(x, 2, 1, pr, POL, inverse=True)
-    RRdef = fused_R(x, 2, 1, pr, POL)
+    Ri = fused_R(x, 2, 1, fac, inverse=True)
+    RRdef = fused_R(x, 2, 1, fac)
     assert (Ri @ RRdef - LabeledTensor.identity(RRdef.labels, 2)).norm() < 1e-10

@@ -18,7 +18,7 @@ from wkit import (
     qdet_extract,
     resolve_surface,
 )
-from wkit.errors import NoSolution
+from wkit.errors import DimensionGuardExceeded, NoSolution
 from wkit.params import xi_of
 from wkit.tensor import antisymmetrizer
 from wkit.wgen import (
@@ -57,6 +57,15 @@ def test_surface_residuals():
     for (m, n, N) in [(-1, -1, 2), (-2, 1, 3), (1, -2, 2), (-2, -1, 3)]:
         surf = resolve_surface(m, n, 0.6, 0.0, N)
         assert surf.residual < 1e-12
+
+
+def test_twist_traces_respect_guard(monkeypatch):
+    monkeypatch.setenv("WKIT_MAX_DIM", "8")
+    assert check_trace_MA(2, 1).passed  # 4 <= 8
+    with pytest.raises(DimensionGuardExceeded):
+        check_trace_MA(3, 1)  # M^{x3} is 27 x 27
+    with pytest.raises(DimensionGuardExceeded):
+        n0_check(2, 1, 3)  # M^{x2} is 9 x 9
 
 
 def test_surface_m_plus_n_zero_forces_c():
