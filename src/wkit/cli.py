@@ -6,8 +6,10 @@
 
 `check` runs named verification suites from a JSON configuration and emits
 a JSON array of check reports (exit 0 iff every check passed, 2 on a
-malformed configuration).  `eval` prints one "re imag" pair per call at
-full double precision; `scan` writes a CSV "x_re,x_im,f_re,f_im".
+malformed configuration).  A suite that raises becomes one failing
+`suite-error` report and the remaining suites still run.  `eval` prints
+one "re imag" pair per call at full double precision; `scan` writes a
+CSV "x_re,x_im,f_re,f_im".
 Identical configuration and seed produce byte-identical output.
 """
 
@@ -16,11 +18,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import sys
 
 from .errors import ConfigError, WkitError
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy
-from .reports import sort_reports
+from .reports import Stopwatch, sort_reports
 from .suites import SUITES, SuiteContext
 
 _CONFIG_KEYS = {"params", "policy", "suites", "grid", "seed", "tolerances"}
@@ -87,6 +90,9 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
     _reject_unknown(grid, _GRID_KEYS, "grid")
+    grid_points = int(grid.get("points", 200))
+    if grid_points < 1:  # a check over no samples would pass vacuously
+        raise ConfigError(f"grid points must be >= 1, got {grid_points}")
 
     seed = cfg.get("seed", 7)
     if not isinstance(seed, int):
@@ -104,7 +110,7 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
         tolerances=dict(tols),
         grid_from=float(grid.get("from", 0.5)),
         grid_to=float(grid.get("to", 2.0)),
-        grid_points=int(grid.get("points", 200)),
+        grid_points=grid_points,
         grid_log=bool(grid.get("log", True)),
     )
     return ctx, suites
@@ -125,7 +131,16 @@ def cmd_check(args) -> int:
 
     reports = []
     for name in suites:
-        reports.extend(SUITES[name](ctx))
+        clock = Stopwatch()
+        try:
+            reports.extend(SUITES[name](ctx))
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except WkitError as exc:
+            reports.append(clock.report(
+                name, "suite-error", "the suite runs to completion",
+                {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
     reports = sort_reports(reports)
     dicts = [r.to_dict() for r in reports]
     for d in dicts:

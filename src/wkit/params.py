@@ -118,3 +118,8 @@ def xi_of(z: complex) -> complex:
 
 def z_of(xi: complex) -> complex:
     return cmath.exp(_I_PI * xi)
+
+
+def centred_ladder(k: int) -> list:
+    """The centred half-integer ladder (1-k)/2, (3-k)/2, ..., (k-1)/2."""
+    return [(2 * i - k - 1) / 2.0 for i in range(1, k + 1)]

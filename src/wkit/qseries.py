@@ -35,8 +35,8 @@ from .errors import (
     TruncationBudgetExceeded,
     ZeroArgument,
 )
-from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy
-from .reports import Stopwatch
+from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_ladder
+from .reports import Stopwatch, worst
 
 _TWO_I_PI = 2j * cmath.pi
 _POLE_EPS = 1e-14
@@ -286,24 +286,18 @@ def Y_FF(x: complex, params: EllipticParams,
     return num / den
 
 
-def _half_grid(k: int):
-    """Centered grid (1-k)/2, (3-k)/2, ..., (k-1)/2 as exact halves
-    (returned as integers equal to twice the value)."""
-    return range(1 - k, k, 2)
-
-
 def Y_kkprime_cr(x: complex, k: int, kprime: int, params: EllipticParams,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Fused exchange ratio prod_{i,j} U(q^{i-j} x) / U(q^{i-j-c} x) over the
-    centered half-integer grids of sizes k and k'.  Equals 1 at c = -N."""
+    centred half-integer ladders of sizes k and k'.  Equals 1 at c = -N."""
     N = params.N
     if not (1 <= k <= N and 1 <= kprime <= N):
         raise ValueError(f"need 1 <= k, k' <= N, got k={k}, k'={kprime}, N={N}")
     q, c = params.q, params.c
     val = 1.0 + 0j
-    for ti in _half_grid(k):
-        for tj in _half_grid(kprime):
-            d = (ti - tj) / 2.0
+    for ti in centred_ladder(k):
+        for tj in centred_ladder(kprime):
+            d = ti - tj
             val *= U(q**d * x, params, policy) / U(q ** (d - c) * x, params, policy)
     return val
 
@@ -354,16 +348,16 @@ def f_cr_series(x: complex, k: int, kprime: int, params: EllipticParams,
         f_cr(x) = 2 ln q * sum_{i,j} (2 I(q^{i-j} x) - I(q^{i-j+1} x)
                                       - I(q^{i-j-1} x))
 
-    over the centered half-integer grids.  The overall sign is fixed so
+    over the centred half-integer ladders.  The overall sign is fixed so
     that f_cr equals d/dc of the fused exchange ratio at c = -N; the mode
     expansion f_cr_modes is the independent cross-check.
     """
     q = params.q
     lnq = cmath.log(q)
     acc = 0.0 + 0j
-    for ti in _half_grid(k):
-        for tj in _half_grid(kprime):
-            d = (ti - tj) / 2.0
+    for ti in centred_ladder(k):
+        for tj in centred_ladder(kprime):
+            d = ti - tj
             acc += (
                 2 * I_series(q**d * x, params, policy)
                 - I_series(q ** (d + 1) * x, params, policy)
@@ -500,16 +494,15 @@ def _divisors(v: int):
 
 def abelianity_check(branch: str, N: int, q: complex, m: int, n: int,
                      x_grid, lam=None, tolerance: float = 1e-9,
-                     policy: TruncationPolicy = DEFAULT_POLICY,
-                     suite: str = "abelianity"):
+                     policy: TruncationPolicy = DEFAULT_POLICY):
     """Resolve the branch and measure max |Y_{m,n}(x) - 1| over the grid."""
     clock = Stopwatch()
     x_grid = list(x_grid)
     params = resolve_abelian_branch(branch, N, q, m, n, lam)
     surf = abs(params.s**m * params.s_star**n - q ** (-N))
-    dev = max(abs(Y_mn(x, m, n, params, policy) - 1) for x in x_grid)
+    dev = worst(abs(Y_mn(x, m, n, params, policy) - 1) for x in x_grid)
     return clock.report(
-        suite=suite,
+        suite="abelianity",
         check=f"{branch}(m={m},n={n})",
         identity="Y_{m,n}(x) = 1 on the abelianity surface",
         inputs={"N": N, "q": q, "m": m, "n": n, "lam": None if lam is None else str(lam),

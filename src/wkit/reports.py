@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -68,6 +69,18 @@ class Stopwatch:
                            {**inputs, "observed_violation": observed,
                             "threshold": threshold},
                            residual, 1.0)
+
+
+def worst(values) -> float:
+    """Largest of the residuals `values`: NaN if any of them is NaN, 0.0 if
+    there are none.  (A running max() keeps its first argument when the
+    second is NaN, so one NaN sample among finite ones would pass.)"""
+    out = 0.0
+    for v in values:
+        if math.isnan(v):
+            return math.nan
+        out = max(out, v)
+    return out
 
 
 def _jsonable(obj):

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ModulusOutOfRange, PoleHit
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
 from .qseries import F_a, U, kappa_inv, pochhammer, theta_big, theta_char_series
-from .reports import Stopwatch
+from .reports import Stopwatch, worst
 from .tensor import LabeledTensor, antisymmetrizer, permutation_operator
 
 _POLE_REL = 1e-12
@@ -219,24 +219,8 @@ class RMatrixFactory:
 
 
 # ---------------------------------------------------------------------------
-# Elementary block operations
+# Property checks
 # ---------------------------------------------------------------------------
-
-def permutation_P(N: int) -> np.ndarray:
-    """The flip P(x (x) y) = y (x) x on C^N (x) C^N."""
-    return permutation_operator((1, 0), N)
-
-
-def swap_21(mat: np.ndarray, N: int) -> np.ndarray:
-    """M_{21} = P M_{12} P."""
-    P = permutation_P(N)
-    return P @ mat @ P
-
-
-def t2_transpose(mat: np.ndarray, N: int) -> np.ndarray:
-    """Partial transpose on the second tensor factor."""
-    return mat.reshape(N, N, N, N).transpose(0, 3, 2, 1).reshape(N * N, N * N)
-
 
 def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
     """Largest forbidden entry relative to the largest entry: entry
@@ -244,42 +228,44 @@ def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
     scale = np.abs(mat).max()
     charge = np.add.outer(np.arange(N), np.arange(N)).ravel() % N
     forbidden = charge[:, None] != charge[None, :]
-    worst = np.abs(mat[forbidden]).max()
-    return worst / scale if scale > 0 else 0.0
+    largest = np.abs(mat[forbidden]).max()
+    return largest / scale if scale > 0 else 0.0
 
 
-# ---------------------------------------------------------------------------
-# Property checks
-# ---------------------------------------------------------------------------
+_SUITE = "rmatrix-properties"
+
 
 def _inputs(fac: RMatrixFactory, **extra) -> dict:
     return {"N": fac.N, "q": fac.params.q, "p": fac.params.p, **extra}
 
 
-def check_regularity(fac: RMatrixFactory, tolerance=1e-9, suite="rmatrix-properties"):
-    """R(1) = P."""
+def _on(mat: np.ndarray, labels, fac: RMatrixFactory) -> LabeledTensor:
+    return LabeledTensor.from_matrix(mat, labels, fac.N)
+
+
+def check_regularity(fac: RMatrixFactory, tolerance=1e-9):
+    """R(1) = P, the flip of the two spaces."""
     clock = Stopwatch()
     R1 = fac.r_matrix_xi(xi_of(1.0))
-    res = np.linalg.norm(R1 - permutation_P(fac.N)) / np.linalg.norm(R1)
-    return clock.report(suite, "regularity", "R(1) = P", _inputs(fac), res, tolerance)
+    res = np.linalg.norm(R1 - permutation_operator((1, 0), fac.N)) / np.linalg.norm(R1)
+    return clock.report(_SUITE, "regularity", "R(1) = P", _inputs(fac), res, tolerance)
 
 
-def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9,
-                    suite="rmatrix-properties"):
+def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9):
     """R_12(z) R_21(1/z) = 1, and Rhat_12(z) Rhat_21(1/z) = U(z)."""
     clock = Stopwatch()
     N = fac.N
     resids = []
     for build, scal in ((fac.r_matrix_xi, 1.0),
                         (fac.rhat_matrix_xi, U(z, fac.params, fac.policy))):
-        RR21 = build(xi_of(z)) @ swap_21(build(xi_of(1 / z)), N)
+        RR21 = (_on(build(xi_of(z)), (1, 2), fac) @ _on(build(xi_of(1 / z)), (2, 1), fac)).data
         resids.append(np.linalg.norm(RR21 - scal * np.eye(N * N)) / np.linalg.norm(RR21))
-    return clock.report(suite, "unitarity", "R12(z) R21(1/z) = 1; Rhat pair gives U(z)",
-                        _inputs(fac, z=z), max(resids), tolerance)
+    return clock.report(_SUITE, "unitarity", "R12(z) R21(1/z) = 1; Rhat pair gives U(z)",
+                        _inputs(fac, z=z), worst(resids), tolerance)
 
 
 def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-9,
-                      hat: bool = False, suite="rmatrix-properties"):
+                      hat: bool = False):
     """R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z) on three spaces."""
     clock = Stopwatch()
     build = fac.rhat_matrix_xi if hat else fac.r_matrix_xi
@@ -291,37 +277,38 @@ def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-
     lhs = A12 @ A13 @ A23
     rhs = A23 @ A13 @ A12
     res = (lhs - rhs).norm() / lhs.norm()
-    return clock.report(suite, "yang-baxter" + ("-hat" if hat else ""),
+    return clock.report(_SUITE, "yang-baxter" + ("-hat" if hat else ""),
                         "R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z)",
                         _inputs(fac, z=z, w=w), res, tolerance)
 
 
-def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9,
-                   suite="rmatrix-properties"):
+def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9):
     """Crossing symmetry R12(z)^{t2} R21(1/(z q^N))^{t2} = 1 and the
     crossing-unitarity consequence (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2},
     the latter verified for both R and Rhat."""
     clock = Stopwatch()
     N, q = fac.N, fac.params.q
-    R = fac.r_matrix_xi(xi_of(z))
-    Rt = t2_transpose(R, N)
-    R21c = swap_21(fac.r_matrix_xi(xi_of(1 / (z * q**N))), N)
-    res1 = np.linalg.norm(Rt @ t2_transpose(R21c, N) - np.eye(N * N)) / np.linalg.norm(Rt)
+    Rt = _on(fac.r_matrix_xi(xi_of(z)), (1, 2), fac).partial_transpose(2)
+    R21t = _on(fac.r_matrix_xi(xi_of(1 / (z * q**N))), (2, 1), fac).partial_transpose(2)
+    res1 = np.linalg.norm((Rt @ R21t).data - np.eye(N * N)) / Rt.norm()
     resids = [res1]
     for build in (fac.r_matrix_xi, fac.rhat_matrix_xi):
-        A = build(xi_of(z))
-        B = build(xi_of(q**N * z))
-        lhs = np.linalg.inv(t2_transpose(A, N))
-        rhs = t2_transpose(np.linalg.inv(B), N)
-        resids.append(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+        resids.append(crossing_unitarity_residual(
+            build(xi_of(z)), build(xi_of(q**N * z)), fac))
     return clock.report(
-        suite, "crossing",
+        _SUITE, "crossing",
         "R^{t2}(z) R21^{t2}(1/(z q^N)) = 1 and (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2}",
-        _inputs(fac, z=z), max(resids), tolerance)
+        _inputs(fac, z=z), worst(resids), tolerance)
 
 
-def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9,
-                       suite="rmatrix-properties"):
+def crossing_unitarity_residual(A: np.ndarray, B: np.ndarray, fac: RMatrixFactory) -> float:
+    """Relative distance between (A^{t2})^{-1} and (B^{-1})^{t2}."""
+    lhs = _on(A, (1, 2), fac).partial_transpose(2).inv()
+    rhs = _on(B, (1, 2), fac).inv().partial_transpose(2)
+    return (lhs - rhs).norm() / lhs.norm()
+
+
+def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9):
     """R(-z) = omega (g^{-1} (x) 1) R(z) (g (x) 1), with -z reached by the
     continuation xi -> xi + 1 (principal-branch evaluation of -z realizes
     the identity only up to an N-th root of unity)."""
@@ -332,13 +319,13 @@ def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9,
     g = fac.zn.g
     rhs = fac.zn.omega * np.kron(np.linalg.inv(g), E) @ fac.r_matrix_xi(xi) @ np.kron(g, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-    return clock.report(suite, "antisymmetry",
+    return clock.report(_SUITE, "antisymmetry",
                         "R(-z) = omega (g^{-1} x 1) R(z) (g x 1)  [-z via xi+1]",
                         _inputs(fac, z=z), res, tolerance)
 
 
 def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance=1e-9,
-                              starred: bool = False, suite="rmatrix-properties"):
+                              starred: bool = False):
     """Twist relation M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a with M_a = GH^{-a}.
 
     The step x -> s x by the designated root value is taken on the theta
@@ -361,21 +348,22 @@ def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance
     scal = F_a(x, a, s_val, fac.params, fac.policy)
     rhs = scal * fac.rhat_matrix_xi(xi + a * fac.s_shift) @ np.kron(Ma, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-    return clock.report(suite, f"quasi-periodicity(a={a}{',star' if starred else ''})",
+    return clock.report(_SUITE, f"quasi-periodicity(a={a}{',star' if starred else ''})",
                         "M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a   [s-step on the theta lattice]",
                         _inputs(fac, x=x, a=a), res, tolerance)
 
 
-def kernel_projector(fac: RMatrixFactory, svd_rel: float = 1e-8):
-    """Kernel of Rhat(q): returns (dimension, projector matrix)."""
+def kernel_projector(fac: RMatrixFactory):
+    """Kernel of Rhat(q), the singular values below 1e-8 of the largest:
+    returns (dimension, projector matrix)."""
     Rq = fac.rhat_matrix_xi(xi_of(fac.params.q))
     u, s, vh = np.linalg.svd(Rq)
-    mask = s < svd_rel * s[0]
+    mask = s < 1e-8 * s[0]
     V = vh.conj().T[:, mask]
     return int(mask.sum()), V @ V.conj().T
 
 
-def check_kernel(fac: RMatrixFactory, tolerance=1e-8, suite="rmatrix-properties"):
+def check_kernel(fac: RMatrixFactory, tolerance=1e-8):
     """dim ker Rhat(q) = N(N-1)/2 and the kernel projector is A_2."""
     clock = Stopwatch()
     N = fac.N
@@ -383,5 +371,5 @@ def check_kernel(fac: RMatrixFactory, tolerance=1e-8, suite="rmatrix-properties"
     expected = N * (N - 1) // 2
     A2 = antisymmetrizer(2, N).matrix
     res = np.linalg.norm(proj - A2) if dim == expected else 1.0
-    return clock.report(suite, "kernel", "ker Rhat(q) = im A_2 (dimension N(N-1)/2)",
+    return clock.report(_SUITE, "kernel", "ker Rhat(q) = im A_2 (dimension N(N-1)/2)",
                         _inputs(fac, dim=dim, expected_dim=expected), res, tolerance)

@@ -25,9 +25,9 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import NoSolution, SingularLax
-from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
+from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_ladder, xi_of
 from .qseries import F_a, Y_kkprime_cr, Y_mn, f_cr_modes, f_cr_series
-from .reports import CheckReport, Stopwatch
+from .reports import CheckReport, Stopwatch, worst
 from .rmatrix import RMatrixFactory, ZnMatrices
 from .tensor import LabeledTensor, antisym_trace, antisymmetrizer
 
@@ -54,19 +54,18 @@ class SurfaceSpec:
         return abs(p.s**self.m * p.s_star**self.n - p.q ** (-p.N))
 
 
-def resolve_surface(m: int, n: int, q: complex, c: complex, N: int,
-                    s_free: complex | None = None) -> SurfaceSpec:
+def resolve_surface(m: int, n: int, q: complex, c: complex, N: int) -> SurfaceSpec:
     """Solve s^{m+n} = q^{-N+cn} for the designated root value s.
 
     For m + n = 0 the surface fixes the central charge instead:
     q^{cm} = q^{-N}, i.e. c = -N/m regardless of q and p, and s stays
-    free (s_free, default q).  m = n = 0 has no surface.
+    free and is set to q.  m = n = 0 has no surface.
     """
     if m == 0 and n == 0:
         raise NoSolution("surface undefined for (m, n) = (0, 0)")
     if m + n == 0:
         c_res = -N / m
-        s = complex(s_free) if s_free is not None else complex(q)
+        s = complex(q)
         note = f"m+n=0: surface forces c = {-N}/{m}; s left free"
         params = EllipticParams(N=N, q=q, s=s, c=c_res)
     else:
@@ -86,17 +85,17 @@ def resolve_surface(m: int, n: int, q: complex, c: complex, N: int,
 # ---------------------------------------------------------------------------
 
 class EvalRep:
-    """L(z) = Rhat(z/a) from an auxiliary space into the quantum space."""
+    """L(z) = Rhat(z/a) from an auxiliary space into the quantum space,
+    built by the RMatrixFactory of its surface point."""
 
-    def __init__(self, params: EllipticParams, a: complex = 1.0,
-                 policy: TruncationPolicy | None = None):
-        if abs(params.c) > 1e-12:
+    def __init__(self, fac: RMatrixFactory, a: complex):
+        if abs(fac.params.c) > 1e-12:
             raise ValueError("the evaluation representation exists at c = 0 only")
-        self.params = params
+        self.factory = fac
+        self.params = fac.params
+        self.policy = fac.policy
         self.a = complex(a)
         self.xi_a = xi_of(self.a)
-        self.factory = RMatrixFactory(params, policy)
-        self.policy = self.factory.policy
 
     @property
     def N(self) -> int:
@@ -130,11 +129,6 @@ class WGenerator:
                      / max(np.linalg.norm(self.matrix), 1e-300))
 
 
-def _ladder_exponents(k: int):
-    """z_i = q^{e_i} z with e_i = i - 1 - (k-1)/2, as exact halves."""
-    return [Fraction(2 * i - k - 1, 2) for i in range(1, k + 1)]
-
-
 def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> LabeledTensor:
     """The untraced operator Q_{1..k}(z) (everything of t^{(k)} before
     multiplying by A_k and tracing)."""
@@ -144,7 +138,7 @@ def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> LabeledTe
     zn = rep.factory.zn
     Mm, Mt = zn.M_power(m), zn.M_power(n)
     xi_z = xi_of(z)
-    ladder = [xi_z + float(e) * rep.params.zeta for e in _ladder_exponents(k)]
+    ladder = [xi_z + e * rep.params.zeta for e in centred_ladder(k)]
     star_step = n * rep.factory.s_star_shift  # lattice realization of (s*)^n
     out = LabeledTensor.identity(labels, N)
     for i in range(1, k + 1):
@@ -178,8 +172,8 @@ def _exchange_prefactor_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
     """prod_i F_{-m}(z_i/w) / F*_n(z_i/w) with z_i = q^{e_i} z."""
     p = surface.params
     pref = 1.0 + 0j
-    for e in _ladder_exponents(k):
-        x = p.q ** float(e) * z / w
+    for e in centred_ladder(k):
+        x = p.q ** e * z / w
         pref *= F_a(x, -surface.m, p.s, p, policy) / F_a(x, surface.n, p.s_star, p, policy)
     return pref
 
@@ -196,8 +190,7 @@ _VANISH_NORM = 1e-10
 
 
 def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
-                         rep: EvalRep, tolerance: float = 1e-8,
-                         suite: str = "theorem1-exchange") -> CheckReport:
+                         rep: EvalRep, tolerance: float = 1e-8) -> CheckReport:
     """Residual of t^{(k)}(z) L(w) = [prod_i F_{-m}/F*_n](z_i/w) L(w) t^{(k)}(z),
     as matrices on (one fresh auxiliary space) x (quantum space).
 
@@ -220,7 +213,7 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
         rhs = pref * (Lw @ t_emb)
         res = (lhs - rhs).norm() / max(Lw.norm() * t_norm, 1e-300)
     return clock.report(
-        suite=suite, check=f"tL(k={k},m={surface.m},n={surface.n})",
+        suite="theorem1-exchange", check=f"tL(k={k},m={surface.m},n={surface.n})",
         identity=("t^{(k)} = 0 (twist charge (m+n)k != 0 mod N), exchange trivial"
                   if vanishing else
                   "t(z) L(w) = prod_i [F_{-m}/F*_n](z_i/w) L(w) t(z) on the surface"),
@@ -233,8 +226,7 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
 
 def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
                          surface: SurfaceSpec, rep: EvalRep,
-                         tolerance: float = 1e-8,
-                         suite: str = "corollary2-exchange") -> CheckReport:
+                         tolerance: float = 1e-8) -> CheckReport:
     """Residual of the quadratic exchange
     t^{(k)}(z) t^{(k')}(w) = prod_{i,j} Y_{m,n}(q^{i-j} z/w) t^{(k')}(w) t^{(k)}(z).
 
@@ -245,22 +237,21 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
     tk = build_t(k, z, surface, rep).matrix
     tkp = build_t(kprime, w, surface, rep).matrix
     pref = 1.0 + 0j
-    for ei in _ladder_exponents(k):
-        for ej in _ladder_exponents(kprime):
-            pref *= Y_mn(p.q ** float(ei - ej) * z / w, surface.m, surface.n,
-                         p, rep.policy)
+    for ei in centred_ladder(k):
+        for ej in centred_ladder(kprime):
+            pref *= Y_mn(p.q ** (ei - ej) * z / w, surface.m, surface.n, p, rep.policy)
     van_k = not survives_selection_rule(k, surface.m, surface.n, rep.N)
     van_kp = not survives_selection_rule(kprime, surface.m, surface.n, rep.N)
     if van_k or van_kp:
-        res = max(np.linalg.norm(tk) if van_k else 0.0,
-                  np.linalg.norm(tkp) if van_kp else 0.0)
+        res = worst((np.linalg.norm(tk) if van_k else 0.0,
+                     np.linalg.norm(tkp) if van_kp else 0.0))
     else:
         lhs = tk @ tkp
         rhs = pref * (tkp @ tk)
         res = np.linalg.norm(lhs - rhs) / max(
             np.linalg.norm(tk) * np.linalg.norm(tkp), 1e-300)
     return clock.report(
-        suite=suite, check=f"tt(k={k},k'={kprime},m={surface.m},n={surface.n})",
+        suite="corollary2-exchange", check=f"tt(k={k},k'={kprime},m={surface.m},n={surface.n})",
         identity=("a factor of the quadratic exchange vanishes by the twist "
                   "charge rule" if (van_k or van_kp) else
                   "t_k(z) t_k'(w) = prod Y_{m,n}(q^{i-j} z/w) t_k'(w) t_k(z)"),
@@ -291,8 +282,7 @@ def _qdet_matrix(xi_top: complex, rep: EvalRep) -> np.ndarray:
     return np.einsum("a,aibj,b->ij", psi.conj(), Yt, psi)
 
 
-def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8,
-                 suite: str = "qdet"):
+def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8):
     """Extract qdet(z) and report how close it is to a scalar on the
     quantum space (centrality in the evaluation representation)."""
     clock = Stopwatch()
@@ -301,7 +291,7 @@ def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8,
     scal = complex(np.trace(qd) / N)
     res = np.linalg.norm(qd - scal * np.eye(N)) / max(np.linalg.norm(qd), 1e-300)
     return scal, clock.report(
-        suite=suite, check="qdet-centrality",
+        suite="qdet", check="qdet-centrality",
         identity="L_1(z)...L_N(z q^{1-N}) A_N = A_N qdet(z) with qdet scalar",
         inputs={"N": N, "q": rep.params.q, "p": rep.params.p, "z": z,
                 "qdet": scal},
@@ -310,7 +300,7 @@ def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8,
 
 
 def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
-                     tolerance: float = 1e-8, suite: str = "qdet") -> CheckReport:
+                     tolerance: float = 1e-8) -> CheckReport:
     """t^{(N)}(z) = det(M) det(Mt) qdet(s*^n sigma z) / qdet(sigma z).
 
     The grid of t^{(N)} determines sigma only up to the quasi-periodicity
@@ -334,7 +324,7 @@ def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
         results[name] = abs(t_val - pred) / max(abs(t_val), 1e-300)
     best = min(results, key=results.get)
     return clock.report(
-        suite=suite, check="t-qdet",
+        suite="qdet", check="t-qdet",
         identity="t^{(N)}(z) = det(M) det(Mt) qdet(s*^n sigma z)/qdet(sigma z)",
         inputs={"N": N, "q": rep.params.q, "m": surface.m, "n": surface.n, "z": z,
                 "selected_sigma": best,
@@ -343,8 +333,7 @@ def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
     )
 
 
-def check_trace_MA(N: int, m: int, tolerance: float = 1e-10,
-                   suite: str = "qdet") -> CheckReport:
+def check_trace_MA(N: int, m: int, tolerance: float = 1e-10) -> CheckReport:
     """tr_{1..N}( MM A_N ) = det(M)."""
     clock = Stopwatch()
     M = ZnMatrices(N).M_power(m)
@@ -352,7 +341,7 @@ def check_trace_MA(N: int, m: int, tolerance: float = 1e-10,
     det = complex(np.linalg.det(M))
     res = abs(lhs - det) / max(abs(det), 1e-300)
     return clock.report(
-        suite=suite, check=f"trace-MA(m={m})",
+        suite="qdet", check=f"trace-MA(m={m})",
         identity="tr(M^{xN} A_N) = det(M)",
         inputs={"N": N, "m": m, "det": det},
         residual=res, tolerance=tolerance,
@@ -363,8 +352,7 @@ def check_trace_MA(N: int, m: int, tolerance: float = 1e-10,
 # n = 0 degeneration: symmetric polynomials of the twist
 # ---------------------------------------------------------------------------
 
-def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10,
-             suite: str = "n0") -> CheckReport:
+def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10) -> CheckReport:
     """t_{m,0}^{(k)} = tr(MM A_k) equals the k-th elementary symmetric
     polynomial of the eigenvalues of M = GH^{-m}; it vanishes unless
     m k = 0 mod N."""
@@ -377,9 +365,9 @@ def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10,
     res = abs(val - ek)
     vanishes = (m * k) % N != 0
     if vanishes:
-        res = max(res, abs(val))  # must also be zero outright
+        res = worst((res, abs(val)))  # must also be zero outright
     return clock.report(
-        suite=suite, check=f"n0(N={N},k={k},m={m})",
+        suite="n0", check=f"n0(N={N},k={k},m={m})",
         identity="tr(M^{xk} A_k) = e_k(eig M); zero unless m k = 0 mod N",
         inputs={"N": N, "k": k, "m": m, "value": val, "e_k": ek,
                 "must_vanish": vanishes},
@@ -392,9 +380,8 @@ def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10,
 # ---------------------------------------------------------------------------
 
 def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticParams,
-                           step: float = 2e-5, tolerance: float = 1e-6,
-                           policy: TruncationPolicy = DEFAULT_POLICY,
-                           suite: str = "critical-poisson") -> CheckReport:
+                           tolerance: float = 1e-6,
+                           policy: TruncationPolicy = DEFAULT_POLICY) -> CheckReport:
     """Three-way comparison at the critical level c = -N: the central
     difference of the fused exchange ratio in c, the I-kernel series, and
     the mode expansion must agree pairwise.
@@ -403,7 +390,7 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
     differences (O(step^4)); plain central differences lose too much
     accuracy when x sits near a pole ring of the structure function."""
     clock = Stopwatch()
-    N = params.N
+    N, step = params.N, 2e-5
 
     def central(eps):
         return (Y_kkprime_cr(x, k, kprime, params.with_c(-N + eps), policy)
@@ -412,9 +399,9 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
     d = (4 * central(step / 2) - central(step)) / 3
     fs = f_cr_series(x, k, kprime, params, policy)
     fm = f_cr_modes(x, k, kprime, params, policy)
-    res = max(abs(d - fs), abs(d - fm), abs(fs - fm))
+    res = worst((abs(d - fs), abs(d - fm), abs(fs - fm)))
     return clock.report(
-        suite=suite, check=f"f_cr(k={k},k'={kprime})",
+        suite="critical-poisson", check=f"f_cr(k={k},k'={kprime})",
         identity="d/dc fused ratio at c=-N equals both closed forms of f_cr",
         inputs={"N": N, "q": params.q, "k": k, "kprime": kprime, "x": x,
                 "derivative": d, "series": fs, "modes": fm, "step": step},
@@ -440,19 +427,17 @@ def _inversions(sigma) -> int:
                if sigma[a] > sigma[b])
 
 
-def alpha_identity_check(k_max: int = 4, N_max: int = 4,
-                         suite: str = "alpha-identity") -> CheckReport:
+def alpha_identity_check() -> CheckReport:
     """Exhaustive exact-rational sweep of the reordering identity
 
         sum_{a<b} alpha_{j_sig(a) j_sig(b)} + sum_a (2a/N)(j_sig(a) - j_a)
             = -inv(sigma) + sum_{a<b} alpha_{j_a j_b}
 
-    over all permutations sigma in S_k, k <= k_max, and ascending tuples of
-    distinct indices j_1 < ... < j_k from {1..N}, N <= N_max (the identity
+    over all permutations sigma in S_k, k <= 4, and ascending tuples of
+    distinct indices j_1 < ... < j_k from {1..N}, N <= 4 (the identity
     is about reordering a set of k distinct indices)."""
     clock = Stopwatch()
-    if k_max > 4:
-        raise ValueError("k_max > 4 not supported (combinatorial budget)")
+    k_max = N_max = 4
     violations = 0
     cases = 0
     for N in range(2, N_max + 1):
@@ -470,7 +455,7 @@ def alpha_identity_check(k_max: int = 4, N_max: int = 4,
                     if lhs != rhs:
                         violations += 1
     return clock.report(
-        suite=suite, check=f"alpha-identity(k<={k_max},N<={N_max})",
+        suite="alpha-identity", check=f"alpha-identity(k<={k_max},N<={N_max})",
         identity="reordering identity for the gradation-twist exponents (exact rational)",
         inputs={"k_max": k_max, "N_max": N_max, "cases": cases},
         residual=float(violations), tolerance=0.0,

@@ -1,6 +1,7 @@
 """CLI contract: schema validation, exit codes, determinism, output formats."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -62,6 +63,28 @@ def test_check_exit_1_on_failed_check(tmp_path):
     assert res.returncode == 1
 
 
+def test_raising_suite_becomes_failing_report(tmp_path, monkeypatch):
+    # fusion-identities exceeds an 8-dimensional guard at N = 2; its error
+    # becomes one failing report and theta-identities still reports
+    from wkit.cli import main
+
+    monkeypatch.setenv("WKIT_MAX_DIM", "8")
+    cfg = {"params": {"N": 2}, "suites": ["theta-identities", "fusion-identities"]}
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 1
+    reports = json.loads(out.read_text())
+    theta = [r for r in reports if r["suite"] == "theta-identities"]
+    fusion = [r for r in reports if r["suite"] == "fusion-identities"]
+    assert len(theta) == 6 and all(r["passed"] for r in theta)
+    assert len(fusion) == 1
+    err = fusion[0]
+    assert err["check"] == "suite-error" and not err["passed"]
+    assert err["inputs"]["error"] == "DimensionGuardExceeded"
+    assert "guard 8" in err["inputs"]["message"]
+    assert not math.isfinite(err["residual"])
+
+
 def test_check_exit_2_on_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -77,6 +100,7 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"typo_block": {}},
     {"params": {"N": 2, "s": 0.5, "p": 0.3}},
     {"seed": "seven"},
+    {"grid": {"points": 0}},
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"

@@ -336,6 +336,22 @@ def test_abel1_instance_and_control():
     assert dev > 1e-3
 
 
+def test_abelianity_nan_sample_fails(monkeypatch):
+    # one NaN among 50 grid samples must fail the check, not be dropped by max()
+    import wkit.qseries as qs
+
+    grid = np.geomspace(0.5, 2.0, 50)
+    bad_x = grid[17]
+    real_Y = qs.Y_mn
+
+    def Y_with_nan(x, *args):
+        return complex(math.nan, 0.0) if x == bad_x else real_Y(x, *args)
+
+    monkeypatch.setattr(qs, "Y_mn", Y_with_nan)
+    rep = abelianity_check("abel4", 2, 0.6, -3, 3, grid)
+    assert math.isnan(rep.residual) and not rep.passed
+
+
 def test_branch_domain_violations():
     with pytest.raises(BranchDomainViolation):
         resolve_abelian_branch("abel1", 2, 0.6, 1, -3, lam=1)  # |m| = 1

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from wkit import EllipticParams, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
+from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
 from wkit.errors import ModulusOutOfRange, PoleHit
 from wkit.qseries import U, tau_N
 from wkit.rmatrix import (
@@ -17,17 +17,20 @@ from wkit.rmatrix import (
     check_regularity,
     check_unitarity,
     check_yang_baxter,
-    permutation_P,
-    swap_21,
     zn_symmetry_residual,
 )
-from wkit.tensor import antisymmetrizer, fused_R
+from wkit.tensor import antisymmetrizer, fused_R, permutation_operator
 
 POL = TruncationPolicy()
 
 
 def params(N=2, q=0.5, p=0.3, c=0.0):
     return EllipticParams(N=N, q=q, s=cmath.sqrt(p), c=c)
+
+
+def m21(mat, N):
+    """M_21: the two-space matrix M_12 with its spaces exchanged."""
+    return LabeledTensor.from_matrix(mat, (2, 1), N).reorder((1, 2)).data
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -140,7 +143,7 @@ def test_rhat_unitarity_scalar():
     fac = RMatrixFactory(pr, POL)
     z = 1.2 + 0.1j
     Rh = fac.rhat_matrix_xi(xi_of(z))
-    Rh21 = swap_21(fac.rhat_matrix_xi(xi_of(1 / z)), 3)
+    Rh21 = m21(fac.rhat_matrix_xi(xi_of(1 / z)), 3)
     uval = U(z, pr, POL)
     assert np.linalg.norm(Rh @ Rh21 - uval * np.eye(9)) < 1e-9 * abs(uval)
 
@@ -176,7 +179,7 @@ def test_degenerate_nome_limit():
     b = near.rhat_matrix_xi(xi_of(z))
     assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-5
     # regularity survives the limit
-    assert np.linalg.norm(fac0.r_matrix_xi(xi_of(1.0)) - permutation_P(2)) < 1e-9
+    assert np.linalg.norm(fac0.r_matrix_xi(xi_of(1.0)) - permutation_operator((1, 0), 2)) < 1e-9
 
 
 @pytest.mark.parametrize("pr", [params(N=2), params(N=3), EllipticParams(N=2, q=0.6, s=0.6)],
@@ -214,7 +217,7 @@ def test_quasi_periodicity_literal_form(N):
     xi = xi_of(z)
     E = np.eye(N)
     lhs = fac.rhat_matrix_xi(xi + fac.s_shift)
-    R21inv = np.linalg.inv(swap_21(fac.rhat_matrix_xi(xi_of(1 / z)), N))
+    R21inv = np.linalg.inv(m21(fac.rhat_matrix_xi(xi_of(1 / z)), N))
     GH = fac.zn.GH
     rhs = np.kron(np.linalg.inv(GH), E) @ R21inv @ np.kron(GH, E)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-9

@@ -78,6 +78,33 @@ def test_trace_transpose_identity():
     assert np.allclose(lhs.data, rhs.data)
 
 
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("left,right", [
+    ((2,), (1, 2, 3)),          # subset-left
+    ((3, 1), (1, 2, 3)),        # subset-left, out of order
+    ((1, 2, 3), (3,)),          # subset-right
+    ((1, 2, 3), (3, 1)),        # subset-right, out of order
+    ((1, 2, "0"), ("0", 2, 1)),  # equal sets, permuted
+    ((1, 2), (2, 3)),           # overlapping
+    ((3, "0", 1), (1, 2)),      # overlapping, out of order
+    ((1,), (2, 3)),             # disjoint
+])
+def test_contraction_matches_dense_oracle(N, left, right):
+    a, b = rnd(left, N=N), rnd(right, N=N)
+    ab = a @ b
+    assert set(ab.labels) == set(left) | set(right)
+    dense = a.embed(ab.labels).data @ b.embed(ab.labels).data
+    assert np.linalg.norm(ab.data - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_contraction_label_order():
+    a, b = rnd((1, 2, 3)), rnd((3, 1))
+    assert (a @ b).labels == (1, 2, 3)   # the superset's order
+    assert (b @ a).labels == (1, 2, 3)
+    assert (rnd((3, 1)) @ rnd((1, 3))).labels == (3, 1)
+    assert (rnd((1, 2)) @ rnd((3, 2))).labels == (1, 2, 3)  # self's, then other's new
+
+
 def test_fast_paths_match_naive():
     big = rnd((1, 2, 3), N=3)
     for labs in [(2,), (1, 3), (3,), (2, 1)]:
@@ -226,13 +253,3 @@ def test_monodromy_derivative_control():
 def test_monodromy_critical_is_identity():
     M = monodromy_M(1.2 + 0.2j, 2, 1, RMatrixFactory(params(N=2), POL), c=-2)
     assert (M - LabeledTensor.identity(M.labels, 2)).norm() < 1e-8 * M.norm()
-
-
-def test_fused_custom_labels_and_inverse_flag():
-    fac = RMatrixFactory(params(N=2), POL)
-    x = 1.2 + 0.1j
-    RR = fused_R(x, 2, 1, fac, rows=("a", "b"), cols=("z",))
-    assert RR.labels == ("a", "b", "z")
-    Ri = fused_R(x, 2, 1, fac, inverse=True)
-    RRdef = fused_R(x, 2, 1, fac)
-    assert (Ri @ RRdef - LabeledTensor.identity(RRdef.labels, 2)).norm() < 1e-10
