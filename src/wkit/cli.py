@@ -181,23 +181,32 @@ def _parse_complex(text) -> complex:
     raise ConfigError(f"cannot parse complex number from {text!r}")
 
 
-def _eval_function(name: str, x: complex, params: EllipticParams, args):
-    from . import qseries
+def _function(name: str, params: EllipticParams, args):
+    """(scalar form f(x), grid form over an array of x or None) of a named function."""
+    from . import qseries as qs
 
+    m, n, k, kp = args.m, args.n, args.k, args.kprime
     functions = {
-        "theta_big": lambda: qseries.theta_big(x, params.p, DEFAULT_POLICY),
-        "tau_N": lambda: qseries.tau_N(x, params),
-        "U": lambda: qseries.U(x, params),
-        "F_a": lambda: qseries.F_a(x, args.m, params.s, params),
-        "Y_mn": lambda: qseries.Y_mn(x, args.m, args.n, params),
-        "Y_FF": lambda: qseries.Y_FF(x, params),
-        "I": lambda: qseries.I_series(x, params),
-        "f_cr_series": lambda: qseries.f_cr_series(x, args.k, args.kprime, params),
-        "f_cr_modes": lambda: qseries.f_cr_modes(x, args.k, args.kprime, params),
+        "theta_big": (lambda x: qs.theta_big(x, params.p, DEFAULT_POLICY),
+                      lambda xs: qs.theta_big_grid(xs, params.p, DEFAULT_POLICY)),
+        "tau_N": (lambda x: qs.tau_N(x, params), None),
+        "U": (lambda x: qs.U(x, params), lambda xs: qs.U_grid(xs, params)),
+        "F_a": (lambda x: qs.F_a(x, m, params.s, params),
+                lambda xs: qs.F_a_grid(xs, m, params.s, params)),
+        "Y_mn": (lambda x: qs.Y_mn(x, m, n, params),
+                 lambda xs: qs.Y_mn_grid(xs, m, n, params)),
+        "Y_FF": (lambda x: qs.Y_FF(x, params), None),
+        "I": (lambda x: qs.I_series(x, params), None),
+        "f_cr_series": (lambda x: qs.f_cr_series(x, k, kp, params), None),
+        "f_cr_modes": (lambda x: qs.f_cr_modes(x, k, kp, params), None),
     }
     if name not in functions:
         raise ConfigError(f"unknown function {name!r}; available: {' '.join(functions)}")
-    return functions[name]()
+    return functions[name]
+
+
+def _eval_function(name: str, x: complex, params: EllipticParams, args):
+    return _function(name, params, args)[0](x)
 
 
 def cmd_eval(args) -> int:
@@ -224,10 +233,9 @@ def cmd_scan(args) -> int:
             xs = np.geomspace(args.start, args.stop, args.points)
         else:
             xs = np.linspace(args.start, args.stop, args.points)
-        rows = []
-        for xr in xs:
-            val = _eval_function(args.fn, complex(xr), params, args)
-            rows.append((float(xr), 0.0, val.real, val.imag))
+        scalar, grid = _function(args.fn, params, args)
+        vals = grid(xs).tolist() if grid else [scalar(complex(xr)) for xr in xs]
+        rows = [(float(xr), 0.0, v.real, v.imag) for xr, v in zip(xs, vals)]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

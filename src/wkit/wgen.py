@@ -18,13 +18,14 @@ twist relations hold exactly for every N.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import NoSolution, SingularLax
+from .errors import NoSolution, SingularLax, TruncationBudgetExceeded
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_ladder, xi_of
 from .qseries import F_a, Y_kkprime_cr, Y_mn, f_cr_modes, f_cr_series
 from .reports import CheckReport, Stopwatch, worst
@@ -388,7 +389,11 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
 
     The derivative uses Richardson extrapolation of two central
     differences (O(step^4)); plain central differences lose too much
-    accuracy when x sits near a pole ring of the structure function."""
+    accuracy when x sits near a pole ring of the structure function.
+
+    A TruncationBudgetExceeded fails this point alone: the report has
+    residual NaN, None for the values not reached, and the error's type
+    and message in `error`/`message`."""
     clock = Stopwatch()
     N, step = params.N, 2e-5
 
@@ -396,15 +401,21 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
         return (Y_kkprime_cr(x, k, kprime, params.with_c(-N + eps), policy)
                 - Y_kkprime_cr(x, k, kprime, params.with_c(-N - eps), policy)) / (2 * eps)
 
-    d = (4 * central(step / 2) - central(step)) / 3
-    fs = f_cr_series(x, k, kprime, params, policy)
-    fm = f_cr_modes(x, k, kprime, params, policy)
-    res = worst((abs(d - fs), abs(d - fm), abs(fs - fm)))
+    values = {"derivative": None, "series": None, "modes": None}
+    failure = {}
+    try:
+        values["derivative"] = d = (4 * central(step / 2) - central(step)) / 3
+        values["series"] = fs = f_cr_series(x, k, kprime, params, policy)
+        values["modes"] = fm = f_cr_modes(x, k, kprime, params, policy)
+        res = worst((abs(d - fs), abs(d - fm), abs(fs - fm)))
+    except TruncationBudgetExceeded as exc:
+        failure = {"error": type(exc).__name__, "message": str(exc)}
+        res = math.nan
     return clock.report(
         suite="critical-poisson", check=f"f_cr(k={k},k'={kprime})",
         identity="d/dc fused ratio at c=-N equals both closed forms of f_cr",
         inputs={"N": N, "q": params.q, "k": k, "kprime": kprime, "x": x,
-                "derivative": d, "series": fs, "modes": fm, "step": step},
+                **values, "step": step, **failure},
         residual=res, tolerance=tolerance,
     )
 

@@ -15,7 +15,6 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from wkit import (
     EllipticParams,
@@ -53,7 +52,6 @@ from wkit.wgen import (
     check_trace_MA,
     critical_poisson_check,
     qdet_tqdet_check,
-    survives_selection_rule,
 )
 
 POL = TruncationPolicy()

@@ -182,3 +182,22 @@ def test_scan_antisymmetric_column():
     vals = [complex(r[2], r[3]) for r in rows]
     for i in range(9):
         assert abs(vals[i] + vals[8 - i]) < 1e-9
+
+
+@pytest.mark.parametrize("fn", ["theta_big", "U", "F_a", "Y_mn"])
+def test_scan_grid_rows_equal_eval(fn, tmp_path):
+    # scan evaluates these four on the grid; every row must be == eval's value
+    from wkit.cli import _eval_function, _params_from_flags, build_parser, main
+
+    out = tmp_path / "scan.csv"
+    argv = ["scan", fn, "--from", "0.3", "--to", "2.5", "--points", "60", "--log",
+            "--csv", str(out), "--N", "3", "--q", "0.7", "--p", "0.4", "--c", "0.3",
+            "--m", "2", "--n", "-3"]
+    assert main(argv) == 0
+    args = build_parser().parse_args(argv)
+    params = _params_from_flags(args)
+    rows = [list(map(float, r.split(","))) for r in out.read_text().splitlines()[1:]]
+    assert len(rows) == 60
+    for x_re, x_im, f_re, f_im in rows:
+        assert x_im == 0.0
+        assert complex(f_re, f_im) == _eval_function(fn, complex(x_re), params, args)

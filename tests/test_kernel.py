@@ -1,0 +1,224 @@
+"""The cached q-series kernel: bit-exact against the factor-by-factor
+product, grid forms == scalar forms, the same exceptions, bounded caches."""
+
+import cmath
+import math
+import random
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import wkit.qseries as qs
+from wkit import (
+    EllipticParams,
+    F_a,
+    F_a_grid,
+    TruncationPolicy,
+    U,
+    U_grid,
+    Y_mn,
+    Y_mn_grid,
+    pochhammer,
+    pochhammer_grid,
+    resolve_abelian_branch,
+    theta_big,
+    theta_big_grid,
+)
+from wkit.errors import ModulusOutOfRange, PoleHit, TruncationBudgetExceeded
+
+POL = TruncationPolicy()
+SHORT = TruncationPolicy(tail_eps=1e-12, max_terms=64)
+
+
+def recursive_pochhammer(z, moduli, policy):
+    """The factor-by-factor product: every lattice weight built by repeated
+    multiplication, walked depth-first, stopped at the first weight below
+    tail_eps / (|z| + 1)."""
+    moduli = [complex(p) for p in moduli]
+    for p in moduli:
+        if abs(p) >= 1 - 1e-6:
+            raise ModulusOutOfRange(f"|modulus| = {abs(p):.8g} too close to 1")
+    if z == 0:
+        return 1.0 + 0j
+    thresh = policy.tail_eps / (abs(z) + 1.0)
+    val = 1.0 + 0j
+
+    def descend(depth, lattice):
+        nonlocal val
+        if depth == len(moduli):
+            val *= 1 - z * lattice
+            return
+        cur = lattice
+        for _ in range(policy.max_terms):
+            if abs(cur) < thresh:
+                return
+            descend(depth + 1, cur)
+            cur = cur * moduli[depth]
+        if abs(cur) >= thresh:
+            raise TruncationBudgetExceeded(
+                f"pochhammer index {depth} needs more than {policy.max_terms} factors")
+
+    descend(0, 1.0 + 0j)
+    return val
+
+
+def outcome(fn, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc).__name__, str(exc)
+
+
+def same(a, b):
+    """== for values (NaN matching NaN), equality for exception outcomes."""
+    if isinstance(a, complex) and isinstance(b, complex):
+        return a == b or (cmath.isnan(a) and cmath.isnan(b))
+    return a == b
+
+
+def test_pochhammer_equals_recursive_product():
+    rnd = random.Random(11)
+    raised = 0
+    for _ in range(1500):
+        p1 = cmath.rect(rnd.choice([0.05, 0.4, 0.8, 0.97]) * rnd.random(),
+                        rnd.choice([0.0, rnd.uniform(-3, 3)]))
+        p2 = cmath.rect(0.9 * rnd.random(), rnd.uniform(-1, 1))
+        moduli = [p1] if rnd.random() < 0.6 else [p1, p2]
+        z = cmath.rect(10 ** rnd.uniform(-2, 2), rnd.uniform(-3.2, 3.2))  # |z| both sides of 1
+        pol = rnd.choice([POL, SHORT])
+        want = outcome(recursive_pochhammer, z, moduli, pol)
+        raised += isinstance(want, tuple)
+        assert same(outcome(pochhammer, z, moduli, pol), want), (z, moduli, pol)
+    assert raised > 20  # the budget paths were exercised
+
+
+def test_pochhammer_real_arguments_and_limits():
+    for z, moduli in [(0.0, [0.5]), (1.0, [0.3]), (0.5, [0.1]), (-2.0, [0.6, 0.2]),
+                      (0.4 + 0.1j, [0.3, 0.2]), (3.0, [0.5 - 0.5j])]:
+        assert same(pochhammer(z, moduli, POL), recursive_pochhammer(z, moduli, POL))
+    with pytest.raises(TruncationBudgetExceeded, match="index 0 needs more than 64"):
+        pochhammer(0.5, [0.95], SHORT)
+    with pytest.raises(TruncationBudgetExceeded, match="index 1 needs more than 64"):
+        pochhammer(0.5, [0.5, 0.95], SHORT)
+    with pytest.raises(TruncationBudgetExceeded):
+        pochhammer(complex(math.inf, 0.0), [0.5], POL)
+    assert cmath.isnan(pochhammer(complex(math.nan, 0.0), [0.5], POL))
+    with pytest.raises(ModulusOutOfRange):
+        pochhammer(0.5, [math.nan], POL)
+    with pytest.raises(ValueError):
+        pochhammer(0.5, [0.1, 0.2, 0.3], POL)
+
+
+PARAMS = [
+    EllipticParams(2, 0.6, 0.5),
+    EllipticParams(3, 0.8, cmath.sqrt(0.3), 0.4),
+    EllipticParams(3, cmath.rect(0.55, 0.2), 0.6 + 0.1j, -0.7),
+]
+
+
+def grids():
+    real = np.geomspace(0.55, 1.9, 40)  # U has poles at x = 1 and (N = 2, s = 0.5) at s x = 1
+    rng = np.random.default_rng(5)
+    return [real, real * np.exp(1j * rng.uniform(-1.2, 1.2, real.size))]
+
+
+@pytest.mark.parametrize("pr", PARAMS, ids=["N2", "N3-q0.8", "N3-complex-q"])
+def test_grid_forms_equal_scalar_forms(pr):
+    forms = [
+        (lambda xs: pochhammer_grid(xs, [pr.p]), lambda x: pochhammer(x, [pr.p])),
+        (lambda xs: theta_big_grid(xs, pr.p), lambda x: theta_big(x, pr.p)),
+        (lambda xs: U_grid(xs, pr), lambda x: U(x, pr)),
+        (lambda xs: F_a_grid(xs, 2, pr.s, pr), lambda x: F_a(x, 2, pr.s, pr)),
+        (lambda xs: F_a_grid(xs, -3, pr.s_star, pr), lambda x: F_a(x, -3, pr.s_star, pr)),
+        (lambda xs: Y_mn_grid(xs, 2, -3, pr), lambda x: Y_mn(x, 2, -3, pr)),
+    ]
+    for xs in grids():
+        for grid_form, scalar_form in forms:
+            got = grid_form(xs).tolist()
+            want = [scalar_form(complex(x)) for x in xs]
+            assert all(same(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("branch,m,n,lam", [("abel1", 2, -3, -1), ("abel2", 3, 1, 2),
+                                            ("abel3", 1, 3, 2), ("abel4", -3, 3, None)])
+def test_grid_Y_equals_scalar_on_abelianity_branches(branch, m, n, lam):
+    params = resolve_abelian_branch(branch, 3, 0.8, m, n, lam)
+    xs = np.geomspace(0.5, 2.0, 60)
+    got = Y_mn_grid(xs, m, n, params).tolist()
+    assert got == [Y_mn(x, m, n, params) for x in xs]
+
+
+def test_grid_forms_raise_as_the_scalar_loop():
+    pr = PARAMS[0]
+    cases = [
+        # the 0.95 chain needs more than 64 factors
+        (lambda xs: pochhammer_grid(xs, [0.95], SHORT), lambda x: pochhammer(x, [0.95], SHORT)),
+        (lambda xs: theta_big_grid(xs, 0.95, SHORT), lambda x: theta_big(x, 0.95, SHORT)),
+        (lambda xs: theta_big_grid(xs, 1.0), lambda x: theta_big(x, 1.0)),  # ModulusOutOfRange
+        (lambda xs: U_grid(xs, pr), lambda x: U(x, pr)),  # PoleHit at x = 1
+        (lambda xs: Y_mn_grid(xs, 2, -3, pr), lambda x: Y_mn(x, 2, -3, pr)),
+    ]
+    xs = np.linspace(0.5, 1.5, 5)  # contains x = 1
+    for grid_form, scalar_form in cases:
+        want = outcome(lambda: [scalar_form(complex(x)) for x in xs])
+        assert isinstance(want, tuple)
+        assert outcome(grid_form, xs) == want
+    with pytest.raises(PoleHit, match=r"z = \(1\+0j\)"):
+        U_grid(xs, pr)
+    # a NaN point is NaN on both paths; the other points keep their values
+    odd = np.array([0.7, complex(math.nan, 0.0), 1.3])
+    got = U_grid(odd, pr).tolist()
+    assert cmath.isnan(got[1]) and [got[0], got[2]] == [U(0.7 + 0j, pr), U(1.3 + 0j, pr)]
+
+
+def test_kernel_caches_stay_bounded():
+    rng = np.random.default_rng(17)
+    for i, a in enumerate(rng.uniform(0.05, 0.9, 1000)):
+        theta_big(0.7 + 0.2j, a * a, POL)
+        if i % 10 == 0:  # two-modulus lattices are larger and kept fewer
+            pochhammer(0.3, [a, 0.2], POL)
+    assert 0 < len(qs._CHAINS) <= qs._CACHE_LIMIT
+    assert 0 < len(qs._PP) <= qs._CACHE_LIMIT
+    assert 0 < len(qs._ROWS) <= qs._ROWS_LIMIT
+    # values computed after the caches were cleared still match
+    assert theta_big(0.7 + 0.2j, 0.36, POL) == (recursive_pochhammer(0.7 + 0.2j, [0.36], POL)
+                                               * recursive_pochhammer(0.36 / (0.7 + 0.2j), [0.36], POL)
+                                               * recursive_pochhammer(0.36, [0.36], POL))
+
+
+def test_kernel_caches_under_concurrent_callers():
+    # more threads than cores share the caches while they are cleared and
+    # regrown; every value must still equal the single-threaded one
+    rng = np.random.default_rng(23)
+    nomes = [complex(a) for a in rng.uniform(0.05, 0.8, 3 * qs._CACHE_LIMIT)]
+    pairs = [(a, 0.3 * b) for a, b in zip(nomes[:40], nomes[40:80])]
+    z = 0.8 + 0.3j
+    want = [theta_big(z, p, POL) for p in nomes], [pochhammer(z, list(m), POL) for m in pairs]
+    got, errors = {}, []
+
+    def work(i):
+        try:
+            order = list(range(len(nomes)))
+            random.Random(i).shuffle(order)
+            thetas = {j: theta_big(z, nomes[j], POL) for j in order}
+            got[i] = [thetas[j] for j in range(len(nomes))], [pochhammer(z, list(m), POL) for m in pairs]
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and not errors
+    assert len(got) == 4 and all(v == want for v in got.values())
+    assert len(qs._CHAINS) <= qs._CACHE_LIMIT and len(qs._PP) <= qs._CACHE_LIMIT
+    assert len(qs._ROWS) <= qs._ROWS_LIMIT

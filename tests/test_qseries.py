@@ -34,7 +34,7 @@ from wkit import (
     theta_char_product,
     theta_char_series,
 )
-from wkit.errors import ModulusOutOfRange
+from wkit.errors import ModulusOutOfRange, TruncationBudgetExceeded
 
 POL = TruncationPolicy()
 DEEP = TruncationPolicy(tail_eps=1e-16, max_terms=2048)
@@ -305,6 +305,20 @@ def test_f_cr_modes_vanishes_when_max_is_N():
     assert abs(f_cr_series(1.3, 2, 1, pr, POL)) < 1e-10
 
 
+def test_f_cr_modes_remainder_past_the_budget():
+    # near the annulus edge at q = 0.8 the remainder needs more than 512
+    # terms; past them it is summed in closed form
+    pr = EllipticParams(N=3, q=0.8, s=0.5)
+    for x, k, kp in [(1.22, 1, 1), (0.81 + 0.05j, 2, 2), (1.2 - 0.2j, 1, 2)]:
+        got = f_cr_modes(x, k, kp, pr, POL)
+        long_loop = f_cr_modes(x, k, kp, pr, TruncationPolicy(max_terms=20000))
+        assert abs(got - long_loop) < 1e-13 * (1 + abs(long_loop))
+        assert abs(got - f_cr_series(x, k, kp, pr, POL)) < 1e-10 * (1 + abs(got))
+    # at q = 0.9 the neglected c^64 = q^256 is not below tail_eps: still raises
+    with pytest.raises(TruncationBudgetExceeded):
+        f_cr_modes(1.1, 1, 1, EllipticParams(N=2, q=0.9, s=0.5), TruncationPolicy(max_terms=64))
+
+
 def test_f_cr_modes_annulus_enforced():
     pr = EllipticParams(N=2, q=0.55, s=0.5)
     with pytest.raises(OutsideConvergenceAnnulus):
@@ -341,13 +355,14 @@ def test_abelianity_nan_sample_fails(monkeypatch):
     import wkit.qseries as qs
 
     grid = np.geomspace(0.5, 2.0, 50)
-    bad_x = grid[17]
-    real_Y = qs.Y_mn
+    real_Y = qs.Y_mn_grid
 
-    def Y_with_nan(x, *args):
-        return complex(math.nan, 0.0) if x == bad_x else real_Y(x, *args)
+    def Y_with_nan(xs, *args):
+        ys = real_Y(xs, *args)
+        ys[17] = complex(math.nan, 0.0)
+        return ys
 
-    monkeypatch.setattr(qs, "Y_mn", Y_with_nan)
+    monkeypatch.setattr(qs, "Y_mn_grid", Y_with_nan)
     rep = abelianity_check("abel4", 2, 0.6, -3, 3, grid)
     assert math.isnan(rep.residual) and not rep.passed
 

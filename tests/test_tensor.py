@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import os
 
 import numpy as np
 import pytest

@@ -10,7 +10,6 @@ import pytest
 from wkit import (
     EllipticParams,
     EvalRep,
-    LabeledTensor,
     RMatrixFactory,
     TruncationPolicy,
     build_t,
@@ -228,6 +227,49 @@ def test_critical_poisson_at_symmetric_point():
     pr = EllipticParams(N=2, q=0.55, s=0.5)
     assert abs(f_cr_series(1.0, 1, 1, pr, POL)) < 1e-12
     assert abs(f_cr_modes(1.0, 1, 1, pr, POL)) < 1e-12
+
+
+def test_critical_poisson_truncation_fails_one_point():
+    # at q = 0.9 the q^4 chain of U needs more than 64 factors, so the
+    # derivative cannot be taken and this point fails on its own
+    pr = EllipticParams(N=2, q=0.9, s=0.5)
+    r = critical_poisson_check(1, 1, 1.05, pr, policy=TruncationPolicy(max_terms=64))
+    assert math.isnan(r.residual) and not r.passed
+    assert r.check == "f_cr(k=1,k'=1)"
+    assert r.inputs["error"] == "TruncationBudgetExceeded"
+    assert r.inputs["message"] == "pochhammer index 0 needs more than 64 factors"
+    assert r.inputs["derivative"] is r.inputs["series"] is r.inputs["modes"] is None
+    assert {"N", "q", "k", "kprime", "x", "step"} <= set(r.inputs)
+
+
+def test_critical_poisson_suite_keeps_its_other_reports(monkeypatch):
+    # this config raised from f_cr_modes and lost all 14 reports; its
+    # remainder is now summed past the budget, and a point that still
+    # raises fails alone
+    import wkit.wgen as wg
+    from wkit.cli import parse_config
+    from wkit.errors import TruncationBudgetExceeded
+    from wkit.suites import suite_critical_poisson
+
+    ctx, _ = parse_config({"params": {"N": 3, "q": 0.8}, "seed": 7359161})
+    reports = suite_critical_poisson(ctx)
+    assert len(reports) == 14 and all(r.passed for r in reports)
+
+    real_modes, calls = wg.f_cr_modes, []
+
+    def modes_raising_once(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise TruncationBudgetExceeded("f_cr_modes remainder did not converge")
+        return real_modes(*args)
+
+    monkeypatch.setattr(wg, "f_cr_modes", modes_raising_once)
+    reports = suite_critical_poisson(ctx)
+    assert len(reports) == 14
+    failed = [r for r in reports if not r.passed]
+    assert [(r.inputs["error"], r.inputs["modes"]) for r in failed] == [
+        ("TruncationBudgetExceeded", None)]
+    assert math.isnan(failed[0].residual)
 
 
 # ---------------------------------------------------------------------------
