@@ -96,14 +96,15 @@ def _unit_point(rng):
     return complex(np.cos(phi), np.sin(phi))
 
 
-def _with_resample(fn, rng):
-    """Call fn(point), resampling the point on PoleHit up to five times."""
+def _with_resample(fn, rng, radii=(0.7, 1.4)):
+    """Call fn(point), resampling the point on PoleHit up to five times;
+    |point| is drawn from the range `radii`."""
     for _ in range(5):
         try:
-            return fn(_safe_point(rng))
+            return fn(_safe_point(rng, *radii))
         except (PoleHit, OutsideConvergenceAnnulus):
             continue
-    return fn(_safe_point(rng))  # last try propagates
+    return fn(_safe_point(rng, *radii))  # last try propagates
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +480,13 @@ def suite_critical_poisson(ctx: SuiteContext) -> list[CheckReport]:
 
     pairs = [(k, kp) for k in range(1, pr.N + 1) for kp in range(k, pr.N + 1)]
     pts_per_pair = max(1, 12 // len(pairs))
+    # f_cr_modes converges on |q| < |x| < 1/|q| only
+    radii = (max(0.7, abs(pr.q)), min(1.4, 1 / abs(pr.q)))
     for (k, kp) in pairs:
         for _ in range(pts_per_pair):
             out.append(_with_resample(
                 lambda x, k=k, kp=kp: critical_poisson_check(
-                    k, kp, x, pr, tolerance=tol, policy=pol), rng))
+                    k, kp, x, pr, tolerance=tol, policy=pol), rng, radii))
 
     clock = Stopwatch()
     resids = []

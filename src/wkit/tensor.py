@@ -7,6 +7,11 @@ multi-space identities can be written the way they are stated: products
 of two-space R-factors, projectors on subsets of spaces, partial traces
 and transposes over named spaces.
 
+Identities that only act on the image of an antisymmetrizer are evaluated
+without forming the operator: `apply_gates` applies a product of small
+factors, one at a time, to a block of vectors such as the orthonormal
+basis of im A_k from `antisym_basis`.
+
 All operations allocate fresh results; nothing here mutates shared state.
 """
 
@@ -16,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -257,6 +262,46 @@ def antisym_trace(M: np.ndarray, k: int) -> complex:
     return complex(np.trace(MM @ antisymmetrizer(k, N).matrix))
 
 
+def antisym_basis(k: int, N: int) -> np.ndarray:
+    """Orthonormal basis of im A_k as the C(N,k) columns of a real
+    (N^k, C(N,k)) array: for each j_1 < ... < j_k the vector
+    (1/sqrt(k!)) sum_sigma sign(sigma) e_{j_sigma(1)} (x) ... (x) e_{j_sigma(k)}.
+    V V^T = A_k; built from index arithmetic, not from permutation operators."""
+    if not 1 <= k <= N:
+        raise ValueError(f"antisym_basis needs 1 <= k <= N, got k={k}, N={N}")
+    _guard(N**k)
+    perms = [(perm, _perm_sign(perm)) for perm in permutations(range(k))]
+    combos = list(combinations(range(N), k))
+    V = np.zeros((N**k, len(combos)))
+    for c, js in enumerate(combos):
+        for perm, sign in perms:
+            V[np.ravel_multi_index([js[p] for p in perm], (N,) * k), c] = sign
+    return V / math.sqrt(math.factorial(k))
+
+
+def apply_gates(gates, labels, block: np.ndarray) -> np.ndarray:
+    """(gates[0] @ gates[1] @ ...) applied to `block`, the last gate first.
+
+    `block` has shape (N,)*n + (r,): axis i is the space labels[i], the
+    last axis counts r vectors.  Each gate is a LabeledTensor on some of
+    those spaces and costs one tensordot; the N^n x N^n product is never
+    formed.  The state dimension N^n goes through the dimension guard."""
+    labels = tuple(labels)
+    N, n = block.shape[0], len(labels)
+    if block.shape[:-1] != (N,) * n:
+        raise LabelMismatch(f"block of shape {block.shape} does not match {n} spaces")
+    _guard(N**n)
+    for gate in reversed(gates):
+        if not set(gate.labels) <= set(labels):
+            raise LabelMismatch(f"gate on {gate.labels} outside the block's {labels}")
+        m = len(gate.labels)
+        axes = [labels.index(l) for l in gate.labels]
+        out = np.tensordot(gate.data.reshape((N,) * (2 * m)), block,
+                           axes=(list(range(m, 2 * m)), axes))
+        block = np.moveaxis(out, list(range(m)), axes)
+    return block
+
+
 # ---------------------------------------------------------------------------
 # Fused R-products and the identities they satisfy
 # ---------------------------------------------------------------------------
@@ -269,6 +314,16 @@ def col_labels(k: int):
     return tuple(("c", j) for j in range(1, k + 1))
 
 
+def fused_gates(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> list:
+    """The R-hat factors of `fused_R`, leftmost first."""
+    rows, cols = row_labels(k), col_labels(kprime)
+    zeta = fac.params.zeta
+    xi_x = xi_of(x) + c_shift * zeta
+    e, e_col = centred_ladder(k), centred_ladder(kprime)
+    return [fac.rhat_tensor(xi_x + (e[i] - e_col[j]) * zeta, (rows[i], cols[j]))
+            for j in range(kprime) for i in reversed(range(k))]
+
+
 def fused_R(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> LabeledTensor:
     """Ordered fused product of R-hat factors from the RMatrixFactory `fac`
     coupling the k row spaces to the k' column spaces:
@@ -279,22 +334,48 @@ def fused_R(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> Lab
     leftmost.  `c_shift` multiplies the argument by q^{c_shift} through the
     additive spectral variable (used for the critical-level sweeps).
     """
-    rows, cols = row_labels(k), col_labels(kprime)
-    zeta = fac.params.zeta
-    xi_x = xi_of(x) + c_shift * zeta
-    e, e_col = centred_ladder(k), centred_ladder(kprime)
-    out = LabeledTensor.identity(rows + cols, fac.N)
-    for j in range(kprime):
-        for i in reversed(range(k)):
-            out = out @ fac.rhat_tensor(xi_x + (e[i] - e_col[j]) * zeta, (rows[i], cols[j]))
+    out = LabeledTensor.identity(row_labels(k) + col_labels(kprime), fac.N)
+    for gate in fused_gates(x, k, kprime, fac, c_shift):
+        out = out @ gate
     return out
+
+
+_BLOCK_ENTRIES = 2**20  # entries of one block of columns in _projector_residual (16 MB)
+
+
+def _projector_residual(gates, a_labels, rest) -> float:
+    """||X A - A X A|| / ||X A|| for X = prod(gates) and A = A_k (x) 1, A_k
+    on the spaces `a_labels` and the identity on `rest`.
+
+    With A_k = V V^T (V from `antisym_basis`), (1 - A) X A = (1 - A) Y
+    (V (x) 1)^T for Y = X (V (x) 1), and multiplying by the co-isometry
+    (V (x) 1)^T on the right keeps the Frobenius norm; so this is
+    ||(1 - A) Y|| / ||Y||.  X is applied gate by gate to the
+    C(N,k) N^len(rest) columns of V (x) 1, a block of at most
+    _BLOCK_ENTRIES entries at a time, and never formed."""
+    N, labels = gates[0].N, a_labels + rest
+    V = antisym_basis(len(a_labels), N)
+    D = N ** len(rest)
+    width = max(1, _BLOCK_ENTRIES // N ** len(labels))
+    num = den = 0.0
+    for v in V.T:
+        for s in range(0, D, width):  # columns v (x) e_j, s <= j < s + width
+            block = np.kron(v[:, None], np.eye(D, min(width, D - s), -s))
+            Y = apply_gates(gates, labels, block.reshape((N,) * len(labels) + (-1,)))
+            Y = Y.reshape(len(V), -1)
+            num += np.linalg.norm(Y - V @ (V.T @ Y)) ** 2
+            den += np.linalg.norm(Y) ** 2
+    return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 
 def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
                             tolerance: float = 1e-8):
     """Residuals of the one-sided projector identities X A = A X A for the
     R-hat chain, its t0-transposed-inverse chain, its inverse chain, and the
-    fused block product with the row and column antisymmetrizers."""
+    fused block product with the row and column antisymmetrizers.  Each X is
+    a list of gates applied to im A only (see `_projector_residual`); the
+    inverse fused block is the reversed list of inverse gates, checked while
+    N^(k+k') <= 1536."""
     if kprime is None:
         kprime = k
     N, params = fac.N, fac.params
@@ -305,18 +386,14 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
     inputs = {"N": N, "k": k, "kprime": kprime, "x": x, "q": params.q, "p": params.p}
     reports = []
 
-    def report(name, identity, X: LabeledTensor, A: LabeledTensor):
+    def report(name, identity, gates, a_labels, rest):
         clock = Stopwatch()
-        lhs = X @ A
-        rhs = A @ lhs
-        res = (lhs - rhs).norm() / max(lhs.norm(), 1e-300)
+        res = _projector_residual(gates, a_labels, rest)
         reports.append(clock.report("fusion-identities", name, identity, inputs, res,
                                     tolerance))
 
     # chains on aux spaces 1..k against a common space 0
-    chain_labels = tuple(range(1, k + 1)) + ("0",)
-    Ak_chain = antisymmetrizer(k, N).on(tuple(range(1, k + 1)))
-
+    aux = tuple(range(1, k + 1))
     chains = (  # (name, identity, direction of the argument ladder, factor map)
         ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k",
          -1, lambda R: R),
@@ -326,21 +403,20 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
          +1, LabeledTensor.inv),
     )
     for name, identity, step, factor in chains:
-        X = LabeledTensor.identity(chain_labels, N)
-        for i in range(1, k + 1):
-            X = X @ factor(fac.rhat_tensor(xi_x + step * (i - 1) * zeta, (i, "0")))
-        report(name, identity, X, Ak_chain)
+        gates = [factor(fac.rhat_tensor(xi_x + step * (i - 1) * zeta, (i, "0")))
+                 for i in aux]
+        report(name, identity, gates, aux, ("0",))
 
-    RR = fused_R(x, k, kprime, fac)
+    gates = fused_gates(x, k, kprime, fac)
     rows, cols = row_labels(k), col_labels(kprime)
-    Ar = antisymmetrizer(k, N).on(rows)
-    Ac = antisymmetrizer(kprime, N).on(cols)
-    report("fused_rows", "fused R block with row antisymmetrizer", RR, Ar)
-    report("fused_cols", "fused R block with column antisymmetrizer", RR, Ac)
-    if RR.data.shape[0] <= 1536:  # dense inversion budget
-        RRi = RR.inv()
-        report("fused_inv_rows", "inverse fused R block with row antisymmetrizer", RRi, Ar)
-        report("fused_inv_cols", "inverse fused R block with column antisymmetrizer", RRi, Ac)
+    report("fused_rows", "fused R block with row antisymmetrizer", gates, rows, cols)
+    report("fused_cols", "fused R block with column antisymmetrizer", gates, cols, rows)
+    if N ** (k + kprime) <= 1536:  # the budget of the former dense inversion
+        inv_gates = [g.inv() for g in reversed(gates)]
+        report("fused_inv_rows", "inverse fused R block with row antisymmetrizer",
+               inv_gates, rows, cols)
+        report("fused_inv_cols", "inverse fused R block with column antisymmetrizer",
+               inv_gates, cols, rows)
     return reports
 
 

@@ -30,7 +30,7 @@ from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_la
 from .qseries import F_a, Y_kkprime_cr, Y_mn, f_cr_modes, f_cr_series
 from .reports import CheckReport, Stopwatch, worst
 from .rmatrix import RMatrixFactory, ZnMatrices
-from .tensor import LabeledTensor, antisym_trace, antisymmetrizer
+from .tensor import LabeledTensor, antisym_basis, antisym_trace, apply_gates
 
 QUANTUM = "0"
 
@@ -130,27 +130,34 @@ class WGenerator:
                      / max(np.linalg.norm(self.matrix), 1e-300))
 
 
-def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> LabeledTensor:
-    """The untraced operator Q_{1..k}(z) (everything of t^{(k)} before
-    multiplying by A_k and tracing)."""
+def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> list:
+    """The factors of the untraced operator Q_{1..k}(z) (everything of
+    t^{(k)} before multiplying by A_k and tracing), leftmost first; the
+    product itself is never formed."""
     N = rep.N
-    m, n = surface.m, surface.n
-    labels = tuple(range(1, k + 1)) + (QUANTUM,)
     zn = rep.factory.zn
-    Mm, Mt = zn.M_power(m), zn.M_power(n)
     xi_z = xi_of(z)
     ladder = [xi_z + e * rep.params.zeta for e in centred_ladder(k)]
-    star_step = n * rep.factory.s_star_shift  # lattice realization of (s*)^n
-    out = LabeledTensor.identity(labels, N)
-    for i in range(1, k + 1):
-        out = out @ LabeledTensor.from_matrix(Mm, (i,), N)
-    for i in range(k, 0, -1):
-        out = out @ rep.L(ladder[i - 1] + star_step, i)
-    for i in range(1, k + 1):
-        out = out @ LabeledTensor.from_matrix(Mt, (i,), N)
-    for i in range(1, k + 1):
-        out = out @ rep.L_inv(ladder[i - 1], i)
-    return out
+    star_step = surface.n * rep.factory.s_star_shift  # lattice realization of (s*)^n
+
+    def twists(M):
+        return [LabeledTensor.from_matrix(M, (i,), N) for i in range(1, k + 1)]
+
+    return (twists(zn.M_power(surface.m))
+            + [rep.L(ladder[i - 1] + star_step, i) for i in range(k, 0, -1)]
+            + twists(zn.M_power(surface.n))
+            + [rep.L_inv(ladder[i - 1], i) for i in range(1, k + 1)])
+
+
+def _trace_against_antisymmetrizer(gates, k: int, N: int) -> np.ndarray:
+    """tr_{1..k}(X A_k) for X = prod(gates) on the auxiliary spaces 1..k and
+    the quantum space.  With A_k = V V^T (V from `antisym_basis`, real) this
+    is sum_c (v_c^T (x) 1) X (v_c (x) 1), so X is applied factor by factor
+    to the C(N,k) N vectors v_c (x) e_j and never formed."""
+    V = antisym_basis(k, N)
+    block = np.kron(V, np.eye(N)).reshape((N,) * (k + 1) + (-1,))
+    Y = apply_gates(gates, tuple(range(1, k + 1)) + (QUANTUM,), block)
+    return np.einsum("ac,aicj->ij", V, Y.reshape(N**k, N, V.shape[1], N))
 
 
 def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> WGenerator:
@@ -158,10 +165,8 @@ def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> WGenerato
     if not 1 <= k <= N:
         raise ValueError(f"need 1 <= k <= N, got k = {k}")
     surface.params.require_elliptic()
-    Q = build_Q(k, z, surface, rep)
-    Ak = antisymmetrizer(k, N).on(tuple(range(1, k + 1)))
-    traced = (Q @ Ak).partial_trace(tuple(range(1, k + 1)))
-    return WGenerator(k=k, z=z, m=surface.m, n=surface.n, matrix=traced.data)
+    return WGenerator(k=k, z=z, m=surface.m, n=surface.n,
+                      matrix=_trace_against_antisymmetrizer(build_Q(k, z, surface, rep), k, N))
 
 
 # ---------------------------------------------------------------------------
@@ -269,18 +274,13 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
 
 def _qdet_matrix(xi_top: complex, rep: EvalRep) -> np.ndarray:
     """Quantum-space matrix of qdet from
-    L_1(y) L_2(y/q) ... L_N(y q^{1-N}) A_N = A_N qdet(y), y = e^{i pi xi_top}."""
+    L_1(y) L_2(y/q) ... L_N(y q^{1-N}) A_N = A_N qdet(y), y = e^{i pi xi_top}.
+
+    A_N = psi psi^T for the one basis vector psi of im A_N, so qdet is
+    (psi^T (x) 1) L_1 ... L_N (psi (x) 1) = tr_{1..N}(L_1 ... L_N A_N)."""
     N = rep.N
-    labels = tuple(range(1, N + 1)) + (QUANTUM,)
-    X = LabeledTensor.identity(labels, N)
-    for i in range(1, N + 1):
-        X = X @ rep.L(xi_top - (i - 1) * rep.params.zeta, i)
-    A = antisymmetrizer(N, N)
-    Y = X @ A.on(tuple(range(1, N + 1)))
-    evals, evecs = np.linalg.eigh(A.matrix)
-    psi = evecs[:, int(np.argmax(evals))]
-    Yt = Y.data.reshape(N**N, N, N**N, N)
-    return np.einsum("a,aibj,b->ij", psi.conj(), Yt, psi)
+    gates = [rep.L(xi_top - (i - 1) * rep.params.zeta, i) for i in range(1, N + 1)]
+    return _trace_against_antisymmetrizer(gates, N, N)
 
 
 def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8):

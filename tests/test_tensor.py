@@ -9,8 +9,12 @@ import pytest
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import DimensionGuardExceeded, LabelMismatch
 from wkit.tensor import (
+    antisym_basis,
+    apply_gates,
     check_fusion_identities,
     check_M_derivative,
+    col_labels,
+    fused_gates,
     fused_R,
     monodromy_M,
     permutation_operator,
@@ -167,6 +171,15 @@ def test_projector_rank(N):
     assert math.comb(N, N) == 1  # A_N has rank one
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_antisym_basis_spans_the_projector(N):
+    for k in range(1, N + 1):
+        V = antisym_basis(k, N)
+        assert V.shape == (N**k, math.comb(N, k))
+        assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-15
+        assert np.abs(V @ V.T - antisymmetrizer(k, N).matrix).max() <= 1e-15
+
+
 def test_A2_is_kernel_of_rhat_at_q():
     from wkit.rmatrix import kernel_projector
     dim, proj = kernel_projector(RMatrixFactory(params(N=3), POL))
@@ -205,6 +218,75 @@ def test_fusion_identities(N, k):
     reports = check_fusion_identities(k, RMatrixFactory(params(N=N), POL), 1.2 + 0.1j)
     for r in reports:
         assert r.residual < 1e-8, (r.check, r.residual)
+
+
+def test_apply_gates_matches_dense_product():
+    labels, N = (1, "0", 2), 3
+    gates = [rnd((2, 1), N), rnd(("0",), N), rnd((1, "0"), N)]
+    dense = LabeledTensor.identity(labels, N)
+    for g in gates:
+        dense = dense @ g
+    block = RNG.normal(size=(27, 5)) + 1j * RNG.normal(size=(27, 5))
+    out = apply_gates(gates, labels, block.reshape(3, 3, 3, 5))
+    assert np.allclose(out.reshape(27, 5), dense.data @ block, rtol=0, atol=1e-12)
+
+
+def test_block_path_respects_guard(monkeypatch):
+    monkeypatch.setenv("WKIT_MAX_DIM", "8")
+    labels = (1, 2, 3, 4)
+    with pytest.raises(DimensionGuardExceeded):  # 2^4 = 16 > 8 state dimension
+        apply_gates([rnd((1, 2))], labels, np.zeros((2, 2, 2, 2, 1), dtype=complex))
+    block = np.zeros((2, 2, 2, 1), dtype=complex)  # 8: at the guard
+    assert apply_gates([rnd((1, 2))], labels[:3], block).shape == block.shape
+
+
+def _dense_projector_residual(gates, labels, a_labels):
+    X = LabeledTensor.identity(labels, gates[0].N)
+    for g in gates:
+        X = X @ g
+    A = antisymmetrizer(len(a_labels), X.N).on(a_labels)
+    lhs = X @ A
+    return (lhs - A @ lhs).norm() / lhs.norm()
+
+
+@pytest.mark.parametrize("a_labels", [(1, 2), ("0", 2), (2, 1, "0")])
+def test_projector_residual_matches_dense_when_it_fails(a_labels):
+    # random gates break X A = A X A by O(1); the block formula must still
+    # give the dense value, not just a small number
+    from wkit.tensor import _projector_residual
+    labels, N = (1, 2, "0"), 3
+    gates = [rnd((1, "0"), N), rnd((2,), N), rnd((2, "0"), N)]
+    rest = tuple(l for l in labels if l not in a_labels)
+    block = _projector_residual(gates, a_labels, rest)
+    dense = _dense_projector_residual(gates, labels, a_labels)
+    assert dense > 0.1
+    assert abs(block - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("N,k,kp", [(2, 2, 2), (3, 2, 2), (3, 3, 1), (4, 2, 2)])
+def test_block_fusion_residuals_match_dense(N, k, kp):
+    fac = RMatrixFactory(params(N=N), POL)
+    x = 1.2 + 0.1j
+    reports = {r.check: r.residual for r in check_fusion_identities(k, fac, x, kprime=kp)}
+    xi, zeta = xi_of(x), fac.params.zeta
+    aux, rows, cols = tuple(range(1, k + 1)) + ("0",), row_labels(k), col_labels(kp)
+    R = [fac.rhat_tensor(xi - (i - 1) * zeta, (i, "0")) for i in range(1, k + 1)]
+    Rinv = [fac.rhat_tensor(xi + (i - 1) * zeta, (i, "0")).inv() for i in range(1, k + 1)]
+    gates = fused_gates(x, k, kp, fac)
+    inv_gates = [g.inv() for g in reversed(gates)]
+    dense = {
+        "chain": _dense_projector_residual(R, aux, aux[:-1]),
+        "chain_t0_inv": _dense_projector_residual(
+            [r.inv().partial_transpose("0") for r in R], aux, aux[:-1]),
+        "chain_inv": _dense_projector_residual(Rinv, aux, aux[:-1]),
+        "fused_rows": _dense_projector_residual(gates, rows + cols, rows),
+        "fused_cols": _dense_projector_residual(gates, rows + cols, cols),
+        "fused_inv_rows": _dense_projector_residual(inv_gates, rows + cols, rows),
+        "fused_inv_cols": _dense_projector_residual(inv_gates, rows + cols, cols),
+    }
+    assert set(reports) == set(dense)
+    for name, value in dense.items():
+        assert abs(reports[name] - value) <= 1e-13, (name, reports[name], value)
 
 
 def test_fusion_identities_control():
