@@ -40,6 +40,7 @@ from .qseries import (
     theta_big_grid,
     theta_char_product,
     theta_char_series,
+    theta_char_sums,
 )
 from .reports import CheckReport, sort_reports
 from .rmatrix import RMatrixFactory, ZnMatrices
@@ -59,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EllipticParams", "TruncationPolicy", "DEFAULT_POLICY", "xi_of", "z_of",
-    "pochhammer", "theta_big", "theta_char_series", "theta_char_product",
+    "pochhammer", "theta_big", "theta_char_series", "theta_char_sums", "theta_char_product",
     "tau_N", "U", "kappa_inv", "F_a", "Y_mn", "Y_mn_forms", "Y_FF",
     "Y_kkprime_cr", "I_series", "f_cr_series", "f_cr_modes",
     "pochhammer_grid", "theta_big_grid", "U_grid", "F_a_grid", "Y_mn_grid",

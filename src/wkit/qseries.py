@@ -27,6 +27,7 @@ import math
 import threading
 from bisect import bisect_right
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,17 +58,23 @@ _POLE_EPS = 1e-14
 # magnitudes.  A call's term count is the first index whose running minimum
 # falls below tail_eps / (|z| + 1), found by bisection: the same factors a
 # factor-by-factor walk would take, and the same TruncationBudgetExceeded.
-# Chains grow lazily; an entry is replaced, never changed in place, and
-# every cache is cleared when it reaches its bound.
+# A two-modulus product runs over one flat lattice per (p1, p2, max_terms):
+# the rows p1^n1, p1^n1 p2, ... of the p1 chain, built by the same repeated
+# multiplications in split-real float64, stored in row order beside the
+# running minimum of the magnitudes down the p1 chain and along the row.
+# Those keys fall along every row, so the entries whose key is >= the
+# threshold are exactly the factors the walk takes, in its order.  Chains
+# and lattices grow lazily; an entry is replaced, never changed in place,
+# and every cache is cleared when it reaches its bound.
 
 _CACHE_LIMIT = 128   # chains and (p;p)_inf values kept per cache
-_ROWS_LIMIT = 16     # two-modulus lattices kept
+_LATTICE_LIMIT = 16  # two-modulus lattices kept
 _GROW = 1e-6         # a chain grown for thresh also covers thresh * _GROW
 _START = ([1.0 + 0j], [-1.0])
 
-_CHAINS = {}  # (p, max_terms) -> (values, -running min |value|)
-_ROWS = {}    # (p1, p2, max_terms) -> (low, p1 chain, rows p1^n1 p2^n2 over n2)
-_PP = {}      # (p, policy) -> (p; p)_inf
+_CHAINS = {}    # (p, max_terms) -> (values, -running min |value|)
+_LATTICES = {}  # (p1, p2, max_terms) -> _Lattice
+_PP = {}        # (p, policy) -> (p; p)_inf
 _STORE_LOCK = threading.Lock()
 
 
@@ -117,13 +124,9 @@ def _count(chain, thresh: float, T: int) -> int:
     return bisect_right(chain[1], -thresh, 0, min(T, len(chain[1])))
 
 
-def _exceeds(chain, K: int, thresh: float, T: int) -> bool:
-    """Whether all T factors were taken and the next weight is still >= thresh."""
-    return K == T and abs(chain[0][T]) >= thresh
-
-
 def _check_budget(chain, K: int, thresh: float, T: int, index: int):
-    if _exceeds(chain, K, thresh, T):
+    """Raise if all T factors were taken and the next weight is still >= thresh."""
+    if K == T and abs(chain[0][T]) >= thresh:
         raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
 
 
@@ -147,30 +150,51 @@ def _poch1(z, p: complex, policy: TruncationPolicy) -> complex:
     return val
 
 
-def _rows(p1: complex, p2: complex, thresh: float, T: int, entry):
-    """The two-modulus lattice of (p1, p2, T) covering thresh: the p1 chain
-    and, for each of its entries c, the chain c, c*p2, c*p2*p2, ...
+class _Lattice(NamedTuple):
+    """The flat two-modulus lattice of (p1, p2, T), covering every
+    threshold >= low.  Entry (n1, n2), n1, n2 < T, is p1^n1 p2^n2; its key
+    is the running minimum of |p1^k| over k <= n1 and of |p1^n1 p2^k| over
+    k <= n2.  over1 is the largest key at n2 = T (a row needing more than
+    T factors), over0 the running minimum of the p1 chain at n1 = T; -1
+    where the lattice stops short of T."""
+    low: float
+    re: np.ndarray
+    im: np.ndarray
+    keys: np.ndarray
+    over1: float
+    over0: float
 
-    Rows are built to thresh * _GROW, and only up to the first row whose
-    budget this call exceeds (such a lattice is returned but not cached)."""
+
+def _lattice(p1: complex, p2: complex, thresh: float, T: int) -> _Lattice:
+    """The lattice of (p1, p2, T) built to thresh * _GROW.  A call whose
+    first row (the p2 chain, the longest row) needs more than T factors
+    raises before any other row is built."""
     low = thresh * _GROW
+    row0 = _chain(p2, thresh, T)
+    _check_budget(row0, _count(row0, thresh, T), thresh, T, 1)
     head = _chain(p1, low, T)
-    old = entry[2] if entry is not None else ()
-    rows = []
-    for n1 in range(_count(head, low, T)):
-        row = old[n1] if n1 < len(old) else ([head[0][n1]], [-abs(head[0][n1])])
-        if not _covers(row, low, T):
-            row = _grow(row, p2, low, T)
-        rows.append(row)
-        if _exceeds(row, _count(row, thresh, T), thresh, T):
-            return low, head, rows
-    return _store(_ROWS, (p1, p2, T), (low, head, tuple(rows)), _ROWS_LIMIT)
+    rows = _count(head, low, T)
+    h = np.array(head[0][:rows])
+    cr, ci = h.real, h.imag
+    key = -np.array(head[1][:rows])
+    cols = [(cr, ci, key)]
+    pr, pi = p2.real, p2.imag
+    while len(cols) <= T and key.max() >= low:
+        cr, ci = cr * pr - ci * pi, cr * pi + ci * pr
+        key = np.minimum(key, np.hypot(cr, ci))
+        cols.append((cr, ci, key))
+    over1 = float(cols[T][2].max()) if len(cols) > T else -1.0
+    over0 = -head[1][T] if len(head[1]) > T else -1.0
+    re, im, keys = (np.stack(part[:T], axis=1) for part in zip(*cols))
+    keep = keys >= low  # row order: n1 outer
+    return _store(_LATTICES, (p1, p2, T),
+                  _Lattice(low, re[keep], im[keep], keys[keep], over1, over0), _LATTICE_LIMIT)
 
 
 def _poch2(z, p1: complex, p2: complex, policy: TruncationPolicy) -> complex:
     T = policy.max_terms
-    entry = _ROWS.get((p1, p2, T))
-    if entry is None:
+    lat = _LATTICES.get((p1, p2, T))
+    if lat is None:
         _check_modulus(p1)
         _check_modulus(p2)
     if z == 0:
@@ -178,19 +202,20 @@ def _poch2(z, p1: complex, p2: complex, policy: TruncationPolicy) -> complex:
     thresh = policy.tail_eps / (abs(z) + 1.0)
     if thresh != thresh:  # a NaN z makes every factor NaN
         return complex(math.nan, math.nan)
-    if entry is None or not entry[0] <= thresh:
-        entry = _rows(p1, p2, thresh, T, entry)
-    _, head, rows = entry
-    K1 = _count(head, thresh, T)
-    val = 1.0 + 0j
-    for vals, keys in rows[:K1]:  # _count and _check_budget, inlined: this runs per row
-        K2 = bisect_right(keys, -thresh, 0, T if len(keys) > T else len(keys))
-        if K2 == T and abs(vals[T]) >= thresh:
-            raise TruncationBudgetExceeded(f"pochhammer index 1 needs more than {T} factors")
-        for c in vals[:K2]:
-            val *= 1 - z * c
-    _check_budget(head, K1, thresh, T, 0)
-    return val
+    if lat is None or not lat.low <= thresh:
+        lat = _lattice(p1, p2, thresh, T)
+    if lat.over1 >= thresh:
+        raise TruncationBudgetExceeded(f"pochhammer index 1 needs more than {T} factors")
+    if lat.over0 >= thresh:
+        raise TruncationBudgetExceeded(f"pochhammer index 0 needs more than {T} factors")
+    take = lat.keys >= thresh
+    cr, ci = lat.re[take], lat.im[take]
+    z = complex(z)
+    # 1 - z*c with CPython's formulas; the product in the walk's order
+    f = np.empty(cr.size, dtype=complex)
+    f.real = 1.0 - (z.real * cr - z.imag * ci)
+    f.imag = 0.0 - (z.real * ci + z.imag * cr)
+    return math.prod(f.tolist(), start=1.0 + 0j)
 
 
 def _pp(p: complex, policy: TruncationPolicy) -> complex:
@@ -253,6 +278,64 @@ def theta_char_series(g1, g2, xi: complex, tau: complex,
         else:
             small_rings = 0
     raise TruncationBudgetExceeded("theta series did not meet tail bound")
+
+
+def _lattice_sums(alpha, beta, tau: complex, policy: TruncationPolicy) -> np.ndarray:
+    """sum_m exp(i pi tau (m + alpha)^2 + 2 i pi (m + alpha) beta) for each
+    pair (alpha[k], beta[k]), alpha possibly complex, in one window.
+
+    With x = m + Re alpha, log|term| is the parabola
+    -pi Im tau (x - x0)^2 + h with x0 = -(Re tau Im alpha + Im beta) / Im tau.
+    The window starts at half-width sqrt((ln(1/tail_eps) + h) / (pi Im tau))
+    + 3 around each x0 and doubles until the two outermost terms on each
+    wing of every sum are below tail_eps (1 + |sum|); past max_terms it
+    raises.
+    """
+    y = alpha.imag
+    peak = -(tau.real * y + beta.imag) / tau.imag
+    height = math.pi * tau.imag * (peak * peak + y * y) - 2 * math.pi * y * beta.real
+    spread = max(math.log(1 / policy.tail_eps) + float(np.max(height, initial=0)), 0.0)
+    half = math.sqrt(spread / (math.pi * tau.imag)) + 3
+    W = int(half) if half < policy.max_terms else policy.max_terms  # NaN too
+    centre = (np.rint(peak - alpha.real) + alpha)[:, None]
+    arg = _TWO_I_PI * beta[:, None]
+    while True:
+        a = centre + np.arange(-W, W + 1)
+        with np.errstate(all="ignore"):  # an overflowing sum fails the tail rule
+            terms = np.exp(1j * cmath.pi * tau * (a * a) + arg * a)
+            acc = terms.sum(axis=1)
+            edge = np.abs(terms[:, [0, 1, -2, -1]]).max(axis=1, initial=0)
+        if np.all(edge < policy.tail_eps * (1 + np.abs(acc))):
+            return acc
+        if W >= policy.max_terms:
+            raise TruncationBudgetExceeded("theta series did not meet tail bound")
+        W = min(2 * W, policy.max_terms)
+
+
+def theta_char_sums(g1s, g2s, xi, tau: complex,
+                    policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """theta[g1s[k], g2s[k]](xi[k], tau) for every k, by one lattice sum.
+
+    xi is one point or one per characteristic.  For |tau| >= 1 the sum is
+    the defining series; otherwise it is the series of the modular image
+    (Poisson summation over m),
+
+        theta[g1,g2](xi, tau) = (-i tau)^{-1/2} e^{2 i pi g1 u}
+            sum_n exp(-i pi (n + u)^2 / tau - 2 i pi (n + u) g1),  u = xi + g2,
+
+    whose nome Im(-1/tau) = Im tau / |tau|^2 is the larger one.  That also
+    avoids the cancellation of the defining series at small Im tau: at
+    p = 0.6 its terms are 10^4 times a g2 = 1/2 value.
+    """
+    if tau.imag < 1e-6:
+        raise NonconvergentTau(f"Im tau = {tau.imag:.3g} < 1e-6")
+    g1, g2, xi = (np.ravel(v) for v in np.broadcast_arrays(
+        np.asarray(g1s, dtype=float), np.asarray(g2s, dtype=float), np.asarray(xi, dtype=complex)))
+    u = xi + g2
+    if abs(tau) >= 1:
+        return _lattice_sums(g1.astype(complex), u, tau, policy)
+    return (np.exp(_TWO_I_PI * g1 * u) / cmath.sqrt(-1j * tau)
+            * _lattice_sums(u, -g1 + 0j, -1 / tau, policy))
 
 
 def theta_char_product(g1, g2, xi: complex, tau: complex,

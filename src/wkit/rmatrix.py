@@ -13,6 +13,15 @@ with z = e^{i pi xi}, q = e^{i pi zeta}, p = e^{2 i pi tau},
 theta_A = theta[1/2,1/2], W the ratio of shifted characteristics thetas,
 and I_{(a1,a2)} = g^{a2} h^{a1}.
 
+Each I_alpha (x) I_alpha^{-1} is monomial, with entries only at rows
+(i, j) and columns (i + a1, j - a1), so the sum over alpha is nonzero
+only on the N^3 entries that conserve the Z_N charge i + j mod N.  A
+build evaluates the N^2 thetas of W and the prefactor's theta_A(xi + zeta)
+in one lattice sum (`theta_char_sums`), and forms the sum as one
+(N^3 x N^2) coefficient matrix times the N^2 theta ratios, scattered into
+the N^2 x N^2 result; for R and Rhat the g^{1/2} (x) g^{1/2} conjugation
+is folded into that matrix.
+
 Internally every builder takes the additive variable xi, so a caller can
 reach analytic-continuation points (xi + 1 for -z, xi + tau + 1 for a
 step by the designated root s) that the principal branch of log cannot
@@ -30,7 +39,7 @@ import numpy as np
 
 from .errors import ModulusOutOfRange, PoleHit
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
-from .qseries import F_a, U, kappa_inv, pochhammer, theta_big, theta_char_series
+from .qseries import F_a, U, _pp, kappa_inv, pochhammer, theta_big, theta_char_sums
 from .reports import Stopwatch, worst
 from .tensor import LabeledTensor, antisymmetrizer, permutation_operator
 
@@ -76,10 +85,17 @@ def _nome_limit(build):
 class RMatrixFactory:
     """Builds Z / R / Rhat at given spectral points for one parameter set.
 
-    Caches only z-independent quantities (characteristics-theta
-    denominators, Weyl matrices); every build is a pure function of xi, so
-    one factory serves every check at its parameter point.  The builds are
-    `z_matrix_xi`, `r_matrix_xi`, `rhat_matrix_xi` and `rhat_tensor`.
+    Caches only z-independent quantities: the Weyl matrices; the N^2 + 1
+    theta characteristics, W's N^2 then theta_A's, with their offsets
+    zeta/N and zeta; theta_A(zeta) and N times the N^2 denominators
+    theta[1/2 + a1/N, 1/2 + a2/N](zeta/N); the positions of W's N^3
+    nonzero entries, which conserve the Z_N charge i + j mod N; the
+    (N^3 x N^2) coefficient matrices of I_alpha (x) I_alpha^{-1} at those
+    positions, bare for Z and conjugated by g^{1/2} (x) g^{1/2} for R and
+    Rhat; and P = q^{2N}, (P; P)_inf and q^{1/N-1} for Rhat.  Every build
+    is a pure function of xi, so one factory serves every check at its
+    parameter point.  The builds are `z_matrix_xi`, `r_matrix_xi`,
+    `rhat_matrix_xi` and `rhat_tensor`.
     """
 
     _DEGENERATE_DEN = 1e-8
@@ -96,19 +112,20 @@ class RMatrixFactory:
         self.zn = ZnMatrices(N)
         self.zeta = params.zeta
         self.tau = params.tau
-        self._theta_A_zeta = theta_char_series(0.5, 0.5, self.zeta, self.tau, self.policy)
-        self._w_dens = {
-            (a1, a2): theta_char_series(0.5 + a1 / N, 0.5 + a2 / N, self.zeta / N,
-                                        self.tau, self.policy)
-            for a1 in range(N) for a2 in range(N)
-        }
+        a = np.arange(N)
+        self._g1 = np.append(0.5 + np.repeat(a, N) / N, 0.5)
+        self._g2 = np.append(0.5 + np.tile(a, N) / N, 0.5)
+        self._offsets = np.append(np.full(N * N, self.zeta / N), self.zeta)
+        dens = theta_char_sums(self._g1, self._g2, self._offsets, self.tau, self.policy)
+        self._theta_A_zeta = complex(dens[-1])
+        self._w_dens = N * dens[:-1]
         # Loci where a characteristics denominator vanishes (e.g. p = q^2 at
         # N = 2, forced by the (-1,-1) surface) are removable: the prefactor
         # theta_A(zeta, tau) vanishes simultaneously and the matrix has a
         # finite limit.  Evaluate it as the symmetric average of two nearby
         # nomes p(1 +- delta), accurate to O(delta^2).
         self._children = None
-        if min(abs(d) for d in self._w_dens.values()) < self._DEGENERATE_DEN:
+        if np.abs(dens[:-1]).min() < self._DEGENERATE_DEN:
             if not _allow_limit:
                 raise PoleHit("characteristics theta denominator ~ 0 (degenerate nome)")
             delta = 1e-5
@@ -125,13 +142,19 @@ class RMatrixFactory:
                     delta *= 1.7
             else:
                 raise PoleHit("could not take the degenerate-nome limit")
-        self._G = np.kron(self.zn.g_half, self.zn.g_half)
-        self._G_inv = np.linalg.inv(self._G)
-        self._pairs = {
-            (a1, a2): np.kron(self.zn.I_alpha(a1, a2),
-                              np.linalg.inv(self.zn.I_alpha(a1, a2)))
-            for a1 in range(N) for a2 in range(N)
-        }
+        # I_alpha (x) I_alpha^{-1} has entries only at rows (i, j) and
+        # columns (i + a1, j - a1): where the charge i + j mod N is conserved
+        charge = np.add.outer(a, a).ravel() % N
+        self._w_at = np.flatnonzero(charge[:, None] == charge[None, :])
+        pairs = np.stack([np.kron(self.zn.I_alpha(a1, a2), np.linalg.inv(self.zn.I_alpha(a1, a2)))
+                          for a1 in range(N) for a2 in range(N)], axis=-1)
+        self._coef = pairs.reshape(N ** 4, N * N)[self._w_at]
+        G = np.kron(np.diag(self.zn.g_half), np.diag(self.zn.g_half))
+        rows, cols = np.divmod(self._w_at, N * N)
+        self._coef_G = self._coef * (G[rows] / G[cols])[:, None]
+        self._P = q ** (2 * N)
+        self._pp_P = _pp(complex(self._P), self.policy)
+        self._q_pow = q ** (1.0 / N - 1.0)
 
     # -- spectral-variable helpers -------------------------------------------
 
@@ -147,35 +170,38 @@ class RMatrixFactory:
 
     # -- core sums ------------------------------------------------------------
 
-    def _w_sum(self, xi: complex) -> np.ndarray:
-        N = self.N
-        out = np.zeros((N * N, N * N), dtype=complex)
-        for (a1, a2), den in self._w_dens.items():
-            num = theta_char_series(0.5 + a1 / N, 0.5 + a2 / N, xi + self.zeta / N,
-                                    self.tau, self.policy)
-            out += (num / (N * den)) * self._pairs[(a1, a2)]
-        return out
-
-    def _theta_ratio(self, xi: complex) -> complex:
-        den = theta_char_series(0.5, 0.5, xi + self.zeta, self.tau, self.policy)
+    def _thetas(self, xi: complex):
+        """W's N^2 theta ratios theta_alpha(xi + zeta/N) / (N theta_alpha(zeta/N))
+        and the prefactor theta_A(zeta) / theta_A(xi + zeta), by one lattice sum."""
+        nums = theta_char_sums(self._g1, self._g2, xi + self._offsets, self.tau, self.policy)
+        den = complex(nums[-1])
         if abs(den) < _POLE_REL * (1 + abs(self._theta_A_zeta)):
             raise PoleHit(f"prefactor theta zero at xi = {xi}")
-        return self._theta_A_zeta / den
+        return nums[:-1] / self._w_dens, self._theta_A_zeta / den
+
+    def _w_sum(self, pref: complex, ratios: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """pref * sum_alpha ratios[alpha] (I_alpha (x) I_alpha^{-1}), each
+        term as `coef` holds it, from W's N^3 nonzero entries."""
+        N2 = self.N * self.N
+        out = np.zeros(N2 * N2, dtype=complex)
+        out[self._w_at] = pref * (coef @ ratios)
+        return out.reshape(N2, N2)
+
+    def _z_or_r(self, xi: complex, coef: np.ndarray) -> np.ndarray:
+        pref = (cmath.exp(1j * cmath.pi * xi * (2.0 / self.N - 2.0))
+                * kappa_inv(cmath.exp(2j * cmath.pi * xi), self.params, self.policy))
+        ratios, theta_ratio = self._thetas(xi)
+        return self._w_sum(pref * theta_ratio, ratios, coef)
 
     # -- builders ---------------------------------------------------------------
 
     @_nome_limit
     def z_matrix_xi(self, xi: complex) -> np.ndarray:
-        pref = (
-            cmath.exp(1j * cmath.pi * xi * (2.0 / self.N - 2.0))
-            * kappa_inv(cmath.exp(2j * cmath.pi * xi), self.params, self.policy)
-            * self._theta_ratio(xi)
-        )
-        return pref * self._w_sum(xi)
+        return self._z_or_r(xi, self._coef)
 
     @_nome_limit
     def r_matrix_xi(self, xi: complex) -> np.ndarray:
-        return self._G @ self.z_matrix_xi(xi) @ self._G_inv
+        return self._z_or_r(xi, self._coef_G)
 
     @_nome_limit
     def rhat_matrix_xi(self, xi: complex) -> np.ndarray:
@@ -186,14 +212,13 @@ class RMatrixFactory:
         common factor (q^2 z^{-2}; q^{2N}) has been cancelled, so points
         like z = q (tau_N zero against kappa pole) evaluate directly.
         """
-        N, q, p = self.N, self.params.q, self.params.p
+        q, p, P = self.params.q, self.params.p, self._P
         pol = self.policy
-        P = q ** (2 * N)
         z2 = cmath.exp(2j * cmath.pi * xi)
         mod = [p, P]
         num = (
             pochhammer(P / (q * q) * z2, [P], pol)
-            * pochhammer(P, [P], pol)
+            * self._pp_P
             * pochhammer(P / z2, mod, pol)
             * pochhammer(q * q * z2, mod, pol)
             * pochhammer(p / z2, mod, pol)
@@ -211,8 +236,8 @@ class RMatrixFactory:
             if abs(f) < _POLE_REL:
                 raise PoleHit(f"Rhat pole at xi = {xi}")
             den *= f
-        pref = q ** (1.0 / N - 1.0) * num / den * self._theta_ratio(xi)
-        return pref * (self._G @ self._w_sum(xi) @ self._G_inv)
+        ratios, theta_ratio = self._thetas(xi)
+        return self._w_sum(self._q_pow * num / den * theta_ratio, ratios, self._coef_G)
 
     def rhat_tensor(self, xi: complex, labels) -> LabeledTensor:
         return LabeledTensor.from_matrix(self.rhat_matrix_xi(xi), labels, self.N)

@@ -1,5 +1,6 @@
 """The cached q-series kernel: bit-exact against the factor-by-factor
-product, grid forms == scalar forms, the same exceptions, bounded caches."""
+product, grid forms == scalar forms, batched characteristic thetas against
+the scalar series, the same exceptions, bounded caches."""
 
 import cmath
 import math
@@ -9,6 +10,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wkit.qseries as qs
 from wkit import (
@@ -25,8 +28,11 @@ from wkit import (
     resolve_abelian_branch,
     theta_big,
     theta_big_grid,
+    theta_char_product,
+    theta_char_series,
+    theta_char_sums,
 )
-from wkit.errors import ModulusOutOfRange, PoleHit, TruncationBudgetExceeded
+from wkit.errors import ModulusOutOfRange, NonconvergentTau, PoleHit, TruncationBudgetExceeded
 
 POL = TruncationPolicy()
 SHORT = TruncationPolicy(tail_eps=1e-12, max_terms=64)
@@ -174,6 +180,55 @@ def test_grid_forms_raise_as_the_scalar_loop():
     assert cmath.isnan(got[1]) and [got[0], got[2]] == [U(0.7 + 0j, pr), U(1.3 + 0j, pr)]
 
 
+CHARS = [0.0, 0.5, -0.5, 1 / 3, 2 / 3, 0.25, 1.5, 0.5 + 2 / 3]
+
+
+@given(
+    chars=st.lists(st.tuples(st.sampled_from(CHARS), st.sampled_from(CHARS),
+                             st.floats(-1, 1), st.floats(-0.6, 0.6)), min_size=1, max_size=10),
+    tr=st.floats(-0.6, 0.6),
+    ti=st.floats(0.05, 1.5),
+)
+@settings(max_examples=80, deadline=None)
+def test_theta_char_sums_match_series_and_product(chars, tr, ti):
+    # one lattice sum for the whole set, whichever of tau and -1/tau it
+    # runs on; errors are measured against sum_m |term_m| of the defining
+    # series, the scale its own rounding works at (a value near a zero of
+    # theta cancels, whichever way it is computed)
+    tau = complex(tr, ti)
+    g1s, g2s, xr, xi = zip(*chars)
+    xis = [complex(a, b) for a, b in zip(xr, xi)]
+    got = theta_char_sums(g1s, g2s, xis, tau, POL)
+    assert got.shape == (len(chars),)
+    for g1, g2, x, v in zip(g1s, g2s, xis, got.tolist()):
+        scale = theta_char_series(g1, 0.0, 1j * x.imag, 1j * tau.imag, POL).real
+        assert abs(v - theta_char_series(g1, g2, x, tau, POL)) <= 1e-13 * scale
+        assert abs(v - theta_char_product(g1, g2, x, tau, POL)) <= 1e-13 * scale
+
+
+def test_theta_char_sums_one_point_for_all_characteristics():
+    tau = 0.1 + 0.4j
+    got = theta_char_sums([0.5, 0.25], [0.5, 1 / 3], 0.3 - 0.1j, tau, POL)
+    want = [theta_char_series(g1, g2, 0.3 - 0.1j, tau, POL) for g1, g2 in [(0.5, 0.5), (0.25, 1 / 3)]]
+    assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("tau,policy", [
+    (1 + 1e-5j, POL),         # the defining series needs about 1,000 rings
+    (1 + 0.002j, SHORT),      # about 80 rings, against a budget of 64
+    (0.5 + 1e-4j, SHORT),     # -1/tau has Im 4e-4: the modular image is slow too
+])
+def test_theta_char_sums_raise_past_the_budget(tau, policy):
+    with pytest.raises(TruncationBudgetExceeded, match="theta series did not meet tail bound"):
+        theta_char_sums([0.5, 0.0], [0.5, 1 / 3], 0.1 + 0.05j, tau, policy)
+    with pytest.raises(TruncationBudgetExceeded):  # the scalar series agrees
+        theta_char_series(0.5, 0.5, 0.1 + 0.05j, tau, policy)
+    with pytest.raises(NonconvergentTau):
+        theta_char_sums([0.5], [0.5], 0.1, complex(tau.real, 1e-7), policy)
+    with pytest.raises(TruncationBudgetExceeded):  # a NaN point never meets the tail rule
+        theta_char_sums([0.5], [0.5], complex(math.nan, 0.0), 0.2 + 0.5j, POL)
+
+
 def test_kernel_caches_stay_bounded():
     rng = np.random.default_rng(17)
     for i, a in enumerate(rng.uniform(0.05, 0.9, 1000)):
@@ -182,7 +237,7 @@ def test_kernel_caches_stay_bounded():
             pochhammer(0.3, [a, 0.2], POL)
     assert 0 < len(qs._CHAINS) <= qs._CACHE_LIMIT
     assert 0 < len(qs._PP) <= qs._CACHE_LIMIT
-    assert 0 < len(qs._ROWS) <= qs._ROWS_LIMIT
+    assert 0 < len(qs._LATTICES) <= qs._LATTICE_LIMIT
     # values computed after the caches were cleared still match
     assert theta_big(0.7 + 0.2j, 0.36, POL) == (recursive_pochhammer(0.7 + 0.2j, [0.36], POL)
                                                * recursive_pochhammer(0.36 / (0.7 + 0.2j), [0.36], POL)
@@ -221,4 +276,4 @@ def test_kernel_caches_under_concurrent_callers():
     assert not any(t.is_alive() for t in threads) and not errors
     assert len(got) == 4 and all(v == want for v in got.values())
     assert len(qs._CHAINS) <= qs._CACHE_LIMIT and len(qs._PP) <= qs._CACHE_LIMIT
-    assert len(qs._ROWS) <= qs._ROWS_LIMIT
+    assert len(qs._LATTICES) <= qs._LATTICE_LIMIT

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import wkit.qseries as qs
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
 from wkit.errors import ModulusOutOfRange, PoleHit
 from wkit.qseries import U, tau_N
@@ -221,3 +222,52 @@ def test_quasi_periodicity_literal_form(N):
     GH = fac.zn.GH
     rhs = np.kron(np.linalg.inv(GH), E) @ R21inv @ np.kron(GH, E)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-9
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_w_sum_from_its_nonzeros_matches_dense_sum(N):
+    # the index form against sum_alpha w_alpha I_alpha (x) I_alpha^{-1}
+    # built densely, bare (Z) and conjugated by g^{1/2} (x) g^{1/2} (R, Rhat)
+    fac = RMatrixFactory(params(N=N), POL)
+    zn = fac.zn
+    rng = np.random.default_rng(N)
+    w = rng.normal(size=N * N) + 1j * rng.normal(size=N * N)
+    pref = 0.7 - 0.2j
+    dense = pref * sum(w[a1 * N + a2] * np.kron(zn.I_alpha(a1, a2), np.linalg.inv(zn.I_alpha(a1, a2)))
+                       for a1 in range(N) for a2 in range(N))
+    G = np.kron(zn.g_half, zn.g_half)
+    for coef, want in ((fac._coef, dense), (fac._coef_G, G @ dense @ np.linalg.inv(G))):
+        got = fac._w_sum(pref, w, coef)
+        assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+        assert np.count_nonzero(got) == N ** 3
+
+
+def test_rhat_independent_of_cache_history():
+    # the lattices grow lazily with the smallest threshold asked for, so the
+    # same points built in another order, from empty caches, must give the
+    # same matrices
+    pr = params(N=3, q=0.55, p=0.6)
+    xis = [xi_of(cmath.rect(r, phi)) for r, phi in
+           [(0.3, 0.4), (3.0, -0.2), (1.1, 0.1), (0.6, -1.0), (1.9, 2.0), (0.95, 0.3)]]
+    runs = []
+    for order in (xis, xis[::-1]):
+        for cache in (qs._CHAINS, qs._LATTICES, qs._PP):
+            cache.clear()
+        fac = RMatrixFactory(pr, POL)
+        built = {xi: fac.rhat_matrix_xi(xi) for xi in order}
+        runs.append([built[xi] for xi in xis])
+    warm = RMatrixFactory(pr, POL)
+    runs.append([warm.rhat_matrix_xi(xi) for xi in xis])
+    for a, b, c in zip(*runs):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+def test_crossing_at_its_tightest_known_point():
+    # the point where crossing came closest to its tolerance at N = 3,
+    # p = 0.6: 6.7e-10 against 1e-9 while the thetas were summed on the
+    # defining series, whose terms there are 10^4 times the g2 = 1/2
+    # values; on the modular image it is about 1.4e-13
+    fac = RMatrixFactory(EllipticParams(N=3, q=0.55, s=cmath.sqrt(0.6)), POL)
+    rep = check_crossing(complex(0.7226266178849174, 0.013155398121855143), fac)
+    assert rep.passed and rep.tolerance == 1e-9
+    assert rep.residual < 1e-11
