@@ -36,12 +36,6 @@ class CheckReport:
         d["inputs"] = _jsonable(self.inputs)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CheckReport":
-        d = dict(d)
-        d.pop("passed", None)
-        return cls(**d)
-
 
 class Stopwatch:
     """Builds the CheckReports of one check, timed from construction.

@@ -8,6 +8,7 @@ concurrently; the CLI sorts reports canonically before emission.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,15 @@ from .rmatrix import (
     crossing_unitarity_residual,
     zn_symmetry_residual,
 )
-from .tensor import antisymmetrizer, check_fusion_identities, check_M_derivative, fused_R
+from .tensor import (
+    LabeledTensor,
+    antisymmetrizer,
+    apply_gates,
+    check_fusion_identities,
+    check_M_derivative,
+    fused_R,
+    permutation_operator,
+)
 from .wgen import (
     EvalRep,
     SurfaceSpec,
@@ -283,16 +292,24 @@ def suite_fusion_identities(ctx: SuiteContext) -> list[CheckReport]:
     fac = RMatrixFactory(pr, ctx.policy)
     rng = ctx.rng(20)
 
+    # the basis V of im A_k: V^T V = 1, (i i+1) V = -V for every adjacent
+    # swap, and C(N,k) columns, the dimension of the antisymmetric
+    # subspace; together they give V V^T = A_k
     clock = Stopwatch()
     resids = []
+    swap = permutation_operator((1, 0), pr.N)
     for k in range(1, pr.N + 1):
         A = antisymmetrizer(k, pr.N)
-        rank = int(round(np.trace(A.matrix).real))
-        resids += [np.linalg.norm(A.matrix @ A.matrix - A.matrix),
-                   0.0 if rank == A.rank else 1.0]
+        V = A.basis
+        resids.append(np.abs(V.T @ V - np.eye(A.rank)).max())
+        block = V.reshape((pr.N,) * k + (-1,))
+        for i in range(k - 1):
+            gate = LabeledTensor.from_matrix(swap, (i, i + 1), pr.N)
+            resids.append(np.abs(apply_gates([gate], range(k), block) + block).max())
+        resids.append(0.0 if A.rank == math.comb(pr.N, k) else 1.0)
     out.append(clock.report(
         suite="fusion-identities", check="antisymmetrizer-projectors",
-        identity="A_k^2 = A_k with rank C(N,k)",
+        identity="V^T V = 1, (i i+1) V = -V and C(N,k) columns, so V V^T = A_k",
         inputs={"N": pr.N}, residual=worst(resids), tolerance=1e-12))
 
     for k in range(2, pr.N + 1):

@@ -7,10 +7,15 @@ multi-space identities can be written the way they are stated: products
 of two-space R-factors, projectors on subsets of spaces, partial traces
 and transposes over named spaces.
 
-Identities that only act on the image of an antisymmetrizer are evaluated
-without forming the operator: `apply_gates` applies a product of small
-factors, one at a time, to a block of vectors such as the orthonormal
-basis of im A_k from `antisym_basis`.
+The antisymmetrizer A_k is held only as the orthonormal basis V of its
+image, A_k = V V^T with C(N,k) columns.  Identities that only act on
+im A_k are evaluated without forming an operator on all the spaces:
+`apply_gates` applies a product of small factors, one at a time, to a
+block of vectors such as V (x) 1, and `antisym_trace` contracts the
+result against V to give tr_{1..k}(X A_k), the one trace against A_k.
+
+A dense operator goes through the WKIT_MAX_DIM guard by its dimension, a
+block of vectors by its entry count, at most WKIT_MAX_DIM^2.
 
 All operations allocate fresh results; nothing here mutates shared state.
 """
@@ -20,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations, permutations
 
 import numpy as np
@@ -41,6 +45,16 @@ def _guard(dim: int):
         raise DimensionGuardExceeded(
             f"dense product of dimension {dim} exceeds guard {_max_dim()} "
             f"(override with WKIT_MAX_DIM)"
+        )
+
+
+def _guard_entries(entries: int, what: str):
+    """A block of vectors may hold as many entries as the largest dense
+    operator `_guard` admits, WKIT_MAX_DIM^2."""
+    if entries > _max_dim() ** 2:
+        raise DimensionGuardExceeded(
+            f"{what} of {entries} entries exceeds guard {_max_dim() ** 2} "
+            f"= WKIT_MAX_DIM^2 (override with WKIT_MAX_DIM)"
         )
 
 
@@ -205,15 +219,23 @@ class LabeledTensor:
 
 @dataclass(frozen=True)
 class Antisymmetrizer:
-    """Projector A_k onto the fully antisymmetric subspace of (C^N)^{x k}."""
+    """Projector A_k onto the fully antisymmetric subspace of (C^N)^{x k},
+    held as the orthonormal basis of its image: a real (N^k, C(N,k))
+    array V with A_k = V V^T."""
 
     k: int
     N: int
-    matrix: np.ndarray
+    basis: np.ndarray
 
     @property
     def rank(self) -> int:
-        return math.comb(self.N, self.k)
+        return self.basis.shape[1]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N^k x N^k projector V V^T."""
+        _guard(self.N**self.k)
+        return self.basis @ self.basis.T
 
     def on(self, labels) -> LabeledTensor:
         labels = tuple(labels)
@@ -222,9 +244,8 @@ class Antisymmetrizer:
         return LabeledTensor(labels, self.N, self.matrix)
 
 
-def _perm_sign(perm) -> int:
-    inv = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
-    return -1 if inv % 2 else 1
+def _inversions(perm) -> int:
+    return sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
 
 
 def permutation_operator(perm, N: int) -> np.ndarray:
@@ -243,40 +264,36 @@ def permutation_operator(perm, N: int) -> np.ndarray:
 
 
 def antisymmetrizer(k: int, N: int) -> Antisymmetrizer:
-    """A_k = (1/k!) sum_{sigma in S_k} sign(sigma) P_sigma; A_1 = identity."""
+    """A_k = (1/k!) sum_{sigma in S_k} sign(sigma) P_sigma by the basis of
+    its image: for each j_1 < ... < j_k the column
+    (1/sqrt(k!)) sum_sigma sign(sigma) e_{j_sigma(1)} (x) ... (x) e_{j_sigma(k)},
+    built from index arithmetic.  A_1 = identity."""
     if not 1 <= k <= N:
         raise ValueError(f"antisymmetrizer needs 1 <= k <= N, got k={k}, N={N}")
-    size = N**k
-    _guard(size)
-    A = np.zeros((size, size))
-    for perm in permutations(range(k)):
-        A += _perm_sign(perm) * permutation_operator(perm, N)
-    return Antisymmetrizer(k, N, A / math.factorial(k))
-
-
-def antisym_trace(M: np.ndarray, k: int) -> complex:
-    """tr(M^{(x)k} A_k) for a one-space matrix M."""
-    N = M.shape[0]
-    _guard(N**k)
-    MM = reduce(np.kron, [M] * k)
-    return complex(np.trace(MM @ antisymmetrizer(k, N).matrix))
-
-
-def antisym_basis(k: int, N: int) -> np.ndarray:
-    """Orthonormal basis of im A_k as the C(N,k) columns of a real
-    (N^k, C(N,k)) array: for each j_1 < ... < j_k the vector
-    (1/sqrt(k!)) sum_sigma sign(sigma) e_{j_sigma(1)} (x) ... (x) e_{j_sigma(k)}.
-    V V^T = A_k; built from index arithmetic, not from permutation operators."""
-    if not 1 <= k <= N:
-        raise ValueError(f"antisym_basis needs 1 <= k <= N, got k={k}, N={N}")
-    _guard(N**k)
-    perms = [(perm, _perm_sign(perm)) for perm in permutations(range(k))]
     combos = list(combinations(range(N), k))
+    _guard_entries(N**k * len(combos), "antisymmetrizer basis")
+    perms = [(perm, -1 if _inversions(perm) % 2 else 1) for perm in permutations(range(k))]
     V = np.zeros((N**k, len(combos)))
     for c, js in enumerate(combos):
         for perm, sign in perms:
             V[np.ravel_multi_index([js[p] for p in perm], (N,) * k), c] = sign
-    return V / math.sqrt(math.factorial(k))
+    return Antisymmetrizer(k, N, V / math.sqrt(math.factorial(k)))
+
+
+def antisym_trace(gates, k: int, rest=()) -> np.ndarray:
+    """tr_{1..k}(X A_k) for X = prod(gates) on the spaces 1..k and the
+    spaces `rest`, as an N^len(rest) square matrix.
+
+    With A_k = V V^T (V real) this is sum_c (v_c^T (x) 1) X (v_c (x) 1),
+    so X is applied gate by gate to the C(N,k) N^len(rest) columns
+    v_c (x) e_j and never formed."""
+    N = gates[0].N
+    V = antisymmetrizer(k, N).basis
+    labels = tuple(range(1, k + 1)) + tuple(rest)
+    D = N ** len(rest)
+    block = np.kron(V, np.eye(D)).reshape((N,) * len(labels) + (-1,))
+    Y = apply_gates(gates, labels, block)
+    return np.einsum("ac,aicj->ij", V, Y.reshape(N**k, D, V.shape[1], D))
 
 
 def apply_gates(gates, labels, block: np.ndarray) -> np.ndarray:
@@ -285,12 +302,12 @@ def apply_gates(gates, labels, block: np.ndarray) -> np.ndarray:
     `block` has shape (N,)*n + (r,): axis i is the space labels[i], the
     last axis counts r vectors.  Each gate is a LabeledTensor on some of
     those spaces and costs one tensordot; the N^n x N^n product is never
-    formed.  The state dimension N^n goes through the dimension guard."""
+    formed.  The block's N^n r entries go through the entry guard."""
     labels = tuple(labels)
     N, n = block.shape[0], len(labels)
     if block.shape[:-1] != (N,) * n:
         raise LabelMismatch(f"block of shape {block.shape} does not match {n} spaces")
-    _guard(N**n)
+    _guard_entries(block.size, "block")
     for gate in reversed(gates):
         if not set(gate.labels) <= set(labels):
             raise LabelMismatch(f"gate on {gate.labels} outside the block's {labels}")
@@ -347,14 +364,14 @@ def _projector_residual(gates, a_labels, rest) -> float:
     """||X A - A X A|| / ||X A|| for X = prod(gates) and A = A_k (x) 1, A_k
     on the spaces `a_labels` and the identity on `rest`.
 
-    With A_k = V V^T (V from `antisym_basis`), (1 - A) X A = (1 - A) Y
+    With A_k = V V^T (V the basis of `antisymmetrizer`), (1 - A) X A = (1 - A) Y
     (V (x) 1)^T for Y = X (V (x) 1), and multiplying by the co-isometry
     (V (x) 1)^T on the right keeps the Frobenius norm; so this is
     ||(1 - A) Y|| / ||Y||.  X is applied gate by gate to the
     C(N,k) N^len(rest) columns of V (x) 1, a block of at most
     _BLOCK_ENTRIES entries at a time, and never formed."""
     N, labels = gates[0].N, a_labels + rest
-    V = antisym_basis(len(a_labels), N)
+    V = antisymmetrizer(len(a_labels), N).basis
     D = N ** len(rest)
     width = max(1, _BLOCK_ENTRIES // N ** len(labels))
     num = den = 0.0

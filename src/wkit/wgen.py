@@ -9,10 +9,14 @@ The spin-(k+1) generator is the trace
                             MMt prod_{i=1..k} L_i(z_i)^{-1}  A_k ),
 
 with z_i = q^{i-1-(k-1)/2} z, MM / MMt products of per-space twists
-M = GH^{-m}, Mt = GH^{-n}, and A_k the antisymmetrizer.  Multiplications
-by the designated root value s* are performed on the theta lattice
-(xi -> xi + tau* + 1), the continuation on which the quasi-periodicity
-twist relations hold exactly for every N.
+M = GH^{-m}, Mt = GH^{-n}, and A_k the antisymmetrizer.  Every trace
+against A_k here (t^{(k)}, the quantum determinant, the twist traces of
+`trace-MA` and n0) is `tensor.antisym_trace`: the factors are applied to
+the basis of im A_k, and no operator on all the spaces is formed.
+
+Multiplications by the designated root value s* are performed on the
+theta lattice (xi -> xi + tau* + 1), the continuation on which the
+quasi-periodicity twist relations hold exactly for every N.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_la
 from .qseries import F_a, Y_kkprime_cr, Y_mn, f_cr_modes, f_cr_series
 from .reports import CheckReport, Stopwatch, worst
 from .rmatrix import RMatrixFactory, ZnMatrices
-from .tensor import LabeledTensor, antisym_basis, antisym_trace, apply_gates
+from .tensor import LabeledTensor, _inversions, antisym_trace
 
 QUANTUM = "0"
 
@@ -123,41 +127,24 @@ class WGenerator:
     n: int
     matrix: np.ndarray
 
-    def off_identity(self) -> float:
-        N = self.matrix.shape[0]
-        mean = np.trace(self.matrix) / N
-        return float(np.linalg.norm(self.matrix - mean * np.eye(N))
-                     / max(np.linalg.norm(self.matrix), 1e-300))
+
+def _on_each(M: np.ndarray, k: int) -> list:
+    """M as a one-space gate on each of the spaces 1..k."""
+    return [LabeledTensor.from_matrix(M, (i,), M.shape[0]) for i in range(1, k + 1)]
 
 
 def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> list:
     """The factors of the untraced operator Q_{1..k}(z) (everything of
     t^{(k)} before multiplying by A_k and tracing), leftmost first; the
     product itself is never formed."""
-    N = rep.N
     zn = rep.factory.zn
     xi_z = xi_of(z)
     ladder = [xi_z + e * rep.params.zeta for e in centred_ladder(k)]
     star_step = surface.n * rep.factory.s_star_shift  # lattice realization of (s*)^n
-
-    def twists(M):
-        return [LabeledTensor.from_matrix(M, (i,), N) for i in range(1, k + 1)]
-
-    return (twists(zn.M_power(surface.m))
+    return (_on_each(zn.M_power(surface.m), k)
             + [rep.L(ladder[i - 1] + star_step, i) for i in range(k, 0, -1)]
-            + twists(zn.M_power(surface.n))
+            + _on_each(zn.M_power(surface.n), k)
             + [rep.L_inv(ladder[i - 1], i) for i in range(1, k + 1)])
-
-
-def _trace_against_antisymmetrizer(gates, k: int, N: int) -> np.ndarray:
-    """tr_{1..k}(X A_k) for X = prod(gates) on the auxiliary spaces 1..k and
-    the quantum space.  With A_k = V V^T (V from `antisym_basis`, real) this
-    is sum_c (v_c^T (x) 1) X (v_c (x) 1), so X is applied factor by factor
-    to the C(N,k) N vectors v_c (x) e_j and never formed."""
-    V = antisym_basis(k, N)
-    block = np.kron(V, np.eye(N)).reshape((N,) * (k + 1) + (-1,))
-    Y = apply_gates(gates, tuple(range(1, k + 1)) + (QUANTUM,), block)
-    return np.einsum("ac,aicj->ij", V, Y.reshape(N**k, N, V.shape[1], N))
 
 
 def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> WGenerator:
@@ -166,7 +153,7 @@ def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> WGenerato
         raise ValueError(f"need 1 <= k <= N, got k = {k}")
     surface.params.require_elliptic()
     return WGenerator(k=k, z=z, m=surface.m, n=surface.n,
-                      matrix=_trace_against_antisymmetrizer(build_Q(k, z, surface, rep), k, N))
+                      matrix=antisym_trace(build_Q(k, z, surface, rep), k, rest=(QUANTUM,)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +267,7 @@ def _qdet_matrix(xi_top: complex, rep: EvalRep) -> np.ndarray:
     (psi^T (x) 1) L_1 ... L_N (psi (x) 1) = tr_{1..N}(L_1 ... L_N A_N)."""
     N = rep.N
     gates = [rep.L(xi_top - (i - 1) * rep.params.zeta, i) for i in range(1, N + 1)]
-    return _trace_against_antisymmetrizer(gates, N, N)
+    return antisym_trace(gates, N, rest=(QUANTUM,))
 
 
 def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8):
@@ -338,7 +325,7 @@ def check_trace_MA(N: int, m: int, tolerance: float = 1e-10) -> CheckReport:
     """tr_{1..N}( MM A_N ) = det(M)."""
     clock = Stopwatch()
     M = ZnMatrices(N).M_power(m)
-    lhs = antisym_trace(M, N)
+    lhs = complex(antisym_trace(_on_each(M, N), N)[0, 0])
     det = complex(np.linalg.det(M))
     res = abs(lhs - det) / max(abs(det), 1e-300)
     return clock.report(
@@ -359,7 +346,7 @@ def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10) -> CheckReport:
     m k = 0 mod N."""
     clock = Stopwatch()
     M = ZnMatrices(N).M_power(m)
-    val = antisym_trace(M, k)
+    val = complex(antisym_trace(_on_each(M, k), k)[0, 0])
     eigs = np.linalg.eigvals(M)
     coeffs = np.poly(eigs)  # monic char poly: e_k = (-1)^k coeffs[k]
     ek = complex((-1) ** k * coeffs[k])
@@ -433,11 +420,6 @@ def alpha_fraction(i: int, j: int, N: int) -> Fraction:
     return -alpha_fraction(j, i, N)
 
 
-def _inversions(sigma) -> int:
-    return sum(1 for a in range(len(sigma)) for b in range(a + 1, len(sigma))
-               if sigma[a] > sigma[b])
-
-
 def alpha_identity_check() -> CheckReport:
     """Exhaustive exact-rational sweep of the reordering identity
 
@@ -471,24 +453,3 @@ def alpha_identity_check() -> CheckReport:
         inputs={"k_max": k_max, "N_max": N_max, "cases": cases},
         residual=float(violations), tolerance=0.0,
     )
-
-
-def build_degeneration_matrices(params: EllipticParams):
-    """Diagonal matrices of the trigonometric-limit rewriting.
-
-    F: gradation twist, F_jj = q^{-sum_i alpha_{ji}} (each Cartan charge
-       counted once in the defining ladder);
-    V: gauge between principal and homogeneous gradations,
-       V(z)_jj = z^{(N+1-2j)/N};
-    D: diag(q^{1-N}, q^{3-N}, ..., q^{N-1}).
-    """
-    N, q = params.N, params.q
-    f_exp = [-sum(alpha_fraction(j, i, N) for i in range(1, N + 1))
-             for j in range(1, N + 1)]
-    F = np.diag([complex(q) ** float(e) for e in f_exp])
-
-    def V(z: complex) -> np.ndarray:
-        return np.diag([complex(z) ** ((N + 1 - 2 * j) / N) for j in range(1, N + 1)])
-
-    D = np.diag([complex(q) ** float(2 * j - 1 - N) for j in range(1, N + 1)])
-    return {"F": F, "V": V, "D": D}

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+from functools import reduce
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import DimensionGuardExceeded, LabelMismatch
 from wkit.tensor import (
-    antisym_basis,
+    Antisymmetrizer,
+    antisym_trace,
     apply_gates,
     check_fusion_identities,
     check_M_derivative,
@@ -33,6 +36,16 @@ def rnd(labels, N=2):
 
 def params(N=2, q=0.5, p=0.3):
     return EllipticParams(N=N, q=q, s=cmath.sqrt(p))
+
+
+def dense_antisymmetrizer(k, N):
+    """The permutation sum A_k = (1/k!) sum_sigma sign(sigma) P_sigma, with
+    the sign from the determinant of the permutation matrix."""
+    A = np.zeros((N**k, N**k))
+    for perm in permutations(range(k)):
+        sign = round(np.linalg.det(np.eye(k)[list(perm)]))
+        A += sign * permutation_operator(perm, N)
+    return A / math.factorial(k)
 
 
 # ---------------------------------------------------------------------------
@@ -139,14 +152,21 @@ def test_dimension_guard_and_override(monkeypatch):
 
 
 def test_dense_constructors_respect_guard(monkeypatch):
+    # a dense operator is guarded by its dimension (8), the antisymmetrizer
+    # basis by its N^k C(N,k) entries (8^2 = 64)
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
     assert LabeledTensor.identity((1, 2, 3), 2).data.shape == (8, 8)  # at the guard
     with pytest.raises(DimensionGuardExceeded):
         LabeledTensor.identity((1, 2), 3)  # 9 > 8
     with pytest.raises(DimensionGuardExceeded):
-        antisymmetrizer(2, 3)
-    with pytest.raises(DimensionGuardExceeded):
         permutation_operator((1, 0), 3)
+    A = antisymmetrizer(2, 3)  # 9 x 3 = 27 entries
+    assert A.basis.shape == (9, 3)
+    with pytest.raises(DimensionGuardExceeded):
+        A.matrix  # 9 x 9
+    assert antisymmetrizer(1, 8).basis.shape == (8, 8)  # 64 entries: at the guard
+    with pytest.raises(DimensionGuardExceeded):
+        antisymmetrizer(3, 4)  # 64 x 4 = 256 entries
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +192,60 @@ def test_projector_rank(N):
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
-def test_antisym_basis_spans_the_projector(N):
+def test_antisymmetrizer_basis_spans_the_permutation_sum(N):
     for k in range(1, N + 1):
-        V = antisym_basis(k, N)
-        assert V.shape == (N**k, math.comb(N, k))
-        assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-15
-        assert np.abs(V @ V.T - antisymmetrizer(k, N).matrix).max() <= 1e-15
+        A = antisymmetrizer(k, N)
+        assert A.basis.shape == (N**k, math.comb(N, k)) and A.rank == math.comb(N, k)
+        assert np.abs(A.basis.T @ A.basis - np.eye(A.rank)).max() <= 1e-15
+        assert np.abs(A.matrix - dense_antisymmetrizer(k, N)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_antisym_trace_matches_permutation_sum(N):
+    M = RNG.normal(size=(N, N)) + 1j * RNG.normal(size=(N, N))
+    for k in range(1, N + 1):
+        dense = np.trace(reduce(np.kron, [M] * k) @ dense_antisymmetrizer(k, N))
+        got = antisym_trace([LabeledTensor.from_matrix(M, (i,), N) for i in range(1, k + 1)], k)
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - dense) <= 1e-13, (k, got[0, 0], dense)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_antisym_trace_keeps_the_rest_spaces(N):
+    for k in range(1, N + 1):
+        aux = tuple(range(1, k + 1))
+        gates = [rnd((i, "0"), N) for i in aux] + [rnd(aux[-1:], N)]
+        X = LabeledTensor.identity(aux + ("0",), N)
+        for g in gates:
+            X = X @ g
+        A = LabeledTensor.from_matrix(dense_antisymmetrizer(k, N), aux, N)
+        dense = (X @ A).partial_trace(aux).data
+        got = antisym_trace(gates, k, rest=("0",))
+        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max(), k
+
+
+def test_projector_check_fails_for_a_symmetric_basis(monkeypatch):
+    # orthonormal symmetric combinations: C(N,k) columns, and S S^T is a
+    # projector of rank C(N,k), but the columns do not change sign under a swap
+    from wkit import suites
+
+    def symmetric(k, N):
+        combos = list(combinations(range(N), k))
+        S = np.zeros((N**k, len(combos)))
+        for c, js in enumerate(combos):
+            for perm in permutations(range(k)):
+                S[np.ravel_multi_index([js[p] for p in perm], (N,) * k), c] = 1.0
+        return Antisymmetrizer(k, N, S / math.sqrt(math.factorial(k)))
+
+    def projectors_report():
+        ctx = suites.SuiteContext(params=params(N=3))
+        return next(r for r in suites.suite_fusion_identities(ctx)
+                    if r.check == "antisymmetrizer-projectors")
+
+    assert projectors_report().passed
+    monkeypatch.setattr(suites, "antisymmetrizer", symmetric)
+    report = projectors_report()
+    assert not report.passed and report.residual > 0.5
 
 
 def test_A2_is_kernel_of_rhat_at_q():
@@ -232,12 +300,14 @@ def test_apply_gates_matches_dense_product():
 
 
 def test_block_path_respects_guard(monkeypatch):
+    # a block is guarded by its N^n r entries against 8^2 = 64, whatever
+    # its state count: 16 states > 8 may hold up to four vectors
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
     labels = (1, 2, 3, 4)
-    with pytest.raises(DimensionGuardExceeded):  # 2^4 = 16 > 8 state dimension
-        apply_gates([rnd((1, 2))], labels, np.zeros((2, 2, 2, 2, 1), dtype=complex))
-    block = np.zeros((2, 2, 2, 1), dtype=complex)  # 8: at the guard
-    assert apply_gates([rnd((1, 2))], labels[:3], block).shape == block.shape
+    block = np.zeros((2, 2, 2, 2, 4), dtype=complex)  # 64 entries: at the guard
+    assert apply_gates([rnd((1, 2))], labels, block).shape == block.shape
+    with pytest.raises(DimensionGuardExceeded, match="block of 80 entries"):
+        apply_gates([rnd((1, 2))], labels, np.zeros((2, 2, 2, 2, 5), dtype=complex))
 
 
 def _dense_projector_residual(gates, labels, a_labels):

@@ -27,7 +27,6 @@ from wkit.wgen import (
     _qdet_matrix,
     alpha_fraction,
     alpha_identity_check,
-    build_degeneration_matrices,
     build_Q,
     check_trace_MA,
     critical_poisson_check,
@@ -62,12 +61,15 @@ def test_surface_residuals():
 
 
 def test_twist_traces_respect_guard(monkeypatch):
+    # the twist traces apply M to the basis of im A_k, guarded by its
+    # N^k C(N,k) entries against 8^2 = 64
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
-    assert check_trace_MA(2, 1).passed  # 4 <= 8
+    assert check_trace_MA(3, 1).passed  # 27 x 1
+    assert n0_check(2, 1, 3).passed  # 9 x 3
     with pytest.raises(DimensionGuardExceeded):
-        check_trace_MA(3, 1)  # M^{x3} is 27 x 27
+        check_trace_MA(4, 1)  # 256 x 1
     with pytest.raises(DimensionGuardExceeded):
-        n0_check(2, 1, 3)  # M^{x2} is 9 x 9
+        n0_check(2, 1, 5)  # 25 x 10
 
 
 def test_surface_m_plus_n_zero_forces_c():
@@ -159,8 +161,23 @@ def test_selection_rule_matches_generator_norm():
 def test_t_at_k_equals_N_is_scalar():
     surf = surface(-1, -1, N=3, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    t = build_t(3, Z, surf, rep)
-    assert t.off_identity() < 1e-8
+    t = build_t(3, Z, surf, rep).matrix
+    mean = np.trace(t) / 3
+    assert np.linalg.norm(t - mean * np.eye(3)) / np.linalg.norm(t) < 1e-8
+
+
+def test_N5_traces_under_the_default_guard(monkeypatch):
+    monkeypatch.delenv("WKIT_MAX_DIM", raising=False)
+    for m in range(1, 6):
+        assert check_trace_MA(5, m).passed, m
+        for k in range(1, 6):
+            assert n0_check(k, m, 5).passed, (k, m)
+    surf = surface(-1, -1, N=5, q=0.6)
+    rep = EvalRep(RMatrixFactory(surf.params), 1.0)
+    t = build_t(5, Z, surf, rep).matrix  # a 5^6 x 5 block
+    mean = np.trace(t) / 5
+    assert abs(mean) > 1e-3
+    assert np.linalg.norm(t - mean * np.eye(5)) / np.linalg.norm(t) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +373,6 @@ def test_alpha_identity_exhaustive():
     r = alpha_identity_check()
     assert r.residual == 0.0 and r.passed
     assert r.inputs["cases"] > 0
-
-
-def test_degeneration_matrices():
-    pr = EllipticParams(N=3, q=0.6, s=0.5)
-    mats = build_degeneration_matrices(pr)
-    V = mats["V"](1.7)
-    for j in range(1, 4):
-        assert abs(V[j - 1, j - 1] - 1.7 ** ((3 + 1 - 2 * j) / 3)) < 1e-14
-    D = mats["D"]
-    q = 0.6
-    assert np.allclose(np.diag(D), [q**-2, 1, q**2])
-    for j in range(2):  # entries ascend by q^2 steps
-        assert abs(D[j + 1, j + 1] / D[j, j] - q**2) < 1e-14
-    # exponent sum telescopes, so det V = 1 for positive arguments
-    exps = [(3 + 1 - 2 * j) / 3 for j in range(1, 4)]
-    assert abs(sum(exps)) < 1e-14
-    assert abs(np.linalg.det(V) - 1) < 1e-12
-    assert mats["F"].shape == (3, 3)
 
 
 def test_exchange_with_generic_evaluation_point():
