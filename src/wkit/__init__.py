@@ -33,13 +33,11 @@ from .qseries import (
     f_cr_series,
     kappa_inv,
     pochhammer,
-    pochhammer_grid,
     resolve_abelian_branch,
     tau_N,
     theta_big,
     theta_big_grid,
     theta_char_product,
-    theta_char_series,
     theta_char_sums,
 )
 from .reports import CheckReport, sort_reports
@@ -48,7 +46,6 @@ from .tensor import Antisymmetrizer, LabeledTensor, antisymmetrizer, fused_R
 from .wgen import (
     EvalRep,
     SurfaceSpec,
-    WGenerator,
     build_t,
     exchange_residual_tL,
     exchange_residual_tt,
@@ -60,15 +57,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EllipticParams", "TruncationPolicy", "DEFAULT_POLICY", "xi_of", "z_of",
-    "pochhammer", "theta_big", "theta_char_series", "theta_char_sums", "theta_char_product",
+    "pochhammer", "theta_big", "theta_char_sums", "theta_char_product",
     "tau_N", "U", "kappa_inv", "F_a", "Y_mn", "Y_mn_forms", "Y_FF",
     "Y_kkprime_cr", "I_series", "f_cr_series", "f_cr_modes",
-    "pochhammer_grid", "theta_big_grid", "U_grid", "F_a_grid", "Y_mn_grid",
+    "theta_big_grid", "U_grid", "F_a_grid", "Y_mn_grid",
     "resolve_abelian_branch", "abelianity_check",
     "CheckReport", "sort_reports",
     "ZnMatrices", "RMatrixFactory",
     "LabeledTensor", "Antisymmetrizer", "antisymmetrizer", "fused_R",
-    "SurfaceSpec", "resolve_surface", "EvalRep", "WGenerator", "build_t",
+    "SurfaceSpec", "resolve_surface", "EvalRep", "build_t",
     "exchange_residual_tL", "exchange_residual_tt", "qdet_extract",
     "WkitError", "ModulusOutOfRange", "TruncationBudgetExceeded",
     "ZeroArgument", "NonconvergentTau", "PoleHit",

@@ -21,6 +21,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .errors import ConfigError, WkitError
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy
 from .reports import Stopwatch, sort_reports
@@ -90,9 +92,10 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
     _reject_unknown(grid, _GRID_KEYS, "grid")
-    grid_points = int(grid.get("points", 200))
-    if grid_points < 1:  # a check over no samples would pass vacuously
-        raise ConfigError(f"grid points must be >= 1, got {grid_points}")
+    points = int(grid.get("points", 200))
+    if points < 1:  # a check over no samples would pass vacuously
+        raise ConfigError(f"grid points must be >= 1, got {points}")
+    space = np.geomspace if grid.get("log", True) else np.linspace
 
     seed = cfg.get("seed", 7)
     if not isinstance(seed, int):
@@ -108,10 +111,7 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
         policy=policy,
         seed=seed,
         tolerances=dict(tols),
-        grid_from=float(grid.get("from", 0.5)),
-        grid_to=float(grid.get("to", 2.0)),
-        grid_points=grid_points,
-        grid_log=bool(grid.get("log", True)),
+        grid=space(float(grid.get("from", 0.5)), float(grid.get("to", 2.0)), points),
     )
     return ctx, suites
 
@@ -225,8 +225,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    import numpy as np
-
     try:
         params = _params_from_flags(args)
         if args.log:

@@ -18,6 +18,10 @@ of z and is therefore branch-free, which is why it is the one implemented.
 The exchange-function ladder F_a(x) multiplies U along powers of a stored
 root value s (the designated value of -p^{1/2}); U is even in its argument,
 so every scalar here is insensitive to the sign convention chosen for s.
+
+Characteristic thetas are summed only by `theta_char_sums`, a batch with
+one tau for all rows or one per row; `theta_char_product` is the
+triple-product form the theta-identities suite checks it against.
 """
 
 from __future__ import annotations
@@ -249,93 +253,80 @@ def theta_big(z: complex, p: complex, policy: TruncationPolicy = DEFAULT_POLICY)
     return _poch1(z, pc, policy) * _poch1(p / z, pc, policy) * _pp(pc, policy)
 
 
-def theta_char_series(g1, g2, xi: complex, tau: complex,
-                      policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """theta[g1,g2](xi, tau) by direct lattice summation.
-
-    The sum is taken outward from the Gaussian peak m ~ -g1 until two
-    consecutive rings fall below the tail tolerance on both wings.
-    """
-    g1 = float(g1)
-    g2 = float(g2)
-    if tau.imag < 1e-6:
-        raise NonconvergentTau(f"Im tau = {tau.imag:.3g} < 1e-6")
-
-    def term(m: int) -> complex:
-        a = m + g1
-        return cmath.exp(1j * cmath.pi * a * a * tau + _TWO_I_PI * a * (xi + g2))
-
-    mc = int(round(-g1))
-    acc = term(mc)
-    small_rings = 0
-    for w in range(1, policy.max_terms):
-        ring = term(mc - w) + term(mc + w)
-        acc += ring
-        if abs(ring) < policy.tail_eps * (1 + abs(acc)):
-            small_rings += 1
-            if small_rings >= 2:
-                return acc
-        else:
-            small_rings = 0
-    raise TruncationBudgetExceeded("theta series did not meet tail bound")
-
-
-def _lattice_sums(alpha, beta, tau: complex, policy: TruncationPolicy) -> np.ndarray:
-    """sum_m exp(i pi tau (m + alpha)^2 + 2 i pi (m + alpha) beta) for each
-    pair (alpha[k], beta[k]), alpha possibly complex, in one window.
+def _lattice_sums(alpha, beta, tau, policy: TruncationPolicy) -> np.ndarray:
+    """sum_m exp(i pi tau[k] (m + alpha[k])^2 + 2 i pi (m + alpha[k]) beta[k])
+    for each row k, alpha possibly complex, in one window.
 
     With x = m + Re alpha, log|term| is the parabola
     -pi Im tau (x - x0)^2 + h with x0 = -(Re tau Im alpha + Im beta) / Im tau.
     The window starts at half-width sqrt((ln(1/tail_eps) + h) / (pi Im tau))
-    + 3 around each x0 and doubles until the two outermost terms on each
-    wing of every sum are below tail_eps (1 + |sum|); past max_terms it
-    raises.
+    + 3 around each x0, with the largest h and the smallest Im tau of the
+    rows, and doubles until the two outermost terms on each wing of every
+    sum are below tail_eps (1 + |sum|); past max_terms it raises.
     """
     y = alpha.imag
     peak = -(tau.real * y + beta.imag) / tau.imag
     height = math.pi * tau.imag * (peak * peak + y * y) - 2 * math.pi * y * beta.real
-    spread = max(math.log(1 / policy.tail_eps) + float(np.max(height, initial=0)), 0.0)
-    half = math.sqrt(spread / (math.pi * tau.imag)) + 3
+    spread = max(math.log(1 / policy.tail_eps) + float(height.max(initial=0)), 0.0)
+    half = math.sqrt(spread / (math.pi * tau.imag.min(initial=math.inf))) + 3
     W = int(half) if half < policy.max_terms else policy.max_terms  # NaN too
     centre = (np.rint(peak - alpha.real) + alpha)[:, None]
+    quad = (1j * cmath.pi * tau)[:, None]  # == Python's product: 1j*pi has a zero part
     arg = _TWO_I_PI * beta[:, None]
     while True:
         a = centre + np.arange(-W, W + 1)
         with np.errstate(all="ignore"):  # an overflowing sum fails the tail rule
-            terms = np.exp(1j * cmath.pi * tau * (a * a) + arg * a)
+            terms = np.exp(quad * (a * a) + arg * a)
             acc = terms.sum(axis=1)
             edge = np.abs(terms[:, [0, 1, -2, -1]]).max(axis=1, initial=0)
-        if np.all(edge < policy.tail_eps * (1 + np.abs(acc))):
+        if (edge < policy.tail_eps * (1 + np.abs(acc))).all():
             return acc
         if W >= policy.max_terms:
             raise TruncationBudgetExceeded("theta series did not meet tail bound")
         W = min(2 * W, policy.max_terms)
 
 
-def theta_char_sums(g1s, g2s, xi, tau: complex,
-                    policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """theta[g1s[k], g2s[k]](xi[k], tau) for every k, by one lattice sum.
+def _image_sums(g1, u, tau, policy: TruncationPolicy) -> np.ndarray:
+    """The rows of `theta_char_sums` on the modular image -1/tau, u = xi + g2.
+    (-i tau)^{1/2} and -1/tau are formed per row in Python complex
+    arithmetic, the rounding of a one-tau call."""
+    taus = tau.tolist()
+    root = np.array([cmath.sqrt(-1j * t) for t in taus])
+    dual = np.array([-1 / t for t in taus])
+    return np.exp(_TWO_I_PI * g1 * u) / root * _lattice_sums(u, -g1 + 0j, dual, policy)
 
-    xi is one point or one per characteristic.  For |tau| >= 1 the sum is
-    the defining series; otherwise it is the series of the modular image
-    (Poisson summation over m),
+
+def theta_char_sums(g1s, g2s, xi, tau, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """theta[g1s[k], g2s[k]](xi[k], tau[k]) for every k, by lattice sums.
+
+    xi and tau are each one value or one per characteristic.  Rows with
+    |tau| >= 1 sum the defining series in one window; the other rows sum
+    the series of the modular image (Poisson summation over m),
 
         theta[g1,g2](xi, tau) = (-i tau)^{-1/2} e^{2 i pi g1 u}
             sum_n exp(-i pi (n + u)^2 / tau - 2 i pi (n + u) g1),  u = xi + g2,
 
-    whose nome Im(-1/tau) = Im tau / |tau|^2 is the larger one.  That also
-    avoids the cancellation of the defining series at small Im tau: at
-    p = 0.6 its terms are 10^4 times a g2 = 1/2 value.
+    whose nome Im(-1/tau) = Im tau / |tau|^2 is the larger one, in a second
+    window.  That also avoids the cancellation of the defining series at
+    small Im tau: at p = 0.6 its terms are 10^4 times a g2 = 1/2 value.
     """
-    if tau.imag < 1e-6:
-        raise NonconvergentTau(f"Im tau = {tau.imag:.3g} < 1e-6")
-    g1, g2, xi = (np.ravel(v) for v in np.broadcast_arrays(
-        np.asarray(g1s, dtype=float), np.asarray(g2s, dtype=float), np.asarray(xi, dtype=complex)))
-    u = xi + g2
-    if abs(tau) >= 1:
+    arrays = (np.asarray(g1s, dtype=float), np.asarray(xi, dtype=complex) + np.asarray(g2s, dtype=float),
+              np.asarray(tau, dtype=complex))
+    shape = np.broadcast(*arrays).shape  # np.broadcast_arrays is slow on a one-value tau
+    g1, u, tau = (np.full(shape, v).ravel() for v in arrays)
+    low = tau.imag < 1e-6
+    if low.any():
+        raise NonconvergentTau(f"Im tau = {tau.imag[low].min():.3g} < 1e-6")
+    series = np.abs(tau) >= 1
+    if series.all():  # all rows on one side, as with one tau: nothing to scatter
         return _lattice_sums(g1.astype(complex), u, tau, policy)
-    return (np.exp(_TWO_I_PI * g1 * u) / cmath.sqrt(-1j * tau)
-            * _lattice_sums(u, -g1 + 0j, -1 / tau, policy))
+    image = ~series
+    if image.all():
+        return _image_sums(g1, u, tau, policy)
+    out = np.empty(u.shape, dtype=complex)
+    out[series] = _lattice_sums(g1[series].astype(complex), u[series], tau[series], policy)
+    out[image] = _image_sums(g1[image], u[image], tau[image], policy)
+    return out
 
 
 def theta_char_product(g1, g2, xi: complex, tau: complex,
@@ -482,14 +473,15 @@ def _Y_mn(x, m, n, Fn, Fm, params, policy) -> complex:
 # Grid forms
 # ---------------------------------------------------------------------------
 #
-# The *_grid functions evaluate pochhammer (one modulus), theta_big, U, F_a
-# and Y_mn over a numpy array of points and return values == the scalar
-# forms at every point.  Complex arithmetic runs on separate float64 real
-# and imaginary arrays with CPython's own formulas (numpy's complex ufuncs
-# round differently in the last bit): products (ar br - ai bi, ar bi + ai br),
-# quotients with _Py_c_quot's branch on |br| >= |bi|, abs as hypot.  Where
-# any point would raise, the grid form replays the scalar loop, so a caller
-# sees exactly the exception of the first failing point.
+# The *_grid functions evaluate theta_big, U, F_a and Y_mn over a numpy
+# array of points and return values == the scalar forms at every point
+# (pochhammer with one modulus runs inside theta_big's grid form).  Complex
+# arithmetic runs on separate float64 real and imaginary arrays with
+# CPython's own formulas (numpy's complex ufuncs round differently in the
+# last bit): products (ar br - ai bi, ar bi + ai br), quotients with
+# _Py_c_quot's branch on |br| >= |bi|, abs as hypot.  Where any point
+# would raise, the grid form replays the scalar loop, so a caller sees
+# exactly the exception of the first failing point.
 
 def _pair(c) -> tuple:
     c = complex(c)
@@ -608,14 +600,6 @@ def _on_grid(grid_fn, scalar_fn, xs) -> np.ndarray:
         except (WkitError, ArithmeticError):
             out[:] = [scalar_fn(complex(x)) for x in flat]
     return out.reshape(z.shape)
-
-
-def pochhammer_grid(zs, moduli, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """pochhammer(z, moduli, policy) at every point of zs (one modulus)."""
-    if len(moduli) != 1:
-        raise ValueError(f"pochhammer_grid takes one modulus, got {len(moduli)}")
-    return _on_grid(lambda z: _gpoch1(z, complex(moduli[0]), policy),
-                    lambda z: pochhammer(z, moduli, policy), zs)
 
 
 def theta_big_grid(zs, p: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:

@@ -349,31 +349,23 @@ def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9):
                         _inputs(fac, z=z), res, tolerance)
 
 
-def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance=1e-9,
-                              starred: bool = False):
+def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance=1e-9):
     """Twist relation M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a with M_a = GH^{-a}.
 
     The step x -> s x by the designated root value is taken on the theta
     lattice (xi -> xi + tau + 1); a = 1 is the quasi-periodicity property
-    itself, a = 0 is trivial, other a iterate it.  With starred=True the
-    same relation is checked for the p* matrix with the s* ladder, which
-    is another parameter point with its own factory.
+    itself, a = 0 is trivial, other a iterate it.  The p* matrix with the
+    s* ladder is the same check on the factory of EllipticParams(N, q, s*).
     """
     clock = Stopwatch()
-    params = fac.params
-    s_val = params.s
-    if starred:
-        # same q, but nome p* and ladder root s*
-        s_val = params.s_star
-        fac = RMatrixFactory(EllipticParams(params.N, params.q, s_val, 0.0), fac.policy)
     E = np.eye(fac.N)
     Ma = fac.zn.M_power(a)
     xi = xi_of(x)
     lhs = np.kron(Ma, E) @ fac.rhat_matrix_xi(xi)
-    scal = F_a(x, a, s_val, fac.params, fac.policy)
+    scal = F_a(x, a, fac.params.s, fac.params, fac.policy)
     rhs = scal * fac.rhat_matrix_xi(xi + a * fac.s_shift) @ np.kron(Ma, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-    return clock.report(_SUITE, f"quasi-periodicity(a={a}{',star' if starred else ''})",
+    return clock.report(_SUITE, f"quasi-periodicity(a={a})",
                         "M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a   [s-step on the theta lattice]",
                         _inputs(fac, x=x, a=a), res, tolerance)
 

@@ -29,7 +29,7 @@ from .qseries import (
     tau_N,
     theta_big,
     theta_char_product,
-    theta_char_series,
+    theta_char_sums,
 )
 from .reports import CheckReport, Stopwatch, worst
 from .rmatrix import (
@@ -74,21 +74,13 @@ class SuiteContext:
     policy: TruncationPolicy = DEFAULT_POLICY
     seed: int = 7
     tolerances: dict = field(default_factory=dict)
-    grid_from: float = 0.5
-    grid_to: float = 2.0
-    grid_points: int = 200
-    grid_log: bool = True
+    grid: np.ndarray = field(default_factory=lambda: np.geomspace(0.5, 2.0, 200))
 
     def tol(self, suite: str, default: float) -> float:
         return float(self.tolerances.get(suite, default))
 
     def rng(self, salt: int) -> np.random.Generator:
         return np.random.default_rng((self.seed, salt))
-
-    def grid(self):
-        if self.grid_log:
-            return np.geomspace(self.grid_from, self.grid_to, self.grid_points)
-        return np.linspace(self.grid_from, self.grid_to, self.grid_points)
 
 
 def _safe_point(rng, lo=0.7, hi=1.4):
@@ -125,15 +117,17 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     clock = Stopwatch()
 
     rng = ctx.rng(1)
-    resids = []
     chars = [0.0, 0.5, -0.5, 1.0 / ctx.params.N, -1.0 / ctx.params.N]
+    points = []  # (g1, g2, xi, tau)
     for _ in range(100):
         g1, g2 = rng.choice(chars), rng.choice(chars)
         xi = complex(rng.uniform(-1, 1), rng.uniform(-0.2, 0.2))
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3.0))
-        a = theta_char_series(g1, g2, xi, tau, pol)
-        b = theta_char_product(g1, g2, xi, tau, pol)
-        resids.append(abs(a - b) / (1 + abs(a)))
+        points.append((g1, g2, xi, tau))
+    g1s, g2s, xis, taus = zip(*points)
+    sums = theta_char_sums(g1s, g2s, xis, taus, pol).tolist()
+    resids = [abs(a - theta_char_product(*pt, pol)) / (1 + abs(a))
+              for a, pt in zip(sums, points)]
     out.append(clock.report(
         suite="theta-identities", check="series-vs-product",
         identity="theta[g1,g2](xi,tau): lattice sum = triple-product form",
@@ -365,8 +359,7 @@ def suite_theorem1_exchange(ctx: SuiteContext) -> list[CheckReport]:
                 out.append(exchange_residual_tL(k, z, w, surf, rep, tol))
         # k = N commutes without any surface condition: perturb s and retest
         pert = SurfaceSpec(m=m, n=n, params=EllipticParams(
-            pr.N, pr.q, surf.params.s * 1.02, 0.0), r_compatible=True,
-            note="off-surface (k=N central regardless)")
+            pr.N, pr.q, surf.params.s * 1.02, 0.0))
         rep_p = EvalRep(RMatrixFactory(pert.params, ctx.policy), 1.0)
         r = exchange_residual_tL(pr.N, _safe_point(rng), _safe_point(rng), pert, rep_p, tol)
         r.check = f"tL-offsurface(k={pr.N},m={m},n={n})"
@@ -376,7 +369,7 @@ def suite_theorem1_exchange(ctx: SuiteContext) -> list[CheckReport]:
     ctrl_m, ctrl_n, ctrl_k = ((-1, -1, 1) if pr.N == 2 else (-pr.N + 1, -1, 1))
     surf = resolve_surface(ctrl_m, ctrl_n, pr.q, 0.0, pr.N)
     pert = SurfaceSpec(m=ctrl_m, n=ctrl_n, params=EllipticParams(
-        pr.N, pr.q, surf.params.s * 1.02, 0.0), r_compatible=True)
+        pr.N, pr.q, surf.params.s * 1.02, 0.0))
     rep_p = EvalRep(RMatrixFactory(pert.params, ctx.policy), 1.0)
     clock = Stopwatch()
     r = exchange_residual_tL(ctrl_k, _safe_point(rng), _safe_point(rng), pert, rep_p, tol)
@@ -459,7 +452,7 @@ def suite_abelianity(ctx: SuiteContext) -> list[CheckReport]:
     pr = ctx.params
     q, N = pr.q, pr.N
     pol = ctx.policy
-    grid = ctx.grid()
+    grid = ctx.grid
     out.append(abelianity_check("abel1", N, q, 2, -3, grid, lam=-1, tolerance=tol, policy=pol))
     out.append(abelianity_check("abel2", N, q, 3, 1, grid, lam=2, tolerance=tol, policy=pol))
     out.append(abelianity_check("abel3", N, q, 1, 3, grid, lam=2, tolerance=tol, policy=pol))

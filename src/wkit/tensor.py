@@ -193,9 +193,6 @@ class LabeledTensor:
         t = src.data.reshape(Dk, Dt, Dk, Dt)
         return LabeledTensor(keep, self.N, np.einsum("aibi->ab", t))
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
     def partial_transpose(self, labels) -> "LabeledTensor":
         """Transpose on the named space(s), identity on the rest."""
         if not isinstance(labels, (list, tuple)):
@@ -236,12 +233,6 @@ class Antisymmetrizer:
         """The dense N^k x N^k projector V V^T."""
         _guard(self.N**self.k)
         return self.basis @ self.basis.T
-
-    def on(self, labels) -> LabeledTensor:
-        labels = tuple(labels)
-        if len(labels) != self.k:
-            raise LabelMismatch(f"A_{self.k} needs {self.k} labels, got {labels}")
-        return LabeledTensor(labels, self.N, self.matrix)
 
 
 def _inversions(perm) -> int:

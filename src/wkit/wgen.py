@@ -50,8 +50,12 @@ class SurfaceSpec:
     m: int
     n: int
     params: EllipticParams
-    r_compatible: bool  # |p| < 1, so R-matrix based tests may run
-    note: str = ""
+
+    @property
+    def r_compatible(self) -> bool:
+        """|p| < 1, so R-matrix based checks may run (the rule of
+        `EllipticParams.require_elliptic`)."""
+        return abs(self.params.p) < 1 - 1e-9
 
     @property
     def residual(self) -> float:
@@ -69,17 +73,12 @@ def resolve_surface(m: int, n: int, q: complex, c: complex, N: int) -> SurfaceSp
     if m == 0 and n == 0:
         raise NoSolution("surface undefined for (m, n) = (0, 0)")
     if m + n == 0:
-        c_res = -N / m
-        s = complex(q)
-        note = f"m+n=0: surface forces c = {-N}/{m}; s left free"
-        params = EllipticParams(N=N, q=q, s=s, c=c_res)
+        params = EllipticParams(N=N, q=q, s=complex(q), c=-N / m)
     else:
         rhs = cmath.exp((-N + complex(c) * n) * cmath.log(q))
         s = cmath.exp(cmath.log(rhs) / (m + n))
-        note = ""
         params = EllipticParams(N=N, q=q, s=s, c=c)
-    spec = SurfaceSpec(m=m, n=n, params=params,
-                       r_compatible=abs(params.p) < 1 - 1e-9, note=note)
+    spec = SurfaceSpec(m=m, n=n, params=params)
     if spec.residual > 1e-12:
         raise NoSolution(f"surface residual {spec.residual:.3g} after resolution")
     return spec
@@ -117,17 +116,6 @@ class EvalRep:
         return t.inv()
 
 
-@dataclass(frozen=True)
-class WGenerator:
-    """t^{(k)}(z): an N x N matrix on the quantum space."""
-
-    k: int
-    z: complex
-    m: int
-    n: int
-    matrix: np.ndarray
-
-
 def _on_each(M: np.ndarray, k: int) -> list:
     """M as a one-space gate on each of the spaces 1..k."""
     return [LabeledTensor.from_matrix(M, (i,), M.shape[0]) for i in range(1, k + 1)]
@@ -147,13 +135,12 @@ def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> list:
             + [rep.L_inv(ladder[i - 1], i) for i in range(1, k + 1)])
 
 
-def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> WGenerator:
-    N = rep.N
-    if not 1 <= k <= N:
+def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> np.ndarray:
+    """t^{(k)}(z): an N x N matrix on the quantum space."""
+    if not 1 <= k <= rep.N:
         raise ValueError(f"need 1 <= k <= N, got k = {k}")
     surface.params.require_elliptic()
-    return WGenerator(k=k, z=z, m=surface.m, n=surface.n,
-                      matrix=antisym_trace(build_Q(k, z, surface, rep), k, rest=(QUANTUM,)))
+    return antisym_trace(build_Q(k, z, surface, rep), k, rest=(QUANTUM,))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +166,6 @@ def survives_selection_rule(k: int, m: int, n: int, N: int) -> bool:
     return ((m + n) * k) % N == 0
 
 
-_VANISH_NORM = 1e-10
-
-
 def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
                          rep: EvalRep, tolerance: float = 1e-8) -> CheckReport:
     """Residual of t^{(k)}(z) L(w) = [prod_i F_{-m}/F*_n](z_i/w) L(w) t^{(k)}(z),
@@ -194,14 +178,14 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
     clock = Stopwatch()
     N = rep.N
     t_gen = build_t(k, z, surface, rep)
-    t_norm = float(np.linalg.norm(t_gen.matrix))
+    t_norm = float(np.linalg.norm(t_gen))
     pref = _exchange_prefactor_tL(k, z, w, surface, rep.policy)
     vanishing = not survives_selection_rule(k, surface.m, surface.n, N)
     if vanishing:
         res = t_norm
     else:
         Lw = rep.L(xi_of(w), "b")
-        t_emb = LabeledTensor.from_matrix(t_gen.matrix, (QUANTUM,), N).embed(("b", QUANTUM))
+        t_emb = LabeledTensor.from_matrix(t_gen, (QUANTUM,), N).embed(("b", QUANTUM))
         lhs = t_emb @ Lw
         rhs = pref * (Lw @ t_emb)
         res = (lhs - rhs).norm() / max(Lw.norm() * t_norm, 1e-300)
@@ -227,8 +211,8 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
     reported residual is then the norm of the factor that must vanish."""
     clock = Stopwatch()
     p = surface.params
-    tk = build_t(k, z, surface, rep).matrix
-    tkp = build_t(kprime, w, surface, rep).matrix
+    tk = build_t(k, z, surface, rep)
+    tkp = build_t(kprime, w, surface, rep)
     pref = 1.0 + 0j
     for ei in centred_ladder(k):
         for ej in centred_ladder(kprime):
@@ -298,8 +282,7 @@ def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
     clock = Stopwatch()
     N = rep.N
     zn = rep.factory.zn
-    t_gen = build_t(N, z, surface, rep)
-    t_val = complex(np.trace(t_gen.matrix) / N)
+    t_val = complex(np.trace(build_t(N, z, surface, rep)) / N)
     detM = complex(np.linalg.det(zn.M_power(surface.m)))
     detMt = complex(np.linalg.det(zn.M_power(surface.n)))
     star_step = surface.n * rep.factory.s_star_shift

@@ -1,6 +1,7 @@
 """The cached q-series kernel: bit-exact against the factor-by-factor
 product, grid forms == scalar forms, batched characteristic thetas against
-the scalar series, the same exceptions, bounded caches."""
+the defining series summed ring by ring, the same exceptions, bounded
+caches."""
 
 import cmath
 import math
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wkit.qseries as qs
+import wkit.suites as suites
 from wkit import (
     EllipticParams,
     F_a,
@@ -24,12 +26,10 @@ from wkit import (
     Y_mn,
     Y_mn_grid,
     pochhammer,
-    pochhammer_grid,
     resolve_abelian_branch,
     theta_big,
     theta_big_grid,
     theta_char_product,
-    theta_char_series,
     theta_char_sums,
 )
 from wkit.errors import ModulusOutOfRange, NonconvergentTau, PoleHit, TruncationBudgetExceeded
@@ -68,6 +68,33 @@ def recursive_pochhammer(z, moduli, policy):
 
     descend(0, 1.0 + 0j)
     return val
+
+
+def theta_char_series(g1, g2, xi, tau, policy):
+    """theta[g1,g2](xi, tau) by the defining series, summed outward from the
+    Gaussian peak m ~ -g1 until two consecutive rings fall below the tail
+    tolerance on both wings."""
+    g1, g2 = float(g1), float(g2)
+    if tau.imag < 1e-6:
+        raise NonconvergentTau(f"Im tau = {tau.imag:.3g} < 1e-6")
+
+    def term(m):
+        a = m + g1
+        return cmath.exp(1j * cmath.pi * a * a * tau + 2j * cmath.pi * a * (xi + g2))
+
+    mc = int(round(-g1))
+    acc = term(mc)
+    small_rings = 0
+    for w in range(1, policy.max_terms):
+        ring = term(mc - w) + term(mc + w)
+        acc += ring
+        if abs(ring) < policy.tail_eps * (1 + abs(acc)):
+            small_rings += 1
+            if small_rings >= 2:
+                return acc
+        else:
+            small_rings = 0
+    raise TruncationBudgetExceeded("theta series did not meet tail bound")
 
 
 def outcome(fn, *args):
@@ -134,7 +161,6 @@ def grids():
 @pytest.mark.parametrize("pr", PARAMS, ids=["N2", "N3-q0.8", "N3-complex-q"])
 def test_grid_forms_equal_scalar_forms(pr):
     forms = [
-        (lambda xs: pochhammer_grid(xs, [pr.p]), lambda x: pochhammer(x, [pr.p])),
         (lambda xs: theta_big_grid(xs, pr.p), lambda x: theta_big(x, pr.p)),
         (lambda xs: U_grid(xs, pr), lambda x: U(x, pr)),
         (lambda xs: F_a_grid(xs, 2, pr.s, pr), lambda x: F_a(x, 2, pr.s, pr)),
@@ -161,7 +187,6 @@ def test_grid_forms_raise_as_the_scalar_loop():
     pr = PARAMS[0]
     cases = [
         # the 0.95 chain needs more than 64 factors
-        (lambda xs: pochhammer_grid(xs, [0.95], SHORT), lambda x: pochhammer(x, [0.95], SHORT)),
         (lambda xs: theta_big_grid(xs, 0.95, SHORT), lambda x: theta_big(x, 0.95, SHORT)),
         (lambda xs: theta_big_grid(xs, 1.0), lambda x: theta_big(x, 1.0)),  # ModulusOutOfRange
         (lambda xs: U_grid(xs, pr), lambda x: U(x, pr)),  # PoleHit at x = 1
@@ -221,12 +246,57 @@ def test_theta_char_sums_one_point_for_all_characteristics():
 def test_theta_char_sums_raise_past_the_budget(tau, policy):
     with pytest.raises(TruncationBudgetExceeded, match="theta series did not meet tail bound"):
         theta_char_sums([0.5, 0.0], [0.5, 1 / 3], 0.1 + 0.05j, tau, policy)
-    with pytest.raises(TruncationBudgetExceeded):  # the scalar series agrees
+    with pytest.raises(TruncationBudgetExceeded):  # the ring-by-ring series agrees
         theta_char_series(0.5, 0.5, 0.1 + 0.05j, tau, policy)
     with pytest.raises(NonconvergentTau):
         theta_char_sums([0.5], [0.5], 0.1, complex(tau.real, 1e-7), policy)
     with pytest.raises(TruncationBudgetExceeded):  # a NaN point never meets the tail rule
         theta_char_sums([0.5], [0.5], complex(math.nan, 0.0), 0.2 + 0.5j, POL)
+
+
+def test_theta_char_sums_mixed_tau_equal_one_tau_calls():
+    # rows on the defining series (|tau| >= 1) and on the modular image
+    # (|tau| < 1) in one call: each row == the call with only its tau,
+    # which is how an R-matrix build calls it
+    rng = np.random.default_rng(29)
+    taus = [0.3 + 1.1j, -0.2 + 0.5j]
+    rows = [(rng.choice(CHARS), rng.choice(CHARS), complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3)),
+             taus[i % 2]) for i in range(12)]
+    g1s, g2s, xis, row_taus = (np.array(v) for v in zip(*rows))
+    got = theta_char_sums(g1s, g2s, xis, row_taus, POL)
+    for tau in taus:
+        on = row_taus == tau
+        assert got[on].tolist() == theta_char_sums(g1s[on], g2s[on], xis[on], tau, POL).tolist()
+    # and a distinct tau on every row, both sides of |tau| = 1
+    row_taus = rng.uniform(-0.6, 0.6, 12) + 1j * rng.uniform(0.05, 1.5, 12)
+    assert {True, False} <= set((np.abs(row_taus) >= 1).tolist())
+    got = theta_char_sums(g1s, g2s, xis, row_taus, POL)
+    for g1, g2, x, tau, v in zip(g1s, g2s, xis, row_taus.tolist(), got.tolist()):
+        scale = theta_char_series(g1, 0.0, 1j * x.imag, 1j * tau.imag, POL).real
+        assert abs(v - theta_char_series(g1, g2, x, tau, POL)) <= 1e-13 * scale
+
+
+def test_theta_char_sums_raise_on_any_nonconvergent_row():
+    for row in range(3):
+        taus = [0.2 + 1.1j, 0.3 + 0.4j, -0.1 + 2.0j]
+        taus[row] = complex(taus[row].real, 1e-7)
+        with pytest.raises(NonconvergentTau, match="Im tau = 1e-07"):
+            theta_char_sums([0.5, 0.0, 0.25], [0.5, 1 / 3, 0.0], 0.1 + 0.05j, taus, POL)
+
+
+def test_series_vs_product_checks_theta_char_sums(monkeypatch):
+    # the theta-identities suite must check the lattice sum the R-matrix
+    # builds run: a relative error of 1e-8 in it fails the 1e-10 tolerance
+    ctx = suites.SuiteContext(params=EllipticParams(2, 0.55, cmath.sqrt(0.3)))
+
+    def series_vs_product():
+        return next(r for r in suites.suite_theta_identities(ctx)
+                    if r.check == "series-vs-product")
+
+    assert series_vs_product().passed
+    exact = suites.theta_char_sums
+    monkeypatch.setattr(suites, "theta_char_sums", lambda *a: exact(*a) * (1 + 1e-8))
+    assert not series_vs_product().passed
 
 
 def test_kernel_caches_stay_bounded():

@@ -91,8 +91,10 @@ def test_quasi_periodicity_all_steps(N, a):
 
 
 def test_quasi_periodicity_starred():
+    # the p* matrix with the s* ladder: the plain check at (N, q, s*)
     pr = params(N=2, c=0.4)
-    rep = check_quasi_periodicity_M(1.1 + 0.1j, 1, RMatrixFactory(pr, POL), starred=True)
+    starred = RMatrixFactory(EllipticParams(pr.N, pr.q, pr.s_star, 0.0), POL)
+    rep = check_quasi_periodicity_M(1.1 + 0.1j, 1, starred)
     assert rep.residual < 1e-9
 
 
@@ -198,7 +200,9 @@ def test_shared_factory_matches_fresh(pr):
         lambda f: check_crossing(z, f),
         lambda f: check_antisymmetry(z, f),
         lambda f: check_quasi_periodicity_M(x, 1, f),
-        lambda f: check_quasi_periodicity_M(x, 1, f, starred=True),
+        # the p* matrix with the s* ladder, on the factory of (N, q, s*)
+        lambda f: check_quasi_periodicity_M(x, 1, RMatrixFactory(
+            EllipticParams(f.N, f.params.q, f.params.s_star, 0.0), POL)),
         check_kernel,
     ]
     for check in checks:

@@ -314,7 +314,7 @@ def _dense_projector_residual(gates, labels, a_labels):
     X = LabeledTensor.identity(labels, gates[0].N)
     for g in gates:
         X = X @ g
-    A = antisymmetrizer(len(a_labels), X.N).on(a_labels)
+    A = LabeledTensor.from_matrix(antisymmetrizer(len(a_labels), X.N).matrix, a_labels, X.N)
     lhs = X @ A
     return (lhs - A @ lhs).norm() / lhs.norm()
 
@@ -370,7 +370,7 @@ def test_fusion_identities_control():
     X = LabeledTensor.identity(labels, N)
     X = X @ fac.rhat_tensor(xi, (1, "0"))
     X = X @ fac.rhat_tensor(xi - 1.01 * pr.zeta, (2, "0"))  # wrong ladder step
-    A = antisymmetrizer(2, 2).on((1, 2))
+    A = LabeledTensor.from_matrix(antisymmetrizer(2, 2).matrix, (1, 2), 2)
     lhs = X @ A
     rhs = A @ lhs
     assert (lhs - rhs).norm() / lhs.norm() > 1e-3

@@ -46,8 +46,7 @@ def surface(m, n, q=0.6, N=2):
 def perturb(surf, factor=1.02):
     p = surf.params
     return SurfaceSpec(m=surf.m, n=surf.n,
-                       params=EllipticParams(p.N, p.q, p.s * factor, p.c),
-                       r_compatible=True, note="perturbed")
+                       params=EllipticParams(p.N, p.q, p.s * factor, p.c))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +105,7 @@ def test_Q_one_sided_projector():
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
     for k in (1, 2):
         Q = _dense_Q(k, surf, rep)
-        A = antisymmetrizer(k, 2).on(tuple(range(1, k + 1)))
+        A = LabeledTensor.from_matrix(antisymmetrizer(k, 2).matrix, range(1, k + 1), 2)
         lhs = Q @ A
         rhs = A @ lhs
         assert (lhs - rhs).norm() / lhs.norm() < 1e-8
@@ -121,8 +120,9 @@ def test_build_t_matches_dense_trace(N, m, n):
         if not survives_selection_rule(k, m, n, N):
             continue
         aux = tuple(range(1, k + 1))
-        dense = (_dense_Q(k, surf, rep) @ antisymmetrizer(k, N).on(aux)).partial_trace(aux)
-        t = build_t(k, Z, surf, rep).matrix
+        A = LabeledTensor.from_matrix(antisymmetrizer(k, N).matrix, aux, N)
+        dense = (_dense_Q(k, surf, rep) @ A).partial_trace(aux)
+        t = build_t(k, Z, surf, rep)
         assert np.linalg.norm(t - dense.data) <= 1e-12 * np.linalg.norm(dense.data), k
         checked += 1
     assert checked
@@ -138,7 +138,7 @@ def test_qdet_matrix_matches_eigh_path(N):
     for i in aux:
         X = X @ rep.L(xi - (i - 1) * rep.params.zeta, i)
     A = antisymmetrizer(N, N)
-    Y = (X @ A.on(aux)).data.reshape(N**N, N, N**N, N)
+    Y = (X @ LabeledTensor.from_matrix(A.matrix, aux, N)).data.reshape(N**N, N, N**N, N)
     evals, evecs = np.linalg.eigh(A.matrix)
     psi = evecs[:, int(np.argmax(evals))]
     dense = np.einsum("a,aibj,b->ij", psi.conj(), Y, psi)
@@ -150,8 +150,7 @@ def test_selection_rule_matches_generator_norm():
         surf = resolve_surface(m, n, 0.6, 0.0, N)
         rep = EvalRep(RMatrixFactory(surf.params), 1.0)
         for k in range(1, N + 1):
-            t = build_t(k, Z, surf, rep)
-            norm = np.linalg.norm(t.matrix)
+            norm = np.linalg.norm(build_t(k, Z, surf, rep))
             if survives_selection_rule(k, m, n, N):
                 assert norm > 1e-3, (N, m, n, k)
             else:
@@ -161,7 +160,7 @@ def test_selection_rule_matches_generator_norm():
 def test_t_at_k_equals_N_is_scalar():
     surf = surface(-1, -1, N=3, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    t = build_t(3, Z, surf, rep).matrix
+    t = build_t(3, Z, surf, rep)
     mean = np.trace(t) / 3
     assert np.linalg.norm(t - mean * np.eye(3)) / np.linalg.norm(t) < 1e-8
 
@@ -174,7 +173,7 @@ def test_N5_traces_under_the_default_guard(monkeypatch):
             assert n0_check(k, m, 5).passed, (k, m)
     surf = surface(-1, -1, N=5, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    t = build_t(5, Z, surf, rep).matrix  # a 5^6 x 5 block
+    t = build_t(5, Z, surf, rep)  # a 5^6 x 5 block
     mean = np.trace(t) / 5
     assert abs(mean) > 1e-3
     assert np.linalg.norm(t - mean * np.eye(5)) / np.linalg.norm(t) < 1e-8
