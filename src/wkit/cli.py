@@ -96,6 +96,10 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
     if points < 1:  # a check over no samples would pass vacuously
         raise ConfigError(f"grid points must be >= 1, got {points}")
     space = np.geomspace if grid.get("log", True) else np.linspace
+    try:  # a log grid cannot reach 0
+        samples = space(float(grid.get("from", 0.5)), float(grid.get("to", 2.0)), points)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
 
     seed = cfg.get("seed", 7)
     if not isinstance(seed, int):
@@ -111,7 +115,7 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
         policy=policy,
         seed=seed,
         tolerances=dict(tols),
-        grid=space(float(grid.get("from", 0.5)), float(grid.get("to", 2.0)), points),
+        grid=samples,
     )
     return ctx, suites
 

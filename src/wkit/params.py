@@ -96,9 +96,14 @@ class EllipticParams:
         """Additive nome of p* = p q^{-2c}."""
         return cmath.log(self.p_star) / (2 * _I_PI)
 
+    @property
+    def is_elliptic(self) -> bool:
+        """|p| < 1, as any R-matrix construction needs."""
+        return abs(self.p) < 1 - 1e-9
+
     def require_elliptic(self):
-        """Raise unless |p| < 1 (needed for any R-matrix construction)."""
-        if abs(self.p) >= 1 - 1e-9:
+        """Raise unless `is_elliptic`."""
+        if not self.is_elliptic:
             raise ModulusOutOfRange(
                 f"|p| = {abs(self.p):.6g} >= 1: parameters unusable for R-matrix work"
             )

@@ -350,7 +350,7 @@ def suite_theorem1_exchange(ctx: SuiteContext) -> list[CheckReport]:
     rng = ctx.rng(30)
     for (m, n) in _THEOREM1_SURFACES:
         surf = resolve_surface(m, n, pr.q, 0.0, pr.N)
-        if not surf.r_compatible:
+        if not surf.params.is_elliptic:
             continue
         rep = EvalRep(RMatrixFactory(surf.params, ctx.policy), _unit_point(rng))
         for k in range(1, pr.N + 1):
@@ -388,7 +388,7 @@ def suite_corollary2_exchange(ctx: SuiteContext) -> list[CheckReport]:
     facs = {}  # one factory per surface point
     for (m, n) in _THEOREM1_SURFACES:
         surf = resolve_surface(m, n, pr.q, 0.0, pr.N)
-        if not surf.r_compatible:
+        if not surf.params.is_elliptic:
             continue
         facs[m, n] = RMatrixFactory(surf.params, ctx.policy)
         rep = EvalRep(facs[m, n], _unit_point(rng))

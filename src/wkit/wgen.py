@@ -52,12 +52,6 @@ class SurfaceSpec:
     params: EllipticParams
 
     @property
-    def r_compatible(self) -> bool:
-        """|p| < 1, so R-matrix based checks may run (the rule of
-        `EllipticParams.require_elliptic`)."""
-        return abs(self.params.p) < 1 - 1e-9
-
-    @property
     def residual(self) -> float:
         p = self.params
         return abs(p.s**self.m * p.s_star**self.n - p.q ** (-p.N))

@@ -101,6 +101,7 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"params": {"N": 2, "s": 0.5, "p": 0.3}},
     {"seed": "seven"},
     {"grid": {"points": 0}},
+    {"grid": {"from": 0}},
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"

@@ -209,23 +209,24 @@ CHARS = [0.0, 0.5, -0.5, 1 / 3, 2 / 3, 0.25, 1.5, 0.5 + 2 / 3]
 
 
 @given(
-    chars=st.lists(st.tuples(st.sampled_from(CHARS), st.sampled_from(CHARS),
-                             st.floats(-1, 1), st.floats(-0.6, 0.6)), min_size=1, max_size=10),
-    tr=st.floats(-0.6, 0.6),
-    ti=st.floats(0.05, 1.5),
+    chars=st.lists(st.tuples(st.sampled_from(CHARS), st.sampled_from(CHARS), st.floats(-1, 1),
+                             st.floats(-0.6, 0.6), st.floats(-0.6, 0.6), st.floats(0.05, 1.5)),
+                   min_size=1, max_size=10),
+    per_row=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
-def test_theta_char_sums_match_series_and_product(chars, tr, ti):
-    # one lattice sum for the whole set, whichever of tau and -1/tau it
-    # runs on; errors are measured against sum_m |term_m| of the defining
-    # series, the scale its own rounding works at (a value near a zero of
-    # theta cancels, whichever way it is computed)
-    tau = complex(tr, ti)
-    g1s, g2s, xr, xi = zip(*chars)
+def test_theta_char_sums_match_series_and_product(chars, per_row):
+    # one call for the whole set, with one tau (the first row's) or one per
+    # row, each row on whichever of tau and -1/tau it runs on; errors are
+    # measured against sum_m |term_m| of the defining series, the scale its
+    # own rounding works at (a value near a zero of theta cancels, whichever
+    # way it is computed)
+    g1s, g2s, xr, xi, tr, ti = zip(*chars)
     xis = [complex(a, b) for a, b in zip(xr, xi)]
-    got = theta_char_sums(g1s, g2s, xis, tau, POL)
+    taus = [complex(a, b) for a, b in zip(tr, ti)] if per_row else [complex(tr[0], ti[0])] * len(chars)
+    got = theta_char_sums(g1s, g2s, xis, taus if per_row else taus[0], POL)
     assert got.shape == (len(chars),)
-    for g1, g2, x, v in zip(g1s, g2s, xis, got.tolist()):
+    for g1, g2, x, tau, v in zip(g1s, g2s, xis, taus, got.tolist()):
         scale = theta_char_series(g1, 0.0, 1j * x.imag, 1j * tau.imag, POL).real
         assert abs(v - theta_char_series(g1, g2, x, tau, POL)) <= 1e-13 * scale
         assert abs(v - theta_char_product(g1, g2, x, tau, POL)) <= 1e-13 * scale
@@ -267,13 +268,6 @@ def test_theta_char_sums_mixed_tau_equal_one_tau_calls():
     for tau in taus:
         on = row_taus == tau
         assert got[on].tolist() == theta_char_sums(g1s[on], g2s[on], xis[on], tau, POL).tolist()
-    # and a distinct tau on every row, both sides of |tau| = 1
-    row_taus = rng.uniform(-0.6, 0.6, 12) + 1j * rng.uniform(0.05, 1.5, 12)
-    assert {True, False} <= set((np.abs(row_taus) >= 1).tolist())
-    got = theta_char_sums(g1s, g2s, xis, row_taus, POL)
-    for g1, g2, x, tau, v in zip(g1s, g2s, xis, row_taus.tolist(), got.tolist()):
-        scale = theta_char_series(g1, 0.0, 1j * x.imag, 1j * tau.imag, POL).real
-        assert abs(v - theta_char_series(g1, g2, x, tau, POL)) <= 1e-13 * scale
 
 
 def test_theta_char_sums_raise_on_any_nonconvergent_row():

@@ -389,10 +389,10 @@ def test_surface_resolution_errors():
     surf = resolve_surface(1, -1, 0.6, 0.0, 3)
     assert abs(surf.params.c - (-3)) < 1e-14  # unique resolution, any q
     surf = resolve_surface(2, -1, 0.6, 0.0, 2)
-    assert not surf.r_compatible  # |p| = q^{-4} > 1 blocks R-matrix work
+    assert not surf.params.is_elliptic  # |p| = q^{-4} > 1 blocks R-matrix work
     assert abs(surf.params.s - 0.6 ** (-2)) < 1e-12
     surf = resolve_surface(-1, -1, 0.6, 0.0, 2)
-    assert surf.r_compatible and abs(surf.params.s - 0.6) < 1e-14
+    assert surf.params.is_elliptic and abs(surf.params.s - 0.6) < 1e-14
 
 
 # ---------------------------------------------------------------------------
