@@ -41,7 +41,7 @@ from .errors import ModulusOutOfRange, PoleHit
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
 from .qseries import F_a, U, _pp, kappa_inv, pochhammer, theta_big, theta_char_sums
 from .reports import Stopwatch, worst
-from .tensor import LabeledTensor, antisymmetrizer, permutation_operator
+from .tensor import LabeledTensor, antisymmetrizer, compose, permutation_operator
 
 _POLE_REL = 1e-12
 
@@ -98,10 +98,7 @@ class RMatrixFactory:
     `rhat_matrix_xi` and `rhat_tensor`.
     """
 
-    _DEGENERATE_DEN = 1e-8
-
-    def __init__(self, params: EllipticParams, policy: TruncationPolicy | None = None,
-                 _allow_limit: bool = True):
+    def __init__(self, params: EllipticParams, policy: TruncationPolicy | None = None):
         params.require_elliptic()
         self.params = params
         self.policy = policy or DEFAULT_POLICY
@@ -119,29 +116,21 @@ class RMatrixFactory:
         dens = theta_char_sums(self._g1, self._g2, self._offsets, self.tau, self.policy)
         self._theta_A_zeta = complex(dens[-1])
         self._w_dens = N * dens[:-1]
-        # Loci where a characteristics denominator vanishes (e.g. p = q^2 at
-        # N = 2, forced by the (-1,-1) surface) are removable: the prefactor
-        # theta_A(zeta, tau) vanishes simultaneously and the matrix has a
-        # finite limit.  Evaluate it as the symmetric average of two nearby
-        # nomes p(1 +- delta), accurate to O(delta^2).
+        # theta_alpha(zeta/N) vanishes for some alpha exactly when zeta lies
+        # on the lattice Z + tau Z (e.g. p = q^2 at N = 2, forced by the
+        # (-1,-1) surface), and theta_A(zeta) vanishes with it: the matrix
+        # has a finite limit there.  Evaluate it as the symmetric average of
+        # two nearby nomes p(1 +- 1e-5), accurate to O(1e-10); they lie about
+        # 1e-6 off the lattice, so they are never degenerate themselves.
+        n = round(self.zeta.imag / self.tau.imag)
+        m = round((self.zeta - n * self.tau).real)
         self._children = None
-        if np.abs(dens[:-1]).min() < self._DEGENERATE_DEN:
-            if not _allow_limit:
-                raise PoleHit("characteristics theta denominator ~ 0 (degenerate nome)")
-            delta = 1e-5
-            for _ in range(4):
-                try:
-                    self._children = [
-                        RMatrixFactory(
-                            EllipticParams(N, q, params.s * cmath.sqrt(1 + sgn * delta), 0.0),
-                            self.policy, _allow_limit=False)
-                        for sgn in (+1, -1)
-                    ]
-                    break
-                except PoleHit:
-                    delta *= 1.7
-            else:
-                raise PoleHit("could not take the degenerate-nome limit")
+        if abs(self.zeta - m - n * self.tau) < 1e-8:
+            self._children = [
+                RMatrixFactory(EllipticParams(N, q, params.s * cmath.sqrt(1 + sgn * 1e-5), 0.0),
+                               self.policy)
+                for sgn in (+1, -1)
+            ]
         # I_alpha (x) I_alpha^{-1} has entries only at rows (i, j) and
         # columns (i + a1, j - a1): where the charge i + j mod N is conserved
         charge = np.add.outer(a, a).ravel() % N
@@ -296,11 +285,11 @@ def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-
     build = fac.rhat_matrix_xi if hat else fac.r_matrix_xi
 
     def on(zz, labels):
-        return LabeledTensor.from_matrix(build(xi_of(zz)), labels, fac.N).embed((1, 2, 3))
+        return _on(build(xi_of(zz)), labels, fac)
 
     A12, A13, A23 = on(z, (1, 2)), on(w, (1, 3)), on(w / z, (2, 3))
-    lhs = A12 @ A13 @ A23
-    rhs = A23 @ A13 @ A12
+    lhs = compose([A12, A13, A23], (1, 2, 3))
+    rhs = compose([A23, A13, A12], (1, 2, 3))
     res = (lhs - rhs).norm() / lhs.norm()
     return clock.report(_SUITE, "yang-baxter" + ("-hat" if hat else ""),
                         "R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z)",

@@ -50,6 +50,7 @@ from .tensor import (
     apply_gates,
     check_fusion_identities,
     check_M_derivative,
+    compose,
     fused_R,
     permutation_operator,
 )
@@ -252,12 +253,12 @@ def suite_rmatrix_properties(ctx: SuiteContext) -> list[CheckReport]:
     ctrl = []
     for _ in range(5):
         z, w = _safe_point(rng), _safe_point(rng)
-        A12 = fac.rhat_tensor(xi_of(z), (1, 2)).embed((1, 2, 3))
-        A13 = fac.rhat_tensor(xi_of(w * 1.01), (1, 3)).embed((1, 2, 3))
-        A23 = fac.rhat_tensor(xi_of(w / z), (2, 3)).embed((1, 2, 3))
-        B13 = fac.rhat_tensor(xi_of(w), (1, 3)).embed((1, 2, 3))
-        lhs = A12 @ A13 @ A23
-        rhs = A23 @ B13 @ A12
+        A12 = fac.rhat_tensor(xi_of(z), (1, 2))
+        A13 = fac.rhat_tensor(xi_of(w * 1.01), (1, 3))
+        A23 = fac.rhat_tensor(xi_of(w / z), (2, 3))
+        B13 = fac.rhat_tensor(xi_of(w), (1, 3))
+        lhs = compose([A12, A13, A23], (1, 2, 3))
+        rhs = compose([A23, B13, A12], (1, 2, 3))
         ctrl.append((lhs - rhs).norm() / rhs.norm())
     out.append(clock.control(
         "rmatrix-properties", "control-perturbed-ybe",
@@ -365,18 +366,20 @@ def suite_theorem1_exchange(ctx: SuiteContext) -> list[CheckReport]:
         r.check = f"tL-offsurface(k={pr.N},m={m},n={n})"
         out.append(r)
 
-    # control: surviving non-central generator off-surface must violate
+    # control: surviving non-central generator off-surface must violate;
+    # sensitivity varies over the domain, so take the worst of five pairs
     ctrl_m, ctrl_n, ctrl_k = ((-1, -1, 1) if pr.N == 2 else (-pr.N + 1, -1, 1))
     surf = resolve_surface(ctrl_m, ctrl_n, pr.q, 0.0, pr.N)
     pert = SurfaceSpec(m=ctrl_m, n=ctrl_n, params=EllipticParams(
         pr.N, pr.q, surf.params.s * 1.02, 0.0))
     rep_p = EvalRep(RMatrixFactory(pert.params, ctx.policy), 1.0)
     clock = Stopwatch()
-    r = exchange_residual_tL(ctrl_k, _safe_point(rng), _safe_point(rng), pert, rep_p, tol)
+    ctrl = [exchange_residual_tL(ctrl_k, _safe_point(rng), _safe_point(rng), pert, rep_p,
+                                 tol).residual for _ in range(5)]
     out.append(clock.control(
         "theorem1-exchange", "control-offsurface",
         "2% off-surface perturbation must break the exchange (> 1e-3)",
-        {"N": pr.N, "m": ctrl_m, "n": ctrl_n, "k": ctrl_k}, r.residual, 1e-3))
+        {"N": pr.N, "m": ctrl_m, "n": ctrl_n, "k": ctrl_k}, worst(ctrl), 1e-3))
     return out
 
 

@@ -1,21 +1,24 @@
 """Dense labeled tensor-space engine.
 
 A LabeledTensor is a dense complex operator on an ordered list of labeled
-N-dimensional spaces.  Composition acts on the union of the operands'
-labels, contracting the spaces they share (identity on the others), so
-multi-space identities can be written the way they are stated: products
-of two-space R-factors, projectors on subsets of spaces, partial traces
-and transposes over named spaces.
+N-dimensional spaces.  `@` and `-` combine operators on the same set of
+spaces, reordering the right operand to the left one's order.  A product
+of factors on different spaces, such as the two-space R-factors of the
+multi-space identities, is `apply_gates`: it applies the factors one at a
+time to a block of vectors, and `compose` applies them to the identity
+block to give the product as a dense operator.  Projectors on subsets of
+spaces, partial traces and transposes over named spaces act on one
+operator.
 
 The antisymmetrizer A_k is held only as the orthonormal basis V of its
 image, A_k = V V^T with C(N,k) columns.  Identities that only act on
 im A_k are evaluated without forming an operator on all the spaces:
-`apply_gates` applies a product of small factors, one at a time, to a
-block of vectors such as V (x) 1, and `antisym_trace` contracts the
-result against V to give tr_{1..k}(X A_k), the one trace against A_k.
+`apply_gates` applies a product of small factors to a block of vectors
+such as V (x) 1, and `antisym_trace` contracts the result against V to
+give tr_{1..k}(X A_k), the one trace against A_k.
 
-A dense operator goes through the WKIT_MAX_DIM guard by its dimension, a
-block of vectors by its entry count, at most WKIT_MAX_DIM^2.
+Every dense allocation goes through one guard: it may hold at most
+WKIT_MAX_DIM^2 entries, so a D x D operator needs D <= WKIT_MAX_DIM.
 
 All operations allocate fresh results; nothing here mutates shared state.
 """
@@ -40,21 +43,14 @@ def _max_dim() -> int:
     return int(os.environ.get("WKIT_MAX_DIM", _DEFAULT_MAX_DIM))
 
 
-def _guard(dim: int):
-    if dim > _max_dim():
+def _guard(entries: int, what: str):
+    """Refuse to allocate `what`, an array of `entries` entries, beyond
+    WKIT_MAX_DIM^2."""
+    m = _max_dim()
+    if entries > m * m:
         raise DimensionGuardExceeded(
-            f"dense product of dimension {dim} exceeds guard {_max_dim()} "
+            f"{what} of {entries} entries exceeds guard {m}^2 = {m * m} "
             f"(override with WKIT_MAX_DIM)"
-        )
-
-
-def _guard_entries(entries: int, what: str):
-    """A block of vectors may hold as many entries as the largest dense
-    operator `_guard` admits, WKIT_MAX_DIM^2."""
-    if entries > _max_dim() ** 2:
-        raise DimensionGuardExceeded(
-            f"{what} of {entries} entries exceeds guard {_max_dim() ** 2} "
-            f"= WKIT_MAX_DIM^2 (override with WKIT_MAX_DIM)"
         )
 
 
@@ -80,8 +76,9 @@ class LabeledTensor:
     @classmethod
     def identity(cls, labels, N: int) -> "LabeledTensor":
         labels = tuple(labels)
-        _guard(N ** len(labels))
-        return cls(labels, N, np.eye(N ** len(labels), dtype=complex))
+        D = N ** len(labels)
+        _guard(D * D, f"{D} x {D} operator")
+        return cls(labels, N, np.eye(D, dtype=complex))
 
     @classmethod
     def from_matrix(cls, matrix, labels, N: int) -> "LabeledTensor":
@@ -102,68 +99,22 @@ class LabeledTensor:
         t = t.transpose(perm + [k + p for p in perm])
         return LabeledTensor(new_labels, self.N, t.reshape(self.data.shape))
 
-    def embed(self, target_labels) -> "LabeledTensor":
-        """Tensor with the identity on every target space not already present."""
-        target_labels = tuple(target_labels)
-        if not set(self.labels) <= set(target_labels):
-            raise LabelMismatch(f"labels {self.labels} not a subset of {target_labels}")
-        extra = [l for l in target_labels if l not in self.labels]
-        if not extra:
-            return self.reorder(target_labels)
-        _guard(self.N ** len(target_labels))
-        big = np.kron(self.data, np.eye(self.N ** len(extra), dtype=complex))
-        return LabeledTensor(self.labels + tuple(extra), self.N, big).reorder(target_labels)
-
-    def _aligned(self, other: "LabeledTensor"):
-        if self.N != other.N:
-            raise LabelMismatch("operands have different space dimensions")
-        union = self.labels + tuple(l for l in other.labels if l not in self.labels)
-        return self.embed(union), other.embed(union)
-
     # -- algebra ------------------------------------------------------------
 
-    def __matmul__(self, other: "LabeledTensor") -> "LabeledTensor":
-        """Composition on the union of the labels, contracting the shared
-        spaces.  The result lists the labels of an operand that holds all
-        of them, else self's labels followed by other's new ones."""
-        if self.N != other.N:
-            raise LabelMismatch("operands have different space dimensions")
-        mine, theirs = set(self.labels), set(other.labels)
-        if mine == theirs:
-            return LabeledTensor(self.labels, self.N,
-                                 self.data @ other.reorder(self.labels).data)
-        if mine < theirs:
-            labels = other.labels
-        else:
-            labels = self.labels + tuple(l for l in other.labels if l not in mine)
-        N, k, m = self.N, len(self.labels), len(other.labels)
-        _guard(N ** len(labels))
-        # shared spaces in the order of the operand with fewer; the
-        # summation order, and so the last bits of the result, follow it
-        shared = [l for l in (self.labels if k < m else other.labels) if l in mine & theirs]
-        res = np.tensordot(self.data.reshape([N] * (2 * k)),
-                           other.data.reshape([N] * (2 * m)),
-                           axes=([k + self.labels.index(l) for l in shared],
-                                 [other.labels.index(l) for l in shared]))
-        # axes of res: self's outputs, self's free inputs, other's free
-        # outputs, other's inputs
-        self_in = [l for l in self.labels if l not in shared]
-        other_out = [l for l in other.labels if l not in shared]
-        j = k + len(self_in)
-        outs = [self.labels.index(l) if l in mine else j + other_out.index(l)
-                for l in labels]
-        ins = [j + len(other_out) + other.labels.index(l) if l in theirs
-               else k + self_in.index(l) for l in labels]
-        D = N ** len(labels)
-        return LabeledTensor(labels, N, res.transpose(outs + ins).reshape(D, D))
+    def _same_spaces(self, other: "LabeledTensor") -> np.ndarray:
+        """other's data with its spaces in self's order."""
+        if self.N != other.N or set(self.labels) != set(other.labels):
+            raise LabelMismatch(
+                f"operands on {self.labels} (N={self.N}) and {other.labels} "
+                f"(N={other.N}) act on different spaces; multiply them with "
+                f"tensor.compose")
+        return other.reorder(self.labels).data
 
-    def __add__(self, other: "LabeledTensor") -> "LabeledTensor":
-        a, b = self._aligned(other)
-        return LabeledTensor(a.labels, a.N, a.data + b.data)
+    def __matmul__(self, other: "LabeledTensor") -> "LabeledTensor":
+        return LabeledTensor(self.labels, self.N, self.data @ self._same_spaces(other))
 
     def __sub__(self, other: "LabeledTensor") -> "LabeledTensor":
-        a, b = self._aligned(other)
-        return LabeledTensor(a.labels, a.N, a.data - b.data)
+        return LabeledTensor(self.labels, self.N, self.data - self._same_spaces(other))
 
     def __mul__(self, scalar) -> "LabeledTensor":
         return LabeledTensor(self.labels, self.N, self.data * complex(scalar))
@@ -231,7 +182,8 @@ class Antisymmetrizer:
     @property
     def matrix(self) -> np.ndarray:
         """The dense N^k x N^k projector V V^T."""
-        _guard(self.N**self.k)
+        D = self.N**self.k
+        _guard(D * D, f"{D} x {D} operator")
         return self.basis @ self.basis.T
 
 
@@ -245,7 +197,7 @@ def permutation_operator(perm, N: int) -> np.ndarray:
     k = len(perm)
     dims = [N] * k
     size = N**k
-    _guard(size)
+    _guard(size * size, f"{size} x {size} operator")
     src = np.arange(size)
     multi = np.array(np.unravel_index(src, dims))  # (k, size)
     dst = np.ravel_multi_index([multi[p] for p in perm], dims)
@@ -262,7 +214,7 @@ def antisymmetrizer(k: int, N: int) -> Antisymmetrizer:
     if not 1 <= k <= N:
         raise ValueError(f"antisymmetrizer needs 1 <= k <= N, got k={k}, N={N}")
     combos = list(combinations(range(N), k))
-    _guard_entries(N**k * len(combos), "antisymmetrizer basis")
+    _guard(N**k * len(combos), "antisymmetrizer basis")
     perms = [(perm, -1 if _inversions(perm) % 2 else 1) for perm in permutations(range(k))]
     V = np.zeros((N**k, len(combos)))
     for c, js in enumerate(combos):
@@ -298,7 +250,7 @@ def apply_gates(gates, labels, block: np.ndarray) -> np.ndarray:
     N, n = block.shape[0], len(labels)
     if block.shape[:-1] != (N,) * n:
         raise LabelMismatch(f"block of shape {block.shape} does not match {n} spaces")
-    _guard_entries(block.size, "block")
+    _guard(block.size, "block")
     for gate in reversed(gates):
         if not set(gate.labels) <= set(labels):
             raise LabelMismatch(f"gate on {gate.labels} outside the block's {labels}")
@@ -308,6 +260,17 @@ def apply_gates(gates, labels, block: np.ndarray) -> np.ndarray:
                            axes=(list(range(m, 2 * m)), axes))
         block = np.moveaxis(out, list(range(m)), axes)
     return block
+
+
+def compose(gates, labels) -> LabeledTensor:
+    """gates[0] @ gates[1] @ ... as a dense operator on `labels`, each gate
+    acting on some of those spaces: `apply_gates` on the identity block."""
+    labels = tuple(labels)
+    N = gates[0].N
+    D = N ** len(labels)
+    _guard(D * D, f"{D} x {D} operator")
+    block = np.eye(D, dtype=complex).reshape((N,) * len(labels) + (D,))
+    return LabeledTensor(labels, N, apply_gates(gates, labels, block).reshape(D, D))
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +305,7 @@ def fused_R(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> Lab
     leftmost.  `c_shift` multiplies the argument by q^{c_shift} through the
     additive spectral variable (used for the critical-level sweeps).
     """
-    out = LabeledTensor.identity(row_labels(k) + col_labels(kprime), fac.N)
-    for gate in fused_gates(x, k, kprime, fac, c_shift):
-        out = out @ gate
-    return out
+    return compose(fused_gates(x, k, kprime, fac, c_shift), row_labels(k) + col_labels(kprime))
 
 
 _BLOCK_ENTRIES = 2**20  # entries of one block of columns in _projector_residual (16 MB)

@@ -34,7 +34,7 @@ from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_la
 from .qseries import F_a, Y_kkprime_cr, Y_mn, f_cr_modes, f_cr_series
 from .reports import CheckReport, Stopwatch, worst
 from .rmatrix import RMatrixFactory, ZnMatrices
-from .tensor import LabeledTensor, _inversions, antisym_trace
+from .tensor import LabeledTensor, _inversions, antisym_trace, compose
 
 QUANTUM = "0"
 
@@ -179,9 +179,9 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
         res = t_norm
     else:
         Lw = rep.L(xi_of(w), "b")
-        t_emb = LabeledTensor.from_matrix(t_gen, (QUANTUM,), N).embed(("b", QUANTUM))
-        lhs = t_emb @ Lw
-        rhs = pref * (Lw @ t_emb)
+        t = LabeledTensor.from_matrix(t_gen, (QUANTUM,), N)
+        lhs = compose([t, Lw], ("b", QUANTUM))
+        rhs = pref * compose([Lw, t], ("b", QUANTUM))
         res = (lhs - rhs).norm() / max(Lw.norm() * t_norm, 1e-300)
     return clock.report(
         suite="theorem1-exchange", check=f"tL(k={k},m={surface.m},n={surface.n})",

@@ -185,6 +185,19 @@ def test_degenerate_nome_limit():
     assert np.linalg.norm(fac0.r_matrix_xi(xi_of(1.0)) - permutation_operator((1, 0), 2)) < 1e-9
 
 
+@pytest.mark.parametrize("N", [2, 3, 4])
+@pytest.mark.parametrize("p", [0.8, 0.85])
+def test_large_nome_is_not_degenerate(N, p):
+    # at q = 0.55 every W denominator is below 1e-8 here (down to 5e-13),
+    # but zeta lies off the lattice Z + tau Z, so none of them vanishes
+    fac = RMatrixFactory(params(N=N, q=0.55, p=p), POL)
+    assert fac._children is None
+    z, w = 1.2 + 0.1j, 0.85 + 0.03j
+    assert check_unitarity(z, fac).passed
+    assert check_yang_baxter(z, w, fac).passed
+    assert check_yang_baxter(z, w, fac, hat=True).passed
+
+
 @pytest.mark.parametrize("pr", [params(N=2), params(N=3), EllipticParams(N=2, q=0.6, s=0.6)],
                          ids=["N2", "N3", "N2-degenerate-p=q^2"])
 def test_shared_factory_matches_fresh(pr):

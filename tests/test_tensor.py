@@ -17,6 +17,7 @@ from wkit.tensor import (
     check_fusion_identities,
     check_M_derivative,
     col_labels,
+    compose,
     fused_gates,
     fused_R,
     monodromy_M,
@@ -38,6 +39,20 @@ def params(N=2, q=0.5, p=0.3):
     return EllipticParams(N=N, q=q, s=cmath.sqrt(p))
 
 
+def dense_on(t, labels):
+    """t as a dense operator on `labels`: the identity on the spaces it
+    does not act on, by np.kron, then the spaces put in the order of
+    `labels`.  The independent oracle for `apply_gates` and `compose`."""
+    extra = tuple(l for l in labels if l not in t.labels)
+    big = np.kron(t.data, np.eye(t.N ** len(extra)))
+    return LabeledTensor.from_matrix(big, t.labels + extra, t.N).reorder(tuple(labels))
+
+
+def dense_product(gates, labels):
+    """gates[0] @ gates[1] @ ... on `labels`, by dense products."""
+    return reduce(lambda X, g: X @ dense_on(g, labels), gates[1:], dense_on(gates[0], labels))
+
+
 def dense_antisymmetrizer(k, N):
     """The permutation sum A_k = (1/k!) sum_sigma sign(sigma) P_sigma, with
     the sign from the determinant of the permutation matrix."""
@@ -52,29 +67,17 @@ def dense_antisymmetrizer(k, N):
 # LabeledTensor mechanics
 # ---------------------------------------------------------------------------
 
-def test_embed_identity_is_identity():
-    t = LabeledTensor.identity((1,), 3).embed((1, 2, "0"))
-    assert np.allclose(t.data, np.eye(27))
-
-
-def test_embed_then_trace_gives_dimension_factor():
-    a = rnd((1,), N=3)
-    big = a.embed((1, 2))
-    back = big.partial_trace((2,))
-    assert np.allclose(back.data, 3 * a.data)
-
-
 def test_composition_order_independence_disjoint():
     a, b = rnd((1,), N=2), rnd((2,), N=2)
-    ab = a.embed((1, 2)) @ b.embed((1, 2))
-    ba = b.embed((1, 2)) @ a.embed((1, 2))
+    ab = compose([a, b], (1, 2))
+    ba = compose([b, a], (1, 2))
     assert np.allclose(ab.data, ba.data)
     assert np.allclose(ab.data, np.kron(a.data, b.data))
 
 
 def test_trace_factorizes():
     a, b = rnd((1,), N=3), rnd((2,), N=3)
-    prod = a @ b  # auto-embeds on the union
+    prod = compose([a, b], (1, 2))
     assert abs(prod.partial_trace((1, 2)).data[0, 0]
                - np.trace(a.data) * np.trace(b.data)) < 1e-10
 
@@ -107,48 +110,48 @@ def test_trace_transpose_identity():
 ])
 def test_contraction_matches_dense_oracle(N, left, right):
     a, b = rnd(left, N=N), rnd(right, N=N)
-    ab = a @ b
-    assert set(ab.labels) == set(left) | set(right)
-    dense = a.embed(ab.labels).data @ b.embed(ab.labels).data
+    union = left + tuple(l for l in right if l not in left)
+    ab = compose([a, b], union)
+    assert ab.labels == union
+    dense = (dense_on(a, union) @ dense_on(b, union)).data
     assert np.linalg.norm(ab.data - dense) <= 1e-12 * np.linalg.norm(dense)
-
-
-def test_contraction_label_order():
-    a, b = rnd((1, 2, 3)), rnd((3, 1))
-    assert (a @ b).labels == (1, 2, 3)   # the superset's order
-    assert (b @ a).labels == (1, 2, 3)
-    assert (rnd((3, 1)) @ rnd((1, 3))).labels == (3, 1)
-    assert (rnd((1, 2)) @ rnd((3, 2))).labels == (1, 2, 3)  # self's, then other's new
-
-
-def test_fast_paths_match_naive():
-    big = rnd((1, 2, 3), N=3)
-    for labs in [(2,), (1, 3), (3,), (2, 1)]:
-        small = rnd(labs, N=3)
-        se = small.embed(big.labels)
-        assert np.allclose((big @ small).data, big.data @ se.data)
-        assert np.allclose((small @ big).data, se.data @ big.data)
 
 
 def test_label_mismatch_raises():
     with pytest.raises(LabelMismatch):
         rnd((1, 2)).partial_trace((3,))
     with pytest.raises(LabelMismatch):
-        rnd((1, 2)).embed((1, 3))
-    with pytest.raises(LabelMismatch):
         LabeledTensor.from_matrix(np.eye(4), (1, 1), 2)
+    a, b = rnd((1, 2)), rnd((2, 3))
+    with pytest.raises(LabelMismatch, match=r"\(1, 2\).*\(2, 3\).*compose"):
+        a @ b
+    with pytest.raises(LabelMismatch, match="compose"):
+        a - rnd((1,))
+    with pytest.raises(LabelMismatch, match="compose"):
+        a @ rnd((1, 2), N=3)
 
 
 def test_dimension_guard_and_override(monkeypatch):
     monkeypatch.setenv("WKIT_MAX_DIM", "100")
     with pytest.raises(DimensionGuardExceeded):
-        LabeledTensor.identity((1,), 2).embed(tuple(range(1, 8)))  # 128 > 100
+        LabeledTensor.identity(range(1, 8), 2)  # 128 > 100
     monkeypatch.setenv("WKIT_MAX_DIM", "200")
-    t = LabeledTensor.identity((1,), 2).embed(tuple(range(1, 8)))
-    assert t.data.shape == (128, 128)
+    assert LabeledTensor.identity(range(1, 8), 2).data.shape == (128, 128)
     monkeypatch.delenv("WKIT_MAX_DIM")
     with pytest.raises(DimensionGuardExceeded):
-        LabeledTensor.identity((1,), 2).embed(tuple(range(1, 16)))  # 32768 > default
+        LabeledTensor.identity(range(1, 16), 2)  # 32768 > default
+
+
+def test_compose_guard_before_allocating(monkeypatch):
+    # a D x D product holds D^2 entries, admitted up to WKIT_MAX_DIM^2
+    monkeypatch.setenv("WKIT_MAX_DIM", "8")
+    gate = rnd((1, 2))
+    assert compose([gate], (1, 2, 3)).data.shape == (8, 8)  # at the guard
+    allocated = []
+    monkeypatch.setattr(np, "eye", lambda *args, **kwargs: allocated.append(args))
+    with pytest.raises(DimensionGuardExceeded, match="16 x 16 operator of 256 entries"):
+        compose([gate], (1, 2, 3, 4))
+    assert allocated == []
 
 
 def test_dense_constructors_respect_guard(monkeypatch):
@@ -215,11 +218,8 @@ def test_antisym_trace_keeps_the_rest_spaces(N):
     for k in range(1, N + 1):
         aux = tuple(range(1, k + 1))
         gates = [rnd((i, "0"), N) for i in aux] + [rnd(aux[-1:], N)]
-        X = LabeledTensor.identity(aux + ("0",), N)
-        for g in gates:
-            X = X @ g
         A = LabeledTensor.from_matrix(dense_antisymmetrizer(k, N), aux, N)
-        dense = (X @ A).partial_trace(aux).data
+        dense = dense_product(gates + [A], aux + ("0",)).partial_trace(aux).data
         got = antisym_trace(gates, k, rest=("0",))
         assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max(), k
 
@@ -291,9 +291,7 @@ def test_fusion_identities(N, k):
 def test_apply_gates_matches_dense_product():
     labels, N = (1, "0", 2), 3
     gates = [rnd((2, 1), N), rnd(("0",), N), rnd((1, "0"), N)]
-    dense = LabeledTensor.identity(labels, N)
-    for g in gates:
-        dense = dense @ g
+    dense = dense_product(gates, labels)
     block = RNG.normal(size=(27, 5)) + 1j * RNG.normal(size=(27, 5))
     out = apply_gates(gates, labels, block.reshape(3, 3, 3, 5))
     assert np.allclose(out.reshape(27, 5), dense.data @ block, rtol=0, atol=1e-12)
@@ -311,11 +309,10 @@ def test_block_path_respects_guard(monkeypatch):
 
 
 def _dense_projector_residual(gates, labels, a_labels):
-    X = LabeledTensor.identity(labels, gates[0].N)
-    for g in gates:
-        X = X @ g
-    A = LabeledTensor.from_matrix(antisymmetrizer(len(a_labels), X.N).matrix, a_labels, X.N)
-    lhs = X @ A
+    N = gates[0].N
+    A = dense_on(LabeledTensor.from_matrix(
+        antisymmetrizer(len(a_labels), N).matrix, a_labels, N), labels)
+    lhs = dense_product(gates, labels) @ A
     return (lhs - A @ lhs).norm() / lhs.norm()
 
 
@@ -367,10 +364,9 @@ def test_fusion_identities_control():
     x = 1.2 + 0.1j
     xi = xi_of(x)
     labels = (1, 2, "0")
-    X = LabeledTensor.identity(labels, N)
-    X = X @ fac.rhat_tensor(xi, (1, "0"))
-    X = X @ fac.rhat_tensor(xi - 1.01 * pr.zeta, (2, "0"))  # wrong ladder step
-    A = LabeledTensor.from_matrix(antisymmetrizer(2, 2).matrix, (1, 2), 2)
+    X = compose([fac.rhat_tensor(xi, (1, "0")),
+                 fac.rhat_tensor(xi - 1.01 * pr.zeta, (2, "0"))], labels)  # wrong ladder step
+    A = dense_on(LabeledTensor.from_matrix(antisymmetrizer(2, 2).matrix, (1, 2), 2), labels)
     lhs = X @ A
     rhs = A @ lhs
     assert (lhs - rhs).norm() / lhs.norm() > 1e-3

@@ -21,7 +21,7 @@ from wkit import (
 )
 from wkit.errors import DimensionGuardExceeded, NoSolution
 from wkit.params import xi_of
-from wkit.tensor import antisymmetrizer
+from wkit.tensor import antisymmetrizer, compose
 from wkit.wgen import (
     SurfaceSpec,
     _qdet_matrix,
@@ -34,6 +34,8 @@ from wkit.wgen import (
     qdet_tqdet_check,
     survives_selection_rule,
 )
+
+from test_tensor import dense_on, dense_product
 
 POL = TruncationPolicy()
 Z, W = 1.2 + 0.1j, 0.85 + 0.03j
@@ -87,17 +89,16 @@ def test_evalrep_satisfies_RLL():
     surf = surface(-2, -1, N=3, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
     fac = rep.factory
-    lhs = fac.rhat_tensor(xi_of(Z) - xi_of(W), (1, 2)) @ rep.L(xi_of(Z), 1) @ rep.L(xi_of(W), 2)
-    rhs = rep.L(xi_of(W), 2) @ rep.L(xi_of(Z), 1) @ fac.rhat_tensor(xi_of(Z) - xi_of(W), (1, 2))
+    R12 = fac.rhat_tensor(xi_of(Z) - xi_of(W), (1, 2))
+    L1, L2 = rep.L(xi_of(Z), 1), rep.L(xi_of(W), 2)
+    lhs = compose([R12, L1, L2], (1, 2, "0"))
+    rhs = compose([L2, L1, R12], (1, 2, "0"))
     assert (lhs - rhs).norm() / rhs.norm() < 1e-8
 
 
 def _dense_Q(k, surf, rep):
     """The product of the build_Q factors, formed densely as an oracle."""
-    Q = LabeledTensor.identity(tuple(range(1, k + 1)) + ("0",), rep.N)
-    for factor in build_Q(k, Z, surf, rep):
-        Q = Q @ factor
-    return Q
+    return dense_product(build_Q(k, Z, surf, rep), tuple(range(1, k + 1)) + ("0",))
 
 
 def test_Q_one_sided_projector():
@@ -105,7 +106,8 @@ def test_Q_one_sided_projector():
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
     for k in (1, 2):
         Q = _dense_Q(k, surf, rep)
-        A = LabeledTensor.from_matrix(antisymmetrizer(k, 2).matrix, range(1, k + 1), 2)
+        A = dense_on(LabeledTensor.from_matrix(antisymmetrizer(k, 2).matrix, range(1, k + 1), 2),
+                     Q.labels)
         lhs = Q @ A
         rhs = A @ lhs
         assert (lhs - rhs).norm() / lhs.norm() < 1e-8
@@ -121,7 +123,7 @@ def test_build_t_matches_dense_trace(N, m, n):
             continue
         aux = tuple(range(1, k + 1))
         A = LabeledTensor.from_matrix(antisymmetrizer(k, N).matrix, aux, N)
-        dense = (_dense_Q(k, surf, rep) @ A).partial_trace(aux)
+        dense = (_dense_Q(k, surf, rep) @ dense_on(A, aux + ("0",))).partial_trace(aux)
         t = build_t(k, Z, surf, rep)
         assert np.linalg.norm(t - dense.data) <= 1e-12 * np.linalg.norm(dense.data), k
         checked += 1
@@ -134,11 +136,10 @@ def test_qdet_matrix_matches_eigh_path(N):
     rep = EvalRep(RMatrixFactory(surf.params), 0.9 + 0.2j)
     xi = xi_of(Z)
     aux = tuple(range(1, N + 1))
-    X = LabeledTensor.identity(aux + ("0",), N)
-    for i in aux:
-        X = X @ rep.L(xi - (i - 1) * rep.params.zeta, i)
     A = antisymmetrizer(N, N)
-    Y = (X @ LabeledTensor.from_matrix(A.matrix, aux, N)).data.reshape(N**N, N, N**N, N)
+    X = dense_product([rep.L(xi - (i - 1) * rep.params.zeta, i) for i in aux]
+                      + [LabeledTensor.from_matrix(A.matrix, aux, N)], aux + ("0",))
+    Y = X.data.reshape(N**N, N, N**N, N)
     evals, evecs = np.linalg.eigh(A.matrix)
     psi = evecs[:, int(np.argmax(evals))]
     dense = np.einsum("a,aibj,b->ij", psi.conj(), Y, psi)
@@ -329,6 +330,18 @@ def test_critical_poisson_suite_keeps_its_other_reports(monkeypatch):
     assert [(r.inputs["error"], r.inputs["modes"]) for r in failed] == [
         ("TruncationBudgetExceeded", None)]
     assert math.isnan(failed[0].residual)
+
+
+def test_offsurface_control_takes_the_worst_of_five_pairs():
+    # one (z, w) pair on this seed showed a violation of only 3.1e-4, below
+    # the 1e-3 threshold, though the code is correct
+    from wkit.cli import parse_config
+    from wkit.suites import suite_theorem1_exchange
+
+    ctx, _ = parse_config({"params": {"N": 3, "p": 0.6}, "seed": 1176768244})
+    control = suite_theorem1_exchange(ctx)[-1]
+    assert control.check == "control-offsurface"
+    assert control.passed, control.inputs
 
 
 def test_critical_poisson_draws_inside_the_mode_annulus():
