@@ -19,10 +19,8 @@ from .errors import (
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of, z_of
 from .qseries import (
     F_a,
-    F_a_grid,
     I_series,
     U,
-    U_grid,
     Y_FF,
     Y_kkprime_cr,
     Y_mn,
@@ -36,7 +34,6 @@ from .qseries import (
     resolve_abelian_branch,
     tau_N,
     theta_big,
-    theta_big_grid,
     theta_char_product,
     theta_char_sums,
 )
@@ -59,8 +56,7 @@ __all__ = [
     "EllipticParams", "TruncationPolicy", "DEFAULT_POLICY", "xi_of", "z_of",
     "pochhammer", "theta_big", "theta_char_sums", "theta_char_product",
     "tau_N", "U", "kappa_inv", "F_a", "Y_mn", "Y_mn_forms", "Y_FF",
-    "Y_kkprime_cr", "I_series", "f_cr_series", "f_cr_modes",
-    "theta_big_grid", "U_grid", "F_a_grid", "Y_mn_grid",
+    "Y_kkprime_cr", "I_series", "f_cr_series", "f_cr_modes", "Y_mn_grid",
     "resolve_abelian_branch", "abelianity_check",
     "CheckReport", "sort_reports",
     "ZnMatrices", "RMatrixFactory",

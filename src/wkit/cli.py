@@ -6,8 +6,10 @@
 
 `check` runs named verification suites from a JSON configuration and emits
 a JSON array of check reports (exit 0 iff every check passed, 2 on a
-malformed configuration).  A suite that raises becomes one failing
-`suite-error` report and the remaining suites still run.  `eval` prints
+malformed configuration).  A suite that raises a WkitError, a numpy
+LinAlgError, an ArithmeticError or a MemoryError becomes one failing
+`suite-error` report and the remaining suites still run; any other
+exception is a programming error and ends the run.  `eval` prints
 one "re imag" pair per call at full double precision; `scan` writes a
 CSV "x_re,x_im,f_re,f_im".
 Identical configuration and seed produce byte-identical output.
@@ -40,6 +42,21 @@ def _as_complex(v, what: str) -> complex:
     if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
         return complex(v[0], v[1])
     raise ConfigError(f"{what} must be a number or a [re, im] pair, got {v!r}")
+
+
+_INT = ((int,), "an integer")
+_REAL = ((int, float), "a real number")
+_BOOL = ((bool,), "true or false")
+
+
+def _typed(block: dict, where: str, key: str, default, kind):
+    """block[key], or default if absent, checked against kind (a bool is
+    neither an integer nor a real number here)."""
+    v = block.get(key, default)
+    types, what = kind
+    if not isinstance(v, types) or (isinstance(v, bool) and kind is not _BOOL):
+        raise ConfigError(f"{where} {key} must be {what}, got {v!r}")
+    return v
 
 
 def _reject_unknown(d: dict, allowed: set, where: str):
@@ -75,10 +92,10 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
     _reject_unknown(pol, _POLICY_KEYS, "policy")
     try:
         policy = TruncationPolicy(
-            tail_eps=float(pol.get("tail_eps", DEFAULT_POLICY.tail_eps)),
-            max_terms=int(pol.get("max_terms", DEFAULT_POLICY.max_terms)),
+            tail_eps=float(_typed(pol, "policy", "tail_eps", DEFAULT_POLICY.tail_eps, _REAL)),
+            max_terms=_typed(pol, "policy", "max_terms", DEFAULT_POLICY.max_terms, _INT),
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     suites = cfg.get("suites", sorted(SUITES))
@@ -92,23 +109,23 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
     if not isinstance(grid, dict):
         raise ConfigError("grid must be an object")
     _reject_unknown(grid, _GRID_KEYS, "grid")
-    points = int(grid.get("points", 200))
+    points = _typed(grid, "grid", "points", 200, _INT)
     if points < 1:  # a check over no samples would pass vacuously
         raise ConfigError(f"grid points must be >= 1, got {points}")
-    space = np.geomspace if grid.get("log", True) else np.linspace
+    space = np.geomspace if _typed(grid, "grid", "log", True, _BOOL) else np.linspace
     try:  # a log grid cannot reach 0
-        samples = space(float(grid.get("from", 0.5)), float(grid.get("to", 2.0)), points)
-    except ValueError as exc:
+        samples = space(float(_typed(grid, "grid", "from", 0.5, _REAL)),
+                        float(_typed(grid, "grid", "to", 2.0, _REAL)), points)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
-    seed = cfg.get("seed", 7)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    seed = _typed(cfg, "configuration", "seed", 7, _INT)
 
     tols = cfg.get("tolerances", {})
-    if not isinstance(tols, dict) or not all(
-            isinstance(k, str) and isinstance(v, (int, float)) for k, v in tols.items()):
+    if not isinstance(tols, dict):
         raise ConfigError("tolerances must map suite names to numbers")
+    for name in tols:  # JSON object keys are strings
+        _typed(tols, "tolerances", name, None, _REAL)
 
     ctx = SuiteContext(
         params=params,
@@ -141,7 +158,7 @@ def cmd_check(args) -> int:
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except WkitError as exc:
+        except (WkitError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
             reports.append(clock.report(
                 name, "suite-error", "the suite runs to completion",
                 {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
@@ -186,23 +203,20 @@ def _parse_complex(text) -> complex:
 
 
 def _function(name: str, params: EllipticParams, args):
-    """(scalar form f(x), grid form over an array of x or None) of a named function."""
+    """The scalar form f(x) of a named function."""
     from . import qseries as qs
 
     m, n, k, kp = args.m, args.n, args.k, args.kprime
     functions = {
-        "theta_big": (lambda x: qs.theta_big(x, params.p, DEFAULT_POLICY),
-                      lambda xs: qs.theta_big_grid(xs, params.p, DEFAULT_POLICY)),
-        "tau_N": (lambda x: qs.tau_N(x, params), None),
-        "U": (lambda x: qs.U(x, params), lambda xs: qs.U_grid(xs, params)),
-        "F_a": (lambda x: qs.F_a(x, m, params.s, params),
-                lambda xs: qs.F_a_grid(xs, m, params.s, params)),
-        "Y_mn": (lambda x: qs.Y_mn(x, m, n, params),
-                 lambda xs: qs.Y_mn_grid(xs, m, n, params)),
-        "Y_FF": (lambda x: qs.Y_FF(x, params), None),
-        "I": (lambda x: qs.I_series(x, params), None),
-        "f_cr_series": (lambda x: qs.f_cr_series(x, k, kp, params), None),
-        "f_cr_modes": (lambda x: qs.f_cr_modes(x, k, kp, params), None),
+        "theta_big": lambda x: qs.theta_big(x, params.p, DEFAULT_POLICY),
+        "tau_N": lambda x: qs.tau_N(x, params),
+        "U": lambda x: qs.U(x, params),
+        "F_a": lambda x: qs.F_a(x, m, params.s, params),
+        "Y_mn": lambda x: qs.Y_mn(x, m, n, params),
+        "Y_FF": lambda x: qs.Y_FF(x, params),
+        "I": lambda x: qs.I_series(x, params),
+        "f_cr_series": lambda x: qs.f_cr_series(x, k, kp, params),
+        "f_cr_modes": lambda x: qs.f_cr_modes(x, k, kp, params),
     }
     if name not in functions:
         raise ConfigError(f"unknown function {name!r}; available: {' '.join(functions)}")
@@ -210,7 +224,7 @@ def _function(name: str, params: EllipticParams, args):
 
 
 def _eval_function(name: str, x: complex, params: EllipticParams, args):
-    return _function(name, params, args)[0](x)
+    return _function(name, params, args)(x)
 
 
 def cmd_eval(args) -> int:
@@ -235,8 +249,8 @@ def cmd_scan(args) -> int:
             xs = np.geomspace(args.start, args.stop, args.points)
         else:
             xs = np.linspace(args.start, args.stop, args.points)
-        scalar, grid = _function(args.fn, params, args)
-        vals = grid(xs).tolist() if grid else [scalar(complex(xr)) for xr in xs]
+        f = _function(args.fn, params, args)
+        vals = [f(complex(xr)) for xr in xs]
         rows = [(float(xr), 0.0, v.real, v.imag) for xr, v in zip(xs, vals)]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

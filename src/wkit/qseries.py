@@ -471,58 +471,24 @@ def _Y_mn(x, m, n, Fn, Fm, params, policy) -> complex:
 # Grid forms
 # ---------------------------------------------------------------------------
 #
-# The *_grid functions evaluate theta_big, U, F_a and Y_mn over a numpy
-# array of points and return values == the scalar forms at every point
-# (pochhammer with one modulus runs inside theta_big's grid form).  Complex
-# arithmetic runs on separate float64 real and imaginary arrays with
-# CPython's own formulas (numpy's complex ufuncs round differently in the
-# last bit): products (ar br - ai bi, ar bi + ai br), quotients with
-# _Py_c_quot's branch on |br| >= |bi|, abs as hypot.  Where any point
-# would raise, the grid form replays the scalar loop, so a caller sees
-# exactly the exception of the first failing point.
-
-def _pair(c) -> tuple:
-    c = complex(c)
-    return c.real, c.imag
-
-
-def _gmul(a, b):
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _gdiv(a, b):
-    (ar, ai), (br, bi) = a, b
-    abr, abi = np.abs(br), np.abs(bi)
-    by_re = abr >= abi
-    if np.any(by_re & (abr == 0)):
-        raise ZeroDivisionError("complex division by zero")
-    ratio = bi / br
-    den = br + bi * ratio
-    re1, im1 = (ar + ai * ratio) / den, (ai - ar * ratio) / den
-    ratio = br / bi
-    den = br * ratio + bi
-    re2, im2 = (ar * ratio + ai) / den, (ai * ratio - ar) / den
-    by_im = abi >= abr  # neither holds where a part of b is NaN
-    return (np.where(by_re, re1, np.where(by_im, re2, np.nan)),
-            np.where(by_re, im1, np.where(by_im, im2, np.nan)))
-
-
-def _gabs(a):
-    r = np.hypot(a[0], a[1])
-    if np.any(np.isinf(r) & np.isfinite(a[0]) & np.isfinite(a[1])):
-        raise OverflowError("absolute value too large")
-    return r
-
+# Y_mn_grid evaluates Y_mn over a numpy array of points, each layer its
+# scalar formula written on numpy complex arrays; pochhammer with one
+# modulus is one masked (points x K) product over the cached chain.  numpy's
+# complex arithmetic rounds differently from CPython's in the last bit, so
+# the values agree with the scalar forms to rounding, not bit for bit.
+# Where any point would raise, or a finite point gives a non-finite value,
+# the scalar loop is replayed, so a caller sees exactly the exception of
+# the first failing point.
 
 def _gnonzero(z, what: str):
-    if np.any((z[0] == 0) & (z[1] == 0)):
+    if np.any(z == 0):
         raise ZeroArgument(f"{what}(0) undefined")
 
 
 def _gpoch1(z, p: complex, policy: TruncationPolicy):
     T = policy.max_terms
     _check_modulus(p)
-    thresh = policy.tail_eps / (_gabs(z) + 1.0)
+    thresh = policy.tail_eps / (np.abs(z) + 1.0)
     if not np.all(thresh > 0):
         raise ArithmeticError("degenerate truncation threshold")
     chain = _chain(p, float(thresh.min()), T)
@@ -530,96 +496,71 @@ def _gpoch1(z, p: complex, policy: TruncationPolicy):
     at_budget = K == T
     if np.any(at_budget) and np.any(abs(chain[0][T]) >= thresh[at_budget]):
         raise TruncationBudgetExceeded(f"pochhammer index 0 needs more than {T} factors")
-    # points sorted by term count: step j updates the leading points with K > j
-    order = np.argsort(-K, kind="stable")
-    zr, zi = z[0][order], z[1][order]
-    active = np.searchsorted(-K[order], -np.arange(K.max(initial=0)), side="left")
-    vr, vi = np.ones(len(K)), np.zeros(len(K))
-    for m, c in zip(active, chain[0]):
-        ar, ai = zr[:m], zi[:m]
-        fr = 1.0 - (ar * c.real - ai * c.imag)
-        fi = 0.0 - (ar * c.imag + ai * c.real)
-        xr, xi = vr[:m], vi[:m]
-        vr[:m], vi[:m] = xr * fr - xi * fi, xr * fi + xi * fr
-    out_r, out_i = np.empty_like(vr), np.empty_like(vi)
-    out_r[order], out_i[order] = vr, vi
-    return out_r, out_i
+    c = np.array(chain[0][:K.max(initial=0)])
+    f = 1 - z[:, None] * c
+    f[np.arange(c.size) >= K[:, None]] = 1  # past each point's own term count
+    return f.prod(axis=1)
 
 
 def _gtheta(z, p, policy: TruncationPolicy):
     _gnonzero(z, "Theta_p")
     pc = complex(p)
-    ab = _gmul(_gpoch1(z, pc, policy), _gpoch1(_gdiv(_pair(p), z), pc, policy))
-    return _gmul(ab, _pair(_pp(pc, policy)))
+    return _gpoch1(z, pc, policy) * _gpoch1(p / z, pc, policy) * _pp(pc, policy)
 
 
 def _gU(z, params: EllipticParams, policy: TruncationPolicy):
     _gnonzero(z, "U")
     q, N = params.q, params.N
     P = q ** (2 * N)
-    z2 = _gmul(z, z)
+    z2 = z * z
     d1 = _gtheta(z2, P, policy)
-    d2 = _gtheta(_gdiv((1.0, 0.0), z2), P, policy)
-    if np.any(_gabs(d1) < _POLE_EPS) or np.any(_gabs(d2) < _POLE_EPS):
+    d2 = _gtheta(1 / z2, P, policy)
+    if np.any(np.abs(d1) < _POLE_EPS) or np.any(np.abs(d2) < _POLE_EPS):
         raise PoleHit("U(z) pole on the grid")
-    qq = _pair(q * q)
-    num = _gmul(_gtheta(_gmul(qq, z2), P, policy), _gtheta(_gdiv(qq, z2), P, policy))
-    return _gdiv(_gmul(_pair(q ** (2.0 / N - 2.0)), num), _gmul(d1, d2))
+    num = _gtheta(q * q * z2, P, policy) * _gtheta(q * q / z2, P, policy)
+    return q ** (2.0 / N - 2.0) * num / (d1 * d2)
 
 
 def _gF(x, a: int, s_val: complex, params: EllipticParams, policy: TruncationPolicy):
     _gnonzero(x, "F_a")
-    val = (np.ones_like(x[0]), np.zeros_like(x[0]))
+    val = np.ones_like(x)
     if a > 0:
         for l in range(a):
-            val = _gmul(val, _gU(_gmul(_pair(s_val**l), x), params, policy))
+            val = val * _gU(s_val**l * x, params, policy)
     elif a < 0:
         for l in range(1, -a + 1):
-            val = _gdiv(val, _gU(_gmul(_pair(s_val ** (-l)), x), params, policy))
+            val = val / _gU(s_val ** (-l) * x, params, policy)
     return val
 
 
 def _gY(x, m: int, n: int, params: EllipticParams, policy: TruncationPolicy):
     s, ss = params.s, params.s_star
-    return _gdiv(_gmul(_gF(x, n, ss, params, policy), _gF(x, -n, ss, params, policy)),
-                 _gmul(_gF(x, m, s, params, policy), _gF(x, -m, s, params, policy)))
+    return (_gF(x, n, ss, params, policy) * _gF(x, -n, ss, params, policy)
+            / (_gF(x, m, s, params, policy) * _gF(x, -m, s, params, policy)))
 
 
 def _on_grid(grid_fn, scalar_fn, xs) -> np.ndarray:
-    """grid_fn on the split points xs as a complex array; if it raises, the
-    scalar loop instead, which raises the first failing point's exception."""
+    """grid_fn on the points xs as a complex array; if it raises, or gives a
+    non-finite value at a finite point, the scalar loop instead, which
+    raises the first failing point's exception."""
     z = np.asarray(xs, dtype=complex)
     flat = z.ravel()
     out = np.empty(flat.shape, dtype=complex)
     if flat.size:
         try:
             with np.errstate(all="ignore"):
-                out.real, out.imag = grid_fn((flat.real, flat.imag))
+                out[:] = grid_fn(flat)
+            replay = not np.isfinite(out[np.isfinite(flat)]).all()
         except (WkitError, ArithmeticError):
+            replay = True
+        if replay:
             out[:] = [scalar_fn(complex(x)) for x in flat]
     return out.reshape(z.shape)
 
 
-def theta_big_grid(zs, p: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """theta_big(z, p, policy) at every point of zs."""
-    return _on_grid(lambda z: _gtheta(z, p, policy), lambda z: theta_big(z, p, policy), zs)
-
-
-def U_grid(zs, params: EllipticParams, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """U(z, params, policy) at every point of zs."""
-    return _on_grid(lambda z: _gU(z, params, policy), lambda z: U(z, params, policy), zs)
-
-
-def F_a_grid(xs, a: int, s_val: complex, params: EllipticParams,
-             policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """F_a(x, a, s_val, params, policy) at every point of xs."""
-    return _on_grid(lambda x: _gF(x, a, s_val, params, policy),
-                    lambda x: F_a(x, a, s_val, params, policy), xs)
-
-
 def Y_mn_grid(xs, m: int, n: int, params: EllipticParams,
               policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Y_mn(x, m, n, params, policy) at every point of xs."""
+    """Y_mn(x, m, n, params, policy) at every point of xs, to rounding."""
     return _on_grid(lambda x: _gY(x, m, n, params, policy),
                     lambda x: Y_mn(x, m, n, params, policy), xs)
 

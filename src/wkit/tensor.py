@@ -320,7 +320,10 @@ def _projector_residual(gates, a_labels, rest) -> float:
     (V (x) 1)^T on the right keeps the Frobenius norm; so this is
     ||(1 - A) Y|| / ||Y||.  X is applied gate by gate to the
     C(N,k) N^len(rest) columns of V (x) 1, a block of at most
-    _BLOCK_ENTRIES entries at a time, and never formed."""
+    _BLOCK_ENTRIES entries at a time, and never formed.  A_1 = 1, so on one
+    space the residual is 0 by construction (NaN if a gate is not finite)."""
+    if len(a_labels) == 1:
+        return 0.0 if all(np.isfinite(g.data).all() for g in gates) else math.nan
     N, labels = gates[0].N, a_labels + rest
     V = antisymmetrizer(len(a_labels), N).basis
     D = N ** len(rest)

@@ -85,6 +85,31 @@ def test_raising_suite_becomes_failing_report(tmp_path, monkeypatch):
     assert not math.isfinite(err["residual"])
 
 
+def test_linalg_error_in_a_suite_becomes_failing_report(tmp_path, monkeypatch):
+    # a numpy LinAlgError (say, a singular fused block) fails its own suite
+    # only; every other suite still reports
+    import numpy as np
+
+    from wkit.cli import main
+    from wkit.suites import SUITES
+
+    def singular(ctx):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(SUITES, "qdet", singular)
+    names = ["theta-identities", "qdet", "n0"]
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"params": {"N": 2}, "suites": names}))
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 1
+    reports = json.loads(out.read_text())
+    qdet = [r for r in reports if r["suite"] == "qdet"]
+    assert len(qdet) == 1 and qdet[0]["check"] == "suite-error" and not qdet[0]["passed"]
+    assert qdet[0]["inputs"] == {"error": "LinAlgError", "message": "Singular matrix"}
+    rest = [r for r in reports if r["suite"] != "qdet"]
+    assert {r["suite"] for r in rest} == {"theta-identities", "n0"}
+    assert all(r["passed"] for r in rest)
+
+
 def test_check_exit_2_on_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -102,6 +127,14 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"seed": "seven"},
     {"grid": {"points": 0}},
     {"grid": {"from": 0}},
+    {"grid": {"points": "x"}},
+    {"grid": {"points": None}},
+    {"grid": {"points": 2.7}},
+    {"grid": {"from": None}},
+    {"grid": {"log": "no"}},
+    {"policy": {"max_terms": None}},
+    {"seed": True},
+    {"tolerances": {"n0": True}},
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"

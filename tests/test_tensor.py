@@ -330,6 +330,19 @@ def test_projector_residual_matches_dense_when_it_fails(a_labels):
     assert abs(block - dense) <= 1e-12 * dense
 
 
+def test_projector_residual_on_one_space_is_zero_unless_a_gate_is_not_finite():
+    # A_1 = 1: the residual is 0 without applying the gates, and a
+    # non-finite gate still fails the report
+    from wkit.tensor import _projector_residual
+    rng = np.random.default_rng(41)
+    gates = [LabeledTensor.from_matrix(rng.normal(size=(9, 9)) + 0j, labels, 3)
+             for labels in [(1, "0"), (2, "0")]]
+    assert _projector_residual(gates, ("0",), (1, 2)) == 0.0
+    gates[1].data[2, 5] = complex(math.nan, 0.0)
+    assert math.isnan(_projector_residual(gates, ("0",), (1, 2)))
+    assert math.isnan(_projector_residual(gates, (1,), (2, "0")))
+
+
 @pytest.mark.parametrize("N,k,kp", [(2, 2, 2), (3, 2, 2), (3, 3, 1), (4, 2, 2)])
 def test_block_fusion_residuals_match_dense(N, k, kp):
     fac = RMatrixFactory(params(N=N), POL)
