@@ -223,43 +223,41 @@ def _function(name: str, params: EllipticParams, args):
     return functions[name]
 
 
-def _eval_function(name: str, x: complex, params: EllipticParams, args):
-    return _function(name, params, args)(x)
-
-
-def cmd_eval(args) -> int:
+def _evaluate(args, points):
+    """The named function at each of points(args) as (xs, values), or the
+    exit code once a failure, or a value that is not finite, is reported."""
     try:
-        params = _params_from_flags(args)
-        x = _parse_complex(args.at)
-        val = _eval_function(args.fn, x, params, args)
+        f = _function(args.fn, _params_from_flags(args), args)
+        xs = [complex(x) for x in points(args)]
+        vals = [f(x) for x in xs]
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except WkitError as exc:
         print(f"evaluation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    bad = [x for x, val in zip(xs, vals) if not cmath.isfinite(val)]
+    if bad:
+        print(f"evaluation failed: non-finite value at x = {bad[0]}", file=sys.stderr)
+        return 1
+    return xs, vals
+
+
+def cmd_eval(args) -> int:
+    res = _evaluate(args, lambda a: [_parse_complex(a.at)])
+    if isinstance(res, int):
+        return res
+    val = res[1][0]
     print(f"{val.real:.17g} {val.imag:.17g}")
     return 0
 
 
 def cmd_scan(args) -> int:
-    try:
-        params = _params_from_flags(args)
-        if args.log:
-            xs = np.geomspace(args.start, args.stop, args.points)
-        else:
-            xs = np.linspace(args.start, args.stop, args.points)
-        f = _function(args.fn, params, args)
-        vals = [f(complex(xr)) for xr in xs]
-        rows = [(float(xr), 0.0, v.real, v.imag) for xr, v in zip(xs, vals)]
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except WkitError as exc:
-        print(f"evaluation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    res = _evaluate(args, lambda a: (np.geomspace if a.log else np.linspace)(a.start, a.stop, a.points))
+    if isinstance(res, int):
+        return res
     lines = ["x_re,x_im,f_re,f_im"]
-    lines += [f"{a:.17g},{b:.17g},{c:.17g},{d:.17g}" for a, b, c, d in rows]
+    lines += [f"{x.real:.17g},{x.imag:.17g},{v.real:.17g},{v.imag:.17g}" for x, v in zip(*res)]
     text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

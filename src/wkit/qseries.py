@@ -66,10 +66,12 @@ _POLE_EPS = 1e-14
 # the rows p1^n1, p1^n1 p2, ... of the p1 chain, built by the same repeated
 # multiplications in split-real float64, stored in row order beside the
 # running minimum of the magnitudes down the p1 chain and along the row.
-# Those keys fall along every row, so the entries whose key is >= the
-# threshold are exactly the factors the walk takes, in its order.  Chains
-# and lattices grow lazily; an entry is replaced, never changed in place,
-# and every cache is cleared when it reaches its bound.
+# Those keys fall along every row, so the entries whose key is >= a point's
+# threshold are exactly its walk's factors, in order.  `pochhammer2` sets
+# the others to exactly 1 in one (points x factors) matrix of split-real
+# factors and multiplies along its rows: the walk's product, bit for bit.
+# Chains and lattices grow lazily; an entry is replaced, never changed in
+# place, and every cache is cleared when it reaches its bound.
 
 _CACHE_LIMIT = 128   # chains and (p;p)_inf values kept per cache
 _LATTICE_LIMIT = 16  # two-modulus lattices kept
@@ -195,31 +197,42 @@ def _lattice(p1: complex, p2: complex, thresh: float, T: int) -> _Lattice:
                   _Lattice(low, re[keep], im[keep], keys[keep], over1, over0), _LATTICE_LIMIT)
 
 
-def _poch2(z, p1: complex, p2: complex, policy: TruncationPolicy) -> complex:
-    T = policy.max_terms
+def pochhammer2(zs, p1: complex, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+    """(z; p1, p2)_inf for every z of zs, each == its factor-by-factor walk;
+    raises what the first z to fail would raise in a call of its own."""
+    p1, p2, T = complex(p1), complex(p2), policy.max_terms
     lat = _LATTICES.get((p1, p2, T))
     if lat is None:
         _check_modulus(p1)
         _check_modulus(p2)
-    if z == 0:
-        return 1.0 + 0j
-    thresh = policy.tail_eps / (abs(z) + 1.0)
-    if thresh != thresh:  # a NaN z makes every factor NaN
-        return complex(math.nan, math.nan)
-    if lat is None or not lat.low <= thresh:
-        lat = _lattice(p1, p2, thresh, T)
-    if lat.over1 >= thresh:
-        raise TruncationBudgetExceeded(f"pochhammer index 1 needs more than {T} factors")
-    if lat.over0 >= thresh:
-        raise TruncationBudgetExceeded(f"pochhammer index 0 needs more than {T} factors")
-    take = lat.keys >= thresh
-    cr, ci = lat.re[take], lat.im[take]
-    z = complex(z)
-    # 1 - z*c with CPython's formulas; the product in the walk's order
-    f = np.empty(cr.size, dtype=complex)
-    f.real = 1.0 - (z.real * cr - z.imag * ci)
-    f.imag = 0.0 - (z.real * ci + z.imag * cr)
-    return math.prod(f.tolist(), start=1.0 + 0j)
+    z = np.asarray(zs, dtype=complex)
+    thresh = policy.tail_eps / (np.abs(z) + 1.0)
+    live = (z != 0) & (thresh == thresh)  # a zero z gives 1, a NaN z NaN
+    out = np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
+    t = thresh[live]
+    if not t.size:
+        return out.tolist()
+    low = t.min()
+    if lat is None or not lat.low <= low:
+        try:
+            lat = _lattice(p1, p2, low, T)
+        except TruncationBudgetExceeded:  # replayed one z at a time: the first to fail raises
+            for one in z[:, None] if z.size > 1 else ():
+                pochhammer2(one, p1, p2, policy)
+            raise
+    over = max(lat.over1, lat.over0)
+    if low <= over:  # the first z needing more than T factors; index 1 is checked first
+        index = 1 if t[(t <= over).argmax()] <= lat.over1 else 0
+        raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
+    take = lat.keys >= low
+    keys, cr, ci = lat.keys[take], lat.re[take], lat.im[take]
+    zr, zi = z.real[live, None], z.imag[live, None]
+    f = np.empty((t.size, keys.size), dtype=complex)  # 1 - z*c with CPython's formulas
+    f.real = 1.0 - (zr * cr - zi * ci)
+    f.imag = 0.0 - (zr * ci + zi * cr)
+    f[keys < t[:, None]] = 1.0
+    out[live] = f.prod(axis=1)
+    return out.tolist()
 
 
 def _pp(p: complex, policy: TruncationPolicy) -> complex:
@@ -241,7 +254,7 @@ def pochhammer(z: complex, moduli, policy: TruncationPolicy = DEFAULT_POLICY) ->
     if len(moduli) == 1:
         return _poch1(z, complex(moduli[0]), policy)
     if len(moduli) == 2:
-        return _poch2(z, complex(moduli[0]), complex(moduli[1]), policy)
+        return pochhammer2([z], moduli[0], moduli[1], policy)[0]
     raise ValueError(f"pochhammer takes one or two moduli, got {len(moduli)}")
 
 
@@ -393,19 +406,11 @@ def kappa_inv(z2: complex, params: EllipticParams,
     if abs(p) >= 1 - 1e-6 or abs(q ** (2 * N)) >= 1 - 1e-6:
         raise ModulusOutOfRange("kappa needs |p| < 1 and |q^(2N)| < 1")
     P = q ** (2 * N)
-    mod = [p, P]
-    num = (
-        pochhammer(P / z2, mod, policy)
-        * pochhammer(q * q * z2, mod, policy)
-        * pochhammer(p / z2, mod, policy)
-        * pochhammer(p * P / (q * q) * z2, mod, policy)
-    )
-    den = (
-        pochhammer(P * z2, mod, policy)
-        * pochhammer(q * q / z2, mod, policy)
-        * pochhammer(p * z2, mod, policy)
-        * pochhammer(p * P / (q * q) / z2, mod, policy)
-    )
+    v = pochhammer2(
+        [P / z2, q * q * z2, p / z2, p * P / (q * q) * z2,   # numerator
+         P * z2, q * q / z2, p * z2, p * P / (q * q) / z2],  # denominator
+        p, P, policy)
+    num, den = v[0] * v[1] * v[2] * v[3], v[4] * v[5] * v[6] * v[7]
     if abs(den) < _POLE_EPS * (1 + abs(num)):
         raise PoleHit(f"kappa denominator ~ 0 at z2 = {z2}")
     return num / den

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ModulusOutOfRange, PoleHit
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
-from .qseries import F_a, U, _pp, kappa_inv, pochhammer, theta_big, theta_char_sums
+from .qseries import F_a, U, _pp, kappa_inv, pochhammer, pochhammer2, theta_big, theta_char_sums
 from .reports import Stopwatch, worst
 from .tensor import LabeledTensor, antisymmetrizer, compose, permutation_operator
 
@@ -204,24 +204,14 @@ class RMatrixFactory:
         q, p, P = self.params.q, self.params.p, self._P
         pol = self.policy
         z2 = cmath.exp(2j * cmath.pi * xi)
-        mod = [p, P]
-        num = (
-            pochhammer(P / (q * q) * z2, [P], pol)
-            * self._pp_P
-            * pochhammer(P / z2, mod, pol)
-            * pochhammer(q * q * z2, mod, pol)
-            * pochhammer(p / z2, mod, pol)
-            * pochhammer(p * P / (q * q) * z2, mod, pol)
-        )
-        den_factors = [
-            pochhammer(p * q * q / z2, mod, pol),
-            theta_big(z2, P, pol),
-            pochhammer(P * z2, mod, pol),
-            pochhammer(p * z2, mod, pol),
-            pochhammer(p * P / (q * q) / z2, mod, pol),
-        ]
+        num = pochhammer(P / (q * q) * z2, [P], pol) * self._pp_P
+        v = pochhammer2(
+            [P / z2, q * q * z2, p / z2, p * P / (q * q) * z2,       # numerator
+             p * q * q / z2, P * z2, p * z2, p * P / (q * q) / z2],  # denominator
+            p, P, pol)
+        num = num * v[0] * v[1] * v[2] * v[3]
         den = 1.0 + 0j
-        for f in den_factors:
+        for f in [v[4], theta_big(z2, P, pol), v[5], v[6], v[7]]:
             if abs(f) < _POLE_REL:
                 raise PoleHit(f"Rhat pole at xi = {xi}")
             den *= f

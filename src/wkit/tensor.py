@@ -34,9 +34,11 @@ import numpy as np
 
 from .errors import DimensionGuardExceeded, LabelMismatch
 from .params import centred_ladder, xi_of
+from .qseries import _store
 from .reports import Stopwatch, worst
 
 _DEFAULT_MAX_DIM = 10_000
+_BASES = {}  # (k, N) -> the read-only basis V of im A_k
 
 
 def _max_dim() -> int:
@@ -210,17 +212,22 @@ def antisymmetrizer(k: int, N: int) -> Antisymmetrizer:
     """A_k = (1/k!) sum_{sigma in S_k} sign(sigma) P_sigma by the basis of
     its image: for each j_1 < ... < j_k the column
     (1/sqrt(k!)) sum_sigma sign(sigma) e_{j_sigma(1)} (x) ... (x) e_{j_sigma(k)},
-    built from index arithmetic.  A_1 = identity."""
+    built from index arithmetic, cached read-only per (k, N).  A_1 = identity."""
     if not 1 <= k <= N:
         raise ValueError(f"antisymmetrizer needs 1 <= k <= N, got k={k}, N={N}")
-    combos = list(combinations(range(N), k))
-    _guard(N**k * len(combos), "antisymmetrizer basis")
-    perms = [(perm, -1 if _inversions(perm) % 2 else 1) for perm in permutations(range(k))]
-    V = np.zeros((N**k, len(combos)))
-    for c, js in enumerate(combos):
-        for perm, sign in perms:
-            V[np.ravel_multi_index([js[p] for p in perm], (N,) * k), c] = sign
-    return Antisymmetrizer(k, N, V / math.sqrt(math.factorial(k)))
+    _guard(N**k * math.comb(N, k), "antisymmetrizer basis")
+    V = _BASES.get((k, N))
+    if V is None:
+        combos = list(combinations(range(N), k))
+        norm = math.sqrt(math.factorial(k))
+        perms = [(perm, (-1 if _inversions(perm) % 2 else 1) / norm) for perm in permutations(range(k))]
+        V = np.zeros((N**k, len(combos)))
+        for c, js in enumerate(combos):
+            for perm, entry in perms:
+                V[np.ravel_multi_index([js[p] for p in perm], (N,) * k), c] = entry
+        V.flags.writeable = False
+        V = _store(_BASES, (k, N), V)
+    return Antisymmetrizer(k, N, V)
 
 
 def antisym_trace(gates, k: int, rest=()) -> np.ndarray:

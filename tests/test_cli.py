@@ -1,10 +1,12 @@
 """CLI contract: schema validation, exit codes, determinism, output formats."""
 
+import cmath
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 BASE = [sys.executable, "-m", "wkit.cli"]
@@ -176,6 +178,30 @@ def test_eval_bad_function_exits_2():
     assert res.returncode == 2
 
 
+def test_eval_non_finite_value_exits_1():
+    # theta_big's products overflow to NaN at x = 1e160 (N = 2, q = 0.55, p = 0.3)
+    res = run_cli("eval", "theta_big", "--at", "1e160")
+    assert res.returncode == 1 and res.stdout == ""
+    assert "evaluation failed: non-finite value at x = (1e+160+0j)" in res.stderr
+
+
+def test_scan_non_finite_value_writes_no_rows(tmp_path):
+    # U (N = 2, q = 0.6, s = 0.5) is NaN from x ~ 1.94e8 on; the scan must
+    # fail on the first such point and write nothing
+    out = tmp_path / "scan.csv"
+    res = run_cli("scan", "U", "--from", "1.93e8", "--to", "1.95e8", "--points", "21",
+                  "--csv", str(out), "--N", "2", "--q", "0.6", "--s", "0.5")
+    assert res.returncode == 1 and res.stdout == "" and not out.exists()
+    head = "evaluation failed: non-finite value at x = "
+    assert res.stderr.startswith(head)
+    from wkit import EllipticParams, U
+    pr = EllipticParams(2, 0.6, 0.5)
+    bad = complex(res.stderr[len(head):].strip())
+    xs = [complex(x) for x in np.linspace(1.93e8, 1.95e8, 21)]
+    assert bad in xs and not cmath.isfinite(U(bad, pr))
+    assert all(cmath.isfinite(U(x, pr)) for x in xs[:xs.index(bad)])
+
+
 def test_scan_csv_and_determinism(tmp_path):
     args = ["scan", "Y_mn", "--from", "0.5", "--to", "2.0", "--points", "40",
             "--log", "--N", "2", "--q", "0.6", "--s", "0.36", "--c", "0.666666666666",
@@ -221,7 +247,7 @@ def test_scan_antisymmetric_column():
 @pytest.mark.parametrize("fn", ["theta_big", "U", "F_a", "Y_mn"])
 def test_scan_grid_rows_equal_eval(fn, tmp_path):
     # scan evaluates these four on the grid; every row must be == eval's value
-    from wkit.cli import _eval_function, _params_from_flags, build_parser, main
+    from wkit.cli import _function, _params_from_flags, build_parser, main
 
     out = tmp_path / "scan.csv"
     argv = ["scan", fn, "--from", "0.3", "--to", "2.5", "--points", "60", "--log",
@@ -234,4 +260,4 @@ def test_scan_grid_rows_equal_eval(fn, tmp_path):
     assert len(rows) == 60
     for x_re, x_im, f_re, f_im in rows:
         assert x_im == 0.0
-        assert complex(f_re, f_im) == _eval_function(fn, complex(x_re), params, args)
+        assert complex(f_re, f_im) == _function(fn, params, args)(complex(x_re))

@@ -20,9 +20,11 @@ from wkit import (
     EllipticParams,
     F_a,
     TruncationPolicy,
+    RMatrixFactory,
     U,
     Y_mn,
     Y_mn_grid,
+    kappa_inv,
     pochhammer,
     resolve_abelian_branch,
     theta_big,
@@ -140,6 +142,106 @@ def test_pochhammer_real_arguments_and_limits():
         pochhammer(0.5, [math.nan], POL)
     with pytest.raises(ValueError):
         pochhammer(0.5, [0.1, 0.2, 0.3], POL)
+
+
+def walk_rows(zs, moduli, policy):
+    """A run of single factor-by-factor walks: every value, or the first
+    exception (a NaN z gives NaN without a walk of every factor)."""
+    return outcome(lambda: [complex(math.nan, math.nan) if z != z else
+                            recursive_pochhammer(z, moduli, policy) for z in zs])
+
+
+def same_rows(a, b):
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return a == b
+
+
+def test_pochhammer2_rows_equal_recursive_product():
+    # batches whose points need different depths, so a run of single calls
+    # would regrow the lattice part way through; with an empty cache or one
+    # grown for the first point only.  Under SHORT, p = 0.63 needs more than
+    # 64 factors from |z| ~ 6 on and p = 0.61 from |z| ~ 54 on.
+    rnd = random.Random(12)
+    raised = 0
+    for _ in range(300):
+        p1 = rnd.choice([0.63, cmath.rect(0.8 * rnd.random(), rnd.uniform(-3, 3))])
+        p2 = rnd.choice([0.61, cmath.rect(0.9 * rnd.random(), rnd.uniform(-1, 1))])
+        pol = rnd.choice([POL, SHORT])
+        zs = [rnd.choice([0j, complex(math.nan, 0.0)]) if rnd.random() < 0.15 else
+              cmath.rect(10 ** rnd.uniform(-2, 2), rnd.uniform(-3.2, 3.2))
+              for _ in range(rnd.randint(1, 9))]
+        want = walk_rows(zs, [p1, p2], pol)
+        raised += isinstance(want, tuple)
+        qs._LATTICES.clear()
+        if rnd.random() < 0.5:
+            outcome(pochhammer, zs[0], [p1, p2], pol)
+        assert same_rows(outcome(qs.pochhammer2, zs, p1, p2, pol), want), (zs, p1, p2, pol)
+    assert raised > 20
+
+
+def test_pochhammer2_raises_as_the_first_failing_point():
+    index0 = ("TruncationBudgetExceeded", "pochhammer index 0 needs more than 64 factors")
+    index1 = ("TruncationBudgetExceeded", "pochhammer index 1 needs more than 64 factors")
+    # |z| = 80 fails the first row (p2 = 0.61), |z| = 10 the p1 = 0.63 chain;
+    # a cold cache builds the lattice for |z| = 80, whose first-row check
+    # fires before any point is looked at
+    for warm in (False, True):
+        for zs, want in [([10.0, 80.0], index0), ([80.0, 10.0], index1),
+                         ([0j, complex(math.nan, 0.0), 2.0, 80.0], index1)]:
+            qs._LATTICES.clear()
+            if warm:  # a lattice deep enough for |z| = 40, stored before it raises
+                assert outcome(pochhammer, 40.0, [0.63, 0.61], SHORT) == index0
+            assert outcome(qs.pochhammer2, zs, 0.63, 0.61, SHORT) == want
+            assert walk_rows(zs, [0.63, 0.61], SHORT) == want
+    # the modulus check comes first, even for points that need no factor
+    assert outcome(qs.pochhammer2, [0j, complex(math.nan, 0.0)], 0.5, 1.0, POL)[0] == "ModulusOutOfRange"
+    got = qs.pochhammer2([0j, complex(math.nan, 0.0), 0.5], 0.5, 0.3, POL)
+    assert got[0] == 1 and cmath.isnan(got[1]) and got[2] == recursive_pochhammer(0.5, [0.5, 0.3], POL)
+    assert qs.pochhammer2([], 0.5, 0.3, POL) == []
+
+
+def kappa_inv_by_single_calls(z2, params, policy):
+    q, p, N = params.q, params.p, params.N
+    P = q ** (2 * N)
+    mod = [p, P]
+    num = (pochhammer(P / z2, mod, policy) * pochhammer(q * q * z2, mod, policy)
+           * pochhammer(p / z2, mod, policy) * pochhammer(p * P / (q * q) * z2, mod, policy))
+    den = (pochhammer(P * z2, mod, policy) * pochhammer(q * q / z2, mod, policy)
+           * pochhammer(p * z2, mod, policy) * pochhammer(p * P / (q * q) / z2, mod, policy))
+    return num / den
+
+
+def rhat_by_single_calls(fac, xi):
+    """Rhat(xi) with each Pochhammer product of its prefactor a call of its own."""
+    q, p, P, pol = fac.params.q, fac.params.p, fac._P, fac.policy
+    z2 = cmath.exp(2j * cmath.pi * xi)
+    mod = [p, P]
+    num = (pochhammer(P / (q * q) * z2, [P], pol) * fac._pp_P * pochhammer(P / z2, mod, pol)
+           * pochhammer(q * q * z2, mod, pol) * pochhammer(p / z2, mod, pol)
+           * pochhammer(p * P / (q * q) * z2, mod, pol))
+    den = 1.0 + 0j
+    for f in [pochhammer(p * q * q / z2, mod, pol), theta_big(z2, P, pol), pochhammer(P * z2, mod, pol),
+              pochhammer(p * z2, mod, pol), pochhammer(p * P / (q * q) / z2, mod, pol)]:
+        den *= f
+    ratios, theta_ratio = fac._thetas(xi)
+    return fac._w_sum(fac._q_pow * num / den * theta_ratio, ratios, fac._coef_G)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_builds_equal_single_call_products(N):
+    # one batched product per build: kappa_inv and Rhat == the same
+    # expressions with every product a single call
+    rnd = random.Random(N)
+    for _ in range(20):
+        pr = EllipticParams(N, cmath.rect(rnd.uniform(0.4, 0.7), rnd.choice([0.0, 0.2])),
+                            cmath.sqrt(cmath.rect(rnd.uniform(0.2, 0.7), rnd.uniform(-0.5, 0.5))))
+        xi = complex(rnd.uniform(-1, 1), rnd.uniform(-0.15, 0.15))
+        z2 = cmath.exp(2j * cmath.pi * xi)
+        assert same(outcome(kappa_inv, z2, pr, POL), outcome(kappa_inv_by_single_calls, z2, pr, POL))
+        fac = RMatrixFactory(pr)
+        assert fac._children is None
+        assert (fac.rhat_matrix_xi(xi) == rhat_by_single_calls(fac, xi)).all()
 
 
 PARAMS = [

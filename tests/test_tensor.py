@@ -172,6 +172,21 @@ def test_dense_constructors_respect_guard(monkeypatch):
         antisymmetrizer(3, 4)  # 64 x 4 = 256 entries
 
 
+def test_antisymmetrizer_basis_cached_read_only(monkeypatch):
+    # the basis is built once per (k, N) and shared, so no caller may write
+    # into it; the guard reads WKIT_MAX_DIM at call time, cached or not
+    A = antisymmetrizer(3, 4)
+    assert antisymmetrizer(3, 4).basis is A.basis
+    assert not A.basis.flags.writeable
+    with pytest.raises(ValueError):
+        A.basis[0, 0] = 1.0
+    monkeypatch.setenv("WKIT_MAX_DIM", "8")
+    with pytest.raises(DimensionGuardExceeded, match="antisymmetrizer basis of 256 entries"):
+        antisymmetrizer(3, 4)
+    monkeypatch.delenv("WKIT_MAX_DIM")
+    assert antisymmetrizer(3, 4).basis is A.basis
+
+
 # ---------------------------------------------------------------------------
 # Antisymmetrizers
 # ---------------------------------------------------------------------------
