@@ -45,16 +45,17 @@ def _as_complex(v, what: str) -> complex:
 
 
 _INT = ((int,), "an integer")
-_REAL = ((int, float), "a real number")
+_REAL = ((int, float), "a finite real number")
 _BOOL = ((bool,), "true or false")
 
 
 def _typed(block: dict, where: str, key: str, default, kind):
     """block[key], or default if absent, checked against kind (a bool is
-    neither an integer nor a real number here)."""
+    not a number here, nor are the NaN and infinity Python's json reads)."""
     v = block.get(key, default)
     types, what = kind
-    if not isinstance(v, types) or (isinstance(v, bool) and kind is not _BOOL):
+    if (not isinstance(v, types) or (isinstance(v, bool) and kind is not _BOOL)
+            or (kind is _REAL and not math.isfinite(v))):
         raise ConfigError(f"{where} {key} must be {what}, got {v!r}")
     return v
 

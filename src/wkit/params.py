@@ -69,17 +69,19 @@ class EllipticParams:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError(f"N must be >= 2, got {self.N}")
-        q = complex(self.q)
+        q, s, c = complex(self.q), complex(self.s), complex(self.c)
+        for name, v in (("q", q), ("s", s), ("c", c)):
+            if not cmath.isfinite(v):  # abs(nan) >= 1 is False
+                raise ValueError(f"{name} must be finite, got {v}")
         if q == 0 or abs(q) >= 1:
             raise ValueError(f"q must satisfy 0 < |q| < 1, got {q}")
         if abs(q ** (2 * self.N) - 1) <= 1e-6:
             raise ValueError("q^(2N) is too close to 1 (root-of-unity degeneracy)")
-        s = complex(self.s)
         if s == 0:
             raise ValueError("s must be nonzero")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "c", complex(self.c))
+        object.__setattr__(self, "c", c)
         object.__setattr__(self, "p", s * s)
         object.__setattr__(self, "s_star", s * q ** (-self.c))
         object.__setattr__(self, "p_star", self.s_star**2)

@@ -31,7 +31,6 @@ import math
 import threading
 from bisect import bisect_right
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,30 +55,30 @@ _POLE_EPS = 1e-14
 # q-Pochhammer and Jacobi theta layer
 # ---------------------------------------------------------------------------
 #
-# Every product runs over a cached truncation lattice.  The chain of a
+# Every product runs over the cached chains of its moduli.  The chain of a
 # modulus p is 1, p, p*p, ..., built by the repeated multiplications the
 # product is defined with, stored beside the negated running minimum of the
-# magnitudes.  A call's term count is the first index whose running minimum
-# falls below tail_eps / (|z| + 1), found by bisection: the same factors a
-# factor-by-factor walk would take, and the same TruncationBudgetExceeded.
-# A two-modulus product runs over one flat lattice per (p1, p2, max_terms):
-# the rows p1^n1, p1^n1 p2, ... of the p1 chain, built by the same repeated
-# multiplications in split-real float64, stored in row order beside the
-# running minimum of the magnitudes down the p1 chain and along the row.
-# Those keys fall along every row, so the entries whose key is >= a point's
-# threshold are exactly its walk's factors, in order.  `pochhammer2` sets
-# the others to exactly 1 in one (points x factors) matrix of split-real
-# factors and multiplies along its rows: the walk's product, bit for bit.
-# Chains and lattices grow lazily; an entry is replaced, never changed in
-# place, and every cache is cleared when it reaches its bound.
+# magnitudes.  A product takes the factors 1 - z w whose weight |w| is at
+# least tail_eps / (|z| + 1), and raises TruncationBudgetExceeded when a
+# summation index would need more than max_terms of them.
+# - The scalar one-modulus product `_poch1` finds its term count by
+#   bisection and multiplies the factors one by one in Python complex
+#   arithmetic: bit for bit the factor-by-factor walk.  Most callers want
+#   one value, and numpy's per-call overhead would cost them more.
+# - `pochhammer2` is the one array product.  Its lattice is the outer
+#   product of the two chains, cut by magnitude and formed per call; each
+#   point's factors below its own threshold are set to 1 and one product
+#   along the rows gives every value, in numpy complex arithmetic, so to
+#   rounding rather than bit for bit.  With p2 = 0, whose chain is 1, 0, it
+#   is the one-modulus product the grid forms use.
+# Chains grow lazily; an entry is replaced, never changed in place, and
+# every cache is cleared when it reaches its bound.
 
 _CACHE_LIMIT = 128   # chains and (p;p)_inf values kept per cache
-_LATTICE_LIMIT = 16  # two-modulus lattices kept
 _GROW = 1e-6         # a chain grown for thresh also covers thresh * _GROW
 _START = ([1.0 + 0j], [-1.0])
 
 _CHAINS = {}    # (p, max_terms) -> (values, -running min |value|)
-_LATTICES = {}  # (p1, p2, max_terms) -> _Lattice
 _PP = {}        # (p, policy) -> (p; p)_inf
 _STORE_LOCK = threading.Lock()
 
@@ -156,83 +155,38 @@ def _poch1(z, p: complex, policy: TruncationPolicy) -> complex:
     return val
 
 
-class _Lattice(NamedTuple):
-    """The flat two-modulus lattice of (p1, p2, T), covering every
-    threshold >= low.  Entry (n1, n2), n1, n2 < T, is p1^n1 p2^n2; its key
-    is the running minimum of |p1^k| over k <= n1 and of |p1^n1 p2^k| over
-    k <= n2.  over1 is the largest key at n2 = T (a row needing more than
-    T factors), over0 the running minimum of the p1 chain at n1 = T; -1
-    where the lattice stops short of T."""
-    low: float
-    re: np.ndarray
-    im: np.ndarray
-    keys: np.ndarray
-    over1: float
-    over0: float
-
-
-def _lattice(p1: complex, p2: complex, thresh: float, T: int) -> _Lattice:
-    """The lattice of (p1, p2, T) built to thresh * _GROW.  A call whose
-    first row (the p2 chain, the longest row) needs more than T factors
-    raises before any other row is built."""
-    low = thresh * _GROW
-    row0 = _chain(p2, thresh, T)
-    _check_budget(row0, _count(row0, thresh, T), thresh, T, 1)
-    head = _chain(p1, low, T)
-    rows = _count(head, low, T)
-    h = np.array(head[0][:rows])
-    cr, ci = h.real, h.imag
-    key = -np.array(head[1][:rows])
-    cols = [(cr, ci, key)]
-    pr, pi = p2.real, p2.imag
-    while len(cols) <= T and key.max() >= low:
-        cr, ci = cr * pr - ci * pi, cr * pi + ci * pr
-        key = np.minimum(key, np.hypot(cr, ci))
-        cols.append((cr, ci, key))
-    over1 = float(cols[T][2].max()) if len(cols) > T else -1.0
-    over0 = -head[1][T] if len(head[1]) > T else -1.0
-    re, im, keys = (np.stack(part[:T], axis=1) for part in zip(*cols))
-    keep = keys >= low  # row order: n1 outer
-    return _store(_LATTICES, (p1, p2, T),
-                  _Lattice(low, re[keep], im[keep], keys[keep], over1, over0), _LATTICE_LIMIT)
-
-
-def pochhammer2(zs, p1: complex, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
-    """(z; p1, p2)_inf for every z of zs, each == its factor-by-factor walk;
-    raises what the first z to fail would raise in a call of its own."""
+def pochhammer2(zs, p1: complex, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+    """(z; p1, p2)_inf for every z of zs, as a complex array; (z; p1, 0)_inf
+    is (z; p1)_inf.  Raises what the first z to fail would raise in a call
+    of its own."""
     p1, p2, T = complex(p1), complex(p2), policy.max_terms
-    lat = _LATTICES.get((p1, p2, T))
-    if lat is None:
-        _check_modulus(p1)
-        _check_modulus(p2)
+    _check_modulus(p1)
+    _check_modulus(p2)
     z = np.asarray(zs, dtype=complex)
     thresh = policy.tail_eps / (np.abs(z) + 1.0)
     live = (z != 0) & (thresh == thresh)  # a zero z gives 1, a NaN z NaN
     out = np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
     t = thresh[live]
     if not t.size:
-        return out.tolist()
-    low = t.min()
-    if lat is None or not lat.low <= low:
-        try:
-            lat = _lattice(p1, p2, low, T)
-        except TruncationBudgetExceeded:  # replayed one z at a time: the first to fail raises
-            for one in z[:, None] if z.size > 1 else ():
-                pochhammer2(one, p1, p2, policy)
-            raise
-    over = max(lat.over1, lat.over0)
-    if low <= over:  # the first z needing more than T factors; index 1 is checked first
-        index = 1 if t[(t <= over).argmax()] <= lat.over1 else 0
+        return out
+    low = float(t.min())
+    head, row0 = _chain(p1, low, T), _chain(p2, low, T)
+    # |p2^T| and |p1^T|: a z whose threshold is at most one needs more than
+    # T factors along the first row (index 1) or down the p1 chain (index 0)
+    over1 = abs(row0[0][T]) if len(row0[0]) > T else -1.0
+    over0 = abs(head[0][T]) if len(head[0]) > T else -1.0
+    fails = t <= max(over1, over0)
+    if fails.any():  # the first failing z raises; index 1 is checked first
+        index = 1 if t[fails.argmax()] <= over1 else 0
         raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
-    take = lat.keys >= low
-    keys, cr, ci = lat.keys[take], lat.re[take], lat.im[take]
-    zr, zi = z.real[live, None], z.imag[live, None]
-    f = np.empty((t.size, keys.size), dtype=complex)  # 1 - z*c with CPython's formulas
-    f.real = 1.0 - (zr * cr - zi * ci)
-    f.imag = 0.0 - (zr * ci + zi * cr)
-    f[keys < t[:, None]] = 1.0
+    lat = np.multiply.outer(head[0][:_count(head, low, T)], row0[0][:_count(row0, low, T)]).ravel()
+    mag = np.abs(lat)
+    keep = mag >= low
+    lat, mag = lat[keep], mag[keep]
+    f = 1 - z[live, None] * lat
+    f[mag < t[:, None]] = 1  # below each point's own threshold
     out[live] = f.prod(axis=1)
-    return out.tolist()
+    return out
 
 
 def _pp(p: complex, policy: TruncationPolicy) -> complex:
@@ -248,13 +202,12 @@ def pochhammer(z: complex, moduli, policy: TruncationPolicy = DEFAULT_POLICY) ->
 
     Includes every lattice point whose weight |p_1^{n_1} p_2^{n_2}| is at
     least tail_eps / (|z| + 1); smaller weights change the product by less
-    than the tail tolerance.  Lattice points are taken row by row (n_1
-    outer), each weight built by repeated multiplication along its row.
+    than the tail tolerance.
     """
     if len(moduli) == 1:
         return _poch1(z, complex(moduli[0]), policy)
     if len(moduli) == 2:
-        return pochhammer2([z], moduli[0], moduli[1], policy)[0]
+        return complex(pochhammer2([z], moduli[0], moduli[1], policy)[0])
     raise ValueError(f"pochhammer takes one or two moduli, got {len(moduli)}")
 
 
@@ -409,7 +362,7 @@ def kappa_inv(z2: complex, params: EllipticParams,
     v = pochhammer2(
         [P / z2, q * q * z2, p / z2, p * P / (q * q) * z2,   # numerator
          P * z2, q * q / z2, p * z2, p * P / (q * q) / z2],  # denominator
-        p, P, policy)
+        p, P, policy).tolist()
     num, den = v[0] * v[1] * v[2] * v[3], v[4] * v[5] * v[6] * v[7]
     if abs(den) < _POLE_EPS * (1 + abs(num)):
         raise PoleHit(f"kappa denominator ~ 0 at z2 = {z2}")
@@ -477,40 +430,22 @@ def _Y_mn(x, m, n, Fn, Fm, params, policy) -> complex:
 # ---------------------------------------------------------------------------
 #
 # Y_mn_grid evaluates Y_mn over a numpy array of points, each layer its
-# scalar formula written on numpy complex arrays; pochhammer with one
-# modulus is one masked (points x K) product over the cached chain.  numpy's
-# complex arithmetic rounds differently from CPython's in the last bit, so
-# the values agree with the scalar forms to rounding, not bit for bit.
-# Where any point would raise, or a finite point gives a non-finite value,
-# the scalar loop is replayed, so a caller sees exactly the exception of
-# the first failing point.
+# scalar formula written on numpy complex arrays, every product one
+# `pochhammer2` call with p2 = 0.  numpy's complex arithmetic rounds
+# differently from CPython's in the last bit, so the values agree with the
+# scalar forms to rounding, not bit for bit.  Where any point would raise,
+# or a finite point gives a non-finite value, the scalar loop is replayed,
+# so a caller sees exactly the exception of the first failing point.
 
 def _gnonzero(z, what: str):
     if np.any(z == 0):
         raise ZeroArgument(f"{what}(0) undefined")
 
 
-def _gpoch1(z, p: complex, policy: TruncationPolicy):
-    T = policy.max_terms
-    _check_modulus(p)
-    thresh = policy.tail_eps / (np.abs(z) + 1.0)
-    if not np.all(thresh > 0):
-        raise ArithmeticError("degenerate truncation threshold")
-    chain = _chain(p, float(thresh.min()), T)
-    K = np.searchsorted(np.array(chain[1][:T]), -thresh, side="right")
-    at_budget = K == T
-    if np.any(at_budget) and np.any(abs(chain[0][T]) >= thresh[at_budget]):
-        raise TruncationBudgetExceeded(f"pochhammer index 0 needs more than {T} factors")
-    c = np.array(chain[0][:K.max(initial=0)])
-    f = 1 - z[:, None] * c
-    f[np.arange(c.size) >= K[:, None]] = 1  # past each point's own term count
-    return f.prod(axis=1)
-
-
 def _gtheta(z, p, policy: TruncationPolicy):
     _gnonzero(z, "Theta_p")
     pc = complex(p)
-    return _gpoch1(z, pc, policy) * _gpoch1(p / z, pc, policy) * _pp(pc, policy)
+    return pochhammer2(z, pc, 0, policy) * pochhammer2(p / z, pc, 0, policy) * _pp(pc, policy)
 
 
 def _gU(z, params: EllipticParams, policy: TruncationPolicy):

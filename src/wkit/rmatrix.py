@@ -132,14 +132,17 @@ class RMatrixFactory:
                 for sgn in (+1, -1)
             ]
         # I_alpha (x) I_alpha^{-1} has entries only at rows (i, j) and
-        # columns (i + a1, j - a1): where the charge i + j mod N is conserved
+        # columns (i + a1, j - a1), where the charge i + j mod N is
+        # conserved; there it is omega^(a2 (i - j + a1))
         charge = np.add.outer(a, a).ravel() % N
         self._w_at = np.flatnonzero(charge[:, None] == charge[None, :])
-        pairs = np.stack([np.kron(self.zn.I_alpha(a1, a2), np.linalg.inv(self.zn.I_alpha(a1, a2)))
-                          for a1 in range(N) for a2 in range(N)], axis=-1)
-        self._coef = pairs.reshape(N ** 4, N * N)[self._w_at]
-        G = np.kron(np.diag(self.zn.g_half), np.diag(self.zn.g_half))
         rows, cols = np.divmod(self._w_at, N * N)
+        i, j = np.divmod(rows, N)
+        a1 = (cols // N - i) % N
+        coef = np.zeros((N ** 3, N, N), dtype=complex)  # (entry, a1, a2)
+        coef[np.arange(N ** 3), a1] = np.exp(2j * np.pi / N * (np.outer(i - j + a1, a) % N))
+        self._coef = coef.reshape(N ** 3, N * N)
+        G = np.kron(np.diag(self.zn.g_half), np.diag(self.zn.g_half))
         self._coef_G = self._coef * (G[rows] / G[cols])[:, None]
         self._P = q ** (2 * N)
         self._pp_P = _pp(complex(self._P), self.policy)
@@ -208,7 +211,7 @@ class RMatrixFactory:
         v = pochhammer2(
             [P / z2, q * q * z2, p / z2, p * P / (q * q) * z2,       # numerator
              p * q * q / z2, P * z2, p * z2, p * P / (q * q) / z2],  # denominator
-            p, P, pol)
+            p, P, pol).tolist()
         num = num * v[0] * v[1] * v[2] * v[3]
         den = 1.0 + 0j
         for f in [v[4], theta_big(z2, P, pol), v[5], v[6], v[7]]:

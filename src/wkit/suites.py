@@ -1,9 +1,10 @@
 """Named verification suites runnable from the CLI.
 
 Each suite is a function (SuiteContext) -> list[CheckReport].  Suites draw
-their sample points from a seeded generator, resample on PoleHit (up to
-five times per check), and never mutate shared state, so they can run
-concurrently; the CLI sorts reports canonically before emission.
+their sample points from a seeded generator, resample on PoleHit or
+OutsideConvergenceAnnulus (up to five times per check), and never mutate
+shared state, so they can run concurrently; the CLI sorts reports
+canonically before emission.
 """
 
 from __future__ import annotations
@@ -99,8 +100,9 @@ def _unit_point(rng):
 
 
 def _with_resample(fn, rng, radii=(0.7, 1.4)):
-    """Call fn(point), resampling the point on PoleHit up to five times;
-    |point| is drawn from the range `radii`."""
+    """Call fn(point), resampling the point on PoleHit or
+    OutsideConvergenceAnnulus up to five times; |point| is drawn from the
+    range `radii`."""
     for _ in range(5):
         try:
             return fn(_safe_point(rng, *radii))

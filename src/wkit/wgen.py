@@ -152,6 +152,12 @@ def _exchange_prefactor_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
     return pref
 
 
+def _scalar_residual(t: np.ndarray) -> float:
+    """||t - (tr t / N) 1|| / ||t||, 0 for t = 0: how far t is from a scalar."""
+    norm = np.linalg.norm(t)
+    return float(np.linalg.norm(t - np.trace(t) / len(t) * np.eye(len(t))) / norm) if norm else 0.0
+
+
 def survives_selection_rule(k: int, m: int, n: int, N: int) -> bool:
     """t^{(k)}_{m,n} is nonzero in the evaluation representation only when
     (m + n) k = 0 mod N: the per-space twist MM MMt = GH^{-(m+n)} carries a
@@ -190,7 +196,8 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
                   "t(z) L(w) = prod_i [F_{-m}/F*_n](z_i/w) L(w) t(z) on the surface"),
         inputs={"N": N, "q": rep.params.q, "k": k, "m": surface.m, "n": surface.n,
                 "z": z, "w": w, "s": surface.params.s, "prefactor": pref,
-                "t_norm": t_norm, "structurally_vanishing": vanishing},
+                "t_norm": t_norm, "t_scalar_residual": _scalar_residual(t_gen),
+                "structurally_vanishing": vanishing},
         residual=res, tolerance=tolerance,
     )
 
@@ -228,6 +235,7 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
                   "t_k(z) t_k'(w) = prod Y_{m,n}(q^{i-j} z/w) t_k'(w) t_k(z)"),
         inputs={"N": rep.N, "q": p.q, "k": k, "kprime": kprime, "m": surface.m,
                 "n": surface.n, "z": z, "w": w, "prefactor": pref,
+                "t_scalar_residual": max(_scalar_residual(tk), _scalar_residual(tkp)),
                 "structurally_vanishing": bool(van_k or van_kp)},
         residual=res, tolerance=tolerance,
     )
@@ -255,13 +263,12 @@ def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8):
     N = rep.N
     qd = _qdet_matrix(xi_of(z), rep)
     scal = complex(np.trace(qd) / N)
-    res = np.linalg.norm(qd - scal * np.eye(N)) / max(np.linalg.norm(qd), 1e-300)
     return scal, clock.report(
         suite="qdet", check="qdet-centrality",
         identity="L_1(z)...L_N(z q^{1-N}) A_N = A_N qdet(z) with qdet scalar",
         inputs={"N": N, "q": rep.params.q, "p": rep.params.p, "z": z,
                 "qdet": scal},
-        residual=res, tolerance=tolerance,
+        residual=_scalar_residual(qd), tolerance=tolerance,
     )
 
 

@@ -137,6 +137,11 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"policy": {"max_terms": None}},
     {"seed": True},
     {"tolerances": {"n0": True}},
+    {"params": {"N": 2, "q": math.nan}},  # Python's json reads NaN and Infinity
+    {"params": {"N": 2, "p": math.nan}, "suites": ["qdet"]},
+    {"params": {"N": 2, "s": math.inf}, "suites": ["n0"]},
+    {"grid": {"from": math.nan}},
+    {"tolerances": {"n0": math.inf}},
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"
@@ -176,6 +181,12 @@ def test_eval_known_values():
 def test_eval_bad_function_exits_2():
     res = run_cli("eval", "nope", "--at", "1")
     assert res.returncode == 2
+
+
+def test_eval_non_finite_parameter_exits_2():
+    res = run_cli("eval", "U", "--at", "1.1", "--q", "nan")
+    assert res.returncode == 2 and res.stdout == ""
+    assert "q must be finite" in res.stderr
 
 
 def test_eval_non_finite_value_exits_1():

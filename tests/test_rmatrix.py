@@ -260,7 +260,7 @@ def test_w_sum_from_its_nonzeros_matches_dense_sum(N):
 
 
 def test_rhat_independent_of_cache_history():
-    # the lattices grow lazily with the smallest threshold asked for, so the
+    # the chains grow lazily with the smallest threshold asked for, so the
     # same points built in another order, from empty caches, must give the
     # same matrices
     pr = params(N=3, q=0.55, p=0.6)
@@ -268,7 +268,7 @@ def test_rhat_independent_of_cache_history():
            [(0.3, 0.4), (3.0, -0.2), (1.1, 0.1), (0.6, -1.0), (1.9, 2.0), (0.95, 0.3)]]
     runs = []
     for order in (xis, xis[::-1]):
-        for cache in (qs._CHAINS, qs._LATTICES, qs._PP):
+        for cache in (qs._CHAINS, qs._PP):
             cache.clear()
         fac = RMatrixFactory(pr, POL)
         built = {xi: fac.rhat_matrix_xi(xi) for xi in order}

@@ -25,6 +25,7 @@ from wkit.tensor import antisymmetrizer, compose
 from wkit.wgen import (
     SurfaceSpec,
     _qdet_matrix,
+    _scalar_residual,
     alpha_fraction,
     alpha_identity_check,
     build_Q,
@@ -164,6 +165,17 @@ def test_t_at_k_equals_N_is_scalar():
     t = build_t(3, Z, surf, rep)
     mean = np.trace(t) / 3
     assert np.linalg.norm(t - mean * np.eye(3)) / np.linalg.norm(t) < 1e-8
+
+
+def test_reports_say_t_is_a_scalar():
+    # on (-1,-1) at N = 3 only k = 3 survives, and t^(3) is a scalar
+    surf = surface(-1, -1, N=3, q=0.6)
+    rep = EvalRep(RMatrixFactory(surf.params), 1.0)
+    tL = exchange_residual_tL(3, Z, W, surf, rep)
+    tt = exchange_residual_tt(3, 3, Z, W, surf, rep)
+    assert tL.inputs["t_norm"] > 1e-3
+    assert tL.inputs["t_scalar_residual"] <= 1e-13 and tt.inputs["t_scalar_residual"] <= 1e-13
+    assert _scalar_residual(np.zeros((3, 3))) == 0.0
 
 
 def test_N5_traces_under_the_default_guard(monkeypatch):
