@@ -26,7 +26,6 @@ from .qseries import (
     Y_mn,
     Y_mn_forms,
     Y_mn_grid,
-    abelianity_check,
     f_cr_modes,
     f_cr_series,
     kappa_inv,
@@ -39,16 +38,9 @@ from .qseries import (
 )
 from .reports import CheckReport, sort_reports
 from .rmatrix import RMatrixFactory, ZnMatrices
+from .suites import abelianity_check, exchange_residual_tL, exchange_residual_tt, qdet_extract
 from .tensor import Antisymmetrizer, LabeledTensor, antisymmetrizer, fused_R
-from .wgen import (
-    EvalRep,
-    SurfaceSpec,
-    build_t,
-    exchange_residual_tL,
-    exchange_residual_tt,
-    qdet_extract,
-    resolve_surface,
-)
+from .wgen import EvalRep, SurfaceSpec, build_t, resolve_surface
 
 __version__ = "0.1.0"
 

@@ -6,12 +6,13 @@
 
 `check` runs named verification suites from a JSON configuration and emits
 a JSON array of check reports (exit 0 iff every check passed, 2 on a
-malformed configuration).  A suite that raises a WkitError, a numpy
-LinAlgError, an ArithmeticError or a MemoryError becomes one failing
-`suite-error` report and the remaining suites still run; any other
-exception is a programming error and ends the run.  `eval` prints
-one "re imag" pair per call at full double precision; `scan` writes a
-CSV "x_re,x_im,f_re,f_im".
+malformed configuration or an output file that cannot be written).  A
+suite that raises a WkitError, a numpy LinAlgError, an ArithmeticError or
+a MemoryError becomes one failing `suite-error` report and the remaining
+suites still run; any other exception is a programming error and ends the
+run.  `eval` prints one "re imag" pair per call at full double precision;
+`scan` writes a CSV "x_re,x_im,f_re,f_im" (exit 2 if its file cannot be
+written).
 Identical configuration and seed produce byte-identical output.
 """
 
@@ -125,6 +126,7 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("tolerances must map suite names to numbers")
+    _reject_unknown(tols, set(SUITES), "tolerances")
     for name in tols:  # JSON object keys are strings
         _typed(tols, "tolerances", name, None, _REAL)
 
@@ -167,15 +169,27 @@ def cmd_check(args) -> int:
     dicts = [r.to_dict() for r in reports]
     for d in dicts:
         d["wall_ms"] = 0.0  # volatile timing would break byte-identical reruns
-    payload = json.dumps(dicts, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    if not _emit(json.dumps(dicts, indent=2, sort_keys=True) + "\n", args.out):
+        return 2
     n_fail = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - n_fail}/{len(reports)} checks passed", file=sys.stderr)
     return 0 if n_fail == 0 else 1
+
+
+def _emit(text: str, path: str | None) -> bool:
+    """Write `text` to the file `path`, or to stdout if there is none.
+    False, after one `output error` line on stderr, if the file cannot be
+    written."""
+    if not path:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _root_value(s, p) -> complex:
@@ -259,13 +273,7 @@ def cmd_scan(args) -> int:
         return res
     lines = ["x_re,x_im,f_re,f_im"]
     lines += [f"{x.real:.17g},{x.imag:.17g},{v.real:.17g},{v.imag:.17g}" for x, v in zip(*res)]
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0 if _emit("\n".join(lines) + "\n", args.csv) else 2
 
 
 def _add_param_flags(p: argparse.ArgumentParser):

@@ -45,7 +45,6 @@ from .errors import (
     ZeroArgument,
 )
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_ladder
-from .reports import Stopwatch, worst
 
 _TWO_I_PI = 2j * cmath.pi
 _POLE_EPS = 1e-14
@@ -740,22 +739,3 @@ def resolve_abelian_branch(branch: str, N: int, q: complex, m: int, n: int,
 def _divisors(v: int):
     return {d for d in range(1, abs(v) + 1) if v % d == 0} if v else set()
 
-
-def abelianity_check(branch: str, N: int, q: complex, m: int, n: int,
-                     x_grid, lam=None, tolerance: float = 1e-9,
-                     policy: TruncationPolicy = DEFAULT_POLICY):
-    """Resolve the branch and measure max |Y_{m,n}(x) - 1| over the grid."""
-    clock = Stopwatch()
-    x_grid = list(x_grid)
-    params = resolve_abelian_branch(branch, N, q, m, n, lam)
-    surf = abs(params.s**m * params.s_star**n - q ** (-N))
-    dev = worst(abs(y - 1) for y in Y_mn_grid(x_grid, m, n, params, policy).tolist())
-    return clock.report(
-        suite="abelianity",
-        check=f"{branch}(m={m},n={n})",
-        identity="Y_{m,n}(x) = 1 on the abelianity surface",
-        inputs={"N": N, "q": q, "m": m, "n": n, "lam": None if lam is None else str(lam),
-                "c": params.c, "surface_residual": surf, "grid_points": len(x_grid)},
-        residual=dev,
-        tolerance=tolerance,
-    )

@@ -39,9 +39,8 @@ import numpy as np
 
 from .errors import ModulusOutOfRange, PoleHit
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
-from .qseries import F_a, U, _pp, kappa_inv, pochhammer, pochhammer2, theta_big, theta_char_sums
-from .reports import Stopwatch, worst
-from .tensor import LabeledTensor, antisymmetrizer, compose, permutation_operator
+from .qseries import _pp, kappa_inv, pochhammer, pochhammer2, theta_big, theta_char_sums
+from .tensor import LabeledTensor
 
 _POLE_REL = 1e-12
 
@@ -225,10 +224,6 @@ class RMatrixFactory:
         return LabeledTensor.from_matrix(self.rhat_matrix_xi(xi), labels, self.N)
 
 
-# ---------------------------------------------------------------------------
-# Property checks
-# ---------------------------------------------------------------------------
-
 def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
     """Largest forbidden entry relative to the largest entry: entry
     ((i,j),(k,l)) must vanish unless i + j = k + l mod N."""
@@ -239,117 +234,11 @@ def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
     return largest / scale if scale > 0 else 0.0
 
 
-_SUITE = "rmatrix-properties"
-
-
-def _inputs(fac: RMatrixFactory, **extra) -> dict:
-    return {"N": fac.N, "q": fac.params.q, "p": fac.params.p, **extra}
-
-
-def _on(mat: np.ndarray, labels, fac: RMatrixFactory) -> LabeledTensor:
-    return LabeledTensor.from_matrix(mat, labels, fac.N)
-
-
-def check_regularity(fac: RMatrixFactory, tolerance=1e-9):
-    """R(1) = P, the flip of the two spaces."""
-    clock = Stopwatch()
-    R1 = fac.r_matrix_xi(xi_of(1.0))
-    res = np.linalg.norm(R1 - permutation_operator((1, 0), fac.N)) / np.linalg.norm(R1)
-    return clock.report(_SUITE, "regularity", "R(1) = P", _inputs(fac), res, tolerance)
-
-
-def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9):
-    """R_12(z) R_21(1/z) = 1, and Rhat_12(z) Rhat_21(1/z) = U(z)."""
-    clock = Stopwatch()
-    N = fac.N
-    resids = []
-    for build, scal in ((fac.r_matrix_xi, 1.0),
-                        (fac.rhat_matrix_xi, U(z, fac.params, fac.policy))):
-        RR21 = (_on(build(xi_of(z)), (1, 2), fac) @ _on(build(xi_of(1 / z)), (2, 1), fac)).data
-        resids.append(np.linalg.norm(RR21 - scal * np.eye(N * N)) / np.linalg.norm(RR21))
-    return clock.report(_SUITE, "unitarity", "R12(z) R21(1/z) = 1; Rhat pair gives U(z)",
-                        _inputs(fac, z=z), worst(resids), tolerance)
-
-
-def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-9,
-                      hat: bool = False):
-    """R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z) on three spaces."""
-    clock = Stopwatch()
-    build = fac.rhat_matrix_xi if hat else fac.r_matrix_xi
-
-    def on(zz, labels):
-        return _on(build(xi_of(zz)), labels, fac)
-
-    A12, A13, A23 = on(z, (1, 2)), on(w, (1, 3)), on(w / z, (2, 3))
-    lhs = compose([A12, A13, A23], (1, 2, 3))
-    rhs = compose([A23, A13, A12], (1, 2, 3))
-    res = (lhs - rhs).norm() / lhs.norm()
-    return clock.report(_SUITE, "yang-baxter" + ("-hat" if hat else ""),
-                        "R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z)",
-                        _inputs(fac, z=z, w=w), res, tolerance)
-
-
-def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9):
-    """Crossing symmetry R12(z)^{t2} R21(1/(z q^N))^{t2} = 1 and the
-    crossing-unitarity consequence (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2},
-    the latter verified for both R and Rhat."""
-    clock = Stopwatch()
-    N, q = fac.N, fac.params.q
-    Rt = _on(fac.r_matrix_xi(xi_of(z)), (1, 2), fac).partial_transpose(2)
-    R21t = _on(fac.r_matrix_xi(xi_of(1 / (z * q**N))), (2, 1), fac).partial_transpose(2)
-    res1 = np.linalg.norm((Rt @ R21t).data - np.eye(N * N)) / Rt.norm()
-    resids = [res1]
-    for build in (fac.r_matrix_xi, fac.rhat_matrix_xi):
-        resids.append(crossing_unitarity_residual(
-            build(xi_of(z)), build(xi_of(q**N * z)), fac))
-    return clock.report(
-        _SUITE, "crossing",
-        "R^{t2}(z) R21^{t2}(1/(z q^N)) = 1 and (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2}",
-        _inputs(fac, z=z), worst(resids), tolerance)
-
-
 def crossing_unitarity_residual(A: np.ndarray, B: np.ndarray, fac: RMatrixFactory) -> float:
     """Relative distance between (A^{t2})^{-1} and (B^{-1})^{t2}."""
-    lhs = _on(A, (1, 2), fac).partial_transpose(2).inv()
-    rhs = _on(B, (1, 2), fac).inv().partial_transpose(2)
+    lhs = LabeledTensor.from_matrix(A, (1, 2), fac.N).partial_transpose(2).inv()
+    rhs = LabeledTensor.from_matrix(B, (1, 2), fac.N).inv().partial_transpose(2)
     return (lhs - rhs).norm() / lhs.norm()
-
-
-def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9):
-    """R(-z) = omega (g^{-1} (x) 1) R(z) (g (x) 1), with -z reached by the
-    continuation xi -> xi + 1 (principal-branch evaluation of -z realizes
-    the identity only up to an N-th root of unity)."""
-    clock = Stopwatch()
-    E = np.eye(fac.N)
-    xi = xi_of(z)
-    lhs = fac.r_matrix_xi(xi + 1)
-    g = fac.zn.g
-    rhs = fac.zn.omega * np.kron(np.linalg.inv(g), E) @ fac.r_matrix_xi(xi) @ np.kron(g, E)
-    res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-    return clock.report(_SUITE, "antisymmetry",
-                        "R(-z) = omega (g^{-1} x 1) R(z) (g x 1)  [-z via xi+1]",
-                        _inputs(fac, z=z), res, tolerance)
-
-
-def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance=1e-9):
-    """Twist relation M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a with M_a = GH^{-a}.
-
-    The step x -> s x by the designated root value is taken on the theta
-    lattice (xi -> xi + tau + 1); a = 1 is the quasi-periodicity property
-    itself, a = 0 is trivial, other a iterate it.  The p* matrix with the
-    s* ladder is the same check on the factory of EllipticParams(N, q, s*).
-    """
-    clock = Stopwatch()
-    E = np.eye(fac.N)
-    Ma = fac.zn.M_power(a)
-    xi = xi_of(x)
-    lhs = np.kron(Ma, E) @ fac.rhat_matrix_xi(xi)
-    scal = F_a(x, a, fac.params.s, fac.params, fac.policy)
-    rhs = scal * fac.rhat_matrix_xi(xi + a * fac.s_shift) @ np.kron(Ma, E)
-    res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
-    return clock.report(_SUITE, f"quasi-periodicity(a={a})",
-                        "M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a   [s-step on the theta lattice]",
-                        _inputs(fac, x=x, a=a), res, tolerance)
 
 
 def kernel_projector(fac: RMatrixFactory):
@@ -360,15 +249,3 @@ def kernel_projector(fac: RMatrixFactory):
     mask = s < 1e-8 * s[0]
     V = vh.conj().T[:, mask]
     return int(mask.sum()), V @ V.conj().T
-
-
-def check_kernel(fac: RMatrixFactory, tolerance=1e-8):
-    """dim ker Rhat(q) = N(N-1)/2 and the kernel projector is A_2."""
-    clock = Stopwatch()
-    N = fac.N
-    dim, proj = kernel_projector(fac)
-    expected = N * (N - 1) // 2
-    A2 = antisymmetrizer(2, N).matrix
-    res = np.linalg.norm(proj - A2) if dim == expected else 1.0
-    return clock.report(_SUITE, "kernel", "ker Rhat(q) = im A_2 (dimension N(N-1)/2)",
-                        _inputs(fac, dim=dim, expected_dim=expected), res, tolerance)

@@ -1,22 +1,29 @@
-"""Named verification suites runnable from the CLI.
+"""The checks layer: every CheckReport is built here.
 
-Each suite is a function (SuiteContext) -> list[CheckReport].  Suites draw
-their sample points from a seeded generator, resample on PoleHit or
-OutsideConvergenceAnnulus (up to five times per check), and never mutate
-shared state, so they can run concurrently; the CLI sorts reports
-canonically before emission.
+The layers below only build: `qseries` the scalars, `rmatrix` the
+R-matrices, `tensor` the products on labeled spaces and `wgen` the
+generators.  A check function here takes what they build, measures one
+identity and returns its report; a suite is a function
+(SuiteContext) -> list[CheckReport] that runs a named set of checks.
+Suites draw their sample points from a seeded generator, resample on
+PoleHit or OutsideConvergenceAnnulus (up to five times per check), and
+never mutate shared state, so they can run concurrently; the CLI sorts
+reports canonically before emission.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import OutsideConvergenceAnnulus, PoleHit
-from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
+from .errors import OutsideConvergenceAnnulus, PoleHit, TruncationBudgetExceeded
+from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_ladder, xi_of
 from .qseries import (
+    F_a,
     I_series,
     U,
     Y_FF,
@@ -24,7 +31,8 @@ from .qseries import (
     Y_mn,
     Y_mn_forms,
     Y_mn_grid,
-    abelianity_check,
+    f_cr_modes,
+    f_cr_series,
     pochhammer,
     resolve_abelian_branch,
     tau_N,
@@ -35,38 +43,38 @@ from .qseries import (
 from .reports import CheckReport, Stopwatch, worst
 from .rmatrix import (
     RMatrixFactory,
-    check_antisymmetry,
-    check_crossing,
-    check_kernel,
-    check_quasi_periodicity_M,
-    check_regularity,
-    check_unitarity,
-    check_yang_baxter,
+    ZnMatrices,
     crossing_unitarity_residual,
+    kernel_projector,
     zn_symmetry_residual,
 )
 from .tensor import (
     LabeledTensor,
+    _inversions,
+    _projector_residual,
+    antisym_trace,
     antisymmetrizer,
     apply_gates,
-    check_fusion_identities,
-    check_M_derivative,
+    col_labels,
     compose,
+    fused_gates,
     fused_R,
+    monodromy_M,
     permutation_operator,
+    row_labels,
 )
 from .wgen import (
+    QUANTUM,
     EvalRep,
     SurfaceSpec,
-    alpha_identity_check,
-    check_trace_MA,
-    critical_poisson_check,
-    exchange_residual_tL,
-    exchange_residual_tt,
-    n0_check,
-    qdet_extract,
-    qdet_tqdet_check,
+    _exchange_prefactor_tL,
+    _on_each,
+    _qdet_matrix,
+    _scalar_residual,
+    alpha_fraction,
+    build_t,
     resolve_surface,
+    survives_selection_rule,
 )
 
 
@@ -110,8 +118,6 @@ def _with_resample(fn, rng, radii=(0.7, 1.4)):
             continue
     return fn(_safe_point(rng, *radii))  # last try propagates
 
-
-# ---------------------------------------------------------------------------
 
 def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     tol = ctx.tol("theta-identities", 1e-10)
@@ -192,8 +198,7 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     clock = Stopwatch()
     resids = []
     for m, n in [(1, 1), (2, -1), (-1, -1), (3, 2), (-2, 3)]:
-        surf = resolve_surface(m, n, pr.q, 0.0, pr.N) if m + n != 0 else \
-            resolve_surface(m, n, pr.q, None, pr.N)
+        surf = resolve_surface(m, n, pr.q, 0.0, pr.N)
         for _ in range(4):
             x = _safe_point(rng)
             f1, f2, diff = Y_mn_forms(x, m, n, surf.params, pol)
@@ -215,6 +220,124 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
         identity="Y_{2,-1}(x) Y_{2,-1}(1/x) = 1 (eight-theta closed form)",
         inputs={"N": pr.N, "q": pr.q, "c": 0.25}, residual=worst(resids), tolerance=tol))
     return out
+
+
+def _inputs(fac: RMatrixFactory, **extra) -> dict:
+    return {"N": fac.N, "q": fac.params.q, "p": fac.params.p, **extra}
+
+
+def _on(mat: np.ndarray, labels, fac: RMatrixFactory) -> LabeledTensor:
+    return LabeledTensor.from_matrix(mat, labels, fac.N)
+
+
+def check_regularity(fac: RMatrixFactory, tolerance=1e-9):
+    """R(1) = P, the flip of the two spaces."""
+    clock = Stopwatch()
+    R1 = fac.r_matrix_xi(xi_of(1.0))
+    res = np.linalg.norm(R1 - permutation_operator((1, 0), fac.N)) / np.linalg.norm(R1)
+    return clock.report("rmatrix-properties", "regularity", "R(1) = P", _inputs(fac), res,
+                        tolerance)
+
+
+def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9):
+    """R_12(z) R_21(1/z) = 1, and Rhat_12(z) Rhat_21(1/z) = U(z)."""
+    clock = Stopwatch()
+    N = fac.N
+    resids = []
+    for build, scal in ((fac.r_matrix_xi, 1.0),
+                        (fac.rhat_matrix_xi, U(z, fac.params, fac.policy))):
+        RR21 = (_on(build(xi_of(z)), (1, 2), fac) @ _on(build(xi_of(1 / z)), (2, 1), fac)).data
+        resids.append(np.linalg.norm(RR21 - scal * np.eye(N * N)) / np.linalg.norm(RR21))
+    return clock.report("rmatrix-properties", "unitarity",
+                        "R12(z) R21(1/z) = 1; Rhat pair gives U(z)",
+                        _inputs(fac, z=z), worst(resids), tolerance)
+
+
+def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-9,
+                      hat: bool = False):
+    """R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z) on three spaces."""
+    clock = Stopwatch()
+    build = fac.rhat_matrix_xi if hat else fac.r_matrix_xi
+
+    def on(zz, labels):
+        return _on(build(xi_of(zz)), labels, fac)
+
+    A12, A13, A23 = on(z, (1, 2)), on(w, (1, 3)), on(w / z, (2, 3))
+    lhs = compose([A12, A13, A23], (1, 2, 3))
+    rhs = compose([A23, A13, A12], (1, 2, 3))
+    res = (lhs - rhs).norm() / lhs.norm()
+    return clock.report("rmatrix-properties", "yang-baxter" + ("-hat" if hat else ""),
+                        "R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z)",
+                        _inputs(fac, z=z, w=w), res, tolerance)
+
+
+def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9):
+    """Crossing symmetry R12(z)^{t2} R21(1/(z q^N))^{t2} = 1 and the
+    crossing-unitarity consequence (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2},
+    the latter verified for both R and Rhat."""
+    clock = Stopwatch()
+    N, q = fac.N, fac.params.q
+    Rt = _on(fac.r_matrix_xi(xi_of(z)), (1, 2), fac).partial_transpose(2)
+    R21t = _on(fac.r_matrix_xi(xi_of(1 / (z * q**N))), (2, 1), fac).partial_transpose(2)
+    res1 = np.linalg.norm((Rt @ R21t).data - np.eye(N * N)) / Rt.norm()
+    resids = [res1]
+    for build in (fac.r_matrix_xi, fac.rhat_matrix_xi):
+        resids.append(crossing_unitarity_residual(
+            build(xi_of(z)), build(xi_of(q**N * z)), fac))
+    return clock.report(
+        "rmatrix-properties", "crossing",
+        "R^{t2}(z) R21^{t2}(1/(z q^N)) = 1 and (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2}",
+        _inputs(fac, z=z), worst(resids), tolerance)
+
+
+def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9):
+    """R(-z) = omega (g^{-1} (x) 1) R(z) (g (x) 1), with -z reached by the
+    continuation xi -> xi + 1 (principal-branch evaluation of -z realizes
+    the identity only up to an N-th root of unity)."""
+    clock = Stopwatch()
+    E = np.eye(fac.N)
+    xi = xi_of(z)
+    lhs = fac.r_matrix_xi(xi + 1)
+    g = fac.zn.g
+    rhs = fac.zn.omega * np.kron(np.linalg.inv(g), E) @ fac.r_matrix_xi(xi) @ np.kron(g, E)
+    res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+    return clock.report("rmatrix-properties", "antisymmetry",
+                        "R(-z) = omega (g^{-1} x 1) R(z) (g x 1)  [-z via xi+1]",
+                        _inputs(fac, z=z), res, tolerance)
+
+
+def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance=1e-9):
+    """Twist relation M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a with M_a = GH^{-a}.
+
+    The step x -> s x by the designated root value is taken on the theta
+    lattice (xi -> xi + tau + 1); a = 1 is the quasi-periodicity property
+    itself, a = 0 is trivial, other a iterate it.  The p* matrix with the
+    s* ladder is the same check on the factory of EllipticParams(N, q, s*).
+    """
+    clock = Stopwatch()
+    E = np.eye(fac.N)
+    Ma = fac.zn.M_power(a)
+    xi = xi_of(x)
+    lhs = np.kron(Ma, E) @ fac.rhat_matrix_xi(xi)
+    scal = F_a(x, a, fac.params.s, fac.params, fac.policy)
+    rhs = scal * fac.rhat_matrix_xi(xi + a * fac.s_shift) @ np.kron(Ma, E)
+    res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+    return clock.report("rmatrix-properties", f"quasi-periodicity(a={a})",
+                        "M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a   [s-step on the theta lattice]",
+                        _inputs(fac, x=x, a=a), res, tolerance)
+
+
+def check_kernel(fac: RMatrixFactory, tolerance=1e-8):
+    """dim ker Rhat(q) = N(N-1)/2 and the kernel projector is A_2."""
+    clock = Stopwatch()
+    N = fac.N
+    dim, proj = kernel_projector(fac)
+    expected = N * (N - 1) // 2
+    A2 = antisymmetrizer(2, N).matrix
+    res = np.linalg.norm(proj - A2) if dim == expected else 1.0
+    return clock.report("rmatrix-properties", "kernel",
+                        "ker Rhat(q) = im A_2 (dimension N(N-1)/2)",
+                        _inputs(fac, dim=dim, expected_dim=expected), res, tolerance)
 
 
 def suite_rmatrix_properties(ctx: SuiteContext) -> list[CheckReport]:
@@ -243,8 +366,7 @@ def suite_rmatrix_properties(ctx: SuiteContext) -> list[CheckReport]:
     out.append(clock.report(
         suite="rmatrix-properties", check="zn-sparsity",
         identity="entry ((i,j),(k,l)) of R vanishes unless i+j = k+l mod N",
-        inputs={"N": pr.N, "q": pr.q, "p": pr.p, "z": z},
-        residual=res, tolerance=1e-12))
+        inputs=_inputs(fac, z=z), residual=res, tolerance=1e-12))
 
     # test-power control: a deliberately broken Yang-Baxter triple.  The
     # normalized Rhat is used because the unitary-gauge R varies too
@@ -280,6 +402,78 @@ def suite_rmatrix_properties(ctx: SuiteContext) -> list[CheckReport]:
         "perturbing the q^N pairing by 1% must break crossing-unitarity (> 1e-3)",
         {"N": pr.N}, worst(ctrl), 1e-3))
     return out
+
+
+def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
+                            tolerance: float = 1e-8):
+    """Residuals of the one-sided projector identities X A = A X A for the
+    R-hat chain, its t0-transposed-inverse chain, its inverse chain, and the
+    fused block product with the row and column antisymmetrizers.  Each X is
+    a list of gates applied to im A only (see `_projector_residual`); the
+    inverse fused block is the reversed list of inverse gates, checked while
+    N^(k+k') <= 1536."""
+    if kprime is None:
+        kprime = k
+    N, params = fac.N, fac.params
+    if not (2 <= k <= N):
+        raise ValueError(f"need 2 <= k <= N, got k={k}")
+    zeta = params.zeta
+    xi_x = xi_of(x)
+    inputs = {"N": N, "k": k, "kprime": kprime, "x": x, "q": params.q, "p": params.p}
+    reports = []
+
+    def report(name, identity, gates, a_labels, rest):
+        clock = Stopwatch()
+        res = _projector_residual(gates, a_labels, rest)
+        reports.append(clock.report("fusion-identities", name, identity, inputs, res,
+                                    tolerance))
+
+    # chains on aux spaces 1..k against a common space 0
+    aux = tuple(range(1, k + 1))
+    chains = (  # (name, identity, direction of the argument ladder, factor map)
+        ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k",
+         -1, lambda R: R),
+        ("chain_t0_inv", "(Rhat^{-1})^{t0} descending-argument chain, one-sided projector",
+         -1, lambda R: R.inv().partial_transpose("0")),
+        ("chain_inv", "Rhat^{-1}_{1,0}(x)...Rhat^{-1}_{k,0}(x q^{k-1}) A_k = A_k (...) A_k",
+         +1, LabeledTensor.inv),
+    )
+    for name, identity, step, factor in chains:
+        gates = [factor(fac.rhat_tensor(xi_x + step * (i - 1) * zeta, (i, "0")))
+                 for i in aux]
+        report(name, identity, gates, aux, ("0",))
+
+    gates = fused_gates(x, k, kprime, fac)
+    rows, cols = row_labels(k), col_labels(kprime)
+    report("fused_rows", "fused R block with row antisymmetrizer", gates, rows, cols)
+    report("fused_cols", "fused R block with column antisymmetrizer", gates, cols, rows)
+    if N ** (k + kprime) <= 1536:  # the budget of the former dense inversion
+        inv_gates = [g.inv() for g in reversed(gates)]
+        report("fused_inv_rows", "inverse fused R block with row antisymmetrizer",
+               inv_gates, rows, cols)
+        report("fused_inv_cols", "inverse fused R block with column antisymmetrizer",
+               inv_gates, cols, rows)
+    return reports
+
+
+def check_M_derivative(x: complex, k: int, kprime: int, fac, tolerance: float = 1e-5):
+    """Central difference of M(x) in the central charge at c = -N.
+
+    Both dM/dc = 0 and M|_{c=-N} = identity are asserted; the second enters
+    the returned inputs so a wrong critical value cannot silently pass."""
+    clock = Stopwatch()
+    N, step = fac.N, 1e-4
+    Mc = monodromy_M(x, k, kprime, fac, c=-N)
+    ident_res = (Mc - LabeledTensor.identity(Mc.labels, N)).norm() / max(Mc.norm(), 1e-300)
+    Mp = monodromy_M(x, k, kprime, fac, c=-N + step)
+    Mm = monodromy_M(x, k, kprime, fac, c=-N - step)
+    deriv = (Mp - Mm).norm() / (2 * step) / max(Mc.norm(), 1e-300)
+    return clock.report(
+        "fusion-identities", f"M_derivative(k={k},k'={kprime})",
+        "d/dc M(x) = 0 and M(x) = 1 at the critical level c = -N",
+        {"N": N, "k": k, "kprime": kprime, "x": x, "q": fac.params.q,
+         "p": fac.params.p, "step": step, "identity_residual": ident_res},
+        worst((deriv, ident_res)), tolerance)
 
 
 def suite_fusion_identities(ctx: SuiteContext) -> list[CheckReport]:
@@ -343,7 +537,90 @@ def suite_fusion_identities(ctx: SuiteContext) -> list[CheckReport]:
     return out
 
 
+def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
+                         rep: EvalRep, tolerance: float = 1e-8) -> CheckReport:
+    """Residual of t^{(k)}(z) L(w) = [prod_i F_{-m}/F*_n](z_i/w) L(w) t^{(k)}(z),
+    as matrices on (one fresh auxiliary space) x (quantum space).
+
+    When the selection rule says t^{(k)} vanishes identically, the verified
+    statement is the vanishing itself (residual = |t|); the exchange then
+    holds trivially on both sides.
+    """
+    clock = Stopwatch()
+    N = rep.N
+    t_gen = build_t(k, z, surface, rep)
+    t_norm = float(np.linalg.norm(t_gen))
+    pref = _exchange_prefactor_tL(k, z, w, surface, rep.policy)
+    vanishing = not survives_selection_rule(k, surface.m, surface.n, N)
+    if vanishing:
+        res = t_norm
+    else:
+        Lw = rep.L(xi_of(w), "b")
+        t = LabeledTensor.from_matrix(t_gen, (QUANTUM,), N)
+        lhs = compose([t, Lw], ("b", QUANTUM))
+        rhs = pref * compose([Lw, t], ("b", QUANTUM))
+        res = (lhs - rhs).norm() / max(Lw.norm() * t_norm, 1e-300)
+    return clock.report(
+        suite="theorem1-exchange", check=f"tL(k={k},m={surface.m},n={surface.n})",
+        identity=("t^{(k)} = 0 (twist charge (m+n)k != 0 mod N), exchange trivial"
+                  if vanishing else
+                  "t(z) L(w) = prod_i [F_{-m}/F*_n](z_i/w) L(w) t(z) on the surface"),
+        inputs={"N": N, "q": rep.params.q, "k": k, "m": surface.m, "n": surface.n,
+                "z": z, "w": w, "s": surface.params.s, "prefactor": pref,
+                "t_norm": t_norm, "t_scalar_residual": _scalar_residual(t_gen),
+                "structurally_vanishing": vanishing},
+        residual=res, tolerance=tolerance,
+    )
+
+
+def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
+                         surface: SurfaceSpec, rep: EvalRep,
+                         tolerance: float = 1e-8) -> CheckReport:
+    """Residual of the quadratic exchange
+    t^{(k)}(z) t^{(k')}(w) = prod_{i,j} Y_{m,n}(q^{i-j} z/w) t^{(k')}(w) t^{(k)}(z).
+
+    Vanishing factors (selection rule) make the relation trivial; the
+    reported residual is then the norm of the factor that must vanish."""
+    clock = Stopwatch()
+    p = surface.params
+    tk = build_t(k, z, surface, rep)
+    tkp = build_t(kprime, w, surface, rep)
+    pref = 1.0 + 0j
+    for ei in centred_ladder(k):
+        for ej in centred_ladder(kprime):
+            pref *= Y_mn(p.q ** (ei - ej) * z / w, surface.m, surface.n, p, rep.policy)
+    van_k = not survives_selection_rule(k, surface.m, surface.n, rep.N)
+    van_kp = not survives_selection_rule(kprime, surface.m, surface.n, rep.N)
+    if van_k or van_kp:
+        res = worst((np.linalg.norm(tk) if van_k else 0.0,
+                     np.linalg.norm(tkp) if van_kp else 0.0))
+    else:
+        lhs = tk @ tkp
+        rhs = pref * (tkp @ tk)
+        res = np.linalg.norm(lhs - rhs) / max(
+            np.linalg.norm(tk) * np.linalg.norm(tkp), 1e-300)
+    return clock.report(
+        suite="corollary2-exchange", check=f"tt(k={k},k'={kprime},m={surface.m},n={surface.n})",
+        identity=("a factor of the quadratic exchange vanishes by the twist "
+                  "charge rule" if (van_k or van_kp) else
+                  "t_k(z) t_k'(w) = prod Y_{m,n}(q^{i-j} z/w) t_k'(w) t_k(z)"),
+        inputs={"N": rep.N, "q": p.q, "k": k, "kprime": kprime, "m": surface.m,
+                "n": surface.n, "z": z, "w": w, "prefactor": pref,
+                "t_scalar_residual": max(_scalar_residual(tk), _scalar_residual(tkp)),
+                "structurally_vanishing": bool(van_k or van_kp)},
+        residual=res, tolerance=tolerance,
+    )
+
+
 _THEOREM1_SURFACES = [(-1, -1), (-2, 1)]
+
+
+def _offsurface(surf: SurfaceSpec, ctx: SuiteContext):
+    """`surf` with s moved 2% off the surface, and the evaluation
+    representation at a = 1 there."""
+    p = surf.params
+    pert = SurfaceSpec(m=surf.m, n=surf.n, params=EllipticParams(p.N, p.q, p.s * 1.02, 0.0))
+    return pert, EvalRep(RMatrixFactory(pert.params, ctx.policy), 1.0)
 
 
 def suite_theorem1_exchange(ctx: SuiteContext) -> list[CheckReport]:
@@ -361,9 +638,7 @@ def suite_theorem1_exchange(ctx: SuiteContext) -> list[CheckReport]:
                 z, w = _safe_point(rng), _safe_point(rng)
                 out.append(exchange_residual_tL(k, z, w, surf, rep, tol))
         # k = N commutes without any surface condition: perturb s and retest
-        pert = SurfaceSpec(m=m, n=n, params=EllipticParams(
-            pr.N, pr.q, surf.params.s * 1.02, 0.0))
-        rep_p = EvalRep(RMatrixFactory(pert.params, ctx.policy), 1.0)
+        pert, rep_p = _offsurface(surf, ctx)
         r = exchange_residual_tL(pr.N, _safe_point(rng), _safe_point(rng), pert, rep_p, tol)
         r.check = f"tL-offsurface(k={pr.N},m={m},n={n})"
         out.append(r)
@@ -371,10 +646,7 @@ def suite_theorem1_exchange(ctx: SuiteContext) -> list[CheckReport]:
     # control: surviving non-central generator off-surface must violate;
     # sensitivity varies over the domain, so take the worst of five pairs
     ctrl_m, ctrl_n, ctrl_k = ((-1, -1, 1) if pr.N == 2 else (-pr.N + 1, -1, 1))
-    surf = resolve_surface(ctrl_m, ctrl_n, pr.q, 0.0, pr.N)
-    pert = SurfaceSpec(m=ctrl_m, n=ctrl_n, params=EllipticParams(
-        pr.N, pr.q, surf.params.s * 1.02, 0.0))
-    rep_p = EvalRep(RMatrixFactory(pert.params, ctx.policy), 1.0)
+    pert, rep_p = _offsurface(resolve_surface(ctrl_m, ctrl_n, pr.q, 0.0, pr.N), ctx)
     clock = Stopwatch()
     ctrl = [exchange_residual_tL(ctrl_k, _safe_point(rng), _safe_point(rng), pert, rep_p,
                                  tol).residual for _ in range(5)]
@@ -423,6 +695,70 @@ def suite_corollary2_exchange(ctx: SuiteContext) -> list[CheckReport]:
     return out
 
 
+def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8):
+    """Extract qdet(z) and report how close it is to a scalar on the
+    quantum space (centrality in the evaluation representation)."""
+    clock = Stopwatch()
+    N = rep.N
+    qd = _qdet_matrix(xi_of(z), rep)
+    scal = complex(np.trace(qd) / N)
+    return scal, clock.report(
+        suite="qdet", check="qdet-centrality",
+        identity="L_1(z)...L_N(z q^{1-N}) A_N = A_N qdet(z) with qdet scalar",
+        inputs={"N": N, "q": rep.params.q, "p": rep.params.p, "z": z,
+                "qdet": scal},
+        residual=_scalar_residual(qd), tolerance=tolerance,
+    )
+
+
+def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
+                     tolerance: float = 1e-8) -> CheckReport:
+    """t^{(N)}(z) = det(M) det(Mt) qdet(s*^n sigma z) / qdet(sigma z).
+
+    The grid of t^{(N)} determines sigma only up to the quasi-periodicity
+    of qdet, so both candidate shifts sigma = q^{(N-1)/2} and q^{N-1} are
+    tried; the report carries each residual and asserts the better one.
+    """
+    clock = Stopwatch()
+    N = rep.N
+    zn = rep.factory.zn
+    t_val = complex(np.trace(build_t(N, z, surface, rep)) / N)
+    detM = complex(np.linalg.det(zn.M_power(surface.m)))
+    detMt = complex(np.linalg.det(zn.M_power(surface.n)))
+    star_step = surface.n * rep.factory.s_star_shift
+    results = {}
+    for name, sig_exp in (("q^{(N-1)/2}", (N - 1) / 2.0), ("q^{N-1}", float(N - 1))):
+        xi_sig = xi_of(z) + sig_exp * rep.params.zeta
+        den = complex(np.trace(_qdet_matrix(xi_sig, rep)) / N)
+        num = complex(np.trace(_qdet_matrix(xi_sig + star_step, rep)) / N)
+        pred = detM * detMt * num / den
+        results[name] = abs(t_val - pred) / max(abs(t_val), 1e-300)
+    best = min(results, key=results.get)
+    return clock.report(
+        suite="qdet", check="t-qdet",
+        identity="t^{(N)}(z) = det(M) det(Mt) qdet(s*^n sigma z)/qdet(sigma z)",
+        inputs={"N": N, "q": rep.params.q, "m": surface.m, "n": surface.n, "z": z,
+                "selected_sigma": best,
+                "residuals": {k: float(v) for k, v in results.items()}},
+        residual=results[best], tolerance=tolerance,
+    )
+
+
+def check_trace_MA(N: int, m: int, tolerance: float = 1e-10) -> CheckReport:
+    """tr_{1..N}( MM A_N ) = det(M)."""
+    clock = Stopwatch()
+    M = ZnMatrices(N).M_power(m)
+    lhs = complex(antisym_trace(_on_each(M, N), N)[0, 0])
+    det = complex(np.linalg.det(M))
+    res = abs(lhs - det) / max(abs(det), 1e-300)
+    return clock.report(
+        suite="qdet", check=f"trace-MA(m={m})",
+        identity="tr(M^{xN} A_N) = det(M)",
+        inputs={"N": N, "m": m, "det": det},
+        residual=res, tolerance=tolerance,
+    )
+
+
 def suite_qdet(ctx: SuiteContext) -> list[CheckReport]:
     tol = ctx.tol("qdet", 1e-8)
     out = []
@@ -439,6 +775,29 @@ def suite_qdet(ctx: SuiteContext) -> list[CheckReport]:
     return out
 
 
+def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10) -> CheckReport:
+    """t_{m,0}^{(k)} = tr(MM A_k) equals the k-th elementary symmetric
+    polynomial of the eigenvalues of M = GH^{-m}; it vanishes unless
+    m k = 0 mod N."""
+    clock = Stopwatch()
+    M = ZnMatrices(N).M_power(m)
+    val = complex(antisym_trace(_on_each(M, k), k)[0, 0])
+    eigs = np.linalg.eigvals(M)
+    coeffs = np.poly(eigs)  # monic char poly: e_k = (-1)^k coeffs[k]
+    ek = complex((-1) ** k * coeffs[k])
+    res = abs(val - ek)
+    vanishes = (m * k) % N != 0
+    if vanishes:
+        res = worst((res, abs(val)))  # must also be zero outright
+    return clock.report(
+        suite="n0", check=f"n0(N={N},k={k},m={m})",
+        identity="tr(M^{xk} A_k) = e_k(eig M); zero unless m k = 0 mod N",
+        inputs={"N": N, "k": k, "m": m, "value": val, "e_k": ek,
+                "must_vanish": vanishes},
+        residual=res, tolerance=tolerance,
+    )
+
+
 def suite_n0(ctx: SuiteContext) -> list[CheckReport]:
     tol = ctx.tol("n0", 1e-10)
     out = []
@@ -449,6 +808,26 @@ def suite_n0(ctx: SuiteContext) -> list[CheckReport]:
     out.append(n0_check(2, 2, 4, tol))
     out.append(n0_check(2, 1, 3, tol))
     return out
+
+
+def abelianity_check(branch: str, N: int, q: complex, m: int, n: int,
+                     x_grid, lam=None, tolerance: float = 1e-9,
+                     policy: TruncationPolicy = DEFAULT_POLICY):
+    """Resolve the branch and measure max |Y_{m,n}(x) - 1| over the grid."""
+    clock = Stopwatch()
+    x_grid = list(x_grid)
+    params = resolve_abelian_branch(branch, N, q, m, n, lam)
+    surf = abs(params.s**m * params.s_star**n - q ** (-N))
+    dev = worst(abs(y - 1) for y in Y_mn_grid(x_grid, m, n, params, policy).tolist())
+    return clock.report(
+        suite="abelianity",
+        check=f"{branch}(m={m},n={n})",
+        identity="Y_{m,n}(x) = 1 on the abelianity surface",
+        inputs={"N": N, "q": q, "m": m, "n": n, "lam": None if lam is None else str(lam),
+                "c": params.c, "surface_residual": surf, "grid_points": len(x_grid)},
+        residual=dev,
+        tolerance=tolerance,
+    )
 
 
 def suite_abelianity(ctx: SuiteContext) -> list[CheckReport]:
@@ -472,6 +851,46 @@ def suite_abelianity(ctx: SuiteContext) -> list[CheckReport]:
         "abelianity", "control-perturbed", "1% s-perturbation must give max |Y - 1| > 1e-3",
         {"N": N, "q": q}, dev, 1e-3))
     return out
+
+
+def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticParams,
+                           tolerance: float = 1e-6,
+                           policy: TruncationPolicy = DEFAULT_POLICY) -> CheckReport:
+    """Three-way comparison at the critical level c = -N: the central
+    difference of the fused exchange ratio in c, the I-kernel series, and
+    the mode expansion must agree pairwise.
+
+    The derivative uses Richardson extrapolation of two central
+    differences (O(step^4)); plain central differences lose too much
+    accuracy when x sits near a pole ring of the structure function.
+
+    A TruncationBudgetExceeded fails this point alone: the report has
+    residual NaN, None for the values not reached, and the error's type
+    and message in `error`/`message`."""
+    clock = Stopwatch()
+    N, step = params.N, 2e-5
+
+    def central(eps):
+        return (Y_kkprime_cr(x, k, kprime, params.with_c(-N + eps), policy)
+                - Y_kkprime_cr(x, k, kprime, params.with_c(-N - eps), policy)) / (2 * eps)
+
+    values = {"derivative": None, "series": None, "modes": None}
+    failure = {}
+    try:
+        values["derivative"] = d = (4 * central(step / 2) - central(step)) / 3
+        values["series"] = fs = f_cr_series(x, k, kprime, params, policy)
+        values["modes"] = fm = f_cr_modes(x, k, kprime, params, policy)
+        res = worst((abs(d - fs), abs(d - fm), abs(fs - fm)))
+    except TruncationBudgetExceeded as exc:
+        failure = {"error": type(exc).__name__, "message": str(exc)}
+        res = math.nan
+    return clock.report(
+        suite="critical-poisson", check=f"f_cr(k={k},k'={kprime})",
+        identity="d/dc fused ratio at c=-N equals both closed forms of f_cr",
+        inputs={"N": N, "q": params.q, "k": k, "kprime": kprime, "x": x,
+                **values, "step": step, **failure},
+        residual=res, tolerance=tolerance,
+    )
 
 
 def suite_critical_poisson(ctx: SuiteContext) -> list[CheckReport]:
@@ -515,6 +934,41 @@ def suite_critical_poisson(ctx: SuiteContext) -> list[CheckReport]:
         inputs={"N": pr.N, "q": pr.q}, residual=worst(resids),
         tolerance=ctx.tol("critical-poisson", 1e-10)))
     return out
+
+
+def alpha_identity_check() -> CheckReport:
+    """Exhaustive exact-rational sweep of the reordering identity
+
+        sum_{a<b} alpha_{j_sig(a) j_sig(b)} + sum_a (2a/N)(j_sig(a) - j_a)
+            = -inv(sigma) + sum_{a<b} alpha_{j_a j_b}
+
+    over all permutations sigma in S_k, k <= 4, and ascending tuples of
+    distinct indices j_1 < ... < j_k from {1..N}, N <= 4 (the identity
+    is about reordering a set of k distinct indices)."""
+    clock = Stopwatch()
+    k_max = N_max = 4
+    violations = 0
+    cases = 0
+    for N in range(2, N_max + 1):
+        for k in range(1, min(k_max, N) + 1):
+            for js in combinations(range(1, N + 1), k):
+                base = sum(alpha_fraction(js[a], js[b], N)
+                           for a in range(k) for b in range(a + 1, k))
+                for sigma in permutations(range(k)):
+                    lhs = sum(alpha_fraction(js[sigma[a]], js[sigma[b]], N)
+                              for a in range(k) for b in range(a + 1, k))
+                    lhs += sum(Fraction(2 * (a + 1), N) * (js[sigma[a]] - js[a])
+                               for a in range(k))
+                    rhs = -_inversions(sigma) + base
+                    cases += 1
+                    if lhs != rhs:
+                        violations += 1
+    return clock.report(
+        suite="alpha-identity", check=f"alpha-identity(k<={k_max},N<={N_max})",
+        identity="reordering identity for the gradation-twist exponents (exact rational)",
+        inputs={"k_max": k_max, "N_max": N_max, "cases": cases},
+        residual=float(violations), tolerance=0.0,
+    )
 
 
 def suite_alpha_identity(ctx: SuiteContext) -> list[CheckReport]:

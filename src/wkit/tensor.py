@@ -35,7 +35,6 @@ import numpy as np
 from .errors import DimensionGuardExceeded, LabelMismatch
 from .params import centred_ladder, xi_of
 from .qseries import _store
-from .reports import Stopwatch, worst
 
 _DEFAULT_MAX_DIM = 10_000
 _BASES = {}  # (k, N) -> the read-only basis V of im A_k
@@ -281,7 +280,7 @@ def compose(gates, labels) -> LabeledTensor:
 
 
 # ---------------------------------------------------------------------------
-# Fused R-products and the identities they satisfy
+# Fused R-products
 # ---------------------------------------------------------------------------
 
 def row_labels(k: int):
@@ -346,58 +345,6 @@ def _projector_residual(gates, a_labels, rest) -> float:
     return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 
-def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
-                            tolerance: float = 1e-8):
-    """Residuals of the one-sided projector identities X A = A X A for the
-    R-hat chain, its t0-transposed-inverse chain, its inverse chain, and the
-    fused block product with the row and column antisymmetrizers.  Each X is
-    a list of gates applied to im A only (see `_projector_residual`); the
-    inverse fused block is the reversed list of inverse gates, checked while
-    N^(k+k') <= 1536."""
-    if kprime is None:
-        kprime = k
-    N, params = fac.N, fac.params
-    if not (2 <= k <= N):
-        raise ValueError(f"need 2 <= k <= N, got k={k}")
-    zeta = params.zeta
-    xi_x = xi_of(x)
-    inputs = {"N": N, "k": k, "kprime": kprime, "x": x, "q": params.q, "p": params.p}
-    reports = []
-
-    def report(name, identity, gates, a_labels, rest):
-        clock = Stopwatch()
-        res = _projector_residual(gates, a_labels, rest)
-        reports.append(clock.report("fusion-identities", name, identity, inputs, res,
-                                    tolerance))
-
-    # chains on aux spaces 1..k against a common space 0
-    aux = tuple(range(1, k + 1))
-    chains = (  # (name, identity, direction of the argument ladder, factor map)
-        ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k",
-         -1, lambda R: R),
-        ("chain_t0_inv", "(Rhat^{-1})^{t0} descending-argument chain, one-sided projector",
-         -1, lambda R: R.inv().partial_transpose("0")),
-        ("chain_inv", "Rhat^{-1}_{1,0}(x)...Rhat^{-1}_{k,0}(x q^{k-1}) A_k = A_k (...) A_k",
-         +1, LabeledTensor.inv),
-    )
-    for name, identity, step, factor in chains:
-        gates = [factor(fac.rhat_tensor(xi_x + step * (i - 1) * zeta, (i, "0")))
-                 for i in aux]
-        report(name, identity, gates, aux, ("0",))
-
-    gates = fused_gates(x, k, kprime, fac)
-    rows, cols = row_labels(k), col_labels(kprime)
-    report("fused_rows", "fused R block with row antisymmetrizer", gates, rows, cols)
-    report("fused_cols", "fused R block with column antisymmetrizer", gates, cols, rows)
-    if N ** (k + kprime) <= 1536:  # the budget of the former dense inversion
-        inv_gates = [g.inv() for g in reversed(gates)]
-        report("fused_inv_rows", "inverse fused R block with row antisymmetrizer",
-               inv_gates, rows, cols)
-        report("fused_inv_cols", "inverse fused R block with column antisymmetrizer",
-               inv_gates, cols, rows)
-    return reports
-
-
 def monodromy_M(x: complex, k: int, kprime: int, fac, c: complex) -> LabeledTensor:
     """The combination M(x) = (R(q^c x)^T (R(x)^{-1} R(q^{-c-N} x) R(x)^{-1})^T)^T
     of fused blocks, T transposing the k row spaces.  Equals the identity at
@@ -409,22 +356,3 @@ def monodromy_M(x: complex, k: int, kprime: int, fac, c: complex) -> LabeledTens
     inner = (R0i @ Rm @ R0i).partial_transpose(rows)
     return (Rc.partial_transpose(rows) @ inner).partial_transpose(rows)
 
-
-def check_M_derivative(x: complex, k: int, kprime: int, fac, tolerance: float = 1e-5):
-    """Central difference of M(x) in the central charge at c = -N.
-
-    Both dM/dc = 0 and M|_{c=-N} = identity are asserted; the second enters
-    the returned inputs so a wrong critical value cannot silently pass."""
-    clock = Stopwatch()
-    N, step = fac.N, 1e-4
-    Mc = monodromy_M(x, k, kprime, fac, c=-N)
-    ident_res = (Mc - LabeledTensor.identity(Mc.labels, N)).norm() / max(Mc.norm(), 1e-300)
-    Mp = monodromy_M(x, k, kprime, fac, c=-N + step)
-    Mm = monodromy_M(x, k, kprime, fac, c=-N - step)
-    deriv = (Mp - Mm).norm() / (2 * step) / max(Mc.norm(), 1e-300)
-    return clock.report(
-        "fusion-identities", f"M_derivative(k={k},k'={kprime})",
-        "d/dc M(x) = 0 and M(x) = 1 at the critical level c = -N",
-        {"N": N, "k": k, "kprime": kprime, "x": x, "q": fac.params.q,
-         "p": fac.params.p, "step": step, "identity_residual": ident_res},
-        worst((deriv, ident_res)), tolerance)

@@ -34,25 +34,27 @@ from wkit import (
 )
 from wkit.errors import OutsideConvergenceAnnulus, PoleHit
 from wkit.qseries import Y_kkprime_cr
-from wkit.rmatrix import (
-    RMatrixFactory,
+from wkit.rmatrix import RMatrixFactory
+from wkit.suites import (
+    SuiteContext,
+    _safe_point,
+    alpha_identity_check,
     check_antisymmetry,
     check_crossing,
+    check_fusion_identities,
     check_kernel,
+    check_M_derivative,
     check_quasi_periodicity_M,
     check_regularity,
+    check_trace_MA,
     check_unitarity,
     check_yang_baxter,
-)
-from wkit.suites import SuiteContext, _safe_point, suite_rmatrix_properties
-from wkit.tensor import antisymmetrizer, check_fusion_identities, check_M_derivative, fused_R, row_labels
-from wkit.wgen import (
-    SurfaceSpec,
-    alpha_identity_check,
-    check_trace_MA,
     critical_poisson_check,
     qdet_tqdet_check,
+    suite_rmatrix_properties,
 )
+from wkit.tensor import antisymmetrizer, fused_R, row_labels
+from wkit.wgen import SurfaceSpec
 
 POL = TruncationPolicy()
 

@@ -142,6 +142,7 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"params": {"N": 2, "s": math.inf}, "suites": ["n0"]},
     {"grid": {"from": math.nan}},
     {"tolerances": {"n0": math.inf}},
+    {"params": {"N": 2}, "suites": ["n0"], "tolerances": {"nO": 1e-30}},  # misspelt suite
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"
@@ -149,6 +150,21 @@ def test_check_exit_2_on_schema_violations(tmp_path, bad):
     res = run_cli("check", "--config", str(path))
     assert res.returncode == 2, res.stderr
     assert res.stdout == ""
+
+
+def test_check_exit_2_on_unwritable_output(small_config, tmp_path):
+    out = tmp_path / "no-such-dir" / "report.json"
+    res = run_cli("check", "--config", str(small_config), "--out", str(out))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("output error: ") and len(res.stderr.splitlines()) == 1
+
+
+def test_scan_exit_2_on_unwritable_csv(tmp_path):
+    out = tmp_path / "no-such-dir" / "scan.csv"
+    res = run_cli("scan", "U", "--from", "0.5", "--to", "2.0", "--points", "3",
+                  "--csv", str(out), "--N", "2", "--q", "0.6", "--s", "0.5")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("output error: ") and len(res.stderr.splitlines()) == 1
 
 
 def test_eval_known_values():

@@ -38,3 +38,54 @@ def test_scanner_finds_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# The layers that only build: none of them may reach the checks layer
+# (`suites`, with `reports` under it) or the CLI, and none may make a report.
+BUILDERS = ("params", "errors", "qseries", "rmatrix", "tensor", "wgen")
+CHECKS = {"reports", "suites", "cli"}
+REPORT_NAMES = {"CheckReport", "Stopwatch"}
+
+
+def layering_violations(source: str) -> list:
+    """(line, what) of each import from the checks layer or the CLI, each
+    use of a report type, and each function annotated to return a report."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [(node.module or "").split(".")[-1]]
+            if node.module in (None, "wkit"):  # from . import reports
+                names += [alias.name for alias in node.names]
+            out += [(node.lineno, f"import {n}") for n in names if n in CHECKS]
+        elif isinstance(node, ast.Import):
+            names = [alias.name.split(".")[-1] for alias in node.names]
+            out += [(node.lineno, f"import {n}") for n in names if n in CHECKS]
+        elif isinstance(node, ast.Name) and node.id in REPORT_NAMES:
+            out.append((node.lineno, node.id))
+        elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns
+              and any(n in ast.unparse(node.returns) for n in REPORT_NAMES)):
+            out.append((node.lineno, f"{node.name} returns a report"))
+    return sorted(out)
+
+
+def test_layering_scanner_finds_violations():
+    src = ("from .reports import worst\nfrom . import suites\nimport wkit.cli\n"
+           "from .tensor import compose\n"
+           "def f() -> 'CheckReport':\n    return Stopwatch()\n")
+    assert layering_violations(src) == [
+        (1, "import reports"), (2, "import suites"), (3, "import cli"),
+        (5, "f returns a report"), (6, "Stopwatch")]
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builder_layers_make_no_reports(name):
+    path = ROOT / "src" / "wkit" / f"{name}.py"
+    assert layering_violations(path.read_text(encoding="utf-8")) == []
+
+
+def test_rmatrix_takes_only_the_operator_type_from_tensor():
+    tree = ast.parse((ROOT / "src" / "wkit" / "rmatrix.py").read_text(encoding="utf-8"))
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "tensor"
+             for alias in node.names}
+    assert names == {"LabeledTensor"}

@@ -3,7 +3,8 @@ against the factor-by-factor walk; the array product `pochhammer2` within
 rounding of the walk and as accurate against a 40-digit mpmath oracle; the
 grid forms within rounding of the scalar forms and as accurate against
 40 digits; batched characteristic thetas against the defining series summed
-ring by ring; the same exceptions; bounded caches."""
+ring by ring and against 40 digits on both branches; kappa_inv against 40
+digits; the same exceptions; bounded caches."""
 
 import cmath
 import math
@@ -519,6 +520,111 @@ def test_theta_char_sums_raise_on_any_nonconvergent_row():
         taus[row] = complex(taus[row].real, 1e-7)
         with pytest.raises(NonconvergentTau, match="Im tau = 1e-07"):
             theta_char_sums([0.5, 0.0, 0.25], [0.5, 1 / 3, 0.0], 0.1 + 0.05j, taus, POL)
+
+
+def mp_theta_char(mp, g1, g2, xi, tau):
+    """theta[g1,g2](xi, tau) at the working precision: the defining series
+    summed outward from its largest term until a pair of terms is below
+    1e-45 (1 + |sum|)."""
+    g1, u, tau = mp.mpf(g1), mp.mpc(xi) + mp.mpf(g2), mp.mpc(tau)
+    centre = int(mp.nint(-u.imag / tau.imag - g1))
+
+    def term(m):
+        return mp.exp(1j * mp.pi * tau * (m + g1) ** 2 + 2j * mp.pi * (m + g1) * u)
+
+    acc, k = term(centre), 1
+    while True:
+        a, b = term(centre + k), term(centre - k)
+        acc += a + b
+        if k > 3 and max(abs(a), abs(b)) < mp.mpf(10) ** -45 * (1 + abs(acc)):
+            return acc
+        k += 1
+
+
+def rmatrix_theta_rows():
+    """(g1s, g2s, xis, tau) of the lattice sum of R-matrix builds at
+    q = 0.55, p in {0.3, 0.6, 0.8}, N = 2-4, two points xi each: W's N^2
+    rows (1/2 + a/N, 1/2 + b/N) at xi + zeta/N and the prefactor's
+    (1/2, 1/2) at xi + zeta.  Re xi in [-1, 1] covers the continuation
+    xi -> xi + 1 the builds take."""
+    rnd = random.Random(41)
+    for N in (2, 3, 4):
+        for p in (0.3, 0.6, 0.8):
+            pr = EllipticParams(N, 0.55, cmath.sqrt(p))
+            g1s = [0.5 + a / N for a in range(N) for _ in range(N)] + [0.5]
+            g2s = [0.5 + b / N for _ in range(N) for b in range(N)] + [0.5]
+            for _ in range(2):
+                xi = complex(rnd.uniform(-1, 1), rnd.uniform(-0.2, 0.2))
+                yield g1s, g2s, [xi + pr.zeta / N] * (N * N) + [xi + pr.zeta], pr.tau
+
+
+def theta_identities_rows():
+    """(g1, g2, xi, tau) drawn as the theta-identities suite draws them."""
+    rnd = random.Random(43)
+    for _ in range(120):
+        N = rnd.choice([2, 3, 4])
+        chars = [0.0, 0.5, -0.5, 1.0 / N, -1.0 / N]
+        yield (rnd.choice(chars), rnd.choice(chars),
+               complex(rnd.uniform(-1, 1), rnd.uniform(-0.2, 0.2)),
+               complex(rnd.uniform(-0.5, 0.5), rnd.uniform(0.3, 3.0)))
+
+
+def theta_char_error(mp, g1s, g2s, xis, tau):
+    """Worst |theta_char_sums - 40-digit value| / (1 + |value|) of one call."""
+    got = theta_char_sums(g1s, g2s, xis, tau, POL).tolist()
+    with mp.workdps(40):
+        return max(float(abs(v - w) / (1 + abs(w))) for v, w in zip(
+            got, (mp_theta_char(mp, *row, tau) for row in zip(g1s, g2s, xis))))
+
+
+def test_theta_char_sums_match_mpmath_on_rmatrix_rows():
+    # every R-matrix row has |tau| < 1, so this is the modular-image branch;
+    # worst error measured: 1.0e-15 on these draws, 1.1e-14 on 27 others
+    # (N = 3, p = 0.8, Re xi = 0.96, where the image's exponents are of
+    # order 100 and their rounding alone is about 1e-14)
+    mp = pytest.importorskip("mpmath")
+    rows = list(rmatrix_theta_rows())
+    assert all(abs(tau) < 1 for *_, tau in rows)
+    assert max(theta_char_error(mp, *row) for row in rows) <= 2 * 1.1e-14 + 1e-14
+
+
+def test_theta_char_sums_match_mpmath_on_theta_identities_range():
+    # Im tau 0.3-3, |Re tau| <= 0.5: most rows have |tau| >= 1 and sum the
+    # defining series, the rest take the modular image; worst error
+    # measured: 2.2e-16 on the series rows (92 of 120), 1.9e-16 on the others
+    mp = pytest.importorskip("mpmath")
+    rows = list(theta_identities_rows())
+    series = [abs(tau) >= 1 for *_, tau in rows]
+    assert sum(series) > len(rows) / 2 and not all(series)
+    for g1, g2, xi, tau in rows:
+        assert theta_char_error(mp, [g1], [g2], [xi], tau) <= 2 * 2.2e-16 + 1e-14
+
+
+def mp_kappa_inv(mp, z2, params):
+    """1/kappa(z^2) from its eight two-modulus products at the working precision."""
+    q, p, P = params.q, params.p, params.q ** (2 * params.N)
+    num = [P / z2, q * q * z2, p / z2, p * P / (q * q) * z2]
+    den = [P * z2, q * q / z2, p * z2, p * P / (q * q) / z2]
+    return (mp.fprod(mp_pochhammer2(mp, x, p, P) for x in num)
+            / mp.fprod(mp_pochhammer2(mp, x, p, P) for x in den))
+
+
+def test_kappa_inv_matches_mpmath():
+    # N = 2-4, p in {0.3, 0.6}, q in [0.4, 0.7], z^2 for z in the suites'
+    # sampling wedge (0.7 <= |z| <= 1.4); worst relative error measured:
+    # 9.0e-15 on these draws, 1.0e-14 on 24 others
+    mp = pytest.importorskip("mpmath")
+    rnd = random.Random(47)
+    worst = 0.0
+    with mp.workdps(40):
+        for N in (2, 3, 4):
+            for p in (0.3, 0.6):
+                for _ in range(2):
+                    pr = EllipticParams(N, rnd.uniform(0.4, 0.7), cmath.sqrt(p))
+                    z = cmath.rect(rnd.uniform(0.7, 1.4), rnd.uniform(-0.45, 0.45) * math.pi)
+                    want = mp_kappa_inv(mp, z * z, pr)
+                    worst = max(worst, float(abs(kappa_inv(z * z, pr, POL) - want) / abs(want)))
+    assert worst <= 2 * 1.0e-14 + 1e-14, worst
 
 
 def test_series_vs_product_checks_theta_char_sums(monkeypatch):

@@ -357,17 +357,17 @@ def test_abel1_instance_and_control():
 
 def test_abelianity_nan_sample_fails(monkeypatch):
     # one NaN among 50 grid samples must fail the check, not be dropped by max()
-    import wkit.qseries as qs
+    import wkit.suites as suites
 
     grid = np.geomspace(0.5, 2.0, 50)
-    real_Y = qs.Y_mn_grid
+    real_Y = suites.Y_mn_grid
 
     def Y_with_nan(xs, *args):
         ys = real_Y(xs, *args)
         ys[17] = complex(math.nan, 0.0)
         return ys
 
-    monkeypatch.setattr(qs, "Y_mn_grid", Y_with_nan)
+    monkeypatch.setattr(suites, "Y_mn_grid", Y_with_nan)
     rep = abelianity_check("abel4", 2, 0.6, -3, 3, grid)
     assert math.isnan(rep.residual) and not rep.passed
 

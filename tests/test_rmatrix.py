@@ -10,7 +10,8 @@ import wkit.qseries as qs
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
 from wkit.errors import ModulusOutOfRange, PoleHit
 from wkit.qseries import U, tau_N
-from wkit.rmatrix import (
+from wkit.rmatrix import zn_symmetry_residual
+from wkit.suites import (
     check_antisymmetry,
     check_crossing,
     check_kernel,
@@ -18,7 +19,6 @@ from wkit.rmatrix import (
     check_regularity,
     check_unitarity,
     check_yang_baxter,
-    zn_symmetry_residual,
 )
 from wkit.tensor import antisymmetrizer, fused_R, permutation_operator
 

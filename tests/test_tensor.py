@@ -10,12 +10,11 @@ import pytest
 
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import DimensionGuardExceeded, LabelMismatch
+from wkit.suites import check_fusion_identities, check_M_derivative
 from wkit.tensor import (
     Antisymmetrizer,
     antisym_trace,
     apply_gates,
-    check_fusion_identities,
-    check_M_derivative,
     col_labels,
     compose,
     fused_gates,

@@ -21,18 +21,20 @@ from wkit import (
 )
 from wkit.errors import DimensionGuardExceeded, NoSolution
 from wkit.params import xi_of
+from wkit.suites import (
+    alpha_identity_check,
+    check_trace_MA,
+    critical_poisson_check,
+    n0_check,
+    qdet_tqdet_check,
+)
 from wkit.tensor import antisymmetrizer, compose
 from wkit.wgen import (
     SurfaceSpec,
     _qdet_matrix,
     _scalar_residual,
     alpha_fraction,
-    alpha_identity_check,
     build_Q,
-    check_trace_MA,
-    critical_poisson_check,
-    n0_check,
-    qdet_tqdet_check,
     survives_selection_rule,
 )
 
@@ -318,7 +320,7 @@ def test_critical_poisson_suite_keeps_its_other_reports(monkeypatch):
     # this config raised from f_cr_modes and lost all 14 reports; its
     # remainder is now summed past the budget, and a point that still
     # raises fails alone
-    import wkit.wgen as wg
+    import wkit.suites as suites
     from wkit.cli import parse_config
     from wkit.errors import TruncationBudgetExceeded
     from wkit.suites import suite_critical_poisson
@@ -327,7 +329,7 @@ def test_critical_poisson_suite_keeps_its_other_reports(monkeypatch):
     reports = suite_critical_poisson(ctx)
     assert len(reports) == 14 and all(r.passed for r in reports)
 
-    real_modes, calls = wg.f_cr_modes, []
+    real_modes, calls = suites.f_cr_modes, []
 
     def modes_raising_once(*args):
         calls.append(args)
@@ -335,7 +337,7 @@ def test_critical_poisson_suite_keeps_its_other_reports(monkeypatch):
             raise TruncationBudgetExceeded("f_cr_modes remainder did not converge")
         return real_modes(*args)
 
-    monkeypatch.setattr(wg, "f_cr_modes", modes_raising_once)
+    monkeypatch.setattr(suites, "f_cr_modes", modes_raising_once)
     reports = suite_critical_poisson(ctx)
     assert len(reports) == 14
     failed = [r for r in reports if not r.passed]
