@@ -152,6 +152,8 @@ def cmd_check(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    if args.out and not _emit("", args.out):  # an unwritable file fails before any suite runs
+        return 2
 
     reports = []
     for name in suites:

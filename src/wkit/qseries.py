@@ -31,6 +31,7 @@ import math
 import threading
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -54,22 +55,24 @@ _POLE_EPS = 1e-14
 # q-Pochhammer and Jacobi theta layer
 # ---------------------------------------------------------------------------
 #
-# Every product runs over the cached chains of its moduli.  The chain of a
-# modulus p is 1, p, p*p, ..., built by the repeated multiplications the
-# product is defined with, stored beside the negated running minimum of the
-# magnitudes.  A product takes the factors 1 - z w whose weight |w| is at
+# Every product runs over chains of its moduli.  The chain of a modulus p
+# is 1, p, p*p, ..., built by the repeated multiplications the product is
+# defined with.  A product takes the factors 1 - z w whose weight |w| is at
 # least tail_eps / (|z| + 1), and raises TruncationBudgetExceeded when a
 # summation index would need more than max_terms of them.
-# - The scalar one-modulus product `_poch1` finds its term count by
-#   bisection and multiplies the factors one by one in Python complex
-#   arithmetic: bit for bit the factor-by-factor walk.  Most callers want
-#   one value, and numpy's per-call overhead would cost them more.
-# - `pochhammer2` is the one array product.  Its lattice is the outer
-#   product of the two chains, cut by magnitude and formed per call; each
-#   point's factors below its own threshold are set to 1 and one product
-#   along the rows gives every value, in numpy complex arithmetic, so to
-#   rounding rather than bit for bit.  With p2 = 0, whose chain is 1, 0, it
-#   is the one-modulus product the grid forms use.
+# - The scalar one-modulus product `_poch1` runs on the cached chain of its
+#   modulus, finds its term count by bisection and multiplies the factors
+#   one by one in Python complex arithmetic: bit for bit the walk.
+# - `pochhammer2` is the one array product, in numpy complex arithmetic, so
+#   to rounding.  p1 is one value, with the cached chain, or one per point,
+#   with chains formed per call by np.cumprod; with p2 = 0 (chain 1, 0) it
+#   is (z; p1)_inf.  Each point's factors below its own threshold are set
+#   to 1, so its value does not depend on the batch it is in.
+# Each formula above (theta_big, U, tau_N, F_a, Y_mn, Y_FF, ...) is written
+# once: on scalars it runs on `_poch1`; on arrays it stacks the arguments
+# of each formula it calls into one array call, down to one `pochhammer2`
+# call.  Its first line hands an array call to `_on_grid`, which runs it
+# once and replays the scalar loop where that fails.
 # Chains grow lazily; an entry is replaced, never changed in place, and
 # every cache is cleared when it reaches its bound.
 
@@ -92,8 +95,13 @@ def _store(cache: dict, key, value, limit: int = _CACHE_LIMIT):
     return value
 
 
-def _check_modulus(p: complex):
-    if not abs(p) < 1 - 1e-6:  # NaN fails too
+def _check_modulus(p):
+    """Raise if |p| is not below 1 - 1e-6 (NaN fails too); an array p
+    raises for its first such entry."""
+    if isinstance(p, np.ndarray):
+        bad = np.flatnonzero(~(np.abs(p) < 1 - 1e-6))
+        p = p.flat[bad[0]] if bad.size else 0j
+    if not abs(p) < 1 - 1e-6:
         raise ModulusOutOfRange(f"|modulus| = {abs(p):.8g} too close to 1")
 
 
@@ -154,14 +162,17 @@ def _poch1(z, p: complex, policy: TruncationPolicy) -> complex:
     return val
 
 
-def pochhammer2(zs, p1: complex, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
+def pochhammer2(zs, p1, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """(z; p1, p2)_inf for every z of zs, as a complex array; (z; p1, 0)_inf
-    is (z; p1)_inf.  Raises what the first z to fail would raise in a call
-    of its own."""
-    p1, p2, T = complex(p1), complex(p2), policy.max_terms
+    is (z; p1)_inf.  p1 is one value or one per z.  Raises what the first z
+    to fail would raise in a call of its own; with one p1 per z, a modulus
+    out of range anywhere raises first."""
+    p2, T = complex(p2), policy.max_terms
+    z = np.asarray(zs, dtype=complex)
+    per_point = isinstance(p1, (list, tuple, np.ndarray))
+    p1 = np.broadcast_to(np.asarray(p1, dtype=complex), z.shape) if per_point else complex(p1)
     _check_modulus(p1)
     _check_modulus(p2)
-    z = np.asarray(zs, dtype=complex)
     thresh = policy.tail_eps / (np.abs(z) + 1.0)
     live = (z != 0) & (thresh == thresh)  # a zero z gives 1, a NaN z NaN
     out = np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
@@ -169,20 +180,35 @@ def pochhammer2(zs, p1: complex, p2: complex, policy: TruncationPolicy = DEFAULT
     if not t.size:
         return out
     low = float(t.min())
-    head, row0 = _chain(p1, low, T), _chain(p2, low, T)
+    row0 = _chain(p2, low, T)
+    row = row0[0][:_count(row0, low, T)]  # row[0] = 1
+    if per_point:  # chains by np.cumprod, to T + 1 entries or two past the last
+        # power any point takes: |p^k| < t from k = log t / log|p| on, and with
+        # |p| < 1 - 1e-6 the rounding of the products cannot delay that a step
+        p = p1[live]
+        with np.errstate(divide="ignore"):  # p = 0 needs no factor past 1
+            need = float((np.log(t) / np.log(np.abs(p))).max())
+        head = np.ones((p.size, min(int(need) + 3, T + 1)), dtype=complex)
+        np.cumprod(np.broadcast_to(p[:, None], (p.size, head.shape[1] - 1)), axis=1, out=head[:, 1:])
+        over0 = np.abs(head[:, T]) if head.shape[1] > T else -1.0
+        lat = head if len(row) == 1 else (head[:, :, None] * np.array(row)).reshape(len(head), -1)
+    else:
+        chain = _chain(p1, low, T)
+        over0 = abs(chain[0][T]) if len(chain[0]) > T else -1.0
+        lat = np.multiply.outer(chain[0][:_count(chain, low, T)], row).ravel()
     # |p2^T| and |p1^T|: a z whose threshold is at most one needs more than
     # T factors along the first row (index 1) or down the p1 chain (index 0)
     over1 = abs(row0[0][T]) if len(row0[0]) > T else -1.0
-    over0 = abs(head[0][T]) if len(head[0]) > T else -1.0
-    fails = t <= max(over1, over0)
+    fails = t <= np.maximum(over1, over0)
     if fails.any():  # the first failing z raises; index 1 is checked first
         index = 1 if t[fails.argmax()] <= over1 else 0
         raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
-    lat = np.multiply.outer(head[0][:_count(head, low, T)], row0[0][:_count(row0, low, T)]).ravel()
     mag = np.abs(lat)
-    keep = mag >= low
-    lat, mag = lat[keep], mag[keep]
-    f = 1 - z[live, None] * lat
+    if not per_point:  # one lattice for the batch, cut at its smallest threshold
+        keep = mag >= low
+        lat, mag = lat[keep], mag[keep]
+    f = np.multiply(z[live, None], lat, out=lat if per_point else None)  # in place where lat is this call's own
+    np.subtract(1, f, out=f)
     f[mag < t[:, None]] = 1  # below each point's own threshold
     out[live] = f.prod(axis=1)
     return out
@@ -210,12 +236,81 @@ def pochhammer(z: complex, moduli, policy: TruncationPolicy = DEFAULT_POLICY) ->
     raise ValueError(f"pochhammer takes one or two moduli, got {len(moduli)}")
 
 
+# ---------------------------------------------------------------------------
+# Scalar or array formulas
+# ---------------------------------------------------------------------------
+
+class _Batch(threading.local):
+    active = False  # an array evaluation is running on this thread
+
+
+_BATCH = _Batch()
+
+
+def _on_grid(fn, *args):
+    """fn(*args) once, its array arguments broadcast together, flattened and
+    made complex, and each result (one, or a tuple) reshaped to their shape;
+    the formulas fn calls meanwhile run on arrays directly.  If that raises,
+    or is not finite at a point with finite inputs, fn runs on each point's
+    scalars in turn instead, which raises the first failing point's
+    exception.  A formula given an array outside such an evaluation runs
+    through here."""
+    shape = np.broadcast_shapes(*(a.shape for a in args if isinstance(a, np.ndarray)))
+    flat = [np.broadcast_to(np.asarray(a, dtype=complex), shape).ravel() if isinstance(a, np.ndarray) else a
+            for a in args]
+    size = math.prod(shape)
+    _BATCH.active = True
+    try:
+        with np.errstate(all="ignore"):
+            got = fn(*flat)
+        outs = [np.full(size, v) if np.shape(v) != (size,) else v
+                for v in (got if isinstance(got, tuple) else (got,))]
+        finite = np.logical_and.reduce([np.isfinite(a) for a in flat if isinstance(a, np.ndarray)])
+        replay = not all(np.isfinite(v[finite]).all() for v in outs)
+    except (WkitError, ArithmeticError):
+        replay = True
+    finally:
+        _BATCH.active = False
+    if replay:
+        points = zip(*(a.tolist() if isinstance(a, np.ndarray) else repeat(a, size) for a in flat))
+        got = [fn(*point) for point in points]
+        outs = [np.array(v) for v in zip(*got)] if isinstance(got[0], tuple) else [np.array(got)]
+    outs = [v.reshape(shape) for v in outs]
+    return tuple(outs) if len(outs) > 1 else outs[0]
+
+
+def _any(mask) -> bool:
+    """Whether a condition on one value, or on any point of an array, holds."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
+
+
+def _each(fn, args, arg, policy) -> list:
+    """[fn(v, arg, policy) for v in args]; arrays go through one call of fn
+    on their concatenation."""
+    if args and isinstance(args[0], np.ndarray):
+        return list(fn(np.concatenate(args), arg, policy).reshape(len(args), -1))
+    return [fn(v, arg, policy) for v in args]
+
+
 def theta_big(z: complex, p: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Jacobi Theta_p(z) = (z;p) (p/z;p) (p;p)."""
-    if z == 0:
+    """Jacobi Theta_p(z) = (z;p) (p/z;p) (p;p).  z and p are each one value
+    or an array (a nome per point): scalars run on `_poch1`, arrays on one
+    `pochhammer2` call, which takes (p;p) too when p is an array."""
+    if not isinstance(z, np.ndarray) and not isinstance(p, np.ndarray):
+        if z == 0:
+            raise ZeroArgument("Theta_p(0) undefined")
+        pc = complex(p)
+        return _poch1(z, pc, policy) * _poch1(p / z, pc, policy) * _pp(pc, policy)
+    if not _BATCH.active:
+        return _on_grid(theta_big, z, p, policy)
+    if np.any(z == 0):
         raise ZeroArgument("Theta_p(0) undefined")
-    pc = complex(p)
-    return _poch1(z, pc, policy) * _poch1(p / z, pc, policy) * _pp(pc, policy)
+    if isinstance(p, np.ndarray):
+        z, p = np.broadcast_arrays(z, p)
+        a, b, c = pochhammer2(np.array([z, p / z, p]), np.array([p, p, p]), 0, policy)
+        return a * b * c
+    a, b = pochhammer2(np.array([z, p / z]), complex(p), 0, policy)
+    return a * b * _pp(complex(p), policy)
 
 
 def _lattice_sums(alpha, beta, tau, policy: TruncationPolicy) -> np.ndarray:
@@ -301,15 +396,15 @@ def theta_char_product(g1, g2, xi: complex, tau: complex,
     All fractional powers are taken as exponentials of the additive
     variables, which keeps the two forms equal for every branch of xi.
     """
-    g1 = float(g1)
-    g2 = float(g2)
-    if tau.imag < 1e-6:
-        raise NonconvergentTau(f"Im tau = {tau.imag:.3g} < 1e-6")
-    p = cmath.exp(_TWO_I_PI * tau)
-    phase = cmath.exp(1j * cmath.pi * 2 * g1 * g2)
-    ppow = cmath.exp(1j * cmath.pi * tau * g1 * g1)
-    zpow = cmath.exp(_TWO_I_PI * g1 * xi)
-    arg = -cmath.exp(_TWO_I_PI * g2) * cmath.exp(_TWO_I_PI * tau * (g1 + 0.5)) * cmath.exp(_TWO_I_PI * xi)
+    if any(isinstance(a, np.ndarray) for a in (g1, g2, xi, tau)) and not _BATCH.active:
+        return _on_grid(theta_char_product, g1, g2, xi, tau, policy)
+    if _any(tau.imag < 1e-6):
+        raise NonconvergentTau(f"Im tau = {np.min(tau.imag):.3g} < 1e-6")
+    p = np.exp(_TWO_I_PI * tau)
+    phase = np.exp(1j * cmath.pi * 2 * g1 * g2)
+    ppow = np.exp(1j * cmath.pi * tau * g1 * g1)
+    zpow = np.exp(_TWO_I_PI * g1 * xi)
+    arg = -np.exp(_TWO_I_PI * g2) * np.exp(_TWO_I_PI * tau * (g1 + 0.5)) * np.exp(_TWO_I_PI * xi)
     return phase * ppow * zpow * theta_big(arg, p, policy)
 
 
@@ -324,31 +419,32 @@ def tau_N(z: complex, params: EllipticParams,
     Principal branch for the fractional power; q^N-periodic and satisfies
     tau_N(1/z) = 1/tau_N(z) on the principal-branch-safe domain.
     """
-    if z == 0:
+    if isinstance(z, np.ndarray) and not _BATCH.active:
+        return _on_grid(tau_N, z, params, policy)
+    if _any(z == 0):
         raise ZeroArgument("tau_N(0) undefined")
     q, N = params.q, params.N
     P = q ** (2 * N)
-    den = theta_big(q / (z * z), P, policy)
-    if abs(den) < _POLE_EPS:
+    den, num = _each(theta_big, [q / (z * z), q * z * z], P, policy)
+    if _any(abs(den) < _POLE_EPS):
         raise PoleHit(f"tau_N denominator theta ~ 0 at z = {z}")
-    num = theta_big(q * z * z, P, policy)
     return z ** (2.0 / N - 2.0) * num / den
 
 
 def U(z: complex, params: EllipticParams,
       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """The unitarity scalar U(z); independent of p and c, even in z <-> 1/z."""
-    if z == 0:
+    if isinstance(z, np.ndarray) and not _BATCH.active:
+        return _on_grid(U, z, params, policy)
+    if _any(z == 0):
         raise ZeroArgument("U(0) undefined")
     q, N = params.q, params.N
     P = q ** (2 * N)
     z2 = z * z
-    d1 = theta_big(z2, P, policy)
-    d2 = theta_big(1 / z2, P, policy)
-    if abs(d1) < _POLE_EPS or abs(d2) < _POLE_EPS:
+    d1, d2, n1, n2 = _each(theta_big, [z2, 1 / z2, q * q * z2, q * q / z2], P, policy)
+    if _any((abs(d1) < _POLE_EPS) | (abs(d2) < _POLE_EPS)):
         raise PoleHit(f"U(z) pole at z = {z}")
-    num = theta_big(q * q * z2, P, policy) * theta_big(q * q / z2, P, policy)
-    return q ** (2.0 / N - 2.0) * num / (d1 * d2)
+    return q ** (2.0 / N - 2.0) * (n1 * n2) / (d1 * d2)
 
 
 def kappa_inv(z2: complex, params: EllipticParams,
@@ -380,16 +476,26 @@ def F_a(x: complex, a: int, s_val: complex, params: EllipticParams,
            = 1                                       for a = 0
            = prod_{l=1}^{|a|} U(s_val^{-l} x)^{-1}   for a < 0
     """
-    if x == 0:
-        raise ZeroArgument("F_a(0) undefined")
-    val = 1.0 + 0j
-    if a > 0:
-        for l in range(a):
-            val *= U(s_val**l * x, params, policy)
-    elif a < 0:
-        for l in range(1, -a + 1):
-            val /= U(s_val ** (-l) * x, params, policy)
-    return val
+    if isinstance(x, np.ndarray) and not _BATCH.active:
+        return _on_grid(F_a, x, a, s_val, params, policy)
+    return _ladders([(x, a, s_val)], params, policy)[0]
+
+
+def _ladders(ladders, params: EllipticParams, policy: TruncationPolicy) -> list:
+    """F_a(x) for each (x, a, s_val) of ladders, with one U call over every
+    ladder point."""
+    points, out = [], []
+    for x, a, s_val in ladders:
+        if _any(x == 0):
+            raise ZeroArgument("F_a(0) undefined")
+        points += [s_val**l * x for l in (range(a) if a > 0 else range(-1, a - 1, -1))]
+    us = iter(_each(U, points, params, policy))
+    for _, a, _ in ladders:
+        val = 1.0 + 0j
+        for _ in range(abs(a)):
+            val = val * next(us) if a > 0 else val / next(us)
+        out.append(val)
+    return out
 
 
 def Y_mn_forms(x: complex, m: int, n: int, params: EllipticParams,
@@ -402,125 +508,54 @@ def Y_mn_forms(x: complex, m: int, n: int, params: EllipticParams,
     The two coincide exactly on the surface s^m s*^n = q^{-N}; the returned
     triple (form1, form2, |form1-form2|) makes the agreement checkable.
     """
+    if isinstance(x, np.ndarray) and not _BATCH.active:
+        return _on_grid(Y_mn_forms, x, m, n, params, policy)
     s, ss = params.s, params.s_star
-    Fn = F_a(x, n, ss, params, policy)
-    Fm = F_a(x, m, s, params, policy)
-    f1 = (Fn * F_a(ss**n * x, m, s, params, policy)
-          / (F_a(ss ** (-n) * x, n, ss, params, policy) * Fm))
-    f2 = _Y_mn(x, m, n, Fn, Fm, params, policy)
+    Fn, Fm, Fm_up, Fn_down, Fn_inv, Fm_inv = _ladders(
+        [(x, n, ss), (x, m, s), (ss**n * x, m, s), (ss ** (-n) * x, n, ss), (x, -n, ss), (x, -m, s)],
+        params, policy)
+    f1 = Fn * Fm_up / (Fn_down * Fm)
+    f2 = Fn * Fn_inv / (Fm * Fm_inv)
     return f1, f2, abs(f1 - f2)
 
 
 def Y_mn(x: complex, m: int, n: int, params: EllipticParams,
          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Quadratic exchange function Y_{m,n}(x), second (ladder-ratio) form."""
-    return _Y_mn(x, m, n, F_a(x, n, params.s_star, params, policy),
-                 F_a(x, m, params.s, params, policy), params, policy)
-
-
-def _Y_mn(x, m, n, Fn, Fm, params, policy) -> complex:
-    """Y_mn(x) given Fn = F*_n(x) and Fm = F_m(x)."""
-    return (Fn * F_a(x, -n, params.s_star, params, policy)
-            / (Fm * F_a(x, -m, params.s, params, policy)))
-
-
-# ---------------------------------------------------------------------------
-# Grid forms
-# ---------------------------------------------------------------------------
-#
-# Y_mn_grid evaluates Y_mn over a numpy array of points, each layer its
-# scalar formula written on numpy complex arrays, every product one
-# `pochhammer2` call with p2 = 0.  numpy's complex arithmetic rounds
-# differently from CPython's in the last bit, so the values agree with the
-# scalar forms to rounding, not bit for bit.  Where any point would raise,
-# or a finite point gives a non-finite value, the scalar loop is replayed,
-# so a caller sees exactly the exception of the first failing point.
-
-def _gnonzero(z, what: str):
-    if np.any(z == 0):
-        raise ZeroArgument(f"{what}(0) undefined")
-
-
-def _gtheta(z, p, policy: TruncationPolicy):
-    _gnonzero(z, "Theta_p")
-    pc = complex(p)
-    return pochhammer2(z, pc, 0, policy) * pochhammer2(p / z, pc, 0, policy) * _pp(pc, policy)
-
-
-def _gU(z, params: EllipticParams, policy: TruncationPolicy):
-    _gnonzero(z, "U")
-    q, N = params.q, params.N
-    P = q ** (2 * N)
-    z2 = z * z
-    d1 = _gtheta(z2, P, policy)
-    d2 = _gtheta(1 / z2, P, policy)
-    if np.any(np.abs(d1) < _POLE_EPS) or np.any(np.abs(d2) < _POLE_EPS):
-        raise PoleHit("U(z) pole on the grid")
-    num = _gtheta(q * q * z2, P, policy) * _gtheta(q * q / z2, P, policy)
-    return q ** (2.0 / N - 2.0) * num / (d1 * d2)
-
-
-def _gF(x, a: int, s_val: complex, params: EllipticParams, policy: TruncationPolicy):
-    _gnonzero(x, "F_a")
-    val = np.ones_like(x)
-    if a > 0:
-        for l in range(a):
-            val = val * _gU(s_val**l * x, params, policy)
-    elif a < 0:
-        for l in range(1, -a + 1):
-            val = val / _gU(s_val ** (-l) * x, params, policy)
-    return val
-
-
-def _gY(x, m: int, n: int, params: EllipticParams, policy: TruncationPolicy):
+    if isinstance(x, np.ndarray) and not _BATCH.active:
+        return _on_grid(Y_mn, x, m, n, params, policy)
     s, ss = params.s, params.s_star
-    return (_gF(x, n, ss, params, policy) * _gF(x, -n, ss, params, policy)
-            / (_gF(x, m, s, params, policy) * _gF(x, -m, s, params, policy)))
-
-
-def _on_grid(grid_fn, scalar_fn, xs) -> np.ndarray:
-    """grid_fn on the points xs as a complex array; if it raises, or gives a
-    non-finite value at a finite point, the scalar loop instead, which
-    raises the first failing point's exception."""
-    z = np.asarray(xs, dtype=complex)
-    flat = z.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    if flat.size:
-        try:
-            with np.errstate(all="ignore"):
-                out[:] = grid_fn(flat)
-            replay = not np.isfinite(out[np.isfinite(flat)]).all()
-        except (WkitError, ArithmeticError):
-            replay = True
-        if replay:
-            out[:] = [scalar_fn(complex(x)) for x in flat]
-    return out.reshape(z.shape)
+    Fn, Fm, Fn_inv, Fm_inv = _ladders([(x, n, ss), (x, m, s), (x, -n, ss), (x, -m, s)], params, policy)
+    return Fn * Fn_inv / (Fm * Fm_inv)
 
 
 def Y_mn_grid(xs, m: int, n: int, params: EllipticParams,
               policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Y_mn(x, m, n, params, policy) at every point of xs, to rounding."""
-    return _on_grid(lambda x: _gY(x, m, n, params, policy),
-                    lambda x: Y_mn(x, m, n, params, policy), xs)
+    """Y_mn(x, m, n, params, policy) at every point of xs, as a complex
+    array, 16 points at a time: a point stacks 16 (|m| + |n|) products,
+    and its value does not depend on the batch it is in."""
+    x = np.asarray(xs, dtype=complex)
+    return np.concatenate([Y_mn(x.ravel()[i:i + 16], m, n, params, policy)
+                           for i in range(0, x.size, 16)] or [x]).reshape(x.shape)
 
 
 def Y_FF(x: complex, params: EllipticParams,
          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Closed eight-theta form of the unitary-gauge exchange function
     for the (m, n) = (2, -1) surface.  Theta = Theta_{q^{2N}} throughout."""
-    if x == 0:
+    if isinstance(x, np.ndarray) and not _BATCH.active:
+        return _on_grid(Y_FF, x, params, policy)
+    if _any(x == 0):
         raise ZeroArgument("Y_FF(0) undefined")
     q, N, c = params.q, params.N, params.c
     P = q ** (2 * N)
     x2 = x * x
     qc2 = cmath.exp(2 * c * cmath.log(q))  # q^(2c), principal
-
-    def th(v):
-        return theta_big(v, P, policy)
-
-    num = th(1 / x2) * th(q * q / x2) * th(q * q * qc2 * x2) * th(x2 / qc2)
-    den = th(x2) * th(q * q * x2) * th(1 / (qc2 * x2)) * th(q * q * qc2 / x2)
-    if abs(den) < _POLE_EPS * (1 + abs(num)):
+    th = _each(theta_big, [1 / x2, q * q / x2, q * q * qc2 * x2, x2 / qc2,
+                           x2, q * q * x2, 1 / (qc2 * x2), q * q * qc2 / x2], P, policy)
+    num = th[0] * th[1] * th[2] * th[3]
+    den = th[4] * th[5] * th[6] * th[7]
+    if _any(abs(den) < _POLE_EPS * (1 + abs(num))):
         raise PoleHit(f"Y_FF pole at x = {x}")
     return num / den
 

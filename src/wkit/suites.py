@@ -33,7 +33,7 @@ from .qseries import (
     Y_mn_grid,
     f_cr_modes,
     f_cr_series,
-    pochhammer,
+    pochhammer2,
     resolve_abelian_branch,
     tau_N,
     theta_big,
@@ -129,47 +129,46 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     chars = [0.0, 0.5, -0.5, 1.0 / ctx.params.N, -1.0 / ctx.params.N]
     points = []  # (g1, g2, xi, tau)
     for _ in range(100):
-        g1, g2 = rng.choice(chars), rng.choice(chars)
+        g1, g2 = chars[rng.integers(5)], chars[rng.integers(5)]  # rng.choice(chars), without its overhead
         xi = complex(rng.uniform(-1, 1), rng.uniform(-0.2, 0.2))
         tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3.0))
         points.append((g1, g2, xi, tau))
-    g1s, g2s, xis, taus = zip(*points)
-    sums = theta_char_sums(g1s, g2s, xis, taus, pol).tolist()
-    resids = [abs(a - theta_char_product(*pt, pol)) / (1 + abs(a))
-              for a, pt in zip(sums, points)]
+    g1s, g2s, xis, taus = (np.array(v) for v in zip(*points))
+    sums = theta_char_sums(g1s, g2s, xis, taus, pol)
+    resids = abs(sums - theta_char_product(g1s, g2s, xis, taus, pol)) / (1 + abs(sums))
     out.append(clock.report(
         suite="theta-identities", check="series-vs-product",
         identity="theta[g1,g2](xi,tau): lattice sum = triple-product form",
-        inputs={"points": 100, "seed": ctx.seed}, residual=worst(resids), tolerance=tol))
+        inputs={"points": 100, "seed": ctx.seed}, residual=worst(resids.tolist()), tolerance=tol))
 
     rng = ctx.rng(2)
     clock = Stopwatch()
-    resids = []
-    for _ in range(20):
-        a = rng.uniform(0.3, 0.8)
-        z = _safe_point(rng)
-        p = a * a
-        th = lambda v: theta_big(v, p, pol)
-        resids.append(abs(th(p * z) + th(z) / z) / (1 + abs(th(z))))
-        resids.append(abs(th(a * z) - th(a / z)) / (1 + abs(th(a * z))))
+    a, z = map(np.array, zip(*[(rng.uniform(0.3, 0.8), _safe_point(rng)) for _ in range(20)]))
+    p = a * a
+    th_pz, th_z, th_az, th_a_z = theta_big(np.array([p * z, z, a * z, a / z]), p, pol)
+    resids = np.concatenate([abs(th_pz + th_z / z) / (1 + abs(th_z)),
+                             abs(th_az - th_a_z) / (1 + abs(th_az))])
     out.append(clock.report(
         suite="theta-identities", check="theta-inversion",
         identity="Theta_{a^2}(a^2 z) = -Theta_{a^2}(z)/z and Theta_{a^2}(a z) = Theta_{a^2}(a/z)",
         inputs={"points": 20, "seed": ctx.seed},
-        residual=worst(resids), tolerance=tol))
+        residual=worst(resids.tolist()), tolerance=tol))
 
     rng = ctx.rng(3)
     clock = Stopwatch()
-    resids = []
+    rows, zs, nomes = [], [], []  # per N, its first row: N rows of Theta_{a^{2N}}, one of Theta_{a^2}
     for N in (2, 3, 4):
-        for _ in range(5):
-            a = rng.uniform(0.4, 0.8)
-            z = _safe_point(rng)
-            lhs = np.prod([theta_big(a ** (2 * i) * z, a ** (2 * N), pol)
-                           for i in range(N)])
-            rhs = (pochhammer(a ** (2 * N), [a ** (2 * N)], pol) ** N
-                   / pochhammer(a * a, [a * a], pol) * theta_big(z, a * a, pol))
-            resids.append(abs(lhs - rhs) / (1 + abs(rhs)))
+        a, z = map(np.array, zip(*[(rng.uniform(0.4, 0.8), _safe_point(rng)) for _ in range(5)]))
+        rows.append((N, len(zs)))
+        zs += [a ** (2 * i) * z for i in range(N)] + [z]
+        nomes += [a ** (2 * N)] * N + [a * a]
+    nomes = np.array(nomes)
+    th = theta_big(np.array(zs), nomes, pol)
+    pp = pochhammer2(nomes, nomes, 0, pol)  # (p; p)_inf of every row's nome
+    resids = []
+    for N, i in rows:
+        rhs = pp[i] ** N / pp[i + N] * th[i + N]
+        resids += (abs(th[i:i + N].prod(axis=0) - rhs) / (1 + abs(rhs))).tolist()
     out.append(clock.report(
         suite="theta-identities", check="theta-product-N",
         identity="prod_i Theta_{a^{2N}}(a^{2i} z) = ((a^{2N};a^{2N})^N/(a^2;a^2)) Theta_{a^2}(z)",
@@ -178,31 +177,25 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     rng = ctx.rng(4)
     clock = Stopwatch()
     pr = ctx.params
-    resids = []
-    for _ in range(10):
-        z = complex(rng.uniform(0.7, 1.3), rng.uniform(-0.1, 0.1))
-        q = pr.q
-        resids += [
-            abs(tau_N(q**pr.N * z, pr, pol) / tau_N(z, pr, pol) - 1),
-            abs(tau_N(z, pr, pol) * tau_N(1 / z, pr, pol) - 1),
-            abs(U(z, pr, pol) - U(1 / z, pr, pol)) / abs(U(z, pr, pol)),
-            abs(U(q**pr.N * z, pr, pol) - U(z, pr, pol)) / abs(U(z, pr, pol)),
-            abs(np.prod([U(q**i * z, pr, pol) for i in range(1, pr.N + 1)]) - 1),
-        ]
+    q, N = pr.q, pr.N
+    z = np.array([complex(rng.uniform(0.7, 1.3), rng.uniform(-0.1, 0.1)) for _ in range(10)])
+    t_qz, t_z, t_inv = tau_N(np.array([q**N * z, z, 1 / z]), pr, pol)
+    u_z, u_inv, *u_qz = U(np.array([z, 1 / z] + [q**i * z for i in range(1, N + 1)]), pr, pol)
+    resids = np.concatenate([abs(t_qz / t_z - 1), abs(t_z * t_inv - 1), abs(u_z - u_inv) / abs(u_z),
+                             abs(u_qz[-1] - u_z) / abs(u_z), abs(np.prod(u_qz, axis=0) - 1)])
     out.append(clock.report(
         suite="theta-identities", check="tau-U-identities",
         identity="tau_N periodicity/inversion; U evenness, q^N-periodicity, prod_i U(q^i x) = 1",
-        inputs={"N": pr.N, "q": pr.q, "seed": ctx.seed}, residual=worst(resids), tolerance=tol))
+        inputs={"N": pr.N, "q": pr.q, "seed": ctx.seed}, residual=worst(resids.tolist()), tolerance=tol))
 
     rng = ctx.rng(5)
     clock = Stopwatch()
     resids = []
     for m, n in [(1, 1), (2, -1), (-1, -1), (3, 2), (-2, 3)]:
         surf = resolve_surface(m, n, pr.q, 0.0, pr.N)
-        for _ in range(4):
-            x = _safe_point(rng)
-            f1, f2, diff = Y_mn_forms(x, m, n, surf.params, pol)
-            resids.append(diff / (1 + abs(f2)))
+        x = np.array([_safe_point(rng) for _ in range(4)])
+        f1, f2, diff = Y_mn_forms(x, m, n, surf.params, pol)
+        resids += (diff / (1 + abs(f2))).tolist()
     out.append(clock.report(
         suite="theta-identities", check="Y-two-forms",
         identity="both ladder forms of Y_{m,n}(x) agree on the surface",
@@ -211,14 +204,12 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     rng = ctx.rng(6)
     clock = Stopwatch()
     prc = pr.with_c(0.25)
-    resids = []
-    for _ in range(10):
-        x = _safe_point(rng)
-        resids.append(abs(Y_FF(x, prc, pol) * Y_FF(1 / x, prc, pol) - 1))
+    x = np.array([_safe_point(rng) for _ in range(10)])
+    y, y_inv = Y_FF(np.array([x, 1 / x]), prc, pol)
     out.append(clock.report(
         suite="theta-identities", check="Y-unitary-inversion",
         identity="Y_{2,-1}(x) Y_{2,-1}(1/x) = 1 (eight-theta closed form)",
-        inputs={"N": pr.N, "q": pr.q, "c": 0.25}, residual=worst(resids), tolerance=tol))
+        inputs={"N": pr.N, "q": pr.q, "c": 0.25}, residual=worst(abs(y * y_inv - 1).tolist()), tolerance=tol))
     return out
 
 

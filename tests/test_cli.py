@@ -152,11 +152,23 @@ def test_check_exit_2_on_schema_violations(tmp_path, bad):
     assert res.stdout == ""
 
 
-def test_check_exit_2_on_unwritable_output(small_config, tmp_path):
+def test_check_exit_2_on_unwritable_output(small_config, tmp_path, monkeypatch, capsys):
     out = tmp_path / "no-such-dir" / "report.json"
     res = run_cli("check", "--config", str(small_config), "--out", str(out))
     assert res.returncode == 2 and res.stdout == ""
     assert res.stderr.startswith("output error: ") and len(res.stderr.splitlines()) == 1
+    # the file is tried once the config parses, before any suite runs
+    from wkit import cli
+    called = []
+    for name in list(cli.SUITES):
+        monkeypatch.setitem(cli.SUITES, name, lambda ctx, name=name: called.append(name) or [])
+    assert cli.main(["check", "--config", str(small_config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and len(err.splitlines()) == 1
+    assert called == []
+    # the same config with a writable file runs its three suites
+    assert cli.main(["check", "--config", str(small_config), "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(called) == ["alpha-identity", "n0", "theta-identities"]
 
 
 def test_scan_exit_2_on_unwritable_csv(tmp_path):

@@ -1,10 +1,11 @@
 """The cached q-series kernel: the scalar one-modulus product bit-exact
-against the factor-by-factor walk; the array product `pochhammer2` within
-rounding of the walk and as accurate against a 40-digit mpmath oracle; the
-grid forms within rounding of the scalar forms and as accurate against
-40 digits; batched characteristic thetas against the defining series summed
-ring by ring and against 40 digits on both branches; kappa_inv against 40
-digits; the same exceptions; bounded caches."""
+against the factor-by-factor walk; the array product `pochhammer2`, with one
+nome or one per point, within rounding of the walk and as accurate against a
+40-digit mpmath oracle; each formula on arrays within rounding of its scalar
+form and as accurate against 40 digits; batched characteristic thetas
+against the defining series summed ring by ring and against 40 digits on
+both branches; kappa_inv against 40 digits; the same exceptions; bounded
+caches; the theta-identities checks fail on perturbed values."""
 
 import cmath
 import math
@@ -25,11 +26,14 @@ from wkit import (
     TruncationPolicy,
     RMatrixFactory,
     U,
+    Y_FF,
     Y_mn,
+    Y_mn_forms,
     Y_mn_grid,
     kappa_inv,
     pochhammer,
     resolve_abelian_branch,
+    tau_N,
     theta_big,
     theta_char_product,
     theta_char_sums,
@@ -173,9 +177,10 @@ def close_rows(a, b):
 def test_pochhammer2_rows_equal_recursive_product():
     # batches whose points need different depths, so a run of single calls
     # would regrow the chains part way through; with empty chains or chains
-    # grown for the first point only.  Under SHORT, p = 0.63 needs more than
-    # 64 factors from |z| ~ 6 on and p = 0.61 from |z| ~ 54 on.  Values
-    # agree with the walk to rounding (worst seen 2.6e-14), exceptions exactly.
+    # grown for the first point only, and with p1 given once per point
+    # (chains formed per call).  Under SHORT, p = 0.63 needs more than 64
+    # factors from |z| ~ 6 on and p = 0.61 from |z| ~ 54 on.  Values agree
+    # with the walk to rounding (worst seen 2.6e-14), exceptions exactly.
     rnd = random.Random(12)
     raised = 0
     for _ in range(300):
@@ -191,6 +196,8 @@ def test_pochhammer2_rows_equal_recursive_product():
         if rnd.random() < 0.5:
             outcome(pochhammer, zs[0], [p1, p2], pol)
         got = outcome(lambda: qs.pochhammer2(zs, p1, p2, pol).tolist())
+        assert close_rows(got, want), (zs, p1, p2, pol)
+        got = outcome(lambda: qs.pochhammer2(zs, [p1] * len(zs), p2, pol).tolist())
         assert close_rows(got, want), (zs, p1, p2, pol)
     assert raised > 20
 
@@ -310,22 +317,27 @@ def grids():
     return [real, real * np.exp(1j * rng.uniform(-1.2, 1.2, real.size))]
 
 
-def grid_forms(pr):
-    """(name, grid form over an array of x, scalar form f(x)); the inner
-    layers run through _on_grid as Y_mn_grid runs its own."""
-    def on_grid(grid_fn, scalar_fn):
-        return lambda xs: qs._on_grid(grid_fn, scalar_fn, xs), scalar_fn
+def nome_of(pr, x):
+    """A nome that varies from point to point, for theta_big with one nome per point."""
+    return pr.p * (0.6 + 0.4 * np.cos(3 * np.abs(x)))
 
-    return [
-        ("theta_big", *on_grid(lambda z: qs._gtheta(z, pr.p, POL),
-                               lambda x: theta_big(x, pr.p, POL))),
-        ("U", *on_grid(lambda z: qs._gU(z, pr, POL), lambda x: U(x, pr, POL))),
-        ("F_2", *on_grid(lambda z: qs._gF(z, 2, pr.s, pr, POL),
-                         lambda x: F_a(x, 2, pr.s, pr, POL))),
-        ("F*_-3", *on_grid(lambda z: qs._gF(z, -3, pr.s_star, pr, POL),
-                           lambda x: F_a(x, -3, pr.s_star, pr, POL))),
-        ("Y_2,-3", lambda xs: Y_mn_grid(xs, 2, -3, pr, POL), lambda x: Y_mn(x, 2, -3, pr, POL)),
-    ]
+
+def grid_forms(pr):
+    """(name, form on an array of x, scalar form f(x)): each formula called
+    once with an array and once per point with a scalar."""
+    forms = {
+        "theta_big": lambda x: theta_big(x, pr.p, POL),
+        "theta_big per-point nome": lambda x: theta_big(x, nome_of(pr, x), POL),
+        "U": lambda x: U(x, pr, POL),
+        "tau_N": lambda x: tau_N(x, pr, POL),
+        "F_2": lambda x: F_a(x, 2, pr.s, pr, POL),
+        "F*_-3": lambda x: F_a(x, -3, pr.s_star, pr, POL),
+        "Y_2,-3 form 1": lambda x: Y_mn_forms(x, 2, -3, pr, POL)[0],
+        "Y_2,-3 form 2": lambda x: Y_mn_forms(x, 2, -3, pr, POL)[1],
+        "Y_FF": lambda x: Y_FF(x, pr.with_c(0.25), POL),
+    }
+    return [(name, f, f) for name, f in forms.items()] + [
+        ("Y_2,-3", lambda xs: Y_mn_grid(xs, 2, -3, pr, POL), lambda x: Y_mn(x, 2, -3, pr, POL))]
 
 
 def rel_err(got, want):
@@ -335,11 +347,18 @@ def rel_err(got, want):
 @pytest.mark.parametrize("pr", PARAMS, ids=["N2", "N3-q0.8", "N3-complex-q"])
 def test_grid_forms_equal_scalar_forms(pr):
     # numpy's complex arithmetic rounds differently from CPython's in the
-    # last bit; the largest difference seen is 5.5e-14 (Y_2,-3, N = 3, q = 0.8)
+    # last bit; the largest differences seen are 1.1e-13 (Y_FF) and 5.5e-14
+    # (Y_2,-3), both at N = 3, q = 0.8; 5.6e-16 for theta_char_product
     for xs in grids():
         for name, grid_form, scalar_form in grid_forms(pr):
-            got = grid_form(xs).tolist()
-            assert rel_err(got, [scalar_form(complex(x)) for x in xs]) <= 1e-12, name
+            got = grid_form(xs)
+            assert got.shape == xs.shape and got.dtype == complex, name
+            assert rel_err(got.tolist(), [scalar_form(complex(x)) for x in xs]) <= 1e-12, name
+    # the triple-product theta on the theta-identities suite's draws, one
+    # call for all rows (each row with its own nome e^{2 i pi tau})
+    g1s, g2s, xis, taus = map(np.array, zip(*theta_identities_rows()))
+    got = theta_char_product(g1s, g2s, xis, taus, POL).tolist()
+    assert rel_err(got, [theta_char_product(*row, POL) for row in theta_identities_rows()]) <= 1e-12
 
 
 @pytest.mark.parametrize("branch,m,n,lam", [("abel1", 2, -3, -1), ("abel2", 3, 1, 2),
@@ -351,38 +370,73 @@ def test_grid_Y_equals_scalar_on_abelianity_branches(branch, m, n, lam):
     assert max(abs(g - Y_mn(x, m, n, params)) for g, x in zip(got, xs)) <= 1e-11
 
 
+def infinite_on_arrays(x, pr):
+    """U(x) on scalars; on an array, a formula whose value is not finite
+    anywhere (as np.abs gives inf where CPython's abs raises)."""
+    if isinstance(x, np.ndarray) and not qs._BATCH.active:
+        return qs._on_grid(infinite_on_arrays, x, pr)
+    return x / 0 if isinstance(x, np.ndarray) else U(x, pr)
+
+
 def test_grid_forms_raise_as_the_scalar_loop():
     pr = PARAMS[0]
-    forms = grid_forms(pr)
-    U_form = forms[1][1]
-    cases = [
-        # the 0.95 chain needs more than 64 factors
-        (lambda xs: qs._on_grid(lambda z: qs._gtheta(z, 0.95, SHORT),
-                                lambda x: theta_big(x, 0.95, SHORT), xs),
-         lambda x: theta_big(x, 0.95, SHORT)),
-        (lambda xs: qs._on_grid(lambda z: qs._gtheta(z, 1.0, POL), lambda x: theta_big(x, 1.0), xs),
-         lambda x: theta_big(x, 1.0)),  # ModulusOutOfRange
-        (U_form, lambda x: U(x, pr)),  # PoleHit at x = 1
-        (lambda xs: Y_mn_grid(xs, 2, -3, pr), lambda x: Y_mn(x, 2, -3, pr)),
-    ]
+    U_form = next(form for name, form, _ in grid_forms(pr) if name == "U")
     xs = np.linspace(0.5, 1.5, 5)  # contains x = 1
-    for grid_form, scalar_form in cases:
-        want = outcome(lambda: [scalar_form(complex(x)) for x in xs])
+    cases = [
+        (lambda x: theta_big(x, 0.95, SHORT), xs),  # the 0.95 chain needs more than 64 factors
+        (lambda x: theta_big(x, 1.0, POL), xs),  # ModulusOutOfRange
+        (U_form, xs),  # PoleHit at x = 1
+        (lambda x: Y_mn(x, 2, -3, pr), xs),
+        # one nome per point: 0.97 needs more than 64 factors at the second
+        # point, before the third point's modulus is out of range (which the
+        # array product raises first)
+        (lambda x: theta_big(x, np.where(x == 1.3, 0.97, np.where(x == 0.9, 1 - 1e-7, 0.5)), SHORT),
+         np.array([0.7, 1.3, 0.9])),
+        (lambda x: theta_big(x, np.where(x == 0.9, 1 - 1e-7, 0.5), SHORT), np.array([0.7, 1.3, 0.9])),
+        (lambda x: theta_big(x, np.where(x == 1.3, 0.95, 0.5), SHORT), np.array([0.7, 1.3, 0.9])),
+    ]
+    for form, points in cases:
+        want = outcome(lambda: [form(complex(x)) for x in points])
         assert isinstance(want, tuple)
-        assert outcome(grid_form, xs) == want
+        assert outcome(form, points) == want
+    assert outcome(cases[4][0], cases[4][1])[0] == "TruncationBudgetExceeded"
+    assert outcome(cases[5][0], cases[5][1])[0] == "ModulusOutOfRange"
     with pytest.raises(PoleHit, match=r"z = \(1\+0j\)"):
         U_form(xs)
-    # a grid form that returns a non-finite value at a finite point (as
-    # np.abs gives inf where CPython's abs raises) is replaced by the loop
+    # a formula that returns a non-finite value at a finite point of an
+    # array is replaced by the loop
     with pytest.raises(PoleHit, match=r"z = \(1\+0j\)"):
-        qs._on_grid(lambda z: z / 0, lambda x: U(x, pr), xs)
-    assert qs._on_grid(lambda z: z / 0, lambda x: U(x, pr), [0.7, 1.3]).tolist() == [U(0.7, pr), U(1.3, pr)]
+        infinite_on_arrays(xs, pr)
+    assert infinite_on_arrays(np.array([0.7, 1.3]), pr).tolist() == [U(0.7, pr), U(1.3, pr)]
     # a NaN point is NaN on both paths; the other points keep their values
     odd = np.array([0.7, complex(math.nan, 0.0), 1.3])
-    for _, form, scalar_form in forms[:2]:  # theta_big and U
+    for name, form, scalar_form in (f for f in grid_forms(pr) if f[0] in ("theta_big", "U")):
         got = form(odd).tolist()
-        assert cmath.isnan(got[1])
+        assert cmath.isnan(got[1]), name
         assert rel_err([got[0], got[2]], [scalar_form(0.7 + 0j), scalar_form(1.3 + 0j)]) <= 1e-12
+
+
+def test_per_point_nomes_match_mpmath():
+    # the one-modulus product with one nome per point, on the theta-identities
+    # suite's nomes: e^{2 i pi tau} for Im tau 0.3-3, |Re tau| <= 0.5, and a^2
+    # for a in [0.3, 0.8]; theta_big's three rows z, p/z and p at |z| from
+    # 0.5 to 2.  As accurate against 40 digits as the factor walk: the worst
+    # error measured on these draws is 1.2e-15, for the walk and the batch
+    mp = pytest.importorskip("mpmath")
+    rnd = random.Random(53)
+    nomes = [cmath.exp(2j * math.pi * complex(rnd.uniform(-0.5, 0.5), rnd.uniform(0.3, 3.0))) for _ in range(20)]
+    nomes += [rnd.uniform(0.3, 0.8) ** 2 for _ in range(20)]
+    zs = [cmath.rect(rnd.uniform(0.5, 2.0), rnd.uniform(-math.pi, math.pi)) for _ in nomes]
+    rows = [(z, p) for z, p in zip(zs, nomes)] + [(p / z, p) for z, p in zip(zs, nomes)] + [(p, p) for p in nomes]
+    got = qs.pochhammer2([z for z, _ in rows], [p for _, p in rows], 0, POL).tolist()
+    walk_err = batch_err = 0.0
+    with mp.workdps(40):
+        for (z, p), v in zip(rows, got):
+            want = mp_pochhammer2(mp, z, p, 0)
+            walk_err = max(walk_err, float(abs(recursive_pochhammer(z, [p], POL) - want) / abs(want)))
+            batch_err = max(batch_err, float(abs(v - want) / abs(want)))
+    assert walk_err <= 1e-13
+    assert batch_err <= 2 * walk_err + 1e-14, (batch_err, walk_err)
 
 
 class MpOracle:
@@ -441,7 +495,7 @@ def test_grid_forms_match_mpmath(pr):
                  "Y_2,-3": lambda x: oracle.Y(x, 2, -3, pr)}
         for xs in grids():
             xs = xs[::10]
-            for name, grid_form, scalar_form in grid_forms(pr)[1:]:
+            for name, grid_form, scalar_form in (f for f in grid_forms(pr) if f[0] in exact):
                 want = [exact[name](mp.mpc(complex(x))) for x in xs]
                 scalar = float(rel_err([mp.mpc(scalar_form(complex(x))) for x in xs], want))
                 grid = float(rel_err([mp.mpc(v) for v in grid_form(xs).tolist()], want))
@@ -627,6 +681,48 @@ def test_kappa_inv_matches_mpmath():
     assert worst <= 2 * 1.0e-14 + 1e-14, worst
 
 
+def perturbed(fn, k):
+    """fn with its values off by the relative 1e-8 Re(args[k]), which varies
+    from point to point (a constant factor cancels in the U and tau_N
+    ratios); Y_mn_forms has its first form perturbed and the difference
+    taken again."""
+    def wrapper(*args, **kwargs):
+        got, factor = fn(*args, **kwargs), 1 + 1e-8 * np.real(args[k])
+        if isinstance(got, tuple):
+            return got[0] * factor, got[1], abs(got[0] * factor - got[1])
+        return got * factor
+    return wrapper
+
+
+@pytest.mark.parametrize("check,name,k", [
+    ("series-vs-product", "theta_char_product", 2), ("theta-inversion", "theta_big", 0),
+    ("theta-product-N", "theta_big", 0), ("theta-product-N", "pochhammer2", 0),
+    ("tau-U-identities", "tau_N", 0), ("tau-U-identities", "U", 0),
+    ("Y-two-forms", "Y_mn_forms", 0), ("Y-unitary-inversion", "Y_FF", 0)])
+def test_theta_identities_fail_on_perturbed_values(monkeypatch, check, name, k):
+    ctx = suites.SuiteContext(params=EllipticParams(3, 0.8, cmath.sqrt(0.3)), seed=1)
+
+    def report():
+        return next(r for r in suites.suite_theta_identities(ctx) if r.check == check)
+
+    assert report().passed
+    monkeypatch.setattr(suites, name, perturbed(getattr(suites, name), k))
+    assert not report().passed
+
+
+def test_theta_identities_cache_only_fixed_nomes():
+    # the suite's scattered nomes run on per-call chains; the chain and
+    # (p; p) caches keep only q^(2N) (and the chain of 0, the p2 of every
+    # one-modulus array product)
+    pr = EllipticParams(3, 0.8, cmath.sqrt(0.3))
+    qs._CHAINS.clear()
+    qs._PP.clear()
+    for seed in (1, 2):
+        suites.suite_theta_identities(suites.SuiteContext(params=pr, seed=seed))
+    assert {p for p, _ in qs._CHAINS} == {complex(pr.q ** (2 * pr.N)), 0j}
+    assert {p for p, _ in qs._PP} == {complex(pr.q ** (2 * pr.N))}
+
+
 def test_series_vs_product_checks_theta_char_sums(monkeypatch):
     # the theta-identities suite must check the lattice sum the R-matrix
     # builds run: a relative error of 1e-8 in it fails the 1e-10 tolerance
@@ -658,12 +754,15 @@ def test_kernel_caches_stay_bounded():
 
 def test_kernel_caches_under_concurrent_callers():
     # more threads than cores share the caches while they are cleared and
-    # regrown; every value must still equal the single-threaded one
+    # regrown, and run array evaluations side by side; every value must
+    # still equal the single-threaded one
     rng = np.random.default_rng(23)
     nomes = [complex(a) for a in rng.uniform(0.05, 0.8, 3 * qs._CACHE_LIMIT)]
     pairs = [(a, 0.3 * b) for a, b in zip(nomes[:40], nomes[40:80])]
     z = 0.8 + 0.3j
     want = [theta_big(z, p, POL) for p in nomes], [pochhammer(z, list(m), POL) for m in pairs]
+    zs, ps = np.array([z, 1 / z, 2 * z]), np.array(nomes[:3])
+    want_arrays = theta_big(zs, ps, POL).tolist(), U(zs, EllipticParams(3, 0.8, 0.5), POL).tolist()
     got, errors = {}, []
 
     def work(i):
@@ -672,6 +771,8 @@ def test_kernel_caches_under_concurrent_callers():
             random.Random(i).shuffle(order)
             thetas = {j: theta_big(z, nomes[j], POL) for j in order}
             got[i] = [thetas[j] for j in range(len(nomes))], [pochhammer(z, list(m), POL) for m in pairs]
+            # array evaluations, each thread with its own batch state
+            assert (theta_big(zs, ps, POL).tolist(), U(zs, EllipticParams(3, 0.8, 0.5), POL).tolist()) == want_arrays
         except Exception as exc:  # noqa: BLE001 - reported by the assertion below
             errors.append(exc)
 
