@@ -64,10 +64,12 @@ _POLE_EPS = 1e-14
 #   modulus, finds its term count by bisection and multiplies the factors
 #   one by one in Python complex arithmetic: bit for bit the walk.
 # - `pochhammer2` is the one array product, in numpy complex arithmetic, so
-#   to rounding.  p1 is one value, with the cached chain, or one per point,
-#   with chains formed per call by np.cumprod; with p2 = 0 (chain 1, 0) it
-#   is (z; p1)_inf.  Each point's factors below its own threshold are set
-#   to 1, so its value does not depend on the batch it is in.
+#   to rounding.  p1 is one value, with the cached lattice of the two
+#   chains, or one per point, with chains formed per call by np.cumprod;
+#   with p2 = 0 (chain 1, 0) it is (z; p1)_inf.  Each point's factors below
+#   its own threshold are set to 1, so its value does not depend on the
+#   batch it is in, nor on how deep the cached lattice was cut.  Only
+#   lattices of at most _LATTICE_SIZE weights are kept.
 # Each formula above (theta_big, U, tau_N, F_a, Y_mn, Y_FF, ...) is written
 # once: on scalars it runs on `_poch1`; on arrays it stacks the arguments
 # of each formula it calls into one array call, down to one `pochhammer2`
@@ -79,9 +81,12 @@ _POLE_EPS = 1e-14
 _CACHE_LIMIT = 128   # chains and (p;p)_inf values kept per cache
 _GROW = 1e-6         # a chain grown for thresh also covers thresh * _GROW
 _START = ([1.0 + 0j], [-1.0])
+_LATTICE_LIMIT = 32      # lattices kept
+_LATTICE_SIZE = 2 ** 15  # weights of the largest lattice kept, 24 bytes each
 
 _CHAINS = {}    # (p, max_terms) -> (values, -running min |value|)
 _PP = {}        # (p, policy) -> (p; p)_inf
+_LATTICES = {}  # (p1, p2, max_terms) -> a fixed-p1 lattice of pochhammer2
 _STORE_LOCK = threading.Lock()
 
 
@@ -173,18 +178,20 @@ def pochhammer2(zs, p1, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) 
     p1 = np.broadcast_to(np.asarray(p1, dtype=complex), z.shape) if per_point else complex(p1)
     _check_modulus(p1)
     _check_modulus(p2)
-    thresh = policy.tail_eps / (np.abs(z) + 1.0)
-    live = (z != 0) & (thresh == thresh)  # a zero z gives 1, a NaN z NaN
-    out = np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
-    t = thresh[live]
+    size = np.abs(z)
+    thresh = policy.tail_eps / (size + 1.0)
+    live = size > 0  # a zero z gives 1, a NaN z NaN
+    every = live.all()
+    t = thresh.ravel() if every else thresh[live]
     if not t.size:
-        return out
+        return np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
     low = float(t.min())
-    row0 = _chain(p2, low, T)
-    row = row0[0][:_count(row0, low, T)]  # row[0] = 1
     if per_point:  # chains by np.cumprod, to T + 1 entries or two past the last
         # power any point takes: |p^k| < t from k = log t / log|p| on, and with
         # |p| < 1 - 1e-6 the rounding of the products cannot delay that a step
+        row0 = _chain(p2, low, T)
+        row = row0[0][:_count(row0, low, T)]  # row[0] = 1
+        over1 = abs(row0[0][T]) if len(row0[0]) > T else -1.0
         p = p1[live]
         with np.errstate(divide="ignore"):  # p = 0 needs no factor past 1
             need = float((np.log(t) / np.log(np.abs(p))).max())
@@ -192,26 +199,47 @@ def pochhammer2(zs, p1, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) 
         np.cumprod(np.broadcast_to(p[:, None], (p.size, head.shape[1] - 1)), axis=1, out=head[:, 1:])
         over0 = np.abs(head[:, T]) if head.shape[1] > T else -1.0
         lat = head if len(row) == 1 else (head[:, :, None] * np.array(row)).reshape(len(head), -1)
+        mag = np.abs(lat)
     else:
-        chain = _chain(p1, low, T)
-        over0 = abs(chain[0][T]) if len(chain[0]) > T else -1.0
-        lat = np.multiply.outer(chain[0][:_count(chain, low, T)], row).ravel()
-    # |p2^T| and |p1^T|: a z whose threshold is at most one needs more than
-    # T factors along the first row (index 1) or down the p1 chain (index 0)
-    over1 = abs(row0[0][T]) if len(row0[0]) > T else -1.0
-    fails = t <= np.maximum(over1, over0)
-    if fails.any():  # the first failing z raises; index 1 is checked first
-        index = 1 if t[fails.argmax()] <= over1 else 0
-        raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
-    mag = np.abs(lat)
-    if not per_point:  # one lattice for the batch, cut at its smallest threshold
-        keep = mag >= low
-        lat, mag = lat[keep], mag[keep]
-    f = np.multiply(z[live, None], lat, out=lat if per_point else None)  # in place where lat is this call's own
+        lat, mag, _, over1, over0 = _lattice(p1, p2, low, T)
+    over = np.maximum(over1, over0) if per_point else max(over1, over0)
+    if per_point or low <= over:  # the first failing z raises; index 1 is checked first
+        fails = t <= over
+        if fails.any():
+            index = 1 if t[fails.argmax()] <= over1 else 0
+            raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
+    f = np.multiply(z.reshape(-1, 1) if every else z[live, None], lat,
+                    out=lat if per_point else None)  # in place where lat is this call's own
     np.subtract(1, f, out=f)
     f[mag < t[:, None]] = 1  # below each point's own threshold
+    if every:
+        return f.prod(axis=1).reshape(z.shape)
+    out = np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
     out[live] = f.prod(axis=1)
     return out
+
+
+def _lattice(p1: complex, p2: complex, low: float, T: int):
+    """The cached lattice of (p1, p2, T) that covers `low`: the weights
+    p1^i p2^j of magnitude >= low in (i, j) order, their magnitudes, the
+    `low` it was cut at, and |p2^T| and |p1^T| (-1 for a chain that ends
+    before T), against which a z whose threshold is at most one needs more
+    than T factors along the first row (index 1) or down the p1 chain
+    (index 0).  A lattice cut lower holds more weights, each below every
+    threshold that uses it, so a product's value does not depend on it."""
+    key = (p1, p2, T)
+    lattice = _LATTICES.get(key)
+    if lattice is not None and lattice[2] <= low:
+        return lattice
+    row0, chain = _chain(p2, low, T), _chain(p1, low, T)
+    lat = np.multiply.outer(chain[0][:_count(chain, low, T)], row0[0][:_count(row0, low, T)]).ravel()
+    mag = np.abs(lat)
+    keep = mag >= low
+    lat, mag = lat[keep], mag[keep]
+    lat.flags.writeable = mag.flags.writeable = False
+    lattice = (lat, mag, low, abs(row0[0][T]) if len(row0[0]) > T else -1.0,
+               abs(chain[0][T]) if len(chain[0]) > T else -1.0)
+    return _store(_LATTICES, key, lattice, _LATTICE_LIMIT) if lat.size <= _LATTICE_SIZE else lattice
 
 
 def _pp(p: complex, policy: TruncationPolicy) -> complex:
@@ -359,7 +387,8 @@ def _image_sums(g1, u, tau, policy: TruncationPolicy) -> np.ndarray:
 def theta_char_sums(g1s, g2s, xi, tau, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """theta[g1s[k], g2s[k]](xi[k], tau[k]) for every k, by lattice sums.
 
-    xi and tau are each one value or one per characteristic.  Rows with
+    g1s, g2s and xi broadcast together, and the result is flat, one value
+    per row; tau is one value or one per row.  Rows with
     |tau| >= 1 sum the defining series in one window; the other rows sum
     the series of the modular image (Poisson summation over m),
 
@@ -373,10 +402,15 @@ def theta_char_sums(g1s, g2s, xi, tau, policy: TruncationPolicy = DEFAULT_POLICY
     arrays = (np.asarray(g1s, dtype=float), np.asarray(xi, dtype=complex) + np.asarray(g2s, dtype=float),
               np.asarray(tau, dtype=complex))
     shape = np.broadcast(*arrays).shape  # np.broadcast_arrays is slow on a one-value tau
-    g1, u, tau = (np.full(shape, v).ravel() for v in arrays)
+    g1, u = (np.full(shape, v).ravel() for v in arrays[:2])
+    tau = arrays[2].reshape(1) if arrays[2].ndim == 0 else np.full(shape, arrays[2]).ravel()
     low = tau.imag < 1e-6
     if low.any():
         raise NonconvergentTau(f"Im tau = {tau.imag[low].min():.3g} < 1e-6")
+    if tau.size == 1 < u.size:  # one tau: every row on the same side, (-i tau)^{1/2} formed once
+        if abs(tau[0]) >= 1:
+            return _lattice_sums(g1.astype(complex), u, tau, policy)
+        return _image_sums(g1, u, tau, policy)
     series = np.abs(tau) >= 1
     image = ~series
     out = np.empty(u.shape, dtype=complex)
@@ -449,18 +483,21 @@ def U(z: complex, params: EllipticParams,
 
 def kappa_inv(z2: complex, params: EllipticParams,
               policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Normalization 1/kappa(z^2): ratio of eight double-modulus products."""
+    """Normalization 1/kappa(z^2): ratio of eight double-modulus products.
+    z2 is one value or an array, whose products are one `pochhammer2` call;
+    an array raises for its first pole."""
     q, p, N = params.q, params.p, params.N
     if abs(p) >= 1 - 1e-6 or abs(q ** (2 * N)) >= 1 - 1e-6:
         raise ModulusOutOfRange("kappa needs |p| < 1 and |q^(2N)| < 1")
-    P = q ** (2 * N)
-    v = pochhammer2(
-        [P / z2, q * q * z2, p / z2, p * P / (q * q) * z2,   # numerator
-         P * z2, q * q / z2, p * z2, p * P / (q * q) / z2],  # denominator
-        p, P, policy).tolist()
-    num, den = v[0] * v[1] * v[2] * v[3], v[4] * v[5] * v[6] * v[7]
-    if abs(den) < _POLE_EPS * (1 + abs(num)):
-        raise PoleHit(f"kappa denominator ~ 0 at z2 = {z2}")
+    P, qq = q ** (2 * N), q * q
+    up = np.multiply.outer([qq, p * P / qq, P, p], z2)       # c z^2
+    down = np.divide.outer([P, p, qq, p * P / qq], z2)       # c / z^2
+    v = pochhammer2(np.concatenate((down[:2], up, down[2:])), p, P, policy)
+    num, den = v[:4].prod(axis=0), v[4:].prod(axis=0)        # the first four are the numerator
+    pole = abs(den) < _POLE_EPS * (1 + abs(num))
+    if _any(pole):
+        at = z2.flat[pole.argmax()] if isinstance(z2, np.ndarray) else z2
+        raise PoleHit(f"kappa denominator ~ 0 at z2 = {complex(at)}")
     return num / den
 
 

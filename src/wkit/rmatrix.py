@@ -15,12 +15,18 @@ and I_{(a1,a2)} = g^{a2} h^{a1}.
 
 Each I_alpha (x) I_alpha^{-1} is monomial, with entries only at rows
 (i, j) and columns (i + a1, j - a1), so the sum over alpha is nonzero
-only on the N^3 entries that conserve the Z_N charge i + j mod N.  A
-build evaluates the N^2 thetas of W and the prefactor's theta_A(xi + zeta)
-in one lattice sum (`theta_char_sums`), and forms the sum as one
-(N^3 x N^2) coefficient matrix times the N^2 theta ratios, scattered into
-the N^2 x N^2 result; for R and Rhat the g^{1/2} (x) g^{1/2} conjugation
-is folded into that matrix.
+only on the N^3 entries that conserve the Z_N charge i + j mod N.
+
+There is one build, for n spectral points at once, and each of its steps
+is one array call over every point: Rhat's one-modulus products
+(P/q^2 z^2; P) and Theta_P(z^2), P = q^{2N}, in one `pochhammer2` call;
+its eight two-modulus products in another (`kappa_inv` on the array for Z
+and R); the N^2 thetas of W and the prefactor's theta_A(xi + zeta) of
+every point in one lattice sum (`theta_char_sums`); and the sums as the
+(N^3 x N^2) coefficient matrix times the n sets of N^2 theta ratios,
+scattered into the (n, N^2, N^2) result.  For R and Rhat the
+g^{1/2} (x) g^{1/2} conjugation is folded into that matrix.  The
+one-point builds are that build at one point.
 
 Internally every builder takes the additive variable xi, so a caller can
 reach analytic-continuation points (xi + 1 for -z, xi + tau + 1 for a
@@ -39,7 +45,7 @@ import numpy as np
 
 from .errors import ModulusOutOfRange, PoleHit
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
-from .qseries import _pp, kappa_inv, pochhammer, pochhammer2, theta_big, theta_char_sums
+from .qseries import _pp, kappa_inv, pochhammer2, theta_char_sums
 from .tensor import LabeledTensor
 
 _POLE_REL = 1e-12
@@ -69,14 +75,14 @@ class ZnMatrices:
 
 
 def _nome_limit(build):
-    """On a degenerate nome, evaluate `build` as the mean of its values on
-    the two nearby child factories."""
+    """On a degenerate nome, evaluate the batch `build` once on each of the
+    two nearby child factories and take the mean."""
 
     @functools.wraps(build)
-    def limited(self, xi: complex) -> np.ndarray:
+    def limited(self, xis) -> np.ndarray:
         if self._children is None:
-            return build(self, xi)
-        return (build(self._children[0], xi) + build(self._children[1], xi)) / 2
+            return build(self, xis)
+        return (build(self._children[0], xis) + build(self._children[1], xis)) / 2
 
     return limited
 
@@ -91,10 +97,13 @@ class RMatrixFactory:
     nonzero entries, which conserve the Z_N charge i + j mod N; the
     (N^3 x N^2) coefficient matrices of I_alpha (x) I_alpha^{-1} at those
     positions, bare for Z and conjugated by g^{1/2} (x) g^{1/2} for R and
-    Rhat; and P = q^{2N}, (P; P)_inf and q^{1/N-1} for Rhat.  Every build
+    Rhat; and P = q^{2N}, (P; P)_inf, q^{1/N-1} (P; P)_inf and the
+    coefficients of the Pochhammer arguments c z^2 and c / z^2 for Rhat.
+    Every build
     is a pure function of xi, so one factory serves every check at its
-    parameter point.  The builds are `z_matrix_xi`, `r_matrix_xi`,
-    `rhat_matrix_xi` and `rhat_tensor`.
+    parameter point.  The builds are `z_matrices`, `r_matrices` and
+    `rhat_matrices`, an (n, N^2, N^2) stack at n points, and the one-point
+    `z_matrix_xi`, `r_matrix_xi`, `rhat_matrix_xi` and `rhat_tensor`.
     """
 
     def __init__(self, params: EllipticParams, policy: TruncationPolicy | None = None):
@@ -143,9 +152,16 @@ class RMatrixFactory:
         self._coef = coef.reshape(N ** 3, N * N)
         G = np.kron(np.diag(self.zn.g_half), np.diag(self.zn.g_half))
         self._coef_G = self._coef * (G[rows] / G[cols])[:, None]
-        self._P = q ** (2 * N)
-        self._pp_P = _pp(complex(self._P), self.policy)
-        self._q_pow = q ** (1.0 / N - 1.0)
+        # Rhat's Pochhammer arguments are c z^2 or c / z^2.  `_build` orders
+        # them (P/q^2 z^2; P), (z^2; P), (P/z^2; P), then the four numerator
+        # and the four denominator arguments of (.; p, P)
+        P, p, qq = q ** (2 * N), params.p, q * q
+        self._P = P
+        self._pp_P = _pp(complex(P), self.policy)
+        self._up = np.array([P / qq, 1.0, qq, p * P / qq, P, p])
+        self._down = np.array([P, P, p, p * qq, p * P / qq])
+        self._q_pow_pp = q ** (1.0 / N - 1.0) * self._pp_P
+        self._theta_A_floor = _POLE_REL * (1 + abs(self._theta_A_zeta))
 
     # -- spectral-variable helpers -------------------------------------------
 
@@ -161,64 +177,79 @@ class RMatrixFactory:
 
     # -- core sums ------------------------------------------------------------
 
-    def _thetas(self, xi: complex):
-        """W's N^2 theta ratios theta_alpha(xi + zeta/N) / (N theta_alpha(zeta/N))
-        and the prefactor theta_A(zeta) / theta_A(xi + zeta), by one lattice sum."""
-        nums = theta_char_sums(self._g1, self._g2, xi + self._offsets, self.tau, self.policy)
-        den = complex(nums[-1])
-        if abs(den) < _POLE_REL * (1 + abs(self._theta_A_zeta)):
-            raise PoleHit(f"prefactor theta zero at xi = {xi}")
-        return nums[:-1] / self._w_dens, self._theta_A_zeta / den
+    def _thetas(self, xi: np.ndarray):
+        """W's N^2 theta ratios theta_alpha(xi + zeta/N) / (N theta_alpha(zeta/N)),
+        shape xi.shape + (N^2,), and the prefactor's theta_A(xi + zeta), at
+        every point of xi by one lattice sum."""
+        nums = theta_char_sums(self._g1, self._g2, xi[..., None] + self._offsets, self.tau,
+                               self.policy).reshape(xi.shape + (-1,))
+        return nums[..., :-1] / self._w_dens, nums[..., -1]
 
-    def _w_sum(self, pref: complex, ratios: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """pref * sum_alpha ratios[alpha] (I_alpha (x) I_alpha^{-1}), each
-        term as `coef` holds it, from W's N^3 nonzero entries."""
+    def _w_sum(self, pref, ratios: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """pref * sum_alpha ratios[..., alpha] (I_alpha (x) I_alpha^{-1}), each
+        term as `coef` holds it, from W's N^3 nonzero entries: one N^2 x N^2
+        matrix per point of pref."""
         N2 = self.N * self.N
-        out = np.zeros(N2 * N2, dtype=complex)
-        out[self._w_at] = pref * (coef @ ratios)
-        return out.reshape(N2, N2)
+        out = np.zeros(ratios.shape[:-1] + (N2 * N2,), dtype=complex)
+        out[..., self._w_at] = np.asarray(pref)[..., None] * (ratios @ coef.T)
+        return out.reshape(ratios.shape[:-1] + (N2, N2))
 
-    def _z_or_r(self, xi: complex, coef: np.ndarray) -> np.ndarray:
-        pref = (cmath.exp(1j * cmath.pi * xi * (2.0 / self.N - 2.0))
-                * kappa_inv(cmath.exp(2j * cmath.pi * xi), self.params, self.policy))
-        ratios, theta_ratio = self._thetas(xi)
-        return self._w_sum(pref * theta_ratio, ratios, coef)
+    def _build(self, xis, coef: np.ndarray, hat: bool) -> np.ndarray:
+        """The (n, N^2, N^2) stack of Z/R (hat false) or Rhat at the n points
+        xis, each step one array call over every point.  Raises PoleHit if
+        any point is a pole, with the message of the first such point."""
+        xi = np.asarray(xis, dtype=complex).ravel()
+        z2 = np.exp(2j * np.pi * xi)
+        if hat:
+            # tau_N(q^{1/2}/z) z^{2/N-2} kappa^{-1}(z^2) collapses to q^{1/N-1}
+            # times a ratio of Pochhammer products in which the common factor
+            # (q^2 z^{-2}; q^{2N}) has been cancelled, so points like z = q
+            # (tau_N zero against kappa pole) evaluate directly
+            up, down = np.multiply.outer(self._up, z2), np.divide.outer(self._down, z2)
+            args = np.concatenate((up[:2], down[:1], up[2:4], down[1:3], up[4:], down[3:]))
+            one = pochhammer2(args[:3], self._P, 0, self.policy)
+            two = pochhammer2(args[3:], self.params.p, self._P, self.policy)
+            den = np.concatenate((two[4:], one[1:2] * one[2:3] * self._pp_P))  # Theta_P(z^2) last
+            poles = (abs(den) < _POLE_REL).any(axis=0)
+            pref = self._q_pow_pp * one[0] * two[:4].prod(axis=0)
+        else:
+            pref = (np.exp(1j * np.pi * xi * (2.0 / self.N - 2.0))
+                    * kappa_inv(z2, self.params, self.policy))
+            poles = False
+        ratios, theta_den = self._thetas(xi)
+        bad = poles | (abs(theta_den) < self._theta_A_floor)
+        if bad.any():
+            i = int(bad.argmax())
+            raise PoleHit(f"Rhat pole at xi = {complex(xi[i])}" if hat and poles[i] else
+                          f"prefactor theta zero at xi = {complex(xi[i])}")
+        if hat:  # after the pole check, so an exact zero raises rather than divides
+            pref = pref / den.prod(axis=0)
+        return self._w_sum(pref * (self._theta_A_zeta / theta_den), ratios, coef)
 
-    # -- builders ---------------------------------------------------------------
+    # -- builders: a stack at n points, or one point ------------------------------
 
     @_nome_limit
+    def z_matrices(self, xis) -> np.ndarray:
+        return self._build(xis, self._coef, hat=False)
+
+    @_nome_limit
+    def r_matrices(self, xis) -> np.ndarray:
+        return self._build(xis, self._coef_G, hat=False)
+
+    @_nome_limit
+    def rhat_matrices(self, xis) -> np.ndarray:
+        """Rhat at every point of xis, an (n, N^2, N^2) stack, with the
+        tau_N x kappa cancellation done analytically."""
+        return self._build(xis, self._coef_G, hat=True)
+
     def z_matrix_xi(self, xi: complex) -> np.ndarray:
-        return self._z_or_r(xi, self._coef)
+        return self.z_matrices([xi])[0]
 
-    @_nome_limit
     def r_matrix_xi(self, xi: complex) -> np.ndarray:
-        return self._z_or_r(xi, self._coef_G)
+        return self.r_matrices([xi])[0]
 
-    @_nome_limit
     def rhat_matrix_xi(self, xi: complex) -> np.ndarray:
-        """Rhat with the tau_N x kappa cancellation done analytically.
-
-        tau_N(q^{1/2}/z) z^{2/N-2} kappa^{-1}(z^2) collapses to
-        q^{1/N-1} times a ratio of Pochhammer products in which the
-        common factor (q^2 z^{-2}; q^{2N}) has been cancelled, so points
-        like z = q (tau_N zero against kappa pole) evaluate directly.
-        """
-        q, p, P = self.params.q, self.params.p, self._P
-        pol = self.policy
-        z2 = cmath.exp(2j * cmath.pi * xi)
-        num = pochhammer(P / (q * q) * z2, [P], pol) * self._pp_P
-        v = pochhammer2(
-            [P / z2, q * q * z2, p / z2, p * P / (q * q) * z2,       # numerator
-             p * q * q / z2, P * z2, p * z2, p * P / (q * q) / z2],  # denominator
-            p, P, pol).tolist()
-        num = num * v[0] * v[1] * v[2] * v[3]
-        den = 1.0 + 0j
-        for f in [v[4], theta_big(z2, P, pol), v[5], v[6], v[7]]:
-            if abs(f) < _POLE_REL:
-                raise PoleHit(f"Rhat pole at xi = {xi}")
-            den *= f
-        ratios, theta_ratio = self._thetas(xi)
-        return self._w_sum(self._q_pow * num / den * theta_ratio, ratios, self._coef_G)
+        return self.rhat_matrices([xi])[0]
 
     def rhat_tensor(self, xi: complex, labels) -> LabeledTensor:
         return LabeledTensor.from_matrix(self.rhat_matrix_xi(xi), labels, self.N)

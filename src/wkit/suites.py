@@ -69,10 +69,11 @@ from .wgen import (
     SurfaceSpec,
     _exchange_prefactor_tL,
     _on_each,
-    _qdet_matrix,
+    _qdet_matrices,
     _scalar_residual,
     alpha_fraction,
     build_t,
+    lax_points,
     resolve_surface,
     survives_selection_rule,
 )
@@ -235,9 +236,11 @@ def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9):
     clock = Stopwatch()
     N = fac.N
     resids = []
-    for build, scal in ((fac.r_matrix_xi, 1.0),
-                        (fac.rhat_matrix_xi, U(z, fac.params, fac.policy))):
-        RR21 = (_on(build(xi_of(z)), (1, 2), fac) @ _on(build(xi_of(1 / z)), (2, 1), fac)).data
+    pair = [xi_of(z), xi_of(1 / z)]
+    for build, scal in ((fac.r_matrices, 1.0),
+                        (fac.rhat_matrices, U(z, fac.params, fac.policy))):
+        R12, R21 = build(pair)
+        RR21 = (_on(R12, (1, 2), fac) @ _on(R21, (2, 1), fac)).data
         resids.append(np.linalg.norm(RR21 - scal * np.eye(N * N)) / np.linalg.norm(RR21))
     return clock.report("rmatrix-properties", "unitarity",
                         "R12(z) R21(1/z) = 1; Rhat pair gives U(z)",
@@ -248,12 +251,9 @@ def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-
                       hat: bool = False):
     """R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z) on three spaces."""
     clock = Stopwatch()
-    build = fac.rhat_matrix_xi if hat else fac.r_matrix_xi
-
-    def on(zz, labels):
-        return _on(build(xi_of(zz)), labels, fac)
-
-    A12, A13, A23 = on(z, (1, 2)), on(w, (1, 3)), on(w / z, (2, 3))
+    build = fac.rhat_matrices if hat else fac.r_matrices
+    A12, A13, A23 = (_on(mat, labels, fac) for mat, labels in zip(
+        build([xi_of(z), xi_of(w), xi_of(w / z)]), ((1, 2), (1, 3), (2, 3))))
     lhs = compose([A12, A13, A23], (1, 2, 3))
     rhs = compose([A23, A13, A12], (1, 2, 3))
     res = (lhs - rhs).norm() / lhs.norm()
@@ -268,13 +268,12 @@ def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9):
     the latter verified for both R and Rhat."""
     clock = Stopwatch()
     N, q = fac.N, fac.params.q
-    Rt = _on(fac.r_matrix_xi(xi_of(z)), (1, 2), fac).partial_transpose(2)
-    R21t = _on(fac.r_matrix_xi(xi_of(1 / (z * q**N))), (2, 1), fac).partial_transpose(2)
+    R, R21, RN = fac.r_matrices([xi_of(z), xi_of(1 / (z * q**N)), xi_of(q**N * z)])
+    Rt = _on(R, (1, 2), fac).partial_transpose(2)
+    R21t = _on(R21, (2, 1), fac).partial_transpose(2)
     res1 = np.linalg.norm((Rt @ R21t).data - np.eye(N * N)) / Rt.norm()
-    resids = [res1]
-    for build in (fac.r_matrix_xi, fac.rhat_matrix_xi):
-        resids.append(crossing_unitarity_residual(
-            build(xi_of(z)), build(xi_of(q**N * z)), fac))
+    resids = [res1, crossing_unitarity_residual(R, RN, fac),
+              crossing_unitarity_residual(*fac.rhat_matrices([xi_of(z), xi_of(q**N * z)]), fac)]
     return clock.report(
         "rmatrix-properties", "crossing",
         "R^{t2}(z) R21^{t2}(1/(z q^N)) = 1 and (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2}",
@@ -288,9 +287,9 @@ def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9):
     clock = Stopwatch()
     E = np.eye(fac.N)
     xi = xi_of(z)
-    lhs = fac.r_matrix_xi(xi + 1)
+    lhs, R = fac.r_matrices([xi + 1, xi])
     g = fac.zn.g
-    rhs = fac.zn.omega * np.kron(np.linalg.inv(g), E) @ fac.r_matrix_xi(xi) @ np.kron(g, E)
+    rhs = fac.zn.omega * np.kron(np.linalg.inv(g), E) @ R @ np.kron(g, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
     return clock.report("rmatrix-properties", "antisymmetry",
                         "R(-z) = omega (g^{-1} x 1) R(z) (g x 1)  [-z via xi+1]",
@@ -309,9 +308,10 @@ def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance
     E = np.eye(fac.N)
     Ma = fac.zn.M_power(a)
     xi = xi_of(x)
-    lhs = np.kron(Ma, E) @ fac.rhat_matrix_xi(xi)
+    R, Ra = fac.rhat_matrices([xi, xi + a * fac.s_shift])
+    lhs = np.kron(Ma, E) @ R
     scal = F_a(x, a, fac.params.s, fac.params, fac.policy)
-    rhs = scal * fac.rhat_matrix_xi(xi + a * fac.s_shift) @ np.kron(Ma, E)
+    rhs = scal * Ra @ np.kron(Ma, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
     return clock.report("rmatrix-properties", f"quasi-periodicity(a={a})",
                         "M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a   [s-step on the theta lattice]",
@@ -368,10 +368,9 @@ def suite_rmatrix_properties(ctx: SuiteContext) -> list[CheckReport]:
     ctrl = []
     for _ in range(5):
         z, w = _safe_point(rng), _safe_point(rng)
-        A12 = fac.rhat_tensor(xi_of(z), (1, 2))
-        A13 = fac.rhat_tensor(xi_of(w * 1.01), (1, 3))
-        A23 = fac.rhat_tensor(xi_of(w / z), (2, 3))
-        B13 = fac.rhat_tensor(xi_of(w), (1, 3))
+        A12, A13, A23, B13 = (_on(mat, labels, fac) for mat, labels in zip(
+            fac.rhat_matrices([xi_of(z), xi_of(w * 1.01), xi_of(w / z), xi_of(w)]),
+            ((1, 2), (1, 3), (2, 3), (1, 3))))
         lhs = compose([A12, A13, A23], (1, 2, 3))
         rhs = compose([A23, B13, A12], (1, 2, 3))
         ctrl.append((lhs - rhs).norm() / rhs.norm())
@@ -386,8 +385,7 @@ def suite_rmatrix_properties(ctx: SuiteContext) -> list[CheckReport]:
     for _ in range(5):
         z = _safe_point(rng)
         ctrl.append(crossing_unitarity_residual(
-            fac.rhat_matrix_xi(xi_of(z)),
-            fac.rhat_matrix_xi(xi_of(pr.q**pr.N * z * 1.01)), fac))
+            *fac.rhat_matrices([xi_of(z), xi_of(pr.q**pr.N * z * 1.01)]), fac))
     out.append(clock.control(
         "rmatrix-properties", "control-perturbed-crossing",
         "perturbing the q^N pairing by 1% must break crossing-unitarity (> 1e-3)",
@@ -419,19 +417,24 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
         reports.append(clock.report("fusion-identities", name, identity, inputs, res,
                                     tolerance))
 
-    # chains on aux spaces 1..k against a common space 0
+    # chains on aux spaces 1..k against a common space 0: the descending
+    # ladder x q^{1-i} and the ascending one x q^{i-1}, from one build
     aux = tuple(range(1, k + 1))
-    chains = (  # (name, identity, direction of the argument ladder, factor map)
-        ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k",
-         -1, lambda R: R),
+    steps = np.arange(k) * zeta
+    mats = fac.rhat_matrices(np.concatenate((xi_x - steps, xi_x + steps)))
+    invs = np.linalg.inv(mats)
+
+    def on_aux(ms):
+        return [_on(m, (i, "0"), fac) for i, m in zip(aux, ms)]
+
+    chains = (
+        ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k", on_aux(mats[:k])),
         ("chain_t0_inv", "(Rhat^{-1})^{t0} descending-argument chain, one-sided projector",
-         -1, lambda R: R.inv().partial_transpose("0")),
+         [g.partial_transpose("0") for g in on_aux(invs[:k])]),
         ("chain_inv", "Rhat^{-1}_{1,0}(x)...Rhat^{-1}_{k,0}(x q^{k-1}) A_k = A_k (...) A_k",
-         +1, LabeledTensor.inv),
+         on_aux(invs[k:])),
     )
-    for name, identity, step, factor in chains:
-        gates = [factor(fac.rhat_tensor(xi_x + step * (i - 1) * zeta, (i, "0")))
-                 for i in aux]
+    for name, identity, gates in chains:
         report(name, identity, gates, aux, ("0",))
 
     gates = fused_gates(x, k, kprime, fac)
@@ -439,7 +442,8 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
     report("fused_rows", "fused R block with row antisymmetrizer", gates, rows, cols)
     report("fused_cols", "fused R block with column antisymmetrizer", gates, cols, rows)
     if N ** (k + kprime) <= 1536:  # the budget of the former dense inversion
-        inv_gates = [g.inv() for g in reversed(gates)]
+        inv = np.linalg.inv(np.array([g.data for g in gates]))
+        inv_gates = [LabeledTensor(g.labels, N, m) for g, m in zip(gates[::-1], inv[::-1])]
         report("fused_inv_rows", "inverse fused R block with row antisymmetrizer",
                inv_gates, rows, cols)
         report("fused_inv_cols", "inverse fused R block with column antisymmetrizer",
@@ -448,17 +452,21 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
 
 
 def check_M_derivative(x: complex, k: int, kprime: int, fac, tolerance: float = 1e-5):
-    """Central difference of M(x) in the central charge at c = -N.
+    """Derivative of M(x) in the central charge at c = -N.
 
-    Both dM/dc = 0 and M|_{c=-N} = identity are asserted; the second enters
-    the returned inputs so a wrong critical value cannot silently pass."""
+    The derivative is the Richardson extrapolation (4 D(step) - D(2 step)) / 3
+    of two central differences D, as in `critical_poisson_check`: dM/dc = 0,
+    so a plain central difference reads its O(step^2) error, which at
+    complex q reaches the tolerance.  Both dM/dc = 0 and M|_{c=-N} = identity
+    are asserted; the second enters the returned inputs so a wrong critical
+    value cannot silently pass."""
     clock = Stopwatch()
     N, step = fac.N, 1e-4
-    Mc = monodromy_M(x, k, kprime, fac, c=-N)
-    ident_res = (Mc - LabeledTensor.identity(Mc.labels, N)).norm() / max(Mc.norm(), 1e-300)
-    Mp = monodromy_M(x, k, kprime, fac, c=-N + step)
-    Mm = monodromy_M(x, k, kprime, fac, c=-N - step)
-    deriv = (Mp - Mm).norm() / (2 * step) / max(Mc.norm(), 1e-300)
+    Mc, Mp, Mm, Mp2, Mm2 = (M.data for M in monodromy_M(
+        x, k, kprime, fac, [-N, -N + step, -N - step, -N + 2 * step, -N - 2 * step]))
+    scale = max(np.linalg.norm(Mc), 1e-300)
+    ident_res = np.linalg.norm(Mc - np.eye(len(Mc))) / scale
+    deriv = np.linalg.norm(4 * (Mp - Mm) / (2 * step) - (Mp2 - Mm2) / (4 * step)) / 3 / scale
     return clock.report(
         "fusion-identities", f"M_derivative(k={k},k'={kprime})",
         "d/dc M(x) = 0 and M(x) = 1 at the critical level c = -N",
@@ -539,14 +547,15 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
     """
     clock = Stopwatch()
     N = rep.N
-    t_gen = build_t(k, z, surface, rep)
+    lax = rep.lax(np.append(lax_points(k, z, surface, rep), xi_of(w)))  # t's factors and L(w)
+    t_gen = build_t(k, z, surface, rep, lax[:-1])
     t_norm = float(np.linalg.norm(t_gen))
     pref = _exchange_prefactor_tL(k, z, w, surface, rep.policy)
     vanishing = not survives_selection_rule(k, surface.m, surface.n, N)
     if vanishing:
         res = t_norm
     else:
-        Lw = rep.L(xi_of(w), "b")
+        Lw = LabeledTensor.from_matrix(lax[-1], ("b", QUANTUM), N)
         t = LabeledTensor.from_matrix(t_gen, (QUANTUM,), N)
         lhs = compose([t, Lw], ("b", QUANTUM))
         rhs = pref * compose([Lw, t], ("b", QUANTUM))
@@ -574,12 +583,12 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
     reported residual is then the norm of the factor that must vanish."""
     clock = Stopwatch()
     p = surface.params
-    tk = build_t(k, z, surface, rep)
-    tkp = build_t(kprime, w, surface, rep)
-    pref = 1.0 + 0j
-    for ei in centred_ladder(k):
-        for ej in centred_ladder(kprime):
-            pref *= Y_mn(p.q ** (ei - ej) * z / w, surface.m, surface.n, p, rep.policy)
+    lax = rep.lax(np.concatenate((lax_points(k, z, surface, rep),
+                                  lax_points(kprime, w, surface, rep))))
+    tk = build_t(k, z, surface, rep, lax[:2 * k])
+    tkp = build_t(kprime, w, surface, rep, lax[2 * k:])
+    x = np.array([p.q ** (ei - ej) * z / w for ei in centred_ladder(k) for ej in centred_ladder(kprime)])
+    pref = complex(np.prod(Y_mn(x, surface.m, surface.n, p, rep.policy)))
     van_k = not survives_selection_rule(k, surface.m, surface.n, rep.N)
     van_kp = not survives_selection_rule(kprime, surface.m, surface.n, rep.N)
     if van_k or van_kp:
@@ -691,7 +700,7 @@ def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8):
     quantum space (centrality in the evaluation representation)."""
     clock = Stopwatch()
     N = rep.N
-    qd = _qdet_matrix(xi_of(z), rep)
+    qd, = _qdet_matrices([xi_of(z)], rep)
     scal = complex(np.trace(qd) / N)
     return scal, clock.report(
         suite="qdet", check="qdet-centrality",
@@ -717,13 +726,12 @@ def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
     detM = complex(np.linalg.det(zn.M_power(surface.m)))
     detMt = complex(np.linalg.det(zn.M_power(surface.n)))
     star_step = surface.n * rep.factory.s_star_shift
-    results = {}
-    for name, sig_exp in (("q^{(N-1)/2}", (N - 1) / 2.0), ("q^{N-1}", float(N - 1))):
-        xi_sig = xi_of(z) + sig_exp * rep.params.zeta
-        den = complex(np.trace(_qdet_matrix(xi_sig, rep)) / N)
-        num = complex(np.trace(_qdet_matrix(xi_sig + star_step, rep)) / N)
-        pred = detM * detMt * num / den
-        results[name] = abs(t_val - pred) / max(abs(t_val), 1e-300)
+    sigmas = (("q^{(N-1)/2}", (N - 1) / 2.0), ("q^{N-1}", float(N - 1)))
+    tops = [xi_of(z) + sig_exp * rep.params.zeta for _, sig_exp in sigmas]
+    qdets = [complex(np.trace(qd) / N) for qd in  # qdet(sigma z), qdet(s*^n sigma z) per sigma
+             _qdet_matrices([v for top in tops for v in (top, top + star_step)], rep)]
+    results = {name: abs(t_val - detM * detMt * num / den) / max(abs(t_val), 1e-300)
+               for (name, _), den, num in zip(sigmas, qdets[::2], qdets[1::2])}
     best = min(results, key=results.get)
     return clock.report(
         suite="qdet", check="t-qdet",

@@ -6,9 +6,8 @@ spaces, reordering the right operand to the left one's order.  A product
 of factors on different spaces, such as the two-space R-factors of the
 multi-space identities, is `apply_gates`: it applies the factors one at a
 time to a block of vectors, and `compose` applies them to the identity
-block to give the product as a dense operator.  Projectors on subsets of
-spaces, partial traces and transposes over named spaces act on one
-operator.
+block to give the product as a dense operator.  Partial transposes over
+named spaces act on one operator.
 
 The antisymmetrizer A_k is held only as the orthonormal basis V of its
 image, A_k = V V^T with C(N,k) columns.  Identities that only act on
@@ -128,22 +127,7 @@ class LabeledTensor:
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
-    def cond(self) -> float:
-        return float(np.linalg.cond(self.data))
-
     # -- contractions -------------------------------------------------------
-
-    def partial_trace(self, traced_labels) -> "LabeledTensor":
-        traced = tuple(traced_labels)
-        for l in traced:
-            if l not in self.labels:
-                raise LabelMismatch(f"label {l!r} not present in {self.labels}")
-        keep = tuple(l for l in self.labels if l not in traced)
-        src = self.reorder(keep + traced)
-        nk, nt = len(keep), len(traced)
-        Dk, Dt = self.N**nk, self.N**nt
-        t = src.data.reshape(Dk, Dt, Dk, Dt)
-        return LabeledTensor(keep, self.N, np.einsum("aibi->ab", t))
 
     def partial_transpose(self, labels) -> "LabeledTensor":
         """Transpose on the named space(s), identity on the rest."""
@@ -291,14 +275,24 @@ def col_labels(k: int):
     return tuple(("c", j) for j in range(1, k + 1))
 
 
-def fused_gates(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> list:
-    """The R-hat factors of `fused_R`, leftmost first."""
+def _fused_factors(x: complex, k: int, kprime: int, fac, c_shifts) -> list:
+    """The R-hat factors of `fused_R` at each shift of c_shifts, leftmost
+    first: one list per shift, every factor of every shift from one build."""
     rows, cols = row_labels(k), col_labels(kprime)
     zeta = fac.params.zeta
-    xi_x = xi_of(x) + c_shift * zeta
     e, e_col = centred_ladder(k), centred_ladder(kprime)
-    return [fac.rhat_tensor(xi_x + (e[i] - e_col[j]) * zeta, (rows[i], cols[j]))
-            for j in range(kprime) for i in reversed(range(k))]
+    order = [(i, j) for j in range(kprime) for i in reversed(range(k))]
+    xi_x = xi_of(x) + np.asarray(c_shifts, dtype=complex) * zeta
+    steps = np.array([e[i] - e_col[j] for i, j in order]) * zeta
+    mats = fac.rhat_matrices(np.add.outer(xi_x, steps).ravel())
+    labels = [(rows[i], cols[j]) for i, j in order]
+    return [[LabeledTensor.from_matrix(m, l, fac.N) for m, l in zip(mats[s:s + len(order)], labels)]
+            for s in range(0, len(mats), len(order))]
+
+
+def fused_gates(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> list:
+    """The R-hat factors of `fused_R`, leftmost first."""
+    return _fused_factors(x, k, kprime, fac, [c_shift])[0]
 
 
 def fused_R(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> LabeledTensor:
@@ -345,14 +339,17 @@ def _projector_residual(gates, a_labels, rest) -> float:
     return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 
-def monodromy_M(x: complex, k: int, kprime: int, fac, c: complex) -> LabeledTensor:
-    """The combination M(x) = (R(q^c x)^T (R(x)^{-1} R(q^{-c-N} x) R(x)^{-1})^T)^T
-    of fused blocks, T transposing the k row spaces.  Equals the identity at
-    the critical value c = -N by fused crossing-unitarity."""
-    rows = row_labels(k)
-    R0i = fused_R(x, k, kprime, fac).inv()
-    Rc = fused_R(x, k, kprime, fac, c_shift=c)
-    Rm = fused_R(x, k, kprime, fac, c_shift=-c - fac.N)
-    inner = (R0i @ Rm @ R0i).partial_transpose(rows)
-    return (Rc.partial_transpose(rows) @ inner).partial_transpose(rows)
-
+def monodromy_M(x: complex, k: int, kprime: int, fac, cs) -> list:
+    """M(x) = (R(q^c x)^T (R(x)^{-1} R(q^{-c-N} x) R(x)^{-1})^T)^T at each
+    central charge c of cs, R the fused block and T transposing the k row
+    spaces.  Equals the identity at the critical value c = -N by fused
+    crossing-unitarity.  Every block is composed from one build, and R(x)
+    is inverted once."""
+    rows, labels = row_labels(k), row_labels(k) + col_labels(kprime)
+    shifts = list(dict.fromkeys([0.0, *cs, *(-c - fac.N for c in cs)]))
+    blocks = dict(zip(shifts, (compose(gates, labels)
+                               for gates in _fused_factors(x, k, kprime, fac, shifts))))
+    R0i = blocks[0.0].inv()
+    return [(blocks[c].partial_transpose(rows)
+             @ (R0i @ blocks[-c - fac.N] @ R0i).partial_transpose(rows)).partial_transpose(rows)
+            for c in cs]

@@ -15,6 +15,14 @@ of the `qdet` and `n0` suites) is `tensor.antisym_trace`: the factors are
 applied to the basis of im A_k, and no operator on all the spaces is
 formed.
 
+The 2k Lax factors of t^{(k)}(z) come from one batched build
+(`EvalRep.lax` at `lax_points`), and the k inverted ones are checked and
+inverted as one stack; the quantum determinant builds the N factors of
+every point it is asked for in one call.  A caller that needs more Lax
+matrices at the same time (L(w) beside t^{(k)}(z), or the factors of two
+generators) builds them all in one call and passes the stack to
+`build_t`.
+
 Multiplications by the designated root value s* are performed on the
 theta lattice (xi -> xi + tau* + 1), the continuation on which the
 quasi-periodicity twist relations hold exactly for every N.
@@ -97,15 +105,14 @@ class EvalRep:
     def N(self) -> int:
         return self.params.N
 
+    def lax(self, xis) -> np.ndarray:
+        """L at every additive spectral point of xis, an (n, N^2, N^2) stack
+        from one build."""
+        return self.factory.rhat_matrices(np.asarray(xis, dtype=complex) - self.xi_a)
+
     def L(self, xi: complex, aux_label) -> LabeledTensor:
         """Lax factor at additive spectral point xi, on (aux, quantum)."""
-        return self.factory.rhat_tensor(xi - self.xi_a, (aux_label, QUANTUM))
-
-    def L_inv(self, xi: complex, aux_label) -> LabeledTensor:
-        t = self.L(xi, aux_label)
-        if t.cond() > 1e10:
-            raise SingularLax(f"L at xi = {xi} has condition number {t.cond():.3g}")
-        return t.inv()
+        return LabeledTensor.from_matrix(self.lax([xi])[0], (aux_label, QUANTUM), self.N)
 
 
 def _on_each(M: np.ndarray, k: int) -> list:
@@ -113,37 +120,54 @@ def _on_each(M: np.ndarray, k: int) -> list:
     return [LabeledTensor.from_matrix(M, (i,), M.shape[0]) for i in range(1, k + 1)]
 
 
-def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> list:
+def lax_points(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> np.ndarray:
+    """The 2k additive points of the Lax factors of Q_{1..k}(z), in the
+    order `build_Q` takes them: L_k ... L_1 on the ladder moved by (s*)^n
+    (realized on the theta lattice), then L_1 ... L_k on the ladder."""
+    ladder = xi_of(z) + np.array(centred_ladder(k)) * rep.params.zeta
+    return np.concatenate((ladder[::-1] + surface.n * rep.factory.s_star_shift, ladder))
+
+
+def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None) -> list:
     """The factors of the untraced operator Q_{1..k}(z) (everything of
     t^{(k)} before multiplying by A_k and tracing), leftmost first; the
-    product itself is never formed."""
+    product itself is never formed.  `lax` is the stack of its Lax factors
+    at `lax_points`, built here in one call if not given; the k inverted
+    ones are checked and inverted as one stack."""
+    xis = lax_points(k, z, surface, rep)
+    mats = rep.lax(xis) if lax is None else lax
+    conds = np.linalg.cond(mats[k:])
+    bad = np.flatnonzero(conds > 1e10)
+    if bad.size:
+        raise SingularLax(f"L at xi = {complex(xis[k + bad[0]])} has condition number "
+                          f"{conds[bad[0]]:.3g}")
+    invs = np.linalg.inv(mats[k:])
     zn = rep.factory.zn
-    xi_z = xi_of(z)
-    ladder = [xi_z + e * rep.params.zeta for e in centred_ladder(k)]
-    star_step = surface.n * rep.factory.s_star_shift  # lattice realization of (s*)^n
+
+    def on(mat, i):
+        return LabeledTensor.from_matrix(mat, (i, QUANTUM), rep.N)
+
     return (_on_each(zn.M_power(surface.m), k)
-            + [rep.L(ladder[i - 1] + star_step, i) for i in range(k, 0, -1)]
+            + [on(mats[k - i], i) for i in range(k, 0, -1)]
             + _on_each(zn.M_power(surface.n), k)
-            + [rep.L_inv(ladder[i - 1], i) for i in range(1, k + 1)])
+            + [on(invs[i - 1], i) for i in range(1, k + 1)])
 
 
-def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> np.ndarray:
-    """t^{(k)}(z): an N x N matrix on the quantum space."""
+def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None) -> np.ndarray:
+    """t^{(k)}(z): an N x N matrix on the quantum space (`lax` as in `build_Q`)."""
     if not 1 <= k <= rep.N:
         raise ValueError(f"need 1 <= k <= N, got k = {k}")
     surface.params.require_elliptic()
-    return antisym_trace(build_Q(k, z, surface, rep), k, rest=(QUANTUM,))
+    return antisym_trace(build_Q(k, z, surface, rep, lax), k, rest=(QUANTUM,))
 
 
 def _exchange_prefactor_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
                            policy: TruncationPolicy) -> complex:
-    """prod_i F_{-m}(z_i/w) / F*_n(z_i/w) with z_i = q^{e_i} z."""
+    """prod_i F_{-m}(z_i/w) / F*_n(z_i/w) with z_i = q^{e_i} z, each ladder
+    one array call over the k points."""
     p = surface.params
-    pref = 1.0 + 0j
-    for e in centred_ladder(k):
-        x = p.q ** e * z / w
-        pref *= F_a(x, -surface.m, p.s, p, policy) / F_a(x, surface.n, p.s_star, p, policy)
-    return pref
+    x = np.array([p.q ** e * z / w for e in centred_ladder(k)])
+    return complex(np.prod(F_a(x, -surface.m, p.s, p, policy) / F_a(x, surface.n, p.s_star, p, policy)))
 
 
 def _scalar_residual(t: np.ndarray) -> float:
@@ -164,15 +188,18 @@ def survives_selection_rule(k: int, m: int, n: int, N: int) -> bool:
 # Quantum determinant
 # ---------------------------------------------------------------------------
 
-def _qdet_matrix(xi_top: complex, rep: EvalRep) -> np.ndarray:
-    """Quantum-space matrix of qdet from
-    L_1(y) L_2(y/q) ... L_N(y q^{1-N}) A_N = A_N qdet(y), y = e^{i pi xi_top}.
+def _qdet_matrices(xi_tops, rep: EvalRep) -> list:
+    """Quantum-space matrix of qdet at each y = e^{i pi xi_top} of xi_tops,
+    from L_1(y) L_2(y/q) ... L_N(y q^{1-N}) A_N = A_N qdet(y), every Lax
+    factor of every point from one build.
 
     A_N = psi psi^T for the one basis vector psi of im A_N, so qdet is
     (psi^T (x) 1) L_1 ... L_N (psi (x) 1) = tr_{1..N}(L_1 ... L_N A_N)."""
     N = rep.N
-    gates = [rep.L(xi_top - (i - 1) * rep.params.zeta, i) for i in range(1, N + 1)]
-    return antisym_trace(gates, N, rest=(QUANTUM,))
+    points = np.asarray(xi_tops, dtype=complex)[:, None] - np.arange(N) * rep.params.zeta
+    mats = rep.lax(points.ravel()).reshape(points.shape + (N * N, N * N))
+    return [antisym_trace([LabeledTensor.from_matrix(m, (i, QUANTUM), N) for i, m in enumerate(ms, 1)],
+                          N, rest=(QUANTUM,)) for ms in mats]
 
 
 # ---------------------------------------------------------------------------

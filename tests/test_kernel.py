@@ -193,6 +193,7 @@ def test_pochhammer2_rows_equal_recursive_product():
         want = walk_rows(zs, [p1, p2], pol)
         raised += isinstance(want, tuple)
         qs._CHAINS.clear()
+        qs._LATTICES.clear()
         if rnd.random() < 0.5:
             outcome(pochhammer, zs[0], [p1, p2], pol)
         got = outcome(lambda: qs.pochhammer2(zs, p1, p2, pol).tolist())
@@ -212,6 +213,7 @@ def test_pochhammer2_raises_as_the_first_failing_point():
         for zs, want in [([10.0, 80.0], index0), ([80.0, 10.0], index1),
                          ([0j, complex(math.nan, 0.0), 2.0, 80.0], index1)]:
             qs._CHAINS.clear()
+            qs._LATTICES.clear()
             if warm:  # chains deep enough for |z| = 40, stored before it raises
                 assert outcome(pochhammer, 40.0, [0.63, 0.61], SHORT) == index0
             assert outcome(qs.pochhammer2, zs, 0.63, 0.61, SHORT) == want
@@ -283,8 +285,9 @@ def rhat_by_single_calls(fac, xi):
     for f in [pochhammer(p * q * q / z2, mod, pol), theta_big(z2, P, pol), pochhammer(P * z2, mod, pol),
               pochhammer(p * z2, mod, pol), pochhammer(p * P / (q * q) / z2, mod, pol)]:
         den *= f
-    ratios, theta_ratio = fac._thetas(xi)
-    return fac._w_sum(fac._q_pow * num / den * theta_ratio, ratios, fac._coef_G)
+    ratios, theta_den = fac._thetas(np.array(xi))
+    q_pow = q ** (1.0 / fac.N - 1.0)
+    return fac._w_sum(q_pow * num / den * (fac._theta_A_zeta / theta_den), ratios, fac._coef_G)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -746,6 +749,14 @@ def test_kernel_caches_stay_bounded():
             pochhammer(0.3, [a, 0.2], POL)
     assert 0 < len(qs._CHAINS) <= qs._CACHE_LIMIT
     assert 0 < len(qs._PP) <= qs._CACHE_LIMIT
+    # one-modulus array products keep a lattice per nome, bounded apart;
+    # a lattice past the size bound is formed per call and not kept
+    for a in rng.uniform(0.05, 0.9, 100):
+        theta_big(np.array([0.7 + 0.2j, 1.1]), a * a, POL)
+    assert 0 < len(qs._LATTICES) <= qs._LATTICE_LIMIT
+    qs._LATTICES.clear()
+    big = qs.pochhammer2([0.3], 0.92, 0.91, POL)[0]  # about 88,000 weights
+    assert not qs._LATTICES and big == qs.pochhammer2([0.3], 0.92, 0.91, POL)[0]
     # values computed after the caches were cleared still match
     assert theta_big(0.7 + 0.2j, 0.36, POL) == (recursive_pochhammer(0.7 + 0.2j, [0.36], POL)
                                                * recursive_pochhammer(0.36 / (0.7 + 0.2j), [0.36], POL)

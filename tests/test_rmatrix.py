@@ -268,7 +268,7 @@ def test_rhat_independent_of_cache_history():
            [(0.3, 0.4), (3.0, -0.2), (1.1, 0.1), (0.6, -1.0), (1.9, 2.0), (0.95, 0.3)]]
     runs = []
     for order in (xis, xis[::-1]):
-        for cache in (qs._CHAINS, qs._PP):
+        for cache in (qs._CHAINS, qs._PP, qs._LATTICES):
             cache.clear()
         fac = RMatrixFactory(pr, POL)
         built = {xi: fac.rhat_matrix_xi(xi) for xi in order}
@@ -288,3 +288,95 @@ def test_crossing_at_its_tightest_known_point():
     rep = check_crossing(complex(0.7226266178849174, 0.013155398121855143), fac)
     assert rep.passed and rep.tolerance == 1e-9
     assert rep.residual < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# Batched builds
+# ---------------------------------------------------------------------------
+
+def mp_rhat(mp, pr, xi):
+    """Rhat(xi) at the working precision from its defining form
+    tau_N(q^{1/2}/z) R(z), each product and characteristic theta computed
+    independently: q^{1/N-1} Theta_P(q^2/z^2) / Theta_P(z^2) kappa^{-1}(z^2)
+    theta_A(zeta) / theta_A(xi + zeta) times the conjugated W sum, with the
+    fractional powers taken on the additive variables."""
+    from test_kernel import mp_kappa_inv, mp_pochhammer2, mp_theta_char
+
+    N, zn = pr.N, ZnMatrices(pr.N)
+    zeta, tau, xi = mp.mpc(pr.zeta), mp.mpc(pr.tau), mp.mpc(xi)
+    z2, P = mp.exp(2j * mp.pi * xi), mp.mpc(pr.q) ** (2 * N)
+
+    def theta_P(x):
+        return mp.fprod(mp_pochhammer2(mp, y, P, 0) for y in (x, P / x, P))
+
+    pref = (mp.exp(1j * mp.pi * zeta * (mp.mpf(1) / N - 1)) * theta_P(pr.q ** 2 / z2) / theta_P(z2)
+            * mp_kappa_inv(mp, z2, pr)
+            * mp_theta_char(mp, 0.5, 0.5, zeta, tau) / mp_theta_char(mp, 0.5, 0.5, xi + zeta, tau))
+    G = np.kron(zn.g_half, zn.g_half)
+    out = mp.matrix(N * N, N * N)
+    for a1 in range(N):
+        for a2 in range(N):
+            g1, g2 = 0.5 + a1 / N, 0.5 + a2 / N
+            w = (mp_theta_char(mp, g1, g2, xi + zeta / N, tau)
+                 / (N * mp_theta_char(mp, g1, g2, zeta / N, tau)))
+            I = zn.I_alpha(a1, a2)
+            term = G @ np.kron(I, np.linalg.inv(I)) @ np.linalg.inv(G)
+            for r, c in zip(*np.nonzero(np.abs(term) > 1e-12)):
+                out[int(r), int(c)] += pref * w * mp.mpc(complex(term[r, c]))
+    return np.array(out.tolist(), dtype=complex)
+
+
+@pytest.mark.parametrize("pr", [EllipticParams(2, 0.6, 0.6), params(N=3, q=0.55, p=0.6),
+                                EllipticParams(4, 0.5 + 0.1j, cmath.sqrt(0.4))],
+                         ids=["N2-child-nome-limit", "N3", "N4-complex-q"])
+def test_rhat_batch_matches_mpmath(pr):
+    # one mixed batch per factory: points across the sampling wedge, the
+    # continuation xi + 1 (-z) and a step by s on the theta lattice; every
+    # entry within 1e-12 of the largest against 40 digits.  At p = q^2,
+    # N = 2, the build is the mean over the two child nomes, and so is the
+    # oracle.
+    mp = pytest.importorskip("mpmath")
+    fac = RMatrixFactory(pr, POL)
+    assert (fac._children is not None) == (pr.N == 2)
+    xis = [xi_of(1.2 + 0.3j), xi_of(0.75 - 0.4j) + 1, xi_of(1.1 + 0.05j) + fac.s_shift, xi_of(0.9j + 0.5)]
+    got = fac.rhat_matrices(xis)
+    assert got.shape == (4, pr.N ** 2, pr.N ** 2)
+    with mp.workdps(40):
+        for xi, mat in zip(xis, got):
+            want = (np.mean([mp_rhat(mp, child.params, xi) for child in fac._children], axis=0)
+                    if fac._children else mp_rhat(mp, pr, xi))
+            assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max(), xi
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_batch_equals_one_point_builds(N):
+    # each point of a batch is what a one-point build gives, to rounding,
+    # for Z, R and Rhat alike
+    fac = RMatrixFactory(params(N=N, q=0.55, p=0.6), POL)
+    xis = [xi_of(cmath.rect(r, phi)) for r, phi in [(0.8, 0.3), (1.3, -1.0), (1.05, 0.9), (0.7, -0.2)]]
+    for batch, one in ((fac.z_matrices, fac.z_matrix_xi), (fac.r_matrices, fac.r_matrix_xi),
+                       (fac.rhat_matrices, fac.rhat_matrix_xi)):
+        for xi, mat in zip(xis, batch(xis)):
+            want = one(xi)
+            assert np.abs(mat - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("pole,message", [(0.0, "Rhat pole at xi = 0j"), (None, "prefactor theta zero")])
+def test_batch_with_a_pole_raises_as_the_point_alone(pole, message):
+    # Theta_P(z^2) vanishes at z = 1 (a pole of Rhat only); theta_A(xi + zeta)
+    # vanishes at xi = -zeta (of R and Rhat): one such point anywhere in a
+    # batch raises what it raises alone
+    fac = RMatrixFactory(params(N=3), POL)
+    bad = -fac.zeta if pole is None else pole
+    good = [xi_of(1.2 + 0.1j), xi_of(0.8 - 0.3j)]
+    builds = [(fac.rhat_matrices, fac.rhat_matrix_xi)]
+    if pole is None:
+        builds.append((fac.r_matrices, fac.r_matrix_xi))
+    for batch, one in builds:
+        with pytest.raises(PoleHit, match=message) as alone:
+            one(bad)
+        for at in range(3):
+            with pytest.raises(PoleHit) as batched:
+                batch(good[:at] + [bad] + good[at:])
+            assert str(batched.value) == str(alone.value)
+    assert fac.r_matrices([0.0]).shape == (1, 9, 9)  # z = 1 is regular for R

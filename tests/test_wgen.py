@@ -3,6 +3,7 @@ quantum determinant, critical Poisson limit, degeneration bookkeeping."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from wkit import (
     qdet_extract,
     resolve_surface,
 )
-from wkit.errors import DimensionGuardExceeded, NoSolution
+from wkit.errors import DimensionGuardExceeded, NoSolution, SingularLax
 from wkit.params import xi_of
 from wkit.suites import (
     alpha_identity_check,
@@ -31,14 +32,15 @@ from wkit.suites import (
 from wkit.tensor import antisymmetrizer, compose
 from wkit.wgen import (
     SurfaceSpec,
-    _qdet_matrix,
+    _qdet_matrices,
     _scalar_residual,
     alpha_fraction,
     build_Q,
+    lax_points,
     survives_selection_rule,
 )
 
-from test_tensor import dense_on, dense_product
+from test_tensor import dense_on, dense_product, partial_trace
 
 POL = TruncationPolicy()
 Z, W = 1.2 + 0.1j, 0.85 + 0.03j
@@ -88,6 +90,29 @@ def test_evalrep_requires_c_zero():
         EvalRep(RMatrixFactory(EllipticParams(2, 0.6, 0.6, c=1.0)), 1.0)
 
 
+@pytest.mark.parametrize("N,k", [(4, 2), (5, 3)])
+def test_build_Q_raises_singular_lax_for_the_ill_conditioned_point(N, k):
+    # L is Rhat(z/a), whose kernel at z/a = q makes it singular: put the
+    # first inverted factor there (to rounding); the whole batch is built and
+    # the one stacked condition check names that point.  Rhat(q s^n) is a
+    # pole, since U(q) = 0, so the surface has n = 0 and the starred factors
+    # sit on the ladder itself; with m = -3, z/a = q^2 ... q^k keeps clear of
+    # the zeros of theta_A(xi + zeta) at xi + zeta in Z + tau Z
+    surf = surface(-3, 0, N=N)
+    rep = EvalRep(RMatrixFactory(surf.params), 0.9 + 0.2j)
+    zeta = rep.params.zeta
+    z = cmath.exp(1j * cmath.pi * (rep.xi_a + zeta + (k - 1) / 2 * zeta))  # first ladder point at a q
+    xis = lax_points(k, z, surf, rep)
+    assert abs(xis[k] - rep.xi_a - zeta) < 1e-14
+    assert np.linalg.cond(rep.lax(xis[k:k + 1])[0]) > 1e10
+    with pytest.raises(SingularLax, match=rf"^L at xi = {re.escape(str(complex(xis[k])))} "
+                                          r"has condition number \S+$") as exc:
+        build_Q(k, z, surf, rep)
+    assert float(str(exc.value).rsplit(" ", 1)[1]) > 1e10
+    # the same ladder moved off the kernel builds
+    assert len(build_Q(k, z * 1.01, surf, rep)) == 4 * k
+
+
 def test_evalrep_satisfies_RLL():
     surf = surface(-2, -1, N=3, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
@@ -126,7 +151,7 @@ def test_build_t_matches_dense_trace(N, m, n):
             continue
         aux = tuple(range(1, k + 1))
         A = LabeledTensor.from_matrix(antisymmetrizer(k, N).matrix, aux, N)
-        dense = (_dense_Q(k, surf, rep) @ dense_on(A, aux + ("0",))).partial_trace(aux)
+        dense = partial_trace(_dense_Q(k, surf, rep) @ dense_on(A, aux + ("0",)), aux)
         t = build_t(k, Z, surf, rep)
         assert np.linalg.norm(t - dense.data) <= 1e-12 * np.linalg.norm(dense.data), k
         checked += 1
@@ -146,7 +171,7 @@ def test_qdet_matrix_matches_eigh_path(N):
     evals, evecs = np.linalg.eigh(A.matrix)
     psi = evecs[:, int(np.argmax(evals))]
     dense = np.einsum("a,aibj,b->ij", psi.conj(), Y, psi)
-    assert np.abs(_qdet_matrix(xi, rep) - dense).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(_qdet_matrices([xi], rep)[0] - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_selection_rule_matches_generator_norm():
