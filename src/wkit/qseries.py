@@ -407,7 +407,7 @@ def theta_char_sums(g1s, g2s, xi, tau, policy: TruncationPolicy = DEFAULT_POLICY
     low = tau.imag < 1e-6
     if low.any():
         raise NonconvergentTau(f"Im tau = {tau.imag[low].min():.3g} < 1e-6")
-    if tau.size == 1 < u.size:  # one tau: every row on the same side, (-i tau)^{1/2} formed once
+    if tau.size == 1:  # one tau: every row on the same side, (-i tau)^{1/2} formed once
         if abs(tau[0]) >= 1:
             return _lattice_sums(g1.astype(complex), u, tau, policy)
         return _image_sums(g1, u, tau, policy)

@@ -99,9 +99,8 @@ class RMatrixFactory:
     positions, bare for Z and conjugated by g^{1/2} (x) g^{1/2} for R and
     Rhat; and P = q^{2N}, (P; P)_inf, q^{1/N-1} (P; P)_inf and the
     coefficients of the Pochhammer arguments c z^2 and c / z^2 for Rhat.
-    Every build
-    is a pure function of xi, so one factory serves every check at its
-    parameter point.  The builds are `z_matrices`, `r_matrices` and
+    Every build is a pure function of xi, so one factory serves every check
+    at its parameter point.  The builds are `z_matrices`, `r_matrices` and
     `rhat_matrices`, an (n, N^2, N^2) stack at n points, and the one-point
     `z_matrix_xi`, `r_matrix_xi`, `rhat_matrix_xi` and `rhat_tensor`.
     """
@@ -182,7 +181,7 @@ class RMatrixFactory:
         shape xi.shape + (N^2,), and the prefactor's theta_A(xi + zeta), at
         every point of xi by one lattice sum."""
         nums = theta_char_sums(self._g1, self._g2, xi[..., None] + self._offsets, self.tau,
-                               self.policy).reshape(xi.shape + (-1,))
+                               self.policy).reshape(xi.shape + self._g1.shape)
         return nums[..., :-1] / self._w_dens, nums[..., -1]
 
     def _w_sum(self, pref, ratios: np.ndarray, coef: np.ndarray) -> np.ndarray:

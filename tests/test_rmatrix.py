@@ -359,6 +359,7 @@ def test_batch_equals_one_point_builds(N):
         for xi, mat in zip(xis, batch(xis)):
             want = one(xi)
             assert np.abs(mat - want).max() <= 1e-13 * np.abs(want).max()
+        assert batch([]).shape == (0, N * N, N * N)
 
 
 @pytest.mark.parametrize("pole,message", [(0.0, "Rhat pole at xi = 0j"), (None, "prefactor theta zero")])
