@@ -462,11 +462,16 @@ def check_M_derivative(x: complex, k: int, kprime: int, fac, tolerance: float = 
     value cannot silently pass."""
     clock = Stopwatch()
     N, step = fac.N, 1e-4
-    Mc, Mp, Mm, Mp2, Mm2 = (M.data for M in monodromy_M(
-        x, k, kprime, fac, [-N, -N + step, -N - step, -N + 2 * step, -N - 2 * step]))
+    Ms = monodromy_M(x, k, kprime, fac, [-N, -N + step, -N - step, -N + 2 * step, -N - 2 * step])
+    Mc = next(Ms).data
     scale = max(np.linalg.norm(Mc), 1e-300)
     ident_res = np.linalg.norm(Mc - np.eye(len(Mc))) / scale
-    deriv = np.linalg.norm(4 * (Mp - Mm) / (2 * step) - (Mp2 - Mm2) / (4 * step)) / 3 / scale
+    # 4 D(step) - D(2 step) as a weighted sum of the M at c = -N +- step and
+    # -N +- 2 step, added one M at a time so that no two are held at once
+    total = np.zeros_like(Mc)
+    for w in (2 / step, -2 / step, -1 / (4 * step), 1 / (4 * step)):
+        total += w * next(Ms).data
+    deriv = np.linalg.norm(total) / 3 / scale
     return clock.report(
         "fusion-identities", f"M_derivative(k={k},k'={kprime})",
         "d/dc M(x) = 0 and M(x) = 1 at the critical level c = -N",

@@ -339,17 +339,18 @@ def _projector_residual(gates, a_labels, rest) -> float:
     return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 
-def monodromy_M(x: complex, k: int, kprime: int, fac, cs) -> list:
-    """M(x) = (R(q^c x)^T (R(x)^{-1} R(q^{-c-N} x) R(x)^{-1})^T)^T at each
-    central charge c of cs, R the fused block and T transposing the k row
-    spaces.  Equals the identity at the critical value c = -N by fused
-    crossing-unitarity.  Every block is composed from one build, and R(x)
-    is inverted once."""
+def monodromy_M(x: complex, k: int, kprime: int, fac, cs):
+    """Yield M(x) = (R(q^c x)^T (R(x)^{-1} R(q^{-c-N} x) R(x)^{-1})^T)^T for
+    each central charge c of cs, R the fused block and T transposing the k
+    row spaces.  Equals the identity at the critical value c = -N by fused
+    crossing-unitarity.  The factors of every block come from one build,
+    R(x) is composed and inverted once, and the other two blocks of each M
+    are composed when it is yielded, so a caller that consumes the M in
+    turn holds one at a time."""
     rows, labels = row_labels(k), row_labels(k) + col_labels(kprime)
-    shifts = list(dict.fromkeys([0.0, *cs, *(-c - fac.N for c in cs)]))
-    blocks = dict(zip(shifts, (compose(gates, labels)
-                               for gates in _fused_factors(x, k, kprime, fac, shifts))))
-    R0i = blocks[0.0].inv()
-    return [(blocks[c].partial_transpose(rows)
-             @ (R0i @ blocks[-c - fac.N] @ R0i).partial_transpose(rows)).partial_transpose(rows)
-            for c in cs]
+    factors = _fused_factors(x, k, kprime, fac, [0.0, *cs, *(-c - fac.N for c in cs)])
+    R0i = compose(factors[0], labels).inv()
+    for i in range(len(cs)):  # one expression, so no block outlives the M it makes
+        yield (compose(factors[1 + i], labels).partial_transpose(rows)
+               @ (R0i @ compose(factors[1 + len(cs) + i], labels) @ R0i).partial_transpose(rows)
+               ).partial_transpose(rows)
