@@ -19,6 +19,11 @@ The exchange-function ladder F_a(x) multiplies U along powers of a stored
 root value s (the designated value of -p^{1/2}); U is even in its argument,
 so every scalar here is insensitive to the sign convention chosen for s.
 
+Every q-Pochhammer product is a call of `pochhammer2`, the one product
+kernel, whose chains of moduli are formed by np.cumprod.  Each formula has
+one body, which runs on arrays; a scalar argument is a one-point array,
+and a scalar call returns a Python scalar.
+
 Characteristic thetas are summed only by `theta_char_sums`, a batch with
 one tau for all rows or one per row; `theta_char_product` is the
 triple-product form the theta-identities suite checks it against.
@@ -29,9 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 import threading
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import repeat
 
 import numpy as np
 
@@ -56,35 +59,28 @@ _POLE_EPS = 1e-14
 # ---------------------------------------------------------------------------
 #
 # Every product runs over chains of its moduli.  The chain of a modulus p
-# is 1, p, p*p, ..., built by the repeated multiplications the product is
-# defined with.  A product takes the factors 1 - z w whose weight |w| is at
+# is 1, p, p*p, ..., formed by np.cumprod in `_powers`, the one place a
+# chain is formed.  A product takes the factors 1 - z w whose weight |w| is at
 # least tail_eps / (|z| + 1), and raises TruncationBudgetExceeded when a
 # summation index would need more than max_terms of them.
-# - The scalar one-modulus product `_poch1` runs on the cached chain of its
-#   modulus, finds its term count by bisection and multiplies the factors
-#   one by one in Python complex arithmetic: bit for bit the walk.
-# - `pochhammer2` is the one array product, in numpy complex arithmetic, so
-#   to rounding.  p1 is one value, with the cached lattice of the two
-#   chains, or one per point, with chains formed per call by np.cumprod;
-#   with p2 = 0 (chain 1, 0) it is (z; p1)_inf.  Each point's factors below
-#   its own threshold are set to 1, so its value does not depend on the
-#   batch it is in, nor on how deep the cached lattice was cut.  Only
-#   lattices of at most _LATTICE_SIZE weights are kept.
-# Each formula above (theta_big, U, tau_N, F_a, Y_mn, Y_FF, ...) is written
-# once: on scalars it runs on `_poch1`; on arrays it stacks the arguments
-# of each formula it calls into one array call, down to one `pochhammer2`
-# call.  Its first line hands an array call to `_on_grid`, which runs it
-# once and replays the scalar loop where that fails.
-# Chains grow lazily; an entry is replaced, never changed in place, and
-# every cache is cleared when it reaches its bound.
+# `pochhammer2` is the one product, in numpy complex arithmetic.  p1 is one
+# value, with the cached lattice of the two chains, or one per point, with
+# chains formed per call; with p2 = 0 (chain 1, 0) it is (z; p1)_inf.  Each
+# point's factors below its own threshold are set to 1, so its value does
+# not depend on the batch it is in, nor on how deep the cached lattice was
+# cut.  Only lattices of at most _LATTICE_SIZE weights are kept.
+# Each formula below (theta_big, U, tau_N, F_a, Y_mn, Y_FF, ...) has one
+# body, which runs on arrays: it stacks the arguments of each formula it
+# calls into one array call, down to one `pochhammer2` call.  Its first
+# line hands a call from outside to `_on_grid`, which makes a scalar a
+# one-point array and runs the body once, point by point where that raises.
+# A cache entry is replaced, never changed in place, and every cache is
+# cleared when it reaches its bound.
 
-_CACHE_LIMIT = 128   # chains and (p;p)_inf values kept per cache
-_GROW = 1e-6         # a chain grown for thresh also covers thresh * _GROW
-_START = ([1.0 + 0j], [-1.0])
+_CACHE_LIMIT = 128   # (p;p)_inf values kept
 _LATTICE_LIMIT = 32      # lattices kept
 _LATTICE_SIZE = 2 ** 15  # weights of the largest lattice kept, 24 bytes each
 
-_CHAINS = {}    # (p, max_terms) -> (values, -running min |value|)
 _PP = {}        # (p, policy) -> (p; p)_inf
 _LATTICES = {}  # (p1, p2, max_terms) -> a fixed-p1 lattice of pochhammer2
 _STORE_LOCK = threading.Lock()
@@ -110,61 +106,30 @@ def _check_modulus(p):
         raise ModulusOutOfRange(f"|modulus| = {abs(p):.8g} too close to 1")
 
 
-def _covers(chain, thresh: float, T: int) -> bool:
-    return len(chain[0]) > T or chain[1][-1] > -thresh
+def _powers(p: np.ndarray, t, T: int):
+    """The chains 1, p, p*p, ... of the moduli p along a new last axis, by
+    np.cumprod, and |p^T| (-1 for chains that end before T), against which a
+    point whose threshold is at most that needs more than T factors.  The
+    chains hold T + 1 entries, or two past the last power any threshold of t
+    takes: |p^k| < t from k = log t / log|p| on, and with |p| < 1 - 1e-6 the
+    rounding of the products cannot delay that a step.  A zero p gives 1, 0, 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        need = float(np.max(np.where(p == 0, 0.0, np.log(t) / np.log(np.abs(p)))))
+    n = min(int(need) + 3, T + 1) if need < T else T + 1
+    chains = np.ones(p.shape + (n,), dtype=complex)
+    np.cumprod(np.broadcast_to(p[..., None], p.shape + (n - 1,)), axis=-1, out=chains[..., 1:])
+    return chains, (np.abs(chains[..., T]) if n > T else -1.0)
 
 
-def _grow(chain, p: complex, low: float, T: int):
-    """A copy of `chain` extended by factors of p until its running minimum
-    magnitude is below `low` or it holds T + 1 entries."""
-    vals, keys = list(chain[0]), list(chain[1])
-    cur, floor = vals[-1], -keys[-1]
-    while len(vals) <= T and not floor < low:
-        cur = cur * p
-        floor = min(floor, abs(cur))
-        vals.append(cur)
-        keys.append(-floor)
-    return vals, keys
-
-
-def _chain(p: complex, thresh: float, T: int):
-    """The cached chain 1, p, p*p, ... of (p, T), grown to cover thresh."""
-    key = (p, T)
-    chain = _CHAINS.get(key)
-    if chain is not None and _covers(chain, thresh, T):
-        return chain
-    return _store(_CHAINS, key, _grow(chain or _START, p, thresh * _GROW, T))
-
-
-def _count(chain, thresh: float, T: int) -> int:
-    """Leading entries of `chain` (at most T) whose magnitude is >= thresh."""
-    return bisect_right(chain[1], -thresh, 0, min(T, len(chain[1])))
-
-
-def _check_budget(chain, K: int, thresh: float, T: int, index: int):
-    """Raise if all T factors were taken and the next weight is still >= thresh."""
-    if K == T and abs(chain[0][T]) >= thresh:
-        raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
-
-
-def _poch1(z, p: complex, policy: TruncationPolicy) -> complex:
-    T = policy.max_terms
-    chain = _CHAINS.get((p, T))
-    if chain is None:
-        _check_modulus(p)
-    if z == 0:
-        return 1.0 + 0j
-    thresh = policy.tail_eps / (abs(z) + 1.0)
-    if thresh != thresh:  # a NaN z makes every factor NaN
-        return complex(math.nan, math.nan)
-    if chain is None or not _covers(chain, thresh, T):
-        chain = _chain(p, thresh, T)
-    K = _count(chain, thresh, T)
-    _check_budget(chain, K, thresh, T, 0)
-    val = 1.0 + 0j
-    for c in chain[0][:K]:
-        val *= 1 - z * c
-    return val
+def _weights(p1: np.ndarray, p2: complex, t, low: float, T: int):
+    """The weights p1^i p2^j in (i, j) order along the last axis, from the
+    chains of `_powers` for the thresholds t (the p2 row cut below low, the
+    least of them), with |p2^T| and |p1^T|."""
+    row, over1 = _powers(np.array(p2), low, T)
+    row = row[np.abs(row) >= low]
+    head, over0 = _powers(p1, t, T)
+    lat = head if row.size == 1 else (head[..., None] * row).reshape(head.shape[:-1] + (-1,))
+    return lat, over1, over0
 
 
 def pochhammer2(zs, p1, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
@@ -186,19 +151,8 @@ def pochhammer2(zs, p1, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) 
     if not t.size:
         return np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
     low = float(t.min())
-    if per_point:  # chains by np.cumprod, to T + 1 entries or two past the last
-        # power any point takes: |p^k| < t from k = log t / log|p| on, and with
-        # |p| < 1 - 1e-6 the rounding of the products cannot delay that a step
-        row0 = _chain(p2, low, T)
-        row = row0[0][:_count(row0, low, T)]  # row[0] = 1
-        over1 = abs(row0[0][T]) if len(row0[0]) > T else -1.0
-        p = p1[live]
-        with np.errstate(divide="ignore"):  # p = 0 needs no factor past 1
-            need = float((np.log(t) / np.log(np.abs(p))).max())
-        head = np.ones((p.size, min(int(need) + 3, T + 1)), dtype=complex)
-        np.cumprod(np.broadcast_to(p[:, None], (p.size, head.shape[1] - 1)), axis=1, out=head[:, 1:])
-        over0 = np.abs(head[:, T]) if head.shape[1] > T else -1.0
-        lat = head if len(row) == 1 else (head[:, :, None] * np.array(row)).reshape(len(head), -1)
+    if per_point:
+        lat, over1, over0 = _weights(p1[live], p2, t, low, T)
         mag = np.abs(lat)
     else:
         lat, mag, _, over1, over0 = _lattice(p1, p2, low, T)
@@ -231,14 +185,12 @@ def _lattice(p1: complex, p2: complex, low: float, T: int):
     lattice = _LATTICES.get(key)
     if lattice is not None and lattice[2] <= low:
         return lattice
-    row0, chain = _chain(p2, low, T), _chain(p1, low, T)
-    lat = np.multiply.outer(chain[0][:_count(chain, low, T)], row0[0][:_count(row0, low, T)]).ravel()
+    lat, over1, over0 = _weights(np.array(p1), p2, low, low, T)
     mag = np.abs(lat)
     keep = mag >= low
     lat, mag = lat[keep], mag[keep]
     lat.flags.writeable = mag.flags.writeable = False
-    lattice = (lat, mag, low, abs(row0[0][T]) if len(row0[0]) > T else -1.0,
-               abs(chain[0][T]) if len(chain[0]) > T else -1.0)
+    lattice = (lat, mag, low, float(over1), float(over0))
     return _store(_LATTICES, key, lattice, _LATTICE_LIMIT) if lat.size <= _LATTICE_SIZE else lattice
 
 
@@ -246,7 +198,7 @@ def _pp(p: complex, policy: TruncationPolicy) -> complex:
     """(p; p)_inf, cached per (p, policy)."""
     val = _PP.get((p, policy))
     if val is None:
-        val = _store(_PP, (p, policy), _poch1(p, p, policy))
+        val = _store(_PP, (p, policy), complex(pochhammer2([p], p, 0, policy)[0]))
     return val
 
 
@@ -257,15 +209,13 @@ def pochhammer(z: complex, moduli, policy: TruncationPolicy = DEFAULT_POLICY) ->
     least tail_eps / (|z| + 1); smaller weights change the product by less
     than the tail tolerance.
     """
-    if len(moduli) == 1:
-        return _poch1(z, complex(moduli[0]), policy)
-    if len(moduli) == 2:
-        return complex(pochhammer2([z], moduli[0], moduli[1], policy)[0])
-    raise ValueError(f"pochhammer takes one or two moduli, got {len(moduli)}")
+    if len(moduli) not in (1, 2):
+        raise ValueError(f"pochhammer takes one or two moduli, got {len(moduli)}")
+    return complex(pochhammer2([z], moduli[0], moduli[1] if len(moduli) == 2 else 0, policy)[0])
 
 
 # ---------------------------------------------------------------------------
-# Scalar or array formulas
+# Formulas on arrays
 # ---------------------------------------------------------------------------
 
 class _Batch(threading.local):
@@ -278,60 +228,55 @@ _BATCH = _Batch()
 def _on_grid(fn, *args):
     """fn(*args) once, its array arguments broadcast together, flattened and
     made complex, and each result (one, or a tuple) reshaped to their shape;
-    the formulas fn calls meanwhile run on arrays directly.  If that raises,
-    or is not finite at a point with finite inputs, fn runs on each point's
-    scalars in turn instead, which raises the first failing point's
-    exception.  A formula given an array outside such an evaluation runs
-    through here."""
+    a 0-d argument is a one-point array, and gives Python scalars.  The
+    formulas fn calls meanwhile run on arrays directly.  If that raises, fn
+    runs on each point's one-point arrays in turn, which raises the first
+    failing point's exception.  Each formula's first line sends a call from
+    outside such an evaluation here, its point arguments as arrays."""
     shape = np.broadcast_shapes(*(a.shape for a in args if isinstance(a, np.ndarray)))
     flat = [np.broadcast_to(np.asarray(a, dtype=complex), shape).ravel() if isinstance(a, np.ndarray) else a
             for a in args]
     size = math.prod(shape)
+
+    def run(args, n):
+        got = fn(*args)
+        return [v if np.shape(v) == (n,) else np.full(n, v) for v in (got if isinstance(got, tuple) else (got,))]
+
     _BATCH.active = True
     try:
         with np.errstate(all="ignore"):
-            got = fn(*flat)
-        outs = [np.full(size, v) if np.shape(v) != (size,) else v
-                for v in (got if isinstance(got, tuple) else (got,))]
-        finite = np.logical_and.reduce([np.isfinite(a) for a in flat if isinstance(a, np.ndarray)])
-        replay = not all(np.isfinite(v[finite]).all() for v in outs)
-    except (WkitError, ArithmeticError):
-        replay = True
+            try:
+                outs = run(flat, size)
+            except (WkitError, ArithmeticError):
+                if size == 1:
+                    raise
+                points = [run([a[i:i + 1] if isinstance(a, np.ndarray) else a for a in flat], 1)
+                          for i in range(size)]
+                outs = [np.concatenate(v) for v in zip(*points)]
     finally:
         _BATCH.active = False
-    if replay:
-        points = zip(*(a.tolist() if isinstance(a, np.ndarray) else repeat(a, size) for a in flat))
-        got = [fn(*point) for point in points]
-        outs = [np.array(v) for v in zip(*got)] if isinstance(got[0], tuple) else [np.array(got)]
-    outs = [v.reshape(shape) for v in outs]
+    outs = [v.reshape(shape) if shape else v.item() for v in outs]
     return tuple(outs) if len(outs) > 1 else outs[0]
 
 
-def _any(mask) -> bool:
-    """Whether a condition on one value, or on any point of an array, holds."""
-    return mask.any() if isinstance(mask, np.ndarray) else mask
-
-
 def _each(fn, args, arg, policy) -> list:
-    """[fn(v, arg, policy) for v in args]; arrays go through one call of fn
-    on their concatenation."""
-    if args and isinstance(args[0], np.ndarray):
-        return list(fn(np.concatenate(args), arg, policy).reshape(len(args), -1))
-    return [fn(v, arg, policy) for v in args]
+    """[fn(v, arg, policy) for v in args], by one call of fn on their
+    concatenation."""
+    return list(fn(np.concatenate(args), arg, policy).reshape(len(args), -1)) if args else []
+
+
+def _at(x: np.ndarray, mask: np.ndarray) -> complex:
+    """The first point of x where mask holds."""
+    return complex(x[mask.argmax()])
 
 
 def theta_big(z: complex, p: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Jacobi Theta_p(z) = (z;p) (p/z;p) (p;p).  z and p are each one value
-    or an array (a nome per point): scalars run on `_poch1`, arrays on one
-    `pochhammer2` call, which takes (p;p) too when p is an array."""
-    if not isinstance(z, np.ndarray) and not isinstance(p, np.ndarray):
-        if z == 0:
-            raise ZeroArgument("Theta_p(0) undefined")
-        pc = complex(p)
-        return _poch1(z, pc, policy) * _poch1(p / z, pc, policy) * _pp(pc, policy)
+    or an array (a nome per point); one `pochhammer2` call, which takes
+    (p;p) too when p is an array."""
     if not _BATCH.active:
-        return _on_grid(theta_big, z, p, policy)
-    if np.any(z == 0):
+        return _on_grid(theta_big, np.asarray(z), p, policy)
+    if (z == 0).any():
         raise ZeroArgument("Theta_p(0) undefined")
     if isinstance(p, np.ndarray):
         z, p = np.broadcast_arrays(z, p)
@@ -430,9 +375,9 @@ def theta_char_product(g1, g2, xi: complex, tau: complex,
     All fractional powers are taken as exponentials of the additive
     variables, which keeps the two forms equal for every branch of xi.
     """
-    if any(isinstance(a, np.ndarray) for a in (g1, g2, xi, tau)) and not _BATCH.active:
-        return _on_grid(theta_char_product, g1, g2, xi, tau, policy)
-    if _any(tau.imag < 1e-6):
+    if not _BATCH.active:
+        return _on_grid(theta_char_product, g1, g2, np.asarray(xi), tau, policy)
+    if np.any(tau.imag < 1e-6):
         raise NonconvergentTau(f"Im tau = {np.min(tau.imag):.3g} < 1e-6")
     p = np.exp(_TWO_I_PI * tau)
     phase = np.exp(1j * cmath.pi * 2 * g1 * g2)
@@ -453,31 +398,33 @@ def tau_N(z: complex, params: EllipticParams,
     Principal branch for the fractional power; q^N-periodic and satisfies
     tau_N(1/z) = 1/tau_N(z) on the principal-branch-safe domain.
     """
-    if isinstance(z, np.ndarray) and not _BATCH.active:
-        return _on_grid(tau_N, z, params, policy)
-    if _any(z == 0):
+    if not _BATCH.active:
+        return _on_grid(tau_N, np.asarray(z), params, policy)
+    if (z == 0).any():
         raise ZeroArgument("tau_N(0) undefined")
     q, N = params.q, params.N
     P = q ** (2 * N)
     den, num = _each(theta_big, [q / (z * z), q * z * z], P, policy)
-    if _any(abs(den) < _POLE_EPS):
-        raise PoleHit(f"tau_N denominator theta ~ 0 at z = {z}")
+    pole = abs(den) < _POLE_EPS
+    if pole.any():
+        raise PoleHit(f"tau_N denominator theta ~ 0 at z = {_at(z, pole)}")
     return z ** (2.0 / N - 2.0) * num / den
 
 
 def U(z: complex, params: EllipticParams,
       policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """The unitarity scalar U(z); independent of p and c, even in z <-> 1/z."""
-    if isinstance(z, np.ndarray) and not _BATCH.active:
-        return _on_grid(U, z, params, policy)
-    if _any(z == 0):
+    if not _BATCH.active:
+        return _on_grid(U, np.asarray(z), params, policy)
+    if (z == 0).any():
         raise ZeroArgument("U(0) undefined")
     q, N = params.q, params.N
     P = q ** (2 * N)
     z2 = z * z
     d1, d2, n1, n2 = _each(theta_big, [z2, 1 / z2, q * q * z2, q * q / z2], P, policy)
-    if _any((abs(d1) < _POLE_EPS) | (abs(d2) < _POLE_EPS)):
-        raise PoleHit(f"U(z) pole at z = {z}")
+    pole = (abs(d1) < _POLE_EPS) | (abs(d2) < _POLE_EPS)
+    if pole.any():
+        raise PoleHit(f"U(z) pole at z = {_at(z, pole)}")
     return q ** (2.0 / N - 2.0) * (n1 * n2) / (d1 * d2)
 
 
@@ -495,7 +442,7 @@ def kappa_inv(z2: complex, params: EllipticParams,
     v = pochhammer2(np.concatenate((down[:2], up, down[2:])), p, P, policy)
     num, den = v[:4].prod(axis=0), v[4:].prod(axis=0)        # the first four are the numerator
     pole = abs(den) < _POLE_EPS * (1 + abs(num))
-    if _any(pole):
+    if np.any(pole):
         at = z2.flat[pole.argmax()] if isinstance(z2, np.ndarray) else z2
         raise PoleHit(f"kappa denominator ~ 0 at z2 = {complex(at)}")
     return num / den
@@ -513,8 +460,8 @@ def F_a(x: complex, a: int, s_val: complex, params: EllipticParams,
            = 1                                       for a = 0
            = prod_{l=1}^{|a|} U(s_val^{-l} x)^{-1}   for a < 0
     """
-    if isinstance(x, np.ndarray) and not _BATCH.active:
-        return _on_grid(F_a, x, a, s_val, params, policy)
+    if not _BATCH.active:
+        return _on_grid(F_a, np.asarray(x), a, s_val, params, policy)
     return _ladders([(x, a, s_val)], params, policy)[0]
 
 
@@ -523,7 +470,7 @@ def _ladders(ladders, params: EllipticParams, policy: TruncationPolicy) -> list:
     ladder point."""
     points, out = [], []
     for x, a, s_val in ladders:
-        if _any(x == 0):
+        if (x == 0).any():
             raise ZeroArgument("F_a(0) undefined")
         points += [s_val**l * x for l in (range(a) if a > 0 else range(-1, a - 1, -1))]
     us = iter(_each(U, points, params, policy))
@@ -545,8 +492,8 @@ def Y_mn_forms(x: complex, m: int, n: int, params: EllipticParams,
     The two coincide exactly on the surface s^m s*^n = q^{-N}; the returned
     triple (form1, form2, |form1-form2|) makes the agreement checkable.
     """
-    if isinstance(x, np.ndarray) and not _BATCH.active:
-        return _on_grid(Y_mn_forms, x, m, n, params, policy)
+    if not _BATCH.active:
+        return _on_grid(Y_mn_forms, np.asarray(x), m, n, params, policy)
     s, ss = params.s, params.s_star
     Fn, Fm, Fm_up, Fn_down, Fn_inv, Fm_inv = _ladders(
         [(x, n, ss), (x, m, s), (ss**n * x, m, s), (ss ** (-n) * x, n, ss), (x, -n, ss), (x, -m, s)],
@@ -559,8 +506,8 @@ def Y_mn_forms(x: complex, m: int, n: int, params: EllipticParams,
 def Y_mn(x: complex, m: int, n: int, params: EllipticParams,
          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Quadratic exchange function Y_{m,n}(x), second (ladder-ratio) form."""
-    if isinstance(x, np.ndarray) and not _BATCH.active:
-        return _on_grid(Y_mn, x, m, n, params, policy)
+    if not _BATCH.active:
+        return _on_grid(Y_mn, np.asarray(x), m, n, params, policy)
     s, ss = params.s, params.s_star
     Fn, Fm, Fn_inv, Fm_inv = _ladders([(x, n, ss), (x, m, s), (x, -n, ss), (x, -m, s)], params, policy)
     return Fn * Fn_inv / (Fm * Fm_inv)
@@ -580,9 +527,9 @@ def Y_FF(x: complex, params: EllipticParams,
          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Closed eight-theta form of the unitary-gauge exchange function
     for the (m, n) = (2, -1) surface.  Theta = Theta_{q^{2N}} throughout."""
-    if isinstance(x, np.ndarray) and not _BATCH.active:
-        return _on_grid(Y_FF, x, params, policy)
-    if _any(x == 0):
+    if not _BATCH.active:
+        return _on_grid(Y_FF, np.asarray(x), params, policy)
+    if (x == 0).any():
         raise ZeroArgument("Y_FF(0) undefined")
     q, N, c = params.q, params.N, params.c
     P = q ** (2 * N)
@@ -592,8 +539,9 @@ def Y_FF(x: complex, params: EllipticParams,
                            x2, q * q * x2, 1 / (qc2 * x2), q * q * qc2 / x2], P, policy)
     num = th[0] * th[1] * th[2] * th[3]
     den = th[4] * th[5] * th[6] * th[7]
-    if _any(abs(den) < _POLE_EPS * (1 + abs(num))):
-        raise PoleHit(f"Y_FF pole at x = {x}")
+    pole = abs(den) < _POLE_EPS * (1 + abs(num))
+    if pole.any():
+        raise PoleHit(f"Y_FF pole at x = {_at(x, pole)}")
     return num / den
 
 
@@ -605,12 +553,13 @@ def Y_kkprime_cr(x: complex, k: int, kprime: int, params: EllipticParams,
     if not (1 <= k <= N and 1 <= kprime <= N):
         raise ValueError(f"need 1 <= k, k' <= N, got k={k}, k'={kprime}, N={N}")
     q, c = params.q, params.c
-    val = 1.0 + 0j
-    for ti in centred_ladder(k):
-        for tj in centred_ladder(kprime):
-            d = ti - tj
-            val *= U(q**d * x, params, policy) / U(q ** (d - c) * x, params, policy)
-    return val
+    # one U call over the pairs, numerator then denominator, so the first pole
+    # raised is the first in the loop over i and j; a pair of equal points
+    # (c = 0) is 1 exactly, not a division's rounding
+    points = np.array([(q**d * x, q ** (d - c) * x) for d in (ti - tj for ti in centred_ladder(k)
+                                                             for tj in centred_ladder(kprime))])
+    u = U(points.ravel(), params, policy).reshape(-1, 2)
+    return complex(np.prod(np.where(points[:, 0] == points[:, 1], 1, u[:, 0] / u[:, 1])))
 
 
 # ---------------------------------------------------------------------------

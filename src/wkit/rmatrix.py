@@ -20,8 +20,8 @@ only on the N^3 entries that conserve the Z_N charge i + j mod N.
 There is one build, for n spectral points at once, and each of its steps
 is one array call over every point: Rhat's one-modulus products
 (P/q^2 z^2; P) and Theta_P(z^2), P = q^{2N}, in one `pochhammer2` call;
-its eight two-modulus products in another (`kappa_inv` on the array for Z
-and R); the N^2 thetas of W and the prefactor's theta_A(xi + zeta) of
+its eight two-modulus products in another (`kappa_inv` on the array for
+R); the N^2 thetas of W and the prefactor's theta_A(xi + zeta) of
 every point in one lattice sum (`theta_char_sums`); and the sums as the
 (N^3 x N^2) coefficient matrix times the n sets of N^2 theta ratios,
 scattered into the (n, N^2, N^2) result.  For R and Rhat the
@@ -65,9 +65,6 @@ class ZnMatrices:
         self.GH = self.g_half @ self.h @ self.g_half
         self.GH_inv = np.linalg.inv(self.GH)
 
-    def I_alpha(self, a1: int, a2: int) -> np.ndarray:
-        return np.linalg.matrix_power(self.g, a2) @ np.linalg.matrix_power(self.h, a1)
-
     def M_power(self, m: int) -> np.ndarray:
         """Twist matrix M = GH^{-m}."""
         base = self.GH_inv if m >= 0 else self.GH
@@ -88,21 +85,20 @@ def _nome_limit(build):
 
 
 class RMatrixFactory:
-    """Builds Z / R / Rhat at given spectral points for one parameter set.
+    """Builds R / Rhat at given spectral points for one parameter set.
 
     Caches only z-independent quantities: the Weyl matrices; the N^2 + 1
     theta characteristics, W's N^2 then theta_A's, with their offsets
     zeta/N and zeta; theta_A(zeta) and N times the N^2 denominators
     theta[1/2 + a1/N, 1/2 + a2/N](zeta/N); the positions of W's N^3
     nonzero entries, which conserve the Z_N charge i + j mod N; the
-    (N^3 x N^2) coefficient matrices of I_alpha (x) I_alpha^{-1} at those
-    positions, bare for Z and conjugated by g^{1/2} (x) g^{1/2} for R and
-    Rhat; and P = q^{2N}, (P; P)_inf, q^{1/N-1} (P; P)_inf and the
-    coefficients of the Pochhammer arguments c z^2 and c / z^2 for Rhat.
-    Every build is a pure function of xi, so one factory serves every check
-    at its parameter point.  The builds are `z_matrices`, `r_matrices` and
-    `rhat_matrices`, an (n, N^2, N^2) stack at n points, and the one-point
-    `z_matrix_xi`, `r_matrix_xi`, `rhat_matrix_xi` and `rhat_tensor`.
+    (N^3 x N^2) coefficient matrix of I_alpha (x) I_alpha^{-1} at those
+    positions, conjugated by g^{1/2} (x) g^{1/2}; and P = q^{2N},
+    (P; P)_inf, q^{1/N-1} (P; P)_inf and the coefficients of the Pochhammer
+    arguments c z^2 and c / z^2 for Rhat.  Every build is a pure function
+    of xi, so one factory serves every check at its parameter point.  The
+    builds are `r_matrices` and `rhat_matrices`, an (n, N^2, N^2) stack at
+    n points, and the one-point `r_matrix_xi` and `rhat_matrix_xi`.
     """
 
     def __init__(self, params: EllipticParams, policy: TruncationPolicy | None = None):
@@ -148,9 +144,8 @@ class RMatrixFactory:
         a1 = (cols // N - i) % N
         coef = np.zeros((N ** 3, N, N), dtype=complex)  # (entry, a1, a2)
         coef[np.arange(N ** 3), a1] = np.exp(2j * np.pi / N * (np.outer(i - j + a1, a) % N))
-        self._coef = coef.reshape(N ** 3, N * N)
         G = np.kron(np.diag(self.zn.g_half), np.diag(self.zn.g_half))
-        self._coef_G = self._coef * (G[rows] / G[cols])[:, None]
+        self._coef_G = coef.reshape(N ** 3, N * N) * (G[rows] / G[cols])[:, None]
         # Rhat's Pochhammer arguments are c z^2 or c / z^2.  `_build` orders
         # them (P/q^2 z^2; P), (z^2; P), (P/z^2; P), then the four numerator
         # and the four denominator arguments of (.; p, P)
@@ -193,8 +188,8 @@ class RMatrixFactory:
         out[..., self._w_at] = np.asarray(pref)[..., None] * (ratios @ coef.T)
         return out.reshape(ratios.shape[:-1] + (N2, N2))
 
-    def _build(self, xis, coef: np.ndarray, hat: bool) -> np.ndarray:
-        """The (n, N^2, N^2) stack of Z/R (hat false) or Rhat at the n points
+    def _build(self, xis, hat: bool) -> np.ndarray:
+        """The (n, N^2, N^2) stack of R (hat false) or Rhat at the n points
         xis, each step one array call over every point.  Raises PoleHit if
         any point is a pole, with the message of the first such point."""
         xi = np.asarray(xis, dtype=complex).ravel()
@@ -223,35 +218,25 @@ class RMatrixFactory:
                           f"prefactor theta zero at xi = {complex(xi[i])}")
         if hat:  # after the pole check, so an exact zero raises rather than divides
             pref = pref / den.prod(axis=0)
-        return self._w_sum(pref * (self._theta_A_zeta / theta_den), ratios, coef)
+        return self._w_sum(pref * (self._theta_A_zeta / theta_den), ratios, self._coef_G)
 
     # -- builders: a stack at n points, or one point ------------------------------
 
     @_nome_limit
-    def z_matrices(self, xis) -> np.ndarray:
-        return self._build(xis, self._coef, hat=False)
-
-    @_nome_limit
     def r_matrices(self, xis) -> np.ndarray:
-        return self._build(xis, self._coef_G, hat=False)
+        return self._build(xis, hat=False)
 
     @_nome_limit
     def rhat_matrices(self, xis) -> np.ndarray:
         """Rhat at every point of xis, an (n, N^2, N^2) stack, with the
         tau_N x kappa cancellation done analytically."""
-        return self._build(xis, self._coef_G, hat=True)
-
-    def z_matrix_xi(self, xi: complex) -> np.ndarray:
-        return self.z_matrices([xi])[0]
+        return self._build(xis, hat=True)
 
     def r_matrix_xi(self, xi: complex) -> np.ndarray:
         return self.r_matrices([xi])[0]
 
     def rhat_matrix_xi(self, xi: complex) -> np.ndarray:
         return self.rhat_matrices([xi])[0]
-
-    def rhat_tensor(self, xi: complex, labels) -> LabeledTensor:
-        return LabeledTensor.from_matrix(self.rhat_matrix_xi(xi), labels, self.N)
 
 
 def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:

@@ -110,10 +110,6 @@ class EvalRep:
         from one build."""
         return self.factory.rhat_matrices(np.asarray(xis, dtype=complex) - self.xi_a)
 
-    def L(self, xi: complex, aux_label) -> LabeledTensor:
-        """Lax factor at additive spectral point xi, on (aux, quantum)."""
-        return LabeledTensor.from_matrix(self.lax([xi])[0], (aux_label, QUANTUM), self.N)
-
 
 def _on_each(M: np.ndarray, k: int) -> list:
     """M as a one-space gate on each of the spaces 1..k."""

@@ -1,8 +1,7 @@
-"""The cached q-series kernel: the scalar one-modulus product bit-exact
-against the factor-by-factor walk; the array product `pochhammer2`, with one
-nome or one per point, within rounding of the walk and as accurate against a
-40-digit mpmath oracle; each formula on arrays within rounding of its scalar
-form and as accurate against 40 digits; batched characteristic thetas
+"""The q-series kernel: the one product `pochhammer2`, with one nome or one
+per point, within rounding of the factor-by-factor walk and as accurate
+against a 40-digit mpmath oracle; each formula on arrays within rounding of
+its scalar form and as accurate against 40 digits; batched characteristic thetas
 against the defining series summed ring by ring and against 40 digits on
 both branches; kappa_inv against 40 digits; the same exceptions; bounded
 caches; the theta-identities checks fail on perturbed values."""
@@ -27,6 +26,7 @@ from wkit import (
     RMatrixFactory,
     U,
     Y_FF,
+    Y_kkprime_cr,
     Y_mn,
     Y_mn_forms,
     Y_mn_grid,
@@ -39,6 +39,7 @@ from wkit import (
     theta_char_sums,
 )
 from wkit.errors import ModulusOutOfRange, NonconvergentTau, PoleHit, TruncationBudgetExceeded
+from wkit.params import centred_ladder
 
 POL = TruncationPolicy()
 SHORT = TruncationPolicy(tail_eps=1e-12, max_terms=64)
@@ -138,16 +139,15 @@ def test_pochhammer_equals_recursive_product():
         pol = rnd.choice([POL, SHORT])
         want = outcome(recursive_pochhammer, z, moduli, pol)
         raised += isinstance(want, tuple)
-        # one modulus: bit for bit; two: numpy's rounding (worst seen 1.5e-14)
-        agree = same if len(moduli) == 1 else close
-        assert agree(outcome(pochhammer, z, moduli, pol), want), (z, moduli, pol)
+        # numpy's rounding (worst seen 1.5e-14)
+        assert close(outcome(pochhammer, z, moduli, pol), want), (z, moduli, pol)
     assert raised > 20  # the budget paths were exercised
 
 
 def test_pochhammer_real_arguments_and_limits():
     for z, moduli in [(0.0, [0.5]), (1.0, [0.3]), (0.5, [0.1]), (-2.0, [0.6, 0.2]),
                       (0.4 + 0.1j, [0.3, 0.2]), (3.0, [0.5 - 0.5j])]:
-        assert same(pochhammer(z, moduli, POL), recursive_pochhammer(z, moduli, POL))
+        assert close(pochhammer(z, moduli, POL), recursive_pochhammer(z, moduli, POL))
     with pytest.raises(TruncationBudgetExceeded, match="index 0 needs more than 64"):
         pochhammer(0.5, [0.95], SHORT)
     with pytest.raises(TruncationBudgetExceeded, match="index 1 needs more than 64"):
@@ -176,9 +176,9 @@ def close_rows(a, b):
 
 def test_pochhammer2_rows_equal_recursive_product():
     # batches whose points need different depths, so a run of single calls
-    # would regrow the chains part way through; with empty chains or chains
-    # grown for the first point only, and with p1 given once per point
-    # (chains formed per call).  Under SHORT, p = 0.63 needs more than 64
+    # would cut the cached lattice deeper part way through; with no lattice
+    # cached or one cut for the first point only, and with p1 given once per
+    # point (chains formed per call).  Under SHORT, p = 0.63 needs more than 64
     # factors from |z| ~ 6 on and p = 0.61 from |z| ~ 54 on.  Values agree
     # with the walk to rounding (worst seen 2.6e-14), exceptions exactly.
     rnd = random.Random(12)
@@ -192,7 +192,6 @@ def test_pochhammer2_rows_equal_recursive_product():
               for _ in range(rnd.randint(1, 9))]
         want = walk_rows(zs, [p1, p2], pol)
         raised += isinstance(want, tuple)
-        qs._CHAINS.clear()
         qs._LATTICES.clear()
         if rnd.random() < 0.5:
             outcome(pochhammer, zs[0], [p1, p2], pol)
@@ -207,14 +206,13 @@ def test_pochhammer2_raises_as_the_first_failing_point():
     index0 = ("TruncationBudgetExceeded", "pochhammer index 0 needs more than 64 factors")
     index1 = ("TruncationBudgetExceeded", "pochhammer index 1 needs more than 64 factors")
     # |z| = 80 fails the first row (p2 = 0.61), |z| = 10 the p1 = 0.63 chain;
-    # the batch raises what its first failing point raises, with empty
-    # chains or with chains already grown
+    # the batch raises what its first failing point raises, with no lattice
+    # cached or with one already cut
     for warm in (False, True):
         for zs, want in [([10.0, 80.0], index0), ([80.0, 10.0], index1),
                          ([0j, complex(math.nan, 0.0), 2.0, 80.0], index1)]:
-            qs._CHAINS.clear()
             qs._LATTICES.clear()
-            if warm:  # chains deep enough for |z| = 40, stored before it raises
+            if warm:  # a lattice cut for |z| = 40, stored before it raises
                 assert outcome(pochhammer, 40.0, [0.63, 0.61], SHORT) == index0
             assert outcome(qs.pochhammer2, zs, 0.63, 0.61, SHORT) == want
             assert walk_rows(zs, [0.63, 0.61], SHORT) == want
@@ -373,14 +371,6 @@ def test_grid_Y_equals_scalar_on_abelianity_branches(branch, m, n, lam):
     assert max(abs(g - Y_mn(x, m, n, params)) for g, x in zip(got, xs)) <= 1e-11
 
 
-def infinite_on_arrays(x, pr):
-    """U(x) on scalars; on an array, a formula whose value is not finite
-    anywhere (as np.abs gives inf where CPython's abs raises)."""
-    if isinstance(x, np.ndarray) and not qs._BATCH.active:
-        return qs._on_grid(infinite_on_arrays, x, pr)
-    return x / 0 if isinstance(x, np.ndarray) else U(x, pr)
-
-
 def test_grid_forms_raise_as_the_scalar_loop():
     pr = PARAMS[0]
     U_form = next(form for name, form, _ in grid_forms(pr) if name == "U")
@@ -406,17 +396,74 @@ def test_grid_forms_raise_as_the_scalar_loop():
     assert outcome(cases[5][0], cases[5][1])[0] == "ModulusOutOfRange"
     with pytest.raises(PoleHit, match=r"z = \(1\+0j\)"):
         U_form(xs)
-    # a formula that returns a non-finite value at a finite point of an
-    # array is replaced by the loop
-    with pytest.raises(PoleHit, match=r"z = \(1\+0j\)"):
-        infinite_on_arrays(xs, pr)
-    assert infinite_on_arrays(np.array([0.7, 1.3]), pr).tolist() == [U(0.7, pr), U(1.3, pr)]
     # a NaN point is NaN on both paths; the other points keep their values
     odd = np.array([0.7, complex(math.nan, 0.0), 1.3])
     for name, form, scalar_form in (f for f in grid_forms(pr) if f[0] in ("theta_big", "U")):
         got = form(odd).tolist()
         assert cmath.isnan(got[1]), name
         assert rel_err([got[0], got[2]], [scalar_form(0.7 + 0j), scalar_form(1.3 + 0j)]) <= 1e-12
+
+
+@pytest.mark.parametrize("pr", PARAMS, ids=["N2", "N3-q0.8", "N3-complex-q"])
+def test_scalar_call_is_the_one_point_array_call(pr):
+    # a scalar runs the array body on a one-point array and comes back as a
+    # Python complex, equal to that array's one value
+    x = 0.83 + 0.21j
+    forms = [(name, f) for name, f, _ in grid_forms(pr) if name != "Y_2,-3"] + [
+        ("Y_2,-3", lambda x: Y_mn(x, 2, -3, pr, POL)),
+        ("theta_char_product", lambda x: theta_char_product(0.5, 1 / 3, x, 0.1 + 0.7j, POL)),
+    ]
+    for name, f in forms:
+        got, want = f(x), f(np.array([x]))
+        assert type(got) is complex and want.shape == (1,), name
+        assert got == want[0], name
+    for moduli in ([pr.p], [pr.p, pr.q ** (2 * pr.N)]):
+        got = pochhammer(x, moduli, POL)
+        assert type(got) is complex
+        assert got == qs.pochhammer2(np.array([x]), moduli[0], moduli[1] if len(moduli) == 2 else 0, POL)[0]
+    f1, f2, diff = Y_mn_forms(x, 2, -3, pr, POL)
+    assert type(f1) is complex and type(f2) is complex
+    assert (f1, f2, diff) == tuple(v[0] for v in Y_mn_forms(np.array([x]), 2, -3, pr, POL))
+
+
+def Y_kkprime_cr_loop(x, k, kprime, params, policy):
+    """The fused exchange ratio as a loop of scalar U calls over the pairs."""
+    q, c = params.q, params.c
+    val = 1.0 + 0j
+    for ti in centred_ladder(k):
+        for tj in centred_ladder(kprime):
+            d = ti - tj
+            val *= U(q**d * x, params, policy) / U(q ** (d - c) * x, params, policy)
+    return val
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_Y_kkprime_cr_equals_the_loop(N):
+    # one stacked U call against the loop, near the critical level (where
+    # critical-poisson takes its central differences) and away from it
+    rnd = random.Random(N)
+    for c in (-N + 1e-5, -N - 1e-5, 0.25):
+        pr = EllipticParams(N, rnd.uniform(0.5, 0.8), cmath.sqrt(0.3), c)
+        x = cmath.rect(rnd.uniform(0.8, 1.25), rnd.uniform(-0.4, 0.4))
+        for k in range(1, N + 1):
+            for kprime in range(1, N + 1):
+                want = Y_kkprime_cr_loop(x, k, kprime, pr, POL)
+                got = Y_kkprime_cr(x, k, kprime, pr, POL)
+                assert type(got) is complex
+                assert abs(got - want) <= 1e-13 * abs(want), (N, c, k, kprime)
+
+
+def test_Y_kkprime_cr_raises_the_first_pole_of_the_loop():
+    # k = k' = 2 at x = q, c = 1 - N: the first pair's denominator point is
+    # q^N (z^2 = q^(2N), a pole of U), and the second pair's numerator point
+    # is 1, also a pole; the loop meets q^N first
+    N = 3
+    pr = EllipticParams(N, 0.55, cmath.sqrt(0.3), 1 - N)
+    want = outcome(Y_kkprime_cr_loop, pr.q, 2, 2, pr, POL)
+    assert want[0] == "PoleHit" and "(1+0j)" not in want[1]
+    assert outcome(Y_kkprime_cr, pr.q, 2, 2, pr, POL) == want
+    with pytest.raises(PoleHit, match=r"U\(z\) pole at z = \(0\.16637"):
+        Y_kkprime_cr(pr.q, 2, 2, pr, POL)
 
 
 def test_per_point_nomes_match_mpmath():
@@ -714,15 +761,15 @@ def test_theta_identities_fail_on_perturbed_values(monkeypatch, check, name, k):
 
 
 def test_theta_identities_cache_only_fixed_nomes():
-    # the suite's scattered nomes run on per-call chains; the chain and
-    # (p; p) caches keep only q^(2N) (and the chain of 0, the p2 of every
-    # one-modulus array product)
+    # the suite's scattered nomes run on per-call chains; the lattice and
+    # (p; p) caches keep only q^(2N) (with p2 = 0, as every one-modulus
+    # product)
     pr = EllipticParams(3, 0.8, cmath.sqrt(0.3))
-    qs._CHAINS.clear()
+    qs._LATTICES.clear()
     qs._PP.clear()
     for seed in (1, 2):
         suites.suite_theta_identities(suites.SuiteContext(params=pr, seed=seed))
-    assert {p for p, _ in qs._CHAINS} == {complex(pr.q ** (2 * pr.N)), 0j}
+    assert {(p1, p2) for p1, p2, _ in qs._LATTICES} == {(complex(pr.q ** (2 * pr.N)), 0j)}
     assert {p for p, _ in qs._PP} == {complex(pr.q ** (2 * pr.N))}
 
 
@@ -747,7 +794,6 @@ def test_kernel_caches_stay_bounded():
         theta_big(0.7 + 0.2j, a * a, POL)
         if i % 10 == 0:
             pochhammer(0.3, [a, 0.2], POL)
-    assert 0 < len(qs._CHAINS) <= qs._CACHE_LIMIT
     assert 0 < len(qs._PP) <= qs._CACHE_LIMIT
     # one-modulus array products keep a lattice per nome, bounded apart;
     # a lattice past the size bound is formed per call and not kept
@@ -758,9 +804,9 @@ def test_kernel_caches_stay_bounded():
     big = qs.pochhammer2([0.3], 0.92, 0.91, POL)[0]  # about 88,000 weights
     assert not qs._LATTICES and big == qs.pochhammer2([0.3], 0.92, 0.91, POL)[0]
     # values computed after the caches were cleared still match
-    assert theta_big(0.7 + 0.2j, 0.36, POL) == (recursive_pochhammer(0.7 + 0.2j, [0.36], POL)
-                                               * recursive_pochhammer(0.36 / (0.7 + 0.2j), [0.36], POL)
-                                               * recursive_pochhammer(0.36, [0.36], POL))
+    assert close(theta_big(0.7 + 0.2j, 0.36, POL), recursive_pochhammer(0.7 + 0.2j, [0.36], POL)
+                 * recursive_pochhammer(0.36 / (0.7 + 0.2j), [0.36], POL)
+                 * recursive_pochhammer(0.36, [0.36], POL))
 
 
 def test_kernel_caches_under_concurrent_callers():
@@ -799,4 +845,4 @@ def test_kernel_caches_under_concurrent_callers():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads) and not errors
     assert len(got) == 4 and all(v == want for v in got.values())
-    assert len(qs._CHAINS) <= qs._CACHE_LIMIT and len(qs._PP) <= qs._CACHE_LIMIT
+    assert len(qs._PP) <= qs._CACHE_LIMIT

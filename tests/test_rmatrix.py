@@ -156,8 +156,8 @@ def test_truncation_refinement():
     coarse = RMatrixFactory(pr, TruncationPolicy(tail_eps=1e-16, max_terms=512))
     fine = RMatrixFactory(pr, TruncationPolicy(tail_eps=1e-16, max_terms=2048))
     z = 1.2 + 0.15j
-    a = coarse.z_matrix_xi(xi_of(z))
-    b = fine.z_matrix_xi(xi_of(z))
+    a = coarse.r_matrix_xi(xi_of(z))
+    b = fine.r_matrix_xi(xi_of(z))
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -241,26 +241,31 @@ def test_quasi_periodicity_literal_form(N):
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-9
 
 
+def I_alpha(zn: ZnMatrices, a1: int, a2: int) -> np.ndarray:
+    """I_(a1,a2) = g^a2 h^a1, formed densely."""
+    return np.linalg.matrix_power(zn.g, a2) @ np.linalg.matrix_power(zn.h, a1)
+
+
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_w_sum_from_its_nonzeros_matches_dense_sum(N):
     # the index form against sum_alpha w_alpha I_alpha (x) I_alpha^{-1}
-    # built densely, bare (Z) and conjugated by g^{1/2} (x) g^{1/2} (R, Rhat)
+    # built densely and conjugated by g^{1/2} (x) g^{1/2}
     fac = RMatrixFactory(params(N=N), POL)
     zn = fac.zn
     rng = np.random.default_rng(N)
     w = rng.normal(size=N * N) + 1j * rng.normal(size=N * N)
     pref = 0.7 - 0.2j
-    dense = pref * sum(w[a1 * N + a2] * np.kron(zn.I_alpha(a1, a2), np.linalg.inv(zn.I_alpha(a1, a2)))
+    dense = pref * sum(w[a1 * N + a2] * np.kron(I_alpha(zn, a1, a2), np.linalg.inv(I_alpha(zn, a1, a2)))
                        for a1 in range(N) for a2 in range(N))
     G = np.kron(zn.g_half, zn.g_half)
-    for coef, want in ((fac._coef, dense), (fac._coef_G, G @ dense @ np.linalg.inv(G))):
-        got = fac._w_sum(pref, w, coef)
-        assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
-        assert np.count_nonzero(got) == N ** 3
+    want = G @ dense @ np.linalg.inv(G)
+    got = fac._w_sum(pref, w, fac._coef_G)
+    assert np.abs(got - want).max() < 1e-14 * np.abs(want).max()
+    assert np.count_nonzero(got) == N ** 3
 
 
 def test_rhat_independent_of_cache_history():
-    # the chains grow lazily with the smallest threshold asked for, so the
+    # a cached lattice is cut at the smallest threshold asked for, so the
     # same points built in another order, from empty caches, must give the
     # same matrices
     pr = params(N=3, q=0.55, p=0.6)
@@ -268,7 +273,7 @@ def test_rhat_independent_of_cache_history():
            [(0.3, 0.4), (3.0, -0.2), (1.1, 0.1), (0.6, -1.0), (1.9, 2.0), (0.95, 0.3)]]
     runs = []
     for order in (xis, xis[::-1]):
-        for cache in (qs._CHAINS, qs._PP, qs._LATTICES):
+        for cache in (qs._PP, qs._LATTICES):
             cache.clear()
         fac = RMatrixFactory(pr, POL)
         built = {xi: fac.rhat_matrix_xi(xi) for xi in order}
@@ -319,7 +324,7 @@ def mp_rhat(mp, pr, xi):
             g1, g2 = 0.5 + a1 / N, 0.5 + a2 / N
             w = (mp_theta_char(mp, g1, g2, xi + zeta / N, tau)
                  / (N * mp_theta_char(mp, g1, g2, zeta / N, tau)))
-            I = zn.I_alpha(a1, a2)
+            I = I_alpha(zn, a1, a2)
             term = G @ np.kron(I, np.linalg.inv(I)) @ np.linalg.inv(G)
             for r, c in zip(*np.nonzero(np.abs(term) > 1e-12)):
                 out[int(r), int(c)] += pref * w * mp.mpc(complex(term[r, c]))
@@ -351,11 +356,10 @@ def test_rhat_batch_matches_mpmath(pr):
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_batch_equals_one_point_builds(N):
     # each point of a batch is what a one-point build gives, to rounding,
-    # for Z, R and Rhat alike
+    # for R and Rhat alike
     fac = RMatrixFactory(params(N=N, q=0.55, p=0.6), POL)
     xis = [xi_of(cmath.rect(r, phi)) for r, phi in [(0.8, 0.3), (1.3, -1.0), (1.05, 0.9), (0.7, -0.2)]]
-    for batch, one in ((fac.z_matrices, fac.z_matrix_xi), (fac.r_matrices, fac.r_matrix_xi),
-                       (fac.rhat_matrices, fac.rhat_matrix_xi)):
+    for batch, one in ((fac.r_matrices, fac.r_matrix_xi), (fac.rhat_matrices, fac.rhat_matrix_xi)):
         for xi, mat in zip(xis, batch(xis)):
             want = one(xi)
             assert np.abs(mat - want).max() <= 1e-13 * np.abs(want).max()

@@ -282,12 +282,17 @@ def test_A2_is_kernel_of_rhat_at_q():
 # Fused products
 # ---------------------------------------------------------------------------
 
+def rhat_on(fac, xi, labels) -> LabeledTensor:
+    """Rhat(xi) of a one-point build, on two named spaces."""
+    return LabeledTensor.from_matrix(fac.rhat_matrix_xi(xi), labels, fac.N)
+
+
 def test_fused_single_factor_is_rhat():
     pr = params(N=2)
     fac = RMatrixFactory(pr, POL)
     x = 1.2 + 0.1j
     RR = fused_R(x, 1, 1, fac)
-    direct = fac.rhat_tensor(xi_of(x), RR.labels)
+    direct = rhat_on(fac, xi_of(x), RR.labels)
     assert np.allclose(RR.data, direct.data)
 
 
@@ -373,8 +378,8 @@ def test_block_fusion_residuals_match_dense(N, k, kp):
     reports = {r.check: r.residual for r in check_fusion_identities(k, fac, x, kprime=kp)}
     xi, zeta = xi_of(x), fac.params.zeta
     aux, rows, cols = tuple(range(1, k + 1)) + ("0",), row_labels(k), col_labels(kp)
-    R = [fac.rhat_tensor(xi - (i - 1) * zeta, (i, "0")) for i in range(1, k + 1)]
-    Rinv = [fac.rhat_tensor(xi + (i - 1) * zeta, (i, "0")).inv() for i in range(1, k + 1)]
+    R = [rhat_on(fac, xi - (i - 1) * zeta, (i, "0")) for i in range(1, k + 1)]
+    Rinv = [rhat_on(fac, xi + (i - 1) * zeta, (i, "0")).inv() for i in range(1, k + 1)]
     gates = fused_gates(x, k, kp, fac)
     inv_gates = [g.inv() for g in reversed(gates)]
     dense = {
@@ -400,8 +405,8 @@ def test_fusion_identities_control():
     x = 1.2 + 0.1j
     xi = xi_of(x)
     labels = (1, 2, "0")
-    X = compose([fac.rhat_tensor(xi, (1, "0")),
-                 fac.rhat_tensor(xi - 1.01 * pr.zeta, (2, "0"))], labels)  # wrong ladder step
+    X = compose([rhat_on(fac, xi, (1, "0")),
+                 rhat_on(fac, xi - 1.01 * pr.zeta, (2, "0"))], labels)  # wrong ladder step
     A = dense_on(LabeledTensor.from_matrix(antisymmetrizer(2, 2).matrix, (1, 2), 2), labels)
     lhs = X @ A
     rhs = A @ lhs

@@ -40,7 +40,7 @@ from wkit.wgen import (
     survives_selection_rule,
 )
 
-from test_tensor import dense_on, dense_product, partial_trace
+from test_tensor import dense_on, dense_product, partial_trace, rhat_on
 
 POL = TruncationPolicy()
 Z, W = 1.2 + 0.1j, 0.85 + 0.03j
@@ -113,12 +113,17 @@ def test_build_Q_raises_singular_lax_for_the_ill_conditioned_point(N, k):
     assert len(build_Q(k, z * 1.01, surf, rep)) == 4 * k
 
 
+def lax_on(rep, xi, aux_label) -> LabeledTensor:
+    """The Lax factor at xi of a one-point build, on (aux, quantum)."""
+    return LabeledTensor.from_matrix(rep.lax([xi])[0], (aux_label, "0"), rep.N)
+
+
 def test_evalrep_satisfies_RLL():
     surf = surface(-2, -1, N=3, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
     fac = rep.factory
-    R12 = fac.rhat_tensor(xi_of(Z) - xi_of(W), (1, 2))
-    L1, L2 = rep.L(xi_of(Z), 1), rep.L(xi_of(W), 2)
+    R12 = rhat_on(fac, xi_of(Z) - xi_of(W), (1, 2))
+    L1, L2 = lax_on(rep, xi_of(Z), 1), lax_on(rep, xi_of(W), 2)
     lhs = compose([R12, L1, L2], (1, 2, "0"))
     rhs = compose([L2, L1, R12], (1, 2, "0"))
     assert (lhs - rhs).norm() / rhs.norm() < 1e-8
@@ -165,7 +170,7 @@ def test_qdet_matrix_matches_eigh_path(N):
     xi = xi_of(Z)
     aux = tuple(range(1, N + 1))
     A = antisymmetrizer(N, N)
-    X = dense_product([rep.L(xi - (i - 1) * rep.params.zeta, i) for i in aux]
+    X = dense_product([lax_on(rep, xi - (i - 1) * rep.params.zeta, i) for i in aux]
                       + [LabeledTensor.from_matrix(A.matrix, aux, N)], aux + ("0",))
     Y = X.data.reshape(N**N, N, N**N, N)
     evals, evecs = np.linalg.eigh(A.matrix)
