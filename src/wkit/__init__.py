@@ -3,6 +3,7 @@ the deformed-W generator algebras built on them."""
 
 from .errors import (
     BranchDomainViolation,
+    ChargeViolation,
     ConfigError,
     DimensionGuardExceeded,
     LabelMismatch,
@@ -58,5 +59,6 @@ __all__ = [
     "WkitError", "ModulusOutOfRange", "TruncationBudgetExceeded",
     "ZeroArgument", "NonconvergentTau", "PoleHit",
     "OutsideConvergenceAnnulus", "BranchDomainViolation", "NoSolution",
-    "SingularLax", "LabelMismatch", "DimensionGuardExceeded", "ConfigError",
+    "SingularLax", "LabelMismatch", "ChargeViolation", "DimensionGuardExceeded",
+    "ConfigError",
 ]

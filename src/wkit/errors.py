@@ -49,6 +49,11 @@ class LabelMismatch(WkitError):
     """Tensor operands have incompatible space labels."""
 
 
+class ChargeViolation(WkitError):
+    """A gate does not conserve the Z_N charge that the sector kernel of
+    the projector residuals relies on."""
+
+
 class DimensionGuardExceeded(WkitError):
     """A dense product would exceed the configured dimension guard."""
 

@@ -14,7 +14,9 @@ class CheckReport:
 
     pass/fail is derived: passed <=> residual <= tolerance.  `identity`
     names the mathematical relation being tested so a failure is traceable
-    without reading the suite code.  `inputs` echoes the parameter point.
+    without reading the suite code.  `inputs` echoes the parameter point:
+    the sampled inputs (parameters, points, seeds) first, then any value
+    the check computed, which `sort_reports` relies on.
     """
 
     suite: str
@@ -89,6 +91,10 @@ def _jsonable(obj):
 
 
 def sort_reports(reports: list[CheckReport]) -> list[CheckReport]:
-    """Canonical order: (suite, check, input repr) — independent of
-    execution order so concurrent suites emit identical bytes."""
-    return sorted(reports, key=lambda r: (r.suite, r.check, json.dumps(_jsonable(r.inputs), sort_keys=True)))
+    """Canonical order: (suite, check, inputs) — independent of execution
+    order so concurrent suites emit identical bytes.  The inputs are
+    compared in the order the check lists them, sampled inputs first, so
+    two reports at different points are ordered by their sampled inputs
+    alone: a computed value, which can move at rounding level, never
+    decides between them."""
+    return sorted(reports, key=lambda r: (r.suite, r.check, json.dumps(_jsonable(r.inputs))))

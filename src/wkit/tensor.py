@@ -16,6 +16,14 @@ im A_k are evaluated without forming an operator on all the spaces:
 such as V (x) 1, and `antisym_trace` contracts the result against V to
 give tr_{1..k}(X A_k), the one trace against A_k.
 
+The projector residuals ||X A - A X A|| of the fusion identities use the
+Z_N grading of Belavin's R-matrix: Rhat conserves the charge x_a + x_b
+mod N, so only N^3 of its N^4 entries are nonzero.  `_projector_residual`
+reads a charge weight per space from the gates' exact zeros (refusing a
+gate that breaks it), holds the columns v_c (x) e_j of one total charge on
+the N^(n-1) rows of their sector, and applies each two-space gate there
+as one gather and one batched matmul of N x N blocks.
+
 Every dense allocation goes through one guard: it may hold at most
 WKIT_MAX_DIM^2 entries, so a D x D operator needs D <= WKIT_MAX_DIM.
 
@@ -31,7 +39,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import DimensionGuardExceeded, LabelMismatch
+from .errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
 from .params import centred_ladder, xi_of
 from .qseries import _store
 
@@ -308,7 +316,147 @@ def fused_R(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> Lab
     return compose(fused_gates(x, k, kprime, fac, c_shift), row_labels(k) + col_labels(kprime))
 
 
-_BLOCK_ENTRIES = 2**20  # entries of one block of columns in _projector_residual (16 MB)
+_BLOCK_ENTRIES = 2**20  # entries of one block of sector columns in _projector_residual (16 MB)
+
+
+def _charges(N: int, weights) -> np.ndarray:
+    """sum_i weights[i] x_i mod N for every index tuple x of len(weights)
+    spaces, in row-major order."""
+    m = len(weights)
+    return (np.asarray(weights, dtype=int) @ np.indices((N,) * m).reshape(m, N**m)) % N
+
+
+def _conserves(gate: LabeledTensor, weights) -> bool:
+    """True if every nonzero entry of `gate` joins two states of its spaces
+    with the same charge, the spaces weighted by `weights`."""
+    ch = _charges(gate.N, weights)
+    return not gate.data[ch[:, None] != ch[None, :]].any()
+
+
+def _charge_weights(gates, labels, a_labels) -> dict:
+    """A weight w = +-1 per space of `labels` such that every gate conserves
+    sum_i w_i x_i mod N, x_i the index on space i, read from the exact zeros
+    of the gates: Rhat and its inverse conserve x_a + x_b, their transposes
+    on one space x_a - x_b.  Each space of `a_labels` gets +1, so the columns
+    of V carry one charge each.  Raises ChargeViolation if no such weights
+    exist: the sector kernel never drops an entry."""
+    N, links = gates[0].N, []  # (a, b, s): the gate on (a, b) needs w_b = s w_a
+    for g in gates:
+        if len(g.labels) == 2:
+            signs = [s for s in (1, -1) if _conserves(g, (1, s))]
+            if len(signs) == 1:
+                links.append((*g.labels, signs[0]))
+    w = {}
+    for start in labels:  # a_labels first, so each A space that starts a component gets +1
+        if start in w:
+            continue
+        w[start], grew = 1, True
+        while grew:
+            grew = False
+            for a, b, s in links:
+                for u, v in ((a, b), (b, a)):
+                    if u in w and v not in w:
+                        w[v], grew = s * w[u], True
+    for g in gates:
+        if not _conserves(g, [w[l] for l in g.labels]):
+            raise ChargeViolation(f"gate on {g.labels} does not conserve a Z_{N} charge "
+                                  f"consistent with the other gates")
+    if any((w[a] - 1) % N for a in a_labels):
+        raise ChargeViolation(f"the gates give the spaces {tuple(a_labels)} of A_k "
+                              f"opposite Z_{N} weights")
+    return w
+
+
+def _gate_step(gate: LabeledTensor, labels, w, digits: np.ndarray):
+    """One gate as a step on the rows of the charge sectors.  `digits`
+    holds, in the rows' current order, the index of each row on each space
+    of `labels` in the sector Q = 0; in the sector Q the index on the last
+    space is shifted by w_last Q, and every other index is the same.
+
+    Returns (perm, op): gather the rows by `perm` (None: keep them), then
+    multiply by op(Q).  A one-space gate is diagonal, so op(Q) is a factor
+    per row.  For a two-space gate `perm` puts the rows in (pair charge c,
+    index x_a on the gate's first space, orbit) order, where an orbit fixes
+    every index but the pair's, and op(Q)[c] is the N x N block of the gate
+    at pair charge c; the batched matmul op(Q) @ rows leaves the rows in
+    that order.  So each two-space gate is one gather and one matmul."""
+    N, last = gate.N, len(labels) - 1
+    x = np.arange(N)
+    pos = [labels.index(l) for l in gate.labels]
+    shift = [w[labels[last]] if p == last else 0 for p in pos]  # per unit of Q
+    if len(pos) == 1:
+        d = np.diagonal(gate.data)
+        return None, lambda Q: d[(digits[pos[0]] + shift[0] * Q) % N][:, None]
+    (pa, pb), (wa, wb) = pos, (w[l] for l in gate.labels)
+    c = (wa * digits[pa] + wb * digits[pb]) % N
+    # within a sector the last of the other spaces is fixed by the rest, so
+    # the orbits of one pair charge are ranked by the remaining indices
+    others = [p for p in range(last + 1) if p not in pos][:-1]
+    orbit = np.ravel_multi_index(digits[others], (N,) * len(others)) if others else 0
+    cs = x if last > 1 else x[:1]  # the pair charges in the sector Q = 0 (0 alone if n = 2)
+    order = (c * N + digits[pa]) * N ** len(others) + orbit
+    perm = np.empty_like(order)
+    perm[order] = np.arange(len(order))
+    xb = wb * (x[:, None] - wa * x) % N  # the partner of x_a at pair charge c
+    B = gate.data.reshape((N,) * 4)[x[None, :, None], xb[:, :, None], x[None, None, :], xb[:, None, :]]
+    touches = int(last in pos)  # the pair charge of every row moves by Q
+    return perm, lambda Q: B[np.ix_((cs + touches * Q) % N, (x + shift[0] * Q) % N,
+                                    (x + shift[0] * Q) % N)]
+
+
+def _charge_sectors(gates, a_labels, rest):
+    """Yield (Y, rows, cols): Y = X (V (x) 1) for X = prod(gates) on the
+    columns `cols` of V (x) 1 (column c * N^len(rest) + j is v_c (x) e_j) and
+    the full rows `rows` (indices in N^n over the spaces a_labels + rest),
+    the rest of those columns being 0.
+
+    Every gate conserves a Z_N charge (`_charge_weights`), so each column
+    stays in the sector of its total charge Q, the N^(n-1) rows whose
+    weighted index sum is Q.  The columns of one Q are held on those rows
+    only, a block of at most _BLOCK_ENTRIES entries at a time, and the gates
+    act inside the sector (`_gate_step`); the row orders of the gates are
+    computed once, for Q = 0, and serve every sector.  Y's rows come back in
+    increasing order of `rows`, which is the order of the first n - 1
+    indices, the last being fixed by Q."""
+    N, labels = gates[0].N, tuple(a_labels) + tuple(rest)
+    n, k = len(labels), len(a_labels)
+    for g in gates:
+        if not set(g.labels) <= set(labels):
+            raise LabelMismatch(f"gate on {g.labels} outside the spaces {labels}")
+        if len(g.labels) > 2:
+            raise LabelMismatch(f"gate on {g.labels}: the sector kernel takes one or two spaces")
+    w = _charge_weights(gates, labels, a_labels)
+    weights = [w[l] for l in labels]
+    V = antisymmetrizer(k, N).basis
+    cz, az = np.nonzero(V.T)  # the k! nonzeros of each column of V
+    az = az.reshape(V.shape[1], -1)
+    vals = V[az, cz.reshape(az.shape)]
+    D = N ** len(rest)
+    col_charge = (_charges(N, [1] * k)[az[:, 0]][:, None] + _charges(N, weights[k:])) % N
+    R, width = N ** (n - 1), max(1, _BLOCK_ENTRIES // N ** (n - 1))
+    # the index table of the sector's rows and one block of its columns
+    _guard(R * max(n, min(width, np.bincount(col_charge.ravel()).max())), "sector block")
+    last = weights[-1] * -_charges(N, weights[:-1]) % N  # the last index in the sector Q = 0
+    digits, steps = np.vstack((np.indices((N,) * (n - 1)).reshape(n - 1, R), last)), []
+    for g in reversed(gates):
+        steps.append(_gate_step(g, labels, w, digits))
+        if steps[-1][0] is not None:
+            digits = digits[:, steps[-1][0]]
+    back = np.empty(R, dtype=np.intp)
+    back[np.ravel_multi_index(digits[:-1], (N,) * (n - 1))] = np.arange(R)
+    for Q in range(N):
+        cq, jq = np.nonzero(col_charge == Q)
+        for s in range(0, len(cq), width):
+            c, j = cq[s:s + width], jq[s:s + width]
+            Y = np.zeros((R, len(c)), dtype=complex)
+            Y[(az[c] * D + j[:, None]) // N, np.arange(len(c))[:, None]] = vals[c]
+            for perm, op in steps:
+                if perm is None:
+                    Y *= op(Q)
+                else:
+                    blocks = op(Q)
+                    Y = np.matmul(blocks, Y[perm].reshape(len(blocks), N, -1)).reshape(R, -1)
+            yield Y[back], np.arange(R) * N + (last + weights[-1] * Q) % N, c * D + j
 
 
 def _projector_residual(gates, a_labels, rest) -> float:
@@ -318,24 +466,23 @@ def _projector_residual(gates, a_labels, rest) -> float:
     With A_k = V V^T (V the basis of `antisymmetrizer`), (1 - A) X A = (1 - A) Y
     (V (x) 1)^T for Y = X (V (x) 1), and multiplying by the co-isometry
     (V (x) 1)^T on the right keeps the Frobenius norm; so this is
-    ||(1 - A) Y|| / ||Y||.  X is applied gate by gate to the
-    C(N,k) N^len(rest) columns of V (x) 1, a block of at most
-    _BLOCK_ENTRIES entries at a time, and never formed.  A_1 = 1, so on one
-    space the residual is 0 by construction (NaN if a gate is not finite)."""
+    ||(1 - A) Y|| / ||Y||.  Y is computed one Z_N charge sector at a time by
+    `_charge_sectors`, and X is never formed.  A_k conserves the charge too,
+    so (1 - A) Y is taken inside each sector: with the rows in increasing
+    order and at least one space in `rest`, the rows of Y.reshape(N^k, -1)
+    are the index on the spaces of A_k.  A_1 = 1, so on one space the
+    residual is 0 by construction; a gate that is not finite gives NaN."""
+    if not all(np.isfinite(g.data).all() for g in gates):
+        return math.nan
     if len(a_labels) == 1:
-        return 0.0 if all(np.isfinite(g.data).all() for g in gates) else math.nan
-    N, labels = gates[0].N, a_labels + rest
-    V = antisymmetrizer(len(a_labels), N).basis
-    D = N ** len(rest)
-    width = max(1, _BLOCK_ENTRIES // N ** len(labels))
+        return 0.0
+    N, k = gates[0].N, len(a_labels)
+    V = antisymmetrizer(k, N).basis
     num = den = 0.0
-    for v in V.T:
-        for s in range(0, D, width):  # columns v (x) e_j, s <= j < s + width
-            block = np.kron(v[:, None], np.eye(D, min(width, D - s), -s))
-            Y = apply_gates(gates, labels, block.reshape((N,) * len(labels) + (-1,)))
-            Y = Y.reshape(len(V), -1)
-            num += np.linalg.norm(Y - V @ (V.T @ Y)) ** 2
-            den += np.linalg.norm(Y) ** 2
+    for Y, rows, _ in _charge_sectors(gates, a_labels, rest):
+        Ya, Va = (Y.reshape(N**k, -1), V) if rest else (Y, V[rows])
+        num += np.linalg.norm(Va @ (Va.T @ Ya) - Ya) ** 2
+        den += np.linalg.norm(Y) ** 2
     return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 

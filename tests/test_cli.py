@@ -87,6 +87,30 @@ def test_raising_suite_becomes_failing_report(tmp_path, monkeypatch):
     assert not math.isfinite(err["residual"])
 
 
+def test_charge_violation_becomes_failing_report(tmp_path, monkeypatch):
+    # an R-hat with one entry outside its Z_N charge pattern makes the
+    # projector residuals raise ChargeViolation; through `wkit check` that is
+    # one failing fusion-identities report and exit 1
+    from wkit.cli import main
+    from wkit.rmatrix import RMatrixFactory
+
+    build = RMatrixFactory.rhat_matrices
+
+    def off_charge(self, xis):
+        mats = build(self, xis).copy()
+        mats[:, 0, 1] = 1e-3  # (0, 0) <- (0, 1) changes the charge
+        return mats
+
+    monkeypatch.setattr(RMatrixFactory, "rhat_matrices", off_charge)
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"params": {"N": 3}, "suites": ["fusion-identities"]}))
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 1
+    reports = json.loads(out.read_text())
+    assert len(reports) == 1 and reports[0]["check"] == "suite-error"
+    assert not reports[0]["passed"]
+    assert reports[0]["inputs"]["error"] == "ChargeViolation"
+
+
 def test_linalg_error_in_a_suite_becomes_failing_report(tmp_path, monkeypatch):
     # a numpy LinAlgError (say, a singular fused block) fails its own suite
     # only; every other suite still reports

@@ -54,6 +54,30 @@ def test_sort_reports_canonical():
     assert [r.suite + r.check for r in sort_reports([a, b, c])] == ["ax", "ay", "bx"]
 
 
+def test_sort_reports_ignores_computed_inputs():
+    # critical-poisson lists its sampled x before the derivative it
+    # computes; where f_cr = 0 that derivative is rounding noise, and moving
+    # it by 1e-12 must not swap two reports in the canonical order
+    import cmath
+
+    import numpy as np
+
+    from wkit.suites import SuiteContext, suite_critical_poisson
+
+    reports = suite_critical_poisson(SuiteContext(params=EllipticParams(2, 0.55, cmath.sqrt(0.3))))
+    order = [id(r) for r in sort_reports(reports)]
+    rng = np.random.default_rng(5)
+    f_cr = [r for r in reports if r.check.startswith("f_cr(")]
+    assert len(f_cr) > len({r.check for r in f_cr})  # some checks at several points
+    for r in f_cr:
+        assert list(r.inputs)[:6] == ["N", "q", "k", "kprime", "x", "derivative"]
+        r.inputs["derivative"] += 1e-12 * complex(*rng.normal(size=2))
+    assert [id(r) for r in sort_reports(reports)] == order
+    a = CheckReport("s", "c", "i", {"x": 1.0, "derivative": 2e-12}, 0, 1)
+    b = CheckReport("s", "c", "i", {"x": 2.0, "derivative": 1e-12}, 0, 1)
+    assert sort_reports([b, a]) == [a, b]
+
+
 def test_elliptic_params_derived_exact():
     pr = EllipticParams(N=3, q=0.5, s=0.7, c=0.25)
     assert abs(pr.p - 0.49) < 1e-15

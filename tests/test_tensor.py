@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
-from wkit.errors import DimensionGuardExceeded, LabelMismatch
+from wkit.errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
 from wkit.suites import check_fusion_identities, check_M_derivative
 from wkit.tensor import (
     Antisymmetrizer,
+    _charge_sectors,
+    _charge_weights,
+    _projector_residual,
     antisym_trace,
     apply_gates,
     col_labels,
@@ -344,13 +347,38 @@ def _dense_projector_residual(gates, labels, a_labels):
     return (lhs - A @ lhs).norm() / lhs.norm()
 
 
+def rnd_conserving(labels, N, sign=1):
+    """A random gate on one or two spaces that conserves x_a + sign x_b mod N:
+    the N^3 pattern of Rhat on two spaces, a diagonal on one."""
+    x = np.indices((N,) * len(labels)).reshape(len(labels), -1)
+    charge = (x[0] + sign * x[1]) % N if len(labels) == 2 else x[0]
+    data = rnd(labels, N).data * (charge[:, None] == charge[None, :])
+    return LabeledTensor.from_matrix(data, labels, N)
+
+
+def kron_block_residual(gates, a_labels, rest):
+    """||(1 - A) Y|| / ||Y|| for Y = X (V (x) 1), with V (x) 1 formed by
+    np.kron and X applied by `apply_gates` on all N^n rows: the oracle for
+    the charge-sector kernel."""
+    V = antisymmetrizer(len(a_labels), gates[0].N).basis
+    Y = kron_block_Y(gates, a_labels, rest).reshape(len(V), -1)
+    return np.linalg.norm(Y - V @ (V.T @ Y)) / np.linalg.norm(Y)
+
+
+def kron_block_Y(gates, a_labels, rest):
+    """X (V (x) 1) on all N^n rows, as an (N^n, C(N,k) N^len(rest)) array."""
+    N, labels = gates[0].N, tuple(a_labels) + tuple(rest)
+    V = antisymmetrizer(len(a_labels), N).basis
+    block = np.kron(V, np.eye(N ** len(rest))).reshape((N,) * len(labels) + (-1,))
+    return apply_gates(gates, labels, block).reshape(N ** len(labels), -1)
+
+
 @pytest.mark.parametrize("a_labels", [(1, 2), ("0", 2), (2, 1, "0")])
 def test_projector_residual_matches_dense_when_it_fails(a_labels):
-    # random gates break X A = A X A by O(1); the block formula must still
-    # give the dense value, not just a small number
-    from wkit.tensor import _projector_residual
+    # random charge-conserving gates break X A = A X A by O(1); the sector
+    # kernel must still give the dense value, not just a small number
     labels, N = (1, 2, "0"), 3
-    gates = [rnd((1, "0"), N), rnd((2,), N), rnd((2, "0"), N)]
+    gates = [rnd_conserving((1, "0"), N), rnd_conserving((2,), N), rnd_conserving((2, "0"), N)]
     rest = tuple(l for l in labels if l not in a_labels)
     block = _projector_residual(gates, a_labels, rest)
     dense = _dense_projector_residual(gates, labels, a_labels)
@@ -358,10 +386,107 @@ def test_projector_residual_matches_dense_when_it_fails(a_labels):
     assert abs(block - dense) <= 1e-12 * dense
 
 
+@pytest.mark.parametrize("a_labels", [(1, 2), ("0", 2), (2, 1, "0")])
+def test_projector_residual_raises_on_gates_that_break_the_charge(a_labels):
+    # random dense gates conserve no Z_N charge: the sector kernel must
+    # refuse them, not drop the entries outside the sectors
+    labels, N = (1, 2, "0"), 3
+    gates = [rnd((1, "0"), N), rnd((2,), N), rnd((2, "0"), N)]
+    rest = tuple(l for l in labels if l not in a_labels)
+    with pytest.raises(ChargeViolation):
+        _projector_residual(gates, a_labels, rest)
+
+
+def fusion_gate_lists(N, k, kp):
+    """Every gate list `check_fusion_identities` builds, by name, with its
+    A spaces and rest spaces, from the same R-hat builds."""
+    fac = RMatrixFactory(params(N=N), POL)
+    xi, zeta = xi_of(1.2 + 0.1j), fac.params.zeta
+    aux, rows, cols = tuple(range(1, k + 1)), row_labels(k), col_labels(kp)
+    R = [rhat_on(fac, xi - (i - 1) * zeta, (i, "0")) for i in aux]
+    Rinv = [rhat_on(fac, xi + (i - 1) * zeta, (i, "0")).inv() for i in aux]
+    gates = fused_gates(1.2 + 0.1j, k, kp, fac)
+    inv_gates = [g.inv() for g in reversed(gates)]
+    return {
+        "chain": (R, aux, ("0",)),
+        "chain_t0_inv": ([r.inv().partial_transpose("0") for r in R], aux, ("0",)),
+        "chain_inv": (Rinv, aux, ("0",)),
+        "fused_rows": (gates, rows, cols),
+        "fused_cols": (gates, cols, rows),
+        "fused_inv_rows": (inv_gates, rows, cols),
+        "fused_inv_cols": (inv_gates, cols, rows),
+    }
+
+
+@pytest.mark.parametrize("N,k,kp", [(2, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 1), (5, 2, 2), (5, 3, 1)])
+def test_charge_sectors_match_the_kron_block(N, k, kp):
+    # the sector blocks, scattered back to all N^n rows, are X (V (x) 1)
+    # column for column: every column once, nothing outside its sector
+    for name, (gates, a_labels, rest) in fusion_gate_lists(N, k, kp).items():
+        if len(a_labels) == 1:
+            continue
+        oracle = kron_block_Y(gates, a_labels, rest)
+        full = np.zeros_like(oracle)
+        seen = np.zeros(oracle.shape[1], dtype=int)
+        for Y, rows, cols in _charge_sectors(gates, a_labels, rest):
+            full[np.ix_(rows, cols)] = Y
+            seen[cols] += 1
+        assert (seen == 1).all(), name
+        assert np.linalg.norm(full - oracle) <= 1e-13 * np.linalg.norm(oracle), name
+        assert abs(_projector_residual(gates, a_labels, rest)
+                   - kron_block_residual(gates, a_labels, rest)) <= 1e-13, name
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_charge_weights_of_the_chains(N):
+    # Rhat conserves x_a + x_0; its inverse transposed on "0" conserves
+    # x_a - x_0, so "0" gets the weight -1 there
+    gate_lists = fusion_gate_lists(N, 2, 2)
+    for name, expected in [("chain", 1), ("chain_inv", 1), ("chain_t0_inv", -1)]:
+        gates, aux, rest = gate_lists[name]
+        w = _charge_weights(gates, aux + rest, aux)
+        assert w == {1: 1, 2: 1, "0": expected}, name
+    gates, rows, cols = gate_lists["fused_rows"]
+    assert set(_charge_weights(gates, rows + cols, rows).values()) == {1}
+
+
+def test_one_off_charge_entry_raises():
+    # a single nonzero entry outside the N^3 pattern, however small, is
+    # refused; so is a one-space gate that is not diagonal
+    gates, aux, rest = fusion_gate_lists(3, 2, 2)["chain"]
+    assert _projector_residual(gates, aux, rest) < 1e-12
+    bad = gates[1].data.copy()
+    bad[0, 1] = 1e-300  # (0, 0) <- (0, 1): charge 0 <- 1
+    broken = [gates[0], LabeledTensor(gates[1].labels, 3, bad)]
+    with pytest.raises(ChargeViolation, match=r"gate on \(2, '0'\)"):
+        _projector_residual(broken, aux, rest)
+    shift = LabeledTensor.from_matrix(np.roll(np.eye(3), 1, axis=0), (1,), 3)
+    with pytest.raises(ChargeViolation):
+        _projector_residual(gates + [shift], aux, rest)
+
+
+def test_projector_residual_nan_gate():
+    # a gate that is not finite gives a NaN residual, not a charge error
+    gates, aux, rest = fusion_gate_lists(3, 2, 2)["chain"]
+    bad = gates[0].data.copy()
+    bad[0, 1] = complex(math.nan, 0.0)  # off the charge pattern as well
+    assert math.isnan(_projector_residual([LabeledTensor(gates[0].labels, 3, bad), gates[1]],
+                                          aux, rest))
+
+
+def test_sector_blocks_respect_guard(monkeypatch):
+    # N = 3, A_2 on (1, 2) and rest ("0", 3): the basis has 27 entries, a
+    # sector block 27 rows x 9 columns; a guard of 6^2 = 36 admits the
+    # first and refuses the second
+    monkeypatch.setenv("WKIT_MAX_DIM", "6")
+    gates = [rnd_conserving((1, "0"), 3), rnd_conserving((2, 3), 3)]
+    with pytest.raises(DimensionGuardExceeded, match="sector block of 243 entries"):
+        _projector_residual(gates, (1, 2), ("0", 3))
+
+
 def test_projector_residual_on_one_space_is_zero_unless_a_gate_is_not_finite():
     # A_1 = 1: the residual is 0 without applying the gates, and a
     # non-finite gate still fails the report
-    from wkit.tensor import _projector_residual
     rng = np.random.default_rng(41)
     gates = [LabeledTensor.from_matrix(rng.normal(size=(9, 9)) + 0j, labels, 3)
              for labels in [(1, "0"), (2, "0")]]
