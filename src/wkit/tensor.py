@@ -456,7 +456,8 @@ def _charge_sectors(gates, a_labels, rest):
                 else:
                     blocks = op(Q)
                     Y = np.matmul(blocks, Y[perm].reshape(len(blocks), N, -1)).reshape(R, -1)
-            yield Y[back], np.arange(R) * N + (last + weights[-1] * Q) % N, c * D + j
+            Y = Y[back]
+            yield Y, np.arange(R) * N + (last + weights[-1] * Q) % N, c * D + j
 
 
 def _projector_residual(gates, a_labels, rest) -> float:
@@ -483,6 +484,7 @@ def _projector_residual(gates, a_labels, rest) -> float:
         Ya, Va = (Y.reshape(N**k, -1), V) if rest else (Y, V[rows])
         num += np.linalg.norm(Va @ (Va.T @ Ya) - Ya) ** 2
         den += np.linalg.norm(Y) ** 2
+        del Y, Ya  # so that the next block is built without this one
     return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 
