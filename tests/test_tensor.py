@@ -397,6 +397,21 @@ def test_projector_residual_raises_on_gates_that_break_the_charge(a_labels):
         _projector_residual(gates, a_labels, rest)
 
 
+def test_projector_residual_with_negative_weights():
+    # gates that conserve x_a - x_0 give "0" the weight -1, and the kernel
+    # still gives the dense value; weights that conflict between gates, or
+    # A spaces of opposite weight, are refused
+    labels, N = (1, 2, "0"), 3
+    gates = [rnd_conserving((1, "0"), N, -1), rnd_conserving((2, "0"), N, -1)]
+    dense = _dense_projector_residual(gates, labels, (1, 2))
+    assert dense > 0.1
+    assert abs(_projector_residual(gates, (1, 2), ("0",)) - dense) <= 1e-12 * dense
+    with pytest.raises(ChargeViolation, match="opposite"):
+        _projector_residual(gates, ("0", 2), (1,))
+    with pytest.raises(ChargeViolation, match=r"gate on \(1, 2\)"):
+        _projector_residual(gates + [rnd_conserving((1, 2), N, -1)], (1, 2), ("0",))
+
+
 def fusion_gate_lists(N, k, kp):
     """Every gate list `check_fusion_identities` builds, by name, with its
     A spaces and rest spaces, from the same R-hat builds."""
