@@ -122,6 +122,8 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
         raise ConfigError(f"grid: {exc}") from exc
 
     seed = _typed(cfg, "configuration", "seed", 7, _INT)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     tols = cfg.get("tolerances", {})
     if not isinstance(tols, dict):

@@ -16,6 +16,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ModulusOutOfRange
 
 _I_PI = 1j * cmath.pi
@@ -130,3 +132,10 @@ def z_of(xi: complex) -> complex:
 def centred_ladder(k: int) -> list:
     """The centred half-integer ladder (1-k)/2, (3-k)/2, ..., (k-1)/2."""
     return [(2 * i - k - 1) / 2.0 for i in range(1, k + 1)]
+
+
+def _charges(N: int, m: int) -> np.ndarray:
+    """The Z_N charge sum_i x_i mod N of every index tuple x of m spaces, in
+    row-major order: the charge Rhat conserves on its two spaces, and the
+    one the tensor layer's charge sectors hold."""
+    return np.indices((N,) * m).reshape(m, N**m).sum(axis=0) % N

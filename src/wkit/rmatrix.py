@@ -44,7 +44,7 @@ import functools
 import numpy as np
 
 from .errors import ModulusOutOfRange, PoleHit
-from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
+from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, _charges, xi_of
 from .qseries import _pp, kappa_inv, pochhammer2, theta_char_sums
 from .tensor import LabeledTensor
 
@@ -137,7 +137,7 @@ class RMatrixFactory:
         # I_alpha (x) I_alpha^{-1} has entries only at rows (i, j) and
         # columns (i + a1, j - a1), where the charge i + j mod N is
         # conserved; there it is omega^(a2 (i - j + a1))
-        charge = np.add.outer(a, a).ravel() % N
+        charge = _charges(N, 2)
         self._w_at = np.flatnonzero(charge[:, None] == charge[None, :])
         rows, cols = np.divmod(self._w_at, N * N)
         i, j = np.divmod(rows, N)
@@ -243,9 +243,8 @@ def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
     """Largest forbidden entry relative to the largest entry: entry
     ((i,j),(k,l)) must vanish unless i + j = k + l mod N."""
     scale = np.abs(mat).max()
-    charge = np.add.outer(np.arange(N), np.arange(N)).ravel() % N
-    forbidden = charge[:, None] != charge[None, :]
-    largest = np.abs(mat[forbidden]).max()
+    charge = _charges(N, 2)
+    largest = np.abs(mat[charge[:, None] != charge[None, :]]).max()
     return largest / scale if scale > 0 else 0.0
 
 

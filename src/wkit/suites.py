@@ -429,8 +429,11 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
 
     chains = (
         ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k", on_aux(mats[:k])),
+        # (R1^-1)^t0 ... (Rk^-1)^t0 = (Rk^-1 ... R1^-1)^t0, and transposing
+        # space 0 commutes with A_k (x) 1 and keeps the Frobenius norm, so
+        # the reversed untransposed chain has the same residual
         ("chain_t0_inv", "(Rhat^{-1})^{t0} descending-argument chain, one-sided projector",
-         [g.partial_transpose("0") for g in on_aux(invs[:k])]),
+         on_aux(invs[:k])[::-1]),
         ("chain_inv", "Rhat^{-1}_{1,0}(x)...Rhat^{-1}_{k,0}(x q^{k-1}) A_k = A_k (...) A_k",
          on_aux(invs[k:])),
     )
@@ -790,7 +793,7 @@ def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10) -> CheckReport:
     coeffs = np.poly(eigs)  # monic char poly: e_k = (-1)^k coeffs[k]
     ek = complex((-1) ** k * coeffs[k])
     res = abs(val - ek)
-    vanishes = (m * k) % N != 0
+    vanishes = not survives_selection_rule(k, m, 0, N)
     if vanishes:
         res = worst((res, abs(val)))  # must also be zero outright
     return clock.report(

@@ -19,9 +19,9 @@ give tr_{1..k}(X A_k), the one trace against A_k.
 The projector residuals ||X A - A X A|| of the fusion identities use the
 Z_N grading of Belavin's R-matrix: Rhat conserves the charge x_a + x_b
 mod N, so only N^3 of its N^4 entries are nonzero.  `_projector_residual`
-reads a charge weight per space from the gates' exact zeros (refusing a
-gate that breaks it), holds the columns v_c (x) e_j of one total charge on
-the N^(n-1) rows of their sector, and applies each two-space gate there
+checks that every gate conserves the one charge sum_i x_i mod N (refusing
+a gate that breaks it), holds the columns v_c (x) e_j of one total charge
+on the N^(n-1) rows of their sector, and applies each two-space gate there
 as one gather and one batched matmul of N x N blocks.
 
 Every dense allocation goes through one guard: it may hold at most
@@ -40,7 +40,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
-from .params import centred_ladder, xi_of
+from .params import _charges, centred_ladder, xi_of
 from .qseries import _store
 
 _DEFAULT_MAX_DIM = 10_000
@@ -232,6 +232,7 @@ def antisym_trace(gates, k: int, rest=()) -> np.ndarray:
     V = antisymmetrizer(k, N).basis
     labels = tuple(range(1, k + 1)) + tuple(rest)
     D = N ** len(rest)
+    _guard(V.size * D * D, "block")  # before np.kron allocates it
     block = np.kron(V, np.eye(D)).reshape((N,) * len(labels) + (-1,))
     Y = apply_gates(gates, labels, block)
     return np.einsum("ac,aicj->ij", V, Y.reshape(N**k, D, V.shape[1], D))
@@ -319,59 +320,23 @@ def fused_R(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> Lab
 _BLOCK_ENTRIES = 2**20  # entries of one block of sector columns in _projector_residual (16 MB)
 
 
-def _charges(N: int, weights) -> np.ndarray:
-    """sum_i weights[i] x_i mod N for every index tuple x of len(weights)
-    spaces, in row-major order."""
-    m = len(weights)
-    return (np.asarray(weights, dtype=int) @ np.indices((N,) * m).reshape(m, N**m)) % N
-
-
-def _conserves(gate: LabeledTensor, weights) -> bool:
-    """True if every nonzero entry of `gate` joins two states of its spaces
-    with the same charge, the spaces weighted by `weights`."""
-    ch = _charges(gate.N, weights)
-    return not gate.data[ch[:, None] != ch[None, :]].any()
-
-
-def _charge_weights(gates, labels, a_labels) -> dict:
-    """A weight w = +-1 per space of `labels` such that every gate conserves
-    sum_i w_i x_i mod N, x_i the index on space i, read from the exact zeros
-    of the gates: Rhat and its inverse conserve x_a + x_b, their transposes
-    on one space x_a - x_b.  Each space of `a_labels` gets +1, so the columns
-    of V carry one charge each.  Raises ChargeViolation if no such weights
-    exist: the sector kernel never drops an entry."""
-    N, links = gates[0].N, []  # (a, b, s): the gate on (a, b) needs w_b = s w_a
+def _require_conserved(gates):
+    """Raise ChargeViolation unless every nonzero entry of every gate joins
+    two states of its spaces with the same charge (`_charges`): Rhat and its
+    inverse conserve x_a + x_b, a diagonal one-space gate x_a.  The sector
+    kernel never drops an entry."""
     for g in gates:
-        if len(g.labels) == 2:
-            signs = [s for s in (1, -1) if _conserves(g, (1, s))]
-            if len(signs) == 1:
-                links.append((*g.labels, signs[0]))
-    w = {}
-    for start in labels:  # a_labels first, so each A space that starts a component gets +1
-        if start in w:
-            continue
-        w[start], grew = 1, True
-        while grew:
-            grew = False
-            for a, b, s in links:
-                for u, v in ((a, b), (b, a)):
-                    if u in w and v not in w:
-                        w[v], grew = s * w[u], True
-    for g in gates:
-        if not _conserves(g, [w[l] for l in g.labels]):
-            raise ChargeViolation(f"gate on {g.labels} does not conserve a Z_{N} charge "
-                                  f"consistent with the other gates")
-    if any((w[a] - 1) % N for a in a_labels):
-        raise ChargeViolation(f"the gates give the spaces {tuple(a_labels)} of A_k "
-                              f"opposite Z_{N} weights")
-    return w
+        ch = _charges(g.N, len(g.labels))
+        if g.data[ch[:, None] != ch[None, :]].any():
+            raise ChargeViolation(f"gate on {g.labels} does not conserve the Z_{g.N} "
+                                  f"charge sum_i x_i mod {g.N}")
 
 
-def _gate_step(gate: LabeledTensor, labels, w, digits: np.ndarray):
+def _gate_step(gate: LabeledTensor, labels, digits: np.ndarray):
     """One gate as a step on the rows of the charge sectors.  `digits`
     holds, in the rows' current order, the index of each row on each space
     of `labels` in the sector Q = 0; in the sector Q the index on the last
-    space is shifted by w_last Q, and every other index is the same.
+    space is shifted by Q, and every other index is the same.
 
     Returns (perm, op): gather the rows by `perm` (None: keep them), then
     multiply by op(Q).  A one-space gate is diagonal, so op(Q) is a factor
@@ -383,12 +348,12 @@ def _gate_step(gate: LabeledTensor, labels, w, digits: np.ndarray):
     N, last = gate.N, len(labels) - 1
     x = np.arange(N)
     pos = [labels.index(l) for l in gate.labels]
-    shift = [w[labels[last]] if p == last else 0 for p in pos]  # per unit of Q
+    shift = int(pos[0] == last)  # x_a moves by Q
     if len(pos) == 1:
         d = np.diagonal(gate.data)
-        return None, lambda Q: d[(digits[pos[0]] + shift[0] * Q) % N][:, None]
-    (pa, pb), (wa, wb) = pos, (w[l] for l in gate.labels)
-    c = (wa * digits[pa] + wb * digits[pb]) % N
+        return None, lambda Q: d[(digits[pos[0]] + shift * Q) % N][:, None]
+    pa, pb = pos
+    c = (digits[pa] + digits[pb]) % N
     # within a sector the last of the other spaces is fixed by the rest, so
     # the orbits of one pair charge are ranked by the remaining indices
     others = [p for p in range(last + 1) if p not in pos][:-1]
@@ -397,11 +362,11 @@ def _gate_step(gate: LabeledTensor, labels, w, digits: np.ndarray):
     order = (c * N + digits[pa]) * N ** len(others) + orbit
     perm = np.empty_like(order)
     perm[order] = np.arange(len(order))
-    xb = wb * (x[:, None] - wa * x) % N  # the partner of x_a at pair charge c
+    xb = (x[:, None] - x) % N  # the partner of x_a at pair charge c
     B = gate.data.reshape((N,) * 4)[x[None, :, None], xb[:, :, None], x[None, None, :], xb[:, None, :]]
     touches = int(last in pos)  # the pair charge of every row moves by Q
-    return perm, lambda Q: B[np.ix_((cs + touches * Q) % N, (x + shift[0] * Q) % N,
-                                    (x + shift[0] * Q) % N)]
+    return perm, lambda Q: B[np.ix_((cs + touches * Q) % N, (x + shift * Q) % N,
+                                    (x + shift * Q) % N)]
 
 
 def _charge_sectors(gates, a_labels, rest):
@@ -410,9 +375,9 @@ def _charge_sectors(gates, a_labels, rest):
     the full rows `rows` (indices in N^n over the spaces a_labels + rest),
     the rest of those columns being 0.
 
-    Every gate conserves a Z_N charge (`_charge_weights`), so each column
-    stays in the sector of its total charge Q, the N^(n-1) rows whose
-    weighted index sum is Q.  The columns of one Q are held on those rows
+    Every gate conserves the Z_N charge (`_require_conserved`), so each
+    column stays in the sector of its total charge Q, the N^(n-1) rows whose
+    index sum is Q mod N.  The columns of one Q are held on those rows
     only, a block of at most _BLOCK_ENTRIES entries at a time, and the gates
     act inside the sector (`_gate_step`); the row orders of the gates are
     computed once, for Q = 0, and serve every sector.  Y's rows come back in
@@ -425,21 +390,20 @@ def _charge_sectors(gates, a_labels, rest):
             raise LabelMismatch(f"gate on {g.labels} outside the spaces {labels}")
         if len(g.labels) > 2:
             raise LabelMismatch(f"gate on {g.labels}: the sector kernel takes one or two spaces")
-    w = _charge_weights(gates, labels, a_labels)
-    weights = [w[l] for l in labels]
+    _require_conserved(gates)
     V = antisymmetrizer(k, N).basis
     cz, az = np.nonzero(V.T)  # the k! nonzeros of each column of V
     az = az.reshape(V.shape[1], -1)
     vals = V[az, cz.reshape(az.shape)]
     D = N ** len(rest)
-    col_charge = (_charges(N, [1] * k)[az[:, 0]][:, None] + _charges(N, weights[k:])) % N
+    col_charge = (_charges(N, k)[az[:, 0]][:, None] + _charges(N, n - k)) % N
     R, width = N ** (n - 1), max(1, _BLOCK_ENTRIES // N ** (n - 1))
     # the index table of the sector's rows and one block of its columns
     _guard(R * max(n, min(width, np.bincount(col_charge.ravel()).max())), "sector block")
-    last = weights[-1] * -_charges(N, weights[:-1]) % N  # the last index in the sector Q = 0
+    last = -_charges(N, n - 1) % N  # the last index in the sector Q = 0
     digits, steps = np.vstack((np.indices((N,) * (n - 1)).reshape(n - 1, R), last)), []
     for g in reversed(gates):
-        steps.append(_gate_step(g, labels, w, digits))
+        steps.append(_gate_step(g, labels, digits))
         if steps[-1][0] is not None:
             digits = digits[:, steps[-1][0]]
     back = np.empty(R, dtype=np.intp)
@@ -457,7 +421,7 @@ def _charge_sectors(gates, a_labels, rest):
                     blocks = op(Q)
                     Y = np.matmul(blocks, Y[perm].reshape(len(blocks), N, -1)).reshape(R, -1)
             Y = Y[back]
-            yield Y, np.arange(R) * N + (last + weights[-1] * Q) % N, c * D + j
+            yield Y, np.arange(R) * N + (last + Q) % N, c * D + j
 
 
 def _projector_residual(gates, a_labels, rest) -> float:

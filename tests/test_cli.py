@@ -167,6 +167,7 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"grid": {"from": math.nan}},
     {"tolerances": {"n0": math.inf}},
     {"params": {"N": 2}, "suites": ["n0"], "tolerances": {"nO": 1e-30}},  # misspelt suite
+    {"params": {"N": 2}, "suites": ["theta-identities"], "seed": -3},
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"

@@ -14,7 +14,6 @@ from wkit.suites import check_fusion_identities, check_M_derivative
 from wkit.tensor import (
     Antisymmetrizer,
     _charge_sectors,
-    _charge_weights,
     _projector_residual,
     antisym_trace,
     apply_gates,
@@ -163,6 +162,19 @@ def test_compose_guard_before_allocating(monkeypatch):
     with pytest.raises(DimensionGuardExceeded, match="16 x 16 operator of 256 entries"):
         compose([gate], (1, 2, 3, 4))
     assert allocated == []
+
+
+def test_antisym_trace_guard_before_kron(monkeypatch):
+    # the block V (x) 1 of A_2 at N = 3 with one rest space holds
+    # 9 x 3 x 3^2 = 243 entries: admitted under 16^2, and under 15^2 refused
+    # before np.kron allocates it
+    gates = [rnd((1, "0"), 3), rnd((2, "0"), 3)]
+    monkeypatch.setenv("WKIT_MAX_DIM", "16")
+    assert antisym_trace(gates, 2, rest=("0",)).shape == (3, 3)
+    monkeypatch.setenv("WKIT_MAX_DIM", "15")
+    monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("np.kron ran before the guard"))
+    with pytest.raises(DimensionGuardExceeded, match="block of 243 entries"):
+        antisym_trace(gates, 2, rest=("0",))
 
 
 def test_dense_constructors_respect_guard(monkeypatch):
@@ -397,19 +409,12 @@ def test_projector_residual_raises_on_gates_that_break_the_charge(a_labels):
         _projector_residual(gates, a_labels, rest)
 
 
-def test_projector_residual_with_negative_weights():
-    # gates that conserve x_a - x_0 give "0" the weight -1, and the kernel
-    # still gives the dense value; weights that conflict between gates, or
-    # A spaces of opposite weight, are refused
-    labels, N = (1, 2, "0"), 3
-    gates = [rnd_conserving((1, "0"), N, -1), rnd_conserving((2, "0"), N, -1)]
-    dense = _dense_projector_residual(gates, labels, (1, 2))
-    assert dense > 0.1
-    assert abs(_projector_residual(gates, (1, 2), ("0",)) - dense) <= 1e-12 * dense
-    with pytest.raises(ChargeViolation, match="opposite"):
-        _projector_residual(gates, ("0", 2), (1,))
-    with pytest.raises(ChargeViolation, match=r"gate on \(1, 2\)"):
-        _projector_residual(gates + [rnd_conserving((1, 2), N, -1)], (1, 2), ("0",))
+def test_projector_residual_refuses_a_difference_charge():
+    # the one charge is sum_i x_i mod N: at N = 3 a gate that conserves
+    # x_a - x_b instead is refused, not given a weight -1 on one space
+    gates = [rnd_conserving((1, "0"), 3), rnd_conserving((2, "0"), 3, -1)]
+    with pytest.raises(ChargeViolation, match=r"gate on \(2, '0'\)"):
+        _projector_residual(gates, (1, 2), ("0",))
 
 
 def fusion_gate_lists(N, k, kp):
@@ -424,7 +429,7 @@ def fusion_gate_lists(N, k, kp):
     inv_gates = [g.inv() for g in reversed(gates)]
     return {
         "chain": (R, aux, ("0",)),
-        "chain_t0_inv": ([r.inv().partial_transpose("0") for r in R], aux, ("0",)),
+        "chain_t0_inv": ([r.inv() for r in reversed(R)], aux, ("0",)),
         "chain_inv": (Rinv, aux, ("0",)),
         "fused_rows": (gates, rows, cols),
         "fused_cols": (gates, cols, rows),
@@ -452,17 +457,22 @@ def test_charge_sectors_match_the_kron_block(N, k, kp):
                    - kron_block_residual(gates, a_labels, rest)) <= 1e-13, name
 
 
-@pytest.mark.parametrize("N", [3, 4, 5])
-def test_charge_weights_of_the_chains(N):
-    # Rhat conserves x_a + x_0; its inverse transposed on "0" conserves
-    # x_a - x_0, so "0" gets the weight -1 there
-    gate_lists = fusion_gate_lists(N, 2, 2)
-    for name, expected in [("chain", 1), ("chain_inv", 1), ("chain_t0_inv", -1)]:
-        gates, aux, rest = gate_lists[name]
-        w = _charge_weights(gates, aux + rest, aux)
-        assert w == {1: 1, 2: 1, "0": expected}, name
-    gates, rows, cols = gate_lists["fused_rows"]
-    assert set(_charge_weights(gates, rows + cols, rows).values()) == {1}
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_t0_inverse_chain_is_the_reversed_inverse_chain(N):
+    # (R1^-1)^t0 ... (Rk^-1)^t0 = (Rk^-1 ... R1^-1)^t0, and transposing "0"
+    # commutes with A_k (x) 1 and keeps the norm: the reversed inverse chain
+    # that `check_fusion_identities` passes has the transposed chain's
+    # residual.  The transposed gates conserve x_a - x_0, which is the one
+    # charge x_a + x_0 only at N = 2
+    reversed_chain, aux, rest = fusion_gate_lists(N, min(N, 3), 2)["chain_t0_inv"]
+    transposed = [g.partial_transpose("0") for g in reversed(reversed_chain)]
+    oracle = kron_block_residual(transposed, aux, rest)
+    assert abs(_projector_residual(reversed_chain, aux, rest) - oracle) <= 1e-13
+    if N == 2:
+        assert abs(_projector_residual(transposed, aux, rest) - oracle) <= 1e-13
+    else:
+        with pytest.raises(ChargeViolation):
+            _projector_residual(transposed, aux, rest)
 
 
 def test_one_off_charge_entry_raises():
