@@ -54,7 +54,6 @@ from .tensor import (
     _projector_residual,
     antisym_trace,
     antisymmetrizer,
-    apply_gates,
     col_labels,
     compose,
     fused_gates,
@@ -68,7 +67,6 @@ from .wgen import (
     EvalRep,
     SurfaceSpec,
     _exchange_prefactor_tL,
-    _on_each,
     _qdet_matrices,
     _scalar_residual,
     alpha_fraction,
@@ -495,15 +493,12 @@ def suite_fusion_identities(ctx: SuiteContext) -> list[CheckReport]:
     # subspace; together they give V V^T = A_k
     clock = Stopwatch()
     resids = []
-    swap = permutation_operator((1, 0), pr.N)
     for k in range(1, pr.N + 1):
         A = antisymmetrizer(k, pr.N)
         V = A.basis
         resids.append(np.abs(V.T @ V - np.eye(A.rank)).max())
         block = V.reshape((pr.N,) * k + (-1,))
-        for i in range(k - 1):
-            gate = LabeledTensor.from_matrix(swap, (i, i + 1), pr.N)
-            resids.append(np.abs(apply_gates([gate], range(k), block) + block).max())
+        resids.extend(np.abs(np.swapaxes(block, i, i + 1) + block).max() for i in range(k - 1))
         resids.append(0.0 if A.rank == math.comb(pr.N, k) else 1.0)
     out.append(clock.report(
         suite="fusion-identities", check="antisymmetrizer-projectors",
@@ -755,7 +750,7 @@ def check_trace_MA(N: int, m: int, tolerance: float = 1e-10) -> CheckReport:
     """tr_{1..N}( MM A_N ) = det(M)."""
     clock = Stopwatch()
     M = ZnMatrices(N).M_power(m)
-    lhs = complex(antisym_trace(_on_each(M, N), N)[0, 0])
+    lhs = complex(antisym_trace(N, lefts=[M] * N)[0, 0])
     det = complex(np.linalg.det(M))
     res = abs(lhs - det) / max(abs(det), 1e-300)
     return clock.report(
@@ -788,7 +783,7 @@ def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10) -> CheckReport:
     m k = 0 mod N."""
     clock = Stopwatch()
     M = ZnMatrices(N).M_power(m)
-    val = complex(antisym_trace(_on_each(M, k), k)[0, 0])
+    val = complex(antisym_trace(N, lefts=[M] * k)[0, 0])
     eigs = np.linalg.eigvals(M)
     coeffs = np.poly(eigs)  # monic char poly: e_k = (-1)^k coeffs[k]
     ek = complex((-1) ** k * coeffs[k])

@@ -2,19 +2,16 @@
 
 A LabeledTensor is a dense complex operator on an ordered list of labeled
 N-dimensional spaces.  `@` and `-` combine operators on the same set of
-spaces, reordering the right operand to the left one's order.  A product
-of factors on different spaces, such as the two-space R-factors of the
-multi-space identities, is `apply_gates`: it applies the factors one at a
-time to a block of vectors, and `compose` applies them to the identity
-block to give the product as a dense operator.  Partial transposes over
-named spaces act on one operator.
+spaces, reordering the right operand to the left one's order; `compose`
+multiplies factors on different spaces, such as the two-space R-factors,
+into one dense operator.  Partial transposes over named spaces act on one
+operator.
 
 The antisymmetrizer A_k is held only as the orthonormal basis V of its
-image, A_k = V V^T with C(N,k) columns.  Identities that only act on
-im A_k are evaluated without forming an operator on all the spaces:
-`apply_gates` applies a product of small factors to a block of vectors
-such as V (x) 1, and `antisym_trace` contracts the result against V to
-give tr_{1..k}(X A_k), the one trace against A_k.
+image, A_k = V V^T with C(N,k) columns.  `antisym_trace`, the one trace
+against A_k, runs on Lambda^k, the antisymmetric auxiliary space of the
+fusion procedure (Kulish, Reshetikhin, Sklyanin, Lett. Math. Phys. 5
+(1981) 393), and never on the N^k rows of V.
 
 The projector residuals ||X A - A X A|| of the fusion identities use the
 Z_N grading of Belavin's R-matrix: Rhat conserves the charge x_a + x_b
@@ -45,6 +42,7 @@ from .qseries import _store
 
 _DEFAULT_MAX_DIM = 10_000
 _BASES = {}  # (k, N) -> the read-only basis V of im A_k
+_STEPS = {}  # (j, N) -> the read-only step B_j from V_{j-1} (x) 1 to V_j
 
 
 def _max_dim() -> int:
@@ -80,13 +78,6 @@ class LabeledTensor:
             )
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def identity(cls, labels, N: int) -> "LabeledTensor":
-        labels = tuple(labels)
-        D = N ** len(labels)
-        _guard(D * D, f"{D} x {D} operator")
-        return cls(labels, N, np.eye(D, dtype=complex))
 
     @classmethod
     def from_matrix(cls, matrix, labels, N: int) -> "LabeledTensor":
@@ -221,55 +212,75 @@ def antisymmetrizer(k: int, N: int) -> Antisymmetrizer:
     return Antisymmetrizer(k, N, V)
 
 
-def antisym_trace(gates, k: int, rest=()) -> np.ndarray:
-    """tr_{1..k}(X A_k) for X = prod(gates) on the spaces 1..k and the
-    spaces `rest`, as an N^len(rest) square matrix.
+def _basis_step(j: int, N: int) -> np.ndarray:
+    """B_j = (V_{j-1} (x) 1)^T V_j for the bases V of `antisymmetrizer` and
+    V_0 = 1, so V_j = (V_{j-1} (x) 1) B_j: column g_1 < ... < g_j holds
+    (-1)^(j-i) / sqrt(j) in row (g without g_i, g_i), i = 1..j.  Built from
+    index arithmetic, cached read-only per (j, N)."""
+    a, c = math.comb(N, j - 1), math.comb(N, j)
+    _guard(a * N * c, "antisymmetrizer step")
+    B = _STEPS.get((j, N))
+    if B is None:
+        rows = {g: r for r, g in enumerate(combinations(range(N), j - 1))}
+        B = np.zeros((a * N, c))
+        for col, g in enumerate(combinations(range(N), j)):
+            for i in range(j):
+                B[rows[g[:i] + g[i + 1:]] * N + g[i], col] = (-1) ** (j - 1 - i) / math.sqrt(j)
+        B.flags.writeable = False
+        B = _store(_STEPS, (j, N), B)
+    return B
 
-    With A_k = V V^T (V real) this is sum_c (v_c^T (x) 1) X (v_c (x) 1),
-    so X is applied gate by gate to the C(N,k) N^len(rest) columns
-    v_c (x) e_j and never formed."""
-    N = gates[0].N
-    V = antisymmetrizer(k, N).basis
-    labels = tuple(range(1, k + 1)) + tuple(rest)
-    D = N ** len(rest)
-    _guard(V.size * D * D, "block")  # before np.kron allocates it
-    block = np.kron(V, np.eye(D)).reshape((N,) * len(labels) + (-1,))
-    Y = apply_gates(gates, labels, block)
-    return np.einsum("ac,aicj->ij", V, Y.reshape(N**k, D, V.shape[1], D))
+
+def antisym_trace(N: int, lefts=None, rights=None) -> np.ndarray:
+    """tr_{1..k}(X_k A_k), a D x D matrix on the rest spaces, for
+    X_j = l_j (X_{j-1} (x) 1_j) r_j and X_0 = 1: lefts[j-1] = l_j and
+    rights[j-1] = r_j act on space j (x) rest, and a missing stack is 1.
+
+    C_j = V_j^T X_j V_j = B_j^T l_j (C_{j-1} (x) 1_j) r_j B_j (`_basis_step`),
+    since l_j and r_j commute with V_{j-1}^T, and the trace is
+    tr_{Lambda^k} C_k.  Each step is reshapes and stacked matmuls, and the
+    largest array of every step passes the entry guard before any runs."""
+    k, d = next((len(s), s[0].shape[-1]) for s in (lefts, rights) if s is not None)
+    D, ones = d // N, [np.eye(d)] * k
+    for j in range(1, k + 1):  # the blocks of B^T l, r B and their products
+        a, c = math.comb(N, j - 1), math.comb(N, j)
+        _guard(N * max(a, c) * c * D * D, f"Lambda^{j} step")
+    C = np.eye(D, dtype=complex)
+    for l, r, j in zip(ones if lefts is None else lefts, ones if rights is None else rights,
+                       range(1, k + 1)):
+        B = _basis_step(j, N)
+        a, c = B.shape[0] // N, B.shape[1]
+        B = B.reshape(a, N, c)  # (alpha in Lambda^{j-1}, x on space j, g in Lambda^j)
+        # B^T l and r B, one block per x: rows (g, rho) and columns (alpha, rho'),
+        # and rows (alpha, rho') and columns (g, sigma)
+        Bl = np.matmul(B.transpose(0, 2, 1), l.reshape(N, -1))  # (alpha, g, rho, x, rho')
+        Bl = Bl.reshape(a, c, D, N, D).transpose(3, 1, 2, 0, 4).reshape(N, c * D, a * D)
+        rB = np.matmul(r.reshape(N, D, N, D).transpose(0, 1, 3, 2).reshape(N, D * D, N),
+                       B.transpose(1, 0, 2).reshape(N, a * c))  # (x, rho', sigma, alpha, g)
+        rB = rB.reshape(N, D, D, a, c).transpose(0, 3, 1, 4, 2).reshape(N, a * D, c * D)
+        C = np.matmul(Bl, np.matmul(C, rB)).sum(axis=0)
+    return np.trace(C.reshape(c, D, c, D), axis1=0, axis2=2)
 
 
-def apply_gates(gates, labels, block: np.ndarray) -> np.ndarray:
-    """(gates[0] @ gates[1] @ ...) applied to `block`, the last gate first.
-
-    `block` has shape (N,)*n + (r,): axis i is the space labels[i], the
-    last axis counts r vectors.  Each gate is a LabeledTensor on some of
-    those spaces and costs one tensordot; the N^n x N^n product is never
-    formed.  The block's N^n r entries go through the entry guard."""
+def compose(gates, labels) -> LabeledTensor:
+    """gates[0] @ gates[1] @ ... as a dense operator on `labels`, each gate
+    acting on some of those spaces.  The gates are applied to the identity
+    block, the last first and one tensordot each, so no gate is widened to
+    all the spaces."""
     labels = tuple(labels)
-    N, n = block.shape[0], len(labels)
-    if block.shape[:-1] != (N,) * n:
-        raise LabelMismatch(f"block of shape {block.shape} does not match {n} spaces")
-    _guard(block.size, "block")
+    N, n = gates[0].N, len(labels)
+    D = N**n
+    _guard(D * D, f"{D} x {D} operator")
+    block = np.eye(D, dtype=complex).reshape((N,) * n + (D,))
     for gate in reversed(gates):
         if not set(gate.labels) <= set(labels):
-            raise LabelMismatch(f"gate on {gate.labels} outside the block's {labels}")
+            raise LabelMismatch(f"gate on {gate.labels} outside the spaces {labels}")
         m = len(gate.labels)
         axes = [labels.index(l) for l in gate.labels]
         out = np.tensordot(gate.data.reshape((N,) * (2 * m)), block,
                            axes=(list(range(m, 2 * m)), axes))
         block = np.moveaxis(out, list(range(m)), axes)
-    return block
-
-
-def compose(gates, labels) -> LabeledTensor:
-    """gates[0] @ gates[1] @ ... as a dense operator on `labels`, each gate
-    acting on some of those spaces: `apply_gates` on the identity block."""
-    labels = tuple(labels)
-    N = gates[0].N
-    D = N ** len(labels)
-    _guard(D * D, f"{D} x {D} operator")
-    block = np.eye(D, dtype=complex).reshape((N,) * len(labels) + (D,))
-    return LabeledTensor(labels, N, apply_gates(gates, labels, block).reshape(D, D))
+    return LabeledTensor(labels, N, block.reshape(D, D))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ The spin-(k+1) generator is the trace
 with z_i = q^{i-1-(k-1)/2} z, MM / MMt products of per-space twists
 M = GH^{-m}, Mt = GH^{-n}, and A_k the antisymmetrizer.  Every trace
 against A_k (t^{(k)} and the quantum determinant here, the twist traces
-of the `qdet` and `n0` suites) is `tensor.antisym_trace`: the factors are
-applied to the basis of im A_k, and no operator on all the spaces is
-formed.
+of the `qdet` and `n0` suites) is `tensor.antisym_trace` of per-space
+factor stacks (`build_Q`), run on Lambda^k; no operator on all the spaces
+is formed.
 
 The 2k Lax factors of t^{(k)}(z) come from one batched build
 (`EvalRep.lax` at `lax_points`), and the k inverted ones are checked and
@@ -40,7 +40,7 @@ from .errors import NoSolution, SingularLax
 from .params import EllipticParams, TruncationPolicy, centred_ladder, xi_of
 from .qseries import F_a
 from .rmatrix import RMatrixFactory
-from .tensor import LabeledTensor, antisym_trace
+from .tensor import antisym_trace
 
 QUANTUM = "0"
 
@@ -111,11 +111,6 @@ class EvalRep:
         return self.factory.rhat_matrices(np.asarray(xis, dtype=complex) - self.xi_a)
 
 
-def _on_each(M: np.ndarray, k: int) -> list:
-    """M as a one-space gate on each of the spaces 1..k."""
-    return [LabeledTensor.from_matrix(M, (i,), M.shape[0]) for i in range(1, k + 1)]
-
-
 def lax_points(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> np.ndarray:
     """The 2k additive points of the Lax factors of Q_{1..k}(z), in the
     order `build_Q` takes them: L_k ... L_1 on the ladder moved by (s*)^n
@@ -124,12 +119,13 @@ def lax_points(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> np.nda
     return np.concatenate((ladder[::-1] + surface.n * rep.factory.s_star_shift, ladder))
 
 
-def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None) -> list:
-    """The factors of the untraced operator Q_{1..k}(z) (everything of
-    t^{(k)} before multiplying by A_k and tracing), leftmost first; the
-    product itself is never formed.  `lax` is the stack of its Lax factors
-    at `lax_points`, built here in one call if not given; the k inverted
-    ones are checked and inverted as one stack."""
+def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None):
+    """The untraced operator Q_{1..k}(z) (t^{(k)} before A_k and the trace)
+    as the two stacks of `antisym_trace`, l_j = (M (x) 1) L_j(s*^n z_j) and
+    r_j = (Mt (x) 1) L_j(z_j)^{-1}: a twist on space j commutes with every
+    L_i, i != j.  `lax` is the stack of Lax factors at `lax_points`, built
+    here in one call if not given; the k inverted ones are checked and
+    inverted as one stack."""
     xis = lax_points(k, z, surface, rep)
     mats = rep.lax(xis) if lax is None else lax
     conds = np.linalg.cond(mats[k:])
@@ -137,16 +133,13 @@ def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None) ->
     if bad.size:
         raise SingularLax(f"L at xi = {complex(xis[k + bad[0]])} has condition number "
                           f"{conds[bad[0]]:.3g}")
-    invs = np.linalg.inv(mats[k:])
-    zn = rep.factory.zn
+    N, zn = rep.N, rep.factory.zn
 
-    def on(mat, i):
-        return LabeledTensor.from_matrix(mat, (i, QUANTUM), rep.N)
+    def twisted(M, stack):  # (M (x) 1) @ each matrix of stack
+        return (M @ stack.reshape(k, N, -1)).reshape(stack.shape)
 
-    return (_on_each(zn.M_power(surface.m), k)
-            + [on(mats[k - i], i) for i in range(k, 0, -1)]
-            + _on_each(zn.M_power(surface.n), k)
-            + [on(invs[i - 1], i) for i in range(1, k + 1)])
+    return (twisted(zn.M_power(surface.m), mats[k - 1::-1]),
+            twisted(zn.M_power(surface.n), np.linalg.inv(mats[k:])))
 
 
 def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None) -> np.ndarray:
@@ -154,7 +147,7 @@ def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None) ->
     if not 1 <= k <= rep.N:
         raise ValueError(f"need 1 <= k <= N, got k = {k}")
     surface.params.require_elliptic()
-    return antisym_trace(build_Q(k, z, surface, rep, lax), k, rest=(QUANTUM,))
+    return antisym_trace(rep.N, *build_Q(k, z, surface, rep, lax))
 
 
 def _exchange_prefactor_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
@@ -194,8 +187,7 @@ def _qdet_matrices(xi_tops, rep: EvalRep) -> list:
     N = rep.N
     points = np.asarray(xi_tops, dtype=complex)[:, None] - np.arange(N) * rep.params.zeta
     mats = rep.lax(points.ravel()).reshape(points.shape + (N * N, N * N))
-    return [antisym_trace([LabeledTensor.from_matrix(m, (i, QUANTUM), N) for i, m in enumerate(ms, 1)],
-                          N, rest=(QUANTUM,)) for ms in mats]
+    return [antisym_trace(N, rights=ms) for ms in mats]
 
 
 # ---------------------------------------------------------------------------

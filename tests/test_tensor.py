@@ -11,12 +11,13 @@ import pytest
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
 from wkit.suites import check_fusion_identities, check_M_derivative
+from wkit.wgen import EvalRep, build_Q, lax_points, resolve_surface
 from wkit.tensor import (
     Antisymmetrizer,
+    _basis_step,
     _charge_sectors,
     _projector_residual,
     antisym_trace,
-    apply_gates,
     col_labels,
     compose,
     fused_gates,
@@ -36,6 +37,10 @@ def rnd(labels, N=2):
         RNG.normal(size=(D, D)) + 1j * RNG.normal(size=(D, D)), labels, N)
 
 
+def rnd_stack(k, d):
+    return RNG.normal(size=(k, d, d)) + 1j * RNG.normal(size=(k, d, d))
+
+
 def params(N=2, q=0.5, p=0.3):
     return EllipticParams(N=N, q=q, s=cmath.sqrt(p))
 
@@ -52,6 +57,45 @@ def dense_on(t, labels):
 def dense_product(gates, labels):
     """gates[0] @ gates[1] @ ... on `labels`, by dense products."""
     return reduce(lambda X, g: X @ dense_on(g, labels), gates[1:], dense_on(gates[0], labels))
+
+
+def apply_gates(gates, labels, block: np.ndarray) -> np.ndarray:
+    """(gates[0] @ gates[1] @ ...) applied to `block`, the last gate first,
+    one tensordot each.  `block` has shape (N,)*n + (r,): axis i is the
+    space labels[i], the last axis counts r vectors.  The oracle for the
+    charge-sector kernel and, on the kron block, for `antisym_trace`."""
+    labels = tuple(labels)
+    N, n = block.shape[0], len(labels)
+    if block.shape[:-1] != (N,) * n:
+        raise LabelMismatch(f"block of shape {block.shape} does not match {n} spaces")
+    for gate in reversed(gates):
+        m = len(gate.labels)
+        axes = [labels.index(l) for l in gate.labels]
+        out = np.tensordot(gate.data.reshape((N,) * (2 * m)), block,
+                           axes=(list(range(m, 2 * m)), axes))
+        block = np.moveaxis(out, list(range(m)), axes)
+    return block
+
+
+def kron_block_trace(gates, k, rest=()):
+    """tr_{1..k}(X A_k) for X = prod(gates) on the spaces 1..k and `rest`:
+    X applied by `apply_gates` to all N^(k + len(rest)) rows of the block
+    V (x) 1, formed by np.kron, and contracted against V.  The oracle for
+    `antisym_trace`."""
+    N = gates[0].N
+    V = antisymmetrizer(k, N).basis
+    D = N ** len(rest)
+    block = np.kron(V, np.eye(D)).reshape((N,) * (k + len(rest)) + (-1,))
+    Y = apply_gates(gates, tuple(range(1, k + 1)) + tuple(rest), block)
+    return np.einsum("ac,aicj->ij", V, Y.reshape(N**k, D, V.shape[1], D))
+
+
+def stack_gates(lefts, rights, N):
+    """The factors of X_k = l_k ... l_1 r_1 ... r_k, each stack entry on
+    (space j, "0"), as a gate list, leftmost first."""
+    k = len(lefts)
+    return ([LabeledTensor.from_matrix(lefts[j - 1], (j, "0"), N) for j in range(k, 0, -1)]
+            + [LabeledTensor.from_matrix(rights[j - 1], (j, "0"), N) for j in range(1, k + 1)])
 
 
 def partial_trace(t, traced):
@@ -142,14 +186,15 @@ def test_label_mismatch_raises():
 
 
 def test_dimension_guard_and_override(monkeypatch):
+    gate = rnd((1, 2))
     monkeypatch.setenv("WKIT_MAX_DIM", "100")
     with pytest.raises(DimensionGuardExceeded):
-        LabeledTensor.identity(range(1, 8), 2)  # 128 > 100
+        compose([gate], range(1, 8))  # 128 > 100
     monkeypatch.setenv("WKIT_MAX_DIM", "200")
-    assert LabeledTensor.identity(range(1, 8), 2).data.shape == (128, 128)
+    assert compose([gate], range(1, 8)).data.shape == (128, 128)
     monkeypatch.delenv("WKIT_MAX_DIM")
     with pytest.raises(DimensionGuardExceeded):
-        LabeledTensor.identity(range(1, 16), 2)  # 32768 > default
+        compose([gate], range(1, 16))  # 32768 > default
 
 
 def test_compose_guard_before_allocating(monkeypatch):
@@ -164,26 +209,26 @@ def test_compose_guard_before_allocating(monkeypatch):
     assert allocated == []
 
 
-def test_antisym_trace_guard_before_kron(monkeypatch):
-    # the block V (x) 1 of A_2 at N = 3 with one rest space holds
-    # 9 x 3 x 3^2 = 243 entries: admitted under 16^2, and under 15^2 refused
-    # before np.kron allocates it
-    gates = [rnd((1, "0"), 3), rnd((2, "0"), 3)]
-    monkeypatch.setenv("WKIT_MAX_DIM", "16")
-    assert antisym_trace(gates, 2, rest=("0",)).shape == (3, 3)
-    monkeypatch.setenv("WKIT_MAX_DIM", "15")
-    monkeypatch.setattr(np, "kron", lambda *args: pytest.fail("np.kron ran before the guard"))
-    with pytest.raises(DimensionGuardExceeded, match="block of 243 entries"):
-        antisym_trace(gates, 2, rest=("0",))
+def test_antisym_trace_guard_before_its_largest_step(monkeypatch):
+    # step j at N = 4 with no rest space holds N max(C(4,j-1), C(4,j)) C(4,j)
+    # entries: 64, 144, 96 and 16.  The largest is admitted under 12^2; under
+    # 11^2 the trace is refused at j = 2 before the first step multiplies
+    lefts = [RNG.normal(size=(4, 4)) + 0j] * 4
+    monkeypatch.setenv("WKIT_MAX_DIM", "12")
+    assert antisym_trace(4, lefts).shape == (1, 1)
+    monkeypatch.setenv("WKIT_MAX_DIM", "11")
+    monkeypatch.setattr(np, "matmul", lambda *args: pytest.fail("a step ran before the guard"))
+    with pytest.raises(DimensionGuardExceeded, match="Lambda\\^2 step of 144 entries"):
+        antisym_trace(4, lefts)
 
 
 def test_dense_constructors_respect_guard(monkeypatch):
     # a dense operator is guarded by its dimension (8), the antisymmetrizer
     # basis by its N^k C(N,k) entries (8^2 = 64)
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
-    assert LabeledTensor.identity((1, 2, 3), 2).data.shape == (8, 8)  # at the guard
+    assert compose([rnd((1,))], (1, 2, 3)).data.shape == (8, 8)  # at the guard
     with pytest.raises(DimensionGuardExceeded):
-        LabeledTensor.identity((1, 2), 3)  # 9 > 8
+        compose([rnd((1,), 3)], (1, 2))  # 9 > 8
     with pytest.raises(DimensionGuardExceeded):
         permutation_operator((1, 0), 3)
     A = antisymmetrizer(2, 3)  # 9 x 3 = 27 entries
@@ -246,7 +291,7 @@ def test_antisym_trace_matches_permutation_sum(N):
     M = RNG.normal(size=(N, N)) + 1j * RNG.normal(size=(N, N))
     for k in range(1, N + 1):
         dense = np.trace(reduce(np.kron, [M] * k) @ dense_antisymmetrizer(k, N))
-        got = antisym_trace([LabeledTensor.from_matrix(M, (i,), N) for i in range(1, k + 1)], k)
+        got = antisym_trace(N, lefts=[M] * k)
         assert got.shape == (1, 1)
         assert abs(got[0, 0] - dense) <= 1e-13, (k, got[0, 0], dense)
 
@@ -255,11 +300,73 @@ def test_antisym_trace_matches_permutation_sum(N):
 def test_antisym_trace_keeps_the_rest_spaces(N):
     for k in range(1, N + 1):
         aux = tuple(range(1, k + 1))
-        gates = [rnd((i, "0"), N) for i in aux] + [rnd(aux[-1:], N)]
+        lefts, rights, ones = rnd_stack(k, N * N), rnd_stack(k, N * N), [np.eye(N * N)] * k
         A = LabeledTensor.from_matrix(dense_antisymmetrizer(k, N), aux, N)
-        dense = partial_trace(dense_product(gates + [A], aux + ("0",)), aux).data
-        got = antisym_trace(gates, k, rest=("0",))
-        assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max(), k
+        # both stacks, and each alone (a missing stack is the identity)
+        for args, kwargs in [((lefts, rights), {}), ((lefts, ones), {"lefts": lefts}),
+                             ((ones, rights), {"rights": rights})]:
+            dense = partial_trace(dense_product(stack_gates(*args, N) + [A], aux + ("0",)), aux).data
+            got = antisym_trace(N, **kwargs) if kwargs else antisym_trace(N, *args)
+            assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max(), (k, kwargs.keys())
+
+
+def test_basis_step_maps_one_basis_to_the_next():
+    # V_j = (V_{j-1} (x) 1) B_j for the bases of `antisymmetrizer`, V_0 = 1;
+    # B_j has orthonormal columns, is built once per (j, N) and read-only
+    for N in (2, 3, 4, 5):
+        prev = np.ones((1, 1))
+        for j in range(1, N + 1):
+            B = _basis_step(j, N)
+            V = antisymmetrizer(j, N).basis
+            assert np.abs(np.kron(prev, np.eye(N)) @ B - V).max() <= 1e-15, (N, j)
+            assert np.abs(B.T @ B - np.eye(B.shape[1])).max() <= 1e-15
+            assert _basis_step(j, N) is B and not B.flags.writeable
+            prev = V
+
+
+def old_Q_gates(k, z, surface, rep):
+    """The 4k gates of Q_{1..k}(z) as they were applied to the kron block:
+    M on each space, L_k ... L_1 on the (s*)^n ladder, Mt on each space,
+    then L_1^{-1} ... L_k^{-1}, each on (space, "0")."""
+    N, zn = rep.N, rep.factory.zn
+    mats = rep.lax(lax_points(k, z, surface, rep))
+    invs = np.linalg.inv(mats[k:])
+
+    def each(M):
+        return [LabeledTensor.from_matrix(M, (i,), N) for i in range(1, k + 1)]
+
+    def on(mat, i):
+        return LabeledTensor.from_matrix(mat, (i, "0"), N)
+
+    return (each(zn.M_power(surface.m)) + [on(mats[k - i], i) for i in range(k, 0, -1)]
+            + each(zn.M_power(surface.n)) + [on(invs[i - 1], i) for i in range(1, k + 1)])
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_antisym_trace_matches_the_kron_block(N):
+    # every t^(k) on the default surfaces and on (-N+1, -1), against the
+    # old 4k-gate product on all N^(k+1) rows of V (x) 1
+    z = 1.2 + 0.1j
+    for m, n in sorted({(-1, -1), (-2, 1), (-N + 1, -1)}):
+        surface = resolve_surface(m, n, 0.6, 0.0, N)
+        rep = EvalRep(RMatrixFactory(surface.params, POL), 0.9 + 0.2j)
+        for k in range(1, N + 1):
+            t = antisym_trace(N, *build_Q(k, z, surface, rep))
+            oracle = kron_block_trace(old_Q_gates(k, z, surface, rep), k, rest=("0",))
+            assert np.abs(t - oracle).max() <= 1e-13 * max(1.0, np.abs(oracle).max()), (m, n, k)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_antisym_trace_of_twist_powers_matches_the_kron_block(N):
+    # tr(M^{(x)k} A_k) with no rest space, M = GH^{-m}, as n0 and trace-MA take it
+    from wkit.rmatrix import ZnMatrices
+    for m in range(1, N + 1):
+        M = ZnMatrices(N).M_power(m)
+        for k in range(1, N + 1):
+            t = antisym_trace(N, lefts=[M] * k)
+            oracle = kron_block_trace([LabeledTensor.from_matrix(M, (i,), N) for i in range(1, k + 1)], k)
+            assert t.shape == (1, 1)
+            assert abs(t[0, 0] - oracle[0, 0]) <= 1e-13 * max(1.0, abs(oracle[0, 0])), (m, k)
 
 
 def test_projector_check_fails_for_a_symmetric_basis(monkeypatch):
@@ -338,17 +445,6 @@ def test_apply_gates_matches_dense_product():
     block = RNG.normal(size=(27, 5)) + 1j * RNG.normal(size=(27, 5))
     out = apply_gates(gates, labels, block.reshape(3, 3, 3, 5))
     assert np.allclose(out.reshape(27, 5), dense.data @ block, rtol=0, atol=1e-12)
-
-
-def test_block_path_respects_guard(monkeypatch):
-    # a block is guarded by its N^n r entries against 8^2 = 64, whatever
-    # its state count: 16 states > 8 may hold up to four vectors
-    monkeypatch.setenv("WKIT_MAX_DIM", "8")
-    labels = (1, 2, 3, 4)
-    block = np.zeros((2, 2, 2, 2, 4), dtype=complex)  # 64 entries: at the guard
-    assert apply_gates([rnd((1, 2))], labels, block).shape == block.shape
-    with pytest.raises(DimensionGuardExceeded, match="block of 80 entries"):
-        apply_gates([rnd((1, 2))], labels, np.zeros((2, 2, 2, 2, 5), dtype=complex))
 
 
 def _dense_projector_residual(gates, labels, a_labels):
@@ -605,4 +701,4 @@ def test_monodromy_derivative_control():
 
 def test_monodromy_critical_is_identity():
     M, = monodromy_M(1.2 + 0.2j, 2, 1, RMatrixFactory(params(N=2), POL), [-2])
-    assert (M - LabeledTensor.identity(M.labels, 2)).norm() < 1e-8 * M.norm()
+    assert (M - LabeledTensor.from_matrix(np.eye(len(M.data)), M.labels, 2)).norm() < 1e-8 * M.norm()

@@ -40,7 +40,7 @@ from wkit.wgen import (
     survives_selection_rule,
 )
 
-from test_tensor import dense_on, dense_product, partial_trace, rhat_on
+from test_tensor import dense_on, dense_product, partial_trace, rhat_on, stack_gates
 
 POL = TruncationPolicy()
 Z, W = 1.2 + 0.1j, 0.85 + 0.03j
@@ -67,15 +67,15 @@ def test_surface_residuals():
 
 
 def test_twist_traces_respect_guard(monkeypatch):
-    # the twist traces apply M to the basis of im A_k, guarded by its
-    # N^k C(N,k) entries against 8^2 = 64
+    # the twist traces run the Lambda^k recursion with no rest space, each
+    # step guarded by its N max(C(N,j-1), C(N,j)) C(N,j) entries against 8^2 = 64
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
-    assert check_trace_MA(3, 1).passed  # 27 x 1
-    assert n0_check(2, 1, 3).passed  # 9 x 3
+    assert check_trace_MA(3, 1).passed  # 3 x 3 x 3 = 27
+    assert n0_check(2, 1, 3).passed  # 27
     with pytest.raises(DimensionGuardExceeded):
-        check_trace_MA(4, 1)  # 256 x 1
+        check_trace_MA(4, 1)  # 4 x 6 x 6 = 144
     with pytest.raises(DimensionGuardExceeded):
-        n0_check(2, 1, 5)  # 25 x 10
+        n0_check(2, 1, 5)  # 5 x 10 x 10 = 500
 
 
 def test_surface_m_plus_n_zero_forces_c():
@@ -110,7 +110,8 @@ def test_build_Q_raises_singular_lax_for_the_ill_conditioned_point(N, k):
         build_Q(k, z, surf, rep)
     assert float(str(exc.value).rsplit(" ", 1)[1]) > 1e10
     # the same ladder moved off the kernel builds
-    assert len(build_Q(k, z * 1.01, surf, rep)) == 4 * k
+    lefts, rights = build_Q(k, z * 1.01, surf, rep)
+    assert lefts.shape == rights.shape == (k, N * N, N * N)
 
 
 def lax_on(rep, xi, aux_label) -> LabeledTensor:
@@ -130,8 +131,9 @@ def test_evalrep_satisfies_RLL():
 
 
 def _dense_Q(k, surf, rep):
-    """The product of the build_Q factors, formed densely as an oracle."""
-    return dense_product(build_Q(k, Z, surf, rep), tuple(range(1, k + 1)) + ("0",))
+    """The product l_k ... l_1 r_1 ... r_k of the build_Q stacks, formed
+    densely as an oracle."""
+    return dense_product(stack_gates(*build_Q(k, Z, surf, rep), rep.N), tuple(range(1, k + 1)) + ("0",))
 
 
 def test_Q_one_sided_projector():
@@ -218,7 +220,7 @@ def test_N5_traces_under_the_default_guard(monkeypatch):
             assert n0_check(k, m, 5).passed, (k, m)
     surf = surface(-1, -1, N=5, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    t = build_t(5, Z, surf, rep)  # a 5^6 x 5 block
+    t = build_t(5, Z, surf, rep)
     mean = np.trace(t) / 5
     assert abs(mean) > 1e-3
     assert np.linalg.norm(t - mean * np.eye(5)) / np.linalg.norm(t) < 1e-8
