@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -34,7 +34,8 @@ class CheckReport:
         self.passed = bool(self.residual <= self.tolerance)
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields in order, inputs made JSON-ready (no deep copy)."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
         d["inputs"] = _jsonable(self.inputs)
         return d
 

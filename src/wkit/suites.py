@@ -99,6 +99,38 @@ def _safe_point(rng, lo=0.7, hi=1.4):
     return complex(r * np.cos(phi), r * np.sin(phi))
 
 
+def _uniform(rng, k: int, *ranges):
+    """For each (lo, hi) of ranges, k uniform draws in one generator call:
+    those of rng.uniform(lo, hi) called for each range in turn at each of
+    k points, bit for bit (lo + (hi - lo) u is numpy's own formula)."""
+    u = rng.random((k, len(ranges)))
+    return [lo + (hi - lo) * u[:, i] for i, (lo, hi) in enumerate(ranges)]
+
+
+def _safe_points(rng, k, lo=0.7, hi=1.4, lead=()):
+    """k points of `_safe_point`, drawn in one generator call; each point
+    first draws one uniform per (lo, hi) of lead, returned before them."""
+    *first, r, phi = _uniform(rng, k, *lead, (lo, hi), (-0.45 * np.pi, 0.45 * np.pi))
+    z = r * np.cos(phi) + 1j * (r * np.sin(phi))
+    return (*first, z) if lead else z
+
+
+def _theta_rows(rng, N: int, k: int):
+    """k rows (g1, g2, xi, tau) of series-vs-product, as four arrays: each
+    row draws its two characteristics from 0, +-1/2, +-1/N, then Re xi,
+    Im xi, Re tau and Im tau in one generator call.  The characteristics
+    are two scalar draws: integers(5, size=2) gives the same two but costs
+    four times as long."""
+    chars = [0.0, 0.5, -0.5, 1.0 / N, -1.0 / N]
+    g, u = [], np.empty((k, 4))
+    for row in u:
+        g += (chars[rng.integers(5)], chars[rng.integers(5)])  # rng.choice(chars), without its overhead
+        rng.random(out=row)
+    lo, hi = np.array([-1.0, -0.2, -0.5, 0.3]), np.array([1.0, 0.2, 0.5, 3.0])
+    re_xi, im_xi, re_tau, im_tau = (lo + (hi - lo) * u).T  # rng.uniform's formula, draw for draw
+    return np.array(g[::2]), np.array(g[1::2]), re_xi + 1j * im_xi, re_tau + 1j * im_tau
+
+
 def _unit_point(rng):
     """Evaluation point for the quantum space: on the unit circle, in the
     safe wedge, off accidental pole alignments."""
@@ -125,14 +157,7 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     clock = Stopwatch()
 
     rng = ctx.rng(1)
-    chars = [0.0, 0.5, -0.5, 1.0 / ctx.params.N, -1.0 / ctx.params.N]
-    points = []  # (g1, g2, xi, tau)
-    for _ in range(100):
-        g1, g2 = chars[rng.integers(5)], chars[rng.integers(5)]  # rng.choice(chars), without its overhead
-        xi = complex(rng.uniform(-1, 1), rng.uniform(-0.2, 0.2))
-        tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.3, 3.0))
-        points.append((g1, g2, xi, tau))
-    g1s, g2s, xis, taus = (np.array(v) for v in zip(*points))
+    g1s, g2s, xis, taus = _theta_rows(rng, ctx.params.N, 100)
     sums = theta_char_sums(g1s, g2s, xis, taus, pol)
     resids = abs(sums - theta_char_product(g1s, g2s, xis, taus, pol)) / (1 + abs(sums))
     out.append(clock.report(
@@ -142,7 +167,7 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
 
     rng = ctx.rng(2)
     clock = Stopwatch()
-    a, z = map(np.array, zip(*[(rng.uniform(0.3, 0.8), _safe_point(rng)) for _ in range(20)]))
+    a, z = _safe_points(rng, 20, lead=[(0.3, 0.8)])
     p = a * a
     th_pz, th_z, th_az, th_a_z = theta_big(np.array([p * z, z, a * z, a / z]), p, pol)
     resids = np.concatenate([abs(th_pz + th_z / z) / (1 + abs(th_z)),
@@ -157,7 +182,7 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     clock = Stopwatch()
     rows, zs, nomes = [], [], []  # per N, its first row: N rows of Theta_{a^{2N}}, one of Theta_{a^2}
     for N in (2, 3, 4):
-        a, z = map(np.array, zip(*[(rng.uniform(0.4, 0.8), _safe_point(rng)) for _ in range(5)]))
+        a, z = _safe_points(rng, 5, lead=[(0.4, 0.8)])
         rows.append((N, len(zs)))
         zs += [a ** (2 * i) * z for i in range(N)] + [z]
         nomes += [a ** (2 * N)] * N + [a * a]
@@ -177,7 +202,8 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     clock = Stopwatch()
     pr = ctx.params
     q, N = pr.q, pr.N
-    z = np.array([complex(rng.uniform(0.7, 1.3), rng.uniform(-0.1, 0.1)) for _ in range(10)])
+    re, im = _uniform(rng, 10, (0.7, 1.3), (-0.1, 0.1))
+    z = re + 1j * im
     t_qz, t_z, t_inv = tau_N(np.array([q**N * z, z, 1 / z]), pr, pol)
     u_z, u_inv, *u_qz = U(np.array([z, 1 / z] + [q**i * z for i in range(1, N + 1)]), pr, pol)
     resids = np.concatenate([abs(t_qz / t_z - 1), abs(t_z * t_inv - 1), abs(u_z - u_inv) / abs(u_z),
@@ -192,7 +218,7 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     resids = []
     for m, n in [(1, 1), (2, -1), (-1, -1), (3, 2), (-2, 3)]:
         surf = resolve_surface(m, n, pr.q, 0.0, pr.N)
-        x = np.array([_safe_point(rng) for _ in range(4)])
+        x = _safe_points(rng, 4)
         f1, f2, diff = Y_mn_forms(x, m, n, surf.params, pol)
         resids += (diff / (1 + abs(f2))).tolist()
     out.append(clock.report(
@@ -203,7 +229,7 @@ def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
     rng = ctx.rng(6)
     clock = Stopwatch()
     prc = pr.with_c(0.25)
-    x = np.array([_safe_point(rng) for _ in range(10)])
+    x = _safe_points(rng, 10)
     y, y_inv = Y_FF(np.array([x, 1 / x]), prc, pol)
     out.append(clock.report(
         suite="theta-identities", check="Y-unitary-inversion",

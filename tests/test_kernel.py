@@ -223,6 +223,27 @@ def test_pochhammer2_raises_as_the_first_failing_point():
     assert qs.pochhammer2([], 0.5, 0.3, POL).size == 0
 
 
+@pytest.mark.parametrize("path", ["fixed nome", "per-point nome", "two moduli", "per-point two moduli"])
+def test_pochhammer2_point_equals_itself_in_any_batch(path):
+    # bit for bit: a point's value alone equals its value in batches of 2,
+    # 3, 8 and 33 at every offset.  numpy reduces a one-lane product with
+    # another complex multiply than two or more lanes, so a one-point call
+    # must not run on one lane; the sizes cover partial SIMD widths.
+    rng = np.random.default_rng(8)
+    zs = 10 ** rng.uniform(-1.5, 1.5, 40) * np.exp(1j * rng.uniform(-3, 3, 40))
+    nomes = 0.7 * rng.random(40) * np.exp(1j * rng.uniform(-3, 3, 40))
+    p1 = {"fixed nome": 0.63 + 0.1j, "two moduli": 0.5}.get(path)
+    p2 = 0.3 - 0.2j if "two moduli" in path else 0
+
+    def product(lo, hi):
+        return qs.pochhammer2(zs[lo:hi], nomes[lo:hi] if p1 is None else p1, p2, POL)
+
+    alone = [product(i, i + 1)[0] for i in range(zs.size)]
+    for size in (2, 3, 8, 33):
+        for lo in range(zs.size - size + 1):
+            assert product(lo, lo + size).tolist() == alone[lo:lo + size], (size, lo)
+
+
 def mp_pochhammer2(mp, z, p1, p2):
     """(z; p1, p2)_inf at the working precision, every factor whose weight
     is at least 1e-25 / (|z| + 1): the tail changes the product by less
