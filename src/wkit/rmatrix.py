@@ -26,7 +26,13 @@ every point in one lattice sum (`theta_char_sums`); and the sums as the
 (N^3 x N^2) coefficient matrix times the n sets of N^2 theta ratios,
 scattered into the (n, N^2, N^2) result.  For R and Rhat the
 g^{1/2} (x) g^{1/2} conjugation is folded into that matrix.  The
-one-point builds are that build at one point.
+one-point builds are that build at one point.  A build of more points
+runs those steps on 16 points at a time: a caller that asks for all its
+points at once holds the temporaries of a 16-point build besides the
+(n, N^2, N^2) result.
+
+A factory depends only on (params, policy): `factory(params, policy)`
+returns the one of this process, kept in a bounded cache.
 
 Internally every builder takes the additive variable xi, so a caller can
 reach analytic-continuation points (xi + 1 for -z, xi + tau + 1 for a
@@ -45,10 +51,13 @@ import numpy as np
 
 from .errors import ModulusOutOfRange, PoleHit
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, _charges, xi_of
-from .qseries import _pp, kappa_inv, pochhammer2, theta_char_sums
+from .qseries import _pp, _store, kappa_inv, pochhammer2, theta_char_sums
 from .tensor import LabeledTensor
 
 _POLE_REL = 1e-12
+_CHUNK = 16          # points per evaluation in a build (about 58 KB of temporaries a point at N = 3)
+_FACTORY_LIMIT = 16  # factories kept
+_FACTORIES = {}      # (params, policy) -> RMatrixFactory
 
 
 class ZnMatrices:
@@ -190,9 +199,13 @@ class RMatrixFactory:
 
     def _build(self, xis, hat: bool) -> np.ndarray:
         """The (n, N^2, N^2) stack of R (hat false) or Rhat at the n points
-        xis, each step one array call over every point.  Raises PoleHit if
-        any point is a pole, with the message of the first such point."""
+        xis, each step one array call over every point of a chunk of at
+        most _CHUNK, the chunks in order.  Raises PoleHit if any point is a
+        pole, with the message of the first such point."""
         xi = np.asarray(xis, dtype=complex).ravel()
+        if xi.size > _CHUNK:
+            return np.concatenate([self._build(xi[i:i + _CHUNK], hat)
+                                   for i in range(0, xi.size, _CHUNK)])
         z2 = np.exp(2j * np.pi * xi)
         if hat:
             # tau_N(q^{1/2}/z) z^{2/N-2} kappa^{-1}(z^2) collapses to q^{1/N-1}
@@ -237,6 +250,16 @@ class RMatrixFactory:
 
     def rhat_matrix_xi(self, xi: complex) -> np.ndarray:
         return self.rhat_matrices([xi])[0]
+
+
+def factory(params: EllipticParams, policy: TruncationPolicy | None = None) -> RMatrixFactory:
+    """The RMatrixFactory of (params, policy), built on the first call in
+    this process and kept: its builds equal a fresh factory's bit for bit."""
+    key = (params, policy or DEFAULT_POLICY)
+    fac = _FACTORIES.get(key)
+    if fac is None:
+        fac = _store(_FACTORIES, key, RMatrixFactory(*key), _FACTORY_LIMIT)
+    return fac
 
 
 def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:

@@ -7,8 +7,29 @@ identity and returns its report; a suite is a function
 (SuiteContext) -> list[CheckReport] that runs a named set of checks.
 Suites draw their sample points from a seeded generator, resample on
 PoleHit or OutsideConvergenceAnnulus (up to five times per check), and
-never mutate shared state, so they can run concurrently; the CLI sorts
-reports canonically before emission.
+share only the process-wide caches of values that never change (factories,
+lattices), so they can run concurrently; the CLI sorts reports canonically
+before emission.
+
+The suites that build R-matrices (rmatrix-properties, theorem1-exchange,
+corollary2-exchange and qdet) run in three steps, by `_draw_build_check`:
+
+- Draw: the suite's body draws the points of every check, with the same
+  generator calls in the same order as checks run one by one, and adds
+  each check with its wants, the builds and prefactors it needs.
+- Build: the wants of one build (R or Rhat of one factory) or prefactor
+  (U, F_a or Y_mn at one parameter point) are evaluated in one call over
+  the points of all checks.  R(1) of `check_regularity` and Rhat(q) of
+  `check_kernel` stay one-point builds.
+- Check: each check computes its report from its slices.  A check
+  function takes them as its optional `built`, and computes them itself
+  without it.
+
+If any of that raises an error a suite reports, the body runs again from
+a fresh generator with one check per batch: each check builds its own
+wants when it is added, inside `_with_resample`, so draws, resamples and
+error messages are those of checks run one by one.  As in
+`qseries._on_grid`, no check is written twice.
 """
 
 from __future__ import annotations
@@ -16,11 +37,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import OutsideConvergenceAnnulus, PoleHit, TruncationBudgetExceeded
+from .errors import OutsideConvergenceAnnulus, PoleHit, TruncationBudgetExceeded, WkitError
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_ladder, xi_of
 from .qseries import (
     F_a,
@@ -45,6 +67,7 @@ from .rmatrix import (
     RMatrixFactory,
     ZnMatrices,
     crossing_unitarity_residual,
+    factory,
     kernel_projector,
     zn_symmetry_residual,
 )
@@ -66,8 +89,8 @@ from .wgen import (
     QUANTUM,
     EvalRep,
     SurfaceSpec,
-    _exchange_prefactor_tL,
     _qdet_matrices,
+    _qdet_points,
     _scalar_residual,
     alpha_fraction,
     build_t,
@@ -148,6 +171,63 @@ def _with_resample(fn, rng, radii=(0.7, 1.4)):
         except (PoleHit, OutsideConvergenceAnnulus):
             continue
     return fn(_safe_point(rng, *radii))  # last try propagates
+
+
+# The errors that send a batched pass to the replay: those a suite reports
+_REPLAYED = (WkitError, np.linalg.LinAlgError, ArithmeticError)
+
+
+def _now(wants) -> list:
+    """fn(xs, *args) for each want (fn, xs, *args), one call each, in order."""
+    return [fn(np.asarray(xs, dtype=complex), *args) for fn, xs, *args in wants]
+
+
+class _Pass:
+    """The checks of one run of a suite body.  `add(check, wants)` takes a
+    check, called as check(built=[the value of each want]) or as check() to
+    compute them itself, and its wants, each (fn, xs, *args) for the value
+    fn(xs, *args).  A batched pass queues the check, and `run` calls each
+    (fn, args) once on the concatenated points of all its wants, in the order
+    they were added, then runs the checks in order on their slices.  A pass
+    of one check per batch runs the check at once."""
+
+    def __init__(self, batched: bool):
+        self.batched = batched
+        self.reports = []
+        self._points = {}  # (fn, args) -> the point arrays of its wants
+        self._checks = []  # (check, a ((fn, args), start, stop) slice per want)
+
+    def add(self, check, wants=()):
+        if not self.batched:
+            self.reports.append(check())
+            return
+        slices = []
+        for fn, xs, *args in wants:
+            key = (fn, tuple(args))
+            parts = self._points.setdefault(key, [])
+            start = sum(map(len, parts))
+            parts.append(np.asarray(xs, dtype=complex))
+            slices.append((key, start, start + len(parts[-1])))
+        self._checks.append((check, slices))
+
+    def run(self) -> list[CheckReport]:
+        values = {key: key[0](np.concatenate(parts), *key[1]) for key, parts in self._points.items()}
+        return [check(built=[values[key][a:b] for key, a, b in slices]) if slices else check()
+                for check, slices in self._checks]
+
+
+def _draw_build_check(ctx: SuiteContext, salt: int, body) -> list[CheckReport]:
+    """The reports of body(ctx, ctx.rng(salt), checks), which draws its
+    points and adds its checks to the pass `checks`: batched, or, if that
+    raises an error a suite reports, one check per batch."""
+    try:
+        checks = _Pass(batched=True)
+        body(ctx, ctx.rng(salt), checks)
+        return checks.run()
+    except _REPLAYED:
+        checks = _Pass(batched=False)
+        body(ctx, ctx.rng(salt), checks)
+        return checks.reports
 
 
 def suite_theta_identities(ctx: SuiteContext) -> list[CheckReport]:
@@ -255,15 +335,21 @@ def check_regularity(fac: RMatrixFactory, tolerance=1e-9):
                         tolerance)
 
 
-def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9):
-    """R_12(z) R_21(1/z) = 1, and Rhat_12(z) Rhat_21(1/z) = U(z)."""
+def _unitarity_wants(z: complex, fac: RMatrixFactory) -> list:
+    pair = [xi_of(z), xi_of(1 / z)]
+    return [(fac.r_matrices, pair), (U, [z], fac.params, fac.policy), (fac.rhat_matrices, pair)]
+
+
+def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None):
+    """R_12(z) R_21(1/z) = 1, and Rhat_12(z) Rhat_21(1/z) = U(z).
+
+    `built` holds the value of each of `_unitarity_wants`, computed here if
+    not given; so does every check's `built`, of its own wants."""
     clock = Stopwatch()
     N = fac.N
+    R, u, Rhat = built or _now(_unitarity_wants(z, fac))
     resids = []
-    pair = [xi_of(z), xi_of(1 / z)]
-    for build, scal in ((fac.r_matrices, 1.0),
-                        (fac.rhat_matrices, U(z, fac.params, fac.policy))):
-        R12, R21 = build(pair)
+    for (R12, R21), scal in ((R, 1.0), (Rhat, u[0])):
         RR21 = (_on(R12, (1, 2), fac) @ _on(R21, (2, 1), fac)).data
         resids.append(np.linalg.norm(RR21 - scal * np.eye(N * N)) / np.linalg.norm(RR21))
     return clock.report("rmatrix-properties", "unitarity",
@@ -271,13 +357,16 @@ def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9):
                         _inputs(fac, z=z), worst(resids), tolerance)
 
 
+def _yang_baxter_wants(z: complex, w: complex, fac: RMatrixFactory, hat: bool) -> list:
+    return [(fac.rhat_matrices if hat else fac.r_matrices, [xi_of(z), xi_of(w), xi_of(w / z)])]
+
+
 def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-9,
-                      hat: bool = False):
+                      hat: bool = False, built=None):
     """R12(z) R13(w) R23(w/z) = R23(w/z) R13(w) R12(z) on three spaces."""
     clock = Stopwatch()
-    build = fac.rhat_matrices if hat else fac.r_matrices
-    A12, A13, A23 = (_on(mat, labels, fac) for mat, labels in zip(
-        build([xi_of(z), xi_of(w), xi_of(w / z)]), ((1, 2), (1, 3), (2, 3))))
+    mats, = built or _now(_yang_baxter_wants(z, w, fac, hat))
+    A12, A13, A23 = (_on(mat, labels, fac) for mat, labels in zip(mats, ((1, 2), (1, 3), (2, 3))))
     lhs = compose([A12, A13, A23], (1, 2, 3))
     rhs = compose([A23, A13, A12], (1, 2, 3))
     res = (lhs - rhs).norm() / lhs.norm()
@@ -286,32 +375,41 @@ def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-
                         _inputs(fac, z=z, w=w), res, tolerance)
 
 
-def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9):
+def _crossing_wants(z: complex, fac: RMatrixFactory) -> list:
+    qN = fac.params.q ** fac.N
+    return [(fac.r_matrices, [xi_of(z), xi_of(1 / (z * qN)), xi_of(qN * z)]),
+            (fac.rhat_matrices, [xi_of(z), xi_of(qN * z)])]
+
+
+def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None):
     """Crossing symmetry R12(z)^{t2} R21(1/(z q^N))^{t2} = 1 and the
     crossing-unitarity consequence (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2},
     the latter verified for both R and Rhat."""
     clock = Stopwatch()
-    N, q = fac.N, fac.params.q
-    R, R21, RN = fac.r_matrices([xi_of(z), xi_of(1 / (z * q**N)), xi_of(q**N * z)])
+    N = fac.N
+    (R, R21, RN), hats = built or _now(_crossing_wants(z, fac))
     Rt = _on(R, (1, 2), fac).partial_transpose(2)
     R21t = _on(R21, (2, 1), fac).partial_transpose(2)
     res1 = np.linalg.norm((Rt @ R21t).data - np.eye(N * N)) / Rt.norm()
-    resids = [res1, crossing_unitarity_residual(R, RN, fac),
-              crossing_unitarity_residual(*fac.rhat_matrices([xi_of(z), xi_of(q**N * z)]), fac)]
+    resids = [res1, crossing_unitarity_residual(R, RN, fac), crossing_unitarity_residual(*hats, fac)]
     return clock.report(
         "rmatrix-properties", "crossing",
         "R^{t2}(z) R21^{t2}(1/(z q^N)) = 1 and (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2}",
         _inputs(fac, z=z), worst(resids), tolerance)
 
 
-def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9):
+def _antisymmetry_wants(z: complex, fac: RMatrixFactory) -> list:
+    xi = xi_of(z)
+    return [(fac.r_matrices, [xi + 1, xi])]
+
+
+def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None):
     """R(-z) = omega (g^{-1} (x) 1) R(z) (g (x) 1), with -z reached by the
     continuation xi -> xi + 1 (principal-branch evaluation of -z realizes
     the identity only up to an N-th root of unity)."""
     clock = Stopwatch()
     E = np.eye(fac.N)
-    xi = xi_of(z)
-    lhs, R = fac.r_matrices([xi + 1, xi])
+    (lhs, R), = built or _now(_antisymmetry_wants(z, fac))
     g = fac.zn.g
     rhs = fac.zn.omega * np.kron(np.linalg.inv(g), E) @ R @ np.kron(g, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
@@ -320,7 +418,14 @@ def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9):
                         _inputs(fac, z=z), res, tolerance)
 
 
-def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance=1e-9):
+def _quasi_periodicity_wants(x: complex, a: int, fac: RMatrixFactory) -> list:
+    xi = xi_of(x)
+    return [(fac.rhat_matrices, [xi, xi + a * fac.s_shift]),
+            (F_a, [x], a, fac.params.s, fac.params, fac.policy)]
+
+
+def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance=1e-9,
+                              built=None):
     """Twist relation M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a with M_a = GH^{-a}.
 
     The step x -> s x by the designated root value is taken on the theta
@@ -331,11 +436,9 @@ def check_quasi_periodicity_M(x: complex, a: int, fac: RMatrixFactory, tolerance
     clock = Stopwatch()
     E = np.eye(fac.N)
     Ma = fac.zn.M_power(a)
-    xi = xi_of(x)
-    R, Ra = fac.rhat_matrices([xi, xi + a * fac.s_shift])
+    (R, Ra), scal = built or _now(_quasi_periodicity_wants(x, a, fac))
     lhs = np.kron(Ma, E) @ R
-    scal = F_a(x, a, fac.params.s, fac.params, fac.policy)
-    rhs = scal * Ra @ np.kron(Ma, E)
+    rhs = scal[0] * Ra @ np.kron(Ma, E)
     res = np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
     return clock.report("rmatrix-properties", f"quasi-periodicity(a={a})",
                         "M_a Rhat(x) = F_a(x) Rhat(s^a x) M_a   [s-step on the theta lattice]",
@@ -355,66 +458,91 @@ def check_kernel(fac: RMatrixFactory, tolerance=1e-8):
                         _inputs(fac, dim=dim, expected_dim=expected), res, tolerance)
 
 
-def suite_rmatrix_properties(ctx: SuiteContext) -> list[CheckReport]:
-    tol = ctx.tol("rmatrix-properties", 1e-9)
-    out = []
-    pr = ctx.params.require_elliptic()
-    fac = RMatrixFactory(pr, ctx.policy)
-    out.append(check_regularity(fac, tol))
-    rng = ctx.rng(10)
-    for _ in range(5):
-        out.append(_with_resample(lambda z: check_unitarity(z, fac, tol), rng))
-        out.append(_with_resample(
-            lambda z: check_yang_baxter(z, _safe_point(rng), fac, tol), rng))
-        out.append(_with_resample(
-            lambda z: check_yang_baxter(z, _safe_point(rng), fac, tol, hat=True), rng))
-        out.append(_with_resample(lambda z: check_crossing(z, fac, tol), rng))
-        out.append(_with_resample(lambda z: check_antisymmetry(z, fac, tol), rng))
-    for a in (-2, -1, 0, 1, 2):
-        out.append(_with_resample(
-            lambda x, a=a: check_quasi_periodicity_M(x, a, fac, tol), rng))
-    out.append(check_kernel(fac, ctx.tol("rmatrix-properties", 1e-8)))
+def _zn_sparsity_wants(z: complex, fac: RMatrixFactory) -> list:
+    return [(fac.r_matrices, [xi_of(z)])]
 
+
+def _zn_sparsity(z: complex, fac: RMatrixFactory, built=None):
     clock = Stopwatch()
-    z = _safe_point(rng)
-    res = zn_symmetry_residual(fac.r_matrix_xi(xi_of(z)), pr.N)
-    out.append(clock.report(
+    (R,), = built or _now(_zn_sparsity_wants(z, fac))
+    return clock.report(
         suite="rmatrix-properties", check="zn-sparsity",
         identity="entry ((i,j),(k,l)) of R vanishes unless i+j = k+l mod N",
-        inputs=_inputs(fac, z=z), residual=res, tolerance=1e-12))
+        inputs=_inputs(fac, z=z), residual=zn_symmetry_residual(R, fac.N), tolerance=1e-12)
 
-    # test-power control: a deliberately broken Yang-Baxter triple.  The
-    # normalized Rhat is used because the unitary-gauge R varies too
-    # slowly with its argument for a 1% shift to register reliably;
-    # sensitivity still varies over the domain, so take the worst
-    # violation over several sampled pairs.
+
+def _ybe_control_wants(pairs, fac: RMatrixFactory) -> list:
+    return [(fac.rhat_matrices, [xi_of(z), xi_of(w * 1.01), xi_of(w / z), xi_of(w)]) for z, w in pairs]
+
+
+def _ybe_control(pairs, fac: RMatrixFactory, built=None):
+    """Test-power control: a deliberately broken Yang-Baxter triple.  The
+    normalized Rhat is used because the unitary-gauge R varies too
+    slowly with its argument for a 1% shift to register reliably;
+    sensitivity still varies over the domain, so take the worst
+    violation over several sampled pairs."""
     clock = Stopwatch()
     ctrl = []
-    for _ in range(5):
-        z, w = _safe_point(rng), _safe_point(rng)
+    for mats in built or _now(_ybe_control_wants(pairs, fac)):
         A12, A13, A23, B13 = (_on(mat, labels, fac) for mat, labels in zip(
-            fac.rhat_matrices([xi_of(z), xi_of(w * 1.01), xi_of(w / z), xi_of(w)]),
-            ((1, 2), (1, 3), (2, 3), (1, 3))))
+            mats, ((1, 2), (1, 3), (2, 3), (1, 3))))
         lhs = compose([A12, A13, A23], (1, 2, 3))
         rhs = compose([A23, B13, A12], (1, 2, 3))
         ctrl.append((lhs - rhs).norm() / rhs.norm())
-    out.append(clock.control(
+    return clock.control(
         "rmatrix-properties", "control-perturbed-ybe",
         "perturbing one argument by 1% must break Yang-Baxter (> 1e-3)",
-        {"N": pr.N}, worst(ctrl), 1e-3))
+        {"N": fac.N}, worst(ctrl), 1e-3)
 
-    # crossing-unitarity control: shift the q^N pairing by 1%
+
+def _crossing_control_wants(zs, fac: RMatrixFactory) -> list:
+    qN = fac.params.q ** fac.N
+    return [(fac.rhat_matrices, [xi_of(z), xi_of(qN * z * 1.01)]) for z in zs]
+
+
+def _crossing_control(zs, fac: RMatrixFactory, built=None):
+    """Crossing-unitarity control: shift the q^N pairing by 1%."""
     clock = Stopwatch()
-    ctrl = []
-    for _ in range(5):
-        z = _safe_point(rng)
-        ctrl.append(crossing_unitarity_residual(
-            *fac.rhat_matrices([xi_of(z), xi_of(pr.q**pr.N * z * 1.01)]), fac))
-    out.append(clock.control(
+    ctrl = [crossing_unitarity_residual(*pair, fac)
+            for pair in built or _now(_crossing_control_wants(zs, fac))]
+    return clock.control(
         "rmatrix-properties", "control-perturbed-crossing",
         "perturbing the q^N pairing by 1% must break crossing-unitarity (> 1e-3)",
-        {"N": pr.N}, worst(ctrl), 1e-3))
-    return out
+        {"N": fac.N}, worst(ctrl), 1e-3)
+
+
+def suite_rmatrix_properties(ctx: SuiteContext) -> list[CheckReport]:
+    return _draw_build_check(ctx, 10, _rmatrix_properties)
+
+
+def _rmatrix_properties(ctx: SuiteContext, rng, checks: _Pass):
+    tol = ctx.tol("rmatrix-properties", 1e-9)
+    fac = factory(ctx.params.require_elliptic(), ctx.policy)
+    checks.add(partial(check_regularity, fac, tol))
+
+    def yang_baxter(z, hat):
+        w = _safe_point(rng)
+        checks.add(partial(check_yang_baxter, z, w, fac, tol, hat), _yang_baxter_wants(z, w, fac, hat))
+
+    for _ in range(5):
+        _with_resample(lambda z: checks.add(partial(check_unitarity, z, fac, tol),
+                                         _unitarity_wants(z, fac)), rng)
+        _with_resample(lambda z: yang_baxter(z, False), rng)
+        _with_resample(lambda z: yang_baxter(z, True), rng)
+        _with_resample(lambda z: checks.add(partial(check_crossing, z, fac, tol),
+                                         _crossing_wants(z, fac)), rng)
+        _with_resample(lambda z: checks.add(partial(check_antisymmetry, z, fac, tol),
+                                         _antisymmetry_wants(z, fac)), rng)
+    for a in (-2, -1, 0, 1, 2):
+        _with_resample(lambda x, a=a: checks.add(partial(check_quasi_periodicity_M, x, a, fac, tol),
+                                              _quasi_periodicity_wants(x, a, fac)), rng)
+    checks.add(partial(check_kernel, fac, ctx.tol("rmatrix-properties", 1e-8)))
+    z = _safe_point(rng)
+    checks.add(partial(_zn_sparsity, z, fac), _zn_sparsity_wants(z, fac))
+    pairs = [(_safe_point(rng), _safe_point(rng)) for _ in range(5)]
+    checks.add(partial(_ybe_control, pairs, fac), _ybe_control_wants(pairs, fac))
+    zs = [_safe_point(rng) for _ in range(5)]
+    checks.add(partial(_crossing_control, zs, fac), _crossing_control_wants(zs, fac))
 
 
 def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
@@ -511,7 +639,7 @@ def suite_fusion_identities(ctx: SuiteContext) -> list[CheckReport]:
     tol = ctx.tol("fusion-identities", 1e-8)
     out = []
     pr = ctx.params.require_elliptic()
-    fac = RMatrixFactory(pr, ctx.policy)
+    fac = factory(pr, ctx.policy)
     rng = ctx.rng(20)
 
     # the basis V of im A_k: V^T V = 1, (i i+1) V = -V for every adjacent
@@ -565,8 +693,23 @@ def suite_fusion_identities(ctx: SuiteContext) -> list[CheckReport]:
     return out
 
 
+def _lax_want(rep: EvalRep, xis) -> tuple:
+    """The want of rep's Lax factors at the additive points xis, as
+    `rep.lax` builds them: so every rep of one factory shares one build."""
+    return rep.factory.rhat_matrices, np.asarray(xis, dtype=complex) - rep.xi_a
+
+
+def _tL_wants(k: int, z: complex, w: complex, surface: SurfaceSpec, rep: EvalRep) -> list:
+    """The factors of t^{(k)}(z) and L(w), and the ladders F_{-m} and F*_n
+    at the points z_i/w, z_i = q^{e_i} z, of the prefactor."""
+    p = surface.params
+    x = np.array([p.q ** e * z / w for e in centred_ladder(k)])
+    return [_lax_want(rep, np.append(lax_points(k, z, surface, rep), xi_of(w))),
+            (F_a, x, -surface.m, p.s, p, rep.policy), (F_a, x, surface.n, p.s_star, p, rep.policy)]
+
+
 def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
-                         rep: EvalRep, tolerance: float = 1e-8) -> CheckReport:
+                         rep: EvalRep, tolerance: float = 1e-8, built=None) -> CheckReport:
     """Residual of t^{(k)}(z) L(w) = [prod_i F_{-m}/F*_n](z_i/w) L(w) t^{(k)}(z),
     as matrices on (one fresh auxiliary space) x (quantum space).
 
@@ -576,10 +719,10 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
     """
     clock = Stopwatch()
     N = rep.N
-    lax = rep.lax(np.append(lax_points(k, z, surface, rep), xi_of(w)))  # t's factors and L(w)
+    lax, f_m, f_n = built or _now(_tL_wants(k, z, w, surface, rep))
     t_gen = build_t(k, z, surface, rep, lax[:-1])
     t_norm = float(np.linalg.norm(t_gen))
-    pref = _exchange_prefactor_tL(k, z, w, surface, rep.policy)
+    pref = complex(np.prod(f_m / f_n))
     vanishing = not survives_selection_rule(k, surface.m, surface.n, N)
     if vanishing:
         res = t_norm
@@ -602,9 +745,18 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
     )
 
 
+def _tt_wants(k: int, kprime: int, z: complex, w: complex, surface: SurfaceSpec,
+              rep: EvalRep) -> list:
+    p = surface.params
+    x = np.array([p.q ** (ei - ej) * z / w for ei in centred_ladder(k) for ej in centred_ladder(kprime)])
+    return [_lax_want(rep, np.concatenate((lax_points(k, z, surface, rep),
+                                           lax_points(kprime, w, surface, rep)))),
+            (Y_mn, x, surface.m, surface.n, p, rep.policy)]
+
+
 def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
                          surface: SurfaceSpec, rep: EvalRep,
-                         tolerance: float = 1e-8) -> CheckReport:
+                         tolerance: float = 1e-8, built=None) -> CheckReport:
     """Residual of the quadratic exchange
     t^{(k)}(z) t^{(k')}(w) = prod_{i,j} Y_{m,n}(q^{i-j} z/w) t^{(k')}(w) t^{(k)}(z).
 
@@ -612,12 +764,10 @@ def exchange_residual_tt(k: int, kprime: int, z: complex, w: complex,
     reported residual is then the norm of the factor that must vanish."""
     clock = Stopwatch()
     p = surface.params
-    lax = rep.lax(np.concatenate((lax_points(k, z, surface, rep),
-                                  lax_points(kprime, w, surface, rep))))
+    lax, ys = built or _now(_tt_wants(k, kprime, z, w, surface, rep))
     tk = build_t(k, z, surface, rep, lax[:2 * k])
     tkp = build_t(kprime, w, surface, rep, lax[2 * k:])
-    x = np.array([p.q ** (ei - ej) * z / w for ei in centred_ladder(k) for ej in centred_ladder(kprime)])
-    pref = complex(np.prod(Y_mn(x, surface.m, surface.n, p, rep.policy)))
+    pref = complex(np.prod(ys))
     van_k = not survives_selection_rule(k, surface.m, surface.n, rep.N)
     van_kp = not survives_selection_rule(kprime, surface.m, surface.n, rep.N)
     if van_k or van_kp:
@@ -649,87 +799,112 @@ def _offsurface(surf: SurfaceSpec, ctx: SuiteContext):
     representation at a = 1 there."""
     p = surf.params
     pert = SurfaceSpec(m=surf.m, n=surf.n, params=EllipticParams(p.N, p.q, p.s * 1.02, 0.0))
-    return pert, EvalRep(RMatrixFactory(pert.params, ctx.policy), 1.0)
+    return pert, EvalRep(factory(pert.params, ctx.policy), 1.0)
+
+
+def _tL_offsurface(z: complex, w: complex, pert: SurfaceSpec, rep: EvalRep, tolerance: float,
+                   built=None) -> CheckReport:
+    """`exchange_residual_tL` at k = N, 2% off the surface: t^{(N)} commutes
+    without any surface condition."""
+    r = exchange_residual_tL(rep.N, z, w, pert, rep, tolerance, built)
+    r.check = f"tL-offsurface(k={rep.N},m={pert.m},n={pert.n})"
+    return r
+
+
+def _tL_control(k: int, pairs, pert: SurfaceSpec, rep: EvalRep, tolerance: float,
+                built=None) -> CheckReport:
+    """Control: a surviving non-central generator off the surface must
+    violate the exchange; sensitivity varies over the domain, so take the
+    worst of the pairs."""
+    clock = Stopwatch()
+    ctrl = [exchange_residual_tL(k, z, w, pert, rep, tolerance,
+                                 built and built[3 * i:3 * i + 3]).residual  # three wants a pair
+            for i, (z, w) in enumerate(pairs)]
+    return clock.control(
+        "theorem1-exchange", "control-offsurface",
+        "2% off-surface perturbation must break the exchange (> 1e-3)",
+        {"N": rep.N, "m": pert.m, "n": pert.n, "k": k}, worst(ctrl), 1e-3)
 
 
 def suite_theorem1_exchange(ctx: SuiteContext) -> list[CheckReport]:
+    return _draw_build_check(ctx, 30, _theorem1_exchange)
+
+
+def _theorem1_exchange(ctx: SuiteContext, rng, checks: _Pass):
     tol = ctx.tol("theorem1-exchange", 1e-8)
-    out = []
     pr = ctx.params
-    rng = ctx.rng(30)
     for (m, n) in _THEOREM1_SURFACES:
         surf = resolve_surface(m, n, pr.q, 0.0, pr.N)
         if not surf.params.is_elliptic:
             continue
-        rep = EvalRep(RMatrixFactory(surf.params, ctx.policy), _unit_point(rng))
+        rep = EvalRep(factory(surf.params, ctx.policy), _unit_point(rng))
         for k in range(1, pr.N + 1):
             for _ in range(3):
                 z, w = _safe_point(rng), _safe_point(rng)
-                out.append(exchange_residual_tL(k, z, w, surf, rep, tol))
-        # k = N commutes without any surface condition: perturb s and retest
+                checks.add(partial(exchange_residual_tL, k, z, w, surf, rep, tol),
+                        _tL_wants(k, z, w, surf, rep))
         pert, rep_p = _offsurface(surf, ctx)
-        r = exchange_residual_tL(pr.N, _safe_point(rng), _safe_point(rng), pert, rep_p, tol)
-        r.check = f"tL-offsurface(k={pr.N},m={m},n={n})"
-        out.append(r)
+        z, w = _safe_point(rng), _safe_point(rng)
+        checks.add(partial(_tL_offsurface, z, w, pert, rep_p, tol), _tL_wants(pr.N, z, w, pert, rep_p))
 
-    # control: surviving non-central generator off-surface must violate;
-    # sensitivity varies over the domain, so take the worst of five pairs
     ctrl_m, ctrl_n, ctrl_k = ((-1, -1, 1) if pr.N == 2 else (-pr.N + 1, -1, 1))
     pert, rep_p = _offsurface(resolve_surface(ctrl_m, ctrl_n, pr.q, 0.0, pr.N), ctx)
+    pairs = [(_safe_point(rng), _safe_point(rng)) for _ in range(5)]
+    checks.add(partial(_tL_control, ctrl_k, pairs, pert, rep_p, tol),
+            [want for z, w in pairs for want in _tL_wants(ctrl_k, z, w, pert, rep_p)])
+
+
+def _prefactor_consistency(z: complex, w: complex, surf: SurfaceSpec, rep: EvalRep,
+                           tol_tt: float, tolerance: float, built=None) -> CheckReport:
+    """At k = k' = 1 the exchange prefactor must be the single Y_{m,n}(z/w)."""
     clock = Stopwatch()
-    ctrl = [exchange_residual_tL(ctrl_k, _safe_point(rng), _safe_point(rng), pert, rep_p,
-                                 tol).residual for _ in range(5)]
-    out.append(clock.control(
-        "theorem1-exchange", "control-offsurface",
-        "2% off-surface perturbation must break the exchange (> 1e-3)",
-        {"N": pr.N, "m": ctrl_m, "n": ctrl_n, "k": ctrl_k}, worst(ctrl), 1e-3))
-    return out
+    *tt, (y_direct,) = built or _now(_prefactor_consistency_wants(z, w, surf, rep))
+    r = exchange_residual_tt(1, 1, z, w, surf, rep, tol_tt, tt)
+    return clock.report(
+        suite="corollary2-exchange", check="prefactor-consistency",
+        identity="(k,k') = (1,1) exchange prefactor equals Y_{m,n}(z/w)",
+        inputs={"N": rep.N, "m": surf.m, "n": surf.n, "z": z, "w": w},
+        residual=abs(r.inputs["prefactor"] - y_direct) / (1 + abs(y_direct)),
+        tolerance=tolerance)
+
+
+def _prefactor_consistency_wants(z: complex, w: complex, surf: SurfaceSpec, rep: EvalRep) -> list:
+    return _tt_wants(1, 1, z, w, surf, rep) + [(Y_mn, [z / w], surf.m, surf.n, surf.params, rep.policy)]
 
 
 def suite_corollary2_exchange(ctx: SuiteContext) -> list[CheckReport]:
+    return _draw_build_check(ctx, 40, _corollary2_exchange)
+
+
+def _corollary2_exchange(ctx: SuiteContext, rng, checks: _Pass):
     tol = ctx.tol("corollary2-exchange", 1e-8)
-    out = []
     pr = ctx.params
-    rng = ctx.rng(40)
-    facs = {}  # one factory per surface point
     for (m, n) in _THEOREM1_SURFACES:
         surf = resolve_surface(m, n, pr.q, 0.0, pr.N)
         if not surf.params.is_elliptic:
             continue
-        facs[m, n] = RMatrixFactory(surf.params, ctx.policy)
-        rep = EvalRep(facs[m, n], _unit_point(rng))
+        rep = EvalRep(factory(surf.params, ctx.policy), _unit_point(rng))
         for k in range(1, pr.N + 1):
             for kp in range(k, pr.N + 1):
                 z, w = _safe_point(rng), _safe_point(rng)
-                out.append(exchange_residual_tt(k, kp, z, w, surf, rep, tol))
+                checks.add(partial(exchange_residual_tt, k, kp, z, w, surf, rep, tol),
+                        _tt_wants(k, kp, z, w, surf, rep))
 
-    # prefactor consistency at k = k' = 1: the product must be the single Y
-    clock = Stopwatch()
     surf = resolve_surface(*_THEOREM1_SURFACES[0], pr.q, 0.0, pr.N)
-    fac = facs.get(_THEOREM1_SURFACES[0]) or RMatrixFactory(surf.params, ctx.policy)
-    rep = EvalRep(fac, 1.0)
-    z, w = _safe_point(rng), _safe_point(rng)
-
-    def pref_check(z):
-        r = exchange_residual_tt(1, 1, z, w, surf, rep, tol)
-        y_direct = Y_mn(z / w, surf.m, surf.n, surf.params, ctx.policy)
-        return clock.report(
-            suite="corollary2-exchange", check="prefactor-consistency",
-            identity="(k,k') = (1,1) exchange prefactor equals Y_{m,n}(z/w)",
-            inputs={"N": pr.N, "m": surf.m, "n": surf.n, "z": z, "w": w},
-            residual=abs(r.inputs["prefactor"] - y_direct) / (1 + abs(y_direct)),
-            tolerance=ctx.tol("corollary2-exchange", 1e-10))
-
-    out.append(_with_resample(pref_check, rng))
-    return out
+    rep = EvalRep(factory(surf.params, ctx.policy), 1.0)
+    _, w = _safe_point(rng), _safe_point(rng)  # the check draws its own z
+    _with_resample(lambda z: checks.add(
+        partial(_prefactor_consistency, z, w, surf, rep, tol, ctx.tol("corollary2-exchange", 1e-10)),
+        _prefactor_consistency_wants(z, w, surf, rep)), rng)
 
 
-def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8):
+def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8, built=None):
     """Extract qdet(z) and report how close it is to a scalar on the
     quantum space (centrality in the evaluation representation)."""
     clock = Stopwatch()
     N = rep.N
-    qd, = _qdet_matrices([xi_of(z)], rep)
+    lax, = built or _now(_qdet_extract_wants(z, rep))
+    qd, = _qdet_matrices([xi_of(z)], rep, lax)
     scal = complex(np.trace(qd) / N)
     return scal, clock.report(
         suite="qdet", check="qdet-centrality",
@@ -740,8 +915,27 @@ def qdet_extract(z: complex, rep: EvalRep, tolerance: float = 1e-8):
     )
 
 
+def _qdet_extract_wants(z: complex, rep: EvalRep) -> list:
+    return [_lax_want(rep, _qdet_points([xi_of(z)], rep))]
+
+
+def _sigma_tops(z: complex, surface: SurfaceSpec, rep: EvalRep):
+    """The two candidate shifts sigma of `qdet_tqdet_check`, by name and
+    exponent, and the points sigma z, s*^n sigma z of each, in turn."""
+    N = rep.N
+    sigmas = (("q^{(N-1)/2}", (N - 1) / 2.0), ("q^{N-1}", float(N - 1)))
+    star_step = surface.n * rep.factory.s_star_shift
+    tops = [xi_of(z) + sig_exp * rep.params.zeta for _, sig_exp in sigmas]
+    return sigmas, [v for top in tops for v in (top, top + star_step)]
+
+
+def _tqdet_wants(z: complex, surface: SurfaceSpec, rep: EvalRep) -> list:
+    return [_lax_want(rep, lax_points(rep.N, z, surface, rep)),
+            _lax_want(rep, _qdet_points(_sigma_tops(z, surface, rep)[1], rep))]
+
+
 def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
-                     tolerance: float = 1e-8) -> CheckReport:
+                     tolerance: float = 1e-8, built=None) -> CheckReport:
     """t^{(N)}(z) = det(M) det(Mt) qdet(s*^n sigma z) / qdet(sigma z).
 
     The grid of t^{(N)} determines sigma only up to the quasi-periodicity
@@ -751,14 +945,13 @@ def qdet_tqdet_check(z: complex, surface: SurfaceSpec, rep: EvalRep,
     clock = Stopwatch()
     N = rep.N
     zn = rep.factory.zn
-    t_val = complex(np.trace(build_t(N, z, surface, rep)) / N)
+    lax_t, lax_q = built or _now(_tqdet_wants(z, surface, rep))
+    t_val = complex(np.trace(build_t(N, z, surface, rep, lax_t)) / N)
     detM = complex(np.linalg.det(zn.M_power(surface.m)))
     detMt = complex(np.linalg.det(zn.M_power(surface.n)))
-    star_step = surface.n * rep.factory.s_star_shift
-    sigmas = (("q^{(N-1)/2}", (N - 1) / 2.0), ("q^{N-1}", float(N - 1)))
-    tops = [xi_of(z) + sig_exp * rep.params.zeta for _, sig_exp in sigmas]
+    sigmas, tops = _sigma_tops(z, surface, rep)
     qdets = [complex(np.trace(qd) / N) for qd in  # qdet(sigma z), qdet(s*^n sigma z) per sigma
-             _qdet_matrices([v for top in tops for v in (top, top + star_step)], rep)]
+             _qdet_matrices(tops, rep, lax_q)]
     results = {name: abs(t_val - detM * detMt * num / den) / max(abs(t_val), 1e-300)
                for (name, _), den, num in zip(sigmas, qdets[::2], qdets[1::2])}
     best = min(results, key=results.get)
@@ -788,19 +981,19 @@ def check_trace_MA(N: int, m: int, tolerance: float = 1e-10) -> CheckReport:
 
 
 def suite_qdet(ctx: SuiteContext) -> list[CheckReport]:
+    return _draw_build_check(ctx, 50, _qdet)
+
+
+def _qdet(ctx: SuiteContext, rng, checks: _Pass):
     tol = ctx.tol("qdet", 1e-8)
-    out = []
     pr = ctx.params
-    rng = ctx.rng(50)
     surf = resolve_surface(-1, -1, pr.q, 0.0, pr.N)
-    rep = EvalRep(RMatrixFactory(surf.params, ctx.policy), _unit_point(rng))
+    rep = EvalRep(factory(surf.params, ctx.policy), _unit_point(rng))
     z = _safe_point(rng)
-    _, rep1 = qdet_extract(z, rep, tol)
-    out.append(rep1)
-    out.append(qdet_tqdet_check(z, surf, rep, tol))
+    checks.add(lambda built=None: qdet_extract(z, rep, tol, built)[1], _qdet_extract_wants(z, rep))
+    checks.add(partial(qdet_tqdet_check, z, surf, rep, tol), _tqdet_wants(z, surf, rep))
     for m in range(1, pr.N + 1):
-        out.append(check_trace_MA(pr.N, m, ctx.tol("qdet", 1e-10)))
-    return out
+        checks.add(partial(check_trace_MA, pr.N, m, ctx.tol("qdet", 1e-10)))
 
 
 def n0_check(k: int, m: int, N: int, tolerance: float = 1e-10) -> CheckReport:
@@ -841,18 +1034,26 @@ def suite_n0(ctx: SuiteContext) -> list[CheckReport]:
 def abelianity_check(branch: str, N: int, q: complex, m: int, n: int,
                      x_grid, lam=None, tolerance: float = 1e-9,
                      policy: TruncationPolicy = DEFAULT_POLICY):
-    """Resolve the branch and measure max |Y_{m,n}(x) - 1| over the grid."""
+    """Resolve the branch and measure max |Y_{m,n}(x) - 1| over the grid.
+
+    A grid point on a pole fails this branch alone: the report has
+    residual NaN and the PoleHit's type and message in `error`/`message`."""
     clock = Stopwatch()
     x_grid = list(x_grid)
     params = resolve_abelian_branch(branch, N, q, m, n, lam)
     surf = abs(params.s**m * params.s_star**n - q ** (-N))
-    dev = worst(abs(y - 1) for y in Y_mn_grid(x_grid, m, n, params, policy).tolist())
+    failure = {}
+    try:
+        dev = worst(abs(y - 1) for y in Y_mn_grid(x_grid, m, n, params, policy).tolist())
+    except PoleHit as exc:
+        failure = {"error": type(exc).__name__, "message": str(exc)}
+        dev = math.nan
     return clock.report(
         suite="abelianity",
         check=f"{branch}(m={m},n={n})",
         identity="Y_{m,n}(x) = 1 on the abelianity surface",
         inputs={"N": N, "q": q, "m": m, "n": n, "lam": None if lam is None else str(lam),
-                "c": params.c, "surface_residual": surf, "grid_points": len(x_grid)},
+                "c": params.c, "surface_residual": surf, "grid_points": len(x_grid), **failure},
         residual=dev,
         tolerance=tolerance,
     )

@@ -18,10 +18,11 @@ is formed.
 The 2k Lax factors of t^{(k)}(z) come from one batched build
 (`EvalRep.lax` at `lax_points`), and the k inverted ones are checked and
 inverted as one stack; the quantum determinant builds the N factors of
-every point it is asked for in one call.  A caller that needs more Lax
-matrices at the same time (L(w) beside t^{(k)}(z), or the factors of two
-generators) builds them all in one call and passes the stack to
-`build_t`.
+every point it is asked for (`_qdet_points`) in one call.  A caller that
+needs more Lax matrices at the same time (L(w) beside t^{(k)}(z), the
+factors of two generators, or every generator of a suite) builds them
+all in one call and passes each its slice: `build_t(..., lax=)` and
+`_qdet_matrices(..., lax=)`.
 
 Multiplications by the designated root value s* are performed on the
 theta lattice (xi -> xi + tau* + 1), the continuation on which the
@@ -37,8 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NoSolution, SingularLax
-from .params import EllipticParams, TruncationPolicy, centred_ladder, xi_of
-from .qseries import F_a
+from .params import EllipticParams, centred_ladder, xi_of
 from .rmatrix import RMatrixFactory
 from .tensor import antisym_trace
 
@@ -150,15 +150,6 @@ def build_t(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None) ->
     return antisym_trace(rep.N, *build_Q(k, z, surface, rep, lax))
 
 
-def _exchange_prefactor_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
-                           policy: TruncationPolicy) -> complex:
-    """prod_i F_{-m}(z_i/w) / F*_n(z_i/w) with z_i = q^{e_i} z, each ladder
-    one array call over the k points."""
-    p = surface.params
-    x = np.array([p.q ** e * z / w for e in centred_ladder(k)])
-    return complex(np.prod(F_a(x, -surface.m, p.s, p, policy) / F_a(x, surface.n, p.s_star, p, policy)))
-
-
 def _scalar_residual(t: np.ndarray) -> float:
     """||t - (tr t / N) 1|| / ||t||, 0 for t = 0: how far t is from a scalar."""
     norm = np.linalg.norm(t)
@@ -177,17 +168,24 @@ def survives_selection_rule(k: int, m: int, n: int, N: int) -> bool:
 # Quantum determinant
 # ---------------------------------------------------------------------------
 
-def _qdet_matrices(xi_tops, rep: EvalRep) -> list:
+def _qdet_points(xi_tops, rep: EvalRep) -> np.ndarray:
+    """The additive points y, y/q, ..., y q^{1-N} of the Lax factors of
+    qdet at each y = e^{i pi xi_top} of xi_tops, point after point."""
+    N = rep.N
+    return (np.asarray(xi_tops, dtype=complex)[:, None] - np.arange(N) * rep.params.zeta).ravel()
+
+
+def _qdet_matrices(xi_tops, rep: EvalRep, lax=None) -> list:
     """Quantum-space matrix of qdet at each y = e^{i pi xi_top} of xi_tops,
-    from L_1(y) L_2(y/q) ... L_N(y q^{1-N}) A_N = A_N qdet(y), every Lax
-    factor of every point from one build.
+    from L_1(y) L_2(y/q) ... L_N(y q^{1-N}) A_N = A_N qdet(y).  `lax` is the
+    stack of Lax factors at `_qdet_points`, every factor of every point
+    built here in one call if not given.
 
     A_N = psi psi^T for the one basis vector psi of im A_N, so qdet is
     (psi^T (x) 1) L_1 ... L_N (psi (x) 1) = tr_{1..N}(L_1 ... L_N A_N)."""
     N = rep.N
-    points = np.asarray(xi_tops, dtype=complex)[:, None] - np.arange(N) * rep.params.zeta
-    mats = rep.lax(points.ravel()).reshape(points.shape + (N * N, N * N))
-    return [antisym_trace(N, rights=ms) for ms in mats]
+    mats = rep.lax(_qdet_points(xi_tops, rep)) if lax is None else lax
+    return [antisym_trace(N, rights=ms) for ms in mats.reshape(-1, N, N * N, N * N)]
 
 
 # ---------------------------------------------------------------------------

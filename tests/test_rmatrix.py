@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import wkit.qseries as qs
+import wkit.rmatrix as rmatrix
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
 from wkit.errors import ModulusOutOfRange, PoleHit
 from wkit.qseries import U, tau_N
-from wkit.rmatrix import zn_symmetry_residual
+from wkit.rmatrix import factory, zn_symmetry_residual
 from wkit.suites import (
     check_antisymmetry,
     check_crossing,
@@ -385,3 +386,64 @@ def test_batch_with_a_pole_raises_as_the_point_alone(pole, message):
                 batch(good[:at] + [bad] + good[at:])
             assert str(batched.value) == str(alone.value)
     assert fac.r_matrices([0.0]).shape == (1, 9, 9)  # z = 1 is regular for R
+
+
+# ---------------------------------------------------------------------------
+# The factory cache and the build chunks
+# ---------------------------------------------------------------------------
+
+def test_factory_cache_one_per_params_and_policy(monkeypatch):
+    monkeypatch.setattr(rmatrix, "_FACTORIES", {})
+    fac = factory(params(N=3), POL)
+    assert factory(params(N=3)) is fac  # an equal key: the default policy is POL
+    other = factory(params(N=3), TruncationPolicy(max_terms=1024))
+    assert other is not fac and other.policy.max_terms == 1024
+    for i in range(2 * rmatrix._FACTORY_LIMIT):
+        factory(params(N=2, p=0.1 + 0.01 * i), POL)
+        assert len(rmatrix._FACTORIES) <= rmatrix._FACTORY_LIMIT
+
+
+@pytest.mark.parametrize("pr", [params(N=3, q=0.55, p=0.6), EllipticParams(2, 0.6, 0.6)],
+                         ids=["N3", "N2-child-nome-limit"])
+def test_cached_factory_builds_equal_fresh(monkeypatch, pr):
+    monkeypatch.setattr(rmatrix, "_FACTORIES", {})
+    xis = [xi_of(1.2 + 0.3j), xi_of(0.75 - 0.4j) + 1, xi_of(0.9j + 0.5)]
+    factory(pr, POL).rhat_matrices(xis[:1])  # a cached factory that has built before
+    cached, fresh = factory(pr, POL), RMatrixFactory(pr, POL)
+    for build in ("r_matrices", "rhat_matrices"):
+        assert np.array_equal(getattr(cached, build)(xis), getattr(fresh, build)(xis))
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 40])
+def test_chunked_build_equals_one_call(monkeypatch, n):
+    # chunks of 16 points give the stack of one call over all n, to the
+    # rounding a batch may differ by (the lattice-sum window of each call)
+    fac = RMatrixFactory(params(N=3, q=0.55, p=0.6), POL)
+    rng = np.random.default_rng(n)
+    xis = [xi_of(cmath.rect(r, phi)) for r, phi in zip(rng.uniform(0.7, 1.4, n), rng.uniform(-1.4, 1.4, n))]
+    sums, points = rmatrix.theta_char_sums, []
+
+    def counted(g1, g2, xi, *args):  # one row per characteristic of each point
+        points.append(xi.shape[0])
+        return sums(g1, g2, xi, *args)
+
+    monkeypatch.setattr(rmatrix, "theta_char_sums", counted)
+    chunked = [fac.r_matrices(xis), fac.rhat_matrices(xis)]
+    assert max(points) == min(n, 16) and sum(points) == 2 * n
+    monkeypatch.setattr(rmatrix, "_CHUNK", 10 ** 6)
+    for got, want in zip(chunked, [fac.r_matrices(xis), fac.rhat_matrices(xis)]):
+        assert got.shape == want.shape == (n, 9, 9)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_chunked_build_raises_as_one_call(monkeypatch):
+    # a pole in a later chunk raises the message of the first pole of all
+    fac = RMatrixFactory(params(N=3), POL)
+    xis = [xi_of(cmath.rect(1.1, 0.05 * i)) for i in range(40)]
+    xis[20], xis[33] = 0.0, -fac.zeta
+    with pytest.raises(PoleHit) as chunked:
+        fac.rhat_matrices(xis)
+    monkeypatch.setattr(rmatrix, "_CHUNK", 10 ** 6)
+    with pytest.raises(PoleHit) as whole:
+        fac.rhat_matrices(xis)
+    assert str(chunked.value) == str(whole.value) == "Rhat pole at xi = 0j"
