@@ -455,13 +455,13 @@ def kappa_inv(z2: complex, params: EllipticParams,
     P, qq = q ** (2 * N), q * q
     up = np.multiply.outer([qq, p * P / qq, P, p], z2)       # c z^2
     down = np.divide.outer([P, p, qq, p * P / qq], z2)       # c / z^2
-    v = pochhammer2(np.concatenate((down[:2], up, down[2:])), p, P, policy)
-    num, den = v[:4].prod(axis=0), v[4:].prod(axis=0)        # the first four are the numerator
+    v = pochhammer2(np.concatenate((down[:2], up, down[2:])), p, P, policy).reshape(8, -1)
+    # lane by lane, as in a batch of any size (a one-lane prod rounds otherwise)
+    num, den = v[0] * v[1] * v[2] * v[3], v[4] * v[5] * v[6] * v[7]
     pole = abs(den) < _POLE_EPS * (1 + abs(num))
     if np.any(pole):
-        at = z2.flat[pole.argmax()] if isinstance(z2, np.ndarray) else z2
-        raise PoleHit(f"kappa denominator ~ 0 at z2 = {complex(at)}")
-    return num / den
+        raise PoleHit(f"kappa denominator ~ 0 at z2 = {complex(np.ravel(z2)[pole.argmax()])}")
+    return (num / den).reshape(np.shape(z2))[()]
 
 
 # ---------------------------------------------------------------------------

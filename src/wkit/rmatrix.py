@@ -271,10 +271,11 @@ def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
     return largest / scale if scale > 0 else 0.0
 
 
-def crossing_unitarity_residual(A: np.ndarray, B: np.ndarray, fac: RMatrixFactory) -> float:
-    """Relative distance between (A^{t2})^{-1} and (B^{-1})^{t2}."""
-    lhs = LabeledTensor.from_matrix(A, (1, 2), fac.N).partial_transpose(2).inv()
-    rhs = LabeledTensor.from_matrix(B, (1, 2), fac.N).inv().partial_transpose(2)
+def crossing_unitarity_residual(A: LabeledTensor, B: LabeledTensor) -> float:
+    """Relative distance between (A^{t2})^{-1} and (B^{-1})^{t2}, for A and B
+    on the spaces (1, 2)."""
+    lhs = A.partial_transpose(2).inv()
+    rhs = B.inv().partial_transpose(2)
     return (lhs - rhs).norm() / lhs.norm()
 
 

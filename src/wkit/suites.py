@@ -42,7 +42,13 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .errors import OutsideConvergenceAnnulus, PoleHit, TruncationBudgetExceeded, WkitError
+from .errors import (
+    ChargeViolation,
+    OutsideConvergenceAnnulus,
+    PoleHit,
+    TruncationBudgetExceeded,
+    WkitError,
+)
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_ladder, xi_of
 from .qseries import (
     F_a,
@@ -79,6 +85,7 @@ from .tensor import (
     antisymmetrizer,
     col_labels,
     compose,
+    frobenius,
     fused_gates,
     fused_R,
     monodromy_M,
@@ -86,7 +93,6 @@ from .tensor import (
     row_labels,
 )
 from .wgen import (
-    QUANTUM,
     EvalRep,
     SurfaceSpec,
     _qdet_matrices,
@@ -323,7 +329,13 @@ def _inputs(fac: RMatrixFactory, **extra) -> dict:
 
 
 def _on(mat: np.ndarray, labels, fac: RMatrixFactory) -> LabeledTensor:
-    return LabeledTensor.from_matrix(mat, labels, fac.N)
+    """`mat` as the graded operator on `labels`, or NaN in every block if an
+    entry breaks the Z_N charge: each rmatrix-properties check that takes it
+    then fails by itself, and zn-sparsity reports how far the build is off."""
+    try:
+        return LabeledTensor.from_matrix(mat, labels, fac.N)
+    except ChargeViolation:
+        return LabeledTensor.from_matrix(np.full_like(mat, np.nan), labels, fac.N)
 
 
 def check_regularity(fac: RMatrixFactory, tolerance=1e-9):
@@ -350,7 +362,8 @@ def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None)
     R, u, Rhat = built or _now(_unitarity_wants(z, fac))
     resids = []
     for (R12, R21), scal in ((R, 1.0), (Rhat, u[0])):
-        RR21 = (_on(R12, (1, 2), fac) @ _on(R21, (2, 1), fac)).data
+        # R21 acts on the spaces (2, 1): swap its two indices to act on (1, 2)
+        RR21 = R12 @ R21.reshape(N, N, N, N).transpose(1, 0, 3, 2).reshape(N * N, N * N)
         resids.append(np.linalg.norm(RR21 - scal * np.eye(N * N)) / np.linalg.norm(RR21))
     return clock.report("rmatrix-properties", "unitarity",
                         "R12(z) R21(1/z) = 1; Rhat pair gives U(z)",
@@ -386,12 +399,12 @@ def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None):
     crossing-unitarity consequence (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2},
     the latter verified for both R and Rhat."""
     clock = Stopwatch()
-    N = fac.N
     (R, R21, RN), hats = built or _now(_crossing_wants(z, fac))
-    Rt = _on(R, (1, 2), fac).partial_transpose(2)
+    R, RN, hats = _on(R, (1, 2), fac), _on(RN, (1, 2), fac), [_on(m, (1, 2), fac) for m in hats]
+    Rt = R.partial_transpose(2)
     R21t = _on(R21, (2, 1), fac).partial_transpose(2)
-    res1 = np.linalg.norm((Rt @ R21t).data - np.eye(N * N)) / Rt.norm()
-    resids = [res1, crossing_unitarity_residual(R, RN, fac), crossing_unitarity_residual(*hats, fac)]
+    res1 = (Rt @ R21t).norm(minus=1.0) / Rt.norm()
+    resids = [res1, crossing_unitarity_residual(R, RN), crossing_unitarity_residual(*hats)]
     return clock.report(
         "rmatrix-properties", "crossing",
         "R^{t2}(z) R21^{t2}(1/(z q^N)) = 1 and (R^{t2})^{-1} = (R(q^N z)^{-1})^{t2}",
@@ -503,7 +516,7 @@ def _crossing_control_wants(zs, fac: RMatrixFactory) -> list:
 def _crossing_control(zs, fac: RMatrixFactory, built=None):
     """Crossing-unitarity control: shift the q^N pairing by 1%."""
     clock = Stopwatch()
-    ctrl = [crossing_unitarity_residual(*pair, fac)
+    ctrl = [crossing_unitarity_residual(*(_on(m, (1, 2), fac) for m in pair))
             for pair in built or _now(_crossing_control_wants(zs, fac))]
     return clock.control(
         "rmatrix-properties", "control-perturbed-crossing",
@@ -574,20 +587,20 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
     aux = tuple(range(1, k + 1))
     steps = np.arange(k) * zeta
     mats = fac.rhat_matrices(np.concatenate((xi_x - steps, xi_x + steps)))
-    invs = np.linalg.inv(mats)
 
     def on_aux(ms):
-        return [_on(m, (i, "0"), fac) for i, m in zip(aux, ms)]
+        return [LabeledTensor.from_matrix(m, (i, "0"), N) for i, m in zip(aux, ms)]
 
+    down, up = on_aux(mats[:k]), on_aux(mats[k:])
     chains = (
-        ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k", on_aux(mats[:k])),
+        ("chain", "Rhat_{1,0}(x)...Rhat_{k,0}(x q^{1-k}) A_k = A_k (...) A_k", down),
         # (R1^-1)^t0 ... (Rk^-1)^t0 = (Rk^-1 ... R1^-1)^t0, and transposing
         # space 0 commutes with A_k (x) 1 and keeps the Frobenius norm, so
         # the reversed untransposed chain has the same residual
         ("chain_t0_inv", "(Rhat^{-1})^{t0} descending-argument chain, one-sided projector",
-         on_aux(invs[:k])[::-1]),
+         [g.inv() for g in reversed(down)]),
         ("chain_inv", "Rhat^{-1}_{1,0}(x)...Rhat^{-1}_{k,0}(x q^{k-1}) A_k = A_k (...) A_k",
-         on_aux(invs[k:])),
+         [g.inv() for g in up]),
     )
     for name, identity, gates in chains:
         report(name, identity, gates, aux, ("0",))
@@ -597,8 +610,7 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
     report("fused_rows", "fused R block with row antisymmetrizer", gates, rows, cols)
     report("fused_cols", "fused R block with column antisymmetrizer", gates, cols, rows)
     if N ** (k + kprime) <= 1536:  # the budget of the former dense inversion
-        inv = np.linalg.inv(np.array([g.data for g in gates]))
-        inv_gates = [LabeledTensor(g.labels, N, m) for g, m in zip(gates[::-1], inv[::-1])]
+        inv_gates = [g.inv() for g in reversed(gates)]
         report("fused_inv_rows", "inverse fused R block with row antisymmetrizer",
                inv_gates, rows, cols)
         report("fused_inv_cols", "inverse fused R block with column antisymmetrizer",
@@ -618,15 +630,15 @@ def check_M_derivative(x: complex, k: int, kprime: int, fac, tolerance: float = 
     clock = Stopwatch()
     N, step = fac.N, 1e-4
     Ms = monodromy_M(x, k, kprime, fac, [-N, -N + step, -N - step, -N + 2 * step, -N - 2 * step])
-    Mc = next(Ms).data
-    scale = max(np.linalg.norm(Mc), 1e-300)
-    ident_res = np.linalg.norm(Mc - np.eye(len(Mc))) / scale
+    Mc = next(Ms)
+    scale = max(Mc.norm(), 1e-300)
+    ident_res = Mc.norm(minus=1.0) / scale
     # 4 D(step) - D(2 step) as a weighted sum of the M at c = -N +- step and
     # -N +- 2 step, added one M at a time so that no two are held at once
-    total = np.zeros_like(Mc)
+    total = np.zeros_like(Mc.data)
     for w in (2 / step, -2 / step, -1 / (4 * step), 1 / (4 * step)):
         total += w * next(Ms).data
-    deriv = np.linalg.norm(total) / 3 / scale
+    deriv = frobenius(total) / 3 / scale
     return clock.report(
         "fusion-identities", f"M_derivative(k={k},k'={kprime})",
         "d/dc M(x) = 0 and M(x) = 1 at the critical level c = -N",
@@ -727,11 +739,9 @@ def exchange_residual_tL(k: int, z: complex, w: complex, surface: SurfaceSpec,
     if vanishing:
         res = t_norm
     else:
-        Lw = LabeledTensor.from_matrix(lax[-1], ("b", QUANTUM), N)
-        t = LabeledTensor.from_matrix(t_gen, (QUANTUM,), N)
-        lhs = compose([t, Lw], ("b", QUANTUM))
-        rhs = pref * compose([Lw, t], ("b", QUANTUM))
-        res = (lhs - rhs).norm() / max(Lw.norm() * t_norm, 1e-300)
+        # t^(k) need not conserve the charge, so 1 (x) t is a dense N^2 x N^2 matrix
+        Lw, t = lax[-1], np.kron(np.eye(N), t_gen)
+        res = np.linalg.norm(t @ Lw - pref * Lw @ t) / max(np.linalg.norm(Lw) * t_norm, 1e-300)
     return clock.report(
         suite="theorem1-exchange", check=f"tL(k={k},m={surface.m},n={surface.n})",
         identity=("t^{(k)} = 0 (twist charge (m+n)k != 0 mod N), exchange trivial"

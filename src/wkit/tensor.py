@@ -1,30 +1,22 @@
-"""Dense labeled tensor-space engine.
+"""Charge-graded labeled tensor engine.
 
-A LabeledTensor is a dense complex operator on an ordered list of labeled
-N-dimensional spaces.  `@` and `-` combine operators on the same set of
-spaces, reordering the right operand to the left one's order; `compose`
-multiplies factors on different spaces, such as the two-space R-factors,
-into one dense operator.  Partial transposes over named spaces act on one
-operator.
+A LabeledTensor is an operator on ordered labeled N-dimensional spaces
+that conserves the Z_N charge sum_i w_i x_i mod N, w_i = +-1 per space:
+Rhat conserves x_a + x_b, and a partial transpose flips the weights of the
+spaces it transposes.  It is held as its N diagonal blocks of N^(n-1)
+rows, so no N^n x N^n operator is formed for n >= 3.  `from_matrix`, the
+one way dense entries come in, refuses a nonzero entry off the pattern
+(ChargeViolation).  Norms are numpy sums of squares (`frobenius`):
+np.linalg.norm of a complex array calls BLAS dot, which OpenBLAS splits
+across two threads on large arrays.
 
 The antisymmetrizer A_k is held only as the orthonormal basis V of its
-image, A_k = V V^T with C(N,k) columns.  `antisym_trace`, the one trace
-against A_k, runs on Lambda^k, the antisymmetric auxiliary space of the
-fusion procedure (Kulish, Reshetikhin, Sklyanin, Lett. Math. Phys. 5
-(1981) 393), and never on the N^k rows of V.
-
-The projector residuals ||X A - A X A|| of the fusion identities use the
-Z_N grading of Belavin's R-matrix: Rhat conserves the charge x_a + x_b
-mod N, so only N^3 of its N^4 entries are nonzero.  `_projector_residual`
-checks that every gate conserves the one charge sum_i x_i mod N (refusing
-a gate that breaks it), holds the columns v_c (x) e_j of one total charge
-on the N^(n-1) rows of their sector, and applies each two-space gate there
-as one gather and one batched matmul of N x N blocks.
-
-Every dense allocation goes through one guard: it may hold at most
-WKIT_MAX_DIM^2 entries, so a D x D operator needs D <= WKIT_MAX_DIM.
-
-All operations allocate fresh results; nothing here mutates shared state.
+image, A_k = V V^T.  `antisym_trace` runs on Lambda^k, the antisymmetric
+auxiliary space of the fusion procedure (Kulish, Reshetikhin, Sklyanin,
+Lett. Math. Phys. 5 (1981) 393).  The projector residuals hold the columns
+of V (x) 1 of one charge on the rows of their sector, in blocks of at most
+2^15 entries.  Every block and index table passes one guard of at most
+WKIT_MAX_DIM^2 entries.  Nothing here mutates shared state.
 """
 
 from __future__ import annotations
@@ -43,6 +35,9 @@ from .qseries import _store
 _DEFAULT_MAX_DIM = 10_000
 _BASES = {}  # (k, N) -> the read-only basis V of im A_k
 _STEPS = {}  # (j, N) -> the read-only step B_j from V_{j-1} (x) 1 to V_j
+_MOVES = {}  # (N, weights, new weights, src) -> the read-only gather table of `_moved`
+_PLANS = {}  # (N, n, gate positions) -> the row orders of `_sector_steps`
+_LAYOUTS = {}  # (N, n) -> the gather table of `from_matrix`
 
 
 def _max_dim() -> int:
@@ -60,89 +55,148 @@ def _guard(entries: int, what: str):
         )
 
 
+def frobenius(a: np.ndarray) -> float:
+    """The Frobenius norm of a complex array as a numpy sum of squares."""
+    v = a.reshape(-1).view(np.float64)
+    return math.sqrt(np.einsum("i,i", v, v))
+
+
+def _places(N: int, m: int) -> np.ndarray:
+    """The row-major place value of each of m indices."""
+    return N ** np.arange(m - 1, -1, -1)
+
+
+def _states(N: int, weights) -> np.ndarray:
+    """The index on each space of row r of block Q, (n, N, R), under
+    `weights`: the first n - 1 indices run in row-major order and the last
+    makes the charge Q."""
+    n, R = len(weights), N ** (len(weights) - 1)
+    head = np.indices((N,) * (n - 1), dtype=np.intp).reshape(n - 1, 1, R)
+    last = weights[-1] * (np.arange(N)[:, None] - np.asarray(weights[:-1], dtype=np.intp) @ head[:, 0]) % N
+    return np.concatenate((np.broadcast_to(head, (n - 1, N, R)), last[None]))
+
+
 @dataclass(frozen=True)
 class LabeledTensor:
-    """Dense operator on ordered labeled spaces, each of dimension N."""
+    """Operator on ordered labeled spaces of dimension N that conserves
+    sum_i weights[i] x_i mod N: rows Q R .. (Q + 1) R - 1 of `data` hold the
+    block of charge Q, R = N^(n-1), so data.shape[0] is its dimension."""
 
     labels: tuple
     N: int
-    data: np.ndarray  # shape (N^k, N^k)
+    weights: tuple
+    data: np.ndarray  # shape (N^n, N^(n-1))
 
     def __post_init__(self):
-        k = len(self.labels)
-        if len(set(self.labels)) != k:
-            raise LabelMismatch(f"duplicate labels in {self.labels}")
-        if self.data.shape != (self.N**k, self.N**k):
-            raise LabelMismatch(
-                f"data shape {self.data.shape} does not match {k} spaces of dim {self.N}"
-            )
+        n = len(self.labels)
+        if len(set(self.labels)) != n or len(self.weights) != n or self.data.shape != (
+                self.N**n, self.N ** (n - 1)):
+            raise LabelMismatch(f"data of shape {self.data.shape} on {self.labels} with weights "
+                                f"{self.weights} does not match {n} spaces of dim {self.N}")
 
-    # -- constructors -------------------------------------------------------
+    @property
+    def blocks(self) -> np.ndarray:
+        """The N diagonal blocks, (N, R, R)."""
+        return self.data.reshape(self.N, -1, self.data.shape[1])
 
     @classmethod
     def from_matrix(cls, matrix, labels, N: int) -> "LabeledTensor":
-        return cls(tuple(labels), N, np.asarray(matrix, dtype=complex))
-
-    # -- label plumbing -----------------------------------------------------
+        """The operator of a dense N^n x N^n matrix that conserves sum_i x_i
+        mod N.  Raises ChargeViolation if an entry off the pattern is
+        nonzero, however small; a matrix with an entry that is not finite,
+        which may sit anywhere, gives NaN in every block."""
+        labels = tuple(labels)
+        n, weights = len(labels), (1,) * len(labels)
+        m = np.asarray(matrix, dtype=complex)
+        if m.shape != (N**n, N**n) or len(set(labels)) != n:
+            raise LabelMismatch(f"a {m.shape} matrix on the spaces {labels} of dim {N}")
+        at = _LAYOUTS.get((N, n))
+        if at is None:  # the entry of the matrix at each entry of the blocks, read-only
+            rows = (_places(N, n) @ _states(N, weights).reshape(n, -1)).reshape(N, -1, 1)
+            at = (rows * N**n + rows.transpose(0, 2, 1)).reshape(N**n, -1)
+            at.flags.writeable = False
+            at = _store(_LAYOUTS, (N, n), at)
+        data = m.reshape(-1).take(at)
+        if np.count_nonzero(data) != np.count_nonzero(m):  # a nonzero off the blocks
+            if np.isfinite(m).all():
+                raise ChargeViolation(f"operator on {labels} does not conserve the Z_{N} charge "
+                                      f"sum_i w_i x_i mod {N} for w = {weights}")
+            data = np.full_like(data, np.nan)
+        return cls(labels, N, weights, data)
 
     def reorder(self, new_labels) -> "LabeledTensor":
         """Same operator with spaces listed in a different order."""
         new_labels = tuple(new_labels)
-        if set(new_labels) != set(self.labels):
+        if set(new_labels) != set(self.labels) or len(new_labels) != len(self.labels):
             raise LabelMismatch(f"cannot reorder {self.labels} as {new_labels}")
         if new_labels == self.labels:
             return self
-        k = len(self.labels)
-        perm = [self.labels.index(l) for l in new_labels]
-        t = self.data.reshape([self.N] * (2 * k))
-        t = t.transpose(perm + [k + p for p in perm])
-        return LabeledTensor(new_labels, self.N, t.reshape(self.data.shape))
+        weights = tuple(self.weights[self.labels.index(l)] for l in new_labels)
+        return self._moved(new_labels, weights, tuple((new_labels.index(l), False) for l in self.labels))
 
-    # -- algebra ------------------------------------------------------------
+    def partial_transpose(self, labels) -> "LabeledTensor":
+        """Transpose on the named space(s), identity on the rest: their
+        weights flip."""
+        labels = labels if isinstance(labels, (list, tuple)) else (labels,)
+        if not set(labels) <= set(self.labels):
+            raise LabelMismatch(f"labels {labels} not all present in {self.labels}")
+        flip = [l in labels for l in self.labels]
+        weights = tuple(-w if f else w for w, f in zip(self.weights, flip))
+        return self._moved(self.labels, weights, tuple(enumerate(flip)))
+
+    def _moved(self, labels, weights, src) -> "LabeledTensor":
+        """This operator under `weights` on `labels`, where index i of an
+        entry's row here is index j of the result's row for src[i] = (j,
+        False) and of its column for (j, True), and the column likewise.  The
+        gather table is cached read-only."""
+        N, n = self.N, len(labels)
+        R = N ** (n - 1)
+        key = (N, self.weights, weights, src)
+        _guard(N * R * R, f"{N} x {R} x {R} index table")  # cached or not
+        table = _MOVES.get(key)
+        if table is None:
+            X, place = _states(N, weights), _places(N, n)
+            a, b, qa, qb = (np.zeros((N, R, 1), dtype=np.intp) for _ in range(4))
+            for i, (j, swap) in enumerate(src):  # row = a + b^T, column = b + a^T
+                (b if swap else a)[..., 0] += place[i] * X[j]
+                (qb if swap else qa)[..., 0] += self.weights[i] * X[j]
+            a_t, b_t = a.transpose(0, 2, 1), b.transpose(0, 2, 1)
+            Q = (qa + qb.transpose(0, 2, 1)) % N  # the charge of the entry's row here
+            table = (Q * R + (a + b_t) // N) * R + (b + a_t) // N
+            table.flags.writeable = False
+            table = _store(_MOVES, key, table)
+        return LabeledTensor(labels, N, weights, self.data.ravel()[table].reshape(N * R, R))
 
     def _same_spaces(self, other: "LabeledTensor") -> np.ndarray:
-        """other's data with its spaces in self's order."""
+        """other's blocks with its spaces in self's order."""
+        if other.labels == self.labels and other.weights == self.weights and other.N == self.N:
+            return other.blocks
         if self.N != other.N or set(self.labels) != set(other.labels):
             raise LabelMismatch(
                 f"operands on {self.labels} (N={self.N}) and {other.labels} "
                 f"(N={other.N}) act on different spaces; multiply them with "
                 f"tensor.compose")
-        return other.reorder(self.labels).data
+        other = other.reorder(self.labels)
+        if any((w - v) % self.N for w, v in zip(self.weights, other.weights)):
+            raise ChargeViolation(f"operands on {self.labels} conserve different charges: "
+                                  f"weights {self.weights} and {other.weights}")
+        return other.blocks
+
+    def _with(self, blocks: np.ndarray) -> "LabeledTensor":
+        return LabeledTensor(self.labels, self.N, self.weights, blocks.reshape(self.data.shape))
 
     def __matmul__(self, other: "LabeledTensor") -> "LabeledTensor":
-        return LabeledTensor(self.labels, self.N, self.data @ self._same_spaces(other))
+        return self._with(np.matmul(self.blocks, self._same_spaces(other)))
 
     def __sub__(self, other: "LabeledTensor") -> "LabeledTensor":
-        return LabeledTensor(self.labels, self.N, self.data - self._same_spaces(other))
-
-    def __mul__(self, scalar) -> "LabeledTensor":
-        return LabeledTensor(self.labels, self.N, self.data * complex(scalar))
-
-    __rmul__ = __mul__
+        return self._with(self.blocks - self._same_spaces(other))
 
     def inv(self) -> "LabeledTensor":
-        return LabeledTensor(self.labels, self.N, np.linalg.inv(self.data))
+        return self._with(np.linalg.inv(self.blocks))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
-    # -- contractions -------------------------------------------------------
-
-    def partial_transpose(self, labels) -> "LabeledTensor":
-        """Transpose on the named space(s), identity on the rest."""
-        if not isinstance(labels, (list, tuple)):
-            labels = (labels,)
-        for l in labels:
-            if l not in self.labels:
-                raise LabelMismatch(f"label {l!r} not present in {self.labels}")
-        k = len(self.labels)
-        t = self.data.reshape([self.N] * (2 * k))
-        axes = list(range(2 * k))
-        for l in labels:
-            i = self.labels.index(l)
-            axes[i], axes[k + i] = axes[k + i], axes[i]
-        t = t.transpose(axes)
-        return LabeledTensor(self.labels, self.N, t.reshape(self.data.shape))
+    def norm(self, minus: complex = 0.0) -> float:
+        """||self - minus 1||, Frobenius."""
+        return frobenius(self.blocks - minus * np.eye(self.data.shape[1]) if minus else self.data)
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +317,80 @@ def antisym_trace(N: int, lefts=None, rights=None) -> np.ndarray:
 
 
 def compose(gates, labels) -> LabeledTensor:
-    """gates[0] @ gates[1] @ ... as a dense operator on `labels`, each gate
-    acting on some of those spaces.  The gates are applied to the identity
-    block, the last first and one tensordot each, so no gate is widened to
-    all the spaces."""
+    """gates[0] @ gates[1] @ ... on `labels`, each gate of weight +1 on some
+    of those spaces: `_sector_steps` on the identity columns of every charge
+    sector at once writes the blocks, and no gate is widened."""
     labels = tuple(labels)
     N, n = gates[0].N, len(labels)
-    D = N**n
-    _guard(D * D, f"{D} x {D} operator")
-    block = np.eye(D, dtype=complex).reshape((N,) * n + (D,))
-    for gate in reversed(gates):
-        if not set(gate.labels) <= set(labels):
-            raise LabelMismatch(f"gate on {gate.labels} outside the spaces {labels}")
-        m = len(gate.labels)
-        axes = [labels.index(l) for l in gate.labels]
-        out = np.tensordot(gate.data.reshape((N,) * (2 * m)), block,
-                           axes=(list(range(m, 2 * m)), axes))
-        block = np.moveaxis(out, list(range(m)), axes)
-    return LabeledTensor(labels, N, block.reshape(D, D))
+    R = N ** (n - 1)
+    _guard(N * R * R, f"{N} x {R} x {R} charge blocks")
+    steps, back = _sector_steps(gates, labels)
+    Y = _run(steps, slice(None), np.broadcast_to(np.eye(R, dtype=complex), (N, R, R)))
+    return LabeledTensor(labels, N, (1,) * n, Y[:, back].reshape(N * R, R))
+
+
+def _gate_step(N: int, pos, digits: np.ndarray):
+    """The gate on the positions `pos` as a step on the rows of a charge
+    sector: `digits` holds each row's indices in the sector Q = 0, and in
+    the sector Q the last index moves by Q.  Returns (perm, at): `perm` puts
+    the rows in (gate charge c, block row of the gate, orbit) order, an
+    orbit fixing every index off the gate, and blocks[at][Q, c] is the
+    gate's block that multiplies the rows of c in the sector Q."""
+    last, m = len(digits) - 1, len(pos)
+    others = [p for p in range(last + 1) if p not in pos]
+    # the last of the other spaces is fixed by the rest and the gate charge
+    orbit = _places(N, len(others) - 1) @ digits[others[:-1]]
+    row = digits[list(pos)].sum(axis=0) % N * N ** (m - 1) + _places(N, m - 1) @ digits[list(pos[:-1])]
+    order = row * N ** max(len(others) - 1, 0) + orbit  # (gate charge, block row, orbit)
+    perm = np.empty_like(order)
+    perm[order] = np.arange(len(order))
+    Q = np.arange(N)[:, None]
+    cs = (np.arange(N if others else 1) + (last in pos) * Q) % N  # gate charges, (N, 1 or N)
+    b = N ** (m - 1)  # the rows of one block of the gate
+    head = np.indices((N,) * (m - 1), dtype=np.intp).reshape(m - 1, 1, b)
+    shift = np.array([p == last for p in pos[:-1]], dtype=np.intp).reshape(-1, 1, 1)
+    r = (_places(N, m - 1) @ ((head + shift * Q[None]) % N).reshape(m - 1, N * b)).reshape(N, b)
+    return perm, (cs[:, :, None, None], r[:, None, :, None], r[:, None, None, :])
+
+
+def _sector_steps(gates, labels):
+    """(steps, back): each gate, the last first, as the (perm, blocks) of
+    `_gate_step`, and the gather that puts the rows back in increasing
+    order.  The tables serve every sector and are cached while small.
+    Every gate must conserve the one charge sum_i x_i mod N."""
+    N, n = gates[0].N, len(labels)
+    for g in gates:
+        if not set(g.labels) <= set(labels):
+            raise LabelMismatch(f"gate on {g.labels} outside the spaces {labels}")
+        if any((w - 1) % N for w in g.weights):
+            raise ChargeViolation(f"gate on {g.labels} does not conserve the Z_{N} "
+                                  f"charge sum_i x_i mod {N}")
+    key = (N, n, tuple(tuple(labels.index(l) for l in g.labels) for g in reversed(gates)))
+    _guard(n * N ** (n - 1), "sector index table")  # cached or not
+    plan = _PLANS.get(key)
+    if plan is None:
+        R = N ** (n - 1)  # the rows of the sector Q = 0
+        digits = np.vstack((np.indices((N,) * (n - 1)).reshape(n - 1, R), -_charges(N, n - 1) % N))
+        plan = []
+        for pos in key[2]:
+            plan.append(_gate_step(N, pos, digits))
+            digits = digits[:, plan[-1][0]]
+        back = np.empty(digits.shape[1], dtype=np.intp)
+        back[_places(N, n - 1) @ digits[:-1]] = np.arange(len(back))
+        plan = (plan, back)
+        if len(gates) * len(back) <= _BLOCK_ENTRIES:  # cached read-only
+            for a in (back, *(a for perm, at in plan[0] for a in (perm, *at))):
+                a.flags.writeable = False
+            _store(_PLANS, key, plan)
+    return [(perm, g.blocks[at]) for (perm, at), g in zip(plan[0], reversed(gates))], plan[1]
+
+
+def _run(steps, Q, Y: np.ndarray) -> np.ndarray:
+    """The `_sector_steps` applied to Y, an (S, R, columns) stack on the S sectors of slice Q."""
+    for perm, blocks in steps:
+        B = blocks[Q]
+        Y = np.matmul(B, Y[:, perm].reshape(B.shape[:3] + (-1,))).reshape(Y.shape)
+    return Y
 
 
 # ---------------------------------------------------------------------------
@@ -328,56 +438,15 @@ def fused_R(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> Lab
     return compose(fused_gates(x, k, kprime, fac, c_shift), row_labels(k) + col_labels(kprime))
 
 
-_BLOCK_ENTRIES = 2**20  # entries of one block of sector columns in _projector_residual (16 MB)
+_BLOCK_ENTRIES = 2**15  # entries of one block of sector columns in _projector_residual (512 KB)
 
 
-def _require_conserved(gates):
-    """Raise ChargeViolation unless every nonzero entry of every gate joins
-    two states of its spaces with the same charge (`_charges`): Rhat and its
-    inverse conserve x_a + x_b, a diagonal one-space gate x_a.  The sector
-    kernel never drops an entry."""
-    for g in gates:
-        ch = _charges(g.N, len(g.labels))
-        if g.data[ch[:, None] != ch[None, :]].any():
-            raise ChargeViolation(f"gate on {g.labels} does not conserve the Z_{g.N} "
-                                  f"charge sum_i x_i mod {g.N}")
-
-
-def _gate_step(gate: LabeledTensor, labels, digits: np.ndarray):
-    """One gate as a step on the rows of the charge sectors.  `digits`
-    holds, in the rows' current order, the index of each row on each space
-    of `labels` in the sector Q = 0; in the sector Q the index on the last
-    space is shifted by Q, and every other index is the same.
-
-    Returns (perm, op): gather the rows by `perm` (None: keep them), then
-    multiply by op(Q).  A one-space gate is diagonal, so op(Q) is a factor
-    per row.  For a two-space gate `perm` puts the rows in (pair charge c,
-    index x_a on the gate's first space, orbit) order, where an orbit fixes
-    every index but the pair's, and op(Q)[c] is the N x N block of the gate
-    at pair charge c; the batched matmul op(Q) @ rows leaves the rows in
-    that order.  So each two-space gate is one gather and one matmul."""
-    N, last = gate.N, len(labels) - 1
-    x = np.arange(N)
-    pos = [labels.index(l) for l in gate.labels]
-    shift = int(pos[0] == last)  # x_a moves by Q
-    if len(pos) == 1:
-        d = np.diagonal(gate.data)
-        return None, lambda Q: d[(digits[pos[0]] + shift * Q) % N][:, None]
-    pa, pb = pos
-    c = (digits[pa] + digits[pb]) % N
-    # within a sector the last of the other spaces is fixed by the rest, so
-    # the orbits of one pair charge are ranked by the remaining indices
-    others = [p for p in range(last + 1) if p not in pos][:-1]
-    orbit = np.ravel_multi_index(digits[others], (N,) * len(others)) if others else 0
-    cs = x if last > 1 else x[:1]  # the pair charges in the sector Q = 0 (0 alone if n = 2)
-    order = (c * N + digits[pa]) * N ** len(others) + orbit
-    perm = np.empty_like(order)
-    perm[order] = np.arange(len(order))
-    xb = (x[:, None] - x) % N  # the partner of x_a at pair charge c
-    B = gate.data.reshape((N,) * 4)[x[None, :, None], xb[:, :, None], x[None, None, :], xb[:, None, :]]
-    touches = int(last in pos)  # the pair charge of every row moves by Q
-    return perm, lambda Q: B[np.ix_((cs + touches * Q) % N, (x + shift * Q) % N,
-                                    (x + shift * Q) % N)]
+def _basis_nonzeros(k: int, N: int):
+    """(rows, values) of the k! nonzeros of each column of the basis V of
+    im A_k, two (C(N,k), k!) arrays."""
+    V = antisymmetrizer(k, N).basis
+    rows = np.nonzero(V.T)[1].reshape(V.shape[1], -1)
+    return rows, V[rows, np.arange(V.shape[1])[:, None]]
 
 
 def _charge_sectors(gates, a_labels, rest):
@@ -386,53 +455,39 @@ def _charge_sectors(gates, a_labels, rest):
     the full rows `rows` (indices in N^n over the spaces a_labels + rest),
     the rest of those columns being 0.
 
-    Every gate conserves the Z_N charge (`_require_conserved`), so each
-    column stays in the sector of its total charge Q, the N^(n-1) rows whose
-    index sum is Q mod N.  The columns of one Q are held on those rows
-    only, a block of at most _BLOCK_ENTRIES entries at a time, and the gates
-    act inside the sector (`_gate_step`); the row orders of the gates are
-    computed once, for Q = 0, and serve every sector.  Y's rows come back in
-    increasing order of `rows`, which is the order of the first n - 1
-    indices, the last being fixed by Q."""
+    Every gate conserves the Z_N charge (`_sector_steps` refuses one that
+    does not), so each column stays in the sector of its total charge Q,
+    the N^(n-1) rows whose index sum is Q mod N.  The columns of one Q are
+    held on those rows only, a block of at most _BLOCK_ENTRIES entries at a
+    time, and the gates act inside the sector (`_gate_step`); the row orders
+    of the gates are computed once, for Q = 0, and serve every sector.  Y's
+    rows come back in increasing order of `rows`, which is the order of the
+    first n - 1 indices, the last being fixed by Q."""
     N, labels = gates[0].N, tuple(a_labels) + tuple(rest)
     n, k = len(labels), len(a_labels)
-    for g in gates:
-        if not set(g.labels) <= set(labels):
-            raise LabelMismatch(f"gate on {g.labels} outside the spaces {labels}")
-        if len(g.labels) > 2:
-            raise LabelMismatch(f"gate on {g.labels}: the sector kernel takes one or two spaces")
-    _require_conserved(gates)
-    V = antisymmetrizer(k, N).basis
-    cz, az = np.nonzero(V.T)  # the k! nonzeros of each column of V
-    az = az.reshape(V.shape[1], -1)
-    vals = V[az, cz.reshape(az.shape)]
+    az, vals = _basis_nonzeros(k, N)
     D = N ** len(rest)
     col_charge = (_charges(N, k)[az[:, 0]][:, None] + _charges(N, n - k)) % N
     R, width = N ** (n - 1), max(1, _BLOCK_ENTRIES // N ** (n - 1))
-    # the index table of the sector's rows and one block of its columns
-    _guard(R * max(n, min(width, np.bincount(col_charge.ravel()).max())), "sector block")
+    _guard(R * min(width, np.bincount(col_charge.ravel()).max()), "sector block")
+    steps, back = _sector_steps(gates, labels)
     last = -_charges(N, n - 1) % N  # the last index in the sector Q = 0
-    digits, steps = np.vstack((np.indices((N,) * (n - 1)).reshape(n - 1, R), last)), []
-    for g in reversed(gates):
-        steps.append(_gate_step(g, labels, digits))
-        if steps[-1][0] is not None:
-            digits = digits[:, steps[-1][0]]
-    back = np.empty(R, dtype=np.intp)
-    back[np.ravel_multi_index(digits[:-1], (N,) * (n - 1))] = np.arange(R)
     for Q in range(N):
         cq, jq = np.nonzero(col_charge == Q)
         for s in range(0, len(cq), width):
             c, j = cq[s:s + width], jq[s:s + width]
-            Y = np.zeros((R, len(c)), dtype=complex)
-            Y[(az[c] * D + j[:, None]) // N, np.arange(len(c))[:, None]] = vals[c]
-            for perm, op in steps:
-                if perm is None:
-                    Y *= op(Q)
-                else:
-                    blocks = op(Q)
-                    Y = np.matmul(blocks, Y[perm].reshape(len(blocks), N, -1)).reshape(R, -1)
-            Y = Y[back]
-            yield Y, np.arange(R) * N + (last + Q) % N, c * D + j
+            Y = np.zeros((1, R, len(c)), dtype=complex)
+            Y[0, (az[c] * D + j[:, None]) // N, np.arange(len(c))[:, None]] = vals[c]
+            yield _run(steps, slice(Q, Q + 1), Y)[0, back], np.arange(R) * N + (last + Q) % N, c * D + j
+
+
+def _outside_A(Ya: np.ndarray, az: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Ya - V (V^T Ya), Ya's rows indexed as V's, through the nonzeros (az,
+    vals) of V's columns: a gather, a weighted sum and a scatter."""
+    P = (vals[:, :, None] * Ya[az]).sum(axis=1)  # V^T Ya
+    out = Ya.copy()
+    out[az] -= vals[:, :, None] * P[:, None, :]
+    return out
 
 
 def _projector_residual(gates, a_labels, rest) -> float:
@@ -444,22 +499,27 @@ def _projector_residual(gates, a_labels, rest) -> float:
     (V (x) 1)^T on the right keeps the Frobenius norm; so this is
     ||(1 - A) Y|| / ||Y||.  Y is computed one Z_N charge sector at a time by
     `_charge_sectors`, and X is never formed.  A_k conserves the charge too,
-    so (1 - A) Y is taken inside each sector: with the rows in increasing
-    order and at least one space in `rest`, the rows of Y.reshape(N^k, -1)
-    are the index on the spaces of A_k.  A_1 = 1, so on one space the
-    residual is 0 by construction; a gate that is not finite gives NaN."""
+    so (1 - A) Y is taken inside each sector (`_outside_A`): with the rows in
+    increasing order and at least one space in `rest`, the rows of
+    Y.reshape(N^k, -1) are the index on the spaces of A_k; with none, the
+    sector's rows are those of the columns of V of its charge.  A_1 = 1, so
+    on one space the residual is 0 by construction; a gate that is not
+    finite gives NaN."""
     if not all(np.isfinite(g.data).all() for g in gates):
         return math.nan
     if len(a_labels) == 1:
         return 0.0
     N, k = gates[0].N, len(a_labels)
-    V = antisymmetrizer(k, N).basis
+    az, vals = _basis_nonzeros(k, N)
     num = den = 0.0
     for Y, rows, _ in _charge_sectors(gates, a_labels, rest):
-        Ya, Va = (Y.reshape(N**k, -1), V) if rest else (Y, V[rows])
-        num += np.linalg.norm(Va @ (Va.T @ Ya) - Ya) ** 2
-        den += np.linalg.norm(Y) ** 2
-        del Y, Ya  # so that the next block is built without this one
+        den += frobenius(Y) ** 2
+        if rest:
+            num += frobenius(_outside_A(Y.reshape(N**k, -1), az, vals)) ** 2
+        else:
+            inside = np.isin(az[:, 0], rows)
+            num += frobenius(_outside_A(Y, az[inside] // N, vals[inside])) ** 2
+        del Y  # so that the next block is built without this one
     return math.sqrt(num) / max(math.sqrt(den), 1e-300)
 
 

@@ -111,6 +111,40 @@ def test_charge_violation_becomes_failing_report(tmp_path, monkeypatch):
     assert reports[0]["inputs"]["error"] == "ChargeViolation"
 
 
+def test_off_charge_build_fails_zn_sparsity_and_the_graded_checks(tmp_path, monkeypatch, capsys):
+    # one entry outside the Z_N charge pattern, 1e-11 of the largest, in
+    # every R and Rhat build: zn-sparsity (tolerance 1e-12) fails on its
+    # measure, the checks on graded operators, which refuse the build, fail
+    # with NaN, and every other check still reports and passes; through
+    # `wkit check` that is exit 1 and no traceback
+    from wkit.cli import main
+    from wkit.rmatrix import RMatrixFactory
+
+    build = RMatrixFactory._build
+
+    def off_charge(self, xis, hat):
+        mats = build(self, xis, hat).copy()
+        mats[:, 0, 1] = 1e-11 * abs(mats).max(axis=(1, 2))  # (0, 0) <- (0, 1) changes the charge
+        return mats
+
+    monkeypatch.setattr(RMatrixFactory, "_build", off_charge)
+    path, out = tmp_path / "cfg.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"params": {"N": 3}, "suites": ["rmatrix-properties"]}))
+    assert main(["check", "--config", str(path), "--out", str(out)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    reports = json.loads(out.read_text())
+    assert len(reports) == 35 and "suite-error" not in {r["check"] for r in reports}
+    failed = {r["check"] for r in reports if not r["passed"]}
+    graded = {"crossing", "yang-baxter", "yang-baxter-hat", "control-perturbed-ybe",
+              "control-perturbed-crossing"}
+    assert failed == graded | {"zn-sparsity"}
+    for r in reports:
+        if r["check"] == "zn-sparsity":
+            assert 0.9e-11 < r["residual"] < 1.1e-11
+        elif r["check"] in graded:
+            assert r["residual"] != r["residual"]  # NaN
+
+
 def test_linalg_error_in_a_suite_becomes_failing_report(tmp_path, monkeypatch):
     # a numpy LinAlgError (say, a singular fused block) fails its own suite
     # only; every other suite still reports

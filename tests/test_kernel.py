@@ -244,6 +244,22 @@ def test_pochhammer2_point_equals_itself_in_any_batch(path):
             assert product(lo, lo + size).tolist() == alone[lo:lo + size], (size, lo)
 
 
+def test_kappa_inv_point_equals_itself_in_any_batch():
+    # bit for bit: a point's 1/kappa alone equals its value in batches of 2,
+    # 3 and 30 at every offset.  Its numerator and denominator are each a
+    # product of four pochhammer2 rows, and numpy reduces a one-lane product
+    # with another complex multiply than two or more lanes.
+    pr = EllipticParams(3, 0.55, cmath.sqrt(0.6))
+    rng = np.random.default_rng(24)
+    xi = rng.uniform(-1, 1, 30) + 1j * rng.uniform(-0.15, 0.15, 30)
+    z2 = np.exp(2j * np.pi * xi)
+    alone = [kappa_inv(z2[i:i + 1], pr, POL)[0] for i in range(z2.size)]
+    assert [complex(kappa_inv(complex(z), pr, POL)) for z in z2] == alone
+    for size in (2, 3, 30):
+        for lo in range(z2.size - size + 1):
+            assert kappa_inv(z2[lo:lo + size], pr, POL).tolist() == alone[lo:lo + size], (size, lo)
+
+
 def mp_pochhammer2(mp, z, p1, p2):
     """(z; p1, p2)_inf at the working precision, every factor whose weight
     is at least 1e-25 / (|z| + 1): the tail changes the product by less

@@ -8,7 +8,7 @@ import pytest
 
 import wkit.qseries as qs
 import wkit.rmatrix as rmatrix
-from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
+from wkit import EllipticParams, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
 from wkit.errors import ModulusOutOfRange, PoleHit
 from wkit.qseries import U, tau_N
 from wkit.rmatrix import factory, zn_symmetry_residual
@@ -32,7 +32,7 @@ def params(N=2, q=0.5, p=0.3, c=0.0):
 
 def m21(mat, N):
     """M_21: the two-space matrix M_12 with its spaces exchanged."""
-    return LabeledTensor.from_matrix(mat, (2, 1), N).reorder((1, 2)).data
+    return mat.reshape((N,) * 4).transpose(1, 0, 3, 2).reshape(N * N, N * N)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, permutations
 
@@ -12,10 +13,14 @@ from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy
 from wkit.errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
 from wkit.suites import check_fusion_identities, check_M_derivative
 from wkit.wgen import EvalRep, build_Q, lax_points, resolve_surface
+from wkit import tensor
 from wkit.tensor import (
     Antisymmetrizer,
+    _basis_nonzeros,
     _basis_step,
     _charge_sectors,
+    _fused_factors,
+    _outside_A,
     _projector_residual,
     antisym_trace,
     col_labels,
@@ -31,10 +36,69 @@ POL = TruncationPolicy()
 RNG = np.random.default_rng(3)
 
 
+@dataclass(frozen=True)
+class Dense:
+    """Dense operator on ordered labeled spaces, each of dimension N: the
+    oracle for the charge-graded LabeledTensor, which never forms one."""
+
+    labels: tuple
+    N: int
+    data: np.ndarray  # shape (N^k, N^k)
+
+    @classmethod
+    def from_matrix(cls, matrix, labels, N):
+        return cls(tuple(labels), N, np.asarray(matrix, dtype=complex))
+
+    def reorder(self, new_labels):
+        new_labels, k = tuple(new_labels), len(self.labels)
+        perm = [self.labels.index(l) for l in new_labels]
+        t = self.data.reshape([self.N] * (2 * k)).transpose(perm + [k + p for p in perm])
+        return Dense(new_labels, self.N, t.reshape(self.data.shape))
+
+    def __matmul__(self, other):
+        return Dense(self.labels, self.N, self.data @ dense(other).reorder(self.labels).data)
+
+    def __sub__(self, other):
+        return Dense(self.labels, self.N, self.data - dense(other).reorder(self.labels).data)
+
+    def inv(self):
+        return Dense(self.labels, self.N, np.linalg.inv(self.data))
+
+    def norm(self):
+        return float(np.linalg.norm(self.data))
+
+    def partial_transpose(self, labels):
+        labels = labels if isinstance(labels, (list, tuple)) else (labels,)
+        k, axes = len(self.labels), list(range(2 * len(self.labels)))
+        for l in labels:
+            i = self.labels.index(l)
+            axes[i], axes[k + i] = axes[k + i], axes[i]
+        t = self.data.reshape([self.N] * (2 * k)).transpose(axes)
+        return Dense(self.labels, self.N, t.reshape(self.data.shape))
+
+
+def charge_of(N, weights):
+    """sum_i w_i x_i mod N of every index tuple x, in row-major order."""
+    n = len(weights)
+    return np.asarray(weights) @ np.indices((N,) * n).reshape(n, -1) % N
+
+
+def dense(t):
+    """t as a Dense operator: the blocks of a LabeledTensor scattered onto
+    the states of each charge in increasing order, found by their charge."""
+    if isinstance(t, Dense):
+        return t
+    charge, D = charge_of(t.N, t.weights), t.N ** len(t.labels)
+    out = np.zeros((D, D), dtype=complex)
+    for Q in range(t.N):
+        idx = np.flatnonzero(charge == Q)
+        out[np.ix_(idx, idx)] = t.blocks[Q]
+    return Dense(t.labels, t.N, out)
+
+
 def rnd(labels, N=2):
     D = N ** len(labels)
-    return LabeledTensor.from_matrix(
-        RNG.normal(size=(D, D)) + 1j * RNG.normal(size=(D, D)), labels, N)
+    return Dense.from_matrix(RNG.normal(size=(D, D)) + 1j * RNG.normal(size=(D, D)), labels, N)
 
 
 def rnd_stack(k, d):
@@ -49,9 +113,10 @@ def dense_on(t, labels):
     """t as a dense operator on `labels`: the identity on the spaces it
     does not act on, by np.kron, then the spaces put in the order of
     `labels`.  The independent oracle for `apply_gates` and `compose`."""
+    t = dense(t)
     extra = tuple(l for l in labels if l not in t.labels)
     big = np.kron(t.data, np.eye(t.N ** len(extra)))
-    return LabeledTensor.from_matrix(big, t.labels + extra, t.N).reorder(tuple(labels))
+    return Dense.from_matrix(big, t.labels + extra, t.N).reorder(tuple(labels))
 
 
 def dense_product(gates, labels):
@@ -68,7 +133,7 @@ def apply_gates(gates, labels, block: np.ndarray) -> np.ndarray:
     N, n = block.shape[0], len(labels)
     if block.shape[:-1] != (N,) * n:
         raise LabelMismatch(f"block of shape {block.shape} does not match {n} spaces")
-    for gate in reversed(gates):
+    for gate in map(dense, reversed(gates)):
         m = len(gate.labels)
         axes = [labels.index(l) for l in gate.labels]
         out = np.tensordot(gate.data.reshape((N,) * (2 * m)), block,
@@ -94,18 +159,18 @@ def stack_gates(lefts, rights, N):
     """The factors of X_k = l_k ... l_1 r_1 ... r_k, each stack entry on
     (space j, "0"), as a gate list, leftmost first."""
     k = len(lefts)
-    return ([LabeledTensor.from_matrix(lefts[j - 1], (j, "0"), N) for j in range(k, 0, -1)]
-            + [LabeledTensor.from_matrix(rights[j - 1], (j, "0"), N) for j in range(1, k + 1)])
+    return ([Dense.from_matrix(lefts[j - 1], (j, "0"), N) for j in range(k, 0, -1)]
+            + [Dense.from_matrix(rights[j - 1], (j, "0"), N) for j in range(1, k + 1)])
 
 
 def partial_trace(t, traced):
     """The trace of t over the spaces `traced`, by einsum on its data with
     those spaces moved last: the dense oracle for `antisym_trace`."""
-    traced = tuple(traced)
+    t, traced = dense(t), tuple(traced)
     keep = tuple(l for l in t.labels if l not in traced)
     Dk, Dt = t.N ** len(keep), t.N ** len(traced)
     data = t.reorder(keep + traced).data.reshape(Dk, Dt, Dk, Dt)
-    return LabeledTensor(keep, t.N, np.einsum("aibi->ab", data))
+    return Dense(keep, t.N, np.einsum("aibi->ab", data))
 
 
 def dense_antisymmetrizer(k, N):
@@ -118,37 +183,53 @@ def dense_antisymmetrizer(k, N):
     return A / math.factorial(k)
 
 
+def rnd_conserving(labels, N, rng=RNG):
+    """A random operator on `labels` that conserves sum_i x_i mod N: the
+    N^3 pattern of Rhat on two spaces, a diagonal on one."""
+    charge = charge_of(N, (1,) * len(labels))
+    D = N ** len(labels)
+    data = (rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))) * (charge[:, None] == charge)
+    return LabeledTensor.from_matrix(data, labels, N)
+
+
 # ---------------------------------------------------------------------------
 # LabeledTensor mechanics
 # ---------------------------------------------------------------------------
 
 def test_composition_order_independence_disjoint():
-    a, b = rnd((1,), N=2), rnd((2,), N=2)
+    # operators on one space conserve the charge only if diagonal
+    a, b = rnd_conserving((1,), 2), rnd_conserving((2,), 2)
     ab = compose([a, b], (1, 2))
     ba = compose([b, a], (1, 2))
     assert np.allclose(ab.data, ba.data)
-    assert np.allclose(ab.data, np.kron(a.data, b.data))
+    assert np.allclose(dense(ab).data, np.kron(dense(a).data, dense(b).data))
 
 
 def test_trace_factorizes():
-    a, b = rnd((1,), N=3), rnd((2,), N=3)
+    a, b = rnd_conserving((1,), 3), rnd_conserving((2,), 3)
     prod = compose([a, b], (1, 2))
     assert abs(partial_trace(prod, (1, 2)).data[0, 0]
-               - np.trace(a.data) * np.trace(b.data)) < 1e-10
+               - np.trace(dense(a).data) * np.trace(dense(b).data)) < 1e-10
 
 
 def test_double_partial_transpose_is_identity():
-    t = rnd((1, 2, "0"), N=2)
-    assert np.allclose(t.partial_transpose("0").partial_transpose("0").data, t.data)
+    # at N = 3 the transposed space changes the grading, and back
+    t = rnd_conserving((1, 2, "0"), 3)
+    once = t.partial_transpose("0")
+    assert once.weights == (1, 1, -1)
+    assert np.array_equal(dense(once).data, dense(t).partial_transpose("0").data)
+    twice = once.partial_transpose("0")
+    assert twice.weights == t.weights and np.array_equal(twice.data, t.data)
 
 
 def test_trace_transpose_identity():
     # tr_1(O M) = tr_1((M^{T0}) (O^{T0}))^{T0} on spaces (1, "0")
-    O = rnd((1, "0"), N=3)
-    M = rnd((1, "0"), N=3)
+    O = rnd_conserving((1, "0"), 3)
+    M = rnd_conserving((1, "0"), 3)
     lhs = partial_trace(O @ M, (1,))
     rhs = partial_trace(M.partial_transpose("0") @ O.partial_transpose("0"), (1,)).partial_transpose("0")
     assert np.allclose(lhs.data, rhs.data)
+    assert np.allclose(lhs.data, partial_trace(dense(O) @ dense(M), (1,)).data)
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -163,48 +244,68 @@ def test_trace_transpose_identity():
     ((1,), (2, 3)),             # disjoint
 ])
 def test_contraction_matches_dense_oracle(N, left, right):
-    a, b = rnd(left, N=N), rnd(right, N=N)
+    # charge-conserving gates of one to three spaces, composed into blocks
+    a, b = rnd_conserving(left, N), rnd_conserving(right, N)
     union = left + tuple(l for l in right if l not in left)
     ab = compose([a, b], union)
     assert ab.labels == union
-    dense = (dense_on(a, union) @ dense_on(b, union)).data
-    assert np.linalg.norm(ab.data - dense) <= 1e-12 * np.linalg.norm(dense)
+    dense_ab = (dense_on(a, union) @ dense_on(b, union)).data
+    assert np.linalg.norm(dense(ab).data - dense_ab) <= 1e-12 * np.linalg.norm(dense_ab)
+    if set(left) == set(right):  # the same spaces: @ reorders the right operand
+        assert np.linalg.norm(dense(a @ b).data - dense(a).data @ dense(b).reorder(left).data) \
+            <= 1e-12 * np.linalg.norm(dense_ab)
 
 
 def test_label_mismatch_raises():
     with pytest.raises(LabelMismatch):
-        rnd((1, 2)).reorder((1, 3))
+        rnd_conserving((1, 2), 2).reorder((1, 3))
     with pytest.raises(LabelMismatch):
         LabeledTensor.from_matrix(np.eye(4), (1, 1), 2)
-    a, b = rnd((1, 2)), rnd((2, 3))
+    a, b = rnd_conserving((1, 2), 2), rnd_conserving((2, 3), 2)
     with pytest.raises(LabelMismatch, match=r"\(1, 2\).*\(2, 3\).*compose"):
         a @ b
     with pytest.raises(LabelMismatch, match="compose"):
-        a - rnd((1,))
+        a - rnd_conserving((1,), 2)
     with pytest.raises(LabelMismatch, match="compose"):
-        a @ rnd((1, 2), N=3)
+        a @ rnd_conserving((1, 2), 3)
+
+
+def test_operands_of_different_gradings_are_refused():
+    # at N = 3 an operator graded by x_1 + x_2 and one graded by x_1 - x_2
+    # have different blocks; at N = 2 the two charges are one
+    a = rnd_conserving((1, 2), 3)
+    with pytest.raises(ChargeViolation, match="different charges"):
+        a @ a.partial_transpose(2)
+    with pytest.raises(ChargeViolation, match="different charges"):
+        a - a.partial_transpose(2).reorder((2, 1))
+    b = rnd_conserving((1, 2), 2)
+    assert np.allclose(dense(b @ b.partial_transpose(2)).data,
+                       dense(b).data @ dense(b).partial_transpose(2).data)
 
 
 def test_dimension_guard_and_override(monkeypatch):
-    gate = rnd((1, 2))
+    # compose holds N blocks of N^(n-1) x N^(n-1): 2^(2n-1) entries at N = 2
+    gate = rnd_conserving((1, 2), 2)
     monkeypatch.setenv("WKIT_MAX_DIM", "100")
     with pytest.raises(DimensionGuardExceeded):
-        compose([gate], range(1, 8))  # 128 > 100
+        compose([gate], range(1, 9))  # 2 x 128 x 128 = 32768 > 100^2
     monkeypatch.setenv("WKIT_MAX_DIM", "200")
-    assert compose([gate], range(1, 8)).data.shape == (128, 128)
+    assert compose([gate], range(1, 9)).data.shape == (256, 128)
     monkeypatch.delenv("WKIT_MAX_DIM")
     with pytest.raises(DimensionGuardExceeded):
-        compose([gate], range(1, 16))  # 32768 > default
+        compose([gate], range(1, 16))  # 2^29 > default
 
 
 def test_compose_guard_before_allocating(monkeypatch):
-    # a D x D product holds D^2 entries, admitted up to WKIT_MAX_DIM^2
+    # N blocks of D x D hold N D^2 entries, admitted up to WKIT_MAX_DIM^2
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
-    gate = rnd((1, 2))
-    assert compose([gate], (1, 2, 3)).data.shape == (8, 8)  # at the guard
+    gate = rnd_conserving((1, 2), 2)
+    assert compose([gate], (1, 2, 3)).data.shape == (8, 4)  # 32 entries
+    assert compose([rnd_conserving((1, 2), 4)], (1, 2)).data.shape == (16, 4)  # 64: at the guard
     allocated = []
     monkeypatch.setattr(np, "eye", lambda *args, **kwargs: allocated.append(args))
-    with pytest.raises(DimensionGuardExceeded, match="16 x 16 operator of 256 entries"):
+    monkeypatch.setattr(np, "indices", lambda *args, **kwargs: allocated.append(args))
+    with pytest.raises(DimensionGuardExceeded, match="2 x 8 x 8 charge blocks of 128 entries"):
         compose([gate], (1, 2, 3, 4))
     assert allocated == []
 
@@ -223,12 +324,13 @@ def test_antisym_trace_guard_before_its_largest_step(monkeypatch):
 
 
 def test_dense_constructors_respect_guard(monkeypatch):
-    # a dense operator is guarded by its dimension (8), the antisymmetrizer
-    # basis by its N^k C(N,k) entries (8^2 = 64)
+    # charge blocks are guarded by their N D^2 entries, a dense operator by
+    # its dimension (8), the antisymmetrizer basis by its N^k C(N,k)
+    # entries (8^2 = 64)
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
-    assert compose([rnd((1,))], (1, 2, 3)).data.shape == (8, 8)  # at the guard
+    assert compose([rnd_conserving((1,), 3)], (1, 2)).data.shape == (9, 3)  # 27 entries
     with pytest.raises(DimensionGuardExceeded):
-        compose([rnd((1,), 3)], (1, 2))  # 9 > 8
+        compose([rnd_conserving((1,), 3)], (1, 2, 3))  # 3 x 9 x 9 = 243 > 64
     with pytest.raises(DimensionGuardExceeded):
         permutation_operator((1, 0), 3)
     A = antisymmetrizer(2, 3)  # 9 x 3 = 27 entries
@@ -301,7 +403,7 @@ def test_antisym_trace_keeps_the_rest_spaces(N):
     for k in range(1, N + 1):
         aux = tuple(range(1, k + 1))
         lefts, rights, ones = rnd_stack(k, N * N), rnd_stack(k, N * N), [np.eye(N * N)] * k
-        A = LabeledTensor.from_matrix(dense_antisymmetrizer(k, N), aux, N)
+        A = Dense.from_matrix(dense_antisymmetrizer(k, N), aux, N)
         # both stacks, and each alone (a missing stack is the identity)
         for args, kwargs in [((lefts, rights), {}), ((lefts, ones), {"lefts": lefts}),
                              ((ones, rights), {"rights": rights})]:
@@ -333,10 +435,10 @@ def old_Q_gates(k, z, surface, rep):
     invs = np.linalg.inv(mats[k:])
 
     def each(M):
-        return [LabeledTensor.from_matrix(M, (i,), N) for i in range(1, k + 1)]
+        return [Dense.from_matrix(M, (i,), N) for i in range(1, k + 1)]
 
     def on(mat, i):
-        return LabeledTensor.from_matrix(mat, (i, "0"), N)
+        return Dense.from_matrix(mat, (i, "0"), N)
 
     return (each(zn.M_power(surface.m)) + [on(mats[k - i], i) for i in range(k, 0, -1)]
             + each(zn.M_power(surface.n)) + [on(invs[i - 1], i) for i in range(1, k + 1)])
@@ -364,7 +466,7 @@ def test_antisym_trace_of_twist_powers_matches_the_kron_block(N):
         M = ZnMatrices(N).M_power(m)
         for k in range(1, N + 1):
             t = antisym_trace(N, lefts=[M] * k)
-            oracle = kron_block_trace([LabeledTensor.from_matrix(M, (i,), N) for i in range(1, k + 1)], k)
+            oracle = kron_block_trace([Dense.from_matrix(M, (i,), N) for i in range(1, k + 1)], k)
             assert t.shape == (1, 1)
             assert abs(t[0, 0] - oracle[0, 0]) <= 1e-13 * max(1.0, abs(oracle[0, 0])), (m, k)
 
@@ -449,19 +551,9 @@ def test_apply_gates_matches_dense_product():
 
 def _dense_projector_residual(gates, labels, a_labels):
     N = gates[0].N
-    A = dense_on(LabeledTensor.from_matrix(
-        antisymmetrizer(len(a_labels), N).matrix, a_labels, N), labels)
+    A = dense_on(Dense.from_matrix(antisymmetrizer(len(a_labels), N).matrix, a_labels, N), labels)
     lhs = dense_product(gates, labels) @ A
     return (lhs - A @ lhs).norm() / lhs.norm()
-
-
-def rnd_conserving(labels, N, sign=1):
-    """A random gate on one or two spaces that conserves x_a + sign x_b mod N:
-    the N^3 pattern of Rhat on two spaces, a diagonal on one."""
-    x = np.indices((N,) * len(labels)).reshape(len(labels), -1)
-    charge = (x[0] + sign * x[1]) % N if len(labels) == 2 else x[0]
-    data = rnd(labels, N).data * (charge[:, None] == charge[None, :])
-    return LabeledTensor.from_matrix(data, labels, N)
 
 
 def kron_block_residual(gates, a_labels, rest):
@@ -496,19 +588,20 @@ def test_projector_residual_matches_dense_when_it_fails(a_labels):
 
 @pytest.mark.parametrize("a_labels", [(1, 2), ("0", 2), (2, 1, "0")])
 def test_projector_residual_raises_on_gates_that_break_the_charge(a_labels):
-    # random dense gates conserve no Z_N charge: the sector kernel must
-    # refuse them, not drop the entries outside the sectors
+    # random dense gates conserve no Z_N charge: they are refused as they
+    # enter the graded type, and no entry outside the sectors is dropped
     labels, N = (1, 2, "0"), 3
-    gates = [rnd((1, "0"), N), rnd((2,), N), rnd((2, "0"), N)]
+    dense_gates = [rnd((1, "0"), N), rnd((2,), N), rnd((2, "0"), N)]
     rest = tuple(l for l in labels if l not in a_labels)
     with pytest.raises(ChargeViolation):
+        gates = [LabeledTensor.from_matrix(g.data, g.labels, N) for g in dense_gates]
         _projector_residual(gates, a_labels, rest)
 
 
 def test_projector_residual_refuses_a_difference_charge():
     # the one charge is sum_i x_i mod N: at N = 3 a gate that conserves
     # x_a - x_b instead is refused, not given a weight -1 on one space
-    gates = [rnd_conserving((1, "0"), 3), rnd_conserving((2, "0"), 3, -1)]
+    gates = [rnd_conserving((1, "0"), 3), rnd_conserving((2, "0"), 3).partial_transpose("0")]
     with pytest.raises(ChargeViolation, match=r"gate on \(2, '0'\)"):
         _projector_residual(gates, (1, 2), ("0",))
 
@@ -576,23 +669,21 @@ def test_one_off_charge_entry_raises():
     # refused; so is a one-space gate that is not diagonal
     gates, aux, rest = fusion_gate_lists(3, 2, 2)["chain"]
     assert _projector_residual(gates, aux, rest) < 1e-12
-    bad = gates[1].data.copy()
+    bad = dense(gates[1]).data.copy()
     bad[0, 1] = 1e-300  # (0, 0) <- (0, 1): charge 0 <- 1
-    broken = [gates[0], LabeledTensor(gates[1].labels, 3, bad)]
-    with pytest.raises(ChargeViolation, match=r"gate on \(2, '0'\)"):
-        _projector_residual(broken, aux, rest)
-    shift = LabeledTensor.from_matrix(np.roll(np.eye(3), 1, axis=0), (1,), 3)
+    with pytest.raises(ChargeViolation, match=r"operator on \(2, '0'\)"):
+        LabeledTensor.from_matrix(bad, gates[1].labels, 3)
     with pytest.raises(ChargeViolation):
-        _projector_residual(gates + [shift], aux, rest)
+        LabeledTensor.from_matrix(np.roll(np.eye(3), 1, axis=0), (1,), 3)
 
 
 def test_projector_residual_nan_gate():
     # a gate that is not finite gives a NaN residual, not a charge error
     gates, aux, rest = fusion_gate_lists(3, 2, 2)["chain"]
-    bad = gates[0].data.copy()
+    bad = dense(gates[0]).data.copy()
     bad[0, 1] = complex(math.nan, 0.0)  # off the charge pattern as well
-    assert math.isnan(_projector_residual([LabeledTensor(gates[0].labels, 3, bad), gates[1]],
-                                          aux, rest))
+    assert math.isnan(_projector_residual([LabeledTensor.from_matrix(bad, gates[0].labels, 3),
+                                           gates[1]], aux, rest))
 
 
 def test_sector_blocks_respect_guard(monkeypatch):
@@ -609,10 +700,9 @@ def test_projector_residual_on_one_space_is_zero_unless_a_gate_is_not_finite():
     # A_1 = 1: the residual is 0 without applying the gates, and a
     # non-finite gate still fails the report
     rng = np.random.default_rng(41)
-    gates = [LabeledTensor.from_matrix(rng.normal(size=(9, 9)) + 0j, labels, 3)
-             for labels in [(1, "0"), (2, "0")]]
+    gates = [rnd_conserving(labels, 3, rng=rng) for labels in [(1, "0"), (2, "0")]]
     assert _projector_residual(gates, ("0",), (1, 2)) == 0.0
-    gates[1].data[2, 5] = complex(math.nan, 0.0)
+    gates[1].data[2, 1] = complex(math.nan, 0.0)
     assert math.isnan(_projector_residual(gates, ("0",), (1, 2)))
     assert math.isnan(_projector_residual(gates, (1,), (2, "0")))
 
@@ -653,8 +743,8 @@ def test_fusion_identities_control():
     labels = (1, 2, "0")
     X = compose([rhat_on(fac, xi, (1, "0")),
                  rhat_on(fac, xi - 1.01 * pr.zeta, (2, "0"))], labels)  # wrong ladder step
-    A = dense_on(LabeledTensor.from_matrix(antisymmetrizer(2, 2).matrix, (1, 2), 2), labels)
-    lhs = X @ A
+    A = dense_on(Dense.from_matrix(antisymmetrizer(2, 2).matrix, (1, 2), 2), labels)
+    lhs = dense(X) @ A
     rhs = A @ lhs
     assert (lhs - rhs).norm() / lhs.norm() > 1e-3
 
@@ -702,3 +792,123 @@ def test_monodromy_derivative_control():
 def test_monodromy_critical_is_identity():
     M, = monodromy_M(1.2 + 0.2j, 2, 1, RMatrixFactory(params(N=2), POL), [-2])
     assert (M - LabeledTensor.from_matrix(np.eye(len(M.data)), M.labels, 2)).norm() < 1e-8 * M.norm()
+
+
+# ---------------------------------------------------------------------------
+# The graded operator against the dense oracle
+# ---------------------------------------------------------------------------
+
+def dense_M(x, k, kp, fac, c):
+    """M(x) at the central charge c, composed, inverted and transposed as
+    Dense operators from the same factors as `monodromy_M`."""
+    rows, labels = row_labels(k), row_labels(k) + col_labels(kp)
+    R0, Rc, Rm = (dense_product(f, labels) for f in _fused_factors(x, k, kp, fac, [0.0, c, -c - fac.N]))
+    R0i = R0.inv()
+    return (Rc.partial_transpose(rows) @ (R0i @ Rm @ R0i).partial_transpose(rows)).partial_transpose(rows)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4])
+def test_graded_monodromy_and_crossing_match_the_dense_oracle(N):
+    # every (k, k') <= 2: M at the critical level and off it to 1e-12 ||M||,
+    # and the fused crossing-unitarity residual to 1e-13
+    pr = params(N=N)
+    fac = RMatrixFactory(pr, POL)
+    x = 1.25 + 0.15j
+    for k in (1, 2):
+        for kp in (1, 2):
+            cs = [-N, -N + 0.3]
+            for M, c in zip(monodromy_M(x, k, kp, fac, cs), cs):
+                oracle = dense_M(x, k, kp, fac, c).data
+                assert M.weights == (1,) * (k + kp)
+                assert np.linalg.norm(dense(M).data - oracle) <= 1e-12 * np.linalg.norm(oracle), (k, kp, c)
+            rows = row_labels(k)
+            RR, RRN = fused_R(x, k, kp, fac), fused_R(pr.q**N * x, k, kp, fac)
+            graded = (RR.partial_transpose(rows).inv() - RRN.inv().partial_transpose(rows)).norm() \
+                / RR.partial_transpose(rows).inv().norm()
+            D, DN = dense(RR), dense(RRN)
+            lhs = D.partial_transpose(rows).inv()
+            assert abs(graded - (lhs - DN.inv().partial_transpose(rows)).norm() / lhs.norm()) <= 1e-13
+
+
+def test_one_tiny_entry_off_the_pattern_is_refused_before_a_transpose():
+    # R^{t2} conserves x_1 - x_2 at N = 3, its blocks moved from those of R;
+    # a 1e-300 entry off R's pattern is refused as R enters the graded type,
+    # so no transpose can carry it onto the flipped pattern
+    fac = RMatrixFactory(params(N=3), POL)
+    R = fac.rhat_matrix_xi(xi_of(1.2 + 0.1j))
+    Rt = LabeledTensor.from_matrix(R, (1, 2), 3).partial_transpose(2)
+    assert Rt.weights == (1, -1)
+    assert np.array_equal(dense(Rt).data, Dense.from_matrix(R, (1, 2), 3).partial_transpose(2).data)
+    bad = R.copy()
+    assert bad[0, 1] == 0  # (0, 0) <- (0, 1) changes x_1 + x_2
+    bad[0, 1] = 1e-300
+    with pytest.raises(ChargeViolation):
+        LabeledTensor.from_matrix(bad, (1, 2), 3).partial_transpose(2)
+
+
+def test_M_derivative_at_N4_runs_under_a_guard_of_128(monkeypatch):
+    # the blocks of k = k' = 2 at N = 4 hold 4 x 64 x 64 = 128^2 entries; the
+    # dense operators needed a guard of 256
+    fac = RMatrixFactory(params(N=4), POL)
+    monkeypatch.setenv("WKIT_MAX_DIM", "128")
+    rep = check_M_derivative(1.3 + 0.1j, 2, 2, fac)
+    assert rep.passed, rep.residual
+    monkeypatch.setenv("WKIT_MAX_DIM", "127")
+    with pytest.raises(DimensionGuardExceeded, match="4 x 64 x 64 charge blocks of 16384 entries"):
+        check_M_derivative(1.3 + 0.1j, 2, 2, fac)
+
+
+def test_index_tables_are_refused_before_they_are_built(monkeypatch):
+    # a partial transpose at N = 2 on four spaces gathers through a table of
+    # 2 x 8 x 8 entries, a sector kernel on three spaces indexes 3 x 4 rows;
+    # each is refused under its own count, cached or not, before any table
+    t = rnd_conserving((1, 2, 3, 4), 2)
+    t.partial_transpose(2)  # the table is now cached
+    gates = [rnd_conserving((1, "0"), 2), rnd_conserving((2, "0"), 2)]
+    _projector_residual(gates, (1, 2), ("0",))
+    for builder in ("_states", "_gate_step"):
+        monkeypatch.setattr(tensor, builder, lambda *args: pytest.fail("a table was built"))
+    monkeypatch.setenv("WKIT_MAX_DIM", "11")
+    with pytest.raises(DimensionGuardExceeded, match="2 x 8 x 8 index table of 128 entries"):
+        t.partial_transpose(2)
+    with pytest.raises(DimensionGuardExceeded, match="2 x 8 x 8 index table of 128 entries"):
+        t.partial_transpose(1)  # not cached
+    monkeypatch.setenv("WKIT_MAX_DIM", "3")  # the sector block of 4 x 1 passes, the table of 12 not
+    with pytest.raises(DimensionGuardExceeded, match="sector index table of 12 entries"):
+        list(_charge_sectors(gates, (1, 2), ("0",)))
+
+
+# ---------------------------------------------------------------------------
+# The projector path
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("N,k,kp", [(3, 3, 2), (4, 2, 2), (4, 3, 1)])
+def test_a_sector_split_over_blocks_equals_one_block(N, k, kp, monkeypatch):
+    split = 0  # the lists whose sectors take several blocks
+    for name, args in fusion_gate_lists(N, k, kp).items():
+        whole = _projector_residual(*args)
+        rows = N ** (len(args[1]) + len(args[2]) - 1)
+        monkeypatch.setattr(tensor, "_BLOCK_ENTRIES", 2 * rows)  # two columns a block
+        blocks = list(_charge_sectors(*args))
+        assert all(Y.shape[1] <= 2 for Y, _, _ in blocks), name
+        split += len(blocks) > N
+        assert abs(_projector_residual(*args) - whole) <= 1e-13, name
+        monkeypatch.undo()
+    assert split >= 4
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_sparse_basis_projection_matches_the_dense_basis(N):
+    # (1 - A) Y through the k! nonzeros of each column of V against
+    # Va @ (Va.T @ Ya), on every block of every gate list the fusion suite builds
+    for k, kp in {(2, 2), (min(N, 3), 1), (N, 1)}:
+        for name, (gates, a_labels, rest) in fusion_gate_lists(N, k, kp).items():
+            if len(a_labels) == 1:
+                continue
+            V = antisymmetrizer(len(a_labels), N).basis
+            az, vals = _basis_nonzeros(len(a_labels), N)
+            for Y, _, _ in _charge_sectors(gates, a_labels, rest):
+                Ya = Y.reshape(len(V), -1)
+                dense_part = Ya - V @ (V.T @ Ya)
+                assert np.linalg.norm(_outside_A(Ya, az, vals) - dense_part) \
+                    <= 1e-13 * np.linalg.norm(Y), (k, kp, name)
