@@ -25,27 +25,27 @@ R); the N^2 thetas of W and the prefactor's theta_A(xi + zeta) of
 every point in one lattice sum (`theta_char_sums`); and the sums as the
 (N^3 x N^2) coefficient matrix times the n sets of N^2 theta ratios,
 scattered into the (n, N^2, N^2) result.  For R and Rhat the
-g^{1/2} (x) g^{1/2} conjugation is folded into that matrix.  The
-one-point builds are that build at one point.  A build of more points
-runs those steps on 16 points at a time: a caller that asks for all its
-points at once holds the temporaries of a 16-point build besides the
-(n, N^2, N^2) result.
+g^{1/2} (x) g^{1/2} conjugation is folded into that matrix.  It is
+`RMatrixFactory.build(xis, hat)`, and every R and Rhat of the package
+comes from it; a one-point caller takes `build([xi], hat)[0]`.  A build
+of more points runs those steps on 16 points at a time: a caller that
+asks for all its points at once holds the temporaries of a 16-point
+build besides the (n, N^2, N^2) result.
 
 A factory depends only on (params, policy): `factory(params, policy)`
 returns the one of this process, kept in a bounded cache.
 
-Internally every builder takes the additive variable xi, so a caller can
-reach analytic-continuation points (xi + 1 for -z, xi + tau + 1 for a
-step by the designated root s) that the principal branch of log cannot
-see.  Rhat is assembled with the tau_N factor cancelled against kappa at
-the product level, which keeps it finite at points like z = q where
-tau_N has a zero against a kappa pole (needed for the kernel projector).
+The build takes the additive variable xi, so a caller can reach
+analytic-continuation points (xi + 1 for -z, xi + tau + 1 for a step by
+the designated root s) that the principal branch of log cannot see.
+Rhat is assembled with the tau_N factor cancelled against kappa at the
+product level, which keeps it finite at points like z = q where tau_N
+has a zero against a kappa pole (needed for the kernel projector).
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 
 import numpy as np
 
@@ -80,19 +80,6 @@ class ZnMatrices:
         return np.linalg.matrix_power(base, abs(m))
 
 
-def _nome_limit(build):
-    """On a degenerate nome, evaluate the batch `build` once on each of the
-    two nearby child factories and take the mean."""
-
-    @functools.wraps(build)
-    def limited(self, xis) -> np.ndarray:
-        if self._children is None:
-            return build(self, xis)
-        return (build(self._children[0], xis) + build(self._children[1], xis)) / 2
-
-    return limited
-
-
 class RMatrixFactory:
     """Builds R / Rhat at given spectral points for one parameter set.
 
@@ -106,8 +93,8 @@ class RMatrixFactory:
     (P; P)_inf, q^{1/N-1} (P; P)_inf and the coefficients of the Pochhammer
     arguments c z^2 and c / z^2 for Rhat.  Every build is a pure function
     of xi, so one factory serves every check at its parameter point.  The
-    builds are `r_matrices` and `rhat_matrices`, an (n, N^2, N^2) stack at
-    n points, and the one-point `r_matrix_xi` and `rhat_matrix_xi`.
+    one build is `build(xis, hat)`, the (n, N^2, N^2) stack of R or Rhat
+    at n points.
     """
 
     def __init__(self, params: EllipticParams, policy: TruncationPolicy | None = None):
@@ -155,7 +142,7 @@ class RMatrixFactory:
         coef[np.arange(N ** 3), a1] = np.exp(2j * np.pi / N * (np.outer(i - j + a1, a) % N))
         G = np.kron(np.diag(self.zn.g_half), np.diag(self.zn.g_half))
         self._coef_G = coef.reshape(N ** 3, N * N) * (G[rows] / G[cols])[:, None]
-        # Rhat's Pochhammer arguments are c z^2 or c / z^2.  `_build` orders
+        # Rhat's Pochhammer arguments are c z^2 or c / z^2.  `build` orders
         # them (P/q^2 z^2; P), (z^2; P), (P/z^2; P), then the four numerator
         # and the four denominator arguments of (.; p, P)
         P, p, qq = q ** (2 * N), params.p, q * q
@@ -178,7 +165,7 @@ class RMatrixFactory:
     def s_star_shift(self) -> complex:
         return self.params.tau_star + 1
 
-    # -- core sums ------------------------------------------------------------
+    # -- core sums and the build ---------------------------------------------
 
     def _thetas(self, xi: np.ndarray):
         """W's N^2 theta ratios theta_alpha(xi + zeta/N) / (N theta_alpha(zeta/N)),
@@ -197,14 +184,18 @@ class RMatrixFactory:
         out[..., self._w_at] = np.asarray(pref)[..., None] * (ratios @ coef.T)
         return out.reshape(ratios.shape[:-1] + (N2, N2))
 
-    def _build(self, xis, hat: bool) -> np.ndarray:
+    def build(self, xis, hat: bool) -> np.ndarray:
         """The (n, N^2, N^2) stack of R (hat false) or Rhat at the n points
         xis, each step one array call over every point of a chunk of at
-        most _CHUNK, the chunks in order.  Raises PoleHit if any point is a
-        pole, with the message of the first such point."""
+        most _CHUNK, the chunks in order; Rhat with the tau_N x kappa
+        cancellation done analytically.  On a degenerate nome it is the
+        mean of the two child factories' builds.  Raises PoleHit if any
+        point is a pole, with the message of the first such point."""
+        if self._children is not None:
+            return (self._children[0].build(xis, hat) + self._children[1].build(xis, hat)) / 2
         xi = np.asarray(xis, dtype=complex).ravel()
         if xi.size > _CHUNK:
-            return np.concatenate([self._build(xi[i:i + _CHUNK], hat)
+            return np.concatenate([self.build(xi[i:i + _CHUNK], hat)
                                    for i in range(0, xi.size, _CHUNK)])
         z2 = np.exp(2j * np.pi * xi)
         if hat:
@@ -232,24 +223,6 @@ class RMatrixFactory:
         if hat:  # after the pole check, so an exact zero raises rather than divides
             pref = pref / den.prod(axis=0)
         return self._w_sum(pref * (self._theta_A_zeta / theta_den), ratios, self._coef_G)
-
-    # -- builders: a stack at n points, or one point ------------------------------
-
-    @_nome_limit
-    def r_matrices(self, xis) -> np.ndarray:
-        return self._build(xis, hat=False)
-
-    @_nome_limit
-    def rhat_matrices(self, xis) -> np.ndarray:
-        """Rhat at every point of xis, an (n, N^2, N^2) stack, with the
-        tau_N x kappa cancellation done analytically."""
-        return self._build(xis, hat=True)
-
-    def r_matrix_xi(self, xi: complex) -> np.ndarray:
-        return self.r_matrices([xi])[0]
-
-    def rhat_matrix_xi(self, xi: complex) -> np.ndarray:
-        return self.rhat_matrices([xi])[0]
 
 
 def factory(params: EllipticParams, policy: TruncationPolicy | None = None) -> RMatrixFactory:
@@ -282,7 +255,7 @@ def crossing_unitarity_residual(A: LabeledTensor, B: LabeledTensor) -> float:
 def kernel_projector(fac: RMatrixFactory):
     """Kernel of Rhat(q), the singular values below 1e-8 of the largest:
     returns (dimension, projector matrix)."""
-    Rq = fac.rhat_matrix_xi(xi_of(fac.params.q))
+    Rq = fac.build([xi_of(fac.params.q)], hat=True)[0]
     u, s, vh = np.linalg.svd(Rq)
     mask = s < 1e-8 * s[0]
     V = vh.conj().T[:, mask]

@@ -341,7 +341,7 @@ def _on(mat: np.ndarray, labels, fac: RMatrixFactory) -> LabeledTensor:
 def check_regularity(fac: RMatrixFactory, tolerance=1e-9):
     """R(1) = P, the flip of the two spaces."""
     clock = Stopwatch()
-    R1 = fac.r_matrix_xi(xi_of(1.0))
+    R1 = fac.build([xi_of(1.0)], hat=False)[0]
     res = np.linalg.norm(R1 - permutation_operator((1, 0), fac.N)) / np.linalg.norm(R1)
     return clock.report("rmatrix-properties", "regularity", "R(1) = P", _inputs(fac), res,
                         tolerance)
@@ -349,7 +349,7 @@ def check_regularity(fac: RMatrixFactory, tolerance=1e-9):
 
 def _unitarity_wants(z: complex, fac: RMatrixFactory) -> list:
     pair = [xi_of(z), xi_of(1 / z)]
-    return [(fac.r_matrices, pair), (U, [z], fac.params, fac.policy), (fac.rhat_matrices, pair)]
+    return [(fac.build, pair, False), (U, [z], fac.params, fac.policy), (fac.build, pair, True)]
 
 
 def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None):
@@ -371,7 +371,7 @@ def check_unitarity(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None)
 
 
 def _yang_baxter_wants(z: complex, w: complex, fac: RMatrixFactory, hat: bool) -> list:
-    return [(fac.rhat_matrices if hat else fac.r_matrices, [xi_of(z), xi_of(w), xi_of(w / z)])]
+    return [(fac.build, [xi_of(z), xi_of(w), xi_of(w / z)], hat)]
 
 
 def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-9,
@@ -390,8 +390,8 @@ def check_yang_baxter(z: complex, w: complex, fac: RMatrixFactory, tolerance=1e-
 
 def _crossing_wants(z: complex, fac: RMatrixFactory) -> list:
     qN = fac.params.q ** fac.N
-    return [(fac.r_matrices, [xi_of(z), xi_of(1 / (z * qN)), xi_of(qN * z)]),
-            (fac.rhat_matrices, [xi_of(z), xi_of(qN * z)])]
+    return [(fac.build, [xi_of(z), xi_of(1 / (z * qN)), xi_of(qN * z)], False),
+            (fac.build, [xi_of(z), xi_of(qN * z)], True)]
 
 
 def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None):
@@ -413,7 +413,7 @@ def check_crossing(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None):
 
 def _antisymmetry_wants(z: complex, fac: RMatrixFactory) -> list:
     xi = xi_of(z)
-    return [(fac.r_matrices, [xi + 1, xi])]
+    return [(fac.build, [xi + 1, xi], False)]
 
 
 def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=None):
@@ -433,7 +433,7 @@ def check_antisymmetry(z: complex, fac: RMatrixFactory, tolerance=1e-9, built=No
 
 def _quasi_periodicity_wants(x: complex, a: int, fac: RMatrixFactory) -> list:
     xi = xi_of(x)
-    return [(fac.rhat_matrices, [xi, xi + a * fac.s_shift]),
+    return [(fac.build, [xi, xi + a * fac.s_shift], True),
             (F_a, [x], a, fac.params.s, fac.params, fac.policy)]
 
 
@@ -472,7 +472,7 @@ def check_kernel(fac: RMatrixFactory, tolerance=1e-8):
 
 
 def _zn_sparsity_wants(z: complex, fac: RMatrixFactory) -> list:
-    return [(fac.r_matrices, [xi_of(z)])]
+    return [(fac.build, [xi_of(z)], False)]
 
 
 def _zn_sparsity(z: complex, fac: RMatrixFactory, built=None):
@@ -485,7 +485,7 @@ def _zn_sparsity(z: complex, fac: RMatrixFactory, built=None):
 
 
 def _ybe_control_wants(pairs, fac: RMatrixFactory) -> list:
-    return [(fac.rhat_matrices, [xi_of(z), xi_of(w * 1.01), xi_of(w / z), xi_of(w)]) for z, w in pairs]
+    return [(fac.build, [xi_of(z), xi_of(w * 1.01), xi_of(w / z), xi_of(w)], True) for z, w in pairs]
 
 
 def _ybe_control(pairs, fac: RMatrixFactory, built=None):
@@ -510,7 +510,7 @@ def _ybe_control(pairs, fac: RMatrixFactory, built=None):
 
 def _crossing_control_wants(zs, fac: RMatrixFactory) -> list:
     qN = fac.params.q ** fac.N
-    return [(fac.rhat_matrices, [xi_of(z), xi_of(qN * z * 1.01)]) for z in zs]
+    return [(fac.build, [xi_of(z), xi_of(qN * z * 1.01)], True) for z in zs]
 
 
 def _crossing_control(zs, fac: RMatrixFactory, built=None):
@@ -586,7 +586,7 @@ def check_fusion_identities(k: int, fac, x: complex, kprime: int | None = None,
     # ladder x q^{1-i} and the ascending one x q^{i-1}, from one build
     aux = tuple(range(1, k + 1))
     steps = np.arange(k) * zeta
-    mats = fac.rhat_matrices(np.concatenate((xi_x - steps, xi_x + steps)))
+    mats = fac.build(np.concatenate((xi_x - steps, xi_x + steps)), hat=True)
 
     def on_aux(ms):
         return [LabeledTensor.from_matrix(m, (i, "0"), N) for i, m in zip(aux, ms)]
@@ -706,9 +706,10 @@ def suite_fusion_identities(ctx: SuiteContext) -> list[CheckReport]:
 
 
 def _lax_want(rep: EvalRep, xis) -> tuple:
-    """The want of rep's Lax factors at the additive points xis, as
-    `rep.lax` builds them: so every rep of one factory shares one build."""
-    return rep.factory.rhat_matrices, np.asarray(xis, dtype=complex) - rep.xi_a
+    """The want of rep's Lax factors L = Rhat(xi - xi_a) at the additive
+    points xis, as a build of rep's factory: so every rep of one factory
+    shares one build."""
+    return rep.factory.build, np.asarray(xis, dtype=complex) - rep.xi_a, True
 
 
 def _tL_wants(k: int, z: complex, w: complex, surface: SurfaceSpec, rep: EvalRep) -> list:

@@ -405,37 +405,36 @@ def col_labels(k: int):
     return tuple(("c", j) for j in range(1, k + 1))
 
 
-def _fused_factors(x: complex, k: int, kprime: int, fac, c_shifts) -> list:
-    """The R-hat factors of `fused_R` at each shift of c_shifts, leftmost
+def _fused_factors(x: complex, k: int, kprime: int, fac, shifts) -> list:
+    """The R-hat factors of `fused_R` at x q^c for each c of shifts, leftmost
     first: one list per shift, every factor of every shift from one build."""
     rows, cols = row_labels(k), col_labels(kprime)
     zeta = fac.params.zeta
     e, e_col = centred_ladder(k), centred_ladder(kprime)
     order = [(i, j) for j in range(kprime) for i in reversed(range(k))]
-    xi_x = xi_of(x) + np.asarray(c_shifts, dtype=complex) * zeta
+    xi_x = xi_of(x) + np.asarray(shifts, dtype=complex) * zeta
     steps = np.array([e[i] - e_col[j] for i, j in order]) * zeta
-    mats = fac.rhat_matrices(np.add.outer(xi_x, steps).ravel())
+    mats = fac.build(np.add.outer(xi_x, steps).ravel(), hat=True)
     labels = [(rows[i], cols[j]) for i, j in order]
     return [[LabeledTensor.from_matrix(m, l, fac.N) for m, l in zip(mats[s:s + len(order)], labels)]
             for s in range(0, len(mats), len(order))]
 
 
-def fused_gates(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> list:
+def fused_gates(x: complex, k: int, kprime: int, fac) -> list:
     """The R-hat factors of `fused_R`, leftmost first."""
-    return _fused_factors(x, k, kprime, fac, [c_shift])[0]
+    return _fused_factors(x, k, kprime, fac, [0.0])[0]
 
 
-def fused_R(x: complex, k: int, kprime: int, fac, c_shift: complex = 0.0) -> LabeledTensor:
+def fused_R(x: complex, k: int, kprime: int, fac) -> LabeledTensor:
     """Ordered fused product of R-hat factors from the RMatrixFactory `fac`
     coupling the k row spaces to the k' column spaces:
 
         prod_{j=1..k'} [ prod_{i=k..1} Rhat_{r_i, c_j}(q^{e_i - e_j'} x) ]
 
     with e_i, e_j' the centred half-integer ladders and the j = 1 block
-    leftmost.  `c_shift` multiplies the argument by q^{c_shift} through the
-    additive spectral variable (used for the critical-level sweeps).
+    leftmost.
     """
-    return compose(fused_gates(x, k, kprime, fac, c_shift), row_labels(k) + col_labels(kprime))
+    return compose(fused_gates(x, k, kprime, fac), row_labels(k) + col_labels(kprime))
 
 
 _BLOCK_ENTRIES = 2**15  # entries of one block of sector columns in _projector_residual (512 KB)

@@ -15,14 +15,14 @@ of the `qdet` and `n0` suites) is `tensor.antisym_trace` of per-space
 factor stacks (`build_Q`), run on Lambda^k; no operator on all the spaces
 is formed.
 
-The 2k Lax factors of t^{(k)}(z) come from one batched build
-(`EvalRep.lax` at `lax_points`), and the k inverted ones are checked and
-inverted as one stack; the quantum determinant builds the N factors of
-every point it is asked for (`_qdet_points`) in one call.  A caller that
-needs more Lax matrices at the same time (L(w) beside t^{(k)}(z), the
-factors of two generators, or every generator of a suite) builds them
-all in one call and passes each its slice: `build_t(..., lax=)` and
-`_qdet_matrices(..., lax=)`.
+The 2k Lax factors of t^{(k)}(z) come from one build of Rhat by the
+rep's factory (`RMatrixFactory.build` at `lax_points` less xi_a), and the
+k inverted ones are checked and inverted as one stack; the quantum
+determinant builds the N factors of every point it is asked for
+(`_qdet_points`) in one call.  A caller that needs more Lax matrices at
+the same time (L(w) beside t^{(k)}(z), the factors of two generators, or
+every generator of a suite) builds them all in one call and passes each
+its slice: `build_t(..., lax=)` and `_qdet_matrices(..., lax=)`.
 
 Multiplications by the designated root value s* are performed on the
 theta lattice (xi -> xi + tau* + 1), the continuation on which the
@@ -90,7 +90,8 @@ def resolve_surface(m: int, n: int, q: complex, c: complex, N: int) -> SurfaceSp
 
 class EvalRep:
     """L(z) = Rhat(z/a) from an auxiliary space into the quantum space,
-    built by the RMatrixFactory of its surface point."""
+    built by the RMatrixFactory of its surface point: at additive points
+    xis, L is `factory.build(xis - xi_a, hat=True)`."""
 
     def __init__(self, fac: RMatrixFactory, a: complex):
         if abs(fac.params.c) > 1e-12:
@@ -104,11 +105,6 @@ class EvalRep:
     @property
     def N(self) -> int:
         return self.params.N
-
-    def lax(self, xis) -> np.ndarray:
-        """L at every additive spectral point of xis, an (n, N^2, N^2) stack
-        from one build."""
-        return self.factory.rhat_matrices(np.asarray(xis, dtype=complex) - self.xi_a)
 
 
 def lax_points(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep) -> np.ndarray:
@@ -127,7 +123,7 @@ def build_Q(k: int, z: complex, surface: SurfaceSpec, rep: EvalRep, lax=None):
     here in one call if not given; the k inverted ones are checked and
     inverted as one stack."""
     xis = lax_points(k, z, surface, rep)
-    mats = rep.lax(xis) if lax is None else lax
+    mats = rep.factory.build(xis - rep.xi_a, hat=True) if lax is None else lax
     conds = np.linalg.cond(mats[k:])
     bad = np.flatnonzero(conds > 1e10)
     if bad.size:
@@ -184,7 +180,7 @@ def _qdet_matrices(xi_tops, rep: EvalRep, lax=None) -> list:
     A_N = psi psi^T for the one basis vector psi of im A_N, so qdet is
     (psi^T (x) 1) L_1 ... L_N (psi (x) 1) = tr_{1..N}(L_1 ... L_N A_N)."""
     N = rep.N
-    mats = rep.lax(_qdet_points(xi_tops, rep)) if lax is None else lax
+    mats = rep.factory.build(_qdet_points(xi_tops, rep) - rep.xi_a, hat=True) if lax is None else lax
     return [antisym_trace(N, rights=ms) for ms in mats.reshape(-1, N, N * N, N * N)]
 
 

@@ -94,14 +94,14 @@ def test_charge_violation_becomes_failing_report(tmp_path, monkeypatch):
     from wkit.cli import main
     from wkit.rmatrix import RMatrixFactory
 
-    build = RMatrixFactory.rhat_matrices
+    build = RMatrixFactory.build
 
-    def off_charge(self, xis):
-        mats = build(self, xis).copy()
+    def off_charge(self, xis, hat):
+        mats = build(self, xis, hat).copy()
         mats[:, 0, 1] = 1e-3  # (0, 0) <- (0, 1) changes the charge
         return mats
 
-    monkeypatch.setattr(RMatrixFactory, "rhat_matrices", off_charge)
+    monkeypatch.setattr(RMatrixFactory, "build", off_charge)
     path, out = tmp_path / "cfg.json", tmp_path / "report.json"
     path.write_text(json.dumps({"params": {"N": 3}, "suites": ["fusion-identities"]}))
     assert main(["check", "--config", str(path), "--out", str(out)]) == 1
@@ -120,14 +120,14 @@ def test_off_charge_build_fails_zn_sparsity_and_the_graded_checks(tmp_path, monk
     from wkit.cli import main
     from wkit.rmatrix import RMatrixFactory
 
-    build = RMatrixFactory._build
+    build = RMatrixFactory.build
 
     def off_charge(self, xis, hat):
         mats = build(self, xis, hat).copy()
         mats[:, 0, 1] = 1e-11 * abs(mats).max(axis=(1, 2))  # (0, 0) <- (0, 1) changes the charge
         return mats
 
-    monkeypatch.setattr(RMatrixFactory, "_build", off_charge)
+    monkeypatch.setattr(RMatrixFactory, "build", off_charge)
     path, out = tmp_path / "cfg.json", tmp_path / "report.json"
     path.write_text(json.dumps({"params": {"N": 3}, "suites": ["rmatrix-properties"]}))
     assert main(["check", "--config", str(path), "--out", str(out)]) == 1

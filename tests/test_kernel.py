@@ -339,7 +339,7 @@ def test_builds_equal_single_call_products(N):
         fac = RMatrixFactory(pr)
         assert fac._children is None
         want = rhat_by_single_calls(fac, xi)
-        assert np.abs(fac.rhat_matrix_xi(xi) - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(fac.build([xi], hat=True)[0] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 PARAMS = [

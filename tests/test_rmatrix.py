@@ -52,7 +52,7 @@ def test_weyl_pair(N):
 @pytest.mark.parametrize("N,count", [(2, 8), (3, 27)])
 def test_zn_sparsity_pattern(N, count):
     fac = RMatrixFactory(params(N=N), POL)
-    M = fac.r_matrix_xi(xi_of(1.1 + 0.2j))
+    M = fac.build([xi_of(1.1 + 0.2j)], hat=False)[0]
     assert zn_symmetry_residual(M, N) < 1e-12
     nonzero = int(np.sum(np.abs(M) > 1e-12 * np.abs(M).max()))
     assert nonzero == count
@@ -108,12 +108,12 @@ def test_quasi_periodicity_iterated_oracle():
     E = np.eye(2)
     M1 = fac.zn.M_power(1)
     step = fac.s_shift
-    one = np.kron(M1, E) @ fac.rhat_matrix_xi(xi)
+    one = np.kron(M1, E) @ fac.build([xi], hat=True)[0]
     from wkit.qseries import F_a
     scal1 = F_a(x, 1, pr.s, pr, POL)
-    two_lhs = np.kron(M1, E) @ np.kron(M1, E) @ fac.rhat_matrix_xi(xi)
+    two_lhs = np.kron(M1, E) @ np.kron(M1, E) @ fac.build([xi], hat=True)[0]
     scal2 = scal1 * F_a(cmath.exp(1j * cmath.pi * (xi + step)), 1, pr.s, pr, POL)
-    two_rhs = scal2 * fac.rhat_matrix_xi(xi + 2 * step) @ np.kron(M1 @ M1, E)
+    two_rhs = scal2 * fac.build([xi + 2 * step], hat=True)[0] @ np.kron(M1 @ M1, E)
     assert np.linalg.norm(two_lhs - two_rhs) / np.linalg.norm(two_rhs) < 1e-10
     rep = check_quasi_periodicity_M(x, -2, fac)
     assert rep.residual < 1e-9
@@ -137,8 +137,8 @@ def test_rhat_equals_tau_times_R():
         pr = params(N=N)
         fac = RMatrixFactory(pr, POL)
         z = 1.15 + 0.12j
-        lhs = fac.rhat_matrix_xi(xi_of(z))
-        rhs = tau_N(cmath.sqrt(pr.q) / z, pr, POL) * fac.r_matrix_xi(xi_of(z))
+        lhs = fac.build([xi_of(z)], hat=True)[0]
+        rhs = tau_N(cmath.sqrt(pr.q) / z, pr, POL) * fac.build([xi_of(z)], hat=False)[0]
         assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-12
 
 
@@ -146,8 +146,8 @@ def test_rhat_unitarity_scalar():
     pr = params(N=3)
     fac = RMatrixFactory(pr, POL)
     z = 1.2 + 0.1j
-    Rh = fac.rhat_matrix_xi(xi_of(z))
-    Rh21 = m21(fac.rhat_matrix_xi(xi_of(1 / z)), 3)
+    Rh = fac.build([xi_of(z)], hat=True)[0]
+    Rh21 = m21(fac.build([xi_of(1 / z)], hat=True)[0], 3)
     uval = U(z, pr, POL)
     assert np.linalg.norm(Rh @ Rh21 - uval * np.eye(9)) < 1e-9 * abs(uval)
 
@@ -157,8 +157,8 @@ def test_truncation_refinement():
     coarse = RMatrixFactory(pr, TruncationPolicy(tail_eps=1e-16, max_terms=512))
     fine = RMatrixFactory(pr, TruncationPolicy(tail_eps=1e-16, max_terms=2048))
     z = 1.2 + 0.15j
-    a = coarse.r_matrix_xi(xi_of(z))
-    b = fine.r_matrix_xi(xi_of(z))
+    a = coarse.build([xi_of(z)], hat=False)[0]
+    b = fine.build([xi_of(z)], hat=False)[0]
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -166,7 +166,7 @@ def test_pole_and_modulus_errors():
     pr = params(N=2)
     fac = RMatrixFactory(pr, POL)
     with pytest.raises(PoleHit):
-        fac.rhat_matrix_xi(xi_of(1.0))  # Theta(z^2) zero at z = 1
+        fac.build([xi_of(1.0)], hat=True)[0]  # Theta(z^2) zero at z = 1
     with pytest.raises(ModulusOutOfRange):
         RMatrixFactory(EllipticParams(N=2, q=0.5, s=1.2), POL)  # |p| > 1
 
@@ -179,11 +179,32 @@ def test_degenerate_nome_limit():
     assert fac0._children is not None
     near = RMatrixFactory(EllipticParams(N=2, q=q, s=q * math.sqrt(1 + 1e-7)), POL)
     z = 1.1 + 0.15j
-    a = fac0.rhat_matrix_xi(xi_of(z))
-    b = near.rhat_matrix_xi(xi_of(z))
+    a = fac0.build([xi_of(z)], hat=True)[0]
+    b = near.build([xi_of(z)], hat=True)[0]
     assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-5
     # regularity survives the limit
-    assert np.linalg.norm(fac0.r_matrix_xi(xi_of(1.0)) - permutation_operator((1, 0), 2)) < 1e-9
+    assert np.linalg.norm(fac0.build([xi_of(1.0)], hat=False)[0] - permutation_operator((1, 0), 2)) < 1e-9
+
+
+@pytest.mark.parametrize("hat", [False, True])
+def test_degenerate_nome_build_is_the_mean_of_the_children(hat):
+    # on p = q^N at N = 2 the one build takes the limit itself, before it
+    # chunks: 17 points (two chunks) equal the mean of the two child
+    # factories' builds bit for bit
+    q = 0.6
+    fac = RMatrixFactory(EllipticParams(N=2, q=q, s=q), POL)
+    a, b = fac._children
+    xis = [xi_of(cmath.rect(1.1, 0.08 * i - 0.6)) for i in range(17)]
+    got = fac.build(xis, hat)
+    assert got.shape == (17, 4, 4)
+    assert np.array_equal(got, (a.build(xis, hat) + b.build(xis, hat)) / 2)
+
+
+def test_factory_has_one_build_entry():
+    # R and Rhat come from `build` only; the other public names are the
+    # two spectral shifts
+    public = {name for name in dir(RMatrixFactory) if not name.startswith("_")}
+    assert public == {"build", "s_shift", "s_star_shift"}
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -235,8 +256,8 @@ def test_quasi_periodicity_literal_form(N):
     z = 1.15 + 0.12j
     xi = xi_of(z)
     E = np.eye(N)
-    lhs = fac.rhat_matrix_xi(xi + fac.s_shift)
-    R21inv = np.linalg.inv(m21(fac.rhat_matrix_xi(xi_of(1 / z)), N))
+    lhs = fac.build([xi + fac.s_shift], hat=True)[0]
+    R21inv = np.linalg.inv(m21(fac.build([xi_of(1 / z)], hat=True)[0], N))
     GH = fac.zn.GH
     rhs = np.kron(np.linalg.inv(GH), E) @ R21inv @ np.kron(GH, E)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-9
@@ -277,10 +298,10 @@ def test_rhat_independent_of_cache_history():
         for cache in (qs._PP, qs._LATTICES):
             cache.clear()
         fac = RMatrixFactory(pr, POL)
-        built = {xi: fac.rhat_matrix_xi(xi) for xi in order}
+        built = {xi: fac.build([xi], hat=True)[0] for xi in order}
         runs.append([built[xi] for xi in xis])
     warm = RMatrixFactory(pr, POL)
-    runs.append([warm.rhat_matrix_xi(xi) for xi in xis])
+    runs.append([warm.build([xi], hat=True)[0] for xi in xis])
     for a, b, c in zip(*runs):
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
@@ -345,7 +366,7 @@ def test_rhat_batch_matches_mpmath(pr):
     fac = RMatrixFactory(pr, POL)
     assert (fac._children is not None) == (pr.N == 2)
     xis = [xi_of(1.2 + 0.3j), xi_of(0.75 - 0.4j) + 1, xi_of(1.1 + 0.05j) + fac.s_shift, xi_of(0.9j + 0.5)]
-    got = fac.rhat_matrices(xis)
+    got = fac.build(xis, hat=True)
     assert got.shape == (4, pr.N ** 2, pr.N ** 2)
     with mp.workdps(40):
         for xi, mat in zip(xis, got):
@@ -360,11 +381,11 @@ def test_batch_equals_one_point_builds(N):
     # for R and Rhat alike
     fac = RMatrixFactory(params(N=N, q=0.55, p=0.6), POL)
     xis = [xi_of(cmath.rect(r, phi)) for r, phi in [(0.8, 0.3), (1.3, -1.0), (1.05, 0.9), (0.7, -0.2)]]
-    for batch, one in ((fac.r_matrices, fac.r_matrix_xi), (fac.rhat_matrices, fac.rhat_matrix_xi)):
-        for xi, mat in zip(xis, batch(xis)):
-            want = one(xi)
+    for hat in (False, True):
+        for xi, mat in zip(xis, fac.build(xis, hat)):
+            want = fac.build([xi], hat)[0]
             assert np.abs(mat - want).max() <= 1e-13 * np.abs(want).max()
-        assert batch([]).shape == (0, N * N, N * N)
+        assert fac.build([], hat).shape == (0, N * N, N * N)
 
 
 @pytest.mark.parametrize("pole,message", [(0.0, "Rhat pole at xi = 0j"), (None, "prefactor theta zero")])
@@ -375,17 +396,14 @@ def test_batch_with_a_pole_raises_as_the_point_alone(pole, message):
     fac = RMatrixFactory(params(N=3), POL)
     bad = -fac.zeta if pole is None else pole
     good = [xi_of(1.2 + 0.1j), xi_of(0.8 - 0.3j)]
-    builds = [(fac.rhat_matrices, fac.rhat_matrix_xi)]
-    if pole is None:
-        builds.append((fac.r_matrices, fac.r_matrix_xi))
-    for batch, one in builds:
+    for hat in (True, False) if pole is None else (True,):
         with pytest.raises(PoleHit, match=message) as alone:
-            one(bad)
+            fac.build([bad], hat)
         for at in range(3):
             with pytest.raises(PoleHit) as batched:
-                batch(good[:at] + [bad] + good[at:])
+                fac.build(good[:at] + [bad] + good[at:], hat)
             assert str(batched.value) == str(alone.value)
-    assert fac.r_matrices([0.0]).shape == (1, 9, 9)  # z = 1 is regular for R
+    assert fac.build([0.0], hat=False).shape == (1, 9, 9)  # z = 1 is regular for R
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +426,10 @@ def test_factory_cache_one_per_params_and_policy(monkeypatch):
 def test_cached_factory_builds_equal_fresh(monkeypatch, pr):
     monkeypatch.setattr(rmatrix, "_FACTORIES", {})
     xis = [xi_of(1.2 + 0.3j), xi_of(0.75 - 0.4j) + 1, xi_of(0.9j + 0.5)]
-    factory(pr, POL).rhat_matrices(xis[:1])  # a cached factory that has built before
+    factory(pr, POL).build(xis[:1], hat=True)  # a cached factory that has built before
     cached, fresh = factory(pr, POL), RMatrixFactory(pr, POL)
-    for build in ("r_matrices", "rhat_matrices"):
-        assert np.array_equal(getattr(cached, build)(xis), getattr(fresh, build)(xis))
+    for hat in (False, True):
+        assert np.array_equal(cached.build(xis, hat), fresh.build(xis, hat))
 
 
 @pytest.mark.parametrize("n", [1, 16, 17, 40])
@@ -428,10 +446,10 @@ def test_chunked_build_equals_one_call(monkeypatch, n):
         return sums(g1, g2, xi, *args)
 
     monkeypatch.setattr(rmatrix, "theta_char_sums", counted)
-    chunked = [fac.r_matrices(xis), fac.rhat_matrices(xis)]
+    chunked = [fac.build(xis, hat=False), fac.build(xis, hat=True)]
     assert max(points) == min(n, 16) and sum(points) == 2 * n
     monkeypatch.setattr(rmatrix, "_CHUNK", 10 ** 6)
-    for got, want in zip(chunked, [fac.r_matrices(xis), fac.rhat_matrices(xis)]):
+    for got, want in zip(chunked, [fac.build(xis, hat=False), fac.build(xis, hat=True)]):
         assert got.shape == want.shape == (n, 9, 9)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -442,8 +460,8 @@ def test_chunked_build_raises_as_one_call(monkeypatch):
     xis = [xi_of(cmath.rect(1.1, 0.05 * i)) for i in range(40)]
     xis[20], xis[33] = 0.0, -fac.zeta
     with pytest.raises(PoleHit) as chunked:
-        fac.rhat_matrices(xis)
+        fac.build(xis, hat=True)
     monkeypatch.setattr(rmatrix, "_CHUNK", 10 ** 6)
     with pytest.raises(PoleHit) as whole:
-        fac.rhat_matrices(xis)
+        fac.build(xis, hat=True)
     assert str(chunked.value) == str(whole.value) == "Rhat pole at xi = 0j"

@@ -431,7 +431,7 @@ def old_Q_gates(k, z, surface, rep):
     M on each space, L_k ... L_1 on the (s*)^n ladder, Mt on each space,
     then L_1^{-1} ... L_k^{-1}, each on (space, "0")."""
     N, zn = rep.N, rep.factory.zn
-    mats = rep.lax(lax_points(k, z, surface, rep))
+    mats = rep.factory.build(lax_points(k, z, surface, rep) - rep.xi_a, hat=True)
     invs = np.linalg.inv(mats[k:])
 
     def each(M):
@@ -508,7 +508,7 @@ def test_A2_is_kernel_of_rhat_at_q():
 
 def rhat_on(fac, xi, labels) -> LabeledTensor:
     """Rhat(xi) of a one-point build, on two named spaces."""
-    return LabeledTensor.from_matrix(fac.rhat_matrix_xi(xi), labels, fac.N)
+    return LabeledTensor.from_matrix(fac.build([xi], hat=True)[0], labels, fac.N)
 
 
 def test_fused_single_factor_is_rhat():
@@ -778,10 +778,10 @@ def test_monodromy_derivative_control():
     N = fac.N
 
     def wrong_M(c):
-        rows = row_labels(k)
+        rows, labels = row_labels(k), row_labels(k) + col_labels(kp)
         R0i = fused_R(x, k, kp, fac).inv()
-        Rc = fused_R(x, k, kp, fac, c_shift=c)
-        Rm = fused_R(x, k, kp, fac, c_shift=-c)  # missing the -N shift
+        # the block at -c is missing the -N shift
+        Rc, Rm = (compose(f, labels) for f in _fused_factors(x, k, kp, fac, [c, -c]))
         inner = (R0i @ Rm @ R0i).partial_transpose(rows)
         return (Rc.partial_transpose(rows) @ inner).partial_transpose(rows)
 
@@ -835,7 +835,7 @@ def test_one_tiny_entry_off_the_pattern_is_refused_before_a_transpose():
     # a 1e-300 entry off R's pattern is refused as R enters the graded type,
     # so no transpose can carry it onto the flipped pattern
     fac = RMatrixFactory(params(N=3), POL)
-    R = fac.rhat_matrix_xi(xi_of(1.2 + 0.1j))
+    R = fac.build([xi_of(1.2 + 0.1j)], hat=True)[0]
     Rt = LabeledTensor.from_matrix(R, (1, 2), 3).partial_transpose(2)
     assert Rt.weights == (1, -1)
     assert np.array_equal(dense(Rt).data, Dense.from_matrix(R, (1, 2), 3).partial_transpose(2).data)
