@@ -39,7 +39,7 @@ from .qseries import (
 )
 from .reports import CheckReport, sort_reports
 from .rmatrix import RMatrixFactory, ZnMatrices
-from .suites import abelianity_check, exchange_residual_tL, exchange_residual_tt, qdet_extract
+from .suites import run_check
 from .tensor import Antisymmetrizer, LabeledTensor, antisymmetrizer, fused_R
 from .wgen import EvalRep, SurfaceSpec, build_t, resolve_surface
 
@@ -50,12 +50,11 @@ __all__ = [
     "pochhammer", "theta_big", "theta_char_sums", "theta_char_product",
     "tau_N", "U", "kappa_inv", "F_a", "Y_mn", "Y_mn_forms", "Y_FF",
     "Y_kkprime_cr", "I_series", "f_cr_series", "f_cr_modes", "Y_mn_grid",
-    "resolve_abelian_branch", "abelianity_check",
-    "CheckReport", "sort_reports",
+    "resolve_abelian_branch",
+    "CheckReport", "sort_reports", "run_check",
     "ZnMatrices", "RMatrixFactory",
     "LabeledTensor", "Antisymmetrizer", "antisymmetrizer", "fused_R",
     "SurfaceSpec", "resolve_surface", "EvalRep", "build_t",
-    "exchange_residual_tL", "exchange_residual_tt", "qdet_extract",
     "WkitError", "ModulusOutOfRange", "TruncationBudgetExceeded",
     "ZeroArgument", "NonconvergentTau", "PoleHit",
     "OutsideConvergenceAnnulus", "BranchDomainViolation", "NoSolution",

@@ -7,12 +7,14 @@
 `check` runs named verification suites from a JSON configuration and emits
 a JSON array of check reports (exit 0 iff every check passed, 2 on a
 malformed configuration or an output file that cannot be written).  A
-suite that raises a WkitError, a numpy LinAlgError, an ArithmeticError or
-a MemoryError becomes one failing `suite-error` report and the remaining
-suites still run; any other exception is a programming error and ends the
-run.  `eval` prints one "re imag" pair per call at full double precision;
-`scan` writes a CSV "x_re,x_im,f_re,f_im" (exit 2 if its file cannot be
-written).
+check that raises an error a report names (`errors.REPORTED`: a WkitError,
+a numpy LinAlgError or an ArithmeticError) becomes its own failing report,
+and the suite's other checks still report.  Such an error raised outside
+every check, or a MemoryError, becomes the suite's one failing
+`suite-error` report, and the remaining suites still run; any other
+exception is a programming error and ends the run.  `eval` prints one
+"re imag" pair per call at full double precision; `scan` writes a CSV
+"x_re,x_im,f_re,f_im" (exit 2 if its file cannot be written).
 Identical configuration and seed produce byte-identical output.
 """
 
@@ -27,9 +29,9 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, WkitError
+from .errors import REPORTED, ConfigError, WkitError
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy
-from .reports import Stopwatch, sort_reports
+from .reports import CheckReport, sort_reports
 from .suites import SUITES, SuiteContext
 
 _CONFIG_KEYS = {"params", "policy", "suites", "grid", "seed", "tolerances"}
@@ -160,14 +162,13 @@ def cmd_check(args) -> int:
 
     reports = []
     for name in suites:
-        clock = Stopwatch()
         try:
             reports.extend(SUITES[name](ctx))
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        except (WkitError, np.linalg.LinAlgError, ArithmeticError, MemoryError) as exc:
-            reports.append(clock.report(
+        except (*REPORTED, MemoryError) as exc:
+            reports.append(CheckReport(
                 name, "suite-error", "the suite runs to completion",
                 {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
     reports = sort_reports(reports)

@@ -1,8 +1,13 @@
 """Exception hierarchy for the toolkit.
 
-Every numerical failure mode is a distinct class so that check suites can
-resample on PoleHit while letting genuine misconfigurations propagate.
+Every numerical failure mode is a distinct class.  The suites resample a
+drawn point on PoleHit or OutsideConvergenceAnnulus; any error of
+`REPORTED` still raised by a check fails that check alone, and one raised
+outside every check fails its suite (`wkit check` writes a `suite-error`).
+Anything else is a programming error and propagates.
 """
+
+import numpy as np
 
 
 class WkitError(Exception):
@@ -60,3 +65,7 @@ class DimensionGuardExceeded(WkitError):
 
 class ConfigError(WkitError):
     """Run configuration failed schema validation."""
+
+
+# The errors a report names in place of a traceback
+REPORTED = (WkitError, np.linalg.LinAlgError, ArithmeticError)

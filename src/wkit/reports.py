@@ -1,10 +1,11 @@
-"""Check-report record shared by all verification suites."""
+"""The check, as data, and the report it gives: shared by all verification
+suites."""
 
 from __future__ import annotations
 
 import json
 import math
-import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 
@@ -40,32 +41,45 @@ class CheckReport:
         return d
 
 
-class Stopwatch:
-    """Builds the CheckReports of one check, timed from construction.
+@dataclass
+class Check:
+    """One check as data: a suite's runner measures it and writes its report.
 
-    This is the one place a report gets its wall_ms: programmatic callers
-    see real timings, while the CLI normalizes them for byte-identical output.
+    `inputs` are the sampled inputs (parameters, points, seeds).  `wants`
+    are the values the check needs, each (fn, xs, *args) for the value
+    fn(xs, *args) at the complex points xs; `body(*values)` returns the
+    residual, or (residual, the inputs it computed).  A control sets
+    `threshold`: its body returns the violation it observed, and the check
+    passes iff that reaches the threshold (residual threshold / observed
+    against tolerance 1), so an observation of 0 or NaN fails.
     """
 
-    def __init__(self):
-        self._t0 = time.perf_counter()
+    suite: str
+    name: str
+    identity: str
+    inputs: dict
+    body: Callable
+    tolerance: float = 1.0
+    wants: list = field(default_factory=list)
+    threshold: float | None = None
 
-    def report(self, suite: str, check: str, identity: str, inputs: dict,
-               residual: float, tolerance: float) -> CheckReport:
-        return CheckReport(suite, check, identity, inputs, residual, tolerance,
-                           wall_ms=(time.perf_counter() - self._t0) * 1e3)
+    def report(self, measured, wall_ms: float) -> CheckReport:
+        """The report of `measured`, what the body returned."""
+        residual, computed = measured if isinstance(measured, tuple) else (measured, {})
+        inputs = {**self.inputs, **computed}
+        if self.threshold is not None:
+            observed = float(residual)
+            inputs.update(observed_violation=residual, threshold=self.threshold)
+            residual = self.threshold / observed if observed != 0 else math.inf
+        return CheckReport(self.suite, self.name, self.identity, inputs, residual,
+                           self.tolerance, wall_ms)
 
-    def control(self, suite: str, check: str, identity: str, inputs: dict,
-                observed: float, threshold: float) -> CheckReport:
-        """Test-power control: passes iff the observed violation reaches the
-        threshold (residual = threshold / observed against tolerance 1), so
-        an observation of 0 or NaN fails."""
-        observed_f = float(observed)
-        residual = threshold / observed_f if observed_f != 0 else float("inf")
-        return self.report(suite, check, identity,
-                           {**inputs, "observed_violation": observed,
-                            "threshold": threshold},
-                           residual, 1.0)
+    def failed(self, exc: Exception, wall_ms: float) -> CheckReport:
+        """The failing report of a measurement that raised exc: residual
+        NaN, and the error's type and message in `error`/`message`."""
+        inputs = {**self.inputs, "error": type(exc).__name__, "message": str(exc)}
+        return CheckReport(self.suite, self.name, self.identity, inputs, math.nan,
+                           self.tolerance, wall_ms)
 
 
 def worst(values) -> float:

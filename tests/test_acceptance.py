@@ -21,23 +21,19 @@ from wkit import (
     EvalRep,
     TruncationPolicy,
     Y_mn,
-    abelianity_check,
-    exchange_residual_tL,
-    exchange_residual_tt,
     pochhammer,
-    qdet_extract,
     resolve_abelian_branch,
     resolve_surface,
     theta_big,
     theta_char_product,
     theta_char_sums,
 )
-from wkit.errors import OutsideConvergenceAnnulus, PoleHit
 from wkit.qseries import Y_kkprime_cr
 from wkit.rmatrix import RMatrixFactory
 from wkit.suites import (
     SuiteContext,
     _safe_point,
+    abelianity_check,
     alpha_identity_check,
     check_antisymmetry,
     check_crossing,
@@ -50,7 +46,11 @@ from wkit.suites import (
     check_unitarity,
     check_yang_baxter,
     critical_poisson_check,
+    exchange_residual_tL,
+    exchange_residual_tt,
+    qdet_extract,
     qdet_tqdet_check,
+    run_check,
     suite_rmatrix_properties,
 )
 from wkit.tensor import antisymmetrizer, fused_R, row_labels
@@ -69,6 +69,14 @@ def report(num, name, worst, tol, t0, extra=""):
 
 def params_for(N, q=0.5, p=0.3):
     return EllipticParams(N=N, q=q, s=cmath.sqrt(p))
+
+
+def residual(check):
+    """The residual of one check run on its own, which must not fail by an
+    error (max() would drop the NaN of its failing report)."""
+    r = run_check(check)
+    assert "error" not in r.inputs, (r.check, r.inputs)
+    return r.residual
 
 
 def test_criterion_1_theta_layer():
@@ -111,18 +119,18 @@ def test_criterion_2_rmatrix_layer():
     rng = np.random.default_rng(202)
     for N in (2, 3, 4):
         fac = RMatrixFactory(params_for(N), POL)
-        worst = max(worst, check_regularity(fac).residual)
-        worst = max(worst, check_kernel(fac, tolerance=1e-8).residual)
+        worst = max(worst, residual(check_regularity(fac)))
+        worst = max(worst, residual(check_kernel(fac, tolerance=1e-8)))
         for _ in range(20):
             z, w = _safe_point(rng), _safe_point(rng)
-            worst = max(worst, check_unitarity(z, fac).residual)
-            worst = max(worst, check_yang_baxter(z, w, fac).residual)
-            worst = max(worst, check_yang_baxter(z, w, fac, hat=True).residual)
-            worst = max(worst, check_crossing(z, fac).residual)
-            worst = max(worst, check_antisymmetry(z, fac).residual)
+            worst = max(worst, residual(check_unitarity(z, fac)))
+            worst = max(worst, residual(check_yang_baxter(z, w, fac)))
+            worst = max(worst, residual(check_yang_baxter(z, w, fac, hat=True)))
+            worst = max(worst, residual(check_crossing(z, fac)))
+            worst = max(worst, residual(check_antisymmetry(z, fac)))
         for a in (-2, 1, 2):
-            worst = max(worst, check_quasi_periodicity_M(
-                1.1 + 0.1j, a, fac).residual)
+            worst = max(worst, residual(check_quasi_periodicity_M(
+                1.1 + 0.1j, a, fac)))
     # test-power control through the suite (max violation over pairs)
     ctx = SuiteContext(params=params_for(2), seed=202)
     ctrl = [r for r in suite_rmatrix_properties(ctx) if r.check == "control-perturbed-ybe"]
@@ -146,8 +154,8 @@ def test_criterion_3_fusion_layer():
             evals = np.linalg.eigvalsh(A.matrix)
             rank_exact &= int(np.sum(evals > 0.5)) == math.comb(N, k)
         for k in range(2, N + 1):
-            for r in check_fusion_identities(k, fac, 1.2 + 0.1j):
-                worst = max(worst, r.residual)
+            for check in check_fusion_identities(k, fac, 1.2 + 0.1j):
+                worst = max(worst, residual(check))
         for k in range(1, min(N, 2) + 1):
             for kp in range(1, min(N, 2) + 1):
                 x = 1.25 + 0.15j
@@ -178,17 +186,17 @@ def test_criterion_4_theorem1():
             rep = EvalRep(RMatrixFactory(surf.params, POL), 1.0)
             for k in range(1, N + 1):
                 z, w = _safe_point(rng), _safe_point(rng)
-                worst = max(worst, exchange_residual_tL(k, z, w, surf, rep).residual)
+                worst = max(worst, residual(exchange_residual_tL(k, z, w, surf, rep)))
             # k = N commutes even off the surface
             pert = SurfaceSpec(m, n, EllipticParams(N, q, surf.params.s * 1.02, 0.0))
             rep_p = EvalRep(RMatrixFactory(pert.params, POL), 1.0)
-            worst = max(worst, exchange_residual_tL(
-                N, _safe_point(rng), _safe_point(rng), pert, rep_p).residual)
+            worst = max(worst, residual(exchange_residual_tL(
+                N, _safe_point(rng), _safe_point(rng), pert, rep_p)))
     # off-surface control on a surviving non-central generator
     surf = resolve_surface(-1, -1, q, 0.0, 2)
     pert = SurfaceSpec(-1, -1, EllipticParams(2, q, surf.params.s * 1.02, 0.0))
-    ctrl = exchange_residual_tL(1, 1.2 + 0.1j, 0.85 + 0.03j, pert,
-                                EvalRep(RMatrixFactory(pert.params, POL), 1.0)).residual
+    ctrl = residual(exchange_residual_tL(1, 1.2 + 0.1j, 0.85 + 0.03j, pert,
+                                          EvalRep(RMatrixFactory(pert.params, POL), 1.0)))
     dt = report(4, "Theorem 1 exchange", worst, 1e-8, t0,
                 extra=f"off-surface control {ctrl:.2e} > 1e-3: {ctrl > 1e-3}")
     assert worst <= 1e-8
@@ -208,13 +216,13 @@ def test_criterion_5_corollary2():
             for k in range(1, N + 1):
                 for kp in range(k, N + 1):
                     z, w = _safe_point(rng), _safe_point(rng)
-                    worst = max(worst, exchange_residual_tt(
-                        k, kp, z, w, surf, rep).residual)
+                    worst = max(worst, residual(exchange_residual_tt(
+                        k, kp, z, w, surf, rep)))
     # (1,1)-prefactor equals the scalar-layer Y function
     surf = resolve_surface(-1, -1, q, 0.0, 2)
     rep = EvalRep(RMatrixFactory(surf.params, POL), 1.0)
     z, w = 1.2 + 0.1j, 0.9 + 0.05j
-    r = exchange_residual_tt(1, 1, z, w, surf, rep)
+    r = run_check(exchange_residual_tt(1, 1, z, w, surf, rep))
     pref_dev = abs(r.inputs["prefactor"] - Y_mn(z / w, -1, -1, surf.params, POL))
     dt = report(5, "Corollary 2 exchange", worst, 1e-8, t0,
                 extra=f"(1,1) prefactor dev {pref_dev:.2e}")
@@ -231,11 +239,10 @@ def test_criterion_6_qdet():
     for N in (2, 3):
         surf = resolve_surface(-1, -1, q, 0.0, N)
         rep = EvalRep(RMatrixFactory(surf.params, POL), 1.0)
-        _, r1 = qdet_extract(1.2 + 0.1j, rep)
-        worst = max(worst, r1.residual)
-        worst = max(worst, qdet_tqdet_check(1.2 + 0.1j, surf, rep).residual)
+        worst = max(worst, residual(qdet_extract(1.2 + 0.1j, rep)))
+        worst = max(worst, residual(qdet_tqdet_check(1.2 + 0.1j, surf, rep)))
         for m in range(1, N + 1):
-            trace_worst = max(trace_worst, check_trace_MA(N, m).residual)
+            trace_worst = max(trace_worst, residual(check_trace_MA(N, m)))
     dt = report(6, "quantum determinant", max(worst, trace_worst), 1e-8, t0,
                 extra=f"trace identity worst {trace_worst:.2e}")
     assert worst <= 1e-8
@@ -250,8 +257,7 @@ def test_criterion_7_abelianity():
     worst = 0.0
     for branch, m, n, lam in [("abel1", 2, -3, -1), ("abel2", 3, 1, 2),
                               ("abel3", 1, 3, 2), ("abel4", -3, 3, None)]:
-        r = abelianity_check(branch, N, q, m, n, grid, lam=lam, policy=POL)
-        worst = max(worst, r.residual)
+        worst = max(worst, residual(abelianity_check(branch, N, q, m, n, grid, lam=lam, policy=POL)))
     pr = resolve_abelian_branch("abel4", N, q, -3, 3)
     pert = EllipticParams(N, q, pr.s * 1.01, pr.c)
     ctrl = max(abs(Y_mn(x, -3, 3, pert, POL) - 1) for x in grid[:60])
@@ -280,8 +286,7 @@ def test_criterion_8_critical_level():
     fac2 = RMatrixFactory(params_for(2, q=0.55), POL)
     for k in (1, 2):
         for kp in (1, 2):
-            r = check_M_derivative(1.3 + 0.1j, k, kp, fac2)
-            worst_deriv = max(worst_deriv, r.residual)
+            worst_deriv = max(worst_deriv, residual(check_M_derivative(1.3 + 0.1j, k, kp, fac2)))
     # three-way f_cr agreement on 50 annulus points
     pts = 0
     specs = [(2, 0.55, 1, 1), (2, 0.55, 1, 2), (3, 0.6, 1, 1), (3, 0.6, 2, 1),
@@ -289,10 +294,10 @@ def test_criterion_8_critical_level():
     while pts < 50:
         N, q, k, kp = specs[pts % len(specs)]
         pr = EllipticParams(N=N, q=q, s=0.5)
-        try:
-            r = critical_poisson_check(k, kp, _safe_point(rng), pr, policy=POL)
-        except (PoleHit, OutsideConvergenceAnnulus):
+        r = run_check(critical_poisson_check(k, kp, _safe_point(rng), pr, policy=POL))
+        if r.inputs.get("error") in ("PoleHit", "OutsideConvergenceAnnulus"):
             continue
+        assert "error" not in r.inputs, r.inputs
         worst_threeway = max(worst_threeway, r.residual)
         pts += 1
     worst = max(worst_ratio, worst_threeway)
@@ -307,7 +312,7 @@ def test_criterion_8_critical_level():
 
 def test_criterion_9_alpha_identity():
     t0 = time.perf_counter()
-    r = alpha_identity_check()
+    r = run_check(alpha_identity_check())
     dt = report(9, "index-reordering identity", r.residual, 0.0, t0,
                 extra=f"{r.inputs['cases']} exact-rational cases")
     assert r.residual == 0.0

@@ -66,8 +66,9 @@ def test_check_exit_1_on_failed_check(tmp_path):
 
 
 def test_raising_suite_becomes_failing_report(tmp_path, monkeypatch):
-    # fusion-identities exceeds an 8-dimensional guard at N = 2; its error
-    # becomes one failing report and theta-identities still reports
+    # fusion-identities exceeds an 8-dimensional guard at N = 2 in two of
+    # its checks; each of them fails alone, naming the error, and every
+    # other check of both suites still reports and passes
     from wkit.cli import main
 
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
@@ -79,18 +80,21 @@ def test_raising_suite_becomes_failing_report(tmp_path, monkeypatch):
     theta = [r for r in reports if r["suite"] == "theta-identities"]
     fusion = [r for r in reports if r["suite"] == "fusion-identities"]
     assert len(theta) == 6 and all(r["passed"] for r in theta)
-    assert len(fusion) == 1
-    err = fusion[0]
-    assert err["check"] == "suite-error" and not err["passed"]
-    assert err["inputs"]["error"] == "DimensionGuardExceeded"
-    assert "guard 8" in err["inputs"]["message"]
-    assert not math.isfinite(err["residual"])
+    assert len(fusion) == 13 and "suite-error" not in {r["check"] for r in fusion}
+    failed = [r for r in fusion if not r["passed"]]
+    assert {r["check"] for r in failed} == {"fused-crossing-unitarity", "M_derivative(k=2,k'=2)"}
+    for err in failed:
+        assert err["inputs"]["error"] == "DimensionGuardExceeded"
+        assert "guard 8" in err["inputs"]["message"]
+        assert not math.isfinite(err["residual"])
 
 
 def test_charge_violation_becomes_failing_report(tmp_path, monkeypatch):
-    # an R-hat with one entry outside its Z_N charge pattern makes the
-    # projector residuals raise ChargeViolation; through `wkit check` that is
-    # one failing fusion-identities report and exit 1
+    # an R-hat with one entry outside its Z_N charge pattern is refused as
+    # it enters the graded operator type: through `wkit check` every
+    # fusion-identities check built on R-hat fails alone with the
+    # ChargeViolation, the one that is not (antisymmetrizer-projectors)
+    # still passes, and the run exits 1
     from wkit.cli import main
     from wkit.rmatrix import RMatrixFactory
 
@@ -106,16 +110,22 @@ def test_charge_violation_becomes_failing_report(tmp_path, monkeypatch):
     path.write_text(json.dumps({"params": {"N": 3}, "suites": ["fusion-identities"]}))
     assert main(["check", "--config", str(path), "--out", str(out)]) == 1
     reports = json.loads(out.read_text())
-    assert len(reports) == 1 and reports[0]["check"] == "suite-error"
-    assert not reports[0]["passed"]
-    assert reports[0]["inputs"]["error"] == "ChargeViolation"
+    assert len(reports) == 20 and "suite-error" not in {r["check"] for r in reports}
+    assert [r["check"] for r in reports if r["passed"]] == ["antisymmetrizer-projectors"]
+    for r in reports:
+        if r["passed"]:
+            continue
+        assert r["inputs"]["error"] == "ChargeViolation"
+        assert "does not conserve the Z_3 charge" in r["inputs"]["message"]
+        assert not math.isfinite(r["residual"])
 
 
 def test_off_charge_build_fails_zn_sparsity_and_the_graded_checks(tmp_path, monkeypatch, capsys):
     # one entry outside the Z_N charge pattern, 1e-11 of the largest, in
     # every R and Rhat build: zn-sparsity (tolerance 1e-12) fails on its
     # measure, the checks on graded operators, which refuse the build, fail
-    # with NaN, and every other check still reports and passes; through
+    # alone with NaN and the ChargeViolation, and every other check still
+    # reports and passes; through
     # `wkit check` that is exit 1 and no traceback
     from wkit.cli import main
     from wkit.rmatrix import RMatrixFactory
@@ -143,11 +153,12 @@ def test_off_charge_build_fails_zn_sparsity_and_the_graded_checks(tmp_path, monk
             assert 0.9e-11 < r["residual"] < 1.1e-11
         elif r["check"] in graded:
             assert r["residual"] != r["residual"]  # NaN
+            assert r["inputs"]["error"] == "ChargeViolation"
 
 
 def test_linalg_error_in_a_suite_becomes_failing_report(tmp_path, monkeypatch):
-    # a numpy LinAlgError (say, a singular fused block) fails its own suite
-    # only; every other suite still reports
+    # a numpy LinAlgError raised outside every check fails its own suite
+    # only, as its one suite-error report; every other suite still reports
     import numpy as np
 
     from wkit.cli import main

@@ -41,10 +41,11 @@ def test_no_unused_imports(path):
 
 
 # The layers that only build: none of them may reach the checks layer
-# (`suites`, with `reports` under it) or the CLI, and none may make a report.
+# (`suites`, with `reports` under it) or the CLI, and none may make a check
+# or a report.
 BUILDERS = ("params", "errors", "qseries", "rmatrix", "tensor", "wgen")
 CHECKS = {"reports", "suites", "cli"}
-REPORT_NAMES = {"CheckReport", "Stopwatch"}
+REPORT_NAMES = {"CheckReport", "Check"}
 
 
 def layering_violations(source: str) -> list:
@@ -71,10 +72,10 @@ def layering_violations(source: str) -> list:
 def test_layering_scanner_finds_violations():
     src = ("from .reports import worst\nfrom . import suites\nimport wkit.cli\n"
            "from .tensor import compose\n"
-           "def f() -> 'CheckReport':\n    return Stopwatch()\n")
+           "def f() -> 'CheckReport':\n    return Check()\n")
     assert layering_violations(src) == [
         (1, "import reports"), (2, "import suites"), (3, "import cli"),
-        (5, "f returns a report"), (6, "Stopwatch")]
+        (5, "f returns a report"), (6, "Check")]
 
 
 @pytest.mark.parametrize("name", BUILDERS)

@@ -22,7 +22,6 @@ from wkit import (
     Y_mn,
     Y_mn_forms,
     ZeroArgument,
-    abelianity_check,
     f_cr_modes,
     f_cr_series,
     kappa_inv,
@@ -35,6 +34,7 @@ from wkit import (
     theta_char_sums,
 )
 from wkit.errors import ModulusOutOfRange, TruncationBudgetExceeded
+from wkit.suites import abelianity_check, run_check
 
 POL = TruncationPolicy()
 DEEP = TruncationPolicy(tail_eps=1e-16, max_terms=2048)
@@ -341,13 +341,13 @@ def test_abel4_worked_instance():
     assert abs(params.s - 0.6 ** (-2 / 3)) < 1e-14
     assert abs(params.s_star - 0.6 ** (-4 / 3)) < 1e-12
     grid = np.geomspace(0.5, 2.0, 200)
-    rep = abelianity_check("abel4", 2, 0.6, -3, 3, grid)
+    rep = run_check(abelianity_check("abel4", 2, 0.6, -3, 3, grid))
     assert rep.passed and rep.residual < 1e-9
 
 
 def test_abel1_instance_and_control():
     grid = np.geomspace(0.5, 2.0, 120)
-    rep = abelianity_check("abel1", 2, 0.6, 2, -3, grid, lam=-1)
+    rep = run_check(abelianity_check("abel1", 2, 0.6, 2, -3, grid, lam=-1))
     assert rep.passed
     params = resolve_abelian_branch("abel1", 2, 0.6, 2, -3, lam=-1)
     pert = EllipticParams(2, 0.6, params.s * 1.01, params.c)
@@ -368,7 +368,7 @@ def test_abelianity_nan_sample_fails(monkeypatch):
         return ys
 
     monkeypatch.setattr(suites, "Y_mn_grid", Y_with_nan)
-    rep = abelianity_check("abel4", 2, 0.6, -3, 3, grid)
+    rep = run_check(abelianity_check("abel4", 2, 0.6, -3, 3, grid))
     assert math.isnan(rep.residual) and not rep.passed
 
 

@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from wkit import CheckReport, EllipticParams, TruncationPolicy, sort_reports
-from wkit.reports import Stopwatch
+from wkit import CheckReport, EllipticParams, TruncationPolicy, run_check, sort_reports
+from wkit.reports import Check
 from wkit.errors import ModulusOutOfRange, ZeroArgument
 from wkit.qseries import tau_N
 
@@ -27,7 +27,7 @@ def test_report_pass_flag_derived():
     (4e-3, 0.25, True),           # above it
 ])
 def test_control_report_encoding(observed, residual, passed):
-    r = Stopwatch().control("s", "control-x", "i", {"N": 2}, observed, 1e-3)
+    r = run_check(Check("s", "control-x", "i", {"N": 2}, lambda: observed, threshold=1e-3))
     assert r.passed is passed
     assert r.tolerance == 1.0
     assert r.residual == residual or (math.isnan(residual) and math.isnan(r.residual))
@@ -70,7 +70,7 @@ def test_sort_reports_ignores_computed_inputs():
     f_cr = [r for r in reports if r.check.startswith("f_cr(")]
     assert len(f_cr) > len({r.check for r in f_cr})  # some checks at several points
     for r in f_cr:
-        assert list(r.inputs)[:6] == ["N", "q", "k", "kprime", "x", "derivative"]
+        assert list(r.inputs)[:7] == ["N", "q", "k", "kprime", "x", "step", "derivative"]
         r.inputs["derivative"] += 1e-12 * complex(*rng.normal(size=2))
     assert [id(r) for r in sort_reports(reports)] == order
     a = CheckReport("s", "c", "i", {"x": 1.0, "derivative": 2e-12}, 0, 1)

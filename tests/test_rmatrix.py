@@ -20,6 +20,7 @@ from wkit.suites import (
     check_regularity,
     check_unitarity,
     check_yang_baxter,
+    run_check,
 )
 from wkit.tensor import antisymmetrizer, fused_R, permutation_operator
 
@@ -60,32 +61,32 @@ def test_zn_sparsity_pattern(N, count):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_regularity(N):
-    rep = check_regularity(RMatrixFactory(params(N=N), POL))
+    rep = run_check(check_regularity(RMatrixFactory(params(N=N), POL)))
     assert rep.passed and rep.residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3])
 def test_unitarity_and_ybe(N):
     fac = RMatrixFactory(params(N=N), POL)
-    assert check_unitarity(1.2 + 0.1j, fac).residual < 1e-9
-    assert check_yang_baxter(1.2 + 0.1j, 0.8 - 0.05j, fac).residual < 1e-9
-    assert check_yang_baxter(1.2 + 0.1j, 0.8 - 0.05j, fac, hat=True).residual < 1e-9
+    assert run_check(check_unitarity(1.2 + 0.1j, fac)).residual < 1e-9
+    assert run_check(check_yang_baxter(1.2 + 0.1j, 0.8 - 0.05j, fac)).residual < 1e-9
+    assert run_check(check_yang_baxter(1.2 + 0.1j, 0.8 - 0.05j, fac, hat=True)).residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_crossing_both_forms(N):
-    assert check_crossing(1.1 + 0.2j, RMatrixFactory(params(N=N), POL)).residual < 1e-9
+    assert run_check(check_crossing(1.1 + 0.2j, RMatrixFactory(params(N=N), POL))).residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_antisymmetry_via_continuation(N):
-    assert check_antisymmetry(1.1 + 0.2j, RMatrixFactory(params(N=N), POL)).residual < 1e-9
+    assert run_check(check_antisymmetry(1.1 + 0.2j, RMatrixFactory(params(N=N), POL))).residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3])
 @pytest.mark.parametrize("a", [-3, -2, -1, 0, 1, 2, 3])
 def test_quasi_periodicity_all_steps(N, a):
-    rep = check_quasi_periodicity_M(1.1 + 0.1j, a, RMatrixFactory(params(N=N), POL))
+    rep = run_check(check_quasi_periodicity_M(1.1 + 0.1j, a, RMatrixFactory(params(N=N), POL)))
     assert rep.residual < 1e-9, (N, a, rep.residual)
     if a == 0:
         assert rep.residual < 1e-14
@@ -95,7 +96,7 @@ def test_quasi_periodicity_starred():
     # the p* matrix with the s* ladder: the plain check at (N, q, s*)
     pr = params(N=2, c=0.4)
     starred = RMatrixFactory(EllipticParams(pr.N, pr.q, pr.s_star, 0.0), POL)
-    rep = check_quasi_periodicity_M(1.1 + 0.1j, 1, starred)
+    rep = run_check(check_quasi_periodicity_M(1.1 + 0.1j, 1, starred))
     assert rep.residual < 1e-9
 
 
@@ -115,14 +116,14 @@ def test_quasi_periodicity_iterated_oracle():
     scal2 = scal1 * F_a(cmath.exp(1j * cmath.pi * (xi + step)), 1, pr.s, pr, POL)
     two_rhs = scal2 * fac.build([xi + 2 * step], hat=True)[0] @ np.kron(M1 @ M1, E)
     assert np.linalg.norm(two_lhs - two_rhs) / np.linalg.norm(two_rhs) < 1e-10
-    rep = check_quasi_periodicity_M(x, -2, fac)
+    rep = run_check(check_quasi_periodicity_M(x, -2, fac))
     assert rep.residual < 1e-9
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_kernel_dimension_and_projector(N):
     fac = RMatrixFactory(params(N=N), POL)
-    rep = check_kernel(fac)
+    rep = run_check(check_kernel(fac))
     assert rep.inputs["dim"] == N * (N - 1) // 2
     assert rep.residual < 1e-8
     # explicit subspace comparison with A_2
@@ -215,9 +216,9 @@ def test_large_nome_is_not_degenerate(N, p):
     fac = RMatrixFactory(params(N=N, q=0.55, p=p), POL)
     assert fac._children is None
     z, w = 1.2 + 0.1j, 0.85 + 0.03j
-    assert check_unitarity(z, fac).passed
-    assert check_yang_baxter(z, w, fac).passed
-    assert check_yang_baxter(z, w, fac, hat=True).passed
+    assert run_check(check_unitarity(z, fac)).passed
+    assert run_check(check_yang_baxter(z, w, fac)).passed
+    assert run_check(check_yang_baxter(z, w, fac, hat=True)).passed
 
 
 @pytest.mark.parametrize("pr", [params(N=2), params(N=3), EllipticParams(N=2, q=0.6, s=0.6)],
@@ -241,7 +242,7 @@ def test_shared_factory_matches_fresh(pr):
         check_kernel,
     ]
     for check in checks:
-        assert check(shared).residual == check(RMatrixFactory(pr, POL)).residual
+        assert run_check(check(shared)).residual == run_check(check(RMatrixFactory(pr, POL))).residual
     for k, kp in ((1, 1), (2, 1), (2, 2)):
         fresh = fused_R(z, k, kp, RMatrixFactory(pr, POL))
         assert np.array_equal(fused_R(z, k, kp, shared).data, fresh.data)
@@ -312,7 +313,7 @@ def test_crossing_at_its_tightest_known_point():
     # defining series, whose terms there are 10^4 times the g2 = 1/2
     # values; on the modular image it is about 1.4e-13
     fac = RMatrixFactory(EllipticParams(N=3, q=0.55, s=cmath.sqrt(0.6)), POL)
-    rep = check_crossing(complex(0.7226266178849174, 0.013155398121855143), fac)
+    rep = run_check(check_crossing(complex(0.7226266178849174, 0.013155398121855143), fac))
     assert rep.passed and rep.tolerance == 1e-9
     assert rep.residual < 1e-11
 

@@ -1,4 +1,5 @@
-"""Suites that draw every point, build once per factory, then check."""
+"""The one check runner: suites that draw every point, build once per
+factory, then check, and a check that raises fails alone."""
 
 import cmath
 import json
@@ -45,16 +46,29 @@ def dicts(reports):
 @pytest.mark.parametrize("N", [2, 3, 4], ids=["N2-child-nome-limit", "N3", "N4"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_batched_suites_equal_their_replay(monkeypatch, N, seed):
-    # the replay runs one check per batch, as the checks run one by one;
-    # a batched pass must give the same reports, in the same order
+    # the replay runs every check when it is added, as the checks run one
+    # by one; a batched pass must give the same reports, in the same order.
+    # Every suite at N = 2 and 3, the batched ones at N = 4; a passing run
+    # is one pass
     ctx = ctx_for(N, seed)
-    batched = {name: dicts(suites.SUITES[name](ctx)) for name in BATCHED}
+    names = sorted(suites.SUITES) if N < 4 else BATCHED
+    passes, reports = [], suites._Checks.reports
+
+    def counted(self):
+        passes.append(self.batched)
+        return reports(self)
+
+    monkeypatch.setattr(suites._Checks, "reports", counted)
+    batched = {name: dicts(suites.SUITES[name](ctx)) for name in names}
+    assert passes == [True] * len(names)
 
     def raising(self):
-        raise PoleHit("forced")
+        if self.batched:
+            raise PoleHit("forced")
+        return reports(self)
 
-    monkeypatch.setattr(suites._Pass, "run", raising)
-    for name in BATCHED:
+    monkeypatch.setattr(suites._Checks, "reports", raising)
+    for name in names:
         replayed = dicts(suites.SUITES[name](ctx))
         assert [(r["check"], r["passed"]) for r in replayed] == \
             [(r["check"], r["passed"]) for r in batched[name]]
@@ -83,24 +97,83 @@ FORCED_Z = {
 }
 
 
+def force_poles(monkeypatch, draws):
+    """Make the first `draws` points of every fresh generator z = 1, a pole
+    of Rhat; each still takes its draw from the generator."""
+    draw, seen = suites._safe_point, []  # a generator per draw, kept alive so none shares an id
+
+    def first_draws_one(rng, *radii):
+        z = draw(rng, *radii)
+        seen.append(rng)
+        return 1 + 0j if sum(r is rng for r in seen) <= draws else z
+
+    monkeypatch.setattr(suites, "_safe_point", first_draws_one)
+
+
 @pytest.mark.parametrize("name", sorted(FORCED_Z))
 def test_forced_pole_resamples_as_before(monkeypatch, name):
     # z = 1 is a pole of Rhat: the batch that holds it raises, and the
     # replay from a fresh generator resamples the check that drew it
-    draw, seen = suites._safe_point, []
-
-    def first_draw_one(rng, *radii):
-        z = draw(rng, *radii)
-        if any(r is rng for r in seen):
-            return z
-        seen.append(rng)
-        return 1 + 0j
-
-    monkeypatch.setattr(suites, "_safe_point", first_draw_one)
+    force_poles(monkeypatch, 1)
     reports = suites.SUITES[name](ctx_for(3, 1))
     assert all(r.passed for r in reports) and "suite-error" not in {r.check for r in reports}
     got = [r.inputs["z"] for r in reports if r.check == "unitarity" or name == "corollary2-exchange"]
     assert [(z.real, z.imag) for z in got] == FORCED_Z[name]
+
+
+def test_a_check_whose_every_draw_is_a_pole_fails_alone(monkeypatch):
+    # the first unitarity check of the replay draws z = 1 on all six tries:
+    # it fails with its PoleHit, and the suite's 34 other reports pass
+    force_poles(monkeypatch, 6)
+    made, check_unitarity = [], suites.check_unitarity
+    monkeypatch.setattr(suites, "check_unitarity", lambda z, *args: made.append(z) or check_unitarity(z, *args))
+    reports = suites.SUITES["rmatrix-properties"](ctx_for(3, 1))
+    # five unitarity checks made in the batched pass, the first at z = 1;
+    # then the replay tries the first one six times
+    assert made[0] == 1 and made[5:11] == [1] * 6 and made.count(1) == 7
+    assert len(reports) == 35 and "suite-error" not in {r.check for r in reports}
+    failed = [r for r in reports if not r.passed]
+    assert [(r.check, r.inputs["z"], r.inputs["error"]) for r in failed] == [("unitarity", 1, "PoleHit")]
+    assert math.isnan(failed[0].residual) and "pole" in failed[0].inputs["message"]
+
+
+def test_a_raising_check_fails_alone(monkeypatch):
+    # Y_FF raises: Y-unitary-inversion fails, naming the error, the other
+    # five theta-identities reports pass, and the suite runs once
+    def raising(*args):
+        raise ArithmeticError("forced")
+
+    passes, reports = [], suites._Checks.reports
+    monkeypatch.setattr(suites._Checks, "reports", lambda self: passes.append(1) or reports(self))
+    monkeypatch.setattr(suites, "Y_FF", raising)
+    out = suites.SUITES["theta-identities"](ctx_for(3, 1))
+    assert len(out) == 6 and len(passes) == 1
+    assert [r.check for r in out if not r.passed] == ["Y-unitary-inversion"]
+    failed = out[-1]
+    assert failed.inputs == {"N": 3, "q": 0.55, "c": 0.25, "error": "ArithmeticError", "message": "forced"}
+    assert math.isnan(failed.residual)
+
+
+def test_refused_fusion_checks_fail_alone(monkeypatch):
+    # a guard of 32 at N = 3 refuses the k = 3 fused residuals, the (2,2)
+    # block of M_derivative and of fused-crossing-unitarity, and admits the
+    # chains: every report of the unguarded run is there, the refused ones
+    # fail with DimensionGuardExceeded and the others are unchanged
+    monkeypatch.delenv("WKIT_MAX_DIM", raising=False)
+    free = dicts(suites.SUITES["fusion-identities"](ctx_for(3, 1)))
+    monkeypatch.setenv("WKIT_MAX_DIM", "32")
+    guarded = dicts(suites.SUITES["fusion-identities"](ctx_for(3, 1)))
+    assert len(free) == 20 and all(r["passed"] for r in free)
+    assert [r["check"] for r in guarded] == [r["check"] for r in free]
+    refused = {(r["check"], r["inputs"].get("k")) for r in guarded if not r["passed"]}
+    assert refused == {("fused_rows", 3), ("fused_cols", 3), ("fused_inv_rows", 3), ("fused_inv_cols", 3),
+                       ("fused-crossing-unitarity", None), ("M_derivative(k=2,k'=2)", 2)}
+    for a, b in zip(free, guarded):
+        if b["passed"]:
+            assert a == b
+        else:
+            assert b["inputs"]["error"] == "DimensionGuardExceeded" and "exceeds guard 32^2" in b["inputs"]["message"]
+            assert math.isnan(b["residual"])
 
 
 def test_abelianity_pole_fails_its_branches_only(tmp_path):

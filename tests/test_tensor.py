@@ -11,7 +11,7 @@ import pytest
 
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
-from wkit.suites import check_fusion_identities, check_M_derivative
+from wkit.suites import check_fusion_identities, check_M_derivative, run_check
 from wkit.wgen import EvalRep, build_Q, lax_points, resolve_surface
 from wkit import tensor
 from wkit.tensor import (
@@ -535,7 +535,7 @@ def test_fused_crossing_unitarity(N, k, kp):
 
 @pytest.mark.parametrize("N,k", [(2, 2), (3, 2), (3, 3)])
 def test_fusion_identities(N, k):
-    reports = check_fusion_identities(k, RMatrixFactory(params(N=N), POL), 1.2 + 0.1j)
+    reports = map(run_check, check_fusion_identities(k, RMatrixFactory(params(N=N), POL), 1.2 + 0.1j))
     for r in reports:
         assert r.residual < 1e-8, (r.check, r.residual)
 
@@ -711,7 +711,7 @@ def test_projector_residual_on_one_space_is_zero_unless_a_gate_is_not_finite():
 def test_block_fusion_residuals_match_dense(N, k, kp):
     fac = RMatrixFactory(params(N=N), POL)
     x = 1.2 + 0.1j
-    reports = {r.check: r.residual for r in check_fusion_identities(k, fac, x, kprime=kp)}
+    reports = {r.check: r.residual for r in map(run_check, check_fusion_identities(k, fac, x, kprime=kp))}
     xi, zeta = xi_of(x), fac.params.zeta
     aux, rows, cols = tuple(range(1, k + 1)) + ("0",), row_labels(k), col_labels(kp)
     R = [rhat_on(fac, xi - (i - 1) * zeta, (i, "0")) for i in range(1, k + 1)]
@@ -751,7 +751,7 @@ def test_fusion_identities_control():
 
 @pytest.mark.parametrize("N,k,kp", [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 2, 1)])
 def test_monodromy_identity_and_derivative(N, k, kp):
-    rep = check_M_derivative(1.3 + 0.1j, k, kp, RMatrixFactory(params(N=N), POL))
+    rep = run_check(check_M_derivative(1.3 + 0.1j, k, kp, RMatrixFactory(params(N=N), POL)))
     assert rep.passed, (rep.residual, rep.inputs)
     assert rep.inputs["identity_residual"] < 1e-8
 
@@ -766,7 +766,7 @@ def test_monodromy_derivative_at_complex_q(k, kp, x):
     from wkit.cli import parse_config
 
     ctx, _ = parse_config({"params": {"N": 3, "q": [0.5, 0.1], "p": 0.4}, "seed": 5})
-    rep = check_M_derivative(x, k, kp, RMatrixFactory(ctx.params, POL))
+    rep = run_check(check_M_derivative(x, k, kp, RMatrixFactory(ctx.params, POL)))
     assert rep.passed and rep.tolerance == 1e-5 and rep.inputs["step"] == 1e-4
     assert rep.residual < 1e-8, rep.residual
 
@@ -851,11 +851,13 @@ def test_M_derivative_at_N4_runs_under_a_guard_of_128(monkeypatch):
     # dense operators needed a guard of 256
     fac = RMatrixFactory(params(N=4), POL)
     monkeypatch.setenv("WKIT_MAX_DIM", "128")
-    rep = check_M_derivative(1.3 + 0.1j, 2, 2, fac)
+    rep = run_check(check_M_derivative(1.3 + 0.1j, 2, 2, fac))
     assert rep.passed, rep.residual
     monkeypatch.setenv("WKIT_MAX_DIM", "127")
-    with pytest.raises(DimensionGuardExceeded, match="4 x 64 x 64 charge blocks of 16384 entries"):
-        check_M_derivative(1.3 + 0.1j, 2, 2, fac)
+    rep = run_check(check_M_derivative(1.3 + 0.1j, 2, 2, fac))
+    assert not rep.passed and math.isnan(rep.residual)
+    assert rep.inputs["error"] == "DimensionGuardExceeded"
+    assert "4 x 64 x 64 charge blocks of 16384 entries" in rep.inputs["message"]
 
 
 def test_index_tables_are_refused_before_they_are_built(monkeypatch):

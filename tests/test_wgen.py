@@ -15,18 +15,19 @@ from wkit import (
     RMatrixFactory,
     TruncationPolicy,
     build_t,
-    exchange_residual_tL,
-    exchange_residual_tt,
-    qdet_extract,
     resolve_surface,
+    run_check,
 )
-from wkit.errors import DimensionGuardExceeded, NoSolution, SingularLax
+from wkit.errors import NoSolution, SingularLax
 from wkit.params import xi_of
 from wkit.suites import (
     alpha_identity_check,
     check_trace_MA,
     critical_poisson_check,
+    exchange_residual_tL,
+    exchange_residual_tt,
     n0_check,
+    qdet_extract,
     qdet_tqdet_check,
 )
 from wkit.tensor import antisymmetrizer, compose
@@ -70,12 +71,12 @@ def test_twist_traces_respect_guard(monkeypatch):
     # the twist traces run the Lambda^k recursion with no rest space, each
     # step guarded by its N max(C(N,j-1), C(N,j)) C(N,j) entries against 8^2 = 64
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
-    assert check_trace_MA(3, 1).passed  # 3 x 3 x 3 = 27
-    assert n0_check(2, 1, 3).passed  # 27
-    with pytest.raises(DimensionGuardExceeded):
-        check_trace_MA(4, 1)  # 4 x 6 x 6 = 144
-    with pytest.raises(DimensionGuardExceeded):
-        n0_check(2, 1, 5)  # 5 x 10 x 10 = 500
+    assert run_check(check_trace_MA(3, 1)).passed  # 3 x 3 x 3 = 27
+    assert run_check(n0_check(2, 1, 3)).passed  # 27
+    for check in (check_trace_MA(4, 1), n0_check(2, 1, 5)):  # 4 x 6 x 6 = 144, 5 x 10 x 10 = 500
+        r = run_check(check)
+        assert not r.passed and math.isnan(r.residual)
+        assert r.inputs["error"] == "DimensionGuardExceeded" and "exceeds guard 8^2" in r.inputs["message"]
 
 
 def test_surface_m_plus_n_zero_forces_c():
@@ -206,8 +207,8 @@ def test_reports_say_t_is_a_scalar():
     # on (-1,-1) at N = 3 only k = 3 survives, and t^(3) is a scalar
     surf = surface(-1, -1, N=3, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    tL = exchange_residual_tL(3, Z, W, surf, rep)
-    tt = exchange_residual_tt(3, 3, Z, W, surf, rep)
+    tL = run_check(exchange_residual_tL(3, Z, W, surf, rep))
+    tt = run_check(exchange_residual_tt(3, 3, Z, W, surf, rep))
     assert tL.inputs["t_norm"] > 1e-3
     assert tL.inputs["t_scalar_residual"] <= 1e-13 and tt.inputs["t_scalar_residual"] <= 1e-13
     assert _scalar_residual(np.zeros((3, 3))) == 0.0
@@ -216,9 +217,9 @@ def test_reports_say_t_is_a_scalar():
 def test_N5_traces_under_the_default_guard(monkeypatch):
     monkeypatch.delenv("WKIT_MAX_DIM", raising=False)
     for m in range(1, 6):
-        assert check_trace_MA(5, m).passed, m
+        assert run_check(check_trace_MA(5, m)).passed, m
         for k in range(1, 6):
-            assert n0_check(k, m, 5).passed, (k, m)
+            assert run_check(n0_check(k, m, 5)).passed, (k, m)
     surf = surface(-1, -1, N=5, q=0.6)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
     t = build_t(5, Z, surf, rep)
@@ -236,21 +237,21 @@ def test_theorem_exchange_on_surface(N, m, n):
     surf = resolve_surface(m, n, 0.6, 0.0, N)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
     for k in range(1, N + 1):
-        r = exchange_residual_tL(k, Z, W, surf, rep)
+        r = run_check(exchange_residual_tL(k, Z, W, surf, rep))
         assert r.passed, (N, m, n, k, r.residual)
 
 
 def test_theorem_exchange_off_surface_control():
     surf = perturb(surface(-1, -1, N=2))
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    r = exchange_residual_tL(1, Z, W, surf, rep)
+    r = run_check(exchange_residual_tL(1, Z, W, surf, rep))
     assert r.residual > 1e-3
 
 
 def test_kN_commutes_off_surface():
     surf = perturb(surface(-1, -1, N=2))
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    r = exchange_residual_tL(2, Z, W, surf, rep)
+    r = run_check(exchange_residual_tL(2, Z, W, surf, rep))
     assert r.residual < 1e-8
 
 
@@ -260,14 +261,14 @@ def test_corollary_exchange(N, m, n):
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
     for k in range(1, N + 1):
         for kp in range(k, N + 1):
-            r = exchange_residual_tt(k, kp, Z, W, surf, rep)
+            r = run_check(exchange_residual_tt(k, kp, Z, W, surf, rep))
             assert r.passed, (N, k, kp, r.residual)
 
 
 def test_tt_trivial_commutation_at_k_equals_N():
     surf = surface(-1, -1, N=2)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    r = exchange_residual_tt(2, 2, Z, W, surf, rep)
+    r = run_check(exchange_residual_tt(2, 2, Z, W, surf, rep))
     assert r.passed and abs(r.inputs["prefactor"] - 1) < 1e-10
 
 
@@ -279,23 +280,23 @@ def test_tt_trivial_commutation_at_k_equals_N():
 def test_qdet_centrality(N):
     surf = resolve_surface(-1, -1, 0.6, 0.0, N)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    scal, rep_ = qdet_extract(Z, rep)
-    assert rep_.passed
-    assert abs(scal) > 1e-6
+    r = run_check(qdet_extract(Z, rep))
+    assert r.passed
+    assert abs(r.inputs["qdet"]) > 1e-6
 
 
 @pytest.mark.parametrize("N,m,n", [(2, -1, -1), (3, -1, -1), (3, -2, 1)])
 def test_t_qdet_identity(N, m, n):
     surf = resolve_surface(m, n, 0.6, 0.0, N)
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
-    r = qdet_tqdet_check(Z, surf, rep)
+    r = run_check(qdet_tqdet_check(Z, surf, rep))
     assert r.passed, r.inputs
     assert min(r.inputs["residuals"].values()) < 1e-8
 
 
 @pytest.mark.parametrize("N,m", [(2, 1), (3, 1), (3, 2), (4, 1)])
 def test_trace_MA_det(N, m):
-    assert check_trace_MA(N, m).passed
+    assert run_check(check_trace_MA(N, m)).passed
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +304,12 @@ def test_trace_MA_det(N, m):
 # ---------------------------------------------------------------------------
 
 def test_n0_specific_instances():
-    r = n0_check(2, 2, 4)
+    r = run_check(n0_check(2, 2, 4))
     assert r.passed and abs(r.inputs["value"]) > 1e-10  # survives: mk = 4 = N
-    r = n0_check(2, 1, 3)
+    r = run_check(n0_check(2, 1, 3))
     assert r.passed and abs(r.inputs["value"]) < 1e-12  # mk = 2 not multiple of 3
     # k = N: the trace is det(M) itself
-    r = n0_check(2, 1, 2)
+    r = run_check(n0_check(2, 1, 2))
     assert r.passed
     from wkit import ZnMatrices
     M = ZnMatrices(2).M_power(1)
@@ -323,7 +324,7 @@ def test_n0_specific_instances():
                                       (3, 2, 2, 0.85 + 0.1j)])
 def test_critical_poisson_three_way(N, k, kp, x):
     pr = EllipticParams(N=N, q=0.55, s=0.5)
-    r = critical_poisson_check(k, kp, x, pr, policy=POL)
+    r = run_check(critical_poisson_check(k, kp, x, pr, policy=POL))
     assert r.passed, r.inputs
 
 
@@ -340,13 +341,12 @@ def test_critical_poisson_truncation_fails_one_point():
     # at q = 0.9 the q^4 chain of U needs more than 64 factors, so the
     # derivative cannot be taken and this point fails on its own
     pr = EllipticParams(N=2, q=0.9, s=0.5)
-    r = critical_poisson_check(1, 1, 1.05, pr, policy=TruncationPolicy(max_terms=64))
+    r = run_check(critical_poisson_check(1, 1, 1.05, pr, policy=TruncationPolicy(max_terms=64)))
     assert math.isnan(r.residual) and not r.passed
     assert r.check == "f_cr(k=1,k'=1)"
     assert r.inputs["error"] == "TruncationBudgetExceeded"
     assert r.inputs["message"] == "pochhammer index 0 needs more than 64 factors"
-    assert r.inputs["derivative"] is r.inputs["series"] is r.inputs["modes"] is None
-    assert {"N", "q", "k", "kprime", "x", "step"} <= set(r.inputs)
+    assert list(r.inputs) == ["N", "q", "k", "kprime", "x", "step", "error", "message"]
 
 
 def test_critical_poisson_suite_keeps_its_other_reports(monkeypatch):
@@ -374,9 +374,9 @@ def test_critical_poisson_suite_keeps_its_other_reports(monkeypatch):
     reports = suite_critical_poisson(ctx)
     assert len(reports) == 14
     failed = [r for r in reports if not r.passed]
-    assert [(r.inputs["error"], r.inputs["modes"]) for r in failed] == [
-        ("TruncationBudgetExceeded", None)]
-    assert math.isnan(failed[0].residual)
+    assert [(r.check, r.inputs["error"], r.inputs["message"]) for r in failed] == [
+        ("f_cr(k=1,k'=2)", "TruncationBudgetExceeded", "f_cr_modes remainder did not converge")]
+    assert math.isnan(failed[0].residual) and "modes" not in failed[0].inputs
 
 
 def test_offsurface_control_takes_the_worst_of_five_pairs():
@@ -429,7 +429,7 @@ def test_alpha_identity_worked_case():
 
 
 def test_alpha_identity_exhaustive():
-    r = alpha_identity_check()
+    r = run_check(alpha_identity_check())
     assert r.residual == 0.0 and r.passed
     assert r.inputs["cases"] > 0
 
@@ -440,9 +440,8 @@ def test_exchange_with_generic_evaluation_point():
     surf = surface(-2, -1, N=3, q=0.6)
     a = cmath.exp(0.37j)
     rep = EvalRep(RMatrixFactory(surf.params), a)
-    r = exchange_residual_tL(1, Z, W, surf, rep)
+    r = run_check(exchange_residual_tL(1, Z, W, surf, rep))
     assert r.passed and not r.inputs["structurally_vanishing"]
-    r = exchange_residual_tt(1, 2, Z, W, surf, rep)
+    r = run_check(exchange_residual_tt(1, 2, Z, W, surf, rep))
     assert r.passed
-    scal, rq = qdet_extract(Z, EvalRep(RMatrixFactory(surf.params), a))
-    assert rq.passed
+    assert run_check(qdet_extract(Z, EvalRep(RMatrixFactory(surf.params), a))).passed
