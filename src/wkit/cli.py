@@ -164,9 +164,6 @@ def cmd_check(args) -> int:
     for name in suites:
         try:
             reports.extend(SUITES[name](ctx))
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
         except (*REPORTED, MemoryError) as exc:
             reports.append(CheckReport(
                 name, "suite-error", "the suite runs to completion",

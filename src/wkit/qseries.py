@@ -20,9 +20,10 @@ root value s (the designated value of -p^{1/2}); U is even in its argument,
 so every scalar here is insensitive to the sign convention chosen for s.
 
 Every q-Pochhammer product is a call of `pochhammer2`, the one product
-kernel, whose chains of moduli are formed by np.cumprod.  Each formula has
-one body, which runs on arrays; a scalar argument is a one-point array,
-and a scalar call returns a Python scalar.
+kernel, and every sum of e(v) = v / (1 - v) along a chain a call of
+`_e_sums`, the one e-sum kernel; np.cumprod forms their chains.  Every
+formula, without exception, has one body, which runs on arrays; a scalar
+argument is a one-point array, and a scalar call returns a Python scalar.
 
 Characteristic thetas are summed only by `theta_char_sums`, a batch with
 one tau for all rows or one per row; `theta_char_product` is the
@@ -120,7 +121,7 @@ def _powers(p: np.ndarray, t, T: int):
     |p| < 1 - 1e-6 the rounding of the products cannot delay that a step.
     A zero p gives 1, 0, 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        need = float(np.max(np.where(p == 0, 0.0, np.log(t) / np.log(np.abs(p)))))
+        need = float(np.max(np.where(p == 0, 0.0, np.log(t) / np.log(np.abs(p))), initial=0.0))
     n = min(int(need) + 3, T + 1) if need < T else T + 1
     chains = np.ones((n,) + p.shape, dtype=complex)
     np.cumprod(np.broadcast_to(p, (n - 1,) + p.shape), axis=0, out=chains[1:])
@@ -585,64 +586,69 @@ def Y_kkprime_cr(x: complex, k: int, kprime: int, params: EllipticParams,
 # Critical-level Poisson structure functions
 # ---------------------------------------------------------------------------
 
+def _e_sums(ws, x: np.ndarray, Q: complex, policy: TruncationPolicy, pole: str, budget: str) -> np.ndarray:
+    """S(w; u) = sum_{l>=0} [e(w Q^l u) - e(w Q^l / u)], e(v) = v / (1 - v), at
+    u = x^2, a row per w of ws, a column per point of x.  It takes the weights
+    Q^l of `_powers` with |w Q^l| >= tail_eps / (|u| + |1/u|), none at u within
+    1e-12 of 1 (both callers give 0 there), and adds its terms by np.cumsum,
+    which rounds the same in every batch, as a sum does not.  The first point
+    to fail raises PoleHit("<pole> at x = ...") if one of its first max_terms
+    terms is within _POLE_EPS of a pole of e, else, if it needs more terms,
+    TruncationBudgetExceeded(budget)."""
+    u = x * x
+    w = np.array(ws, dtype=complex)[:, None]
+    t = policy.tail_eps / (abs(u) + abs(1 / u)) / abs(w)  # (w, point): the least |Q^l| taken
+    t[:, abs(u - 1) < 1e-12] = math.inf
+    chain, over = _powers(np.array(Q), t, policy.max_terms)
+    take = abs(chain)[:, None, None] >= t
+    wQ = chain[:, None, None] * w
+    a, b = wQ * u, wQ / u
+    near = take & ((abs(1 - a) < _POLE_EPS) | (abs(1 - b) < _POLE_EPS))
+    poles = near[:policy.max_terms].any(axis=(0, 1))
+    fails = poles | (t <= over).any(axis=0)
+    if fails.any():
+        if poles[fails.argmax()]:
+            raise PoleHit(f"{pole} at x = {_at(x, fails)}")
+        raise TruncationBudgetExceeded(budget)
+    return np.cumsum(np.where(take, a / (1 - a) - b / (1 - b), 0), axis=0)[-1]
+
+
 def I_series(x: complex, params: EllipticParams,
              policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """The antisymmetric kernel I(x) of the critical Poisson bracket:
 
-        I(x) = sum_{l>=0} e(x^2 q^{2Nl}) - e(x^2)/2 - (x <-> 1/x),
-        e(v) = v / (1 - v).
+        I(x) = sum_{l>=0} e(x^2 q^{2Nl}) - e(x^2)/2 - (x <-> 1/x)
+             = S(1; x^2) - (1 + x^2) / (2 (1 - x^2))
 
-    At x^2 = 1 the two wings collide on the same simple pole; the value is
-    fixed to 0 (the principal value forced by I(1/x) = -I(x)).
+    with S of `_e_sums` over Q = q^{2N}.  At x^2 = 1 the two wings collide on
+    one simple pole, and I = 0, the principal value that I(1/x) = -I(x) forces.
     """
-    if x == 0:
+    if not _BATCH.active:
+        return _on_grid(I_series, np.asarray(x), params, policy)
+    if (x == 0).any():
         raise ZeroArgument("I(0) undefined")
     u = x * x
-    if abs(u - 1) < 1e-12:
-        return 0.0 + 0j
-    q, N = params.q, params.N
-    Q = q ** (2 * N)
-    acc = 0.0 + 0j
-    lat = 1.0 + 0j
-    for _ in range(policy.max_terms):
-        a = u * lat
-        b = lat / u
-        if abs(1 - a) < _POLE_EPS or abs(1 - b) < _POLE_EPS:
-            raise PoleHit(f"I(x) pole: x^2 collides with q^(2Nl) lattice at x = {x}")
-        term = a / (1 - a) - b / (1 - b)
-        acc += term
-        lat *= Q
-        if abs(lat) * (abs(u) + abs(1 / u)) < policy.tail_eps:
-            break
-    else:
-        raise TruncationBudgetExceeded("I(x) lattice sum did not converge")
-    # split-off half term: (e(u) - e(1/u))/2 = (1+u)/(2(1-u))
-    return acc - (1 + u) / (2 * (1 - u))
+    S = _e_sums([1], x, params.q ** (2 * params.N), policy,
+                "I(x) pole: x^2 collides with q^(2Nl) lattice", "I(x) lattice sum did not converge")
+    return np.where(abs(u - 1) < 1e-12, 0, S[0] - (1 + u) / (2 * (1 - u)))
 
 
 def f_cr_series(x: complex, k: int, kprime: int, params: EllipticParams,
                 policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Critical Poisson structure function from the I-kernel:
 
-        f_cr(x) = 2 ln q * sum_{i,j} (2 I(q^{i-j} x) - I(q^{i-j+1} x)
-                                      - I(q^{i-j-1} x))
+        f_cr(x) = 2 ln q * sum_{i,j} (2 I(q^d x) - I(q^{d+1} x) - I(q^{d-1} x))
 
-    over the centred half-integer ladders.  The overall sign is fixed so
-    that f_cr equals d/dc of the fused exchange ratio at c = -N; the mode
-    expansion f_cr_modes is the independent cross-check.
+    with d = i - j over the centred half-integer ladders, by one `I_series`
+    call.  Its sign makes f_cr equal d/dc of the fused exchange ratio at
+    c = -N; the mode expansion f_cr_modes is the independent cross-check.
     """
-    q = params.q
-    lnq = cmath.log(q)
-    acc = 0.0 + 0j
-    for ti in centred_ladder(k):
-        for tj in centred_ladder(kprime):
-            d = ti - tj
-            acc += (
-                2 * I_series(q**d * x, params, policy)
-                - I_series(q ** (d + 1) * x, params, policy)
-                - I_series(q ** (d - 1) * x, params, policy)
-            )
-    return 2 * lnq * acc
+    if not _BATCH.active:
+        return _on_grid(f_cr_series, np.asarray(x), k, kprime, params, policy)
+    ds = [ti - tj for ti in centred_ladder(k) for tj in centred_ladder(kprime)]
+    shifts = np.array([params.q ** e for d in ds for e in (d, d + 1, d - 1)])
+    vals = I_series((shifts[:, None] * x).ravel(), params, policy).reshape(len(ds), 3, -1)
+    return 2 * cmath.log(params.q) * np.cumsum(2 * vals[:, 0] - vals[:, 1] - vals[:, 2], axis=0)[-1]
 
 
 def f_cr_modes(x: complex, k: int, kprime: int, params: EllipticParams,
@@ -650,61 +656,34 @@ def f_cr_modes(x: complex, k: int, kprime: int, params: EllipticParams,
     """Critical Poisson structure function from its mode expansion
 
         f_cr(x) = -2 (q - 1/q) ln q * sum_{r in Z} A_r x^{2r},
-        A_r = [(N-max(k,k')) r]_q [min(k,k') r]_q / [N r]_q,
+        A_r = [(N-max) r]_q [min r]_q / [N r]_q
+            = g^r (1 - a^r) (1 - b^r) / ((1 - c^r) (1/q - q)),
 
-    with [n]_q = (q^n - q^{-n})/(q - q^{-1}) and A_0 = 0.  The coefficients
-    tend to a geometric tail A_r ~ q^{(max-min) r} / (1/q - q), so the
-    symmetric sum is evaluated with that tail resummed in closed form;
-    the remainder converges absolutely on the annulus |q| < |x| < 1/|q|.
+    max and min of k and k', [n]_q = (q^n - q^{-n})/(q - q^{-1}), A_0 = 0,
+    A_{-r} = -A_r, g = q^{max-min}, a = q^{2(N-max)}, b = q^{2 min} and
+    c = q^{2N}.  With 1/(1 - c^r) = sum_l c^{lr} and sum_{r>=1} v^r = e(v),
+    the modes sum exactly to f_cr(x) = 2 ln q [S(g) + S(gab) - S(ga) - S(gb)],
+    with S the e-sums of `_e_sums` at u = x^2.
+
+    The mode sum converges on |q| < |x| < 1/|q| only; outside that annulus
+    this raises OutsideConvergenceAnnulus.  At x^2 = 1 the value is 0.
     """
-    if x == 0:
+    if not _BATCH.active:
+        return _on_grid(f_cr_modes, np.asarray(x), k, kprime, params, policy)
+    if (x == 0).any():
         raise ZeroArgument("f_cr_modes(0) undefined")
     q, N = params.q, params.N
-    if not (abs(q) < abs(x) < 1 / abs(q)):
-        raise OutsideConvergenceAnnulus(
-            f"|x| = {abs(x):.6g} outside (|q|, 1/|q|) = ({abs(q):.6g}, {1/abs(q):.6g})"
-        )
+    outside = ~((abs(q) < abs(x)) & (abs(x) < 1 / abs(q)))
+    if outside.any():
+        raise OutsideConvergenceAnnulus(f"|x| = {abs(_at(x, outside)):.6g} outside (|q|, 1/|q|) = "
+                                        f"({abs(q):.6g}, {1/abs(q):.6g})")
     M, mn = max(k, kprime), min(k, kprime)
     if M == N:
-        return 0.0 + 0j  # [(N-max) r]_q = [0]_q = 0 for every mode
-    u = x * x
-    if abs(u - 1) < 1e-12:
-        return 0.0 + 0j
-    qi = 1 / q - q
-    lnq = cmath.log(q)
-    g = q ** (M - mn)  # geometric tail ratio of A_r
-    if abs(1 - g * u) < _POLE_EPS or abs(1 - g / u) < _POLE_EPS:
-        raise PoleHit(f"f_cr_modes pole: x^2 = q^(min-max) at x = {x}")
-    # remainder coefficients B_r = A_r - g^r/(1/q - q) in the cancellation-free
-    # form  B_r = g^r (c^r + (ab)^r - a^r - b^r) / ((1 - c^r)(1/q - q)):
-    # a subtraction of two O(1) quantities here would feed roundoff into the
-    # growing x^{-2r} wing and destroy the sum away from |x| = 1
-    a = q ** (2 * (N - M))
-    b = q ** (2 * mn)
-    cq = q ** (2 * N)
-    acc = 0.0 + 0j
-    up, um = 1.0 + 0j, 1.0 + 0j
-    for r in range(1, policy.max_terms):
-        up *= u
-        um /= u
-        B = g**r * (cq**r + (a * b) ** r - a**r - b**r) / ((1 - cq**r) * qi)
-        term = B * (up - um)
-        acc += term
-        if abs(term) < policy.tail_eps and r > 4:
-            break
-    else:
-        # near the annulus edge the remainder decays too slowly for the
-        # budget.  Past r = max_terms, B_r = g^r (c^r + (ab)^r - a^r - b^r)/qi
-        # up to a factor 1/(1 - c^r) = 1 + O(c^r): with c^max_terms below
-        # tail_eps the rest is four geometric series, summed in closed form
-        R = policy.max_terms
-        if not abs(cq**R) < policy.tail_eps:
-            raise TruncationBudgetExceeded("f_cr_modes remainder did not converge")
-        for rho, sign in ((cq, 1), (a * b, 1), (a, -1), (b, -1)):
-            w, v = g * rho * u, g * rho / u
-            acc += sign * (w**R / (1 - w) - v**R / (1 - v)) / qi
-    tail = (g * u / (1 - g * u) - (g / u) / (1 - g / u)) / qi
-    return -2 * (q - 1 / q) * lnq * (acc + tail)
+        return np.zeros(x.shape, dtype=complex)  # [(N-max) r]_q = [0]_q = 0 for every mode
+    g, a, b = q ** (M - mn), q ** (2 * (N - M)), q ** (2 * mn)
+    S = _e_sums([g, g * a * b, g * a, g * b], x, q ** (2 * N), policy,
+                "f_cr_modes pole: x^2 = q^(min-max)", "f_cr_modes remainder did not converge")
+    return 2 * cmath.log(q) * (S[0] + S[1] - S[2] - S[3])
 
 
 # ---------------------------------------------------------------------------

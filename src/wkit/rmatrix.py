@@ -52,7 +52,6 @@ import numpy as np
 from .errors import ModulusOutOfRange, PoleHit
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, _charges, xi_of
 from .qseries import _pp, _store, kappa_inv, pochhammer2, theta_char_sums
-from .tensor import LabeledTensor
 
 _POLE_REL = 1e-12
 _CHUNK = 16          # points per evaluation in a build (about 58 KB of temporaries a point at N = 3)
@@ -233,23 +232,6 @@ def factory(params: EllipticParams, policy: TruncationPolicy | None = None) -> R
     if fac is None:
         fac = _store(_FACTORIES, key, RMatrixFactory(*key), _FACTORY_LIMIT)
     return fac
-
-
-def zn_symmetry_residual(mat: np.ndarray, N: int) -> float:
-    """Largest forbidden entry relative to the largest entry: entry
-    ((i,j),(k,l)) must vanish unless i + j = k + l mod N."""
-    scale = np.abs(mat).max()
-    charge = _charges(N, 2)
-    largest = np.abs(mat[charge[:, None] != charge[None, :]]).max()
-    return largest / scale if scale > 0 else 0.0
-
-
-def crossing_unitarity_residual(A: LabeledTensor, B: LabeledTensor) -> float:
-    """Relative distance between (A^{t2})^{-1} and (B^{-1})^{t2}, for A and B
-    on the spaces (1, 2)."""
-    lhs = A.partial_transpose(2).inv()
-    rhs = B.inv().partial_transpose(2)
-    return (lhs - rhs).norm() / lhs.norm()
 
 
 def kernel_projector(fac: RMatrixFactory):

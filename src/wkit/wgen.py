@@ -42,8 +42,6 @@ from .params import EllipticParams, centred_ladder, xi_of
 from .rmatrix import RMatrixFactory
 from .tensor import antisym_trace
 
-QUANTUM = "0"
-
 
 # ---------------------------------------------------------------------------
 # Surfaces

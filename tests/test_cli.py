@@ -66,9 +66,10 @@ def test_check_exit_1_on_failed_check(tmp_path):
 
 
 def test_raising_suite_becomes_failing_report(tmp_path, monkeypatch):
-    # fusion-identities exceeds an 8-dimensional guard at N = 2 in two of
-    # its checks; each of them fails alone, naming the error, and every
-    # other check of both suites still reports and passes
+    # fusion-identities exceeds an 8-dimensional guard at N = 2 in the
+    # (2,2) blocks of two of its checks; each of them fails alone, naming
+    # the error, and every other check of both suites, the admitted blocks
+    # too, still reports and passes
     from wkit.cli import main
 
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
@@ -80,9 +81,11 @@ def test_raising_suite_becomes_failing_report(tmp_path, monkeypatch):
     theta = [r for r in reports if r["suite"] == "theta-identities"]
     fusion = [r for r in reports if r["suite"] == "fusion-identities"]
     assert len(theta) == 6 and all(r["passed"] for r in theta)
-    assert len(fusion) == 13 and "suite-error" not in {r["check"] for r in fusion}
+    assert len(fusion) == 16 and "suite-error" not in {r["check"] for r in fusion}
     failed = [r for r in fusion if not r["passed"]]
-    assert {r["check"] for r in failed} == {"fused-crossing-unitarity", "M_derivative(k=2,k'=2)"}
+    assert {r["check"] for r in failed} == {"fused-crossing-unitarity(k=2,k'=2)", "M_derivative(k=2,k'=2)"}
+    admitted = {f"fused-crossing-unitarity(k={k},k'={kp})" for k, kp in [(1, 1), (1, 2), (2, 1)]}
+    assert admitted <= {r["check"] for r in fusion if r["passed"]}
     for err in failed:
         assert err["inputs"]["error"] == "DimensionGuardExceeded"
         assert "guard 8" in err["inputs"]["message"]
@@ -110,7 +113,7 @@ def test_charge_violation_becomes_failing_report(tmp_path, monkeypatch):
     path.write_text(json.dumps({"params": {"N": 3}, "suites": ["fusion-identities"]}))
     assert main(["check", "--config", str(path), "--out", str(out)]) == 1
     reports = json.loads(out.read_text())
-    assert len(reports) == 20 and "suite-error" not in {r["check"] for r in reports}
+    assert len(reports) == 23 and "suite-error" not in {r["check"] for r in reports}
     assert [r["check"] for r in reports if r["passed"]] == ["antisymmetrizer-projectors"]
     for r in reports:
         if r["passed"]:

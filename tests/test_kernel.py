@@ -1,7 +1,7 @@
 """The q-series kernel: the one product `pochhammer2`, with one nome or one
 per point, within rounding of the factor-by-factor walk and as accurate
-against a 40-digit mpmath oracle; each formula on arrays within rounding of
-its scalar form and as accurate against 40 digits; batched characteristic thetas
+against a 40-digit mpmath oracle; each formula on arrays equal to its
+scalar form and as accurate against 40 digits; batched characteristic thetas
 against the defining series summed ring by ring and against 40 digits on
 both branches; kappa_inv against 40 digits; the same exceptions; bounded
 caches; the theta-identities checks fail on perturbed values."""
@@ -384,16 +384,15 @@ def rel_err(got, want):
 
 @pytest.mark.parametrize("pr", PARAMS, ids=["N2", "N3-q0.8", "N3-complex-q"])
 def test_grid_forms_equal_scalar_forms(pr):
-    # numpy's complex arithmetic rounds differently from CPython's in the
-    # last bit; the largest differences seen are 1.1e-13 (Y_FF) and 5.5e-14
-    # (Y_2,-3), both at N = 3, q = 0.8; 5.6e-16 for theta_char_product
+    # a scalar call runs the same array body on a one-point array
     for xs in grids():
         for name, grid_form, scalar_form in grid_forms(pr):
             got = grid_form(xs)
             assert got.shape == xs.shape and got.dtype == complex, name
-            assert rel_err(got.tolist(), [scalar_form(complex(x)) for x in xs]) <= 1e-12, name
+            assert got.tolist() == [scalar_form(complex(x)) for x in xs], name
     # the triple-product theta on the theta-identities suite's draws, one
-    # call for all rows (each row with its own nome e^{2 i pi tau})
+    # call for all rows (each row with its own nome e^{2 i pi tau}); a
+    # scalar call takes the one-nome path, which rounds otherwise
     g1s, g2s, xis, taus = map(np.array, zip(*theta_identities_rows()))
     got = theta_char_product(g1s, g2s, xis, taus, POL).tolist()
     assert rel_err(got, [theta_char_product(*row, POL) for row in theta_identities_rows()]) <= 1e-12
@@ -404,8 +403,7 @@ def test_grid_forms_equal_scalar_forms(pr):
 def test_grid_Y_equals_scalar_on_abelianity_branches(branch, m, n, lam):
     params = resolve_abelian_branch(branch, 3, 0.8, m, n, lam)
     xs = np.geomspace(0.5, 2.0, 60)
-    got = Y_mn_grid(xs, m, n, params).tolist()
-    assert max(abs(g - Y_mn(x, m, n, params)) for g, x in zip(got, xs)) <= 1e-11
+    assert Y_mn_grid(xs, m, n, params).tolist() == [Y_mn(x, m, n, params) for x in xs]
 
 
 def test_grid_forms_raise_as_the_scalar_loop():
@@ -450,10 +448,23 @@ def test_scalar_call_is_the_one_point_array_call(pr):
         ("Y_2,-3", lambda x: Y_mn(x, 2, -3, pr, POL)),
         ("theta_char_product", lambda x: theta_char_product(0.5, 1 / 3, x, 0.1 + 0.7j, POL)),
     ]
-    for name, f in forms:
+    critical = [
+        ("I_series", lambda x: qs.I_series(x, pr, POL)),
+        ("f_cr_series", lambda x: qs.f_cr_series(x, 2, 1, pr, POL)),
+        ("f_cr_modes", lambda x: qs.f_cr_modes(x, 1, 1, pr, POL)),
+    ]
+    for name, f in forms + critical:
         got, want = f(x), f(np.array([x]))
         assert type(got) is complex and want.shape == (1,), name
         assert got == want[0], name
+    # the critical-level forms give a point its scalar value in any batch
+    rng = np.random.default_rng(3)
+    xs = np.geomspace(0.9 * abs(pr.q) ** -1, 1.1 * abs(pr.q), 9) * np.exp(1j * rng.uniform(-3, 3, 9))
+    for name, f in critical:
+        scalar = [f(complex(v)) for v in xs]
+        assert f(xs).tolist() == scalar, name
+        assert f(xs[::-1]).tolist() == scalar[::-1], name
+        assert f(xs[4:6]).tolist() == scalar[4:6], name
     for moduli in ([pr.p], [pr.p, pr.q ** (2 * pr.N)]):
         got = pochhammer(x, moduli, POL)
         assert type(got) is complex

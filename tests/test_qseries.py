@@ -33,7 +33,8 @@ from wkit import (
     theta_char_product,
     theta_char_sums,
 )
-from wkit.errors import ModulusOutOfRange, TruncationBudgetExceeded
+from wkit.errors import ModulusOutOfRange, PoleHit, TruncationBudgetExceeded
+from wkit.params import centred_ladder
 from wkit.suites import abelianity_check, run_check
 
 POL = TruncationPolicy()
@@ -310,16 +311,17 @@ def test_f_cr_modes_vanishes_when_max_is_N():
     assert abs(f_cr_series(1.3, 2, 1, pr, POL)) < 1e-10
 
 
-def test_f_cr_modes_remainder_past_the_budget():
-    # near the annulus edge at q = 0.8 the remainder needs more than 512
-    # terms; past them it is summed in closed form
+def test_f_cr_modes_near_the_annulus_edge():
+    # near the annulus edge at q = 0.8 the modes decay slowly, but the
+    # resummed e-sums converge like the I-kernel: a longer budget does not
+    # change them, and they agree with f_cr_series
     pr = EllipticParams(N=3, q=0.8, s=0.5)
     for x, k, kp in [(1.22, 1, 1), (0.81 + 0.05j, 2, 2), (1.2 - 0.2j, 1, 2)]:
         got = f_cr_modes(x, k, kp, pr, POL)
         long_loop = f_cr_modes(x, k, kp, pr, TruncationPolicy(max_terms=20000))
         assert abs(got - long_loop) < 1e-13 * (1 + abs(long_loop))
         assert abs(got - f_cr_series(x, k, kp, pr, POL)) < 1e-10 * (1 + abs(got))
-    # at q = 0.9 the neglected c^64 = q^256 is not below tail_eps: still raises
+    # at q = 0.9 the chain of c = q^4 needs more than 64 weights: still raises
     with pytest.raises(TruncationBudgetExceeded):
         f_cr_modes(1.1, 1, 1, EllipticParams(N=2, q=0.9, s=0.5), TruncationPolicy(max_terms=64))
 
@@ -328,6 +330,162 @@ def test_f_cr_modes_annulus_enforced():
     pr = EllipticParams(N=2, q=0.55, s=0.5)
     with pytest.raises(OutsideConvergenceAnnulus):
         f_cr_modes(2.5, 1, 1, pr, POL)
+
+
+# The three functions as scalar loops over their terms: reference oracles
+# for the array forms, which sum the same series as e-sums of one kernel.
+
+def I_series_loop(x, params, policy):
+    """I(x), summing e(x^2 Q^l) - e(Q^l / x^2) term by term until
+    |Q^l| (|x^2| + |x^-2|) < tail_eps."""
+    if x == 0:
+        raise ZeroArgument("I(0) undefined")
+    u = x * x
+    if abs(u - 1) < 1e-12:
+        return 0.0 + 0j
+    Q = params.q ** (2 * params.N)
+    acc, lat = 0.0 + 0j, 1.0 + 0j
+    for _ in range(policy.max_terms):
+        a, b = u * lat, lat / u
+        if abs(1 - a) < 1e-14 or abs(1 - b) < 1e-14:
+            raise PoleHit(f"I(x) pole: x^2 collides with q^(2Nl) lattice at x = {x}")
+        acc += a / (1 - a) - b / (1 - b)
+        lat *= Q
+        if abs(lat) * (abs(u) + abs(1 / u)) < policy.tail_eps:
+            break
+    else:
+        raise TruncationBudgetExceeded("I(x) lattice sum did not converge")
+    return acc - (1 + u) / (2 * (1 - u))
+
+
+def f_cr_series_loop(x, k, kprime, params, policy):
+    """f_cr from one scalar I call per ladder point."""
+    q, acc = params.q, 0.0 + 0j
+    for ti in centred_ladder(k):
+        for tj in centred_ladder(kprime):
+            d = ti - tj
+            acc += (2 * I_series_loop(q**d * x, params, policy) - I_series_loop(q ** (d + 1) * x, params, policy)
+                    - I_series_loop(q ** (d - 1) * x, params, policy))
+    return 2 * cmath.log(q) * acc
+
+
+def f_cr_modes_loop(x, k, kprime, params, policy):
+    """f_cr from its modes r = 1, 2, ...: the geometric tail g^r / (1/q - q)
+    of A_r summed in closed form, the rest B_r = A_r - g^r / (1/q - q) term
+    by term, and past max_terms B_r's four geometric series up to a factor
+    1 + O(c^r) in closed form."""
+    if x == 0:
+        raise ZeroArgument("f_cr_modes(0) undefined")
+    q, N = params.q, params.N
+    if not (abs(q) < abs(x) < 1 / abs(q)):
+        raise OutsideConvergenceAnnulus(
+            f"|x| = {abs(x):.6g} outside (|q|, 1/|q|) = ({abs(q):.6g}, {1/abs(q):.6g})")
+    M, mn = max(k, kprime), min(k, kprime)
+    u = x * x
+    if M == N or abs(u - 1) < 1e-12:
+        return 0.0 + 0j
+    qi, g = 1 / q - q, q ** (M - mn)
+    if abs(1 - g * u) < 1e-14 or abs(1 - g / u) < 1e-14:
+        raise PoleHit(f"f_cr_modes pole: x^2 = q^(min-max) at x = {x}")
+    a, b, c = q ** (2 * (N - M)), q ** (2 * mn), q ** (2 * N)
+    acc, up, um = 0.0 + 0j, 1.0 + 0j, 1.0 + 0j
+    for r in range(1, policy.max_terms):
+        up *= u
+        um /= u
+        term = g**r * (c**r + (a * b) ** r - a**r - b**r) / ((1 - c**r) * qi) * (up - um)
+        acc += term
+        if abs(term) < policy.tail_eps and r > 4:
+            break
+    else:
+        R = policy.max_terms
+        if not abs(c**R) < policy.tail_eps:
+            raise TruncationBudgetExceeded("f_cr_modes remainder did not converge")
+        for rho, sign in ((c, 1), (a * b, 1), (a, -1), (b, -1)):
+            w, v = g * rho * u, g * rho / u
+            acc += sign * (w**R / (1 - w) - v**R / (1 - v)) / qi
+    tail = (g * u / (1 - g * u) - (g / u) / (1 - g / u)) / qi
+    return -2 * (q - 1 / q) * cmath.log(q) * (acc + tail)
+
+
+def oracle_cases():
+    """(name, array form, oracle, pr) for I and a few (k, k') of both f_cr."""
+    for N in (2, 3, 4, 5):
+        for q in (0.5, 0.8, 0.9, 0.5 + 0.1j, 0.3 - 0.2j):
+            pr = EllipticParams(N=N, q=q, s=0.5)
+            yield "I", lambda x, pr=pr: I_series(x, pr, POL), lambda x, pr=pr: I_series_loop(x, pr, POL), pr
+            for k, kp in sorted({(1, 1), (1, N), (N - 1, 1), (2, N - 1), (N, N)}):
+                yield (f"f_cr_series({k},{kp})", lambda x, k=k, kp=kp, pr=pr: f_cr_series(x, k, kp, pr, POL),
+                       lambda x, k=k, kp=kp, pr=pr: f_cr_series_loop(x, k, kp, pr, POL), pr)
+                yield (f"f_cr_modes({k},{kp})", lambda x, k=k, kp=kp, pr=pr: f_cr_modes(x, k, kp, pr, POL),
+                       lambda x, k=k, kp=kp, pr=pr: f_cr_modes_loop(x, k, kp, pr, POL), pr)
+
+
+def annulus_points(q, rng):
+    """Two points at each of six radii across |q| < |x| < 1/|q|, two of them
+    within 1e-3 of its edges, at random phases."""
+    lo, hi = abs(q), 1 / abs(q)
+    radii = np.repeat(np.concatenate([[lo + 5e-4, hi - 5e-4], np.linspace(lo, hi, 6)[1:-1]]), 2)
+    return radii * np.exp(1j * rng.uniform(-math.pi, math.pi, radii.size))
+
+
+def test_critical_forms_equal_their_scalar_loops():
+    # one array call per form against the loop at each point: within 1e-12
+    # of 1 + |f| (the loops add their terms in another order and round
+    # Python's complex arithmetic, not numpy's)
+    rng = np.random.default_rng(28)
+    worst = 0.0
+    for name, form, loop, pr in oracle_cases():
+        xs = annulus_points(pr.q, rng)
+        want = [loop(complex(x)) for x in xs]
+        got = form(xs).tolist()
+        worst = max(worst, max(abs(g - w) / (1 + abs(w)) for g, w in zip(got, want)))
+        assert worst <= 1e-12, (name, pr.N, pr.q, worst)
+
+
+def test_critical_forms_raise_as_their_scalar_loops():
+    # each case raises in the loop; the array form raises the same type with
+    # the same message, called alone or before another point in one batch.
+    # Only x itself is a pole of f_cr_series here: at another ladder point
+    # q^d x the message names that point, which numpy's complex product can
+    # round in its last digit otherwise than CPython's
+    short = TruncationPolicy(max_terms=64)
+    cases = []
+    for N, q in [(2, 0.6), (3, 0.8), (4, 0.5 + 0.1j)]:
+        pr = EllipticParams(N=N, q=q, s=0.5)
+        for x in (0j, q**N, q ** (-N), q ** (2 * N), q ** (3 * N)):  # x = 0, then x^2 on the Q-lattice
+            cases.append((lambda x, pr=pr: I_series(x, pr, POL), lambda x, pr=pr: I_series_loop(x, pr, POL), x))
+            # k = k' = 1: the first ladder point that meets the pole is x itself
+            cases.append((lambda x, pr=pr: f_cr_series(x, 1, 1, pr, POL),
+                          lambda x, pr=pr: f_cr_series_loop(x, 1, 1, pr, POL), x))
+        for k, kp in [(1, 1), (1, N - 1)]:
+            M, mn = max(k, kp), min(k, kp)
+            # x = 0, outside the annulus on both sides, x^2 = q^(min-max) and q^(max-min)
+            for x in (0j, 2.5 + 0j, 0.99 * q, 1.01 / q, q ** ((mn - M) / 2), q ** ((M - mn) / 2)):
+                cases.append((lambda x, k=k, kp=kp, pr=pr: f_cr_modes(x, k, kp, pr, POL),
+                              lambda x, k=k, kp=kp, pr=pr: f_cr_modes_loop(x, k, kp, pr, POL), x))
+    pr = EllipticParams(N=2, q=0.9, s=0.5)  # the chain of q^4 needs more than 64 weights
+    # the last: x^2 = Q^64, a pole just past the budget, which raises first
+    for x in (1.1 + 0j, 0.95 - 0.3j, 0.9 ** 128 + 0j):
+        cases += [(lambda x: I_series(x, pr, short), lambda x: I_series_loop(x, pr, short), x),
+                  (lambda x: f_cr_series(x, 2, 1, pr, short), lambda x: f_cr_series_loop(x, 2, 1, pr, short), x),
+                  (lambda x: f_cr_modes(x, 1, 1, pr, short), lambda x: f_cr_modes_loop(x, 1, 1, pr, short), x)]
+    seen = set()
+    for form, loop, x in cases:
+        want = outcome(loop, complex(x))
+        if not isinstance(want, tuple):
+            continue  # x = 1 (q^0) for k = k'
+        seen.add(want[0])
+        assert outcome(form, complex(x)) == want, (x, want)
+        assert outcome(form, np.array([x, 1.05 + 0.02j])) == want, (x, want)
+    assert seen == {"ZeroArgument", "PoleHit", "OutsideConvergenceAnnulus", "TruncationBudgetExceeded"}
+
+
+def outcome(fn, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc).__name__, str(exc)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import wkit.rmatrix as rmatrix
 from wkit import EllipticParams, RMatrixFactory, TruncationPolicy, ZnMatrices, xi_of
 from wkit.errors import ModulusOutOfRange, PoleHit
 from wkit.qseries import U, tau_N
-from wkit.rmatrix import factory, zn_symmetry_residual
+from wkit.rmatrix import factory
 from wkit.suites import (
     check_antisymmetry,
     check_crossing,
@@ -21,6 +21,7 @@ from wkit.suites import (
     check_unitarity,
     check_yang_baxter,
     run_check,
+    zn_symmetry_residual,
 )
 from wkit.tensor import antisymmetrizer, fused_R, permutation_operator
 

@@ -157,17 +157,18 @@ def test_a_raising_check_fails_alone(monkeypatch):
 def test_refused_fusion_checks_fail_alone(monkeypatch):
     # a guard of 32 at N = 3 refuses the k = 3 fused residuals, the (2,2)
     # block of M_derivative and of fused-crossing-unitarity, and admits the
-    # chains: every report of the unguarded run is there, the refused ones
-    # fail with DimensionGuardExceeded and the others are unchanged
+    # chains and the other blocks: every report of the unguarded run is
+    # there, the refused ones fail with DimensionGuardExceeded and the
+    # others are unchanged
     monkeypatch.delenv("WKIT_MAX_DIM", raising=False)
     free = dicts(suites.SUITES["fusion-identities"](ctx_for(3, 1)))
     monkeypatch.setenv("WKIT_MAX_DIM", "32")
     guarded = dicts(suites.SUITES["fusion-identities"](ctx_for(3, 1)))
-    assert len(free) == 20 and all(r["passed"] for r in free)
+    assert len(free) == 23 and all(r["passed"] for r in free)
     assert [r["check"] for r in guarded] == [r["check"] for r in free]
     refused = {(r["check"], r["inputs"].get("k")) for r in guarded if not r["passed"]}
     assert refused == {("fused_rows", 3), ("fused_cols", 3), ("fused_inv_rows", 3), ("fused_inv_cols", 3),
-                       ("fused-crossing-unitarity", None), ("M_derivative(k=2,k'=2)", 2)}
+                       ("fused-crossing-unitarity(k=2,k'=2)", 2), ("M_derivative(k=2,k'=2)", 2)}
     for a, b in zip(free, guarded):
         if b["passed"]:
             assert a == b
