@@ -40,7 +40,7 @@ from .qseries import (
 from .reports import CheckReport, sort_reports
 from .rmatrix import RMatrixFactory, ZnMatrices
 from .suites import run_check
-from .tensor import Antisymmetrizer, LabeledTensor, antisymmetrizer, fused_R
+from .tensor import LabeledTensor, antisymmetrizer, fused_R
 from .wgen import EvalRep, SurfaceSpec, build_t, resolve_surface
 
 __version__ = "0.1.0"
@@ -53,7 +53,7 @@ __all__ = [
     "resolve_abelian_branch",
     "CheckReport", "sort_reports", "run_check",
     "ZnMatrices", "RMatrixFactory",
-    "LabeledTensor", "Antisymmetrizer", "antisymmetrizer", "fused_R",
+    "LabeledTensor", "antisymmetrizer", "fused_R",
     "SurfaceSpec", "resolve_surface", "EvalRep", "build_t",
     "WkitError", "ModulusOutOfRange", "TruncationBudgetExceeded",
     "ZeroArgument", "NonconvergentTau", "PoleHit",

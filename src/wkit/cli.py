@@ -221,7 +221,7 @@ def _parse_complex(text) -> complex:
 
 
 def _function(name: str, params: EllipticParams, args):
-    """The scalar form f(x) of a named function."""
+    """The named function as f(x), for a scalar x or an array of points."""
     from . import qseries as qs
 
     m, n, k, kp = args.m, args.n, args.k, args.kprime
@@ -243,11 +243,12 @@ def _function(name: str, params: EllipticParams, args):
 
 def _evaluate(args, points):
     """The named function at each of points(args) as (xs, values), or the
-    exit code once a failure, or a value that is not finite, is reported."""
+    exit code once a failure, or a value that is not finite, is reported: one
+    array call, whose failure names the first failing point (`_on_grid`)."""
     try:
         f = _function(args.fn, _params_from_flags(args), args)
         xs = [complex(x) for x in points(args)]
-        vals = [f(x) for x in xs]
+        vals = f(np.array(xs)).tolist()
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -586,7 +586,7 @@ def Y_kkprime_cr(x: complex, k: int, kprime: int, params: EllipticParams,
 # Critical-level Poisson structure functions
 # ---------------------------------------------------------------------------
 
-def _e_sums(ws, x: np.ndarray, Q: complex, policy: TruncationPolicy, pole: str, budget: str) -> np.ndarray:
+def _e_sums(ws, x: np.ndarray, Q: complex, policy: TruncationPolicy, poles, budget: str) -> np.ndarray:
     """S(w; u) = sum_{l>=0} [e(w Q^l u) - e(w Q^l / u)], e(v) = v / (1 - v), at
     u = x^2, a row per w of ws, a column per point of x.  It takes the weights
     Q^l of `_powers` with |w Q^l| >= tail_eps / (|u| + |1/u|), none at u within
@@ -594,7 +594,8 @@ def _e_sums(ws, x: np.ndarray, Q: complex, policy: TruncationPolicy, pole: str, 
     which rounds the same in every batch, as a sum does not.  The first point
     to fail raises PoleHit("<pole> at x = ...") if one of its first max_terms
     terms is within _POLE_EPS of a pole of e, else, if it needs more terms,
-    TruncationBudgetExceeded(budget)."""
+    TruncationBudgetExceeded(budget).  <pole> is poles[i][0] for the u wing of
+    ws[i], poles[i][1] for its 1/u wing, the first (w, wing) with a pole."""
     u = x * x
     w = np.array(ws, dtype=complex)[:, None]
     t = policy.tail_eps / (abs(u) + abs(1 / u)) / abs(w)  # (w, point): the least |Q^l| taken
@@ -603,12 +604,13 @@ def _e_sums(ws, x: np.ndarray, Q: complex, policy: TruncationPolicy, pole: str, 
     take = abs(chain)[:, None, None] >= t
     wQ = chain[:, None, None] * w
     a, b = wQ * u, wQ / u
-    near = take & ((abs(1 - a) < _POLE_EPS) | (abs(1 - b) < _POLE_EPS))
-    poles = near[:policy.max_terms].any(axis=(0, 1))
-    fails = poles | (t <= over).any(axis=0)
+    near = take & np.array([abs(1 - a) < _POLE_EPS, abs(1 - b) < _POLE_EPS])  # (wing, l, w, point)
+    hit = near[:, :policy.max_terms].any(axis=1).swapaxes(0, 1)  # (w, wing, point)
+    fails = hit.any(axis=(0, 1)) | (t <= over).any(axis=0)
     if fails.any():
-        if poles[fails.argmax()]:
-            raise PoleHit(f"{pole} at x = {_at(x, fails)}")
+        hits = np.argwhere(hit[:, :, fails.argmax()])
+        if len(hits):
+            raise PoleHit(f"{poles[hits[0, 0]][hits[0, 1]]} at x = {_at(x, fails)}")
         raise TruncationBudgetExceeded(budget)
     return np.cumsum(np.where(take, a / (1 - a) - b / (1 - b), 0), axis=0)[-1]
 
@@ -629,7 +631,7 @@ def I_series(x: complex, params: EllipticParams,
         raise ZeroArgument("I(0) undefined")
     u = x * x
     S = _e_sums([1], x, params.q ** (2 * params.N), policy,
-                "I(x) pole: x^2 collides with q^(2Nl) lattice", "I(x) lattice sum did not converge")
+                [("I(x) pole: x^2 collides with q^(2Nl) lattice",) * 2], "I(x) lattice sum did not converge")
     return np.where(abs(u - 1) < 1e-12, 0, S[0] - (1 + u) / (2 * (1 - u)))
 
 
@@ -681,8 +683,11 @@ def f_cr_modes(x: complex, k: int, kprime: int, params: EllipticParams,
     if M == N:
         return np.zeros(x.shape, dtype=complex)  # [(N-max) r]_q = [0]_q = 0 for every mode
     g, a, b = q ** (M - mn), q ** (2 * (N - M)), q ** (2 * mn)
-    S = _e_sums([g, g * a * b, g * a, g * b], x, q ** (2 * N), policy,
-                "f_cr_modes pole: x^2 = q^(min-max)", "f_cr_modes remainder did not converge")
+    poles = [(f"f_cr_modes pole of S({w}): x^2 = q^({e}-2Nl)", f"f_cr_modes pole of S({w}): x^2 = q^({f}+2Nl)")
+             for w, e, f in [("g", "min-max", "max-min"), ("gab", "max-min-2N", "2N-max+min"),
+                             ("ga", "max+min-2N", "2N-max-min"), ("gb", "-max-min", "max+min")]]
+    S = _e_sums([g, g * a * b, g * a, g * b], x, q ** (2 * N), policy, poles,
+                "f_cr_modes remainder did not converge")
     return 2 * cmath.log(q) * (S[0] + S[1] - S[2] - S[3])
 
 

@@ -70,10 +70,10 @@ from .reports import Check, CheckReport, worst
 from .rmatrix import RMatrixFactory, ZnMatrices, factory, kernel_projector
 from .tensor import (
     LabeledTensor,
-    _inversions,
+    _guard,
     _projector_residual,
     antisym_trace,
-    antisymmetrizer,
+    antisymmetrizer_basis,
     col_labels,
     compose,
     frobenius,
@@ -526,9 +526,12 @@ def check_kernel(fac: RMatrixFactory, tolerance=1e-8) -> Check:
     def body():
         N = fac.N
         dim, proj = kernel_projector(fac)
-        expected = N * (N - 1) // 2
-        res = np.linalg.norm(proj - antisymmetrizer(2, N).matrix) if dim == expected else 1.0
-        return res, {"dim": dim, "expected_dim": expected}
+        info = {"dim": dim, "expected_dim": N * (N - 1) // 2}
+        if dim != info["expected_dim"]:
+            return 1.0, info
+        V = antisymmetrizer_basis(2, N)
+        _guard(N**4, f"{N * N} x {N * N} operator")
+        return np.linalg.norm(proj - V @ V.T), info
 
     return Check("rmatrix-properties", "kernel", "ker Rhat(q) = im A_2 (dimension N(N-1)/2)",
                  _inputs(fac), body, tolerance)
@@ -685,19 +688,19 @@ def check_M_derivative(x: complex, k: int, kprime: int, fac, tolerance: float = 
 
 
 def _antisymmetrizer_projectors(N: int) -> Check:
-    """The basis V of im A_k: V^T V = 1, (i i+1) V = -V for every adjacent
-    swap, and C(N,k) columns, the dimension of the antisymmetric subspace;
-    together they give V V^T = A_k."""
+    """The basis V of im A_k, scattered from the table of `antisymmetrizer`:
+    V^T V = 1, (i i+1) V = -V for every adjacent swap, and C(N,k) columns,
+    the dimension of the antisymmetric subspace; together they give
+    V V^T = A_k."""
 
     def body():
         resids = []
         for k in range(1, N + 1):
-            A = antisymmetrizer(k, N)
-            V = A.basis
-            resids.append(np.abs(V.T @ V - np.eye(A.rank)).max())
+            V = antisymmetrizer_basis(k, N)
+            resids.append(np.abs(V.T @ V - np.eye(V.shape[1])).max())
             block = V.reshape((N,) * k + (-1,))
             resids.extend(np.abs(np.swapaxes(block, i, i + 1) + block).max() for i in range(k - 1))
-            resids.append(0.0 if A.rank == math.comb(N, k) else 1.0)
+            resids.append(0.0 if V.shape[1] == math.comb(N, k) else 1.0)
         return worst(resids)
 
     return Check("fusion-identities", "antisymmetrizer-projectors",
@@ -1169,7 +1172,7 @@ def alpha_identity_check() -> Check:
                                   for a in range(k) for b in range(a + 1, k))
                         lhs += sum(Fraction(2 * (a + 1), N) * (js[sigma[a]] - js[a])
                                    for a in range(k))
-                        rhs = -_inversions(sigma) + base
+                        rhs = base - sum(sigma[a] > sigma[b] for a in range(k) for b in range(a + 1, k))
                         cases += 1
                         if lhs != rhs:
                             violations += 1

@@ -10,9 +10,10 @@ one way dense entries come in, refuses a nonzero entry off the pattern
 np.linalg.norm of a complex array calls BLAS dot, which OpenBLAS splits
 across two threads on large arrays.
 
-The antisymmetrizer A_k is held only as the orthonormal basis V of its
-image, A_k = V V^T.  `antisym_trace` runs on Lambda^k, the antisymmetric
-auxiliary space of the fusion procedure (Kulish, Reshetikhin, Sklyanin,
+The antisymmetrizer A_k is held only as a table of the nonzeros of the
+orthonormal basis V of its image, A_k = V V^T: k! rows and values per
+column.  `antisym_trace` runs on Lambda^k, the antisymmetric auxiliary
+space of the fusion procedure (Kulish, Reshetikhin, Sklyanin,
 Lett. Math. Phys. 5 (1981) 393).  The projector residuals hold the columns
 of V (x) 1 of one charge on the rows of their sector, in blocks of at most
 2^15 entries.  Every block and index table passes one guard of at most
@@ -25,6 +26,7 @@ import math
 import os
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .params import _charges, centred_ladder, xi_of
 from .qseries import _store
 
 _DEFAULT_MAX_DIM = 10_000
-_BASES = {}  # (k, N) -> the read-only basis V of im A_k
+_TABLES = {}  # (k, N) -> the read-only nonzeros of the basis V of im A_k
 _STEPS = {}  # (j, N) -> the read-only step B_j from V_{j-1} (x) 1 to V_j
 _MOVES = {}  # (N, weights, new weights, src) -> the read-only gather table of `_moved`
 _PLANS = {}  # (N, n, gate positions) -> the row orders of `_sector_steps`
@@ -203,30 +205,12 @@ class LabeledTensor:
 # Antisymmetrizers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Antisymmetrizer:
-    """Projector A_k onto the fully antisymmetric subspace of (C^N)^{x k},
-    held as the orthonormal basis of its image: a real (N^k, C(N,k))
-    array V with A_k = V V^T."""
+class Antisymmetrizer(NamedTuple):
+    """The basis V of im A_k by its nonzeros, two read-only (C(N,k), k!)
+    arrays: column c of V holds values[c] in the rows rows[c], ascending."""
 
-    k: int
-    N: int
-    basis: np.ndarray
-
-    @property
-    def rank(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense N^k x N^k projector V V^T."""
-        D = self.N**self.k
-        _guard(D * D, f"{D} x {D} operator")
-        return self.basis @ self.basis.T
-
-
-def _inversions(perm) -> int:
-    return sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm)) if perm[a] > perm[b])
+    rows: np.ndarray
+    values: np.ndarray
 
 
 def permutation_operator(perm, N: int) -> np.ndarray:
@@ -245,30 +229,43 @@ def permutation_operator(perm, N: int) -> np.ndarray:
 
 
 def antisymmetrizer(k: int, N: int) -> Antisymmetrizer:
-    """A_k = (1/k!) sum_{sigma in S_k} sign(sigma) P_sigma by the basis of
-    its image: for each j_1 < ... < j_k the column
-    (1/sqrt(k!)) sum_sigma sign(sigma) e_{j_sigma(1)} (x) ... (x) e_{j_sigma(k)},
-    built from index arithmetic, cached read-only per (k, N).  A_1 = identity."""
+    """A_k = (1/k!) sum_{sigma in S_k} sign(sigma) P_sigma by the nonzeros of
+    the basis of its image: for the c-th j_1 < ... < j_k, column c is
+    (1/sqrt(k!)) sum_sigma sign(sigma) e_{j_sigma(1)} (x) ... (x) e_{j_sigma(k)}.
+    Built by index arithmetic, cached read-only per (k, N); the guard counts
+    its C(N,k) k! entries on every call.  A_1 = identity."""
     if not 1 <= k <= N:
         raise ValueError(f"antisymmetrizer needs 1 <= k <= N, got k={k}, N={N}")
+    _guard(math.comb(N, k) * math.factorial(k), "antisymmetrizer table")
+    table = _TABLES.get((k, N))
+    if table is None:
+        perms = np.array(list(permutations(range(k))), dtype=np.intp)
+        combos = np.array(list(combinations(range(N), k)), dtype=np.intp)
+        odd = sum((perms[:, a] > perms[:, b] for a, b in combinations(range(k), 2)),
+                  np.zeros(len(perms), dtype=np.intp)) % 2
+        rows = sum(combos[:, perms[:, i]] * N ** (k - 1 - i) for i in range(k))
+        order = np.argsort(rows, axis=1)
+        values = (np.where(odd == 1, -1.0, 1.0) / math.sqrt(math.factorial(k)))[order]
+        rows = np.take_along_axis(rows, order, axis=1)
+        rows.flags.writeable = values.flags.writeable = False
+        table = _store(_TABLES, (k, N), Antisymmetrizer(rows, values))
+    return table
+
+
+def antisymmetrizer_basis(k: int, N: int) -> np.ndarray:
+    """The basis V of im A_k as a dense (N^k, C(N,k)) array, scattered from
+    `antisymmetrizer` under a guard of its N^k C(N,k) entries and not
+    cached: only the checks of V itself form it."""
     _guard(N**k * math.comb(N, k), "antisymmetrizer basis")
-    V = _BASES.get((k, N))
-    if V is None:
-        combos = list(combinations(range(N), k))
-        norm = math.sqrt(math.factorial(k))
-        perms = [(perm, (-1 if _inversions(perm) % 2 else 1) / norm) for perm in permutations(range(k))]
-        V = np.zeros((N**k, len(combos)))
-        for c, js in enumerate(combos):
-            for perm, entry in perms:
-                V[np.ravel_multi_index([js[p] for p in perm], (N,) * k), c] = entry
-        V.flags.writeable = False
-        V = _store(_BASES, (k, N), V)
-    return Antisymmetrizer(k, N, V)
+    rows, values = antisymmetrizer(k, N)
+    V = np.zeros((N**k, len(rows)))
+    V[rows, np.arange(len(rows))[:, None]] = values
+    return V
 
 
 def _basis_step(j: int, N: int) -> np.ndarray:
-    """B_j = (V_{j-1} (x) 1)^T V_j for the bases V of `antisymmetrizer` and
-    V_0 = 1, so V_j = (V_{j-1} (x) 1) B_j: column g_1 < ... < g_j holds
+    """B_j = (V_{j-1} (x) 1)^T V_j for the bases V of `antisymmetrizer_basis`
+    and V_0 = 1, so V_j = (V_{j-1} (x) 1) B_j: column g_1 < ... < g_j holds
     (-1)^(j-i) / sqrt(j) in row (g without g_i, g_i), i = 1..j.  Built from
     index arithmetic, cached read-only per (j, N)."""
     a, c = math.comb(N, j - 1), math.comb(N, j)
@@ -440,14 +437,6 @@ def fused_R(x: complex, k: int, kprime: int, fac) -> LabeledTensor:
 _BLOCK_ENTRIES = 2**15  # entries of one block of sector columns in _projector_residual (512 KB)
 
 
-def _basis_nonzeros(k: int, N: int):
-    """(rows, values) of the k! nonzeros of each column of the basis V of
-    im A_k, two (C(N,k), k!) arrays."""
-    V = antisymmetrizer(k, N).basis
-    rows = np.nonzero(V.T)[1].reshape(V.shape[1], -1)
-    return rows, V[rows, np.arange(V.shape[1])[:, None]]
-
-
 def _charge_sectors(gates, a_labels, rest):
     """Yield (Y, rows, cols): Y = X (V (x) 1) for X = prod(gates) on the
     columns `cols` of V (x) 1 (column c * N^len(rest) + j is v_c (x) e_j) and
@@ -464,7 +453,7 @@ def _charge_sectors(gates, a_labels, rest):
     first n - 1 indices, the last being fixed by Q."""
     N, labels = gates[0].N, tuple(a_labels) + tuple(rest)
     n, k = len(labels), len(a_labels)
-    az, vals = _basis_nonzeros(k, N)
+    az, vals = antisymmetrizer(k, N)
     D = N ** len(rest)
     col_charge = (_charges(N, k)[az[:, 0]][:, None] + _charges(N, n - k)) % N
     R, width = N ** (n - 1), max(1, _BLOCK_ENTRIES // N ** (n - 1))
@@ -493,7 +482,7 @@ def _projector_residual(gates, a_labels, rest) -> float:
     """||X A - A X A|| / ||X A|| for X = prod(gates) and A = A_k (x) 1, A_k
     on the spaces `a_labels` and the identity on `rest`.
 
-    With A_k = V V^T (V the basis of `antisymmetrizer`), (1 - A) X A = (1 - A) Y
+    With A_k = V V^T (V the basis of `antisymmetrizer_basis`), (1 - A) X A = (1 - A) Y
     (V (x) 1)^T for Y = X (V (x) 1), and multiplying by the co-isometry
     (V (x) 1)^T on the right keeps the Frobenius norm; so this is
     ||(1 - A) Y|| / ||Y||.  Y is computed one Z_N charge sector at a time by
@@ -509,7 +498,7 @@ def _projector_residual(gates, a_labels, rest) -> float:
     if len(a_labels) == 1:
         return 0.0
     N, k = gates[0].N, len(a_labels)
-    az, vals = _basis_nonzeros(k, N)
+    az, vals = antisymmetrizer(k, N)
     num = den = 0.0
     for Y, rows, _ in _charge_sectors(gates, a_labels, rest):
         den += frobenius(Y) ** 2

@@ -53,7 +53,7 @@ from wkit.suites import (
     run_check,
     suite_rmatrix_properties,
 )
-from wkit.tensor import antisymmetrizer, fused_R, row_labels
+from wkit.tensor import antisymmetrizer_basis, fused_R, row_labels
 from wkit.wgen import SurfaceSpec
 
 POL = TruncationPolicy()
@@ -150,8 +150,8 @@ def test_criterion_3_fusion_layer():
         pr = params_for(N)
         fac = RMatrixFactory(pr, POL)
         for k in range(1, N + 1):
-            A = antisymmetrizer(k, N)
-            evals = np.linalg.eigvalsh(A.matrix)
+            V = antisymmetrizer_basis(k, N)
+            evals = np.linalg.eigvalsh(V @ V.T)
             rank_exact &= int(np.sum(evals > 0.5)) == math.comb(N, k)
         for k in range(2, N + 1):
             for check in check_fusion_identities(k, fac, 1.2 + 0.1j):

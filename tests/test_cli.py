@@ -373,3 +373,60 @@ def test_scan_grid_rows_equal_eval(fn, tmp_path):
     for x_re, x_im, f_re, f_im in rows:
         assert x_im == 0.0
         assert complex(f_re, f_im) == _function(fn, params, args)(complex(x_re))
+
+
+SCAN_FUNCTIONS = ["theta_big", "tau_N", "U", "F_a", "Y_mn", "Y_FF", "I", "f_cr_series", "f_cr_modes"]
+SCAN_FLAGS = ["--N", "3", "--q", "0.7", "--p", "0.4", "--c", "0.3", "--m", "2", "--n", "-3",
+              "--k", "1", "--kprime", "2"]
+
+
+def per_point_scan(argv) -> str:
+    """What `wkit scan argv` wrote as one call per point: its CSV, or its
+    error line once a point fails."""
+    from wkit.cli import _function, _params_from_flags, build_parser
+    from wkit.errors import WkitError
+
+    args = build_parser().parse_args(argv)
+    f = _function(args.fn, _params_from_flags(args), args)
+    xs = [complex(x) for x in (np.geomspace if args.log else np.linspace)(args.start, args.stop, args.points)]
+    try:
+        vals = [f(x) for x in xs]
+    except WkitError as exc:
+        return f"evaluation failed: {type(exc).__name__}: {exc}\n"
+    return "".join(f"{x.real:.17g},{x.imag:.17g},{v.real:.17g},{v.imag:.17g}\n"
+                   for x, v in zip(xs, vals))
+
+
+@pytest.mark.parametrize("fn", SCAN_FUNCTIONS)
+@pytest.mark.parametrize("grid", [["--from", "0.75", "--to", "1.35", "--points", "25", "--log"],
+                                  ["--from", "0.75", "--to", "2.0", "--points", "25"],
+                                  ["--from", "0.25", "--to", repr(0.7**3), "--points", "7"]])
+def test_scan_is_one_array_call_equal_to_per_point_calls(fn, grid, tmp_path, monkeypatch, capsys):
+    # the grid is one call of the formula on an array; its CSV bytes are those
+    # of one call per point, and a failure names the first failing point as
+    # they do: f_cr_modes leaves its annulus (0.7, 1/0.7) on the second grid
+    # and starts outside it on the third, whose last point is a pole of I,
+    # U, F_a, Y_mn and Y_FF
+    from wkit import cli
+
+    argv = ["scan", fn, *grid, *SCAN_FLAGS, "--csv", str(tmp_path / "scan.csv")]
+    want = per_point_scan(argv)
+    shapes = []
+    function = cli._function
+
+    def counted(*args):
+        f = function(*args)
+        return lambda x: shapes.append(np.shape(x)) or f(x)
+
+    monkeypatch.setattr(cli, "_function", counted)
+    rc = cli.main(argv)
+    assert shapes == [(int(grid[grid.index("--points") + 1]),)]
+    pole = repr(0.7**3)  # x^2 = q^(2N), and a pole of U
+    failing = {("U", pole), ("F_a", pole), ("Y_mn", pole), ("Y_FF", pole), ("I", pole),
+               ("f_cr_modes", "2.0"), ("f_cr_modes", pole)}
+    assert want.startswith("evaluation failed") == ((fn, grid[3]) in failing)
+    if want.startswith("evaluation failed"):
+        assert rc == 1 and capsys.readouterr().err == want
+    else:
+        assert rc == 0
+        assert (tmp_path / "scan.csv").read_bytes() == ("x_re,x_im,f_re,f_im\n" + want).encode()

@@ -35,6 +35,7 @@ from wkit import (
 )
 from wkit.errors import ModulusOutOfRange, PoleHit, TruncationBudgetExceeded
 from wkit.params import centred_ladder
+from wkit.qseries import _e_sums
 from wkit.suites import abelianity_check, run_check
 
 POL = TruncationPolicy()
@@ -385,8 +386,10 @@ def f_cr_modes_loop(x, k, kprime, params, policy):
     if M == N or abs(u - 1) < 1e-12:
         return 0.0 + 0j
     qi, g = 1 / q - q, q ** (M - mn)
-    if abs(1 - g * u) < 1e-14 or abs(1 - g / u) < 1e-14:
-        raise PoleHit(f"f_cr_modes pole: x^2 = q^(min-max) at x = {x}")
+    if abs(1 - g * u) < 1e-14:
+        raise PoleHit(f"f_cr_modes pole of S(g): x^2 = q^(min-max-2Nl) at x = {x}")
+    if abs(1 - g / u) < 1e-14:
+        raise PoleHit(f"f_cr_modes pole of S(g): x^2 = q^(max-min+2Nl) at x = {x}")
     a, b, c = q ** (2 * (N - M)), q ** (2 * mn), q ** (2 * N)
     acc, up, um = 0.0 + 0j, 1.0 + 0j, 1.0 + 0j
     for r in range(1, policy.max_terms):
@@ -478,6 +481,21 @@ def test_critical_forms_raise_as_their_scalar_loops():
         assert outcome(form, complex(x)) == want, (x, want)
         assert outcome(form, np.array([x, 1.05 + 0.02j])) == want, (x, want)
     assert seen == {"ZeroArgument", "PoleHit", "OutsideConvergenceAnnulus", "TruncationBudgetExceeded"}
+
+
+def test_f_cr_modes_names_the_pole_it_hit():
+    # the two wings of S(g) at x^2 = q^(min-max) and x^2 = q^(max-min), alone
+    # and after a regular point; and in the kernel, each (w, wing) its own name
+    pr = EllipticParams(N=3, q=0.8, s=0.5)
+    for x, pole in [(0.8 ** -0.5, "q^(min-max-2Nl)"), (0.8 ** 0.5, "q^(max-min+2Nl)")]:
+        want = ("PoleHit", f"f_cr_modes pole of S(g): x^2 = {pole} at x = {complex(x)}")
+        assert outcome(lambda x: f_cr_modes(x, 1, 2, pr, POL), x) == want
+        assert outcome(lambda x: f_cr_modes(x, 2, 1, pr, POL), np.array([1.05 + 0.02j, x])) == want
+    poles = [("u of 0.5", "1/u of 0.5"), ("u of 0.3", "1/u of 0.3")]
+    for u, name in [(2.0, "u of 0.5"), (0.5, "1/u of 0.5"), (1 / 0.3, "u of 0.3"), (0.3, "1/u of 0.3")]:
+        x = np.array([1.1, math.sqrt(u)], dtype=complex)
+        with pytest.raises(PoleHit, match=f"^{name} at x = "):
+            _e_sums([0.5, 0.3], x, 0.01, POL, poles, "budget")
 
 
 def outcome(fn, *args):

@@ -23,7 +23,7 @@ from wkit.suites import (
     run_check,
     zn_symmetry_residual,
 )
-from wkit.tensor import antisymmetrizer, fused_R, permutation_operator
+from wkit.tensor import antisymmetrizer_basis, fused_R, permutation_operator
 
 POL = TruncationPolicy()
 
@@ -130,7 +130,8 @@ def test_kernel_dimension_and_projector(N):
     # explicit subspace comparison with A_2
     from wkit.rmatrix import kernel_projector
     dim, proj = kernel_projector(fac)
-    A2 = antisymmetrizer(2, N).matrix
+    V = antisymmetrizer_basis(2, N)
+    A2 = V @ V.T
     assert np.linalg.norm(proj - A2) < 1e-8
 
 

@@ -4,25 +4,25 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
-from wkit.suites import check_fusion_identities, check_M_derivative, run_check
+from wkit.suites import check_fusion_identities, check_kernel, check_M_derivative, run_check
 from wkit.wgen import EvalRep, build_Q, lax_points, resolve_surface
 from wkit import tensor
 from wkit.tensor import (
     Antisymmetrizer,
-    _basis_nonzeros,
     _basis_step,
     _charge_sectors,
     _fused_factors,
     _outside_A,
     _projector_residual,
     antisym_trace,
+    antisymmetrizer_basis,
     col_labels,
     compose,
     fused_gates,
@@ -148,7 +148,7 @@ def kron_block_trace(gates, k, rest=()):
     V (x) 1, formed by np.kron, and contracted against V.  The oracle for
     `antisym_trace`."""
     N = gates[0].N
-    V = antisymmetrizer(k, N).basis
+    V = antisymmetrizer_basis(k, N)
     D = N ** len(rest)
     block = np.kron(V, np.eye(D)).reshape((N,) * (k + len(rest)) + (-1,))
     Y = apply_gates(gates, tuple(range(1, k + 1)) + tuple(rest), block)
@@ -171,6 +171,12 @@ def partial_trace(t, traced):
     Dk, Dt = t.N ** len(keep), t.N ** len(traced)
     data = t.reorder(keep + traced).data.reshape(Dk, Dt, Dk, Dt)
     return Dense(keep, t.N, np.einsum("aibi->ab", data))
+
+
+def projector(k, N):
+    """A_k = V V^T from the dense basis V."""
+    V = antisymmetrizer_basis(k, N)
+    return V @ V.T
 
 
 def dense_antisymmetrizer(k, N):
@@ -325,36 +331,57 @@ def test_antisym_trace_guard_before_its_largest_step(monkeypatch):
 
 def test_dense_constructors_respect_guard(monkeypatch):
     # charge blocks are guarded by their N D^2 entries, a dense operator by
-    # its dimension (8), the antisymmetrizer basis by its N^k C(N,k)
-    # entries (8^2 = 64)
+    # its dimension (8), the dense antisymmetrizer basis by its N^k C(N,k)
+    # entries and its table by its C(N,k) k! entries (8^2 = 64)
+    fac = RMatrixFactory(params(N=3), POL)
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
     assert compose([rnd_conserving((1,), 3)], (1, 2)).data.shape == (9, 3)  # 27 entries
     with pytest.raises(DimensionGuardExceeded):
         compose([rnd_conserving((1,), 3)], (1, 2, 3))  # 3 x 9 x 9 = 243 > 64
     with pytest.raises(DimensionGuardExceeded):
         permutation_operator((1, 0), 3)
-    A = antisymmetrizer(2, 3)  # 9 x 3 = 27 entries
-    assert A.basis.shape == (9, 3)
-    with pytest.raises(DimensionGuardExceeded):
-        A.matrix  # 9 x 9
-    assert antisymmetrizer(1, 8).basis.shape == (8, 8)  # 64 entries: at the guard
-    with pytest.raises(DimensionGuardExceeded):
-        antisymmetrizer(3, 4)  # 64 x 4 = 256 entries
+    assert antisymmetrizer_basis(2, 3).shape == (9, 3)  # 27 entries
+    rep = run_check(check_kernel(fac))  # its A_2 = V V^T is 9 x 9
+    assert not rep.passed and "9 x 9 operator of 81 entries" in rep.inputs["message"]
+    assert antisymmetrizer_basis(1, 8).shape == (8, 8)  # 64 entries: at the guard
+    with pytest.raises(DimensionGuardExceeded, match="antisymmetrizer basis of 256 entries"):
+        antisymmetrizer_basis(3, 4)  # 64 x 4 = 256 entries
+    assert antisymmetrizer(3, 4).rows.shape == (4, 6)  # 24 entries
+    with pytest.raises(DimensionGuardExceeded, match="antisymmetrizer table of 120 entries"):
+        antisymmetrizer(5, 5)  # 1 x 120 entries
 
 
 def test_antisymmetrizer_basis_cached_read_only(monkeypatch):
-    # the basis is built once per (k, N) and shared, so no caller may write
-    # into it; the guard reads WKIT_MAX_DIM at call time, cached or not
-    A = antisymmetrizer(3, 4)
-    assert antisymmetrizer(3, 4).basis is A.basis
-    assert not A.basis.flags.writeable
-    with pytest.raises(ValueError):
-        A.basis[0, 0] = 1.0
-    monkeypatch.setenv("WKIT_MAX_DIM", "8")
-    with pytest.raises(DimensionGuardExceeded, match="antisymmetrizer basis of 256 entries"):
-        antisymmetrizer(3, 4)
+    # the table is built once per (k, N) and shared, so no caller may write
+    # into it; the guard reads WKIT_MAX_DIM at call time, cached or not.
+    # The dense basis is scattered anew on every call
+    A = antisymmetrizer(3, 3)
+    assert antisymmetrizer(3, 3) is A
+    for a in A:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    assert antisymmetrizer_basis(3, 3) is not antisymmetrizer_basis(3, 3)
+    monkeypatch.setenv("WKIT_MAX_DIM", "2")
+    with pytest.raises(DimensionGuardExceeded, match="antisymmetrizer table of 6 entries"):
+        antisymmetrizer(3, 3)
+    monkeypatch.setenv("WKIT_MAX_DIM", "3")  # 6 <= 9: the cached table
+    assert antisymmetrizer(3, 3) is A
     monkeypatch.delenv("WKIT_MAX_DIM")
-    assert antisymmetrizer(3, 4).basis is A.basis
+    assert antisymmetrizer(3, 3) is A
+
+
+def test_antisymmetrizer_table_at_N8_under_a_guard_of_300(monkeypatch):
+    # the table of A_8 at N = 8 holds 40,320 nonzeros, within 300^2 = 90,000;
+    # the dense basis of 8^8 x 1 entries is refused
+    monkeypatch.setenv("WKIT_MAX_DIM", "300")
+    rows, values = antisymmetrizer(8, 8)
+    assert rows.shape == values.shape == (1, 40320)
+    assert (np.diff(rows, axis=1) > 0).all() and rows[0, 0] == 342391 and rows[0, -1] == 16434824
+    assert values[0, 0] == 1 / math.sqrt(40320) and (abs(values) == values[0, 0]).all()
+    assert (values > 0).sum() == 20160
+    with pytest.raises(DimensionGuardExceeded, match="antisymmetrizer basis of 16777216 entries"):
+        antisymmetrizer_basis(8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -363,29 +390,35 @@ def test_antisymmetrizer_basis_cached_read_only(monkeypatch):
 
 def test_A2_explicit():
     N = 3
-    A = antisymmetrizer(2, N)
     P = permutation_operator((1, 0), N)
-    assert np.allclose(A.matrix, (np.eye(N * N) - P) / 2)
+    assert np.allclose(projector(2, N), (np.eye(N * N) - P) / 2)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_projector_rank(N):
     for k in range(1, N + 1):
-        A = antisymmetrizer(k, N)
-        assert np.linalg.norm(A.matrix @ A.matrix - A.matrix) < 1e-12
-        evals = np.linalg.eigvalsh(A.matrix)
+        A = projector(k, N)
+        assert np.linalg.norm(A @ A - A) < 1e-12
+        evals = np.linalg.eigvalsh(A)
         assert int(np.sum(evals > 0.5)) == math.comb(N, k)
-    assert np.allclose(antisymmetrizer(1, N).matrix, np.eye(N))
+    assert np.allclose(projector(1, N), np.eye(N))
     assert math.comb(N, N) == 1  # A_N has rank one
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_antisymmetrizer_basis_spans_the_permutation_sum(N):
+    # the table holds each column's k! nonzeros in increasing row order,
+    # and the basis scattered from it spans the permutation sum
     for k in range(1, N + 1):
-        A = antisymmetrizer(k, N)
-        assert A.basis.shape == (N**k, math.comb(N, k)) and A.rank == math.comb(N, k)
-        assert np.abs(A.basis.T @ A.basis - np.eye(A.rank)).max() <= 1e-15
-        assert np.abs(A.matrix - dense_antisymmetrizer(k, N)).max() <= 1e-15
+        rows, values = antisymmetrizer(k, N)
+        assert rows.shape == values.shape == (math.comb(N, k), math.factorial(k))
+        assert (np.diff(rows, axis=1) > 0).all()
+        V = antisymmetrizer_basis(k, N)
+        assert V.shape == (N**k, math.comb(N, k))
+        assert np.count_nonzero(V) == rows.size
+        assert np.array_equal(V[rows, np.arange(len(rows))[:, None]], values)
+        assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-15
+        assert np.abs(V @ V.T - dense_antisymmetrizer(k, N)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("N", [2, 3, 4])
@@ -413,13 +446,13 @@ def test_antisym_trace_keeps_the_rest_spaces(N):
 
 
 def test_basis_step_maps_one_basis_to_the_next():
-    # V_j = (V_{j-1} (x) 1) B_j for the bases of `antisymmetrizer`, V_0 = 1;
+    # V_j = (V_{j-1} (x) 1) B_j for the bases of `antisymmetrizer_basis`, V_0 = 1;
     # B_j has orthonormal columns, is built once per (j, N) and read-only
     for N in (2, 3, 4, 5):
         prev = np.ones((1, 1))
         for j in range(1, N + 1):
             B = _basis_step(j, N)
-            V = antisymmetrizer(j, N).basis
+            V = antisymmetrizer_basis(j, N)
             assert np.abs(np.kron(prev, np.eye(N)) @ B - V).max() <= 1e-15, (N, j)
             assert np.abs(B.T @ B - np.eye(B.shape[1])).max() <= 1e-15
             assert _basis_step(j, N) is B and not B.flags.writeable
@@ -471,35 +504,45 @@ def test_antisym_trace_of_twist_powers_matches_the_kron_block(N):
             assert abs(t[0, 0] - oracle[0, 0]) <= 1e-13 * max(1.0, abs(oracle[0, 0])), (m, k)
 
 
+def fusion_reports(N=3):
+    """fusion-identities at N by (check, k), k = None for a check without one."""
+    from wkit import suites
+
+    return {(r.check, r.inputs.get("k")): r
+            for r in suites.suite_fusion_identities(suites.SuiteContext(params=params(N=N)))}
+
+
 def test_projector_check_fails_for_a_symmetric_basis(monkeypatch):
     # orthonormal symmetric combinations: C(N,k) columns, and S S^T is a
     # projector of rank C(N,k), but the columns do not change sign under a swap
-    from wkit import suites
-
-    def symmetric(k, N):
-        combos = list(combinations(range(N), k))
-        S = np.zeros((N**k, len(combos)))
-        for c, js in enumerate(combos):
-            for perm in permutations(range(k)):
-                S[np.ravel_multi_index([js[p] for p in perm], (N,) * k), c] = 1.0
-        return Antisymmetrizer(k, N, S / math.sqrt(math.factorial(k)))
-
-    def projectors_report():
-        ctx = suites.SuiteContext(params=params(N=3))
-        return next(r for r in suites.suite_fusion_identities(ctx)
-                    if r.check == "antisymmetrizer-projectors")
-
-    assert projectors_report().passed
-    monkeypatch.setattr(suites, "antisymmetrizer", symmetric)
-    report = projectors_report()
+    assert fusion_reports()["antisymmetrizer-projectors", None].passed
+    for k in range(2, 4):
+        rows, values = antisymmetrizer(k, 3)
+        monkeypatch.setitem(tensor._TABLES, (k, 3), Antisymmetrizer(rows, abs(values)))
+    report = fusion_reports()["antisymmetrizer-projectors", None]
     assert not report.passed and report.residual > 0.5
+
+
+def test_one_flipped_sign_in_the_table_fails_the_projector_checks(monkeypatch):
+    # one nonzero of A_2's table at N = 3 with the wrong sign: the scattered
+    # basis is no longer antisymmetric, and the chain X A = A X A fails on it
+    before = fusion_reports()
+    assert before["antisymmetrizer-projectors", None].passed and before["chain", 2].passed
+    rows, values = antisymmetrizer(2, 3)
+    flipped = values.copy()
+    flipped[1, 0] *= -1
+    monkeypatch.setitem(tensor._TABLES, (2, 3), Antisymmetrizer(rows, flipped))
+    after = fusion_reports()
+    assert not after["antisymmetrizer-projectors", None].passed
+    assert after["antisymmetrizer-projectors", None].residual > 0.5
+    assert not after["chain", 2].passed and after["chain", 2].residual > 1e-3
 
 
 def test_A2_is_kernel_of_rhat_at_q():
     from wkit.rmatrix import kernel_projector
     dim, proj = kernel_projector(RMatrixFactory(params(N=3), POL))
     assert dim == 3
-    assert np.linalg.norm(proj - antisymmetrizer(2, 3).matrix) < 1e-8
+    assert np.linalg.norm(proj - projector(2, 3)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +594,7 @@ def test_apply_gates_matches_dense_product():
 
 def _dense_projector_residual(gates, labels, a_labels):
     N = gates[0].N
-    A = dense_on(Dense.from_matrix(antisymmetrizer(len(a_labels), N).matrix, a_labels, N), labels)
+    A = dense_on(Dense.from_matrix(projector(len(a_labels), N), a_labels, N), labels)
     lhs = dense_product(gates, labels) @ A
     return (lhs - A @ lhs).norm() / lhs.norm()
 
@@ -560,7 +603,7 @@ def kron_block_residual(gates, a_labels, rest):
     """||(1 - A) Y|| / ||Y|| for Y = X (V (x) 1), with V (x) 1 formed by
     np.kron and X applied by `apply_gates` on all N^n rows: the oracle for
     the charge-sector kernel."""
-    V = antisymmetrizer(len(a_labels), gates[0].N).basis
+    V = antisymmetrizer_basis(len(a_labels), gates[0].N)
     Y = kron_block_Y(gates, a_labels, rest).reshape(len(V), -1)
     return np.linalg.norm(Y - V @ (V.T @ Y)) / np.linalg.norm(Y)
 
@@ -568,7 +611,7 @@ def kron_block_residual(gates, a_labels, rest):
 def kron_block_Y(gates, a_labels, rest):
     """X (V (x) 1) on all N^n rows, as an (N^n, C(N,k) N^len(rest)) array."""
     N, labels = gates[0].N, tuple(a_labels) + tuple(rest)
-    V = antisymmetrizer(len(a_labels), N).basis
+    V = antisymmetrizer_basis(len(a_labels), N)
     block = np.kron(V, np.eye(N ** len(rest))).reshape((N,) * len(labels) + (-1,))
     return apply_gates(gates, labels, block).reshape(N ** len(labels), -1)
 
@@ -687,7 +730,7 @@ def test_projector_residual_nan_gate():
 
 
 def test_sector_blocks_respect_guard(monkeypatch):
-    # N = 3, A_2 on (1, 2) and rest ("0", 3): the basis has 27 entries, a
+    # N = 3, A_2 on (1, 2) and rest ("0", 3): the table has 6 entries, a
     # sector block 27 rows x 9 columns; a guard of 6^2 = 36 admits the
     # first and refuses the second
     monkeypatch.setenv("WKIT_MAX_DIM", "6")
@@ -743,7 +786,7 @@ def test_fusion_identities_control():
     labels = (1, 2, "0")
     X = compose([rhat_on(fac, xi, (1, "0")),
                  rhat_on(fac, xi - 1.01 * pr.zeta, (2, "0"))], labels)  # wrong ladder step
-    A = dense_on(Dense.from_matrix(antisymmetrizer(2, 2).matrix, (1, 2), 2), labels)
+    A = dense_on(Dense.from_matrix(projector(2, 2), (1, 2), 2), labels)
     lhs = dense(X) @ A
     rhs = A @ lhs
     assert (lhs - rhs).norm() / lhs.norm() > 1e-3
@@ -907,8 +950,8 @@ def test_sparse_basis_projection_matches_the_dense_basis(N):
         for name, (gates, a_labels, rest) in fusion_gate_lists(N, k, kp).items():
             if len(a_labels) == 1:
                 continue
-            V = antisymmetrizer(len(a_labels), N).basis
-            az, vals = _basis_nonzeros(len(a_labels), N)
+            V = antisymmetrizer_basis(len(a_labels), N)
+            az, vals = antisymmetrizer(len(a_labels), N)
             for Y, _, _ in _charge_sectors(gates, a_labels, rest):
                 Ya = Y.reshape(len(V), -1)
                 dense_part = Ya - V @ (V.T @ Ya)

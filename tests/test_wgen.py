@@ -30,7 +30,7 @@ from wkit.suites import (
     qdet_extract,
     qdet_tqdet_check,
 )
-from wkit.tensor import antisymmetrizer, compose
+from wkit.tensor import compose
 from wkit.wgen import (
     SurfaceSpec,
     _qdet_matrices,
@@ -41,7 +41,7 @@ from wkit.wgen import (
     survives_selection_rule,
 )
 
-from test_tensor import dense_on, dense_product, partial_trace, rhat_on, stack_gates
+from test_tensor import dense_on, dense_product, partial_trace, projector, rhat_on, stack_gates
 
 POL = TruncationPolicy()
 Z, W = 1.2 + 0.1j, 0.85 + 0.03j
@@ -143,7 +143,7 @@ def test_Q_one_sided_projector():
     rep = EvalRep(RMatrixFactory(surf.params), 1.0)
     for k in (1, 2):
         Q = _dense_Q(k, surf, rep)
-        A = dense_on(LabeledTensor.from_matrix(antisymmetrizer(k, 2).matrix, range(1, k + 1), 2),
+        A = dense_on(LabeledTensor.from_matrix(projector(k, 2), range(1, k + 1), 2),
                      Q.labels)
         lhs = Q @ A
         rhs = A @ lhs
@@ -159,7 +159,7 @@ def test_build_t_matches_dense_trace(N, m, n):
         if not survives_selection_rule(k, m, n, N):
             continue
         aux = tuple(range(1, k + 1))
-        A = LabeledTensor.from_matrix(antisymmetrizer(k, N).matrix, aux, N)
+        A = LabeledTensor.from_matrix(projector(k, N), aux, N)
         dense = partial_trace(_dense_Q(k, surf, rep) @ dense_on(A, aux + ("0",)), aux)
         t = build_t(k, Z, surf, rep)
         assert np.linalg.norm(t - dense.data) <= 1e-12 * np.linalg.norm(dense.data), k
@@ -173,11 +173,11 @@ def test_qdet_matrix_matches_eigh_path(N):
     rep = EvalRep(RMatrixFactory(surf.params), 0.9 + 0.2j)
     xi = xi_of(Z)
     aux = tuple(range(1, N + 1))
-    A = antisymmetrizer(N, N)
+    A = projector(N, N)
     X = dense_product([lax_on(rep, xi - (i - 1) * rep.params.zeta, i) for i in aux]
-                      + [LabeledTensor.from_matrix(A.matrix, aux, N)], aux + ("0",))
+                      + [LabeledTensor.from_matrix(A, aux, N)], aux + ("0",))
     Y = X.data.reshape(N**N, N, N**N, N)
-    evals, evecs = np.linalg.eigh(A.matrix)
+    evals, evecs = np.linalg.eigh(A)
     psi = evecs[:, int(np.argmax(evals))]
     dense = np.einsum("a,aibj,b->ij", psi.conj(), Y, psi)
     assert np.abs(_qdet_matrices([xi], rep)[0] - dense).max() <= 1e-12 * np.abs(dense).max()
