@@ -15,17 +15,28 @@ every check, or a MemoryError, becomes the suite's one failing
 exception is a programming error and ends the run.  `eval` prints one
 "re imag" pair per call at full double precision; `scan` writes a CSV
 "x_re,x_im,f_re,f_im" (exit 2 if its file cannot be written).
-Identical configuration and seed produce byte-identical output.
+
+`check` runs its suites with numpy's bundled OpenBLAS on one thread and
+restores the previous count when they end.  The small complex products of
+the dense layer gain little from a second thread and spend about as much
+CPU again on it; one thread also fixes BLAS's summation order, so identical
+configuration and seed produce byte-identical output whatever the host's
+BLAS thread setting.  Library callers (`run_check`, suites and formulas
+called directly) keep their own thread count.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import ctypes
 import functools
+import glob
 import json
 import math
+import os
 import sys
+import threading
 
 import numpy as np
 
@@ -106,9 +117,13 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
     suites = cfg.get("suites", sorted(SUITES))
     if not isinstance(suites, list) or not all(isinstance(s_, str) for s_ in suites):
         raise ConfigError("suites must be a list of suite names")
+    if not suites:  # a run of no checks would pass vacuously
+        raise ConfigError("suites must name at least one suite")
     for name in suites:
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; available: {sorted(SUITES)}")
+    if len(set(suites)) < len(suites):  # a suite run twice would report each check twice
+        raise ConfigError(f"suites names a suite more than once: {suites}")
 
     grid = cfg.get("grid", {})
     if not isinstance(grid, dict):
@@ -133,7 +148,8 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
         raise ConfigError("tolerances must map suite names to numbers")
     _reject_unknown(tols, set(SUITES), "tolerances")
     for name in tols:  # JSON object keys are strings
-        _typed(tols, "tolerances", name, None, _REAL)
+        if _typed(tols, "tolerances", name, None, _REAL) < 0:  # no residual is below it
+            raise ConfigError(f"tolerances {name} must be >= 0, got {tols[name]}")
 
     ctx = SuiteContext(
         params=params,
@@ -143,6 +159,64 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
         grid=samples,
     )
     return ctx, suites
+
+
+_BLAS_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                 "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+def _openblas_paths() -> list[str]:
+    """The OpenBLAS libraries bundled with numpy's wheel (Linux, macOS)."""
+    root = os.path.dirname(np.__file__)
+    return sorted(glob.glob(os.path.join(root + ".libs", "*openblas*"))
+                  + glob.glob(os.path.join(root, ".dylibs", "*openblas*")))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the bundled OpenBLAS's thread count, or None if no
+    library or symbol pair is found; looked up once per process."""
+    for path in _openblas_paths():
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SYMBOLS:
+            get, set_ = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """A block run with the bundled OpenBLAS on one thread.  Overlapping
+    blocks share one saved count, restored when the last of them exits."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = None
+
+    def __enter__(self):
+        fns = _openblas_threads()
+        with self._lock:
+            if self._depth == 0 and fns is not None:
+                get, set_ = fns
+                self._restore = functools.partial(set_, get())
+                set_(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._restore is not None:
+                self._restore()
+                self._restore = None
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 def cmd_check(args) -> int:
@@ -161,13 +235,14 @@ def cmd_check(args) -> int:
         return 2
 
     reports = []
-    for name in suites:
-        try:
-            reports.extend(SUITES[name](ctx))
-        except (*REPORTED, MemoryError) as exc:
-            reports.append(CheckReport(
-                name, "suite-error", "the suite runs to completion",
-                {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
+    with _ONE_BLAS_THREAD:
+        for name in suites:
+            try:
+                reports.extend(SUITES[name](ctx))
+            except (*REPORTED, MemoryError) as exc:
+                reports.append(CheckReport(
+                    name, "suite-error", "the suite runs to completion",
+                    {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
     reports = sort_reports(reports)
     dicts = [r.to_dict() for r in reports]
     for d in dicts:

@@ -8,7 +8,8 @@ rows, so no N^n x N^n operator is formed for n >= 3.  `from_matrix`, the
 one way dense entries come in, refuses a nonzero entry off the pattern
 (ChargeViolation).  Norms are numpy sums of squares (`frobenius`):
 np.linalg.norm of a complex array calls BLAS dot, which OpenBLAS splits
-across two threads on large arrays.
+across two threads on large arrays when the caller leaves BLAS more than
+one thread (a library caller may; `wkit check` runs BLAS on one).
 
 The antisymmetrizer A_k is held only as a table of the nonzeros of the
 orthonormal basis V of its image, A_k = V V^T: k! rows and values per

@@ -216,6 +216,9 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"tolerances": {"n0": math.inf}},
     {"params": {"N": 2}, "suites": ["n0"], "tolerances": {"nO": 1e-30}},  # misspelt suite
     {"params": {"N": 2}, "suites": ["theta-identities"], "seed": -3},
+    {"suites": []},  # no check at all would pass vacuously
+    {"params": {"N": 2}, "suites": ["n0", "theta-identities", "n0"]},  # n0 reported twice
+    {"params": {"N": 2}, "suites": ["n0"], "tolerances": {"n0": -1e-12}},  # every check fails
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"
@@ -242,6 +245,117 @@ def test_check_exit_2_on_unwritable_output(small_config, tmp_path, monkeypatch, 
     # the same config with a writable file runs its three suites
     assert cli.main(["check", "--config", str(small_config), "--out", str(tmp_path / "r.json")]) == 0
     assert sorted(called) == ["alpha-identity", "n0", "theta-identities"]
+
+
+@pytest.fixture
+def cli():
+    """wkit.cli with its OpenBLAS lookup emptied before and after the test."""
+    from wkit import cli
+
+    cli._openblas_threads.cache_clear()
+    yield cli
+    cli._openblas_threads.cache_clear()
+
+
+def write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_check_runs_its_suites_on_one_blas_thread_and_restores_the_count(cli, tmp_path, monkeypatch):
+    # the count is 1 inside the suite loop and back to what it was after a
+    # run that passes, one with failing reports, one with a suite-error and
+    # one whose programming error propagates
+    from wkit.reports import CheckReport
+
+    fns = cli._openblas_threads()
+    if fns is None:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count symbol here")
+    get, set_ = fns
+    outcomes = {
+        "passes": (0, lambda: [CheckReport("s", "c", "i", {}, 0.0, 1.0)]),
+        "fails": (1, lambda: [CheckReport("s", "c", "i", {}, 2.0, 1.0)]),
+        "suite-error": (1, lambda: np.linalg.inv(np.zeros((2, 2)))),
+        "programming-error": (KeyError, lambda: {}["missing"]),
+    }
+    original = get()
+    try:
+        set_(2)
+        before = get()
+        for name, (want, body) in outcomes.items():
+            seen = []
+            monkeypatch.setitem(cli.SUITES, "n0", lambda ctx, body=body: seen.append(get()) or body())
+            argv = ["check", "--config", write_config(tmp_path, {"suites": ["n0"]}),
+                    "--out", str(tmp_path / "r.json")]
+            if isinstance(want, int):
+                assert cli.main(argv) == want, name
+            else:
+                with pytest.raises(want):
+                    cli.main(argv)
+            assert seen == [1] and get() == before, name
+    finally:
+        set_(original)
+
+
+@pytest.mark.parametrize("lookup", ["no-library", "load-raises", "no-symbols"])
+def test_check_without_openblas_keeps_its_exit_contract(cli, lookup, tmp_path, monkeypatch):
+    # a lookup that finds no library, a library that cannot be loaded and
+    # one without the thread-count symbols each leave the count alone
+    import types
+
+    if lookup == "no-library":
+        monkeypatch.setattr(cli, "_openblas_paths", lambda: [])
+    else:
+        def cdll(path):
+            if lookup == "load-raises":
+                raise OSError(f"cannot load {path}")
+            return types.SimpleNamespace()
+
+        monkeypatch.setattr(cli, "_openblas_paths", lambda: ["libopenblas.so"])
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    assert cli._openblas_threads() is None
+    theta = {"params": {"N": 2, "q": 0.55, "p": 0.3}, "suites": ["theta-identities"], "seed": 3}
+    for cfg, rc in ((theta, 0), (dict(theta, tolerances={"theta-identities": 1e-30}), 1),
+                    ({"suites": []}, 2)):
+        assert cli.main(["check", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "r.json")]) == rc
+
+
+def test_only_check_sets_the_blas_count_and_overlapping_runs_restore_it_once(cli, tmp_path, monkeypatch):
+    calls, count = [], [4]
+
+    def set_(n):
+        calls.append(n)
+        count[0] = n
+
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: (lambda: count[0], set_))
+    assert cli.main(["eval", "U", "--at", "1.3", "--N", "2"]) == 0
+    assert cli.main(["scan", "U", "--from", "0.5", "--to", "2.0", "--points", "5",
+                     "--N", "2", "--csv", str(tmp_path / "scan.csv")]) == 0
+    assert calls == []
+    with cli._ONE_BLAS_THREAD:
+        with cli._ONE_BLAS_THREAD:
+            assert count == [1]
+        assert count == [1]
+    assert calls == [1, 4] and count == [4]
+    # a suite run inside another's block leaves the count to the outer one
+    cfg = write_config(tmp_path, {"params": {"N": 2}, "suites": ["n0"]})
+    with cli._ONE_BLAS_THREAD:
+        assert cli.main(["check", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+        assert count == [1]
+    assert calls == [1, 4, 1, 4]
+
+
+@pytest.mark.parametrize("cfg", [{"params": {"N": 3}},
+                                 {"params": {"N": 4}, "suites": ["fusion-identities"]}])
+def test_check_output_does_not_depend_on_finding_openblas(cli, cfg, tmp_path, monkeypatch):
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "found.json")]) == 0
+    monkeypatch.setattr(cli, "_openblas_paths", lambda: [])
+    cli._openblas_threads.cache_clear()
+    assert cli.main(["check", "--config", path, "--out", str(tmp_path / "none.json")]) == 0
+    assert (tmp_path / "found.json").read_bytes() == (tmp_path / "none.json").read_bytes()
 
 
 def test_scan_exit_2_on_unwritable_csv(tmp_path):
