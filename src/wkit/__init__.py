@@ -17,7 +17,7 @@ from .errors import (
     WkitError,
     ZeroArgument,
 )
-from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of, z_of
+from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, xi_of
 from .qseries import (
     F_a,
     I_series,
@@ -46,7 +46,7 @@ from .wgen import EvalRep, SurfaceSpec, build_t, resolve_surface
 __version__ = "0.1.0"
 
 __all__ = [
-    "EllipticParams", "TruncationPolicy", "DEFAULT_POLICY", "xi_of", "z_of",
+    "EllipticParams", "TruncationPolicy", "DEFAULT_POLICY", "xi_of",
     "pochhammer", "theta_big", "theta_char_sums", "theta_char_product",
     "tau_N", "U", "kappa_inv", "F_a", "Y_mn", "Y_mn_forms", "Y_FF",
     "Y_kkprime_cr", "I_series", "f_cr_series", "f_cr_modes", "Y_mn_grid",

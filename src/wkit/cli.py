@@ -244,10 +244,7 @@ def cmd_check(args) -> int:
                     name, "suite-error", "the suite runs to completion",
                     {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
     reports = sort_reports(reports)
-    dicts = [r.to_dict() for r in reports]
-    for d in dicts:
-        d["wall_ms"] = 0.0  # volatile timing would break byte-identical reruns
-    if not _emit(json.dumps(dicts, indent=2, sort_keys=True) + "\n", args.out):
+    if not _emit(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n", args.out):
         return 2
     n_fail = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - n_fail}/{len(reports)} checks passed", file=sys.stderr)
@@ -347,6 +344,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if args.points < 1:  # a table of no points says nothing
+        print(f"error: --points must be >= 1, got {args.points}", file=sys.stderr)
+        return 2
     res = _evaluate(args, lambda a: (np.geomspace if a.log else np.linspace)(a.start, a.stop, a.points))
     if isinstance(res, int):
         return res

@@ -65,7 +65,6 @@ class EllipticParams:
     p: complex = field(init=False)
     p_star: complex = field(init=False)
     s_star: complex = field(init=False)
-    omega: complex = field(init=False)
     zeta: complex = field(init=False)
 
     def __post_init__(self):
@@ -87,7 +86,6 @@ class EllipticParams:
         object.__setattr__(self, "p", s * s)
         object.__setattr__(self, "s_star", s * q ** (-self.c))
         object.__setattr__(self, "p_star", self.s_star**2)
-        object.__setattr__(self, "omega", cmath.exp(2j * cmath.pi / self.N))
         object.__setattr__(self, "zeta", cmath.log(q) / _I_PI)
 
     @property
@@ -123,10 +121,6 @@ def xi_of(z: complex) -> complex:
     if z == 0:
         raise ZeroDivisionError("xi_of(0) undefined")
     return cmath.log(z) / _I_PI
-
-
-def z_of(xi: complex) -> complex:
-    return cmath.exp(_I_PI * xi)
 
 
 def centred_ladder(k: int) -> list:

@@ -565,13 +565,17 @@ def Y_FF(x: complex, params: EllipticParams,
     return num / den
 
 
+def _fusion_levels(k: int, kprime: int, N: int):
+    """Refuse fusion levels k, k' outside 1..N, which no fused block has."""
+    if not (1 <= k <= N and 1 <= kprime <= N):
+        raise ValueError(f"need 1 <= k, k' <= N, got k={k}, k'={kprime}, N={N}")
+
+
 def Y_kkprime_cr(x: complex, k: int, kprime: int, params: EllipticParams,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Fused exchange ratio prod_{i,j} U(q^{i-j} x) / U(q^{i-j-c} x) over the
     centred half-integer ladders of sizes k and k'.  Equals 1 at c = -N."""
-    N = params.N
-    if not (1 <= k <= N and 1 <= kprime <= N):
-        raise ValueError(f"need 1 <= k, k' <= N, got k={k}, k'={kprime}, N={N}")
+    _fusion_levels(k, kprime, params.N)
     q, c = params.q, params.c
     # one U call over the pairs, numerator then denominator, so the first pole
     # raised is the first in the loop over i and j; a pair of equal points
@@ -647,6 +651,7 @@ def f_cr_series(x: complex, k: int, kprime: int, params: EllipticParams,
     """
     if not _BATCH.active:
         return _on_grid(f_cr_series, np.asarray(x), k, kprime, params, policy)
+    _fusion_levels(k, kprime, params.N)
     ds = [ti - tj for ti in centred_ladder(k) for tj in centred_ladder(kprime)]
     shifts = np.array([params.q ** e for d in ds for e in (d, d + 1, d - 1)])
     vals = I_series((shifts[:, None] * x).ravel(), params, policy).reshape(len(ds), 3, -1)
@@ -672,6 +677,7 @@ def f_cr_modes(x: complex, k: int, kprime: int, params: EllipticParams,
     """
     if not _BATCH.active:
         return _on_grid(f_cr_modes, np.asarray(x), k, kprime, params, policy)
+    _fusion_levels(k, kprime, params.N)
     if (x == 0).any():
         raise ZeroArgument("f_cr_modes(0) undefined")
     q, N = params.q, params.N

@@ -26,6 +26,7 @@ class CheckReport:
     inputs: dict
     residual: float
     tolerance: float
+    # Always 0.0: the benchmark's output contract needs the key until ROADMAP items 5-6 drop it
     wall_ms: float = 0.0
     passed: bool = field(init=False)
 
@@ -63,7 +64,7 @@ class Check:
     wants: list = field(default_factory=list)
     threshold: float | None = None
 
-    def report(self, measured, wall_ms: float) -> CheckReport:
+    def report(self, measured) -> CheckReport:
         """The report of `measured`, what the body returned."""
         residual, computed = measured if isinstance(measured, tuple) else (measured, {})
         inputs = {**self.inputs, **computed}
@@ -71,15 +72,13 @@ class Check:
             observed = float(residual)
             inputs.update(observed_violation=residual, threshold=self.threshold)
             residual = self.threshold / observed if observed != 0 else math.inf
-        return CheckReport(self.suite, self.name, self.identity, inputs, residual,
-                           self.tolerance, wall_ms)
+        return CheckReport(self.suite, self.name, self.identity, inputs, residual, self.tolerance)
 
-    def failed(self, exc: Exception, wall_ms: float) -> CheckReport:
+    def failed(self, exc: Exception) -> CheckReport:
         """The failing report of a measurement that raised exc: residual
         NaN, and the error's type and message in `error`/`message`."""
         inputs = {**self.inputs, "error": type(exc).__name__, "message": str(exc)}
-        return CheckReport(self.suite, self.name, self.identity, inputs, math.nan,
-                           self.tolerance, wall_ms)
+        return CheckReport(self.suite, self.name, self.identity, inputs, math.nan, self.tolerance)
 
 
 def worst(values) -> float:

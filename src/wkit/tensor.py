@@ -38,7 +38,7 @@ from .qseries import _store
 _DEFAULT_MAX_DIM = 10_000
 _TABLES = {}  # (k, N) -> the read-only nonzeros of the basis V of im A_k
 _STEPS = {}  # (j, N) -> the read-only step B_j from V_{j-1} (x) 1 to V_j
-_MOVES = {}  # (N, weights, new weights, src) -> the read-only gather table of `_moved`
+_MOVES = {}  # (N, weights, transposed spaces) -> the read-only gather table of `partial_transpose`
 _PLANS = {}  # (N, n, gate positions) -> the row orders of `_sector_steps`
 _LAYOUTS = {}  # (N, n) -> the gather table of `from_matrix`
 
@@ -127,59 +127,39 @@ class LabeledTensor:
             data = np.full_like(data, np.nan)
         return cls(labels, N, weights, data)
 
-    def reorder(self, new_labels) -> "LabeledTensor":
-        """Same operator with spaces listed in a different order."""
-        new_labels = tuple(new_labels)
-        if set(new_labels) != set(self.labels) or len(new_labels) != len(self.labels):
-            raise LabelMismatch(f"cannot reorder {self.labels} as {new_labels}")
-        if new_labels == self.labels:
-            return self
-        weights = tuple(self.weights[self.labels.index(l)] for l in new_labels)
-        return self._moved(new_labels, weights, tuple((new_labels.index(l), False) for l in self.labels))
-
     def partial_transpose(self, labels) -> "LabeledTensor":
         """Transpose on the named space(s), identity on the rest: their
-        weights flip."""
+        weights flip.  The gather table is cached read-only."""
         labels = labels if isinstance(labels, (list, tuple)) else (labels,)
         if not set(labels) <= set(self.labels):
             raise LabelMismatch(f"labels {labels} not all present in {self.labels}")
-        flip = [l in labels for l in self.labels]
+        flip = tuple(l in labels for l in self.labels)
         weights = tuple(-w if f else w for w, f in zip(self.weights, flip))
-        return self._moved(self.labels, weights, tuple(enumerate(flip)))
-
-    def _moved(self, labels, weights, src) -> "LabeledTensor":
-        """This operator under `weights` on `labels`, where index i of an
-        entry's row here is index j of the result's row for src[i] = (j,
-        False) and of its column for (j, True), and the column likewise.  The
-        gather table is cached read-only."""
-        N, n = self.N, len(labels)
+        N, n = self.N, len(flip)
         R = N ** (n - 1)
-        key = (N, self.weights, weights, src)
+        key = (N, self.weights, flip)
         _guard(N * R * R, f"{N} x {R} x {R} index table")  # cached or not
         table = _MOVES.get(key)
         if table is None:
             X, place = _states(N, weights), _places(N, n)
             a, b, qa, qb = (np.zeros((N, R, 1), dtype=np.intp) for _ in range(4))
-            for i, (j, swap) in enumerate(src):  # row = a + b^T, column = b + a^T
-                (b if swap else a)[..., 0] += place[i] * X[j]
-                (qb if swap else qa)[..., 0] += self.weights[i] * X[j]
+            for i, swap in enumerate(flip):  # row = a + b^T, column = b + a^T
+                (b if swap else a)[..., 0] += place[i] * X[i]
+                (qb if swap else qa)[..., 0] += self.weights[i] * X[i]
             a_t, b_t = a.transpose(0, 2, 1), b.transpose(0, 2, 1)
             Q = (qa + qb.transpose(0, 2, 1)) % N  # the charge of the entry's row here
             table = (Q * R + (a + b_t) // N) * R + (b + a_t) // N
             table.flags.writeable = False
             table = _store(_MOVES, key, table)
-        return LabeledTensor(labels, N, weights, self.data.ravel()[table].reshape(N * R, R))
+        return LabeledTensor(self.labels, N, weights, self.data.ravel()[table].reshape(N * R, R))
 
     def _same_spaces(self, other: "LabeledTensor") -> np.ndarray:
-        """other's blocks with its spaces in self's order."""
-        if other.labels == self.labels and other.weights == self.weights and other.N == self.N:
-            return other.blocks
-        if self.N != other.N or set(self.labels) != set(other.labels):
+        """other's blocks, which must list self's spaces in self's order."""
+        if self.N != other.N or other.labels != self.labels:
             raise LabelMismatch(
                 f"operands on {self.labels} (N={self.N}) and {other.labels} "
-                f"(N={other.N}) act on different spaces; multiply them with "
-                f"tensor.compose")
-        other = other.reorder(self.labels)
+                f"(N={other.N}) do not list the same spaces in the same order; "
+                f"multiply operators on different spaces with tensor.compose")
         if any((w - v) % self.N for w, v in zip(self.weights, other.weights)):
             raise ChargeViolation(f"operands on {self.labels} conserve different charges: "
                                   f"weights {self.weights} and {other.weights}")

@@ -393,6 +393,24 @@ def test_eval_known_values():
     assert res.returncode == 1 and "PoleHit" in res.stderr
 
 
+@pytest.mark.parametrize("fn", ["f_cr_series", "f_cr_modes"])
+@pytest.mark.parametrize("flag,level", [("--k", "0"), ("--k", "3"), ("--kprime", "-2")])
+def test_fusion_level_outside_1_to_N_exits_2(cli, fn, flag, level, capsys):
+    # N = 2 has the fusion levels 1 and 2 only; eval and scan write nothing
+    for argv in (["eval", fn, "--at", "1.1"], ["scan", fn, "--from", "0.9", "--to", "1.1", "--points", "3"]):
+        assert cli.main(argv + ["--N", "2", flag, level]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: need 1 <= k, k' <= N, got ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_scan_exit_2_on_fewer_than_one_point(cli, points, capsys):
+    argv = ["scan", "U", "--from", "0.5", "--to", "2.0", "--points", points]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: --points must be >= 1, got {points}\n"
+
+
 def test_eval_bad_function_exits_2():
     res = run_cli("eval", "nope", "--at", "1")
     assert res.returncode == 2

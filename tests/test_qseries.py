@@ -306,6 +306,19 @@ def test_f_cr_series_vs_modes():
         assert abs(a - b) < 1e-8, (N, k, kp, abs(a - b))
 
 
+@pytest.mark.parametrize("fn", [Y_kkprime_cr, f_cr_series, f_cr_modes])
+@pytest.mark.parametrize("level", [0, 3, -2])
+def test_fusion_levels_outside_1_to_N_are_refused(fn, level):
+    # no fused block exists for k or k' outside 1..N (here N = 2): the
+    # fused ratio and both forms of its c-derivative refuse them alike,
+    # for one point and for an array of points
+    pr = EllipticParams(N=2, q=0.55, s=0.5)
+    for k, kp in ((level, 1), (1, level)):
+        for x in (1.1, np.array([1.1, 1.2])):
+            with pytest.raises(ValueError, match=rf"need 1 <= k, k' <= N, got k={k}, k'={kp}, N=2$"):
+                fn(x, k, kp, pr, POL)
+
+
 def test_f_cr_modes_vanishes_when_max_is_N():
     pr = EllipticParams(N=2, q=0.55, s=0.5)
     assert f_cr_modes(1.3, 2, 1, pr, POL) == 0

@@ -47,6 +47,16 @@ def test_report_json_round_trip():
     assert again["passed"] is r.passed
 
 
+def test_run_check_reports_are_deterministic():
+    # no timing rides on a report: two runs of one check give equal dicts
+    from wkit.rmatrix import RMatrixFactory
+    from wkit.suites import check_crossing
+
+    check = check_crossing(1.1 + 0.2j, RMatrixFactory(EllipticParams(3, 0.5, 0.6 ** 0.5)))
+    first, second = run_check(check).to_dict(), run_check(check).to_dict()
+    assert first == second and first["wall_ms"] == 0.0 and first["passed"]
+
+
 def test_sort_reports_canonical():
     a = CheckReport("b", "x", "i", {"p": 2}, 0, 1)
     b = CheckReport("a", "y", "i", {"p": 1}, 0, 1)
@@ -83,7 +93,8 @@ def test_elliptic_params_derived_exact():
     assert abs(pr.p - 0.49) < 1e-15
     assert abs(pr.s_star - 0.7 * 0.5 ** -0.25) < 1e-15
     assert abs(pr.s_star**2 - pr.p * 0.5 ** (-2 * 0.25)) < 1e-15
-    assert abs(pr.omega - complex(-0.5, 3**0.5 / 2)) < 1e-15
+    assert abs(pr.zeta - 1j * math.log(2) / math.pi) < 1e-15  # q = e^{i pi zeta}
+    assert not hasattr(pr, "omega")  # the R-matrix's omega is ZnMatrices.omega
 
 
 def test_elliptic_params_validation():

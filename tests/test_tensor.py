@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import permutations
@@ -11,7 +12,7 @@ import pytest
 
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
-from wkit.suites import check_fusion_identities, check_kernel, check_M_derivative, run_check
+from wkit.suites import _swap_spaces, check_fusion_identities, check_kernel, check_M_derivative, run_check
 from wkit.wgen import EvalRep, build_Q, lax_points, resolve_surface
 from wkit import tensor
 from wkit.tensor import (
@@ -257,17 +258,21 @@ def test_contraction_matches_dense_oracle(N, left, right):
     assert ab.labels == union
     dense_ab = (dense_on(a, union) @ dense_on(b, union)).data
     assert np.linalg.norm(dense(ab).data - dense_ab) <= 1e-12 * np.linalg.norm(dense_ab)
-    if set(left) == set(right):  # the same spaces: @ reorders the right operand
-        assert np.linalg.norm(dense(a @ b).data - dense(a).data @ dense(b).reorder(left).data) \
-            <= 1e-12 * np.linalg.norm(dense_ab)
+    if set(left) == set(right):  # the same spaces in another order: @ and - refuse
+        for op in (operator.matmul, operator.sub):
+            with pytest.raises(LabelMismatch, match=r"\(1, 2, '0'\).*\('0', 2, 1\)"):
+                op(a, b)
+        b = LabeledTensor.from_matrix(dense(b).reorder(left).data, left, N)  # b on a's order
+        assert np.linalg.norm(dense(a @ b).data - dense_ab) <= 1e-12 * np.linalg.norm(dense_ab)
 
 
 def test_label_mismatch_raises():
     with pytest.raises(LabelMismatch):
-        rnd_conserving((1, 2), 2).reorder((1, 3))
-    with pytest.raises(LabelMismatch):
         LabeledTensor.from_matrix(np.eye(4), (1, 1), 2)
     a, b = rnd_conserving((1, 2), 2), rnd_conserving((2, 3), 2)
+    for op in (operator.matmul, operator.sub):  # one order of the spaces per product
+        with pytest.raises(LabelMismatch, match=r"\(1, 2\).*\(2, 1\).*same order"):
+            op(a, rnd_conserving((2, 1), 2))
     with pytest.raises(LabelMismatch, match=r"\(1, 2\).*\(2, 3\).*compose"):
         a @ b
     with pytest.raises(LabelMismatch, match="compose"):
@@ -283,7 +288,9 @@ def test_operands_of_different_gradings_are_refused():
     with pytest.raises(ChargeViolation, match="different charges"):
         a @ a.partial_transpose(2)
     with pytest.raises(ChargeViolation, match="different charges"):
-        a - a.partial_transpose(2).reorder((2, 1))
+        a.partial_transpose(1) - a
+    with pytest.raises(LabelMismatch, match="same order"):  # the order is checked first
+        a - rnd_conserving((2, 1), 3).partial_transpose(2)
     b = rnd_conserving((1, 2), 2)
     assert np.allclose(dense(b @ b.partial_transpose(2)).data,
                        dense(b).data @ dense(b).partial_transpose(2).data)
@@ -887,6 +894,18 @@ def test_one_tiny_entry_off_the_pattern_is_refused_before_a_transpose():
     bad[0, 1] = 1e-300
     with pytest.raises(ChargeViolation):
         LabeledTensor.from_matrix(bad, (1, 2), 3).partial_transpose(2)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_crossing_R21_swapped_on_the_dense_matrix_is_R21_in_the_order_1_2(N):
+    # check_crossing builds R21 by swapping the two spaces of the dense
+    # matrix; read on (2, 1) and put in the order (1, 2) by the oracle, R21
+    # must be the same operator entry for entry, and so must its R21^{t2}
+    m = RMatrixFactory(params(N=N), POL).build([xi_of(0.8 - 0.3j)], hat=False)[0]
+    R21 = LabeledTensor.from_matrix(_swap_spaces(m), (1, 2), N)
+    oracle = Dense.from_matrix(m, (2, 1), N).reorder((1, 2))
+    assert np.array_equal(dense(R21).data, oracle.data)
+    assert np.array_equal(dense(R21.partial_transpose(2)).data, oracle.partial_transpose(2).data)
 
 
 def test_M_derivative_at_N4_runs_under_a_guard_of_128(monkeypatch):
