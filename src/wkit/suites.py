@@ -731,7 +731,8 @@ def suite_fusion_identities(ctx: SuiteContext, checks: _Checks):
     rng = ctx.rng(20)
     checks.add(_antisymmetrizer_projectors(pr.N))
     for k in range(2, pr.N + 1):
-        # pair block capped so the fused product stays within the dense budget
+        # k' capped so that N^(k+k') <= 4096, a cap left from the dense fused
+        # product: none is formed now, so it only bounds the projector residuals
         kp = k
         while kp > 1 and pr.N ** (k + kp) > 4096:
             kp -= 1

@@ -15,10 +15,12 @@ The antisymmetrizer A_k is held only as a table of the nonzeros of the
 orthonormal basis V of its image, A_k = V V^T: k! rows and values per
 column.  `antisym_trace` runs on Lambda^k, the antisymmetric auxiliary
 space of the fusion procedure (Kulish, Reshetikhin, Sklyanin,
-Lett. Math. Phys. 5 (1981) 393).  The projector residuals hold the columns
-of V (x) 1 of one charge on the rows of their sector, in blocks of at most
-2^15 entries.  Every block and index table passes one guard of at most
-WKIT_MAX_DIM^2 entries.  Nothing here mutates shared state.
+Lett. Math. Phys. 5 (1981) 393).  The projector residuals apply the gates
+to the columns of V on the spaces of A_k alone, adding each other space at
+the first gate that touches it (a light cone), each column on the rows of
+its charge sector, in blocks of at most 2^15 entries.  Every block and
+index table passes one guard of at most WKIT_MAX_DIM^2 entries, before any
+gate runs.  Nothing here mutates shared state.
 """
 
 from __future__ import annotations
@@ -303,7 +305,7 @@ def compose(gates, labels) -> LabeledTensor:
     R = N ** (n - 1)
     _guard(N * R * R, f"{N} x {R} x {R} charge blocks")
     steps, back = _sector_steps(gates, labels)
-    Y = _run(steps, slice(None), np.broadcast_to(np.eye(R, dtype=complex), (N, R, R)))
+    Y = _run(steps, slice(None), np.eye(R, dtype=complex)[None])
     return LabeledTensor(labels, N, (1,) * n, Y[:, back].reshape(N * R, R))
 
 
@@ -331,18 +333,24 @@ def _gate_step(N: int, pos, digits: np.ndarray):
     return perm, (cs[:, :, None, None], r[:, None, :, None], r[:, None, None, :])
 
 
+def _check_gates(gates, labels):
+    """Refuse a gate outside the spaces `labels` or one that does not
+    conserve the one charge sum_i x_i mod N."""
+    for g in gates:
+        if not set(g.labels) <= set(labels):
+            raise LabelMismatch(f"gate on {g.labels} outside the spaces {labels}")
+        if any((w - 1) % g.N for w in g.weights):
+            raise ChargeViolation(f"gate on {g.labels} does not conserve the Z_{g.N} "
+                                  f"charge sum_i x_i mod {g.N}")
+
+
 def _sector_steps(gates, labels):
     """(steps, back): each gate, the last first, as the (perm, blocks) of
     `_gate_step`, and the gather that puts the rows back in increasing
     order.  The tables serve every sector and are cached while small.
     Every gate must conserve the one charge sum_i x_i mod N."""
     N, n = gates[0].N, len(labels)
-    for g in gates:
-        if not set(g.labels) <= set(labels):
-            raise LabelMismatch(f"gate on {g.labels} outside the spaces {labels}")
-        if any((w - 1) % N for w in g.weights):
-            raise ChargeViolation(f"gate on {g.labels} does not conserve the Z_{N} "
-                                  f"charge sum_i x_i mod {N}")
+    _check_gates(gates, labels)
     key = (N, n, tuple(tuple(labels.index(l) for l in g.labels) for g in reversed(gates)))
     _guard(n * N ** (n - 1), "sector index table")  # cached or not
     plan = _PLANS.get(key)
@@ -364,10 +372,13 @@ def _sector_steps(gates, labels):
 
 
 def _run(steps, Q, Y: np.ndarray) -> np.ndarray:
-    """The `_sector_steps` applied to Y, an (S, R, columns) stack on the S sectors of slice Q."""
+    """The `_sector_steps` applied to Y, an (S, R, columns) stack on the S
+    sectors of slice Q, or one (1, R, columns) block that each of them
+    starts from."""
     for perm, blocks in steps:
-        B = blocks[Q]
-        Y = np.matmul(B, Y[:, perm].reshape(B.shape[:3] + (-1,))).reshape(Y.shape)
+        B, shape = blocks[Q], Y.shape[1:]
+        Y = Y.take(perm, axis=1).reshape((len(Y),) + B.shape[1:3] + (-1,))  # frees the last Y first
+        Y = np.matmul(B, Y).reshape((len(B),) + shape)
     return Y
 
 
@@ -415,81 +426,215 @@ def fused_R(x: complex, k: int, kprime: int, fac) -> LabeledTensor:
     return compose(fused_gates(x, k, kprime, fac), row_labels(k) + col_labels(kprime))
 
 
-_BLOCK_ENTRIES = 2**15  # entries of one block of sector columns in _projector_residual (512 KB)
+_BLOCK_ENTRIES = 2**15  # entries of a last-stage block in _projector_residual (512 KB), 1/N before
 
 
-def _charge_sectors(gates, a_labels, rest):
-    """Yield (Y, rows, cols): Y = X (V (x) 1) for X = prod(gates) on the
-    columns `cols` of V (x) 1 (column c * N^len(rest) + j is v_c (x) e_j) and
-    the full rows `rows` (indices in N^n over the spaces a_labels + rest),
-    the rest of those columns being 0.
+def _light_cone(label_lists, a_labels) -> list:
+    """The order in which `_projector_residual` applies the gates on the
+    spaces `label_lists` (leftmost first) to columns that start on the spaces
+    `a_labels`, as stages [(space, gates)]: `space` is added before the
+    stage's gates run (None for the first stage), and `gates` are indices
+    into `label_lists` in the order they run.
 
-    Every gate conserves the Z_N charge (`_sector_steps` refuses one that
-    does not), so each column stays in the sector of its total charge Q,
-    the N^(n-1) rows whose index sum is Q mod N.  The columns of one Q are
-    held on those rows only, a block of at most _BLOCK_ENTRIES entries at a
-    time, and the gates act inside the sector (`_gate_step`); the row orders
-    of the gates are computed once, for Q = 0, and serve every sector.  Y's
-    rows come back in increasing order of `rows`, which is the order of the
-    first n - 1 indices, the last being fixed by Q."""
-    N, labels = gates[0].N, tuple(a_labels) + tuple(rest)
-    n, k = len(labels), len(a_labels)
+    The gates run from the right, and a gate passes another only if they
+    share no space, so the product is unchanged.  Of the gates that every
+    gate right of them sharing a space has run before, the first that adds
+    no space runs next; if every one adds a space, the first of them runs,
+    its new spaces added one stage each."""
+    spaces = [set(labels) for labels in label_lists]
+    pending, active, stages = list(range(len(spaces)))[::-1], set(a_labels), [(None, [])]
+    while pending:
+        ready = [g for i, g in enumerate(pending) if not any(spaces[g] & spaces[h] for h in pending[:i])]
+        g = next((g for g in ready if spaces[g] <= active), ready[0])
+        for space in label_lists[g]:
+            if space not in active:
+                active.add(space)
+                stages.append((space, []))
+        stages[-1][1].append(g)
+        pending.remove(g)
+    return stages
+
+
+class _Stage(NamedTuple):
+    """One stage of `_projector_residual`: its `_sector_steps` and `back`,
+    and for each but the last, where each block row goes in the next stage:
+    to head[p] + (Q - charges[p]) mod N in the sector Q."""
+
+    steps: list
+    back: np.ndarray
+    head: np.ndarray | None
+    charges: np.ndarray | None
+
+
+def _stages(gates, a_labels, schedule) -> list:
+    """The `_Stage`s of a `_light_cone` schedule of `gates`, the last built
+    first, so that its tables, the largest, are built while no other is
+    held."""
+    N, out = gates[0].N, []
+    for i in reversed(range(len(schedule))):
+        order = schedule[i][1]
+        labels = tuple(a_labels) + tuple(space for space, _ in schedule[1:i + 1])
+        if order:
+            steps, back = _sector_steps([gates[g] for g in reversed(order)], labels)
+        else:
+            steps, back = [], np.arange(N ** (len(labels) - 1))
+        head = charges = None
+        if i + 1 < len(schedule):  # block row p holds the row sorted[p] of the sector
+            sorted_ = np.empty_like(back)
+            sorted_[back] = np.arange(len(back))
+            head, charges = sorted_ * N, _charges(N, len(labels) - 1)[sorted_]
+        out.append(_Stage(steps, back, head, charges))
+    return out[::-1]
+
+
+def _cone_blocks(stages, N: int, k: int, cap: int):
+    """Yield (Q, Y) for each block after the last `_Stage`: Y an (S, R, w)
+    stack of columns on the S sectors of slice Q.  The columns start as
+    those of the basis V of im A_k on the rows of their charge, at most
+    `cap` entries (or one column) at a time."""
     az, vals = antisymmetrizer(k, N)
-    D = N ** len(rest)
-    col_charge = (_charges(N, k)[az[:, 0]][:, None] + _charges(N, n - k)) % N
-    R, width = N ** (n - 1), max(1, _BLOCK_ENTRIES // N ** (n - 1))
-    _guard(R * min(width, np.bincount(col_charge.ravel()).max()), "sector block")
-    steps, back = _sector_steps(gates, labels)
-    last = -_charges(N, n - 1) % N  # the last index in the sector Q = 0
-    for Q in range(N):
-        cq, jq = np.nonzero(col_charge == Q)
-        for s in range(0, len(cq), width):
-            c, j = cq[s:s + width], jq[s:s + width]
+    q = _charges(N, k)[az[:, 0]]
+    order, R = np.argsort(q, kind="stable"), N ** (k - 1)
+    width = max(1, cap // R)
+    for f in range(0, len(order), width):
+        parts, cols = [], order[f:f + width]
+        for Q in range(N):
+            c = cols[q[cols] == Q]
+            if not len(c):
+                continue
             Y = np.zeros((1, R, len(c)), dtype=complex)
-            Y[0, (az[c] * D + j[:, None]) // N, np.arange(len(c))[:, None]] = vals[c]
-            yield _run(steps, slice(Q, Q + 1), Y)[0, back], np.arange(R) * N + (last + Q) % N, c * D + j
+            Y[0, az[c] // N, np.arange(len(c))[:, None]] = vals[c]
+            Y = _run(stages[0].steps, slice(Q, Q + 1), Y)
+            if len(stages) == 1:
+                yield slice(Q, Q + 1), Y
+            else:
+                parts.append((Q, Y[0]))
+        if parts:
+            yield from _grow(stages, 0, parts, cap)
 
 
-def _outside_A(Ya: np.ndarray, az: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Ya - V (V^T Ya), Ya's rows indexed as V's, through the nonzeros (az,
-    vals) of V's columns: a gather, a weighted sum and a scatter."""
-    P = (vals[:, :, None] * Ya[az]).sum(axis=1)  # V^T Ya
-    out = Ya.copy()
-    out[az] -= vals[:, :, None] * P[:, None, :]
-    return out
+def _grow(stages, s: int, parts, cap: int):
+    """The blocks of `_cone_blocks` that descend from `parts`, a list of
+    (Q, Y): Y an (R, w) block of columns on the sector Q after stage s.
+
+    Adding a space turns a column of charge Q into N columns, one per index
+    x of the new space, in the sectors Q + x; each has the same rows, since
+    a sector's rows list every index but the last.  So the columns of all
+    parts, scattered once to the rows of the next stage, serve every sector
+    there.  A block holds all N sectors if a column on them fits, so that
+    the columns multiply from stage to stage, else one sector; it holds at
+    most `cap` entries at the last stage and cap / N before, so that the
+    blocks still to be grown from stay small, and one column at least."""
+    stage, nxt = stages[s], stages[s + 1]
+    R = len(stage.head)
+    N = len(nxt.back) // R
+    size = cap if s + 2 == len(stages) else cap // N
+    if N * N * R <= size:
+        targets, width = [slice(None)], size // (N * N * R)
+    else:
+        targets, width = [slice(t, t + 1) for t in range(N)], max(1, size // (N * R))
+    ends = np.cumsum([Y.shape[1] for _, Y in parts])
+    for f in range(0, ends[-1], width):
+        child = np.zeros((N * R, min(width, ends[-1] - f)), dtype=complex)
+        for (Q, Y), end in zip(parts, ends):
+            start = end - Y.shape[1]
+            a, b = max(f, start), min(f + child.shape[1], end)
+            if a < b:
+                child[stage.head + (Q - stage.charges) % N, a - f:b - f] = Y[:, a - start:b - start]
+        for T in targets:
+            if s + 2 == len(stages):  # no name holds a last-stage block once it is used
+                yield T, _run(nxt.steps, T, child[None])
+                continue
+            sectors = range(N)[T]  # a stage without gates leaves the one block
+            Y = np.broadcast_to(_run(nxt.steps, T, child[None]), (len(sectors),) + child.shape)
+            yield from _grow(stages, s + 1, [(Q, Y[i]) for i, Q in enumerate(sectors)], cap)
 
 
 def _projector_residual(gates, a_labels, rest) -> float:
     """||X A - A X A|| / ||X A|| for X = prod(gates) and A = A_k (x) 1, A_k
     on the spaces `a_labels` and the identity on `rest`.
 
-    With A_k = V V^T (V the basis of `antisymmetrizer_basis`), (1 - A) X A = (1 - A) Y
-    (V (x) 1)^T for Y = X (V (x) 1), and multiplying by the co-isometry
-    (V (x) 1)^T on the right keeps the Frobenius norm; so this is
-    ||(1 - A) Y|| / ||Y||.  Y is computed one Z_N charge sector at a time by
-    `_charge_sectors`, and X is never formed.  A_k conserves the charge too,
-    so (1 - A) Y is taken inside each sector (`_outside_A`): with the rows in
-    increasing order and at least one space in `rest`, the rows of
-    Y.reshape(N^k, -1) are the index on the spaces of A_k; with none, the
-    sector's rows are those of the columns of V of its charge.  A_1 = 1, so
-    on one space the residual is 0 by construction; a gate that is not
-    finite gives NaN."""
+    With A_k = V V^T (V the basis of `antisymmetrizer_basis`), (1 - A) X A =
+    (1 - A) Y (V (x) 1)^T for Y = X (V (x) 1), and multiplying by the
+    co-isometry (V (x) 1)^T on the right keeps the Frobenius norm; so this is
+    ||(1 - A) Y|| / ||Y||, and X is never formed.
+
+    Y is a light cone (`_light_cone`): the columns start as those of V on
+    the spaces of A_k, a rest space joins at the first gate that touches it
+    (until then it is in a basis state), and each gate runs as early as the
+    product allows.  A rest space no gate touches stays a factor e_j of every
+    column, which scales both norms alike, so it never joins.  Every gate
+    conserves the Z_N charge (`_sector_steps` refuses one that does not), so
+    a column is held on the rows of its charge sector, whose row orders
+    serve every sector (`_gate_step`), in blocks of at most _BLOCK_ENTRIES
+    entries (`_cone_blocks`).  Both guards are passed before any gate runs.
+
+    A_k conserves the charge too, so (1 - A) Y is taken in each block
+    (`_block_norms`): the rows V's columns reach are gathered through the
+    table of `antisymmetrizer` and have V V^T of them subtracted in place,
+    and the other rows add their squared norm as they are.  A_1 = 1, so on
+    one space the residual is 0 by construction; a gate that is not finite
+    gives NaN."""
     if not all(np.isfinite(g.data).all() for g in gates):
         return math.nan
     if len(a_labels) == 1:
         return 0.0
     N, k = gates[0].N, len(a_labels)
-    az, vals = antisymmetrizer(k, N)
-    num = den = 0.0
-    for Y, rows, _ in _charge_sectors(gates, a_labels, rest):
-        den += frobenius(Y) ** 2
-        if rest:
-            num += frobenius(_outside_A(Y.reshape(N**k, -1), az, vals)) ** 2
-        else:
-            inside = np.isin(az[:, 0], rows)
-            num += frobenius(_outside_A(Y, az[inside] // N, vals[inside])) ** 2
+    az = antisymmetrizer(k, N).rows
+    t = sum(any(l in g.labels for g in gates) for l in rest)  # the rest spaces that join
+    # the columns of one sector: with a rest space, C(N,k) N^(t-1) in each
+    columns = len(az) * N ** (t - 1) if t else np.bincount(_charges(N, k)[az[:, 0]]).max()
+    R = N ** (k + t - 1)
+    block = R * min(max(1, _BLOCK_ENTRIES // R), columns)
+    _guard(block, "sector block")
+    _check_gates(gates, tuple(a_labels) + tuple(rest))
+    _guard((k + t) * R, "sector index table")
+    stages = _stages(gates, a_labels, _light_cone([g.labels for g in gates], a_labels))
+    tables, num, den = {}, 0.0, 0.0
+    for Q, Y in _cone_blocks(stages, N, k, min(block, _BLOCK_ENTRIES)):
+        key = None if t else Q.start
+        if key not in tables:
+            tables[key] = _support(N, k, t, stages[-1].back, Q.start)
+        outside, total = _block_norms(Y, *tables[key])
+        num, den = num + outside, den + total
         del Y  # so that the next block is built without this one
     return math.sqrt(num) / max(math.sqrt(den), 1e-300)
+
+
+def _support(N: int, k: int, t: int, back: np.ndarray, Q: int):
+    """(rows, signs, outside) for the blocks of `_cone_blocks` on k + t
+    spaces whose last stage ends in the row order `back`: the block rows
+    that the columns of V reach in the sector Q, as an (columns, k!, d)
+    array, the signs of V's values there, and a mask of the other rows.
+    With t >= 1 the rows of the index a of A_k are a * d .. a * d + d - 1,
+    d = N^(t-1), in every sector; with t = 0, only the columns of V of
+    charge Q have rows in the sector Q."""
+    az, vals = antisymmetrizer(k, N)
+    if t:
+        d = N ** (t - 1)
+        rows, signs = back[az[:, :, None] * d + np.arange(d)], np.sign(vals)
+    else:
+        c = _charges(N, k)[az[:, 0]] == Q
+        rows, signs = back[az[c][:, :, None] // N], np.sign(vals[c])
+    outside = np.ones(len(back), dtype=bool)
+    outside[rows] = False
+    return rows, signs[:, :, None], outside
+
+
+def _block_norms(Y: np.ndarray, rows, signs, outside) -> tuple:
+    """(||(1 - A) Y||^2, ||Y||^2) for a block Y of `_cone_blocks`, through
+    its `_support`.  A column of V is signs / sqrt(k!) on its k! rows, so
+    there (1 - V V^T) y = signs (h - mean h) for h = signs y: the rows V
+    reaches are gathered and centred in place, and the other rows add their
+    squared norm as they are, so Y is not copied."""
+    sq = Y.view(np.float64)
+    sq = np.einsum("srx,srx->sr", sq, sq)  # the squared norm of each row
+    h = Y.take(rows, axis=1).view(np.float64)  # (S, columns of V, k!, d, 2 w)
+    h = h.reshape(h.shape[:3] + (-1,))
+    h *= signs
+    for _ in range(2):  # the second pass takes out the rounding of a mean summed in order
+        h -= h.mean(axis=2, keepdims=True)
+    return sq[:, outside].sum() + np.einsum("i,i", h.ravel(), h.ravel()), sq.sum()
 
 
 def monodromy_M(x: complex, k: int, kprime: int, fac, cs):

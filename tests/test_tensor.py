@@ -9,6 +9,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wkit import EllipticParams, LabeledTensor, RMatrixFactory, TruncationPolicy, antisymmetrizer, xi_of
 from wkit.errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
@@ -18,10 +20,13 @@ from wkit import tensor
 from wkit.tensor import (
     Antisymmetrizer,
     _basis_step,
-    _charge_sectors,
+    _block_norms,
+    _cone_blocks,
     _fused_factors,
-    _outside_A,
+    _light_cone,
     _projector_residual,
+    _stages,
+    _support,
     antisym_trace,
     antisymmetrizer_basis,
     col_labels,
@@ -677,23 +682,86 @@ def fusion_gate_lists(N, k, kp):
     }
 
 
+def cone(gates, a_labels, cap=tensor._BLOCK_ENTRIES):
+    """(stages, labels, blocks): the stages of the light-cone kernel, the
+    spaces of its last stage in their order, and its blocks."""
+    schedule = _light_cone([g.labels for g in gates], a_labels)
+    stages = _stages(gates, a_labels, schedule)
+    labels = tuple(a_labels) + tuple(space for space, _ in schedule[1:])
+    return stages, labels, list(_cone_blocks(stages, gates[0].N, len(a_labels), cap))
+
+
+def sector_gram(blocks, stages, N):
+    """Y Y^H on the rows of each sector, in increasing order, summed over
+    the blocks of the light cone: the columns up to a unitary mixing."""
+    back = stages[-1].back
+    gram = np.zeros((N, len(back), len(back)), dtype=complex)
+    for Q, Y in blocks:
+        for Y1, sector in zip(Y, range(N)[Q]):
+            gram[sector] += Y1[back] @ Y1[back].conj().T
+    return gram
+
+
 @pytest.mark.parametrize("N,k,kp", [(2, 2, 2), (3, 3, 2), (4, 2, 2), (4, 3, 1), (5, 2, 2), (5, 3, 1)])
 def test_charge_sectors_match_the_kron_block(N, k, kp):
-    # the sector blocks, scattered back to all N^n rows, are X (V (x) 1)
-    # column for column: every column once, nothing outside its sector
+    # the light-cone blocks hold X (V (x) 1) on the rows of each sector: their
+    # Gram matrix per sector is the kron block's, so no column is lost, kept
+    # twice or put in another sector, and the residual is the kron block's
     for name, (gates, a_labels, rest) in fusion_gate_lists(N, k, kp).items():
         if len(a_labels) == 1:
             continue
-        oracle = kron_block_Y(gates, a_labels, rest)
-        full = np.zeros_like(oracle)
-        seen = np.zeros(oracle.shape[1], dtype=int)
-        for Y, rows, cols in _charge_sectors(gates, a_labels, rest):
-            full[np.ix_(rows, cols)] = Y
-            seen[cols] += 1
-        assert (seen == 1).all(), name
-        assert np.linalg.norm(full - oracle) <= 1e-13 * np.linalg.norm(oracle), name
+        stages, labels, blocks = cone(gates, a_labels)
+        assert sorted(labels, key=str) == sorted(tuple(a_labels) + tuple(rest), key=str), name
+        order = [(tuple(a_labels) + tuple(rest)).index(l) for l in labels]
+        oracle = kron_block_Y(gates, a_labels, rest).reshape((N,) * len(labels) + (-1,))
+        oracle = oracle.transpose(order + [len(labels)]).reshape(N ** len(labels), -1)
+        charge = np.indices((N,) * len(labels)).reshape(len(labels), -1).sum(axis=0) % N
+        want = np.array([oracle[charge == Q] @ oracle[charge == Q].conj().T for Q in range(N)])
+        got = sector_gram(blocks, stages, N)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), name
         assert abs(_projector_residual(gates, a_labels, rest)
                    - kron_block_residual(gates, a_labels, rest)) <= 1e-13, name
+
+
+@pytest.mark.parametrize("N,k,kp", [(2, 2, 2), (3, 3, 2), (3, 3, 3), (4, 2, 2)])
+def test_light_cone_matches_dense_on_random_gates(N, k, kp):
+    # random charge-conserving gates on the labels of every gate list break
+    # X A = A X A by O(1), so a gate moved past one that shares a space, or
+    # a rest space added at the wrong row, shows at this scale
+    rng = np.random.default_rng(100 * N + 10 * k + kp)
+    for name, (gates, a_labels, rest) in fusion_gate_lists(N, k, kp).items():
+        labels = tuple(a_labels) + tuple(rest)
+        random_gates = [rnd_conserving(g.labels, N, rng=rng) for g in gates]
+        dense = _dense_projector_residual(random_gates, labels, a_labels)
+        assert dense > 0.1, name
+        assert abs(_projector_residual(random_gates, a_labels, rest) - dense) <= 1e-12 * dense, name
+
+
+space_lists = st.lists(st.lists(st.sampled_from("abcdef"), min_size=1, max_size=3, unique=True),
+                       min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(space_lists, st.lists(st.sampled_from("abcdef"), max_size=4, unique=True))
+def test_light_cone_passes_no_gate_that_shares_a_space(label_lists, a_labels):
+    # every gate runs once, after every gate right of it that shares a space
+    # with it, and on spaces that have all been added by then
+    stages = _light_cone(label_lists, a_labels)
+    order = [g for _, gates in stages for g in gates]
+    assert sorted(order) == list(range(len(label_lists)))
+    ran = {g: i for i, g in enumerate(order)}
+    for g in range(len(label_lists)):
+        for h in range(g + 1, len(label_lists)):  # h is right of g, so runs first
+            if set(label_lists[g]) & set(label_lists[h]):
+                assert ran[h] < ran[g], (g, h)
+    active = set(a_labels)
+    for i, (space, gates) in enumerate(stages):
+        assert (space is None) == (i == 0)
+        if space is not None:
+            assert space not in active
+            active.add(space)
+        assert all(set(label_lists[g]) <= active for g in gates)
+    assert active == set(a_labels).union(*map(set, label_lists))
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
@@ -939,7 +1007,49 @@ def test_index_tables_are_refused_before_they_are_built(monkeypatch):
         t.partial_transpose(1)  # not cached
     monkeypatch.setenv("WKIT_MAX_DIM", "3")  # the sector block of 4 x 1 passes, the table of 12 not
     with pytest.raises(DimensionGuardExceeded, match="sector index table of 12 entries"):
-        list(_charge_sectors(gates, (1, 2), ("0",)))
+        _projector_residual(gates, (1, 2), ("0",))
+
+
+@pytest.mark.parametrize("N,labels,max_dim,what", [
+    (3, [(1, "0"), (2, 3)], 6, "sector block of 243 entries"),
+    (2, [(1, "0"), (2, "0")], 3, "sector index table of 12 entries")])
+def test_projector_residual_refuses_before_any_gate_runs(N, labels, max_dim, what, monkeypatch):
+    # A_2 on (1, 2): at N = 3 with rest ("0", 3) a sector block holds 27 rows
+    # x 9 columns; at N = 2 with rest ("0",) the block of 4 x 1 passes and the
+    # table of 3 x 4 does not.  Both counts are known before the first gate
+    gates = [rnd_conserving(l, N) for l in labels]
+    rest = tuple(dict.fromkeys(l for ls in labels for l in ls if l not in (1, 2)))
+    monkeypatch.setattr(tensor, "_run", lambda *args: pytest.fail("a gate ran"))
+    monkeypatch.setenv("WKIT_MAX_DIM", str(max_dim))
+    with pytest.raises(DimensionGuardExceeded, match=what):
+        _projector_residual(gates, (1, 2), rest)
+
+
+def test_refused_fusion_residuals_run_no_gate(monkeypatch):
+    # under CI's guard of 128 at N = 4 the six-space fused lists are refused
+    # on their block of 1024 x 32 entries, with no gate run first
+    lists = fusion_gate_lists(4, 3, 3)
+    monkeypatch.setattr(tensor, "_run", lambda *args: pytest.fail("a gate ran"))
+    monkeypatch.setenv("WKIT_MAX_DIM", "128")
+    for name in ("fused_rows", "fused_cols", "fused_inv_rows", "fused_inv_cols"):
+        with pytest.raises(DimensionGuardExceeded, match="sector block of 32768 entries"):
+            _projector_residual(*lists[name])
+
+
+def test_projector_residual_peak_memory():
+    # fused_cols at (k, k') = (4, 2), N = 4: 1536 columns of 1024 rows, in
+    # blocks of 2^15 entries (512 KB); no stage is held whole
+    import tracemalloc
+
+    args = fusion_gate_lists(4, 4, 2)["fused_cols"]
+    _projector_residual(*args)  # the plans are cached
+    tracemalloc.start()
+    try:
+        _projector_residual(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0e6, peak
 
 
 # ---------------------------------------------------------------------------
@@ -953,8 +1063,8 @@ def test_a_sector_split_over_blocks_equals_one_block(N, k, kp, monkeypatch):
         whole = _projector_residual(*args)
         rows = N ** (len(args[1]) + len(args[2]) - 1)
         monkeypatch.setattr(tensor, "_BLOCK_ENTRIES", 2 * rows)  # two columns a block
-        blocks = list(_charge_sectors(*args))
-        assert all(Y.shape[1] <= 2 for Y, _, _ in blocks), name
+        _, _, blocks = cone(args[0], args[1], 2 * rows)
+        assert all(Y.shape[0] * Y.shape[2] <= 2 for _, Y in blocks), name
         split += len(blocks) > N
         assert abs(_projector_residual(*args) - whole) <= 1e-13, name
         monkeypatch.undo()
@@ -963,16 +1073,19 @@ def test_a_sector_split_over_blocks_equals_one_block(N, k, kp, monkeypatch):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_sparse_basis_projection_matches_the_dense_basis(N):
-    # (1 - A) Y through the k! nonzeros of each column of V against
-    # Va @ (Va.T @ Ya), on every block of every gate list the fusion suite builds
+    # (1 - A) Y through the signs of the k! nonzeros of each column of V
+    # against Ya - Va @ (Va.T @ Ya), on every block of every gate list the
+    # fusion suite builds
     for k, kp in {(2, 2), (min(N, 3), 1), (N, 1)}:
         for name, (gates, a_labels, rest) in fusion_gate_lists(N, k, kp).items():
             if len(a_labels) == 1:
                 continue
             V = antisymmetrizer_basis(len(a_labels), N)
-            az, vals = antisymmetrizer(len(a_labels), N)
-            for Y, _, _ in _charge_sectors(gates, a_labels, rest):
-                Ya = Y.reshape(len(V), -1)
+            stages, labels, blocks = cone(gates, a_labels)
+            back, t = stages[-1].back, len(labels) - len(a_labels)
+            for Q, Y in blocks:
+                Ya = Y[:, back].reshape(len(Y), len(V), -1)
                 dense_part = Ya - V @ (V.T @ Ya)
-                assert np.linalg.norm(_outside_A(Ya, az, vals) - dense_part) \
-                    <= 1e-13 * np.linalg.norm(Y), (k, kp, name)
+                outside, total = _block_norms(Y, *_support(N, len(a_labels), t, back, Q.start))
+                assert abs(total - np.linalg.norm(Y) ** 2) <= 1e-13 * total, (k, kp, name)
+                assert abs(outside - np.linalg.norm(dense_part) ** 2) <= 1e-13 * total, (k, kp, name)
