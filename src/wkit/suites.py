@@ -112,10 +112,8 @@ class SuiteContext:
 
 
 def _safe_point(rng, lo=0.7, hi=1.4):
-    """Random point in the principal-branch-safe wedge |arg z| < 0.45 pi."""
-    r = rng.uniform(lo, hi)
-    phi = rng.uniform(-0.45 * np.pi, 0.45 * np.pi)
-    return complex(r * np.cos(phi), r * np.sin(phi))
+    """One point of `_safe_points`."""
+    return complex(_safe_points(rng, 1, lo, hi)[0])
 
 
 def _uniform(rng, k: int, *ranges):
@@ -127,8 +125,9 @@ def _uniform(rng, k: int, *ranges):
 
 
 def _safe_points(rng, k, lo=0.7, hi=1.4, lead=()):
-    """k points of `_safe_point`, drawn in one generator call; each point
-    first draws one uniform per (lo, hi) of lead, returned before them."""
+    """k random points in the principal-branch-safe wedge |arg z| < 0.45 pi,
+    |z| in [lo, hi), drawn in one generator call; each point first draws
+    one uniform per (lo, hi) of lead, returned before them."""
     *first, r, phi = _uniform(rng, k, *lead, (lo, hi), (-0.45 * np.pi, 0.45 * np.pi))
     z = r * np.cos(phi) + 1j * (r * np.sin(phi))
     return (*first, z) if lead else z

@@ -15,12 +15,14 @@ The antisymmetrizer A_k is held only as a table of the nonzeros of the
 orthonormal basis V of its image, A_k = V V^T: k! rows and values per
 column.  `antisym_trace` runs on Lambda^k, the antisymmetric auxiliary
 space of the fusion procedure (Kulish, Reshetikhin, Sklyanin,
-Lett. Math. Phys. 5 (1981) 393).  The projector residuals apply the gates
-to the columns of V on the spaces of A_k alone, adding each other space at
-the first gate that touches it (a light cone), each column on the rows of
-its charge sector, in blocks of at most 2^15 entries.  Every block and
-index table passes one guard of at most WKIT_MAX_DIM^2 entries, before any
-gate runs.  Nothing here mutates shared state.
+Lett. Math. Phys. 5 (1981) 393), each step from Lambda^{j-1} to Lambda^j
+on two index tables of its j nonzeros per column.  The projector
+residuals apply the gates to the columns of V on the spaces of A_k alone,
+adding each other space at the first gate that touches it (a light cone),
+each column on the rows of its charge sector, in blocks of at most 2^15
+entries.  Every block and index table passes one guard of at most
+WKIT_MAX_DIM^2 entries, before any gate runs.  Nothing here mutates
+shared state.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .qseries import _store
 
 _DEFAULT_MAX_DIM = 10_000
 _TABLES = {}  # (k, N) -> the read-only nonzeros of the basis V of im A_k
-_STEPS = {}  # (j, N) -> the read-only step B_j from V_{j-1} (x) 1 to V_j
+_STEPS = {}  # (j, N) -> the read-only (el, sub) index tables of the Lambda^j step
 _MOVES = {}  # (N, weights, transposed spaces) -> the read-only gather table of `partial_transpose`
 _PLANS = {}  # (N, n, gate positions) -> the row orders of `_sector_steps`
 _LAYOUTS = {}  # (N, n) -> the gather table of `from_matrix`
@@ -246,23 +248,19 @@ def antisymmetrizer_basis(k: int, N: int) -> np.ndarray:
     return V
 
 
-def _basis_step(j: int, N: int) -> np.ndarray:
-    """B_j = (V_{j-1} (x) 1)^T V_j for the bases V of `antisymmetrizer_basis`
-    and V_0 = 1, so V_j = (V_{j-1} (x) 1) B_j: column g_1 < ... < g_j holds
-    (-1)^(j-i) / sqrt(j) in row (g without g_i, g_i), i = 1..j.  Built from
-    index arithmetic, cached read-only per (j, N)."""
-    a, c = math.comb(N, j - 1), math.comb(N, j)
-    _guard(a * N * c, "antisymmetrizer step")
-    B = _STEPS.get((j, N))
-    if B is None:
-        rows = {g: r for r, g in enumerate(combinations(range(N), j - 1))}
-        B = np.zeros((a * N, c))
-        for col, g in enumerate(combinations(range(N), j)):
-            for i in range(j):
-                B[rows[g[:i] + g[i + 1:]] * N + g[i], col] = (-1) ** (j - 1 - i) / math.sqrt(j)
-        B.flags.writeable = False
-        B = _store(_STEPS, (j, N), B)
-    return B
+def _step_tables(j: int, N: int):
+    """(el, sub), two read-only (C(N,j), j) index tables cached per (j, N):
+    el[c] is the c-th g_1 < ... < g_j, sub[c, i] the index of g without g_i
+    in Lambda^{j-1}."""
+    tables = _STEPS.get((j, N))
+    if tables is None:
+        rank = {g: r for r, g in enumerate(combinations(range(N), j - 1))}
+        el = np.array(list(combinations(range(N), j)), dtype=np.intp).reshape(-1, j)
+        sub = np.array([[rank[g[:i] + g[i + 1:]] for i in range(j)] for g in combinations(range(N), j)],
+                       dtype=np.intp).reshape(-1, j)
+        el.flags.writeable = sub.flags.writeable = False
+        tables = _store(_STEPS, (j, N), (el, sub))
+    return tables
 
 
 def antisym_trace(N: int, lefts=None, rights=None) -> np.ndarray:
@@ -270,29 +268,31 @@ def antisym_trace(N: int, lefts=None, rights=None) -> np.ndarray:
     X_j = l_j (X_{j-1} (x) 1_j) r_j and X_0 = 1: lefts[j-1] = l_j and
     rights[j-1] = r_j act on space j (x) rest, and a missing stack is 1.
 
-    C_j = V_j^T X_j V_j = B_j^T l_j (C_{j-1} (x) 1_j) r_j B_j (`_basis_step`),
-    since l_j and r_j commute with V_{j-1}^T, and the trace is
-    tr_{Lambda^k} C_k.  Each step is reshapes and stacked matmuls, and the
-    largest array of every step passes the entry guard before any runs."""
+    V_j = (V_{j-1} (x) 1) B_j, where column g of B_j holds
+    s_i = (-1)^(j-1-i) / sqrt(j) in row (g without g_i, g_i) (`_step_tables`),
+    so C_j = V_j^T X_j V_j = B_j^T l_j (C_{j-1} (x) 1_j) r_j B_j and the trace
+    is tr_{Lambda^k} C_k.  Each step is one batched matmul of C_{j-1} and
+    s r_j gathered at the tables, one GEMM with l_j and a signed gather; the
+    product with l_j, each step's largest array, passes the entry guard for
+    every step before any runs."""
     k, d = next((len(s), s[0].shape[-1]) for s in (lefts, rights) if s is not None)
     D, ones = d // N, [np.eye(d)] * k
-    for j in range(1, k + 1):  # the blocks of B^T l, r B and their products
-        a, c = math.comb(N, j - 1), math.comb(N, j)
-        _guard(N * max(a, c) * c * D * D, f"Lambda^{j} step")
+    for j in range(1, k + 1):
+        _guard(N * D * math.comb(N, j - 1) * math.comb(N, j) * D, f"Lambda^{j} step")
     C = np.eye(D, dtype=complex)
     for l, r, j in zip(ones if lefts is None else lefts, ones if rights is None else rights,
                        range(1, k + 1)):
-        B = _basis_step(j, N)
-        a, c = B.shape[0] // N, B.shape[1]
-        B = B.reshape(a, N, c)  # (alpha in Lambda^{j-1}, x on space j, g in Lambda^j)
-        # B^T l and r B, one block per x: rows (g, rho) and columns (alpha, rho'),
-        # and rows (alpha, rho') and columns (g, sigma)
-        Bl = np.matmul(B.transpose(0, 2, 1), l.reshape(N, -1))  # (alpha, g, rho, x, rho')
-        Bl = Bl.reshape(a, c, D, N, D).transpose(3, 1, 2, 0, 4).reshape(N, c * D, a * D)
-        rB = np.matmul(r.reshape(N, D, N, D).transpose(0, 1, 3, 2).reshape(N, D * D, N),
-                       B.transpose(1, 0, 2).reshape(N, a * c))  # (x, rho', sigma, alpha, g)
-        rB = rB.reshape(N, D, D, a, c).transpose(0, 3, 1, 4, 2).reshape(N, a * D, c * D)
-        C = np.matmul(Bl, np.matmul(C, rB)).sum(axis=0)
+        el, sub = _step_tables(j, N)
+        a, c = math.comb(N, j - 1), len(el)
+        s = (-1.0) ** np.arange(j - 1, -1, -1) / math.sqrt(j)
+        # rows (i, rho') and columns (alpha, rho) of C at column alpha' = sub[g', i], and
+        # rows (i, rho') and columns (x, sigma') of s_i r at column x' = el[g', i]
+        Cg = C.reshape(a, D, a, D).transpose(2, 3, 0, 1)[sub].reshape(c, j * D, a * D)
+        rg = r.reshape(N, D, N, D).transpose(2, 1, 0, 3)[el] * s[:, None, None, None]
+        W = np.matmul(Cg.transpose(0, 2, 1), rg.reshape(c, j * D, N * D))  # (g', alpha, rho, x, sigma')
+        W = W.reshape(c, a, D, N, D).transpose(3, 2, 1, 0, 4).reshape(N * D, a * c * D)
+        W = (l @ W).reshape(N, D, a, c * D)  # (x, sigma, alpha, g', sigma'), each W freed in turn
+        C = (s @ W[el, :, sub].reshape(c, j, D * c * D)).reshape(c * D, c * D)
     return np.trace(C.reshape(c, D, c, D), axis1=0, axis2=2)
 
 

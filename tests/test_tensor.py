@@ -5,7 +5,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -19,13 +19,13 @@ from wkit.wgen import EvalRep, build_Q, lax_points, resolve_surface
 from wkit import tensor
 from wkit.tensor import (
     Antisymmetrizer,
-    _basis_step,
     _block_norms,
     _cone_blocks,
     _fused_factors,
     _light_cone,
     _projector_residual,
     _stages,
+    _step_tables,
     _support,
     antisym_trace,
     antisymmetrizer_basis,
@@ -329,15 +329,16 @@ def test_compose_guard_before_allocating(monkeypatch):
 
 
 def test_antisym_trace_guard_before_its_largest_step(monkeypatch):
-    # step j at N = 4 with no rest space holds N max(C(4,j-1), C(4,j)) C(4,j)
-    # entries: 64, 144, 96 and 16.  The largest is admitted under 12^2; under
-    # 11^2 the trace is refused at j = 2 before the first step multiplies
+    # step j at N = 4 with no rest space holds its product with l_j,
+    # N D C(4,j-1) C(4,j) D entries: 16, 96, 96 and 16.  The largest is
+    # admitted under 10^2; under 9^2 the trace is refused at j = 2 before the
+    # first step takes its tables
     lefts = [RNG.normal(size=(4, 4)) + 0j] * 4
-    monkeypatch.setenv("WKIT_MAX_DIM", "12")
+    monkeypatch.setenv("WKIT_MAX_DIM", "10")
     assert antisym_trace(4, lefts).shape == (1, 1)
-    monkeypatch.setenv("WKIT_MAX_DIM", "11")
-    monkeypatch.setattr(np, "matmul", lambda *args: pytest.fail("a step ran before the guard"))
-    with pytest.raises(DimensionGuardExceeded, match="Lambda\\^2 step of 144 entries"):
+    monkeypatch.setenv("WKIT_MAX_DIM", "9")
+    monkeypatch.setattr(tensor, "_step_tables", lambda *args: pytest.fail("a step ran before the guard"))
+    with pytest.raises(DimensionGuardExceeded, match="Lambda\\^2 step of 96 entries"):
         antisym_trace(4, lefts)
 
 
@@ -457,18 +458,75 @@ def test_antisym_trace_keeps_the_rest_spaces(N):
             assert np.abs(got - dense).max() <= 1e-12 * np.abs(dense).max(), (k, kwargs.keys())
 
 
-def test_basis_step_maps_one_basis_to_the_next():
-    # V_j = (V_{j-1} (x) 1) B_j for the bases of `antisymmetrizer_basis`, V_0 = 1;
-    # B_j has orthonormal columns, is built once per (j, N) and read-only
+def dense_basis_step(j, N):
+    """B_j = (V_{j-1} (x) 1)^T V_j for the bases V of `antisymmetrizer_basis`
+    and V_0 = 1, dense: column g_1 < ... < g_j holds (-1)^(j-i) / sqrt(j) in
+    row (g without g_i, g_i), i = 1..j."""
+    rows = {g: r for r, g in enumerate(combinations(range(N), j - 1))}
+    B = np.zeros((math.comb(N, j - 1) * N, math.comb(N, j)))
+    for col, g in enumerate(combinations(range(N), j)):
+        for i in range(j):
+            B[rows[g[:i] + g[i + 1:]] * N + g[i], col] = (-1) ** (j - 1 - i) / math.sqrt(j)
+    return B
+
+
+def dense_step_trace(N, lefts=None, rights=None):
+    """tr_{1..k}(X_k A_k) by C_j = B_j^T l_j (C_{j-1} (x) 1_j) r_j B_j with the
+    dense B_j of `dense_basis_step`, each step reshapes and stacked matmuls:
+    the oracle for `antisym_trace` on its index tables."""
+    k, d = next((len(s), s[0].shape[-1]) for s in (lefts, rights) if s is not None)
+    D, ones = d // N, [np.eye(d)] * k
+    C = np.eye(D, dtype=complex)
+    for l, r, j in zip(ones if lefts is None else lefts, ones if rights is None else rights,
+                       range(1, k + 1)):
+        B = dense_basis_step(j, N)
+        a, c = B.shape[0] // N, B.shape[1]
+        B = B.reshape(a, N, c)  # (alpha in Lambda^{j-1}, x on space j, g in Lambda^j)
+        Bl = np.matmul(B.transpose(0, 2, 1), l.reshape(N, -1))  # (alpha, g, rho, x, rho')
+        Bl = Bl.reshape(a, c, D, N, D).transpose(3, 1, 2, 0, 4).reshape(N, c * D, a * D)
+        rB = np.matmul(r.reshape(N, D, N, D).transpose(0, 1, 3, 2).reshape(N, D * D, N),
+                       B.transpose(1, 0, 2).reshape(N, a * c))  # (x, rho', sigma, alpha, g)
+        rB = rB.reshape(N, D, D, a, c).transpose(0, 3, 1, 4, 2).reshape(N, a * D, c * D)
+        C = np.matmul(Bl, np.matmul(C, rB)).sum(axis=0)
+    return np.trace(C.reshape(c, D, c, D), axis1=0, axis2=2)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+def test_antisym_trace_matches_the_dense_step_recursion(N):
+    # every k, with lefts, rights and both, with no rest space and with one
+    # of dimension N; past k = N, Lambda^k is empty and the trace is zero
+    for D in (1, N):
+        for k in range(1, N + 2):
+            lefts, rights = rnd_stack(k, N * D), rnd_stack(k, N * D)
+            for kwargs in ({"lefts": lefts}, {"rights": rights}, {"lefts": lefts, "rights": rights}):
+                got = antisym_trace(N, **kwargs)
+                assert got.shape == (D, D)
+                if k > N:
+                    assert np.array_equal(got, np.zeros((D, D))), (D, kwargs.keys())
+                    continue
+                want = dense_step_trace(N, **kwargs)
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (D, k, kwargs.keys())
+
+
+def test_step_tables_map_one_basis_to_the_next():
+    # sum_i s_i V_{j-1}[:, sub[:, i]] (x) e_{el[:, i]} = V_j, s_i = (-1)^(j-1-i) / sqrt(j),
+    # for the bases of `antisymmetrizer_basis` and V_0 = 1; the tables are
+    # built once per (j, N) and read-only
     for N in (2, 3, 4, 5):
         prev = np.ones((1, 1))
         for j in range(1, N + 1):
-            B = _basis_step(j, N)
-            V = antisymmetrizer_basis(j, N)
-            assert np.abs(np.kron(prev, np.eye(N)) @ B - V).max() <= 1e-15, (N, j)
-            assert np.abs(B.T @ B - np.eye(B.shape[1])).max() <= 1e-15
-            assert _basis_step(j, N) is B and not B.flags.writeable
-            prev = V
+            el, sub = tables = _step_tables(j, N)
+            assert el.shape == sub.shape == (math.comb(N, j), j)
+            V = sum((-1) ** (j - 1 - i) / math.sqrt(j)
+                    * np.einsum("ac,xc->axc", prev[:, sub[:, i]], np.eye(N)[:, el[:, i]]).reshape(N**j, -1)
+                    for i in range(j))
+            prev = antisymmetrizer_basis(j, N)
+            assert np.abs(V - prev).max() <= 1e-15, (N, j)
+            assert _step_tables(j, N) is tables
+            for t in tables:
+                assert not t.flags.writeable
+                with pytest.raises(ValueError):
+                    t[0, 0] = 1
 
 
 def old_Q_gates(k, z, surface, rep):

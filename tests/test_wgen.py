@@ -69,11 +69,11 @@ def test_surface_residuals():
 
 def test_twist_traces_respect_guard(monkeypatch):
     # the twist traces run the Lambda^k recursion with no rest space, each
-    # step guarded by its N max(C(N,j-1), C(N,j)) C(N,j) entries against 8^2 = 64
+    # step guarded by its product with l_j, N C(N,j-1) C(N,j) entries, against 8^2 = 64
     monkeypatch.setenv("WKIT_MAX_DIM", "8")
     assert run_check(check_trace_MA(3, 1)).passed  # 3 x 3 x 3 = 27
     assert run_check(n0_check(2, 1, 3)).passed  # 27
-    for check in (check_trace_MA(4, 1), n0_check(2, 1, 5)):  # 4 x 6 x 6 = 144, 5 x 10 x 10 = 500
+    for check in (check_trace_MA(4, 1), n0_check(2, 1, 5)):  # 4 x 4 x 6 = 96, 5 x 10 x 10 = 500
         r = run_check(check)
         assert not r.passed and math.isnan(r.residual)
         assert r.inputs["error"] == "DimensionGuardExceeded" and "exceeds guard 8^2" in r.inputs["message"]
