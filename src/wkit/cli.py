@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import ctypes
 import functools
 import glob
@@ -231,35 +232,40 @@ def cmd_check(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out and not _emit("", args.out):  # an unwritable file fails before any suite runs
+    try:  # an unwritable file fails before any suite runs
+        out = open(args.out, "w", encoding="utf-8") if args.out else None
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
 
-    reports = []
-    with _ONE_BLAS_THREAD:
-        for name in suites:
-            try:
-                reports.extend(SUITES[name](ctx))
-            except (*REPORTED, MemoryError) as exc:
-                reports.append(CheckReport(
-                    name, "suite-error", "the suite runs to completion",
-                    {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
-    reports = sort_reports(reports)
-    if not _emit(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n", args.out):
-        return 2
+    with out or contextlib.nullcontext():
+        reports = []
+        with _ONE_BLAS_THREAD:
+            for name in suites:
+                try:
+                    reports.extend(SUITES[name](ctx))
+                except (*REPORTED, MemoryError) as exc:
+                    reports.append(CheckReport(
+                        name, "suite-error", "the suite runs to completion",
+                        {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
+        reports = sort_reports(reports)
+        if not _emit(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n", out):
+            return 2
     n_fail = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - n_fail}/{len(reports)} checks passed", file=sys.stderr)
     return 0 if n_fail == 0 else 1
 
 
-def _emit(text: str, path: str | None) -> bool:
-    """Write `text` to the file `path`, or to stdout if there is none.
-    False, after one `output error` line on stderr, if the file cannot be
-    written."""
-    if not path:
+def _emit(text: str, dest) -> bool:
+    """Write `text` to `dest`, a file path or a text file open for writing
+    (closed once written, since closing flushes it), or to stdout if there
+    is none.  False, after one `output error` line on stderr, if the file
+    cannot be written."""
+    if not dest:
         sys.stdout.write(text)
         return True
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(dest, "w", encoding="utf-8") if isinstance(dest, str) else dest as fh:
             fh.write(text)
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)

@@ -21,9 +21,10 @@ so every scalar here is insensitive to the sign convention chosen for s.
 
 Every q-Pochhammer product is a call of `pochhammer2`, the one product
 kernel, and every sum of e(v) = v / (1 - v) along a chain a call of
-`_e_sums`, the one e-sum kernel; np.cumprod forms their chains.  Every
-formula, without exception, has one body, which runs on arrays; a scalar
-argument is a one-point array, and a scalar call returns a Python scalar.
+`_e_sums`, the one e-sum kernel; np.cumprod's running product forms
+their chains.  Every formula, without exception, has one body, which runs
+on arrays; a scalar argument is a one-point array, and a scalar call
+returns a Python scalar.
 
 Characteristic thetas are summed only by `theta_char_sums`, a batch with
 one tau for all rows or one per row; `theta_char_product` is the
@@ -60,21 +61,33 @@ _POLE_EPS = 1e-14
 # ---------------------------------------------------------------------------
 #
 # Every product runs over chains of its moduli.  The chain of a modulus p
-# is 1, p, p*p, ..., formed by np.cumprod in `_powers`, the one place a
-# chain is formed.  A product takes the factors 1 - z w whose weight |w| is at
-# least tail_eps / (|z| + 1), and raises TruncationBudgetExceeded when a
-# summation index would need more than max_terms of them.
+# is 1, p, p*p, ..., formed by np.cumprod's running product in `_powers`,
+# the one place a chain is formed.  A product takes the factors 1 - z w whose
+# weight |w| is at least tail_eps / (|z| + 1), and raises
+# TruncationBudgetExceeded when a summation index would need more than
+# max_terms of them.
 # `pochhammer2` is the one product, in numpy complex arithmetic.  p1 is one
-# value, with the cached lattice of the two chains, or one per point, with
-# chains formed per call; with p2 = 0 (chain 1, 0) it is (z; p1)_inf.  The
-# factors are a (lattice, points) array, and the product over its leading
-# axis multiplies them in lattice order, one elementwise multiply across
-# the points per weight.  Each point's factors below its own threshold are
-# set to 1, so its value does not depend on the batch it is in, nor on how
-# deep the cached lattice was cut.  numpy reduces a one-point product with
-# another complex multiply than two or more points, so a one-point call runs
-# on two copies of its point.  Only lattices of at most _LATTICE_SIZE
-# weights are kept.
+# value, with the cached lattice of the two chains, or an array of nomes
+# that broadcasts to the points, with chains formed per call, once per nome
+# of the array as given, and broadcast to its points (theta_big passes its
+# nome once for its three rows); with p2 = 0 (chain 1, 0) it is
+# (z; p1)_inf.  The factors are a C-order (lattice, points) array, and the
+# product over its leading axis multiplies them in lattice order, one
+# elementwise multiply across the points per weight.  Each point's factors
+# below its own threshold are set to 1, so its value does not depend on the
+# batch it is in, nor on how deep the cached lattice was cut, nor on the
+# other nomes of the call.  A running product rounds as Python's complex
+# product on any array, so a chain formed once per nome equals one formed
+# per point.  numpy's elementwise complex multiply can round otherwise (with
+# fused multiply-adds, on CPUs that have them), and a one-lane product
+# reduces with the running product's multiply, so a one-point call runs on
+# two copies of its point.  Only lattices of at most _LATTICE_SIZE weights
+# are kept.
+# The factors are formed and multiplied inside np.errstate(), on a ufunc
+# buffer of _BUFSIZE elements, which the scope restores on exit: on numpy's
+# default of 8192, a multiply or mask of a (lattice, points) array across
+# about 200 to 2,700 points takes a slow buffered path, 2 to 7 times slower
+# per factor.  The buffer size changes no value.
 # Each formula below (theta_big, U, tau_N, F_a, Y_mn, Y_FF, ...) has one
 # body, which runs on arrays: it stacks the arguments of each formula it
 # calls into one array call, down to one `pochhammer2` call.  Its first
@@ -86,6 +99,7 @@ _POLE_EPS = 1e-14
 _CACHE_LIMIT = 128   # (p;p)_inf values kept
 _LATTICE_LIMIT = 32      # lattices kept
 _LATTICE_SIZE = 2 ** 15  # weights of the largest lattice kept, 24 bytes each
+_BUFSIZE = 1024          # elements of numpy's ufunc buffer while a product is formed
 
 _PP = {}        # (p, policy) -> (p; p)_inf
 _LATTICES = {}  # (p1, p2, max_terms) -> a fixed-p1 lattice of pochhammer2
@@ -114,27 +128,31 @@ def _check_modulus(p):
 
 def _powers(p: np.ndarray, t, T: int):
     """The chains 1, p, p*p, ... of the moduli p along a new leading axis,
-    by np.cumprod, and |p^T| (-1 for chains that end before T), against
-    which a point whose threshold is at most that needs more than T factors.
-    The chains hold T + 1 entries, or two past the last power any threshold
-    of t takes: |p^k| < t from k = log t / log|p| on, and with
-    |p| < 1 - 1e-6 the rounding of the products cannot delay that a step.
-    A zero p gives 1, 0, 0."""
+    by np.cumprod's running product, and |p^T| (-1 for chains that end
+    before T), against which a point whose threshold is at most that needs
+    more than T factors.  The chains hold T + 1 entries, or two past the last
+    power any threshold of t takes: |p^k| < t from k = log t / log|p| on,
+    and with |p| < 1 - 1e-6 the rounding of the products cannot delay that
+    a step.  A zero p gives 1, 0, 0 (its quotient, 0 or NaN, is passed over)."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        need = float(np.max(np.where(p == 0, 0.0, np.log(t) / np.log(np.abs(p))), initial=0.0))
+        need = float(np.fmax.reduce(np.log(t) / np.log(np.abs(p)), axis=None, initial=0.0))
     n = min(int(need) + 3, T + 1) if need < T else T + 1
-    chains = np.ones((n,) + p.shape, dtype=complex)
-    np.cumprod(np.broadcast_to(p, (n - 1,) + p.shape), axis=0, out=chains[1:])
+    chains = np.empty((n,) + p.shape, dtype=complex)
+    chains[0], chains[1:] = 1, p
+    np.multiply.accumulate(chains[1:], axis=0, out=chains[1:])  # np.cumprod, without its wrapper
     return chains, (np.abs(chains[T]) if n > T else -1.0)
 
 
 def _weights(p1: np.ndarray, p2: complex, t, low: float, T: int):
     """The weights p1^i p2^j in (i, j) order along the leading axis, from
     the chains of `_powers` for the thresholds t (the p2 row cut below low,
-    the least of them), with |p2^T| and |p1^T|."""
+    the least of them), with |p2^T| and |p1^T|.  p2 = 0 has the row 1 and
+    no |p2^T| (-1): its chain 1, 0, 0 ends before T >= 64."""
+    head, over0 = _powers(p1, t, T)
+    if not p2:
+        return head, -1.0, over0
     row, over1 = _powers(np.array(p2), low, T)
     row = row[np.abs(row) >= low]
-    head, over0 = _powers(p1, t, T)
     if row.size > 1:
         head = (head[:, None] * row.reshape(row.shape + (1,) * p1.ndim)).reshape((-1,) + p1.shape)
     return head, over1, over0
@@ -142,52 +160,55 @@ def _weights(p1: np.ndarray, p2: complex, t, low: float, T: int):
 
 def pochhammer2(zs, p1, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """(z; p1, p2)_inf for every z of zs, as a complex array; (z; p1, 0)_inf
-    is (z; p1)_inf.  p1 is one value or one per z.  Raises what the first z
-    to fail would raise in a call of its own; with one p1 per z, a modulus
-    out of range anywhere raises first."""
+    is (z; p1)_inf.  p1 is one value or an array of nomes that broadcasts
+    to the shape of zs.  Raises what the first z to fail would raise in a
+    call of its own; with an array p1, a modulus out of range anywhere
+    raises first."""
     p2, T = complex(p2), policy.max_terms
     z = np.asarray(zs, dtype=complex)
     per_point = isinstance(p1, (list, tuple, np.ndarray))
-    p1 = np.broadcast_to(np.asarray(p1, dtype=complex), z.shape) if per_point else complex(p1)
+    p1 = np.asarray(p1, dtype=complex) if per_point else complex(p1)
+    if per_point and np.broadcast_shapes(p1.shape, z.shape) != z.shape:
+        raise ValueError(f"nomes of shape {p1.shape} do not broadcast to points of shape {z.shape}")
     _check_modulus(p1)
     _check_modulus(p2)
     size = np.abs(z)
     thresh = policy.tail_eps / (size + 1.0)
     live = size > 0  # a zero z gives 1, a NaN z NaN
     every = live.all()
-    t = thresh.ravel() if every else thresh[live]
-    n = t.size
-    if not n:
+    if not z.size or not (every or live.any()):
         return np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
-    zl = z.ravel() if every else z[live]
-    if per_point:
-        p1 = p1.ravel() if every else p1[live]
-    if n == 1:  # two copies of the one point: a one-lane product rounds otherwise
-        zl, t = np.repeat(zl, 2), np.repeat(t, 2)
-        p1 = np.repeat(p1, 2) if per_point else p1
+    t = thresh if every else np.where(live, thresh, np.inf)  # a dead point keeps no factor
+    shape, one = z.shape, z.size == 1
+    if one:  # two copies of the one point: a one-lane product rounds otherwise
+        z, t = np.repeat(z.ravel(), 2), np.repeat(t.ravel(), 2)
+        p1 = p1.reshape(1) if per_point else p1
     low = float(t.min())
-    if per_point:
+    if per_point:  # the chains of each nome as given, broadcast to its points
         lat, over1, over0 = _weights(p1, p2, t, low, T)
+        lat = lat.reshape(lat.shape[:1] + (1,) * (z.ndim - p1.ndim) + p1.shape)
         mag, head = np.abs(lat), 0
     else:
         lat, mag, _, over1, over0 = _lattice(p1, p2, low, T)
-        head = int(np.argmin(mag >= t.max()))  # the weights before it are above every threshold
-        lat, mag = lat[:, None], mag[head:, None]
+        top = t.max() if every else thresh[live].max()
+        head = int(np.argmin(mag >= top))  # the weights before it are above every threshold
+        lat, mag = lat.reshape((-1,) + (1,) * z.ndim), mag[head:].reshape((-1,) + (1,) * z.ndim)
     over = np.maximum(over1, over0) if per_point else max(over1, over0)
     if per_point or low <= over:  # the first failing z raises; index 1 is checked first
         fails = t <= over
         if fails.any():
-            index = 1 if t[fails.argmax()] <= over1 else 0
+            index = 1 if t.flat[fails.argmax()] <= over1 else 0
             raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
-    f = np.multiply(lat, zl, out=lat if per_point else None)  # in place where lat is this call's own
-    np.subtract(1, f, out=f)
-    np.copyto(f[head:], 1, where=mag < t)  # below each point's own threshold
-    v = f.prod(axis=0)[:n]
-    if every:
-        return v.reshape(z.shape)
-    out = np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
-    out[live] = v
-    return out
+    with np.errstate():  # restores numpy's buffer size on exit
+        np.setbufsize(_BUFSIZE)
+        f = np.multiply(lat, z)
+        np.subtract(1, f, out=f)
+        np.putmask(f[head:], mag < t, 1)  # below each point's own threshold
+        v = f.prod(axis=0)
+    if not every:
+        dead = ~live
+        v[dead] = np.where(z[dead] == 0, 1.0 + 0j, complex(math.nan, math.nan))
+    return v[:1].reshape(shape) if one else v
 
 
 def _lattice(p1: complex, p2: complex, low: float, T: int):
@@ -297,7 +318,7 @@ def theta_big(z: complex, p: complex, policy: TruncationPolicy = DEFAULT_POLICY)
         raise ZeroArgument("Theta_p(0) undefined")
     if isinstance(p, np.ndarray):
         z, p = np.broadcast_arrays(z, p)
-        a, b, c = pochhammer2(np.array([z, p / z, p]), np.array([p, p, p]), 0, policy)
+        a, b, c = pochhammer2(np.array([z, p / z, p]), p, 0, policy)
         return a * b * c
     a, b = pochhammer2(np.array([z, p / z]), complex(p), 0, policy)
     return a * b * _pp(complex(p), policy)

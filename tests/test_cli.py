@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -246,6 +247,37 @@ def test_check_exit_2_on_unwritable_output(small_config, tmp_path, monkeypatch, 
     assert cli.main(["check", "--config", str(small_config), "--out", str(tmp_path / "r.json")]) == 0
     assert sorted(called) == ["alpha-identity", "n0", "theta-identities"]
 
+
+
+def test_check_opens_its_output_once_before_any_suite(small_config, tmp_path, monkeypatch):
+    # the report file is opened, and so emptied, once the config parses and
+    # before the first suite runs, and written when the last one ends
+    from wkit import cli
+    out = tmp_path / "r.json"
+    out.write_text("stale")
+    opened, seen = [], []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    for name in list(cli.SUITES):
+        suite = cli.SUITES[name]
+        monkeypatch.setitem(cli.SUITES, name, lambda ctx, suite=suite: seen.append(out.read_text()) or suite(ctx))
+    assert cli.main(["check", "--config", str(small_config), "--out", str(out)]) == 0
+    assert opened == [str(small_config), str(out)]
+    assert seen == ["", "", ""]  # emptied before the first suite, written after the last
+    assert len(json.loads(out.read_text())) > 0
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_check_exit_2_when_the_report_cannot_be_written(small_config):
+    # /dev/full opens but refuses every write: the suites run, and the write
+    # of their report fails with exit 2 and one line on stderr
+    res = run_cli("check", "--config", str(small_config), "--out", "/dev/full")
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("output error: ") and len(res.stderr.splitlines()) == 1
 
 @pytest.fixture
 def cli():

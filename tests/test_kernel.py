@@ -260,6 +260,159 @@ def test_kappa_inv_point_equals_itself_in_any_batch():
             assert kappa_inv(z2[lo:lo + size], pr, POL).tolist() == alone[lo:lo + size], (size, lo)
 
 
+def per_point_pochhammer2(zs, p1, p2, policy):
+    """The per-point path of `pochhammer2` as it was before its chains were
+    formed once per nome as given: p1 broadcast to one nome per point, every
+    point's chain of p1 formed on its own lane by np.cumprod, every row as
+    long as the slowest nome needs (two past it), and the factors below each
+    point's own threshold set to 1.  The kernel must equal it bit for bit."""
+    p2, T = complex(p2), policy.max_terms
+    z = np.asarray(zs, dtype=complex)
+    p1 = np.broadcast_to(np.asarray(p1, dtype=complex), z.shape)
+    for p in (p1, np.array(p2)):
+        bad = np.flatnonzero(~(np.abs(p) < 1 - 1e-6))
+        if bad.size:
+            raise ModulusOutOfRange(f"|modulus| = {abs(p.flat[bad[0]]):.8g} too close to 1")
+    size = np.abs(z)
+    live = size > 0
+    t, zl, p1 = (policy.tail_eps / (size + 1.0))[live], z[live], p1[live]
+    n = t.size
+    if not n:
+        return np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
+    if n == 1:
+        zl, t, p1 = np.repeat(zl, 2), np.repeat(t, 2), np.repeat(p1, 2)
+    low = float(t.min())
+
+    def powers(p, t):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            need = float(np.max(np.where(p == 0, 0.0, np.log(t) / np.log(np.abs(p))), initial=0.0))
+        rows = min(int(need) + 3, T + 1) if need < T else T + 1
+        chains = np.ones((rows,) + p.shape, dtype=complex)
+        np.cumprod(np.broadcast_to(p, (rows - 1,) + p.shape), axis=0, out=chains[1:])
+        return chains, (np.abs(chains[T]) if rows > T else -1.0)
+
+    row, over1 = powers(np.array(p2), low)
+    row = row[np.abs(row) >= low]
+    lat, over0 = powers(p1, t)
+    if row.size > 1:
+        lat = (lat[:, None] * row.reshape(row.shape + (1,))).reshape((-1,) + p1.shape)
+    over = np.maximum(over1, over0)
+    fails = t <= over
+    if fails.any():
+        index = 1 if t[fails.argmax()] <= over1 else 0
+        raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
+    f = 1 - lat * zl
+    np.copyto(f, 1, where=np.abs(lat) < t)
+    out = np.where(z == 0, 1.0 + 0j, complex(math.nan, math.nan))
+    out[live] = f.prod(axis=0)[:n]
+    return out
+
+
+def same_rows(got, want):
+    """Values bit for bit (NaN matching NaN), or the same exception."""
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return got == want
+    return got.shape == want.shape and bool(np.all((got == want) | (np.isnan(got) & np.isnan(want))))
+
+
+def record_per_point_calls(monkeypatch, configs):
+    """Every pochhammer2 call with an array of nomes that the theta-identities
+    suite makes on the (N, q, seed) configs, as (zs, p1, p2)."""
+    calls, kernel = [], qs.pochhammer2
+
+    def recorder(zs, p1, p2, policy=POL):
+        if isinstance(p1, np.ndarray):
+            calls.append((np.array(zs), np.array(p1), p2))
+        return kernel(zs, p1, p2, policy)
+
+    monkeypatch.setattr(qs, "pochhammer2", recorder)
+    monkeypatch.setattr(suites, "pochhammer2", recorder)
+    for N, q, seed in configs:
+        pr = EllipticParams(N, q, cmath.sqrt(0.3))
+        assert all(r.passed for r in suites.suite_theta_identities(suites.SuiteContext(params=pr, seed=seed)))
+    monkeypatch.undo()
+    return calls
+
+
+def test_per_point_nomes_equal_the_per_point_oracle(monkeypatch):
+    # theta-inversion's, series-vs-product's and theta-product-N's rows, as
+    # the suite makes them: nomes repeated across rows and points, with |p|
+    # from about 1e-8 (Im tau = 3) to 0.64 (a = 0.8); each product equals
+    # the per-point path bit for bit, with p1 as passed and broadcast out
+    calls = record_per_point_calls(monkeypatch, [(N, q, seed) for N in (2, 3, 5)
+                                                 for q in (0.8, 0.5 + 0.1j) for seed in (1, 2)])
+    assert len(calls) == 4 * 12
+    mags = np.abs(np.concatenate([p1.ravel() for _, p1, _ in calls]))
+    assert mags.min() < 1e-7 and 0.6 < mags.max() < 0.65
+    assert any(np.unique(p1).size < p1.size for _, p1, _ in calls)
+    for zs, p1, p2 in calls:
+        want = per_point_pochhammer2(zs, p1, p2, POL)
+        assert same_rows(qs.pochhammer2(zs, p1, p2, POL), want)
+        assert same_rows(qs.pochhammer2(zs, np.broadcast_to(p1, zs.shape).copy(), p2, POL), want)
+
+
+def test_per_point_edge_rows_equal_the_per_point_oracle():
+    # p = 0 rows, zero and NaN z, one-point calls, one nome for many points,
+    # per-point nomes with p2 != 0, and rows that exceed the budget on either
+    # index: values bit for bit, exceptions the same
+    rng = np.random.default_rng(34)
+    nan = complex(math.nan, math.nan)
+    seen = {"raised": 0, "p2": 0}
+    for trial in range(300):
+        k = rng.choice([1, 1, 2, 3, 17, 240])
+        zs = 10 ** rng.uniform(-1.5, 1.5, k) * np.exp(1j * rng.uniform(-3, 3, k))
+        zs[rng.random(k) < 0.1] = 0
+        zs[rng.random(k) < 0.05] = nan
+        m = rng.integers(1, 6)
+        pool = 0.7 * rng.random(m) * np.exp(1j * rng.uniform(-3, 3, m))
+        pool[rng.random(m) < 0.3] = 0
+        p1 = rng.choice(pool, k)
+        p2 = rng.choice([0, 0, 0.3 - 0.2j, 0.61])
+        pol = rng.choice([POL, SHORT])
+        want = outcome(per_point_pochhammer2, zs, p1, p2, pol)
+        assert same_rows(outcome(qs.pochhammer2, zs, p1, p2, pol), want), (trial, zs, p1, p2, pol)
+        seen["raised"] += isinstance(want, tuple)
+        seen["p2"] += p2 != 0 and not isinstance(want, tuple)
+    assert seen["raised"] > 10 and seen["p2"] > 50, seen
+    # a one-point call equals its point in a batch, with its nome as an
+    # array of one point, of none (0-d) or as a scalar
+    zs, p1 = np.array([0.4 + 0.3j, 1.7 - 0.2j, 0.9j]), np.array([0.5, 1e-8j, 0.0])
+    batch = qs.pochhammer2(zs, p1, 0, POL)
+    assert same_rows(batch, per_point_pochhammer2(zs, p1, 0, POL))
+    for i in range(3):
+        assert qs.pochhammer2(zs[i:i + 1], p1[i:i + 1], 0, POL).tolist() == [batch[i]]
+        assert qs.pochhammer2(zs[i], p1[i], 0, POL).shape == ()
+        assert qs.pochhammer2(zs[i], p1[i], 0, POL)[()] == qs.pochhammer2(zs[i], complex(p1[i]), 0, POL)[()]
+    # nomes that do not broadcast to the points' shape are refused
+    with pytest.raises(ValueError):
+        qs.pochhammer2(zs, p1[:2], 0, POL)
+    with pytest.raises(ValueError):
+        qs.pochhammer2(zs, p1.reshape(3, 1), 0, POL)
+
+
+@pytest.mark.parametrize("k", [1, 2, 600, 1500, 2600, 3000])
+def test_buffer_scope_changes_no_value(monkeypatch, k):
+    # fixed-nome products are formed on a small ufunc buffer: each value
+    # equals the product formed on numpy's default buffer, and a call leaves
+    # the caller's buffer size as it found it, also when it raises in the scope
+    rng = np.random.default_rng(k)
+    zs = 10 ** rng.uniform(-1, 1, k) * np.exp(1j * rng.uniform(-3, 3, k))
+    before = np.getbufsize()
+    for p1, p2 in [(0.63 + 0.1j, 0), (0.26, 0), (0.5, 0.3 - 0.2j)]:
+        small = qs.pochhammer2(zs, p1, p2, POL)
+        monkeypatch.setattr(qs, "_BUFSIZE", np.getbufsize())
+        assert qs.pochhammer2(zs, p1, p2, POL).tolist() == small.tolist()
+        monkeypatch.undo()
+    with np.errstate():
+        np.setbufsize(4096)
+        qs.pochhammer2(zs, 0.5, 0, POL)
+        assert np.getbufsize() == 4096
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            qs.pochhammer2(np.full(k, 1e200), 1e-10, 0, POL)  # -1e200 * 1e190 overflows the product
+        assert np.getbufsize() == 4096
+    assert np.getbufsize() == before
+
+
 def mp_pochhammer2(mp, z, p1, p2):
     """(z; p1, p2)_inf at the working precision, every factor whose weight
     is at least 1e-25 / (|z| + 1): the tail changes the product by less
