@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import REPORTED, ConfigError, WkitError
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy
-from .reports import CheckReport, sort_reports
+from .reports import CheckReport, report_dicts
 from .suites import SUITES, SuiteContext
 
 _CONFIG_KEYS = {"params", "policy", "suites", "grid", "seed", "tolerances"}
@@ -248,8 +248,7 @@ def cmd_check(args) -> int:
                     reports.append(CheckReport(
                         name, "suite-error", "the suite runs to completion",
                         {"error": type(exc).__name__, "message": str(exc)}, math.nan, 0.0))
-        reports = sort_reports(reports)
-        if not _emit(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n", out):
+        if not _emit(json.dumps(report_dicts(reports), indent=2, sort_keys=True) + "\n", out):
             return 2
     n_fail = sum(1 for r in reports if not r.passed)
     print(f"{len(reports) - n_fail}/{len(reports)} checks passed", file=sys.stderr)

@@ -83,7 +83,16 @@ _POLE_EPS = 1e-14
 # reduces with the running product's multiply, so a one-point call runs on
 # two copies of its point.  Only lattices of at most _LATTICE_SIZE weights
 # are kept.
-# The factors are formed and multiplied inside np.errstate(), on a ufunc
+# The factors are formed and multiplied in blocks of lattice rows, at most
+# _BLOCK factors (or one row) at a time, each block in the first block's
+# array, so a call holds at most 0.5 MB of factors whatever its size (a new
+# array per block costs the page faults of a fresh allocation each time,
+# and doubled the time of abelianity's 2,048-point calls).  Each block's
+# product starts from the running product of the blocks before it times
+# its first row, which is the one-array product's sequence of multiplies,
+# so the block size changes no value; every call of at most _BLOCK factors
+# is one block.
+# The blocks are formed and multiplied inside np.errstate(), on a ufunc
 # buffer of _BUFSIZE elements, which the scope restores on exit: on numpy's
 # default of 8192, a multiply or mask of a (lattice, points) array across
 # about 200 to 2,700 points takes a slow buffered path, 2 to 7 times slower
@@ -100,6 +109,7 @@ _CACHE_LIMIT = 128   # (p;p)_inf values kept
 _LATTICE_LIMIT = 32      # lattices kept
 _LATTICE_SIZE = 2 ** 15  # weights of the largest lattice kept, 24 bytes each
 _BUFSIZE = 1024          # elements of numpy's ufunc buffer while a product is formed
+_BLOCK = 2 ** 15         # factors of a product formed at a time, 16 bytes each
 
 _PP = {}        # (p, policy) -> (p; p)_inf
 _LATTICES = {}  # (p1, p2, max_terms) -> a fixed-p1 lattice of pochhammer2
@@ -199,12 +209,17 @@ def pochhammer2(zs, p1, p2: complex, policy: TruncationPolicy = DEFAULT_POLICY) 
         if fails.any():
             index = 1 if t.flat[fails.argmax()] <= over1 else 0
             raise TruncationBudgetExceeded(f"pochhammer index {index} needs more than {T} factors")
+    rows, f = max(_BLOCK // z.size, 1), None  # lattice rows per block; the first block's array
     with np.errstate():  # restores numpy's buffer size on exit
         np.setbufsize(_BUFSIZE)
-        f = np.multiply(lat, z)
-        np.subtract(1, f, out=f)
-        np.putmask(f[head:], mag < t, 1)  # below each point's own threshold
-        v = f.prod(axis=0)
+        for b in range(0, len(lat), rows):
+            f = np.multiply(lat[b:b + rows], z, out=None if f is None else f[:len(lat) - b])
+            np.subtract(1, f, out=f)
+            if b + rows > head:  # below each point's own threshold, from row head on
+                np.putmask(f[max(head - b, 0):], mag[max(b - head, 0):b + rows - head] < t, 1)
+            if b:  # the running product, carried on in lattice order
+                np.multiply(v, f[0], out=f[0])
+            v = f.prod(axis=0)
     if not every:
         dead = ~live
         v[dead] = np.where(z[dead] == 0, 1.0 + 0j, complex(math.nan, math.nan))
@@ -347,7 +362,11 @@ def _lattice_sums(alpha, beta, tau, policy: TruncationPolicy) -> np.ndarray:
     while True:
         a = centre + np.arange(-W, W + 1)
         with np.errstate(all="ignore"):  # an overflowing sum fails the tail rule
-            terms = np.exp(quad * (a * a) + arg * a)
+            # exp(quad a^2 + arg a) on two arrays of the window's size, not four
+            terms = np.multiply(a, a)
+            np.multiply(quad, terms, out=terms)
+            terms += np.multiply(arg, a, out=a)
+            np.exp(terms, out=terms)
             acc = terms.sum(axis=1)
             edge = np.abs(terms[:, [0, 1, -2, -1]]).max(axis=1, initial=0)
         if (edge < policy.tail_eps * (1 + np.abs(acc))).all():
@@ -532,13 +551,36 @@ def Y_mn_forms(x: complex, m: int, n: int, params: EllipticParams,
     """
     if not _BATCH.active:
         return _on_grid(Y_mn_forms, np.asarray(x), m, n, params, policy)
+    return _forms(*_ladders(_forms_ladders(x, m, n, params), params, policy))
+
+
+def _forms_ladders(x, m: int, n: int, params: EllipticParams) -> list:
+    """The six ladders of `Y_mn_forms`, as `_ladders` takes them."""
     s, ss = params.s, params.s_star
-    Fn, Fm, Fm_up, Fn_down, Fn_inv, Fm_inv = _ladders(
-        [(x, n, ss), (x, m, s), (ss**n * x, m, s), (ss ** (-n) * x, n, ss), (x, -n, ss), (x, -m, s)],
-        params, policy)
+    return [(x, n, ss), (x, m, s), (ss**n * x, m, s), (ss ** (-n) * x, n, ss), (x, -n, ss), (x, -m, s)]
+
+
+def _forms(Fn, Fm, Fm_up, Fn_down, Fn_inv, Fm_inv):
+    """(form1, form2, |form1 - form2|) of `Y_mn_forms` from its six ladders."""
     f1 = Fn * Fm_up / (Fn_down * Fm)
     f2 = Fn * Fn_inv / (Fm * Fm_inv)
     return f1, f2, abs(f1 - f2)
+
+
+def Y_mn_forms_items(items, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+    """[Y_mn_forms(x, m, n, params, policy) for x, m, n, params in items], the
+    x 1-d arrays of one length, the params on one q and N: the ladders of
+    every item take one U call, as U depends on q and N alone.  If that
+    raises, the items run one by one, which raises what the first failing
+    point of the first failing item raises."""
+    try:
+        with np.errstate(all="ignore"):
+            ladders = [lad for x, m, n, pr in items
+                       for lad in _forms_ladders(np.asarray(x, dtype=complex), m, n, pr)]
+            values = _ladders(ladders, items[0][3], policy)
+            return [_forms(*values[i:i + 6]) for i in range(0, len(values), 6)]
+    except (WkitError, ArithmeticError, ValueError):
+        return [Y_mn_forms(x, m, n, pr, policy) for x, m, n, pr in items]
 
 
 def Y_mn(x: complex, m: int, n: int, params: EllipticParams,
@@ -555,10 +597,11 @@ def Y_mn_grid(xs, m: int, n: int, params: EllipticParams,
               policy: TruncationPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Y_mn(x, m, n, params, policy) at every point of xs, as a complex
     array, 32 points at a time: a point stacks 16 (|m| + |n|) products,
-    and its value does not depend on the batch it is in.  Larger chunks
-    pay less call overhead but hold more memory: the abelianity sweep of
-    800 points at q = 0.8, N = 3 adds 1.1 MB to the peak RSS at 16 points,
-    2.9 MB at 32 and 11.5 MB at 128."""
+    and its value does not depend on the batch it is in.  `pochhammer2`
+    bounds its factors itself, so a larger chunk holds little more; on the
+    abelianity sweep of 800 points at q = 0.8, N = 3, 128-point chunks
+    measured level within noise for 0.7-1.1 MB more peak RSS, so the chunk
+    stays at 32."""
     x = np.asarray(xs, dtype=complex)
     return np.concatenate([Y_mn(x.ravel()[i:i + 32], m, n, params, policy)
                            for i in range(0, x.size, 32)] or [x]).reshape(x.shape)
@@ -596,15 +639,39 @@ def Y_kkprime_cr(x: complex, k: int, kprime: int, params: EllipticParams,
                  policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Fused exchange ratio prod_{i,j} U(q^{i-j} x) / U(q^{i-j-c} x) over the
     centred half-integer ladders of sizes k and k'.  Equals 1 at c = -N."""
+    points = _fused_points(x, k, kprime, params)
+    return _fused_ratio(points, U(points.ravel(), params, policy).reshape(-1, 2))
+
+
+def _fused_points(x: complex, k: int, kprime: int, params: EllipticParams) -> np.ndarray:
+    """The (numerator, denominator) points of `Y_kkprime_cr`, a row per pair
+    (i, j), so one U call over them raises the first pole of the loop over
+    i and j."""
     _fusion_levels(k, kprime, params.N)
     q, c = params.q, params.c
-    # one U call over the pairs, numerator then denominator, so the first pole
-    # raised is the first in the loop over i and j; a pair of equal points
-    # (c = 0) is 1 exactly, not a division's rounding
-    points = np.array([(q**d * x, q ** (d - c) * x) for d in (ti - tj for ti in centred_ladder(k)
-                                                             for tj in centred_ladder(kprime))])
-    u = U(points.ravel(), params, policy).reshape(-1, 2)
+    return np.array([(q**d * x, q ** (d - c) * x) for d in (ti - tj for ti in centred_ladder(k)
+                                                           for tj in centred_ladder(kprime))])
+
+
+def _fused_ratio(points: np.ndarray, u: np.ndarray) -> complex:
+    """The product of the U ratios u of `_fused_points`; a pair of equal
+    points (c = 0) is 1 exactly, not a division's rounding."""
     return complex(np.prod(np.where(points[:, 0] == points[:, 1], 1, u[:, 0] / u[:, 1])))
+
+
+def Y_kkprime_cr_items(items, params: EllipticParams,
+                       policy: TruncationPolicy = DEFAULT_POLICY) -> list:
+    """[Y_kkprime_cr(x, k, k', params.with_c(c), policy) for x, k, k', c in
+    items], with one U call over the pairs of every item, as U depends on q
+    and N alone.  If that raises, the items run one by one, which raises
+    what the first failing item raises."""
+    try:
+        points = [_fused_points(x, k, kprime, params.with_c(c)) for x, k, kprime, c in items]
+        u = U(np.concatenate(points).ravel(), params, policy).reshape(-1, 2)
+        ends = np.cumsum([len(p) for p in points])
+        return [_fused_ratio(p, u[end - len(p):end]) for p, end in zip(points, ends)]
+    except (WkitError, ArithmeticError, ValueError):
+        return [Y_kkprime_cr(x, k, kprime, params.with_c(c), policy) for x, k, kprime, c in items]
 
 
 # ---------------------------------------------------------------------------

@@ -111,4 +111,15 @@ def sort_reports(reports: list[CheckReport]) -> list[CheckReport]:
     two reports at different points are ordered by their sampled inputs
     alone: a computed value, which can move at rounding level, never
     decides between them."""
-    return sorted(reports, key=lambda r: (r.suite, r.check, json.dumps(_jsonable(r.inputs))))
+    return sorted(reports, key=lambda r: _order(r.suite, r.check, _jsonable(r.inputs)))
+
+
+def report_dicts(reports: list[CheckReport]) -> list[dict]:
+    """The `to_dict` of each report, in the order of `sort_reports`: each
+    report's inputs are made JSON-ready once, for the key and the output."""
+    return sorted((r.to_dict() for r in reports), key=lambda d: _order(d["suite"], d["check"], d["inputs"]))
+
+
+def _order(suite: str, check: str, inputs: dict):
+    """The canonical sort key of a report, its inputs JSON-ready."""
+    return suite, check, json.dumps(inputs)

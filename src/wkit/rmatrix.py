@@ -21,16 +21,19 @@ There is one build, for n spectral points at once, and each of its steps
 is one array call over every point: Rhat's one-modulus products
 (P/q^2 z^2; P) and Theta_P(z^2), P = q^{2N}, in one `pochhammer2` call;
 its eight two-modulus products in another (`kappa_inv` on the array for
-R); the N^2 thetas of W and the prefactor's theta_A(xi + zeta) of
-every point in one lattice sum (`theta_char_sums`); and the sums as the
+R); the N^2 thetas of W and the prefactor's theta_A(xi + zeta) in one
+lattice sum (`theta_char_sums`) per 16 points, whose window, and so its
+rounding, every point of the sum sets; and the sums as the
 (N^3 x N^2) coefficient matrix times the n sets of N^2 theta ratios,
 scattered into the (n, N^2, N^2) result.  For R and Rhat the
 g^{1/2} (x) g^{1/2} conjugation is folded into that matrix.  It is
 `RMatrixFactory.build(xis, hat)`, and every R and Rhat of the package
 comes from it; a one-point caller takes `build([xi], hat)[0]`.  A build
-of more points runs those steps on 16 points at a time: a caller that
-asks for all its points at once holds the temporaries of a 16-point
-build besides the (n, N^2, N^2) result.
+runs those steps on chunks of at most 2^16 output entries (1 MB), 809
+points at N = 3, 256 at N = 4 and 16 at N = 8, so a caller that asks for
+all its points at once holds the temporaries of one chunk besides the
+(n, N^2, N^2) result; `pochhammer2` bounds its own factors, whatever the
+chunk.
 
 A factory depends only on (params, policy): `factory(params, policy)`
 returns the one of this process, kept in a bounded cache.
@@ -54,7 +57,8 @@ from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, _charges, 
 from .qseries import _pp, _store, kappa_inv, pochhammer2, theta_char_sums
 
 _POLE_REL = 1e-12
-_CHUNK = 16          # points per evaluation in a build (about 58 KB of temporaries a point at N = 3)
+_CHUNK = 2 ** 16     # output entries of a build evaluated at once: 809 points at N = 3, 16 at N = 8
+_SUM_POINTS = 16     # points per lattice sum of a build, whose window (and rounding) all its points set
 _FACTORY_LIMIT = 16  # factories kept
 _FACTORIES = {}      # (params, policy) -> RMatrixFactory
 
@@ -169,9 +173,14 @@ class RMatrixFactory:
     def _thetas(self, xi: np.ndarray):
         """W's N^2 theta ratios theta_alpha(xi + zeta/N) / (N theta_alpha(zeta/N)),
         shape xi.shape + (N^2,), and the prefactor's theta_A(xi + zeta), at
-        every point of xi by one lattice sum."""
-        nums = theta_char_sums(self._g1, self._g2, xi[..., None] + self._offsets, self.tau,
-                               self.policy).reshape(xi.shape + self._g1.shape)
+        the points of xi by one lattice sum per _SUM_POINTS of them in flat
+        order: each point's value is the one a build of those points alone
+        gives."""
+        x = xi.reshape(-1, 1)
+        nums = np.concatenate([theta_char_sums(self._g1, self._g2, x[i:i + _SUM_POINTS] + self._offsets,
+                                               self.tau, self.policy)
+                               for i in range(0, max(x.size, 1), _SUM_POINTS)])
+        nums = nums.reshape(xi.shape + self._g1.shape)
         return nums[..., :-1] / self._w_dens, nums[..., -1]
 
     def _w_sum(self, pref, ratios: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -186,16 +195,18 @@ class RMatrixFactory:
     def build(self, xis, hat: bool) -> np.ndarray:
         """The (n, N^2, N^2) stack of R (hat false) or Rhat at the n points
         xis, each step one array call over every point of a chunk of at
-        most _CHUNK, the chunks in order; Rhat with the tau_N x kappa
-        cancellation done analytically.  On a degenerate nome it is the
-        mean of the two child factories' builds.  Raises PoleHit if any
-        point is a pole, with the message of the first such point."""
+        most _CHUNK output entries (one point at least; the lattice sums one
+        per _SUM_POINTS), the chunks in order; Rhat with the tau_N x kappa cancellation done analytically.
+        On a degenerate nome it is the mean of the two child factories'
+        builds.  Raises PoleHit if any point is a pole, with the message of
+        the first such point."""
         if self._children is not None:
             return (self._children[0].build(xis, hat) + self._children[1].build(xis, hat)) / 2
         xi = np.asarray(xis, dtype=complex).ravel()
-        if xi.size > _CHUNK:
-            return np.concatenate([self.build(xi[i:i + _CHUNK], hat)
-                                   for i in range(0, xi.size, _CHUNK)])
+        chunk = max(_CHUNK // self.N ** 4, 1)
+        if xi.size > chunk:
+            return np.concatenate([self.build(xi[i:i + chunk], hat)
+                                   for i in range(0, xi.size, chunk)])
         z2 = np.exp(2j * np.pi * xi)
         if hat:
             # tau_N(q^{1/2}/z) z^{2/N-2} kappa^{-1}(z^2) collapses to q^{1/N-1}

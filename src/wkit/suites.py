@@ -52,9 +52,9 @@ from .qseries import (
     I_series,
     U,
     Y_FF,
-    Y_kkprime_cr,
+    Y_kkprime_cr_items,
     Y_mn,
-    Y_mn_forms,
+    Y_mn_forms_items,
     Y_mn_grid,
     f_cr_modes,
     f_cr_series,
@@ -370,12 +370,9 @@ def _Y_two_forms(ctx: SuiteContext, tol: float) -> Check:
     draws = [(m, n, _safe_points(rng, 4)) for m, n in [(1, 1), (2, -1), (-1, -1), (3, 2), (-2, 3)]]
 
     def body():
-        resids = []
-        for m, n, x in draws:
-            surf = resolve_surface(m, n, pr.q, 0.0, pr.N)
-            f1, f2, diff = Y_mn_forms(x, m, n, surf.params, ctx.policy)
-            resids += (diff / (1 + abs(f2))).tolist()
-        return worst(resids)
+        forms = Y_mn_forms_items([(x, m, n, resolve_surface(m, n, pr.q, 0.0, pr.N).params)
+                                  for m, n, x in draws], ctx.policy)
+        return worst([r for f1, f2, diff in forms for r in (diff / (1 + abs(f2))).tolist()])
 
     return Check("theta-identities", "Y-two-forms",
                  "both ladder forms of Y_{m,n}(x) agree on the surface",
@@ -1105,12 +1102,12 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
     accuracy when x sits near a pole ring of the structure function."""
     N, step = params.N, 2e-5
 
-    def central(eps):
-        return (Y_kkprime_cr(x, k, kprime, params.with_c(-N + eps), policy)
-                - Y_kkprime_cr(x, k, kprime, params.with_c(-N - eps), policy)) / (2 * eps)
-
     def body():
-        d = (4 * central(step / 2) - central(step)) / 3
+        # the ratio at c = -N +- step/2 and -N +- step, by one U call
+        y = Y_kkprime_cr_items([(x, k, kprime, -N + e) for e in (step / 2, -step / 2, step, -step)],
+                               params, policy)
+        half, full = ((y[i] - y[i + 1]) / (2 * e) for i, e in ((0, step / 2), (2, step)))
+        d = (4 * half - full) / 3
         fs = f_cr_series(x, k, kprime, params, policy)
         fm = f_cr_modes(x, k, kprime, params, policy)
         return worst((abs(d - fs), abs(d - fm), abs(fs - fm))), {"derivative": d, "series": fs, "modes": fm}
@@ -1125,7 +1122,8 @@ def _fusion_ratio_critical(pr: EllipticParams, xs, policy: TruncationPolicy, tol
 
     def body():
         kks = [(k, kp) for k in range(1, pr.N + 1) for kp in range(1, pr.N + 1)]
-        return worst([abs(Y_kkprime_cr(x, k, kp, pr.with_c(-pr.N), policy) - 1) for (k, kp), x in zip(kks, xs)])
+        ratios = Y_kkprime_cr_items([(x, k, kp, -pr.N) for (k, kp), x in zip(kks, xs)], pr, policy)
+        return worst([abs(y - 1) for y in ratios])
 
     return Check("critical-poisson", "fusion-ratio-critical", "fused exchange ratio equals 1 at c = -N",
                  {"N": pr.N, "q": pr.q}, body, tolerance)

@@ -16,7 +16,8 @@ orthonormal basis V of its image, A_k = V V^T: k! rows and values per
 column.  `antisym_trace` runs on Lambda^k, the antisymmetric auxiliary
 space of the fusion procedure (Kulish, Reshetikhin, Sklyanin,
 Lett. Math. Phys. 5 (1981) 393), each step from Lambda^{j-1} to Lambda^j
-on two index tables of its j nonzeros per column.  The projector
+on two index tables of its j nonzeros per column, and each of its gathers
+one `take` at a table of rows cached while small.  The projector
 residuals apply the gates to the columns of V on the spaces of A_k alone,
 adding each other space at the first gate that touches it (a light cone),
 each column on the rows of its charge sector, in blocks of at most 2^15
@@ -42,6 +43,7 @@ from .qseries import _store
 _DEFAULT_MAX_DIM = 10_000
 _TABLES = {}  # (k, N) -> the read-only nonzeros of the basis V of im A_k
 _STEPS = {}  # (j, N) -> the read-only (el, sub) index tables of the Lambda^j step
+_GATHERS = {}  # (j, N, D) -> the read-only row tables and signs of the Lambda^j step, while small
 _MOVES = {}  # (N, weights, transposed spaces) -> the read-only gather table of `partial_transpose`
 _PLANS = {}  # (N, n, gate positions) -> the row orders of `_sector_steps`
 _LAYOUTS = {}  # (N, n) -> the gather table of `from_matrix`
@@ -263,6 +265,33 @@ def _step_tables(j: int, N: int):
     return tables
 
 
+def _step_gathers(j: int, N: int, D: int):
+    """The four gathers of the Lambda^j step on rest spaces of dimension D,
+    each a table of rows for one `take`, and the signs s_i = (-1)^(j-1-i) /
+    sqrt(j), flat and on the axis i of the gathered r:
+    - cols (c, j, D): the row (sub[g', i], rho') of C^T, a column of C;
+    - r_at (c, j, D, N): the run r[(x, rho), (el[g', i], .)] of D entries;
+    - w_at (N, D, a, c): the run of D entries of W at (g', alpha, rho, x),
+      in (x, rho)-major order;
+    - v_at (c, j, D): the row (el[g', i], sigma, sub[g', i]) of l W.
+    Cached read-only per (j, N, D) while they hold at most _BLOCK_ENTRIES
+    entries, as the plans of `_sector_steps` are, and built per call beyond."""
+    key = (j, N, D)
+    got = _GATHERS.get(key)
+    if got is None:
+        el, sub = _step_tables(j, N)
+        a, c, d, outer = math.comb(N, j - 1), len(el), np.arange(D), np.add.outer
+        s = (-1.0) ** np.arange(j - 1, -1, -1) / math.sqrt(j)
+        got = (outer(sub * D, d), outer(outer(el, d * N), np.arange(N) * D * N),
+               outer(outer(outer(np.arange(N), d * N), np.arange(a) * D * N), np.arange(c) * a * D * N),
+               outer(el * D * a + sub, d * a), s, s[:, None, None, None])
+        if sum(t.size for t in got[:4]) <= _BLOCK_ENTRIES:
+            for t in got:
+                t.flags.writeable = False
+            _store(_GATHERS, key, got)
+    return got
+
+
 def antisym_trace(N: int, lefts=None, rights=None) -> np.ndarray:
     """tr_{1..k}(X_k A_k), a D x D matrix on the rest spaces, for
     X_j = l_j (X_{j-1} (x) 1_j) r_j and X_0 = 1: lefts[j-1] = l_j and
@@ -272,9 +301,10 @@ def antisym_trace(N: int, lefts=None, rights=None) -> np.ndarray:
     s_i = (-1)^(j-1-i) / sqrt(j) in row (g without g_i, g_i) (`_step_tables`),
     so C_j = V_j^T X_j V_j = B_j^T l_j (C_{j-1} (x) 1_j) r_j B_j and the trace
     is tr_{Lambda^k} C_k.  Each step is one batched matmul of C_{j-1} and
-    s r_j gathered at the tables, one GEMM with l_j and a signed gather; the
-    product with l_j, each step's largest array, passes the entry guard for
-    every step before any runs."""
+    s r_j gathered at the tables, one GEMM with l_j and a signed gather,
+    each gather one `take` at the rows of `_step_gathers`; the product with
+    l_j, each step's largest array, passes the entry guard for every step
+    before any runs."""
     k, d = next((len(s), s[0].shape[-1]) for s in (lefts, rights) if s is not None)
     D, ones = d // N, [np.eye(d)] * k
     for j in range(1, k + 1):
@@ -282,17 +312,17 @@ def antisym_trace(N: int, lefts=None, rights=None) -> np.ndarray:
     C = np.eye(D, dtype=complex)
     for l, r, j in zip(ones if lefts is None else lefts, ones if rights is None else rights,
                        range(1, k + 1)):
-        el, sub = _step_tables(j, N)
-        a, c = math.comb(N, j - 1), len(el)
-        s = (-1.0) ** np.arange(j - 1, -1, -1) / math.sqrt(j)
-        # rows (i, rho') and columns (alpha, rho) of C at column alpha' = sub[g', i], and
-        # rows (i, rho') and columns (x, sigma') of s_i r at column x' = el[g', i]
-        Cg = C.reshape(a, D, a, D).transpose(2, 3, 0, 1)[sub].reshape(c, j * D, a * D)
-        rg = r.reshape(N, D, N, D).transpose(2, 1, 0, 3)[el] * s[:, None, None, None]
-        W = np.matmul(Cg.transpose(0, 2, 1), rg.reshape(c, j * D, N * D))  # (g', alpha, rho, x, sigma')
-        W = W.reshape(c, a, D, N, D).transpose(3, 2, 1, 0, 4).reshape(N * D, a * c * D)
-        W = (l @ W).reshape(N, D, a, c * D)  # (x, sigma, alpha, g', sigma'), each W freed in turn
-        C = (s @ W[el, :, sub].reshape(c, j, D * c * D)).reshape(c * D, c * D)
+        cols, r_at, w_at, v_at, s, s_i = _step_gathers(j, N, D)
+        a, c = w_at.shape[2:]
+        # rows (i, rho') and columns (x, sigma') of s_i r at column x' = el[g', i], times
+        # rows (alpha, rho) and columns (i, rho') of C at column alpha' = sub[g', i]
+        rg = r.reshape(-1, D).take(r_at, axis=0)
+        np.multiply(rg, s_i, out=rg)
+        W = np.matmul(C.T.take(cols, axis=0).reshape(c, j * D, a * D).transpose(0, 2, 1),
+                      rg.reshape(c, j * D, N * D))  # (g', alpha, rho, x, sigma')
+        W = W.reshape(-1, D).take(w_at, axis=0).reshape(N * D, a * c * D)
+        W = (l @ W).reshape(N * D * a, c * D)  # (x, sigma, alpha, (g', sigma')), each W freed in turn
+        C = (s @ W.take(v_at, axis=0).reshape(c, j, D * c * D)).reshape(c * D, c * D)
     return np.trace(C.reshape(c, D, c, D), axis1=0, axis2=2)
 
 

@@ -351,6 +351,38 @@ def test_per_point_nomes_equal_the_per_point_oracle(monkeypatch):
         assert same_rows(qs.pochhammer2(zs, np.broadcast_to(p1, zs.shape).copy(), p2, POL), want)
 
 
+@pytest.mark.parametrize("block", [1, 5, 64, 1000])
+def test_blocked_products_equal_one_block(monkeypatch, block):
+    # with the block bound patched down to a few factors every product runs
+    # in many blocks, each started from the running product of those before
+    # it times its first row: fixed and per-point nomes, dead points and
+    # one-point calls equal the one-block product bit for bit.  A one-point
+    # call at block 1 or 5 takes one lattice row per block, so its first
+    # blocks lie wholly above every threshold (the weights before `head`)
+    rng = np.random.default_rng(35)
+    nan = complex(math.nan, math.nan)
+    calls = []
+    for k in (1, 2, 3, 17, 240):
+        zs = 10 ** rng.uniform(-1.5, 1.5, k) * np.exp(1j * rng.uniform(-3, 3, k))
+        dead = zs.copy()
+        dead[::3], dead[1::4] = 0, nan
+        for z in (zs, dead, 1e-3 * zs):
+            calls += [(z, 0.8 ** 6, 0), (z, 0.3 - 0.2j, 0.61), (z, 0.7 * rng.random(k) + 0j, 0),
+                      (z, 0.5j * np.ones(k), 0.3 - 0.2j), (z, 0.9, 0.0)]
+    monkeypatch.setattr(qs, "_BLOCK", 10 ** 9)
+    wants = [outcome(qs.pochhammer2, *call, pol) for call in calls for pol in (POL, SHORT)]
+    assert sum(isinstance(w, tuple) for w in wants) > 5  # some need more than SHORT's 64 factors
+    monkeypatch.setattr(qs, "_BLOCK", block)
+    qs._LATTICES.clear()
+    gots = [outcome(qs.pochhammer2, *call, pol) for call in calls for pol in (POL, SHORT)]
+    for got, want in zip(gots, wants):
+        assert same_rows(got, want)
+    # a call past the budget raises before any block is formed
+    monkeypatch.setattr(np, "setbufsize", lambda size: pytest.fail("a block ran before the budget check"))
+    with pytest.raises(TruncationBudgetExceeded, match="index 0 needs more than 64"):
+        qs.pochhammer2(np.array([1e-3, 0.5]), 0.9, 0, SHORT)
+
+
 def test_per_point_edge_rows_equal_the_per_point_oracle():
     # p = 0 rows, zero and NaN z, one-point calls, one nome for many points,
     # per-point nomes with p2 != 0, and rows that exceed the budget on either
@@ -667,6 +699,55 @@ def test_Y_kkprime_cr_raises_the_first_pole_of_the_loop():
         Y_kkprime_cr(pr.q, 2, 2, pr, POL)
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_Y_kkprime_cr_items_equal_a_call_each(N):
+    # one U call over the pairs of every item: each ratio equals its own call
+    rnd = random.Random(N)
+    pr = EllipticParams(N, rnd.uniform(0.5, 0.8), cmath.sqrt(0.3))
+    items = [(cmath.rect(rnd.uniform(0.8, 1.25), rnd.uniform(-0.4, 0.4)), k, kprime, c)
+             for k in range(1, N + 1) for kprime in range(1, N + 1) for c in (-N + 1e-5, -N - 1e-5, 0.25, 0)]
+    want = [Y_kkprime_cr(x, k, kprime, pr.with_c(c), POL) for x, k, kprime, c in items]
+    assert qs.Y_kkprime_cr_items(items, pr, POL) == want
+
+
+def test_Y_kkprime_cr_items_raise_what_the_loop_raises_first():
+    # the second item meets a pole of U (as in
+    # test_Y_kkprime_cr_raises_the_first_pole_of_the_loop), the third has a
+    # level out of range: the loop over the items raises the pole, and the
+    # level's ValueError once it comes first
+    N = 3
+    pr = EllipticParams(N, 0.55, cmath.sqrt(0.3))
+    items = [(1.1 + 0.1j, 1, 2, 0.25), (pr.q, 2, 2, 1 - N), (1.1, 4, 1, 0)]
+
+    def loop(items, pr, policy):
+        return [Y_kkprime_cr(x, k, kprime, pr.with_c(c), policy) for x, k, kprime, c in items]
+
+    for order in (items, items[::-1]):
+        want = outcome(loop, order, pr, POL)
+        assert want[0] == ("PoleHit" if order is items else "ValueError")
+        assert outcome(qs.Y_kkprime_cr_items, order, pr, POL) == want
+
+
+def test_Y_mn_forms_items_equal_a_call_each():
+    # the ladders of five surfaces in one U call: each triple equals its own
+    # call, and a zero point of a later item does not pre-empt the pole of an
+    # earlier one (the items then run one by one)
+    from wkit import resolve_surface
+    pr = EllipticParams(3, 0.8, cmath.sqrt(0.3))
+    rng = np.random.default_rng(8)
+    items = [(rng.uniform(0.8, 1.2, 4) * np.exp(1j * rng.uniform(-0.3, 0.3, 4)), m, n,
+              resolve_surface(m, n, pr.q, 0.0, pr.N).params)
+             for m, n in [(1, 1), (2, -1), (-1, -1), (3, 2), (-2, 3)]]
+    got = qs.Y_mn_forms_items(items, POL)
+    for (f1, f2, diff), (x, m, n, spr) in zip(got, items):
+        w1, w2, wdiff = Y_mn_forms(x, m, n, spr, POL)
+        assert f1.tolist() == w1.tolist() and f2.tolist() == w2.tolist() and diff.tolist() == wdiff.tolist()
+    items[1][0][2], items[3][0][0] = 1.0, 0.0  # a pole of U, then a zero point
+    want = outcome(lambda: [Y_mn_forms(x, m, n, spr, POL) for x, m, n, spr in items])
+    assert want[0] == "PoleHit"
+    assert outcome(qs.Y_mn_forms_items, items, POL) == want
+
+
 def test_per_point_nomes_match_mpmath():
     # the one-modulus product with one nome per point, on the theta-identities
     # suite's nomes: e^{2 i pi tau} for Im tau 0.3-3, |Re tau| <= 0.5, and a^2
@@ -945,11 +1026,19 @@ def perturbed(fn, k):
     return wrapper
 
 
+def perturbed_items(fn, k):
+    """fn over a list of items, each item's value perturbed as `perturbed`
+    perturbs the call fn(*item)."""
+    def wrapper(items, *args, **kwargs):
+        return [perturbed(lambda *_: got, k)(*item) for got, item in zip(fn(items, *args, **kwargs), items)]
+    return wrapper
+
+
 @pytest.mark.parametrize("check,name,k", [
     ("series-vs-product", "theta_char_product", 2), ("theta-inversion", "theta_big", 0),
     ("theta-product-N", "theta_big", 0), ("theta-product-N", "pochhammer2", 0),
     ("tau-U-identities", "tau_N", 0), ("tau-U-identities", "U", 0),
-    ("Y-two-forms", "Y_mn_forms", 0), ("Y-unitary-inversion", "Y_FF", 0)])
+    ("Y-two-forms", "Y_mn_forms_items", 0), ("Y-unitary-inversion", "Y_FF", 0)])
 def test_theta_identities_fail_on_perturbed_values(monkeypatch, check, name, k):
     ctx = suites.SuiteContext(params=EllipticParams(3, 0.8, cmath.sqrt(0.3)), seed=1)
 
@@ -957,7 +1046,8 @@ def test_theta_identities_fail_on_perturbed_values(monkeypatch, check, name, k):
         return next(r for r in suites.suite_theta_identities(ctx) if r.check == check)
 
     assert report().passed
-    monkeypatch.setattr(suites, name, perturbed(getattr(suites, name), k))
+    wrap = perturbed_items if name.endswith("_items") else perturbed
+    monkeypatch.setattr(suites, name, wrap(getattr(suites, name), k))
     assert not report().passed
 
 

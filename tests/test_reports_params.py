@@ -125,3 +125,20 @@ def test_scalar_error_paths():
     pr = EllipticParams(N=2, q=0.5, s=0.5)
     with pytest.raises(ZeroArgument):
         tau_N(0.0, pr)
+
+
+def test_report_dicts_are_the_sorted_reports_converted_once(monkeypatch):
+    # `wkit check` writes report_dicts: the dicts of sort_reports' order, each
+    # report's inputs made JSON-ready once
+    import cmath
+
+    import wkit.reports as reports
+    from wkit.suites import SuiteContext, suite_critical_poisson
+
+    got = suite_critical_poisson(SuiteContext(params=EllipticParams(2, 0.55, cmath.sqrt(0.3))))[::-1]
+    want = [r.to_dict() for r in sort_reports(got)]
+    converted, jsonable = [], reports._jsonable
+    monkeypatch.setattr(reports, "_jsonable", lambda obj: converted.append(id(obj)) or jsonable(obj))
+    assert reports.report_dicts(got) == want
+    inputs = {id(r.inputs) for r in got}  # the calls on nested values are not counted
+    assert sorted(i for i in converted if i in inputs) == sorted(inputs)

@@ -435,24 +435,44 @@ def test_cached_factory_builds_equal_fresh(monkeypatch, pr):
         assert np.array_equal(cached.build(xis, hat), fresh.build(xis, hat))
 
 
+def _want(n, seed):
+    rng = np.random.default_rng(seed)
+    return [xi_of(cmath.rect(r, phi)) for r, phi in zip(rng.uniform(0.7, 1.4, n), rng.uniform(-1.4, 1.4, n))]
+
+
+@pytest.mark.parametrize("N,n,chunks", [(3, 75, [75]), (3, 810, [809, 1]), (8, 40, [16, 16, 8])])
+def test_build_chunks_hold_at_most_chunk_entries(monkeypatch, N, n, chunks):
+    # a chunk holds at most 2^16 output entries of N^2 x N^2: a 75-point want
+    # at N = 3 is one chunk, whose products are one pochhammer2 call per
+    # modulus pair, and a chunk at N = 8 is 16 points; its lattice sums take
+    # 16 points each
+    fac = RMatrixFactory(params(N=N, q=0.55, p=0.6), POL)
+    kernel, sums, products, points = rmatrix.pochhammer2, rmatrix.theta_char_sums, [], []
+
+    def counted_products(zs, *args):  # a row per argument of each point
+        products.append(zs.shape[-1])
+        return kernel(zs, *args)
+
+    def counted_sums(g1, g2, xi, *args):  # a row per characteristic of each point
+        points.append(xi.shape[0])
+        return sums(g1, g2, xi, *args)
+
+    monkeypatch.setattr(rmatrix, "pochhammer2", counted_products)
+    monkeypatch.setattr(rmatrix, "theta_char_sums", counted_sums)
+    assert fac.build(_want(n, n), hat=True).shape == (n, N * N, N * N)
+    assert products == [c for c in chunks for _ in range(2)]
+    assert points == [min(16, c - i) for c in chunks for i in range(0, c, 16)]
+
+
 @pytest.mark.parametrize("n", [1, 16, 17, 40])
 def test_chunked_build_equals_one_call(monkeypatch, n):
     # chunks of 16 points give the stack of one call over all n, to the
     # rounding a batch may differ by (the lattice-sum window of each call)
     fac = RMatrixFactory(params(N=3, q=0.55, p=0.6), POL)
-    rng = np.random.default_rng(n)
-    xis = [xi_of(cmath.rect(r, phi)) for r, phi in zip(rng.uniform(0.7, 1.4, n), rng.uniform(-1.4, 1.4, n))]
-    sums, points = rmatrix.theta_char_sums, []
-
-    def counted(g1, g2, xi, *args):  # one row per characteristic of each point
-        points.append(xi.shape[0])
-        return sums(g1, g2, xi, *args)
-
-    monkeypatch.setattr(rmatrix, "theta_char_sums", counted)
-    chunked = [fac.build(xis, hat=False), fac.build(xis, hat=True)]
-    assert max(points) == min(n, 16) and sum(points) == 2 * n
-    monkeypatch.setattr(rmatrix, "_CHUNK", 10 ** 6)
-    for got, want in zip(chunked, [fac.build(xis, hat=False), fac.build(xis, hat=True)]):
+    xis = _want(n, n)
+    whole = [fac.build(xis, hat=False), fac.build(xis, hat=True)]
+    monkeypatch.setattr(rmatrix, "_CHUNK", 16 * 81)
+    for got, want in zip([fac.build(xis, hat=False), fac.build(xis, hat=True)], whole):
         assert got.shape == want.shape == (n, 9, 9)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -462,9 +482,9 @@ def test_chunked_build_raises_as_one_call(monkeypatch):
     fac = RMatrixFactory(params(N=3), POL)
     xis = [xi_of(cmath.rect(1.1, 0.05 * i)) for i in range(40)]
     xis[20], xis[33] = 0.0, -fac.zeta
-    with pytest.raises(PoleHit) as chunked:
-        fac.build(xis, hat=True)
-    monkeypatch.setattr(rmatrix, "_CHUNK", 10 ** 6)
     with pytest.raises(PoleHit) as whole:
+        fac.build(xis, hat=True)
+    monkeypatch.setattr(rmatrix, "_CHUNK", 16 * 81)
+    with pytest.raises(PoleHit) as chunked:
         fac.build(xis, hat=True)
     assert str(chunked.value) == str(whole.value) == "Rhat pole at xi = 0j"

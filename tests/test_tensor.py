@@ -508,6 +508,62 @@ def test_antisym_trace_matches_the_dense_step_recursion(N):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (D, k, kwargs.keys())
 
 
+def fancy_index_trace(N, lefts=None, rights=None):
+    """The Lambda^k trace with each step's gathers by numpy indexing at the
+    (el, sub) tables, W's (x, rho)-major copy by a transposed reshape and the
+    signs formed per step: the oracle for `antisym_trace` on the row tables
+    of `_step_gathers`, which must equal it bit for bit."""
+    k, d = next((len(s), s[0].shape[-1]) for s in (lefts, rights) if s is not None)
+    D, ones = d // N, [np.eye(d)] * k
+    C = np.eye(D, dtype=complex)
+    for l, r, j in zip(ones if lefts is None else lefts, ones if rights is None else rights,
+                       range(1, k + 1)):
+        el, sub = _step_tables(j, N)
+        a, c = math.comb(N, j - 1), len(el)
+        s = (-1.0) ** np.arange(j - 1, -1, -1) / math.sqrt(j)
+        Cg = C.reshape(a, D, a, D).transpose(2, 3, 0, 1)[sub].reshape(c, j * D, a * D)
+        rg = r.reshape(N, D, N, D).transpose(2, 1, 0, 3)[el] * s[:, None, None, None]
+        W = np.matmul(Cg.transpose(0, 2, 1), rg.reshape(c, j * D, N * D))
+        W = W.reshape(c, a, D, N, D).transpose(3, 2, 1, 0, 4).reshape(N * D, a * c * D)
+        W = (l @ W).reshape(N, D, a, c * D)
+        C = (s @ W[el, :, sub].reshape(c, j, D * c * D)).reshape(c * D, c * D)
+    return np.trace(C.reshape(c, D, c, D), axis1=0, axis2=2)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_antisym_trace_equals_the_fancy_index_steps(N):
+    # the same operands in the same layouts, gathered by `take` at row tables:
+    # every value equal, for every k, with lefts, rights and both, D = 1 and N
+    for D in (1, N):
+        for k in range(1, N + 2):
+            lefts, rights = rnd_stack(k, N * D), rnd_stack(k, N * D)
+            for kwargs in ({"lefts": lefts}, {"rights": rights}, {"lefts": lefts, "rights": rights}):
+                got = antisym_trace(N, **kwargs)
+                assert np.array_equal(got, fancy_index_trace(N, **kwargs)), (D, k, kwargs.keys())
+
+
+def test_step_gathers_cached_only_while_small(monkeypatch):
+    # at N = D = 4 the row tables of steps 1 and 4 hold 160 entries and those
+    # of steps 2 and 3 672: under a bound of 200 only steps 1 and 4 are kept,
+    # read-only and reused, and the others are built per call
+    monkeypatch.setattr(tensor, "_GATHERS", {})
+    sizes = [sum(t.size for t in tensor._step_gathers(j, 4, 4)[:4]) for j in range(1, 5)]
+    assert sizes == [160, 672, 672, 160]
+    monkeypatch.setattr(tensor, "_GATHERS", {})
+    monkeypatch.setattr(tensor, "_BLOCK_ENTRIES", 200)
+    lefts, rights = rnd_stack(4, 16), rnd_stack(4, 16)
+    want = fancy_index_trace(4, lefts, rights)
+    for _ in range(2):
+        assert np.array_equal(antisym_trace(4, lefts, rights), want)
+        assert set(tensor._GATHERS) == {(1, 4, 4), (4, 4, 4)}
+    for j in (1, 4):
+        tables = tensor._GATHERS[j, 4, 4]
+        assert tensor._step_gathers(j, 4, 4) is tables
+        for t in tables:
+            assert not t.flags.writeable
+    assert tensor._step_gathers(2, 4, 4) is not tensor._step_gathers(2, 4, 4)
+
+
 def test_step_tables_map_one_basis_to_the_next():
     # sum_i s_i V_{j-1}[:, sub[:, i]] (x) e_{el[:, i]} = V_j, s_i = (-1)^(j-1-i) / sqrt(j),
     # for the bases of `antisymmetrizer_basis` and V_0 = 1; the tables are
