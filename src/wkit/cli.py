@@ -41,7 +41,7 @@ import threading
 
 import numpy as np
 
-from .errors import REPORTED, ConfigError, WkitError
+from .errors import REPORTED, ConfigError
 from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy
 from .reports import CheckReport, report_dicts
 from .suites import SUITES, SuiteContext
@@ -329,7 +329,7 @@ def _evaluate(args, points):
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except WkitError as exc:
+    except REPORTED as exc:
         print(f"evaluation failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     bad = [x for x, val in zip(xs, vals) if not cmath.isfinite(val)]

@@ -14,6 +14,7 @@ p, so no sign ambiguity can creep into downstream formulas.
 from __future__ import annotations
 
 import cmath
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,7 +51,8 @@ class EllipticParams:
     """Parameter point (N, q, s, c) with derived quantities.
 
     N: rank, >= 2.  q: deformation parameter, 0 < |q| < 1.  s: designated
-    value of -p^{1/2} (so p = s^2).  c: central charge (real in all tests).
+    value of -p^{1/2} (so p = s^2).  c: central charge (real in all tests);
+    s* = s q^{-c} and p* = s*^2 must be finite and nonzero.
 
     Scalar structure functions need only q and the s-ladder, so |p| >= 1 is
     allowed there; R-matrix construction additionally requires |p| < 1 and
@@ -83,9 +85,15 @@ class EllipticParams:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "c", c)
+        s_star = p_star = cmath.inf
+        with contextlib.suppress(OverflowError):
+            s_star = s * q ** (-c)
+            p_star = s_star**2
+        if not (cmath.isfinite(p_star) and p_star):
+            raise ValueError(f"s* = s q^(-c) and s*^2 must be finite and nonzero, got s* = {s_star}")
         object.__setattr__(self, "p", s * s)
-        object.__setattr__(self, "s_star", s * q ** (-self.c))
-        object.__setattr__(self, "p_star", self.s_star**2)
+        object.__setattr__(self, "s_star", s_star)
+        object.__setattr__(self, "p_star", p_star)
         object.__setattr__(self, "zeta", cmath.log(q) / _I_PI)
 
     @property

@@ -8,27 +8,24 @@ identity, its wants, each (fn, xs, *args) for a build or prefactor it
 needs, the body that measures the identity on their values, and its
 tolerance or control threshold.  `run_check` runs one check on its own.
 
-A suite is a function (SuiteContext) -> list[CheckReport].  Its body draws
-its points from seeded generators and adds its checks to one runner,
-`_Checks`, which takes them in three steps:
+A suite is a function (SuiteContext) -> list[CheckReport].  It runs its
+body once: the body draws its points from seeded generators and adds its
+checks to one runner, `_Checks`, which measures them in one pass:
 
-- Draw: the body draws the points of every check, with the same generator
-  calls in the same order as checks run one by one.  A check without
-  wants runs when it is added.
+- Draw: the body draws the first point of every check and queues it.
 - Build: the wants of one build (R or Rhat of one factory) or prefactor
   (U, F_a or Y_mn at one parameter point) are evaluated in one call over
-  the points of all checks.
-- Check: each check's body runs on its slices.
+  the points of all checks.  If that call raises an error a report names
+  (`errors.REPORTED`), each check that wants it evaluates its wants alone.
+- Check: each check's body runs on its values, in the order added.
 
-If a build or a queued body raises an error a report names
-(`errors.REPORTED`), the suite's body runs again from fresh generators
-with every check run when it is added, inside `_with_resample` where it
-was drawn there: so draws, resamples and errors are those of checks run
-one by one.  An error still raised by a check then becomes that check's
-failing report, with residual NaN and the error's type and message in
-`error`/`message`.  An error raised outside every check (while drawing,
-or resolving a surface) propagates, and `wkit check` writes it as the
-suite's one `suite-error` report.
+A check that still raises such an error fails alone: its report has
+residual NaN and the error's type and message in `error`/`message`.  A
+check added by `_Checks.resampled` that raises PoleHit or
+OutsideConvergenceAnnulus is made again at points drawn after the body's
+last draw, so no other check's point or value moves.  An error raised
+outside every check (while drawing, or resolving a surface) propagates,
+and `wkit check` writes it as the suite's one `suite-error` report.
 
 Suites share only the process-wide caches of values that never change
 (factories, lattices), so they can run concurrently; the CLI sorts reports
@@ -37,6 +34,7 @@ canonically before emission.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -180,10 +178,10 @@ _RESAMPLED = (PoleHit, OutsideConvergenceAnnulus)
 
 
 def _with_resample(fn, rng, radii=(0.7, 1.4)):
-    """Call fn(point), resampling the point on PoleHit or
-    OutsideConvergenceAnnulus up to five times; |point| is drawn from the
-    range `radii`."""
-    for _ in range(5):
+    """fn(point) at the first of up to five points drawn from rng, |point|
+    in the range `radii`, where it raises neither PoleHit nor
+    OutsideConvergenceAnnulus; the fifth point's error propagates."""
+    for _ in range(4):
         try:
             return fn(_safe_point(rng, *radii))
         except _RESAMPLED:
@@ -191,11 +189,13 @@ def _with_resample(fn, rng, radii=(0.7, 1.4)):
     return fn(_safe_point(rng, *radii))  # last try propagates
 
 
-def _attempt(check: Check) -> tuple:
-    """(the report of check, None), its wants evaluated one call each, or
-    (its failing report, the error) if it raises an error a report names."""
+def _attempt(check: Check, values=None) -> tuple:
+    """(the report of check, None), its body run on `values`, or if None on
+    its wants evaluated one call each; or (its failing report, the error) if
+    it raises an error a report names."""
     try:
-        values = [fn(np.asarray(xs, dtype=complex), *args) for fn, xs, *args in check.wants]
+        if values is None:
+            values = [fn(np.asarray(xs, dtype=complex), *args) for fn, xs, *args in check.wants]
         return check.report(check.body(*values)), None
     except REPORTED as exc:
         return check.failed(exc), exc
@@ -207,53 +207,35 @@ def run_check(check: Check) -> CheckReport:
     return _attempt(check)[0]
 
 
+def _redraw(make, i, rng, radii) -> CheckReport:
+    """The report of check i of make(point) at the first point drawn by
+    `_with_resample` where it raises neither PoleHit nor
+    OutsideConvergenceAnnulus, or its failing report at the last."""
+    last = None
+
+    def attempt(point):
+        nonlocal last
+        made = make(point)
+        last, exc = _attempt(made[i] if isinstance(made, list) else made)
+        if isinstance(exc, _RESAMPLED):
+            raise exc
+        return last
+
+    try:
+        return _with_resample(attempt, rng, radii)
+    except _RESAMPLED:
+        return last
+
+
 class _Checks:
-    """The checks one pass of a suite body adds, reported in the order
-    added.  A check runs when it is added, but a batched pass queues each
-    check that has wants: `reports` then calls each (fn, args) of the
-    queued wants once, on the concatenated points of all of them in the
-    order added, and runs each queued body on its slices."""
+    """The checks a suite body adds, measured by `reports` in one pass and
+    reported in the order added."""
 
-    def __init__(self, batched: bool):
-        self.batched = batched
-        self._out = []     # per check, its report or (check, a ((fn, args), start, stop) slice per want)
-        self._points = {}  # (fn, args) -> the point arrays of its queued wants
+    def __init__(self):
+        self._queue = []   # per check: (check, its redraw or None, a ((fn, args), start, stop) slice per want)
+        self._points = {}  # (fn, args) -> the point arrays of its wants
 
-    def add(self, check: Check):
-        self._keep(check, self._try(check))
-
-    def resampled(self, make, rng, radii=(0.7, 1.4)):
-        """Add the check or list of checks make(point), the point drawn by
-        `_with_resample` from the range `radii`: while a check that runs
-        raises PoleHit or OutsideConvergenceAnnulus, every check of make is
-        made again at a new point, and after the last try each check that
-        raised fails alone.  An error of make itself propagates."""
-        tried = []  # (check, what `_try` gave) of the last try
-
-        def attempt(point):
-            tried.clear()
-            made = make(point)
-            tried.extend((check, self._try(check)) for check in (made if isinstance(made, list) else [made]))
-            for _, out in tried:
-                if out is not None and isinstance(out[1], _RESAMPLED):
-                    raise out[1]
-
-        try:
-            _with_resample(attempt, rng, radii)
-        except _RESAMPLED:
-            if not tried:
-                raise
-        for check, out in tried:
-            self._keep(check, out)
-
-    def _try(self, check: Check):
-        """None for a check to queue, else what `_attempt` gives."""
-        return None if self.batched and check.wants else _attempt(check)
-
-    def _keep(self, check: Check, out):
-        if out is not None:
-            self._out.append(out[0])
-            return
+    def add(self, check: Check, redraw=None):
         slices = []
         for fn, xs, *args in check.wants:
             key = (fn, tuple(args))
@@ -261,36 +243,43 @@ class _Checks:
             start = sum(map(len, parts))
             parts.append(np.asarray(xs, dtype=complex))
             slices.append((key, start, start + len(parts[-1])))
-        self._out.append((check, slices))
+        self._queue.append((check, redraw, slices))
+
+    def resampled(self, make, rng, radii=(0.7, 1.4)):
+        """Add the check or list of checks make(point), the point drawn from
+        rng with |point| in the range `radii`.  Each of them that raises
+        PoleHit or OutsideConvergenceAnnulus is made again by `_redraw`,
+        after the body's last draw."""
+        made = make(_safe_point(rng, *radii))
+        for i, check in enumerate(made if isinstance(made, list) else [made]):
+            self.add(check, (make, i, rng, radii))
 
     def reports(self) -> list[CheckReport]:
-        values = {key: key[0](np.concatenate(parts), *key[1]) for key, parts in self._points.items()}
+        """Each (fn, args) of the wants called once, on the concatenated
+        points of all of them in the order added, then each body run on its
+        slices; each check is released once reported."""
+        values = {}
+        for key, parts in self._points.items():
+            with contextlib.suppress(*REPORTED):  # then each check that wants it evaluates its wants alone
+                values[key] = key[0](np.concatenate(parts), *key[1])
         out = []
-        for slot in self._out:
-            if isinstance(slot, CheckReport):
-                out.append(slot)
-                continue
-            check, slices = slot
-            out.append(check.report(check.body(*(values[key][a:b] for key, a, b in slices))))
+        for i, (check, redraw, slices) in enumerate(self._queue):
+            self._queue[i] = None
+            batched = all(key in values for key, _, _ in slices)
+            report, exc = _attempt(check, [values[key][a:b] for key, a, b in slices] if batched else None)
+            out.append(_redraw(*redraw) if redraw and isinstance(exc, _RESAMPLED) else report)
         return out
 
 
 def _suite(body):
-    """The suite that runs body(ctx, checks), which draws its points and
-    adds its checks to the runner `checks`: batched, or, if a build or a
-    queued body raises an error a report names, again with every check run
-    when it is added."""
+    """The suite that runs body(ctx, checks) once, which draws its points
+    and adds its checks to the runner `checks`, and gives their reports."""
 
     @wraps(body)
     def suite(ctx: SuiteContext) -> list[CheckReport]:
-        checks = _Checks(batched=True)
+        checks = _Checks()
         body(ctx, checks)
-        try:
-            return checks.reports()
-        except REPORTED:
-            checks = _Checks(batched=False)
-            body(ctx, checks)
-            return checks.reports()
+        return checks.reports()
 
     return suite
 

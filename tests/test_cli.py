@@ -220,12 +220,14 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"suites": []},  # no check at all would pass vacuously
     {"params": {"N": 2}, "suites": ["n0", "theta-identities", "n0"]},  # n0 reported twice
     {"params": {"N": 2}, "suites": ["n0"], "tolerances": {"n0": -1e-12}},  # every check fails
+    {"params": {"N": 2, "c": 2000}},  # s* = s q^(-c) overflows
+    {"params": {"N": 2, "c": -2000}},  # s* = 0
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(bad))
     res = run_cli("check", "--config", str(path))
-    assert res.returncode == 2, res.stderr
+    assert res.returncode == 2 and res.stderr.startswith("config error: "), res.stderr
     assert res.stdout == ""
 
 
@@ -452,6 +454,17 @@ def test_eval_non_finite_parameter_exits_2():
     res = run_cli("eval", "U", "--at", "1.1", "--q", "nan")
     assert res.returncode == 2 and res.stdout == ""
     assert "q must be finite" in res.stderr
+
+
+@pytest.mark.parametrize("c, code, head", [
+    ("2000", 2, "error: s* = s q^(-c) and s*^2 must be finite and nonzero"),  # s* overflows
+    ("-2000", 2, "error: s* = s q^(-c) and s*^2 must be finite and nonzero"),  # s* = 0
+    ("-600", 1, "evaluation failed: OverflowError: "),  # Y_FF's cmath.exp overflows
+])
+def test_eval_and_scan_at_extreme_central_charges(c, code, head):
+    for args in (["eval", "Y_FF", "--at", "1.1"], ["scan", "Y_FF", "--from", "0.9", "--to", "1.1", "--points", "3"]):
+        res = run_cli(*args, "--c", c)
+        assert res.returncode == code and res.stdout == "" and res.stderr.startswith(head), res.stderr
 
 
 def test_eval_non_finite_value_exits_1():

@@ -106,6 +106,9 @@ def test_elliptic_params_validation():
         EllipticParams(N=2, q=0.5, s=0.0)
     with pytest.raises(ValueError):
         EllipticParams(N=2, q=1 - 1e-9, s=0.5)  # q^(2N) too close to 1
+    for c in (2000, -2000, 600):  # s* = s q^(-c) overflows, is 0, or is finite with s*^2 overflowing
+        with pytest.raises(ValueError, match="must be finite and nonzero"):
+            EllipticParams(N=2, q=0.55, s=0.5, c=c)
 
 
 def test_truncation_policy_validation():

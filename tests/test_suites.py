@@ -42,98 +42,117 @@ def dicts(reports):
     return out
 
 
+def wrap_wants(monkeypatch, wrap):
+    """Give every check a suite adds the wants (wrap(fn), xs, *args), one
+    wrapper per fn; return the list of the checks added."""
+    added, wrapped, add = [], {}, suites._Checks.add
+
+    def wrapping(self, check, redraw=None):
+        check.wants = [(wrapped.setdefault(fn, wrap(fn)), *rest) for fn, *rest in check.wants]
+        added.append(check)
+        add(self, check, redraw)
+
+    monkeypatch.setattr(suites._Checks, "add", wrapping)
+    return added
+
+
 @pytest.mark.parametrize("N", [2, 3, 4], ids=["N2-child-nome-limit", "N3", "N4"])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_batched_suites_equal_their_replay(monkeypatch, N, seed):
-    # the replay runs every check when it is added, as the checks run one
-    # by one; a batched pass must give the same reports, in the same order.
-    # Every suite at N = 2 and 3, the batched ones at N = 4; a passing run
-    # is one pass
+    # the one pass of a suite, its wants batched, gives the reports of its
+    # checks each replayed alone through run_check, in the order added.
+    # Then every batch call is made to raise: each check evaluates its
+    # wants alone, so its report is run_check's bit for bit, and the body
+    # still runs once.  Every suite at N = 2 and 3, the batched ones at N = 4
     ctx = ctx_for(N, seed)
     names = sorted(suites.SUITES) if N < 4 else BATCHED
-    passes, reports = [], suites._Checks.reports
-
-    def counted(self):
-        passes.append(self.batched)
-        return reports(self)
-
-    monkeypatch.setattr(suites._Checks, "reports", counted)
-    batched = {name: dicts(suites.SUITES[name](ctx)) for name in names}
-    assert passes == [True] * len(names)
-
-    def raising(self):
-        if self.batched:
-            raise PoleHit("forced")
-        return reports(self)
-
-    monkeypatch.setattr(suites._Checks, "reports", raising)
+    added = wrap_wants(monkeypatch, lambda fn: fn)
     for name in names:
-        replayed = dicts(suites.SUITES[name](ctx))
-        assert [(r["check"], r["passed"]) for r in replayed] == \
-            [(r["check"], r["passed"]) for r in batched[name]]
-        for a, b in zip(batched[name], replayed):
+        added.clear()
+        batched = dicts(suites.SUITES[name](ctx))
+        alone = dicts(map(suites.run_check, added))
+        assert [(r["check"], r["passed"]) for r in batched] == [(r["check"], r["passed"]) for r in alone]
+        for a, b in zip(batched, alone):
             assert_close(a, b, f"{name}:{a['check']}")
             assert a["inputs"].get("prefactor") == b["inputs"].get("prefactor")
 
+    called, runs = set(), []
 
-# The points each suite drew before the suites were batched, at N = 3,
-# seed 1, with the first draw of every fresh generator forced to z = 1: the
-# unitarity z of rmatrix-properties (its first draw resampled) and the z
-# of every corollary2-exchange report (its first tt check at z = 1)
-FORCED_Z = {
-    "rmatrix-properties": [
-        (0.8642758329902103, -0.3558739351756723), (0.7871230413249768, 0.29602178768714577),
-        (0.7553448642221007, 0.759923376455523), (0.7515725876010869, -0.5898843261549842),
-        (0.6738520073145932, 0.47897088417933625)],
-    "corollary2-exchange": [
-        (1.0, 0.0), (0.7235546596175223, 0.6925174128838518),
-        (0.7816495690716507, 0.2568594329953305), (0.3803365926844683, -0.6725462379997429),
-        (1.0305472518427583, -0.919993704752032), (1.0292534107783577, 0.9102920793242654),
-        (0.8328747503839967, -0.6062004308349133), (0.963055323479907, 0.9894324796889592),
-        (0.4441135164933527, -0.8333455696068783), (0.4023570571129091, 0.7285858925485954),
-        (0.2179038141186479, -0.7490617635519718), (0.6590645274501058, -0.3674868884194901),
-        (0.5306283439805425, -0.6244731341023388)],
-}
+    def raising_first(fn):
+        def once(xs, *args):
+            if fn not in called:
+                called.add(fn)
+                raise PoleHit("forced")
+            return fn(xs, *args)
+        return once
 
-
-def force_poles(monkeypatch, draws):
-    """Make the first `draws` points of every fresh generator z = 1, a pole
-    of Rhat; each still takes its draw from the generator."""
-    draw, seen = suites._safe_point, []  # a generator per draw, kept alive so none shares an id
-
-    def first_draws_one(rng, *radii):
-        z = draw(rng, *radii)
-        seen.append(rng)
-        return 1 + 0j if sum(r is rng for r in seen) <= draws else z
-
-    monkeypatch.setattr(suites, "_safe_point", first_draws_one)
+    added = wrap_wants(monkeypatch, raising_first)
+    for name in names:
+        added.clear()
+        called.clear()
+        body = suites.SUITES[name].__wrapped__
+        suite = suites._suite(lambda ctx, checks: runs.append(name) or body(ctx, checks))
+        assert dicts(suite(ctx)) == dicts(map(suites.run_check, added))
+        assert len(called) >= (name in BATCHED)
+    assert runs == list(names)
 
 
-@pytest.mark.parametrize("name", sorted(FORCED_Z))
+def record_draws(monkeypatch, forced=()):
+    """The points `_safe_point` draws, in order, as it draws them; the
+    draws at the indices `forced` are made z = 1, a pole of Rhat (each still
+    takes its draw from the generator)."""
+    seen, draw = [], suites._safe_point
+
+    def recorded(rng, *radii):
+        seen.append(draw(rng, *radii))
+        return 1 + 0j if len(seen) - 1 in forced else seen[-1]
+
+    monkeypatch.setattr(suites, "_safe_point", recorded)
+    return seen
+
+
+def first_resampled_draw(monkeypatch, name):
+    """(the number of points the body of suite `name` draws at N = 3, seed
+    1, the index of the first point drawn by `_Checks.resampled`, the
+    suite's reports as dicts)."""
+    seen, firsts, resampled = record_draws(monkeypatch), [], suites._Checks.resampled
+    monkeypatch.setattr(suites._Checks, "resampled", lambda self, *a: firsts.append(len(seen)) or resampled(self, *a))
+    reports = dicts(suites.SUITES[name](ctx_for(3, 1)))
+    return len(seen), firsts[0], reports
+
+
+@pytest.mark.parametrize("name", ["corollary2-exchange", "rmatrix-properties"])
 def test_forced_pole_resamples_as_before(monkeypatch, name):
-    # z = 1 is a pole of Rhat: the batch that holds it raises, and the
-    # replay from a fresh generator resamples the check that drew it
-    force_poles(monkeypatch, 1)
-    reports = suites.SUITES[name](ctx_for(3, 1))
-    assert all(r.passed for r in reports) and "suite-error" not in {r.check for r in reports}
-    got = [r.inputs["z"] for r in reports if r.check == "unitarity" or name == "corollary2-exchange"]
-    assert [(z.real, z.imag) for z in got] == FORCED_Z[name]
+    # z = 1 on the first draw of the suite's first resampled check (the
+    # unitarity z, and the z of prefactor-consistency, the suite's last
+    # draw): that check alone is drawn again, at the first point drawn
+    # after the body's last draw, and passes; every other report is as
+    # before, bit for bit
+    body_draws, forced, before = first_resampled_draw(monkeypatch, name)
+    seen = record_draws(monkeypatch, {forced})
+    after = dicts(suites.SUITES[name](ctx_for(3, 1)))
+    assert len(seen) == body_draws + 1 and all(r["passed"] for r in after)
+    moved = [(a["check"], b["inputs"]["z"]) for a, b in zip(before, after) if a != b]
+    z = seen[body_draws]
+    assert moved == [("unitarity" if name == "rmatrix-properties" else "prefactor-consistency", [z.real, z.imag])]
 
 
 def test_a_check_whose_every_draw_is_a_pole_fails_alone(monkeypatch):
-    # the first unitarity check of the replay draws z = 1 on all six tries:
-    # it fails with its PoleHit, and the suite's 34 other reports pass
-    force_poles(monkeypatch, 6)
+    # the first unitarity check draws z = 1 on all six tries, its first
+    # draw and five more after the body's last: it fails with its PoleHit,
+    # and the suite's 34 other reports are as before
+    body_draws, forced, before = first_resampled_draw(monkeypatch, "rmatrix-properties")
+    record_draws(monkeypatch, {forced, *range(body_draws, body_draws + 5)})
     made, check_unitarity = [], suites.check_unitarity
     monkeypatch.setattr(suites, "check_unitarity", lambda z, *args: made.append(z) or check_unitarity(z, *args))
-    reports = suites.SUITES["rmatrix-properties"](ctx_for(3, 1))
-    # five unitarity checks made in the batched pass, the first at z = 1;
-    # then the replay tries the first one six times
-    assert made[0] == 1 and made[5:11] == [1] * 6 and made.count(1) == 7
-    assert len(reports) == 35 and "suite-error" not in {r.check for r in reports}
-    failed = [r for r in reports if not r.passed]
-    assert [(r.check, r.inputs["z"], r.inputs["error"]) for r in failed] == [("unitarity", 1, "PoleHit")]
-    assert math.isnan(failed[0].residual) and "pole" in failed[0].inputs["message"]
+    reports = dicts(suites.SUITES["rmatrix-properties"](ctx_for(3, 1)))
+    # five unitarity checks made in the body, the first at z = 1; then five
+    # more tries of the first one
+    assert made[0] == 1 and made[5:] == [1] * 5
+    assert len(reports) == 35 and [a for a, b in zip(before, reports) if a != b] == [before[1]]
+    failed = [r for r in reports if not r["passed"]]
+    assert [(r["check"], r["inputs"]["z"], r["inputs"]["error"]) for r in failed] == [("unitarity", [1.0, 0.0], "PoleHit")]
+    assert math.isnan(failed[0]["residual"]) and "pole" in failed[0]["inputs"]["message"]
 
 
 def test_a_raising_check_fails_alone(monkeypatch):
