@@ -47,7 +47,7 @@ from .reports import CheckReport, report_dicts
 from .suites import SUITES, SuiteContext
 
 _CONFIG_KEYS = {"params", "policy", "suites", "grid", "seed", "tolerances"}
-_PARAM_KEYS = {"N", "q", "s", "p", "c"}
+_PARAM_KEYS = {"N", "q", "s", "p"}
 _POLICY_KEYS = {"tail_eps", "max_terms"}
 _GRID_KEYS = {"from", "to", "points", "log"}
 
@@ -95,11 +95,10 @@ def parse_config(cfg: dict) -> tuple[SuiteContext, list[str]]:
     if not isinstance(N, int) or N < 2:
         raise ConfigError(f"N must be an integer >= 2, got {N!r}")
     q = _as_complex(pblock.get("q", 0.55), "q")
-    c = _as_complex(pblock.get("c", 0.0), "c")
     s = _root_value(_as_complex(pblock["s"], "s") if "s" in pblock else None,
                     _as_complex(pblock["p"], "p") if "p" in pblock else None)
     try:
-        params = EllipticParams(N=N, q=q, s=s, c=c)
+        params = EllipticParams(N=N, q=q, s=s)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

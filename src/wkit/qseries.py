@@ -341,39 +341,47 @@ def theta_big(z: complex, p: complex, policy: TruncationPolicy = DEFAULT_POLICY)
 
 def _lattice_sums(alpha, beta, tau, policy: TruncationPolicy) -> np.ndarray:
     """sum_m exp(i pi tau[k] (m + alpha[k])^2 + 2 i pi (m + alpha[k]) beta[k])
-    for each row k, alpha possibly complex, in one window.
+    for each row k, alpha possibly complex, each row in a window of its own.
 
     With x = m + Re alpha, log|term| is the parabola
     -pi Im tau (x - x0)^2 + h with x0 = -(Re tau Im alpha + Im beta) / Im tau.
-    The window starts at half-width sqrt((ln(1/tail_eps) + h) / (pi Im tau))
-    + 3 around each x0, with the largest h and the smallest Im tau of the
-    rows, and doubles until the two outermost terms on each wing of every
-    sum are below tail_eps (1 + |sum|); past max_terms it raises.
+    A row's window starts at half-width sqrt((ln(1/tail_eps) + max(h, 0))
+    / (pi Im tau)) + 3 around its x0, and doubles until the two outermost
+    terms on each wing are below tail_eps (1 + |sum|); past max_terms it
+    raises.  The rows of one half-width are summed together, each along its
+    own window, so a row's value does not depend on the other rows.
     """
     y = alpha.imag
     peak = -(tau.real * y + beta.imag) / tau.imag
     height = math.pi * tau.imag * (peak * peak + y * y) - 2 * math.pi * y * beta.real
-    spread = max(math.log(1 / policy.tail_eps) + float(height.max(initial=0)), 0.0)
-    half = math.sqrt(spread / (math.pi * tau.imag.min(initial=math.inf))) + 3
-    W = int(half) if half < policy.max_terms else policy.max_terms  # NaN too
+    spread = np.maximum(math.log(1 / policy.tail_eps) + np.maximum(height, 0.0), 0.0)
+    half = np.sqrt(spread / (math.pi * tau.imag)) + 3
+    W = np.where(half < policy.max_terms, half, policy.max_terms).astype(int)  # NaN too
     centre = (np.rint(peak - alpha.real) + alpha)[:, None]
-    quad = (1j * cmath.pi * tau)[:, None]  # == Python's product: 1j*pi has a zero part
+    quad = np.empty((alpha.size, 1), dtype=complex)
+    quad[:, 0] = 1j * cmath.pi * tau  # == Python's product: 1j*pi has a zero part
     arg = _TWO_I_PI * beta[:, None]
-    while True:
-        a = centre + np.arange(-W, W + 1)
-        with np.errstate(all="ignore"):  # an overflowing sum fails the tail rule
-            # exp(quad a^2 + arg a) on two arrays of the window's size, not four
-            terms = np.multiply(a, a)
-            np.multiply(quad, terms, out=terms)
-            terms += np.multiply(arg, a, out=a)
-            np.exp(terms, out=terms)
-            acc = terms.sum(axis=1)
-            edge = np.abs(terms[:, [0, 1, -2, -1]]).max(axis=1, initial=0)
-        if (edge < policy.tail_eps * (1 + np.abs(acc))).all():
-            return acc
-        if W >= policy.max_terms:
-            raise TruncationBudgetExceeded("theta series did not meet tail bound")
-        W = min(2 * W, policy.max_terms)
+    acc = np.empty(alpha.shape, dtype=complex)
+    todo = np.arange(alpha.size)
+    with np.errstate(all="ignore"):  # an overflowing sum fails the tail rule
+        while todo.size:
+            widths, failed = W[todo], []
+            for w in set(widths.tolist()):  # np.unique would page in numpy's sort: 1 MB of peak RSS
+                rows = todo[widths == w]
+                a = centre[rows] + np.arange(-w, w + 1)
+                # exp(quad a^2 + arg a) on two arrays of the window's size, not four
+                terms = np.multiply(a, a)
+                np.multiply(quad[rows], terms, out=terms)
+                terms += np.multiply(arg[rows], a, out=a)
+                np.exp(terms, out=terms)
+                acc[rows] = sums = terms.sum(axis=1)
+                edge = np.abs(terms[:, [0, 1, -2, -1]]).max(axis=1, initial=0)
+                failed.append(rows[~(edge < policy.tail_eps * (1 + np.abs(sums)))])
+            todo = np.concatenate(failed)
+            if (W[todo] >= policy.max_terms).any():
+                raise TruncationBudgetExceeded("theta series did not meet tail bound")
+            W[todo] = np.minimum(2 * W[todo], policy.max_terms)
+    return acc
 
 
 def _image_sums(g1, u, tau, policy: TruncationPolicy) -> np.ndarray:
@@ -391,15 +399,16 @@ def theta_char_sums(g1s, g2s, xi, tau, policy: TruncationPolicy = DEFAULT_POLICY
 
     g1s, g2s and xi broadcast together, and the result is flat, one value
     per row; tau is one value or one per row.  Rows with
-    |tau| >= 1 sum the defining series in one window; the other rows sum
-    the series of the modular image (Poisson summation over m),
+    |tau| >= 1 sum the defining series; the other rows sum the series of
+    the modular image (Poisson summation over m),
 
         theta[g1,g2](xi, tau) = (-i tau)^{-1/2} e^{2 i pi g1 u}
             sum_n exp(-i pi (n + u)^2 / tau - 2 i pi (n + u) g1),  u = xi + g2,
 
-    whose nome Im(-1/tau) = Im tau / |tau|^2 is the larger one, in a second
-    window.  That also avoids the cancellation of the defining series at
-    small Im tau: at p = 0.6 its terms are 10^4 times a g2 = 1/2 value.
+    whose nome Im(-1/tau) = Im tau / |tau|^2 is the larger one.  That also
+    avoids the cancellation of the defining series at small Im tau: at
+    p = 0.6 its terms are 10^4 times a g2 = 1/2 value.  Each row sums on a
+    window of its own, so its value is that of a call of its own.
     """
     arrays = (np.asarray(g1s, dtype=float), np.asarray(xi, dtype=complex) + np.asarray(g2s, dtype=float),
               np.asarray(tau, dtype=complex))

@@ -22,18 +22,21 @@ is one array call over every point: Rhat's one-modulus products
 (P/q^2 z^2; P) and Theta_P(z^2), P = q^{2N}, in one `pochhammer2` call;
 its eight two-modulus products in another (`kappa_inv` on the array for
 R); the N^2 thetas of W and the prefactor's theta_A(xi + zeta) in one
-lattice sum (`theta_char_sums`) per 16 points, whose window, and so its
-rounding, every point of the sum sets; and the sums as the
-(N^3 x N^2) coefficient matrix times the n sets of N^2 theta ratios,
-scattered into the (n, N^2, N^2) result.  For R and Rhat the
-g^{1/2} (x) g^{1/2} conjugation is folded into that matrix.  It is
+lattice sum (`theta_char_sums`); and the sums as the (N^3 x N^2)
+coefficient matrix times each point's N^2 theta ratios, scattered into
+the (n, N^2, N^2) result.  For R and Rhat the g^{1/2} (x) g^{1/2}
+conjugation is folded into that matrix.  It is
 `RMatrixFactory.build(xis, hat)`, and every R and Rhat of the package
-comes from it; a one-point caller takes `build([xi], hat)[0]`.  A build
-runs those steps on chunks of at most 2^16 output entries (1 MB), 809
-points at N = 3, 256 at N = 4 and 16 at N = 8, so a caller that asks for
-all its points at once holds the temporaries of one chunk besides the
-(n, N^2, N^2) result; `pochhammer2` bounds its own factors, whatever the
-chunk.
+comes from it; a one-point caller takes `build([xi], hat)[0]`.  Every
+value is a function of its own point: the products multiply lane by lane,
+each point's ratios meet the matrix as a one-row product of their own (a
+GEMM over the points rounds by their count), and each lattice sum has a
+window of its own, so build(xis, hat)[i] is build([xis[i]], hat)[0] bit
+for bit.  A build runs those steps on chunks of at most 2^16 output
+entries (1 MB), 809 points at N = 3, 256 at N = 4 and 16 at N = 8, so a
+caller that asks for all its points at once holds the temporaries of one
+chunk besides the (n, N^2, N^2) result; the chunk changes no value, and
+`pochhammer2` bounds its own factors, whatever the chunk.
 
 A factory depends only on (params, policy): `factory(params, policy)`
 returns the one of this process, kept in a bounded cache.
@@ -58,7 +61,6 @@ from .qseries import _pp, _store, kappa_inv, pochhammer2, theta_char_sums
 
 _POLE_REL = 1e-12
 _CHUNK = 2 ** 16     # output entries of a build evaluated at once: 809 points at N = 3, 16 at N = 8
-_SUM_POINTS = 16     # points per lattice sum of a build, whose window (and rounding) all its points set
 _FACTORY_LIMIT = 16  # factories kept
 _FACTORIES = {}      # (params, policy) -> RMatrixFactory
 
@@ -173,13 +175,8 @@ class RMatrixFactory:
     def _thetas(self, xi: np.ndarray):
         """W's N^2 theta ratios theta_alpha(xi + zeta/N) / (N theta_alpha(zeta/N)),
         shape xi.shape + (N^2,), and the prefactor's theta_A(xi + zeta), at
-        the points of xi by one lattice sum per _SUM_POINTS of them in flat
-        order: each point's value is the one a build of those points alone
-        gives."""
-        x = xi.reshape(-1, 1)
-        nums = np.concatenate([theta_char_sums(self._g1, self._g2, x[i:i + _SUM_POINTS] + self._offsets,
-                                               self.tau, self.policy)
-                               for i in range(0, max(x.size, 1), _SUM_POINTS)])
+        the points of xi by one lattice sum."""
+        nums = theta_char_sums(self._g1, self._g2, xi.reshape(-1, 1) + self._offsets, self.tau, self.policy)
         nums = nums.reshape(xi.shape + self._g1.shape)
         return nums[..., :-1] / self._w_dens, nums[..., -1]
 
@@ -189,14 +186,17 @@ class RMatrixFactory:
         matrix per point of pref."""
         N2 = self.N * self.N
         out = np.zeros(ratios.shape[:-1] + (N2 * N2,), dtype=complex)
-        out[..., self._w_at] = np.asarray(pref)[..., None] * (ratios @ coef.T)
+        # a one-row product per point: a GEMM over the points rounds by their count
+        rows = np.matmul(ratios[..., None, :], coef.T)[..., 0, :]
+        out[..., self._w_at] = np.asarray(pref)[..., None] * rows
         return out.reshape(ratios.shape[:-1] + (N2, N2))
 
     def build(self, xis, hat: bool) -> np.ndarray:
         """The (n, N^2, N^2) stack of R (hat false) or Rhat at the n points
         xis, each step one array call over every point of a chunk of at
-        most _CHUNK output entries (one point at least; the lattice sums one
-        per _SUM_POINTS), the chunks in order; Rhat with the tau_N x kappa cancellation done analytically.
+        most _CHUNK output entries (one point at least), the chunks in
+        order; each point's value is that of a build of it alone.  Rhat
+        with the tau_N x kappa cancellation done analytically.
         On a degenerate nome it is the mean of the two child factories'
         builds.  Raises PoleHit if any point is a pole, with the message of
         the first such point."""
@@ -219,7 +219,8 @@ class RMatrixFactory:
             two = pochhammer2(args[3:], self.params.p, self._P, self.policy)
             den = np.concatenate((two[4:], one[1:2] * one[2:3] * self._pp_P))  # Theta_P(z^2) last
             poles = (abs(den) < _POLE_REL).any(axis=0)
-            pref = self._q_pow_pp * one[0] * two[:4].prod(axis=0)
+            # lane by lane, as in a batch of any size (a one-lane prod rounds otherwise)
+            pref = self._q_pow_pp * one[0] * (two[0] * two[1] * two[2] * two[3])
         else:
             pref = (np.exp(1j * np.pi * xi * (2.0 / self.N - 2.0))
                     * kappa_inv(z2, self.params, self.policy))
@@ -231,7 +232,7 @@ class RMatrixFactory:
             raise PoleHit(f"Rhat pole at xi = {complex(xi[i])}" if hat and poles[i] else
                           f"prefactor theta zero at xi = {complex(xi[i])}")
         if hat:  # after the pole check, so an exact zero raises rather than divides
-            pref = pref / den.prod(axis=0)
+            pref = pref / (den[0] * den[1] * den[2] * den[3] * den[4])
         return self._w_sum(pref * (self._theta_A_zeta / theta_den), ratios, self._coef_G)
 
 

@@ -132,38 +132,12 @@ def _safe_points(rng, k, lo=0.7, hi=1.4, lead=()):
 
 
 def _theta_rows(rng, N: int, k: int):
-    """k rows (g1, g2, xi, tau) of series-vs-product, as four arrays: each
-    row draws its two characteristics from 0, +-1/2, +-1/N, then Re xi,
-    Im xi, Re tau and Im tau.  The numbers are those of the six calls
-    rng.integers(5), rng.integers(5) and rng.uniform over each of the four
-    ranges, row by row, drawn in one call of five 64-bit words a row.  On a
-    PCG64 with no 32-bit half pending, numpy draws integers(5) from the next
-    32-bit half, x, as (5 x) >> 32 (Lemire's method; the two of a row are the
-    low and high halves of its first word), and a uniform from the next word
-    w as (w >> 11) 2^-53.  Lemire's method draws x again when (5 x) mod 2^32
-    is below (2^32 - 5) mod 5 = 1, that is when x = 0, which moves every
-    later number; then, or on another generator, the rows are drawn call by
-    call."""
-    chars = np.array([0.0, 0.5, -0.5, 1.0 / N, -1.0 / N])
-    bits = rng.bit_generator
-    fast = isinstance(bits, np.random.PCG64) and not bits.state["has_uint32"]
-    if fast:
-        words = bits.random_raw(5 * k).reshape(k, 5)
-        halves = np.stack((words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32))
-        if halves.all():
-            g = chars[(halves * 5) >> 32]
-            u = (words[:, 1:] >> 11) * 2.0 ** -53
-        else:  # a zero half: go back k rows and draw them call by call
-            bits.advance(-5 * k)
-            fast = False
-    if not fast:
-        g, u = np.empty((2, k)), np.empty((k, 4))
-        for i, row in enumerate(u):
-            g[:, i] = chars[rng.integers(5)], chars[rng.integers(5)]
-            rng.random(out=row)
-    lo, hi = np.array([-1.0, -0.2, -0.5, 0.3]), np.array([1.0, 0.2, 0.5, 3.0])
-    re_xi, im_xi, re_tau, im_tau = (lo + (hi - lo) * u).T  # rng.uniform's formula, draw for draw
-    return g[0], g[1], re_xi + 1j * im_xi, re_tau + 1j * im_tau
+    """k rows (g1, g2, xi, tau) of series-vs-product, as four arrays: the
+    two characteristics of each row from 0, +-1/2, +-1/N in one draw, then
+    Re xi, Im xi, Re tau and Im tau in another."""
+    g1, g2 = np.array([0.0, 0.5, -0.5, 1.0 / N, -1.0 / N])[rng.integers(5, size=(2, k))]
+    re_xi, im_xi, re_tau, im_tau = _uniform(rng, k, (-1.0, 1.0), (-0.2, 0.2), (-0.5, 0.5), (0.3, 3.0))
+    return g1, g2, re_xi + 1j * im_xi, re_tau + 1j * im_tau
 
 
 def _unit_point(rng):

@@ -20,7 +20,7 @@ def run_cli(*args):
 @pytest.fixture
 def small_config(tmp_path):
     cfg = {
-        "params": {"N": 2, "q": 0.55, "p": 0.3, "c": 0},
+        "params": {"N": 2, "q": 0.55, "p": 0.3},
         "policy": {"tail_eps": 1e-16, "max_terms": 512},
         "suites": ["theta-identities", "n0", "alpha-identity"],
         "seed": 3,
@@ -220,8 +220,9 @@ def test_check_exit_2_on_malformed_json(tmp_path):
     {"suites": []},  # no check at all would pass vacuously
     {"params": {"N": 2}, "suites": ["n0", "theta-identities", "n0"]},  # n0 reported twice
     {"params": {"N": 2}, "suites": ["n0"], "tolerances": {"n0": -1e-12}},  # every check fails
-    {"params": {"N": 2, "c": 2000}},  # s* = s q^(-c) overflows
-    {"params": {"N": 2, "c": -2000}},  # s* = 0
+    {"params": {"N": 2, "c": 2000}},  # c is no config key: every suite fixes its own central charge
+    {"params": {"N": 2, "c": -2000}},
+    {"params": {"N": 2, "c": 0}},
 ])
 def test_check_exit_2_on_schema_violations(tmp_path, bad):
     path = tmp_path / "cfg.json"

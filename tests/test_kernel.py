@@ -862,6 +862,24 @@ def test_theta_char_sums_match_series_and_product(chars, per_row):
         assert abs(v - theta_char_product(g1, g2, x, tau, POL)) <= 1e-13 * scale
 
 
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(CHARS), st.sampled_from(CHARS), st.floats(-3, 3),
+                            st.floats(-2, 2), st.floats(-0.6, 0.6), st.floats(0.05, 3)),
+                  min_size=2, max_size=10),
+    per_row=st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_theta_char_sums_rows_do_not_depend_on_the_call(rows, per_row):
+    # each row of one call, with one tau (the first row's) or one per row,
+    # == the row in a call of its own: every row sums on its own window
+    g1s, g2s, xr, xi, tr, ti = zip(*rows)
+    xis = [complex(a, b) for a, b in zip(xr, xi)]
+    taus = [complex(a, b) for a, b in zip(tr, ti)] if per_row else [complex(tr[0], ti[0])] * len(rows)
+    got = theta_char_sums(g1s, g2s, xis, taus if per_row else taus[0], POL).tolist()
+    for g1, g2, x, tau, v in zip(g1s, g2s, xis, taus, got):
+        assert v == theta_char_sums(g1, g2, x, tau, POL)[0], (g1, g2, x, tau)
+
+
 def test_theta_char_sums_one_point_for_all_characteristics():
     tau = 0.1 + 0.4j
     got = theta_char_sums([0.5, 0.25], [0.5, 1 / 3], 0.3 - 0.1j, tau, POL)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wkit.qseries as qs
 import wkit.rmatrix as rmatrix
@@ -380,15 +382,29 @@ def test_rhat_batch_matches_mpmath(pr):
 
 @pytest.mark.parametrize("N", [2, 3, 4])
 def test_batch_equals_one_point_builds(N):
-    # each point of a batch is what a one-point build gives, to rounding,
+    # each point of a batch is what a one-point build gives, bit for bit,
     # for R and Rhat alike
     fac = RMatrixFactory(params(N=N, q=0.55, p=0.6), POL)
     xis = [xi_of(cmath.rect(r, phi)) for r, phi in [(0.8, 0.3), (1.3, -1.0), (1.05, 0.9), (0.7, -0.2)]]
     for hat in (False, True):
         for xi, mat in zip(xis, fac.build(xis, hat)):
-            want = fac.build([xi], hat)[0]
-            assert np.abs(mat - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.array_equal(mat, fac.build([xi], hat)[0])
         assert fac.build([], hat).shape == (0, N * N, N * N)
+
+
+@given(N=st.integers(2, 8), hat=st.booleans(), child=st.booleans(),
+       points=st.lists(st.tuples(st.floats(math.log(0.1), math.log(10.0)), st.floats(0.05, 1.4), st.booleans()),
+                       min_size=2, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_build_values_do_not_depend_on_the_batch(N, hat, child, points):
+    # build(xs, hat)[i] is build([xs[i]], hat)[0] bit for bit, for R and
+    # Rhat at N = 2-8 with |z| in [0.1, 10], off the positive real axis,
+    # where the poles of q and p real lie; at N = 2, p = q^2 the build is
+    # the mean of the two child nomes' builds
+    fac = factory(EllipticParams(2, 0.6, 0.6) if child and N == 2 else params(N=N, q=0.55, p=0.6), POL)
+    xis = [xi_of(cmath.rect(math.exp(r), -phi if flip else phi)) for r, phi, flip in points]
+    for xi, mat in zip(xis, fac.build(xis, hat)):
+        assert np.array_equal(mat, fac.build([xi], hat)[0]), xi
 
 
 @pytest.mark.parametrize("pole,message", [(0.0, "Rhat pole at xi = 0j"), (None, "prefactor theta zero")])
@@ -444,8 +460,8 @@ def _want(n, seed):
 def test_build_chunks_hold_at_most_chunk_entries(monkeypatch, N, n, chunks):
     # a chunk holds at most 2^16 output entries of N^2 x N^2: a 75-point want
     # at N = 3 is one chunk, whose products are one pochhammer2 call per
-    # modulus pair, and a chunk at N = 8 is 16 points; its lattice sums take
-    # 16 points each
+    # modulus pair and whose thetas are one lattice sum, and a chunk at N = 8
+    # is 16 points
     fac = RMatrixFactory(params(N=N, q=0.55, p=0.6), POL)
     kernel, sums, products, points = rmatrix.pochhammer2, rmatrix.theta_char_sums, [], []
 
@@ -461,20 +477,19 @@ def test_build_chunks_hold_at_most_chunk_entries(monkeypatch, N, n, chunks):
     monkeypatch.setattr(rmatrix, "theta_char_sums", counted_sums)
     assert fac.build(_want(n, n), hat=True).shape == (n, N * N, N * N)
     assert products == [c for c in chunks for _ in range(2)]
-    assert points == [min(16, c - i) for c in chunks for i in range(0, c, 16)]
+    assert points == chunks
 
 
 @pytest.mark.parametrize("n", [1, 16, 17, 40])
 def test_chunked_build_equals_one_call(monkeypatch, n):
-    # chunks of 16 points give the stack of one call over all n, to the
-    # rounding a batch may differ by (the lattice-sum window of each call)
+    # chunks of 16 points give the stack of one call over all n, bit for bit
     fac = RMatrixFactory(params(N=3, q=0.55, p=0.6), POL)
     xis = _want(n, n)
     whole = [fac.build(xis, hat=False), fac.build(xis, hat=True)]
     monkeypatch.setattr(rmatrix, "_CHUNK", 16 * 81)
     for got, want in zip([fac.build(xis, hat=False), fac.build(xis, hat=True)], whole):
         assert got.shape == want.shape == (n, 9, 9)
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.array_equal(got, want)
 
 
 def test_chunked_build_raises_as_one_call(monkeypatch):
