@@ -576,22 +576,6 @@ def _forms(Fn, Fm, Fm_up, Fn_down, Fn_inv, Fm_inv):
     return f1, f2, abs(f1 - f2)
 
 
-def Y_mn_forms_items(items, policy: TruncationPolicy = DEFAULT_POLICY) -> list:
-    """[Y_mn_forms(x, m, n, params, policy) for x, m, n, params in items], the
-    x 1-d arrays of one length, the params on one q and N: the ladders of
-    every item take one U call, as U depends on q and N alone.  If that
-    raises, the items run one by one, which raises what the first failing
-    point of the first failing item raises."""
-    try:
-        with np.errstate(all="ignore"):
-            ladders = [lad for x, m, n, pr in items
-                       for lad in _forms_ladders(np.asarray(x, dtype=complex), m, n, pr)]
-            values = _ladders(ladders, items[0][3], policy)
-            return [_forms(*values[i:i + 6]) for i in range(0, len(values), 6)]
-    except (WkitError, ArithmeticError, ValueError):
-        return [Y_mn_forms(x, m, n, pr, policy) for x, m, n, pr in items]
-
-
 def Y_mn(x: complex, m: int, n: int, params: EllipticParams,
          policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Quadratic exchange function Y_{m,n}(x), second (ladder-ratio) form."""
@@ -649,7 +633,7 @@ def Y_kkprime_cr(x: complex, k: int, kprime: int, params: EllipticParams,
     """Fused exchange ratio prod_{i,j} U(q^{i-j} x) / U(q^{i-j-c} x) over the
     centred half-integer ladders of sizes k and k'.  Equals 1 at c = -N."""
     points = _fused_points(x, k, kprime, params)
-    return _fused_ratio(points, U(points.ravel(), params, policy).reshape(-1, 2))
+    return _fused_ratio(points, U(points.ravel(), params, policy))
 
 
 def _fused_points(x: complex, k: int, kprime: int, params: EllipticParams) -> np.ndarray:
@@ -663,24 +647,10 @@ def _fused_points(x: complex, k: int, kprime: int, params: EllipticParams) -> np
 
 
 def _fused_ratio(points: np.ndarray, u: np.ndarray) -> complex:
-    """The product of the U ratios u of `_fused_points`; a pair of equal
-    points (c = 0) is 1 exactly, not a division's rounding."""
-    return complex(np.prod(np.where(points[:, 0] == points[:, 1], 1, u[:, 0] / u[:, 1])))
-
-
-def Y_kkprime_cr_items(items, params: EllipticParams,
-                       policy: TruncationPolicy = DEFAULT_POLICY) -> list:
-    """[Y_kkprime_cr(x, k, k', params.with_c(c), policy) for x, k, k', c in
-    items], with one U call over the pairs of every item, as U depends on q
-    and N alone.  If that raises, the items run one by one, which raises
-    what the first failing item raises."""
-    try:
-        points = [_fused_points(x, k, kprime, params.with_c(c)) for x, k, kprime, c in items]
-        u = U(np.concatenate(points).ravel(), params, policy).reshape(-1, 2)
-        ends = np.cumsum([len(p) for p in points])
-        return [_fused_ratio(p, u[end - len(p):end]) for p, end in zip(points, ends)]
-    except (WkitError, ArithmeticError, ValueError):
-        return [Y_kkprime_cr(x, k, kprime, params.with_c(c), policy) for x, k, kprime, c in items]
+    """The product of the U ratios of `_fused_points`, u their U values in
+    the order of points.ravel(); a pair of equal points (c = 0) is 1
+    exactly, not a division's rounding."""
+    return complex(np.prod(np.where(points[:, 0] == points[:, 1], 1, u[0::2] / u[1::2])))
 
 
 # ---------------------------------------------------------------------------

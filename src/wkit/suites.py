@@ -14,18 +14,20 @@ checks to one runner, `_Checks`, which measures them in one pass:
 
 - Draw: the body draws the first point of every check and queues it.
 - Build: the wants of one build (R or Rhat of one factory) or prefactor
-  (U, F_a or Y_mn at one parameter point) are evaluated in one call over
-  the points of all checks.  If that call raises an error a report names
+  (U, F_a or Y_mn at one parameter point; the U values of every fused
+  exchange ratio of critical-poisson) are evaluated in one call over the
+  points of all checks.  If that call raises an error a report names
   (`errors.REPORTED`), each check that wants it evaluates its wants alone.
 - Check: each check's body runs on its values, in the order added.
 
 A check that still raises such an error fails alone: its report has
-residual NaN and the error's type and message in `error`/`message`.  A
-check added by `_Checks.resampled` that raises PoleHit or
-OutsideConvergenceAnnulus is made again at points drawn after the body's
-last draw, so no other check's point or value moves.  An error raised
-outside every check (while drawing, or resolving a surface) propagates,
-and `wkit check` writes it as the suite's one `suite-error` report.
+residual NaN and the error's type and message in `error`/`message`.  The
+checks added by one `_Checks.resampled` call that raise PoleHit or
+OutsideConvergenceAnnulus are made again together, once per point drawn
+after the body's last draw, so no other check's point or value moves.
+An error raised outside every check (while drawing, or resolving a
+surface) propagates, and `wkit check` writes it as the suite's one
+`suite-error` report.
 
 Suites share only the process-wide caches of values that never change
 (factories, lattices), so they can run concurrently; the CLI sorts reports
@@ -50,10 +52,13 @@ from .qseries import (
     I_series,
     U,
     Y_FF,
-    Y_kkprime_cr_items,
     Y_mn,
-    Y_mn_forms_items,
     Y_mn_grid,
+    _forms,
+    _forms_ladders,
+    _fused_points,
+    _fused_ratio,
+    _ladders,
     f_cr_modes,
     f_cr_series,
     pochhammer2,
@@ -181,24 +186,25 @@ def run_check(check: Check) -> CheckReport:
     return _attempt(check)[0]
 
 
-def _redraw(make, i, rng, radii) -> CheckReport:
-    """The report of check i of make(point) at the first point drawn by
-    `_with_resample` where it raises neither PoleHit nor
-    OutsideConvergenceAnnulus, or its failing report at the last."""
-    last = None
+def _redraw(make, left, rng, radii) -> dict:
+    """{i: the report of check i of make(point)} for each index i of left:
+    make is called once per point drawn by `_with_resample`, and each check
+    keeps its report at the first point where it raises neither PoleHit
+    nor OutsideConvergenceAnnulus, or its failing report at the last."""
+    reports = {}
 
     def attempt(point):
-        nonlocal last
+        nonlocal left
         made = make(point)
-        last, exc = _attempt(made[i] if isinstance(made, list) else made)
-        if isinstance(exc, _RESAMPLED):
-            raise exc
-        return last
+        tried = {i: _attempt(made[i] if isinstance(made, list) else made) for i in left}
+        reports.update((i, report) for i, (report, _) in tried.items())
+        left = [i for i, (_, exc) in tried.items() if isinstance(exc, _RESAMPLED)]
+        if left:
+            raise tried[left[0]][1]
 
-    try:
-        return _with_resample(attempt, rng, radii)
-    except _RESAMPLED:
-        return last
+    with contextlib.suppress(*_RESAMPLED):
+        _with_resample(attempt, rng, radii)
+    return reports
 
 
 class _Checks:
@@ -206,7 +212,7 @@ class _Checks:
     reported in the order added."""
 
     def __init__(self):
-        self._queue = []   # per check: (check, its redraw or None, a ((fn, args), start, stop) slice per want)
+        self._queue = []   # per check: (check, ((make, rng, radii), i) or None, a ((fn, args), start, stop) per want)
         self._points = {}  # (fn, args) -> the point arrays of its wants
 
     def add(self, check: Check, redraw=None):
@@ -221,27 +227,35 @@ class _Checks:
 
     def resampled(self, make, rng, radii=(0.7, 1.4)):
         """Add the check or list of checks make(point), the point drawn from
-        rng with |point| in the range `radii`.  Each of them that raises
-        PoleHit or OutsideConvergenceAnnulus is made again by `_redraw`,
-        after the body's last draw."""
+        rng with |point| in the range `radii`.  Those of them that raise
+        PoleHit or OutsideConvergenceAnnulus are made again together by
+        `_redraw`, after the body's last draw."""
         made = make(_safe_point(rng, *radii))
+        redraw = (make, rng, radii)
         for i, check in enumerate(made if isinstance(made, list) else [made]):
-            self.add(check, (make, i, rng, radii))
+            self.add(check, (redraw, i))
 
     def reports(self) -> list[CheckReport]:
         """Each (fn, args) of the wants called once, on the concatenated
         points of all of them in the order added, then each body run on its
-        slices; each check is released once reported."""
+        slices, then each list made again whose checks raised; each check is
+        released once reported."""
         values = {}
         for key, parts in self._points.items():
             with contextlib.suppress(*REPORTED):  # then each check that wants it evaluates its wants alone
                 values[key] = key[0](np.concatenate(parts), *key[1])
-        out = []
-        for i, (check, redraw, slices) in enumerate(self._queue):
-            self._queue[i] = None
+        out, redraws = [], {}  # id of a list to make again -> (its (make, rng, radii), {i: index in out})
+        for n, (check, redraw, slices) in enumerate(self._queue):
+            self._queue[n] = None
             batched = all(key in values for key, _, _ in slices)
             report, exc = _attempt(check, [values[key][a:b] for key, a, b in slices] if batched else None)
-            out.append(_redraw(*redraw) if redraw and isinstance(exc, _RESAMPLED) else report)
+            if redraw and isinstance(exc, _RESAMPLED):
+                group, i = redraw
+                redraws.setdefault(id(group), (group, {}))[1][i] = len(out)
+            out.append(report)
+        for (make, rng, radii), at in redraws.values():
+            for i, report in _redraw(make, list(at), rng, radii).items():
+                out[at[i]] = report
         return out
 
 
@@ -333,8 +347,11 @@ def _Y_two_forms(ctx: SuiteContext, tol: float) -> Check:
     draws = [(m, n, _safe_points(rng, 4)) for m, n in [(1, 1), (2, -1), (-1, -1), (3, 2), (-2, 3)]]
 
     def body():
-        forms = Y_mn_forms_items([(x, m, n, resolve_surface(m, n, pr.q, 0.0, pr.N).params)
-                                  for m, n, x in draws], ctx.policy)
+        surfaces = [resolve_surface(m, n, pr.q, 0.0, pr.N).params for m, n, _ in draws]
+        ladders = [lad for (m, n, x), spr in zip(draws, surfaces) for lad in _forms_ladders(x, m, n, spr)]
+        with np.errstate(all="ignore"):  # the six ladders of every surface by one U call: U needs q and N alone
+            values = _ladders(ladders, surfaces[0], ctx.policy)
+            forms = [_forms(*values[i:i + 6]) for i in range(0, len(values), 6)]
         return worst([r for f1, f2, diff in forms for r in (diff / (1 + abs(f2))).tolist()])
 
     return Check("theta-identities", "Y-two-forms",
@@ -1064,11 +1081,11 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
     differences (O(step^4)); plain central differences lose too much
     accuracy when x sits near a pole ring of the structure function."""
     N, step = params.N, 2e-5
+    # the ratio at c = -N +- step/2 and -N +- step, its U values a want each
+    points = [_fused_points(x, k, kprime, params.with_c(-N + e)) for e in (step / 2, -step / 2, step, -step)]
 
-    def body():
-        # the ratio at c = -N +- step/2 and -N +- step, by one U call
-        y = Y_kkprime_cr_items([(x, k, kprime, -N + e) for e in (step / 2, -step / 2, step, -step)],
-                               params, policy)
+    def body(*us):
+        y = [_fused_ratio(p, u) for p, u in zip(points, us)]
         half, full = ((y[i] - y[i + 1]) / (2 * e) for i, e in ((0, step / 2), (2, step)))
         d = (4 * half - full) / 3
         fs = f_cr_series(x, k, kprime, params, policy)
@@ -1077,19 +1094,17 @@ def critical_poisson_check(k: int, kprime: int, x: complex, params: EllipticPara
 
     return Check("critical-poisson", f"f_cr(k={k},k'={kprime})",
                  "d/dc fused ratio at c=-N equals both closed forms of f_cr",
-                 {"N": N, "q": params.q, "k": k, "kprime": kprime, "x": x, "step": step}, body, tolerance)
+                 {"N": N, "q": params.q, "k": k, "kprime": kprime, "x": x, "step": step}, body, tolerance,
+                 [(U, p.ravel(), params, policy) for p in points])
 
 
 def _fusion_ratio_critical(pr: EllipticParams, xs, policy: TruncationPolicy, tolerance: float) -> Check:
     """The fused exchange ratio at c = -N, one x of xs per (k, k')."""
-
-    def body():
-        kks = [(k, kp) for k in range(1, pr.N + 1) for kp in range(1, pr.N + 1)]
-        ratios = Y_kkprime_cr_items([(x, k, kp, -pr.N) for (k, kp), x in zip(kks, xs)], pr, policy)
-        return worst([abs(y - 1) for y in ratios])
-
+    kks = [(k, kp) for k in range(1, pr.N + 1) for kp in range(1, pr.N + 1)]
+    points = [_fused_points(x, k, kp, pr.with_c(-pr.N)) for (k, kp), x in zip(kks, xs)]
     return Check("critical-poisson", "fusion-ratio-critical", "fused exchange ratio equals 1 at c = -N",
-                 {"N": pr.N, "q": pr.q}, body, tolerance)
+                 {"N": pr.N, "q": pr.q}, lambda *us: worst([abs(_fused_ratio(p, u) - 1) for p, u in zip(points, us)]),
+                 tolerance, [(U, p.ravel(), pr, policy) for p in points])
 
 
 def _I_antisymmetry(pr: EllipticParams, xs, policy: TruncationPolicy, tolerance: float) -> Check:

@@ -701,51 +701,34 @@ def test_Y_kkprime_cr_raises_the_first_pole_of_the_loop():
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
 def test_Y_kkprime_cr_items_equal_a_call_each(N):
-    # one U call over the pairs of every item: each ratio equals its own call
+    # one U call over the pairs of every item, as the runner makes for the
+    # wants of critical-poisson's checks: each ratio equals its own call
     rnd = random.Random(N)
     pr = EllipticParams(N, rnd.uniform(0.5, 0.8), cmath.sqrt(0.3))
     items = [(cmath.rect(rnd.uniform(0.8, 1.25), rnd.uniform(-0.4, 0.4)), k, kprime, c)
              for k in range(1, N + 1) for kprime in range(1, N + 1) for c in (-N + 1e-5, -N - 1e-5, 0.25, 0)]
     want = [Y_kkprime_cr(x, k, kprime, pr.with_c(c), POL) for x, k, kprime, c in items]
-    assert qs.Y_kkprime_cr_items(items, pr, POL) == want
-
-
-def test_Y_kkprime_cr_items_raise_what_the_loop_raises_first():
-    # the second item meets a pole of U (as in
-    # test_Y_kkprime_cr_raises_the_first_pole_of_the_loop), the third has a
-    # level out of range: the loop over the items raises the pole, and the
-    # level's ValueError once it comes first
-    N = 3
-    pr = EllipticParams(N, 0.55, cmath.sqrt(0.3))
-    items = [(1.1 + 0.1j, 1, 2, 0.25), (pr.q, 2, 2, 1 - N), (1.1, 4, 1, 0)]
-
-    def loop(items, pr, policy):
-        return [Y_kkprime_cr(x, k, kprime, pr.with_c(c), policy) for x, k, kprime, c in items]
-
-    for order in (items, items[::-1]):
-        want = outcome(loop, order, pr, POL)
-        assert want[0] == ("PoleHit" if order is items else "ValueError")
-        assert outcome(qs.Y_kkprime_cr_items, order, pr, POL) == want
+    points = [qs._fused_points(x, k, kprime, pr.with_c(c)) for x, k, kprime, c in items]
+    u = U(np.concatenate(points).ravel(), pr, POL)
+    ends = np.cumsum([p.size for p in points])
+    assert [qs._fused_ratio(p, u[end - p.size:end]) for p, end in zip(points, ends)] == want
 
 
 def test_Y_mn_forms_items_equal_a_call_each():
-    # the ladders of five surfaces in one U call: each triple equals its own
-    # call, and a zero point of a later item does not pre-empt the pole of an
-    # earlier one (the items then run one by one)
+    # the ladders of five surfaces in one U call, as Y-two-forms takes them:
+    # each triple equals its own call
     from wkit import resolve_surface
     pr = EllipticParams(3, 0.8, cmath.sqrt(0.3))
     rng = np.random.default_rng(8)
     items = [(rng.uniform(0.8, 1.2, 4) * np.exp(1j * rng.uniform(-0.3, 0.3, 4)), m, n,
               resolve_surface(m, n, pr.q, 0.0, pr.N).params)
              for m, n in [(1, 1), (2, -1), (-1, -1), (3, 2), (-2, 3)]]
-    got = qs.Y_mn_forms_items(items, POL)
-    for (f1, f2, diff), (x, m, n, spr) in zip(got, items):
+    values = qs._ladders([lad for x, m, n, spr in items for lad in qs._forms_ladders(x, m, n, spr)],
+                         items[0][3], POL)
+    for i, (x, m, n, spr) in enumerate(items):
+        f1, f2, diff = qs._forms(*values[6 * i:6 * i + 6])
         w1, w2, wdiff = Y_mn_forms(x, m, n, spr, POL)
         assert f1.tolist() == w1.tolist() and f2.tolist() == w2.tolist() and diff.tolist() == wdiff.tolist()
-    items[1][0][2], items[3][0][0] = 1.0, 0.0  # a pole of U, then a zero point
-    want = outcome(lambda: [Y_mn_forms(x, m, n, spr, POL) for x, m, n, spr in items])
-    assert want[0] == "PoleHit"
-    assert outcome(qs.Y_mn_forms_items, items, POL) == want
 
 
 def test_per_point_nomes_match_mpmath():
@@ -1031,24 +1014,12 @@ def test_kappa_inv_matches_mpmath():
     assert worst <= 2 * 1.0e-14 + 1e-14, worst
 
 
-def perturbed(fn, k):
-    """fn with its values off by the relative 1e-8 Re(args[k]), which varies
-    from point to point (a constant factor cancels in the U and tau_N
-    ratios); Y_mn_forms has its first form perturbed and the difference
-    taken again."""
+def perturbed(fn, k, delta=1e-8):
+    """fn with its values off by the relative delta Re(args[k]), which
+    varies from point to point (a constant factor cancels in the U and
+    tau_N ratios)."""
     def wrapper(*args, **kwargs):
-        got, factor = fn(*args, **kwargs), 1 + 1e-8 * np.real(args[k])
-        if isinstance(got, tuple):
-            return got[0] * factor, got[1], abs(got[0] * factor - got[1])
-        return got * factor
-    return wrapper
-
-
-def perturbed_items(fn, k):
-    """fn over a list of items, each item's value perturbed as `perturbed`
-    perturbs the call fn(*item)."""
-    def wrapper(items, *args, **kwargs):
-        return [perturbed(lambda *_: got, k)(*item) for got, item in zip(fn(items, *args, **kwargs), items)]
+        return fn(*args, **kwargs) * (1 + delta * np.real(args[k]))
     return wrapper
 
 
@@ -1056,17 +1027,44 @@ def perturbed_items(fn, k):
     ("series-vs-product", "theta_char_product", 2), ("theta-inversion", "theta_big", 0),
     ("theta-product-N", "theta_big", 0), ("theta-product-N", "pochhammer2", 0),
     ("tau-U-identities", "tau_N", 0), ("tau-U-identities", "U", 0),
-    ("Y-two-forms", "Y_mn_forms_items", 0), ("Y-unitary-inversion", "Y_FF", 0)])
+    ("Y-two-forms", "qseries.U", 0), ("Y-unitary-inversion", "Y_FF", 0)])
 def test_theta_identities_fail_on_perturbed_values(monkeypatch, check, name, k):
+    # Y-two-forms takes its U values from `_ladders`, which calls qseries.U
+    # by name; U re-enters itself by that name through `_on_grid`, so only a
+    # call from outside an array evaluation is perturbed, and the factor
+    # applies once
     ctx = suites.SuiteContext(params=EllipticParams(3, 0.8, cmath.sqrt(0.3)), seed=1)
 
     def report():
         return next(r for r in suites.suite_theta_identities(ctx) if r.check == check)
 
     assert report().passed
-    wrap = perturbed_items if name.endswith("_items") else perturbed
-    monkeypatch.setattr(suites, name, wrap(getattr(suites, name), k))
+    if name.startswith("qseries."):
+        exact = getattr(qs, name[len("qseries."):])
+        wrapped = perturbed(exact, k)
+        monkeypatch.setattr(qs, name[len("qseries."):], lambda *a: exact(*a) if qs._BATCH.active else wrapped(*a))
+    else:
+        monkeypatch.setattr(suites, name, perturbed(getattr(suites, name), k))
     assert not report().passed
+
+
+@pytest.mark.parametrize("N", [2, 3])
+def test_critical_poisson_fails_on_perturbed_U(monkeypatch, N):
+    # the suite's U values, one runner call, off by the relative delta Re(z):
+    # fusion-ratio-critical fails at delta = 1e-8, and each of the 12 f_cr
+    # reports at 1e-4.  At 1e-8 f_cr fails at N = 2 in 0 of 12 reports, at
+    # N = 3 in 1: it compares derivatives in c, which such a U moves little
+    ctx = suites.SuiteContext(params=EllipticParams(N, 0.55, cmath.sqrt(0.3)), seed=1)
+    exact = suites.U
+
+    def failing(delta):
+        monkeypatch.setattr(suites, "U", perturbed(exact, 0, delta))
+        return [r.check for r in suites.suite_critical_poisson(ctx) if not r.passed]
+
+    f_cr = [r.check for r in suites.suite_critical_poisson(ctx) if r.check.startswith("f_cr")]
+    assert failing(0) == [] and len(f_cr) == 12
+    assert "fusion-ratio-critical" in failing(1e-8)
+    assert [c for c in failing(1e-4) if c.startswith("f_cr")] == f_cr
 
 
 def test_theta_identities_cache_only_fixed_nomes():

@@ -602,6 +602,26 @@ def test_U_inversion_symmetry_property(r, phi, q):
     assert abs(u - inv) <= 1e-10 * (1 + abs(u))
 
 
+@given(N=st.integers(2, 5), q=st.sampled_from([0.55, 0.8, 0.5 + 0.1j, 0.6 - 0.2j]), c=st.sampled_from([0, 0.25]),
+       a=st.sampled_from([-2, -1, 1, 3]), mn=st.sampled_from([(1, 1), (2, -1), (-1, -1), (3, 2), (-2, 3)]),
+       points=st.lists(st.tuples(st.floats(math.log(0.3), math.log(3.0)), st.floats(-math.pi, math.pi)),
+                       min_size=2, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_scalars_do_not_depend_on_the_batch(N, q, c, a, mn, points):
+    # U, F_a and Y_mn at each point of a batch equal their one-point calls
+    # (==), whatever other points share the batch: a suite's checks share
+    # one U call of the runner.  |x| in [0.3, 3]; a draw whose point alone
+    # meets a pole is a legitimate rejection
+    pr = EllipticParams(N, q, cmath.sqrt(0.3), c)
+    xs = np.array([cmath.rect(math.exp(r), phi) for r, phi in points])
+    for fn, args in ((U, ()), (F_a, (a, pr.s)), (Y_mn, mn)):
+        try:
+            alone = [fn(x, *args, pr, POL) for x in xs.tolist()]
+        except PoleHit:
+            continue
+        assert fn(xs, *args, pr, POL).tolist() == alone, fn.__name__
+
+
 @given(r=st.floats(0.8, 1.3), phi=st.floats(0.2, 1.2), q=st.floats(0.4, 0.65),
        c=st.floats(-1.0, 1.0))
 @settings(max_examples=40, deadline=None)

@@ -13,7 +13,7 @@ from wkit.errors import PoleHit
 from wkit.params import EllipticParams
 from wkit.suites import SuiteContext
 
-BATCHED = ("rmatrix-properties", "theorem1-exchange", "corollary2-exchange", "qdet")
+BATCHED = ("rmatrix-properties", "theorem1-exchange", "corollary2-exchange", "qdet", "critical-poisson")
 
 
 def ctx_for(N, seed):
@@ -105,20 +105,46 @@ def first_resampled_draw(monkeypatch, name):
     return len(seen), firsts[0], reports
 
 
-@pytest.mark.parametrize("name", ["corollary2-exchange", "rmatrix-properties"])
+# per suite, its first resampled check and the input that names its point
+FIRST_RESAMPLED = {"corollary2-exchange": ("prefactor-consistency", "z"), "rmatrix-properties": ("unitarity", "z"),
+                   "critical-poisson": ("f_cr(k=1,k'=1)", "x")}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_RESAMPLED))
 def test_forced_pole_resamples_as_before(monkeypatch, name):
     # z = 1 on the first draw of the suite's first resampled check (the
-    # unitarity z, and the z of prefactor-consistency, the suite's last
-    # draw): that check alone is drawn again, at the first point drawn
-    # after the body's last draw, and passes; every other report is as
-    # before, bit for bit
+    # unitarity z, the z of prefactor-consistency, the suite's last draw,
+    # and the x of f_cr(k=1,k'=1), a pole of its U points, which makes the
+    # suite's one U call raise): that check alone is drawn again, at the
+    # first point drawn after the body's last draw, and passes; every other
+    # report is as before, bit for bit
     body_draws, forced, before = first_resampled_draw(monkeypatch, name)
     seen = record_draws(monkeypatch, {forced})
     after = dicts(suites.SUITES[name](ctx_for(3, 1)))
     assert len(seen) == body_draws + 1 and all(r["passed"] for r in after)
-    moved = [(a["check"], b["inputs"]["z"]) for a, b in zip(before, after) if a != b]
+    check, key = FIRST_RESAMPLED[name]
+    moved = [(a["check"], b["inputs"][key]) for a, b in zip(before, after) if a != b]
     z = seen[body_draws]
-    assert moved == [("unitarity" if name == "rmatrix-properties" else "prefactor-consistency", [z.real, z.imag])]
+    assert moved == [(check, [z.real, z.imag])]
+
+
+def test_a_list_whose_checks_raise_is_made_again_once(monkeypatch):
+    # x = 1 on fusion-identities' first draw, its k = 2 list: all 7 checks
+    # of the list raise PoleHit, so it is made again once, at the first
+    # point drawn after the body's last draw, and all 7 pass there; the
+    # k = 3 list and every other report are as before, bit for bit
+    body_draws, forced, before = first_resampled_draw(monkeypatch, "fusion-identities")
+    seen = record_draws(monkeypatch, {forced})
+    made, make = [], suites.check_fusion_identities
+    monkeypatch.setattr(suites, "check_fusion_identities",
+                        lambda k, fac, x, **kw: made.append((k, x)) or make(k, fac, x, **kw))
+    after = dicts(suites.SUITES["fusion-identities"](ctx_for(3, 1)))
+    x = seen[body_draws]
+    assert made == [(2, 1), (3, seen[forced + 1]), (2, x)]
+    assert len(seen) == body_draws + 1 and all(r["passed"] for r in after)
+    moved = [(a["check"], b["inputs"]["k"], b["inputs"]["x"]) for a, b in zip(before, after) if a != b]
+    assert moved == [(name, 2, [x.real, x.imag]) for name in (
+        "chain", "chain_t0_inv", "chain_inv", "fused_rows", "fused_cols", "fused_inv_rows", "fused_inv_cols")]
 
 
 def test_a_check_whose_every_draw_is_a_pole_fails_alone(monkeypatch):
