@@ -382,10 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run verification suites from a config")
     p_check.add_argument("--config", required=True)
     p_check.add_argument("--out", default=None)
+    p_check.set_defaults(run=cmd_check)
 
     p_eval = sub.add_parser("eval", help="evaluate one scalar function at a point")
     p_eval.add_argument("fn")
     p_eval.add_argument("--at", required=True, help="RE or RE,IM")
+    p_eval.set_defaults(run=cmd_eval)
     _add_param_flags(p_eval)
 
     p_scan = sub.add_parser("scan", help="tabulate a scalar function over a grid")
@@ -395,20 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--points", type=int, default=100)
     p_scan.add_argument("--log", action="store_true")
     p_scan.add_argument("--csv", default=None)
+    p_scan.set_defaults(run=cmd_scan)
     _add_param_flags(p_scan)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "check":
-        return cmd_check(args)
-    if args.command == "eval":
-        return cmd_eval(args)
-    if args.command == "scan":
-        return cmd_scan(args)
-    return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return args.run(args)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,31 @@ import numpy as np
 from .errors import ModulusOutOfRange
 
 _I_PI = 1j * cmath.pi
+_CACHE_LIMIT = 128  # entries of a cache kept by `_store` unless it names its own bound
+_STORE_LOCK = threading.Lock()
+
+
+def _freeze(value):
+    """Make every ndarray in value read-only, through tuples and lists."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (tuple, list)):
+        for v in value:
+            _freeze(v)
+
+
+def _store(cache: dict, key, value, limit: int = _CACHE_LIMIT):
+    """Put value under key, its arrays made read-only, and return it.  Every
+    process-wide cache of the toolkit is filled here: an entry is replaced,
+    never changed in place, so its arrays are shared read-only, and a cache
+    that reaches its bound is emptied first (under a lock, so concurrent
+    callers keep the bound)."""
+    _freeze(value)
+    with _STORE_LOCK:
+        if len(cache) >= limit:
+            cache.clear()
+        cache[key] = value
+    return value
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,7 @@ from .errors import (
     WkitError,
     ZeroArgument,
 )
-from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, centred_ladder
+from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, _store, centred_ladder
 
 _TWO_I_PI = 2j * cmath.pi
 _POLE_EPS = 1e-14
@@ -102,28 +102,13 @@ _POLE_EPS = 1e-14
 # calls into one array call, down to one `pochhammer2` call.  Its first
 # line hands a call from outside to `_on_grid`, which makes a scalar a
 # one-point array and runs the body once, point by point where that raises.
-# A cache entry is replaced, never changed in place, and every cache is
-# cleared when it reaches its bound.
 
-_CACHE_LIMIT = 128   # (p;p)_inf values kept
 _LATTICE_LIMIT = 32      # lattices kept
 _LATTICE_SIZE = 2 ** 15  # weights of the largest lattice kept, 24 bytes each
 _BUFSIZE = 1024          # elements of numpy's ufunc buffer while a product is formed
 _BLOCK = 2 ** 15         # factors of a product formed at a time, 16 bytes each
 
-_PP = {}        # (p, policy) -> (p; p)_inf
 _LATTICES = {}  # (p1, p2, max_terms) -> a fixed-p1 lattice of pochhammer2
-_STORE_LOCK = threading.Lock()
-
-
-def _store(cache: dict, key, value, limit: int = _CACHE_LIMIT):
-    """Put value under key, emptying a full cache first (under a lock, so
-    concurrent callers keep the bound)."""
-    with _STORE_LOCK:
-        if len(cache) >= limit:
-            cache.clear()
-        cache[key] = value
-    return value
 
 
 def _check_modulus(p):
@@ -242,17 +227,8 @@ def _lattice(p1: complex, p2: complex, low: float, T: int):
     mag = np.abs(lat)
     keep = mag >= low
     lat, mag = lat[keep], mag[keep]
-    lat.flags.writeable = mag.flags.writeable = False
     lattice = (lat, mag, low, float(over1), float(over0))
     return _store(_LATTICES, key, lattice, _LATTICE_LIMIT) if lat.size <= _LATTICE_SIZE else lattice
-
-
-def _pp(p: complex, policy: TruncationPolicy) -> complex:
-    """(p; p)_inf, cached per (p, policy)."""
-    val = _PP.get((p, policy))
-    if val is None:
-        val = _store(_PP, (p, policy), complex(pochhammer2([p], p, 0, policy)[0]))
-    return val
 
 
 def pochhammer(z: complex, moduli, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -325,8 +301,9 @@ def _at(x: np.ndarray, mask: np.ndarray) -> complex:
 
 def theta_big(z: complex, p: complex, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
     """Jacobi Theta_p(z) = (z;p) (p/z;p) (p;p).  z and p are each one value
-    or an array (a nome per point); one `pochhammer2` call, which takes
-    (p;p) too when p is an array."""
+    or an array (a nome per point); one `pochhammer2` call, in which (p;p)
+    is one more point, or a row of them for a nome per point.  A product's
+    value does not depend on its batch, so (p;p) is the same at every z."""
     if not _BATCH.active:
         return _on_grid(theta_big, np.asarray(z), p, policy)
     if (z == 0).any():
@@ -335,8 +312,8 @@ def theta_big(z: complex, p: complex, policy: TruncationPolicy = DEFAULT_POLICY)
         z, p = np.broadcast_arrays(z, p)
         a, b, c = pochhammer2(np.array([z, p / z, p]), p, 0, policy)
         return a * b * c
-    a, b = pochhammer2(np.array([z, p / z]), complex(p), 0, policy)
-    return a * b * _pp(complex(p), policy)
+    v = pochhammer2(np.concatenate((z, p / z, [p])), complex(p), 0, policy)
+    return v[:len(z)] * v[len(z):-1] * v[-1]
 
 
 def _lattice_sums(alpha, beta, tau, policy: TruncationPolicy) -> np.ndarray:

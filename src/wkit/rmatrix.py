@@ -56,8 +56,8 @@ import cmath
 import numpy as np
 
 from .errors import ModulusOutOfRange, PoleHit
-from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, _charges, xi_of
-from .qseries import _pp, _store, kappa_inv, pochhammer2, theta_char_sums
+from .params import DEFAULT_POLICY, EllipticParams, TruncationPolicy, _charges, _store, xi_of
+from .qseries import kappa_inv, pochhammer2, theta_char_sums
 
 _POLE_REL = 1e-12
 _CHUNK = 2 ** 16     # output entries of a build evaluated at once: 809 points at N = 3, 16 at N = 8
@@ -152,7 +152,7 @@ class RMatrixFactory:
         # and the four denominator arguments of (.; p, P)
         P, p, qq = q ** (2 * N), params.p, q * q
         self._P = P
-        self._pp_P = _pp(complex(P), self.policy)
+        self._pp_P = complex(pochhammer2([P], P, 0, self.policy)[0])  # (P; P)_inf
         self._up = np.array([P / qq, 1.0, qq, p * P / qq, P, p])
         self._down = np.array([P, P, p, p * qq, p * P / qq])
         self._q_pow_pp = q ** (1.0 / N - 1.0) * self._pp_P

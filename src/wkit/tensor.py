@@ -37,16 +37,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChargeViolation, DimensionGuardExceeded, LabelMismatch
-from .params import _charges, centred_ladder, xi_of
-from .qseries import _store
+from .params import _charges, _store, centred_ladder, xi_of
 
 _DEFAULT_MAX_DIM = 10_000
 _TABLES = {}  # (k, N) -> the read-only nonzeros of the basis V of im A_k
-_STEPS = {}  # (j, N) -> the read-only (el, sub) index tables of the Lambda^j step
 _GATHERS = {}  # (j, N, D) -> the read-only row tables and signs of the Lambda^j step, while small
 _MOVES = {}  # (N, weights, transposed spaces) -> the read-only gather table of `partial_transpose`
-_PLANS = {}  # (N, n, gate positions) -> the row orders of `_sector_steps`
-_LAYOUTS = {}  # (N, n) -> the gather table of `from_matrix`
+_PLANS = {}  # (N, n, gate positions) -> the read-only row orders of `_sector_steps`
+_LAYOUTS = {}  # (N, n) -> the read-only gather table of `from_matrix`
 
 
 def _max_dim() -> int:
@@ -122,9 +120,7 @@ class LabeledTensor:
         at = _LAYOUTS.get((N, n))
         if at is None:  # the entry of the matrix at each entry of the blocks, read-only
             rows = (_places(N, n) @ _states(N, weights).reshape(n, -1)).reshape(N, -1, 1)
-            at = (rows * N**n + rows.transpose(0, 2, 1)).reshape(N**n, -1)
-            at.flags.writeable = False
-            at = _store(_LAYOUTS, (N, n), at)
+            at = _store(_LAYOUTS, (N, n), (rows * N**n + rows.transpose(0, 2, 1)).reshape(N**n, -1))
         data = m.reshape(-1).take(at)
         if np.count_nonzero(data) != np.count_nonzero(m):  # a nonzero off the blocks
             if np.isfinite(m).all():
@@ -154,9 +150,7 @@ class LabeledTensor:
                 (qb if swap else qa)[..., 0] += self.weights[i] * X[i]
             a_t, b_t = a.transpose(0, 2, 1), b.transpose(0, 2, 1)
             Q = (qa + qb.transpose(0, 2, 1)) % N  # the charge of the entry's row here
-            table = (Q * R + (a + b_t) // N) * R + (b + a_t) // N
-            table.flags.writeable = False
-            table = _store(_MOVES, key, table)
+            table = _store(_MOVES, key, (Q * R + (a + b_t) // N) * R + (b + a_t) // N)
         return LabeledTensor(self.labels, N, weights, self.data.ravel()[table].reshape(N * R, R))
 
     def _same_spaces(self, other: "LabeledTensor") -> np.ndarray:
@@ -233,9 +227,7 @@ def antisymmetrizer(k: int, N: int) -> Antisymmetrizer:
         rows = sum(combos[:, perms[:, i]] * N ** (k - 1 - i) for i in range(k))
         order = np.argsort(rows, axis=1)
         values = (np.where(odd == 1, -1.0, 1.0) / math.sqrt(math.factorial(k)))[order]
-        rows = np.take_along_axis(rows, order, axis=1)
-        rows.flags.writeable = values.flags.writeable = False
-        table = _store(_TABLES, (k, N), Antisymmetrizer(rows, values))
+        table = _store(_TABLES, (k, N), Antisymmetrizer(np.take_along_axis(rows, order, axis=1), values))
     return table
 
 
@@ -251,18 +243,13 @@ def antisymmetrizer_basis(k: int, N: int) -> np.ndarray:
 
 
 def _step_tables(j: int, N: int):
-    """(el, sub), two read-only (C(N,j), j) index tables cached per (j, N):
-    el[c] is the c-th g_1 < ... < g_j, sub[c, i] the index of g without g_i
-    in Lambda^{j-1}."""
-    tables = _STEPS.get((j, N))
-    if tables is None:
-        rank = {g: r for r, g in enumerate(combinations(range(N), j - 1))}
-        el = np.array(list(combinations(range(N), j)), dtype=np.intp).reshape(-1, j)
-        sub = np.array([[rank[g[:i] + g[i + 1:]] for i in range(j)] for g in combinations(range(N), j)],
-                       dtype=np.intp).reshape(-1, j)
-        el.flags.writeable = sub.flags.writeable = False
-        tables = _store(_STEPS, (j, N), (el, sub))
-    return tables
+    """(el, sub), two (C(N,j), j) index tables: el[c] is the c-th
+    g_1 < ... < g_j, sub[c, i] the index of g without g_i in Lambda^{j-1}."""
+    rank = {g: r for r, g in enumerate(combinations(range(N), j - 1))}
+    el = np.array(list(combinations(range(N), j)), dtype=np.intp).reshape(-1, j)
+    sub = np.array([[rank[g[:i] + g[i + 1:]] for i in range(j)] for g in combinations(range(N), j)],
+                   dtype=np.intp).reshape(-1, j)
+    return el, sub
 
 
 def _step_gathers(j: int, N: int, D: int):
@@ -286,8 +273,6 @@ def _step_gathers(j: int, N: int, D: int):
                outer(outer(outer(np.arange(N), d * N), np.arange(a) * D * N), np.arange(c) * a * D * N),
                outer(el * D * a + sub, d * a), s, s[:, None, None, None])
         if sum(t.size for t in got[:4]) <= _BLOCK_ENTRIES:
-            for t in got:
-                t.flags.writeable = False
             _store(_GATHERS, key, got)
     return got
 
@@ -394,9 +379,7 @@ def _sector_steps(gates, labels):
         back = np.empty(digits.shape[1], dtype=np.intp)
         back[_places(N, n - 1) @ digits[:-1]] = np.arange(len(back))
         plan = (plan, back)
-        if len(gates) * len(back) <= _BLOCK_ENTRIES:  # cached read-only
-            for a in (back, *(a for perm, at in plan[0] for a in (perm, *at))):
-                a.flags.writeable = False
+        if len(gates) * len(back) <= _BLOCK_ENTRIES:
             _store(_PLANS, key, plan)
     return [(perm, g.blocks[at]) for (perm, at), g in zip(plan[0], reversed(gates))], plan[1]
 

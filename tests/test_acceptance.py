@@ -321,7 +321,7 @@ def test_criterion_9_alpha_identity():
 
 def test_criterion_10_cli_contract(tmp_path):
     t0 = time.perf_counter()
-    base = [sys.executable, "-m", "wkit.cli"]
+    base = [sys.executable, "-m", "wkit"]
     cfg = {"params": {"N": 2, "q": 0.55, "p": 0.3},
            "suites": ["theta-identities", "abelianity", "n0"], "seed": 5}
     cfg_path = tmp_path / "cfg.json"

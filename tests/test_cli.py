@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-BASE = [sys.executable, "-m", "wkit.cli"]
+BASE = [sys.executable, "-m", "wkit"]
 
 
 def run_cli(*args):

@@ -84,9 +84,15 @@ def test_builder_layers_make_no_reports(name):
     assert layering_violations(path.read_text(encoding="utf-8")) == []
 
 
-def test_rmatrix_imports_nothing_from_tensor():
-    tree = ast.parse((ROOT / "src" / "wkit" / "rmatrix.py").read_text(encoding="utf-8"))
+# (importer, imported) pairs of layers that must stay apart: the R-matrix
+# layer builds no tensors, and the tensor layer needs no scalar function
+FORBIDDEN_EDGES = [("rmatrix", "tensor"), ("tensor", "qseries")]
+
+
+@pytest.mark.parametrize("importer,imported", FORBIDDEN_EDGES, ids=lambda v: v)
+def test_forbidden_import_edges(importer, imported):
+    tree = ast.parse((ROOT / "src" / "wkit" / f"{importer}.py").read_text(encoding="utf-8"))
     names = [node.module or alias.name if isinstance(node, ast.ImportFrom) else alias.name
              for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names]
-    assert not [n for n in names if n.split(".")[-1] == "tensor"]
+    assert not [n for n in names if n.split(".")[-1] == imported]

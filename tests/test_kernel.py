@@ -39,7 +39,7 @@ from wkit import (
     theta_char_sums,
 )
 from wkit.errors import ModulusOutOfRange, NonconvergentTau, PoleHit, TruncationBudgetExceeded
-from wkit.params import centred_ladder
+from wkit.params import _CACHE_LIMIT, centred_ladder
 
 POL = TruncationPolicy()
 SHORT = TruncationPolicy(tail_eps=1e-12, max_terms=64)
@@ -1068,16 +1068,13 @@ def test_critical_poisson_fails_on_perturbed_U(monkeypatch, N):
 
 
 def test_theta_identities_cache_only_fixed_nomes():
-    # the suite's scattered nomes run on per-call chains; the lattice and
-    # (p; p) caches keep only q^(2N) (with p2 = 0, as every one-modulus
-    # product)
+    # the suite's scattered nomes run on per-call chains; the lattice cache
+    # keeps only q^(2N) (with p2 = 0, as every one-modulus product)
     pr = EllipticParams(3, 0.8, cmath.sqrt(0.3))
     qs._LATTICES.clear()
-    qs._PP.clear()
     for seed in (1, 2):
         suites.suite_theta_identities(suites.SuiteContext(params=pr, seed=seed))
     assert {(p1, p2) for p1, p2, _ in qs._LATTICES} == {(complex(pr.q ** (2 * pr.N)), 0j)}
-    assert {p for p, _ in qs._PP} == {complex(pr.q ** (2 * pr.N))}
 
 
 def test_series_vs_product_checks_theta_char_sums(monkeypatch):
@@ -1101,7 +1098,7 @@ def test_kernel_caches_stay_bounded():
         theta_big(0.7 + 0.2j, a * a, POL)
         if i % 10 == 0:
             pochhammer(0.3, [a, 0.2], POL)
-    assert 0 < len(qs._PP) <= qs._CACHE_LIMIT
+    assert 0 < len(qs._LATTICES) <= qs._LATTICE_LIMIT  # a lattice per nome, 1000 nomes
     # one-modulus array products keep a lattice per nome, bounded apart;
     # a lattice past the size bound is formed per call and not kept
     for a in rng.uniform(0.05, 0.9, 100):
@@ -1121,7 +1118,7 @@ def test_kernel_caches_under_concurrent_callers():
     # regrown, and run array evaluations side by side; every value must
     # still equal the single-threaded one
     rng = np.random.default_rng(23)
-    nomes = [complex(a) for a in rng.uniform(0.05, 0.8, 3 * qs._CACHE_LIMIT)]
+    nomes = [complex(a) for a in rng.uniform(0.05, 0.8, 3 * _CACHE_LIMIT)]
     pairs = [(a, 0.3 * b) for a, b in zip(nomes[:40], nomes[40:80])]
     z = 0.8 + 0.3j
     want = [theta_big(z, p, POL) for p in nomes], [pochhammer(z, list(m), POL) for m in pairs]
@@ -1152,4 +1149,4 @@ def test_kernel_caches_under_concurrent_callers():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads) and not errors
     assert len(got) == 4 and all(v == want for v in got.values())
-    assert len(qs._PP) <= qs._CACHE_LIMIT
+    assert 0 < len(qs._LATTICES) <= qs._LATTICE_LIMIT

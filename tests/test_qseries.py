@@ -608,18 +608,19 @@ def test_U_inversion_symmetry_property(r, phi, q):
                        min_size=2, max_size=8))
 @settings(max_examples=300, deadline=None)
 def test_scalars_do_not_depend_on_the_batch(N, q, c, a, mn, points):
-    # U, F_a and Y_mn at each point of a batch equal their one-point calls
-    # (==), whatever other points share the batch: a suite's checks share
-    # one U call of the runner.  |x| in [0.3, 3]; a draw whose point alone
-    # meets a pole is a legitimate rejection
+    # U, F_a, Y_mn and theta_big at one nome at each point of a batch equal
+    # their one-point calls (==), whatever other points share the batch: a
+    # suite's checks share one U call of the runner, and theta_big takes
+    # (p; p) as one more point of its product.  |x| in [0.3, 3]; a draw
+    # whose point alone meets a pole is a legitimate rejection
     pr = EllipticParams(N, q, cmath.sqrt(0.3), c)
     xs = np.array([cmath.rect(math.exp(r), phi) for r, phi in points])
-    for fn, args in ((U, ()), (F_a, (a, pr.s)), (Y_mn, mn)):
+    for fn, args in ((U, (pr,)), (F_a, (a, pr.s, pr)), (Y_mn, (*mn, pr)), (theta_big, (pr.p,))):
         try:
-            alone = [fn(x, *args, pr, POL) for x in xs.tolist()]
+            alone = [fn(x, *args, POL) for x in xs.tolist()]
         except PoleHit:
             continue
-        assert fn(xs, *args, pr, POL).tolist() == alone, fn.__name__
+        assert fn(xs, *args, POL).tolist() == alone, fn.__name__
 
 
 @given(r=st.floats(0.8, 1.3), phi=st.floats(0.2, 1.2), q=st.floats(0.4, 0.65),

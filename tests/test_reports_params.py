@@ -3,11 +3,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from wkit import CheckReport, EllipticParams, TruncationPolicy, run_check, sort_reports
 from wkit.reports import Check
 from wkit.errors import ModulusOutOfRange, ZeroArgument
+from wkit.params import _store
 from wkit.qseries import tau_N
 
 
@@ -122,6 +124,22 @@ def test_require_elliptic_gate():
     pr = EllipticParams(N=2, q=0.5, s=2.0)  # |p| = 4
     with pytest.raises(ModulusOutOfRange):
         pr.require_elliptic()
+
+
+def test_store_freezes_what_it_keeps_and_empties_a_full_cache():
+    # every process-wide cache shares what it keeps, so each array of a kept
+    # value is read-only, however deep; a cache at its bound is emptied
+    # before the next entry goes in
+    cache = {}
+    kept = _store(cache, "a", (np.zeros(2), [np.ones(3), (np.arange(4), 1.5)]), limit=2)
+    for a in (kept[0], kept[1][0], kept[1][1][0]):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 7
+    assert cache["a"] is kept and _store(cache, "b", 2.5, limit=2) == 2.5
+    assert set(cache) == {"a", "b"}
+    _store(cache, "c", 3.5, limit=2)
+    assert cache == {"c": 3.5}
 
 
 def test_scalar_error_paths():

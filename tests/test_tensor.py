@@ -566,23 +566,24 @@ def test_step_gathers_cached_only_while_small(monkeypatch):
 
 def test_step_tables_map_one_basis_to_the_next():
     # sum_i s_i V_{j-1}[:, sub[:, i]] (x) e_{el[:, i]} = V_j, s_i = (-1)^(j-1-i) / sqrt(j),
-    # for the bases of `antisymmetrizer_basis` and V_0 = 1; the tables are
-    # built once per (j, N) and read-only
+    # for the bases of `antisymmetrizer_basis` and V_0 = 1; the gathers built
+    # from the tables are built once per (j, N, D) and read-only
     for N in (2, 3, 4, 5):
         prev = np.ones((1, 1))
         for j in range(1, N + 1):
-            el, sub = tables = _step_tables(j, N)
+            el, sub = _step_tables(j, N)
             assert el.shape == sub.shape == (math.comb(N, j), j)
             V = sum((-1) ** (j - 1 - i) / math.sqrt(j)
                     * np.einsum("ac,xc->axc", prev[:, sub[:, i]], np.eye(N)[:, el[:, i]]).reshape(N**j, -1)
                     for i in range(j))
             prev = antisymmetrizer_basis(j, N)
             assert np.abs(V - prev).max() <= 1e-15, (N, j)
-            assert _step_tables(j, N) is tables
-            for t in tables:
+            gathers = tensor._step_gathers(j, N, 1)
+            assert tensor._step_gathers(j, N, 1) is gathers
+            for t in gathers:
                 assert not t.flags.writeable
                 with pytest.raises(ValueError):
-                    t[0, 0] = 1
+                    t.flat[0] = 1
 
 
 def old_Q_gates(k, z, surface, rep):
